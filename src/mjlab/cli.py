@@ -26,7 +26,13 @@ from .kernels import (
     kernel_term_handle,
     theta_decompose,
 )
-from .mu import MuParameters, R_hat_ml, mu_hat_2, mu_hat_ml, mu_m
+from .mu import (
+    MuParameters,
+    mu_hat_2_jet,
+    mu_hat_component_jet,
+    mu_m_jet,
+    r_hat_component_jet,
+)
 from .special import (
     H_function,
     error_completion_E,
@@ -90,7 +96,9 @@ def _point(tau, z):
     return EvalPoint.from_tau_z(tau, z)
 
 
-# catalog evaluators: name -> (callable(opts, policy) -> value, needed flags)
+# catalog evaluators: name -> callable(opts, policy) -> value.  Each one
+# evaluates the function's jet form at order 0; E and H are real scalar
+# functions and are evaluated directly.
 
 
 def _eval_theta(o, policy):
@@ -118,21 +126,30 @@ def _eval_H(o, policy):
 def _eval_mu(o, policy):
     params = MuParameters(_two_m_of(o["m"]))
     p = _point(o["tau"], 0j)
-    return mu_m(params, o["z"], o["z2"], p, policy)
+    return mu_m_jet(
+        params.two_m, _cjet(p.tau), _cjet(o["z"]), _cjet(o["z2"]), policy
+    ).value
+
+
+def _component_args(o):
+    """(2m, l, tau, z) of a completed-component request, the rank checked
+    by MuParameters (the R-part alone would accept any rank)."""
+    params = MuParameters(_two_m_of(o["m"]), o["l"])
+    p = _point(o["tau"], o["z"])
+    return params.two_m, params.l, _cjet(p.tau), _cjet(p.z)
 
 
 def _eval_mu_hat_ml(o, policy):
-    params = MuParameters(_two_m_of(o["m"]), o["l"])
-    return mu_hat_ml(params, _point(o["tau"], o["z"]), policy)
+    return mu_hat_component_jet(*_component_args(o), policy).value
 
 
 def _eval_R_hat_ml(o, policy):
-    params = MuParameters(_two_m_of(o["m"]), o["l"])
-    return R_hat_ml(params, _point(o["tau"], o["z"]), policy)
+    return r_hat_component_jet(*_component_args(o), policy).value
 
 
 def _eval_mu_hat_2(o, policy):
-    return mu_hat_2(_point(o["tau"], o["z"]), policy)
+    p = _point(o["tau"], o["z"])
+    return mu_hat_2_jet(_cjet(p.tau), _cjet(p.z), policy).value
 
 
 def _eval_kernel(name):

@@ -9,8 +9,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DomainError,
     JetUnavailable,
@@ -88,14 +86,6 @@ class WeightIndex:
     @property
     def m(self):
         return self.two_m / 2.0
-
-    @property
-    def k_frac(self):
-        return Fraction(self.two_k, 2)
-
-    @property
-    def m_frac(self):
-        return Fraction(self.two_m, 2)
 
     @classmethod
     def of(cls, k, m):
@@ -343,10 +333,6 @@ def finite_difference_jet(f, p, order, step=None):
         fine = central(mon, (0.0, 0.0, 0.0, 0.0), h / 2)
         table[mon] = (4.0 * fine - coarse) / 3.0
     return table
-
-
-def constant_handle(value):
-    return FunctionHandle(jet_fn=lambda jv: Jet.constant(value, jv.order), label="const")
 
 
 def exp_qn_zeta_r(n, r):

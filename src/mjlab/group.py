@@ -7,14 +7,12 @@ Cocycle signs for products are resolved numerically at the reference point
 tau = i rather than by a symbolic 2-cocycle table.
 """
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, replace
 
-from .core import EvalPoint, FunctionHandle, JetVars, WeightIndex, principal_sqrt
+from .core import FunctionHandle, JetVars, WeightIndex, principal_sqrt
 from .errors import DomainError
-from .jets import Jet
 
 _REF_TAU = 1j
 
@@ -48,13 +46,6 @@ class JacobiGroupElement:
 
     def act_tau(self, tau):
         return (self.a * tau + self.b) / (self.c * tau + self.d)
-
-    def act(self, tau, z):
-        den = self.c * tau + self.d
-        return (
-            (self.a * tau + self.b) / den,
-            (z + self.lam * tau + self.mu) / den,
-        )
 
     # -- serialization ---------------------------------------------------
 

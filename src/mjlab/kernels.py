@@ -1,5 +1,5 @@
 """Fourier kernel bases for the two elliptic Laplace-type equations, the
-image table of the four covariant xi operators on them, and theta
+expected image table of the four covariant xi operators on them, and theta
 decomposition/recomposition of holomorphic-type Fourier data.
 
 A kernel term is c_i(n, r; y, v) q^n zeta^r where the coefficient functions
@@ -7,7 +7,8 @@ c_1..c_4 (and the skew variants) span the solution space of the Casimir and
 Heisenberg Laplace equations for the discriminant D = 4mn - r^2.  Fourier
 data with the class-function property c(n, r) = c(n', r') for equal D and
 r = r' mod 2m decomposes into label-indexed q-series with exact rational
-exponents.
+exponents.  The annihilation and image identities are checked in
+`mjlab.verify`.
 """
 
 import cmath
@@ -16,23 +17,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import FunctionHandle, JetVars, TruncationPolicy, WeightIndex
+from .core import FunctionHandle, JetVars, WeightIndex
 from .errors import DomainError, JetUnavailable, NotThetaDecomposable
 from .jets import Jet
-from .mu import component_labels, mu_hat_component_jet
-from .operators import (
-    VerificationReport,
-    casimir,
-    casimir_skew,
-    laplace_heisenberg,
-    xi,
-    xi_H,
-    xi_H_skew,
-    xi_skew,
-)
+from .mu import mu_hat_component_jet
 from .special import H_jet, gamma_half_jet, theta_ml_jet
-
-TWO_PI = 2.0 * math.pi
+from .weil import labels
 
 # the sgn factor of c_3/c_4 is locally constant; jets are refused closer to
 # its jump locus r + 2mv/y = 0 than this
@@ -77,9 +67,6 @@ class KernelParams:
 
     def weight_index(self):
         return WeightIndex(self.two_k, self.two_m)
-
-    def with_weight(self, k):
-        return KernelParams.of(k, self.m, self.n, self.r)
 
     def xi_partner(self):
         """Parameters [3 - k, m, n, r] of the xi / xi^sk image."""
@@ -209,65 +196,6 @@ def xi_image_rows(params):
         ("xiSkH(c4sk)", "xiSkH", (4, True), a_h, (2, False, p_xh)),
     ]
     return rows
-
-
-_XI_BUILDERS = {
-    "xi": xi,
-    "xiH": xi_H,
-    "xiSk": xi_skew,
-    "xiSkH": xi_H_skew,
-}
-
-
-def verify_xi_image_table(params, points, cases=None):
-    """Residuals of the selected image identities at the given points."""
-    wi = params.weight_index()
-    reports = []
-    for case, op_name, (i, skew), const, target in xi_image_rows(params):
-        if cases is not None and case not in cases:
-            continue
-        f = kernel_term_handle(i, params, skew=skew)
-        lhs = _XI_BUILDERS[op_name](wi, f)
-        if target is None:
-            rhs = None
-        else:
-            ti, tskew, tparams = target
-            rhs = kernel_term_handle(ti, tparams, skew=tskew)
-        rep = VerificationReport(
-            "xi-image:%s@[%g,%g,%d,%d]" % (case, params.k, params.m, params.n, params.r),
-            points,
-        )
-        for p in points:
-            jv = JetVars.at(p, 0)
-            val = lhs.jet_at(jv).value
-            if rhs is not None:
-                val = val - const * rhs.jet_at(jv).value
-            rep.record(p, abs(val))
-        reports.append(rep)
-    return reports
-
-
-def verify_kernel_annihilation(params, points):
-    """Residuals of Casimir and Heisenberg Laplace annihilation for all
-    kernel terms at the given parameters."""
-    wi = params.weight_index()
-    reports = []
-    for skew in (False, True):
-        for i in (1, 2, 3, 4):
-            f = kernel_term_handle(i, params, skew=skew)
-            cas = casimir_skew(wi, f) if skew else casimir(wi, f)
-            lap = laplace_heisenberg(wi, f)
-            tag = "c%d%s" % (i, "sk" if skew else "")
-            for name, op in (("Casimir", cas), ("LaplaceH", lap)):
-                rep = VerificationReport(
-                    "kernel-annihilation:%s(%s)@[%g,%g,%d,%d]"
-                    % (name, tag, params.k, params.m, params.n, params.r),
-                    points,
-                )
-                for p in points:
-                    rep.record(p, abs(op.jet_at(JetVars.at(p, 0)).value))
-                reports.append(rep)
-    return reports
 
 
 # ----------------------------------------------------------------------
@@ -456,10 +384,10 @@ def theta_like_recompose_handle(two_m, h, varphi=None, policy=None):
     """sum over labels of h_l(tau) mu_hat_{m,l}(tau, z), plus an optional
     meromorphic part, with exact jets.
 
-    h maps the canonical component labels (component_labels(two_m)) to
-    handles or rational-exponent series; missing labels contribute nothing.
+    h maps the canonical component labels (weil.labels(two_m)) to handles
+    or rational-exponent series; missing labels contribute nothing.
     """
-    valid = set(component_labels(two_m))
+    valid = set(labels(two_m))
     hs = {}
     for l, v in h.items():
         if l not in valid:

@@ -7,7 +7,9 @@ over the pair (sum of entries, sum of squares) with integer multiplicities,
 so the cost grows polynomially rather than exponentially in the radius.
 All evaluators work in Taylor-jet arithmetic, so every function here has
 exact derivative jets and can be fed to the slash actions and covariant
-operators directly.
+operators directly.  Each function is one jet evaluator plus, where a
+caller needs one, a FunctionHandle bound to the plain coordinates; a point
+value is the jet at order 0.
 """
 
 import cmath
@@ -31,24 +33,14 @@ POLE_TOL_THETA = 1e-8
 POLE_TOL_APPELL = 1e-12
 
 
-def component_labels(two_m):
-    """Canonical component labels modulo 2m.
-
-    Integers for even 2m and half-integers for odd 2m; with this parity the
-    diagonal translation law of the completed components is well defined
-    modulo 2m, in the same way as for the Weil representation labels.
-    """
-    off = 0.5 if two_m % 2 else 0.0
-    return [j + off for j in range(two_m)]
-
-
 @dataclass(frozen=True)
 class MuParameters:
     """Rank 2m (a positive integer up to MAX_RANK) and a component label l.
 
     The label enters only the completed functions; the plain lattice sum
-    ignores it.  Canonical labels follow component_labels(two_m): integers
-    for even 2m, half-integers for odd 2m.
+    ignores it.  Canonical labels follow weil.labels(two_m): integers for
+    even 2m, half-integers for odd 2m; with this parity the diagonal
+    translation law of the completed components is well defined modulo 2m.
     """
 
     two_m: int
@@ -171,17 +163,6 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     return (1j * math.pi * z1).exp() * total * theta_inv_pow
 
 
-def _const(val, order=0):
-    return Jet.constant(complex(val), order)
-
-
-def mu_m(params, z1, z2, p, trunc=None):
-    """Point value of the index-m Appell lattice sum at tau = p.tau."""
-    return mu_m_jet(
-        params.two_m, _const(p.tau), _const(z1), _const(z2), trunc
-    ).value
-
-
 # ----------------------------------------------------------------------
 # completed vector components
 
@@ -240,18 +221,6 @@ def r_hat_component_jet(two_m, l, tau, z, policy=None):
     return -0.5j * pref * r_part
 
 
-def mu_hat_ml(params, p, trunc=None):
-    return mu_hat_component_jet(
-        params.two_m, params.l, _const(p.tau), _const(p.z), trunc
-    ).value
-
-
-def R_hat_ml(params, p, trunc=None):
-    return r_hat_component_jet(
-        params.two_m, params.l, _const(p.tau), _const(p.z), trunc
-    ).value
-
-
 def mu_hat_ml_handle(two_m, l, policy=None):
     def je(jv):
         return mu_hat_component_jet(two_m, l, jv.tau, jv.z, policy)
@@ -281,10 +250,6 @@ def mu_hat_2_jet(tau, z, policy=None):
     """The completed function at (z + (1 + tau)/2, (1 + tau)/2)."""
     shift = (1.0 + tau) * 0.5
     return mu_two_variable_jet(tau, z + shift, shift, policy)
-
-
-def mu_hat_2(p, trunc=None):
-    return mu_hat_2_jet(_const(p.tau), _const(p.z), trunc).value
 
 
 def mu_hat_2_handle(policy=None):

@@ -1,19 +1,19 @@
 """Covariant differential operators: the eight raising/lowering operators,
 both Casimir operators, the Heisenberg and hyperbolic Laplace operators, the
-four xi-operators, and the verification drivers for covariance and the
-operator factorization identities.
+classical weight raising/lowering operators on functions of tau, and the
+four xi-operators, with the named operator table behind `apply_operator`.
 
 All compositions are evaluated by chaining on exact jets when the operand
-carries them; plain handles go through the finite-difference path.
+carries them; plain handles go through the finite-difference path.  The
+identities these operators satisfy are checked in `mjlab.verify`.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import EvalPoint, FunctionHandle, JetVars, WeightIndex, _compose_taylor
-from .errors import DomainError, JetUnavailable
-from .group import TaggedForm, apply_slash
+from .core import FunctionHandle, JetVars, WeightIndex, _compose_taylor
+from .errors import DomainError
+from .group import TaggedForm
 from .jets import d_tau, d_taubar, d_z, d_zbar
 
 
@@ -196,6 +196,26 @@ def laplace_hyperbolic(k, f):
     return make_handle(je, "Delta_%g(%s)" % (k, f.label))
 
 
+def classical_raise(f, k):
+    """Weight raising operator 2 i d_tau + k / y on functions of tau."""
+
+    def je(jv):
+        F = f.jet_at(jv.extend(1))
+        return 2j * d_tau(F) + (k / jv.y) * F.truncate(jv.order)
+
+    return make_handle(je, "R_%g(%s)" % (k, f.label))
+
+
+def classical_lower(f):
+    """Weight lowering operator -2 i y^2 d_taubar on functions of tau."""
+
+    def je(jv):
+        F = f.jet_at(jv.extend(1))
+        return -2j * jv.y * jv.y * d_taubar(F)
+
+    return make_handle(je, "L(%s)" % (f.label,))
+
+
 # ----------------------------------------------------------------------
 # xi-operators
 
@@ -253,29 +273,18 @@ def xi(wi, f):
     return make_handle(je, "xi[%g,%g](%s)" % (k, m, f.label))
 
 
-def xi_skew(wi, f, via_heat=True):
-    """xi^sk_{k,m}(phi), either via the heat operator L_m or via the
-    displayed Xsk+/Ysk+ combination (both forms agree)."""
+def xi_skew(wi, f):
+    """xi^sk_{k,m}(phi) = (1/4 pi m) y^(k-1/2) L_m(phi) with the heat operator
+    L_m = 8 pi i m d_tau - d_z^2 (the Xsk+/Ysk+ combination collapses to it:
+    all v-dependent terms cancel)."""
     k, m = wi.k, wi.m
-    if via_heat:
 
-        def je(jv):
-            F = f.jet_at(jv.extend(2))
-            heat = (8j * math.pi * m) * d_tau(F.truncate(jv.order + 1)) - d_z(d_z(F))
-            return (1.0 / (4.0 * math.pi * m)) * jv.y.cpow(k - 0.5) * heat
+    def je(jv):
+        F = f.jet_at(jv.extend(2))
+        heat = (8j * math.pi * m) * d_tau(F.truncate(jv.order + 1)) - d_z(d_z(F))
+        return (1.0 / (4.0 * math.pi * m)) * jv.y.cpow(k - 0.5) * heat
 
-        return make_handle(je, "xiSk[%g,%g](%s)" % (k, m, f.label))
-
-    xp = raise_X_skew(f, k, m)
-    yy = raise_Y_skew(raise_Y_skew(f, k, m), k + 1, m)
-
-    def je2(jv):
-        # the + sign makes all v-dependent terms cancel, collapsing the
-        # combination to the heat-operator form above
-        out = xp.jet_at(jv) + (1.0 / (4.0 * math.pi * m)) * yy.jet_at(jv)
-        return jv.y.cpow(k - 2.5) * out
-
-    return make_handle(je2, "xiSk'[%g,%g](%s)" % (k, m, f.label))
+    return make_handle(je, "xiSk[%g,%g](%s)" % (k, m, f.label))
 
 
 def xi_bruinier_funke(k, f):
@@ -289,7 +298,7 @@ def xi_bruinier_funke(k, f):
 
 
 # ----------------------------------------------------------------------
-# operator table and covariance bookkeeping
+# the named operator table
 
 # name -> (builder, input kind, 2k shift, flip m, output kind)
 _OPERATORS = {
@@ -313,7 +322,7 @@ _COMPOSITE = {
     "xiSk": (xi_skew, "skew", None, False, "standard"),
 }
 
-OPERATOR_NAMES = tuple(_OPERATORS) + tuple(_COMPOSITE) + ("LaplaceK", "Heat")
+OPERATOR_NAMES = tuple(_OPERATORS) + tuple(_COMPOSITE)
 
 
 @dataclass(frozen=True)
@@ -351,18 +360,8 @@ def apply_operator(spec, f):
     FunctionHandle, returning a new handle."""
     wi = spec.weight_index
     if spec.name in _OPERATORS:
-        builder = _OPERATORS[spec.name][0]
-        return builder(f, wi.k, wi.m)
-    if spec.name in _COMPOSITE:
-        return _COMPOSITE[spec.name][0](wi, f)
-    if spec.name == "LaplaceK":
-        return laplace_hyperbolic(wi.k, f)
-    if spec.name == "Heat":
-        return xi_skew(wi, f)
-    raise DomainError(spec.name)
-
-
-apply_lowering_raising = apply_operator
+        return _OPERATORS[spec.name][0](f, wi.k, wi.m)
+    return _COMPOSITE[spec.name][0](wi, f)
 
 
 def apply_to_tagged(name, phi):
@@ -376,205 +375,3 @@ def apply_to_tagged(name, phi):
     return TaggedForm(out, spec.output_weight(), spec.output_kind())
 
 
-# ----------------------------------------------------------------------
-# verification reports
-
-
-@dataclass
-class VerificationReport:
-    identity: str
-    points: list
-    max_residual: float = 0.0
-    per_point: list = field(default_factory=list)
-
-    def record(self, p, residual):
-        self.per_point.append(
-            {"x": p.x, "y": p.y, "u": p.u, "v": p.v, "residual": residual}
-        )
-        self.max_residual = max(self.max_residual, residual)
-
-    def passed(self, tol):
-        return self.max_residual < tol
-
-    def as_dict(self):
-        return {
-            "identity": self.identity,
-            "points": len(self.per_point),
-            "max_residual": self.max_residual,
-            "per_point": self.per_point,
-        }
-
-    def to_json(self):
-        return json.dumps(self.as_dict())
-
-
-def verify_covariance(op_name, phi, A, points):
-    """Residual of op(phi|A) - (op phi)|A' over the points, A' acting at the
-    shifted weight/index."""
-    spec = OperatorSpec(op_name, phi.weight_index)
-    if spec.input_kind() != phi.action_kind:
-        raise DomainError("operator/action mismatch")
-    lhs = apply_operator(spec, apply_slash(phi, A).f)
-    out_tagged = apply_to_tagged(op_name, phi)
-    rhs = apply_slash(out_tagged, A).f
-    rep = VerificationReport(
-        identity="covariance:%s@(%g,%g)" % (op_name, phi.weight_index.k, phi.weight_index.m),
-        points=points,
-    )
-    for p in points:
-        rep.record(p, abs(lhs.jet_at(JetVars.at(p, 0)).value - rhs.jet_at(JetVars.at(p, 0)).value))
-    return rep
-
-
-def _pochhammer_falling(n, l):
-    """(n)_l = prod_{i=0}^{l-1} (n - i), with (n)_0 = 0 by convention."""
-    if l == 0:
-        return 0.0
-    out = 1.0
-    for i in range(l):
-        out *= n - i
-    return out
-
-
-def classical_raise(f, k):
-    """Weight raising operator 2 i d_tau + k / y on functions of tau."""
-
-    def je(jv):
-        F = f.jet_at(jv.extend(1))
-        return 2j * d_tau(F) + (k / jv.y) * F.truncate(jv.order)
-
-    return make_handle(je, "R_%g(%s)" % (k, f.label))
-
-
-def classical_lower(f):
-    """Weight lowering operator -2 i y^2 d_taubar on functions of tau."""
-
-    def je(jv):
-        F = f.jet_at(jv.extend(1))
-        return -2j * jv.y * jv.y * d_taubar(F)
-
-    return make_handle(je, "L(%s)" % (f.label,))
-
-
-def verify_factorizations(wi, f, depth, points):
-    """Reports for the factorization identities:
-
-    (a) [Y-, Y+] = -2 pi m;
-    (b) Y+^D Y-^D = prod_{d<D} (Delta^H_m + 2 pi m d);
-    (c) Delta^H_m = xi^{sk,H}_{k,-m} o xi^H_{k,m};
-    (d) the X-analog with Pochhammer factors (modular raising/lowering);
-    (e) Delta_k = -xi_{2-k} o xi_k for the scalar xi.
-    """
-    k, m = wi.k, wi.m
-    reports = []
-
-    # (a) commutator [Y-, Y+] = Y- Y+ - Y+ Y-
-    com_lhs = lower_Y(raise_Y(f, k, m), k + 1, m)
-    com_rhs = raise_Y(lower_Y(f, k, m), k - 1, m)
-    rep = VerificationReport("commutator:[Y-,Y+]=-2pim", points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        lhs = com_lhs.jet_at(jv).value - com_rhs.jet_at(jv).value
-        rhs = -2.0 * math.pi * m * f.jet_at(jv).value
-        rep.record(p, abs(lhs - rhs))
-    reports.append(rep)
-
-    # (b) Y+^D Y-^D vs the Delta^H polynomial
-    D = depth
-    if D > 3:
-        raise JetUnavailable("depth capped at 3")
-    g = f
-    for d in range(D):
-        g = lower_Y(g, k - d, m)
-    for d in range(D - 1, -1, -1):
-        g = raise_Y(g, k - d - 1, m)
-    h = f
-    for d in range(D):
-        h_prev = h
-        h = laplace_heisenberg(wi, h_prev)
-        h = handle_lincomb([(1.0, h), (2.0 * math.pi * m * d, h_prev)])
-    rep = VerificationReport("quasi-factorization:Y+^%dY-^%d" % (D, D), points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        rep.record(p, abs(g.jet_at(jv).value - h.jet_at(jv).value))
-    reports.append(rep)
-
-    # (c) Heisenberg Laplace factorization through the xi^H pair
-    lap = laplace_heisenberg(wi, f)
-    fac1 = xi_H_skew(WeightIndex(wi.two_k, -wi.two_m), xi_H(wi, f))
-    rep = VerificationReport("lapH-factorization:xiSkH o xiH", points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        rep.record(p, abs(lap.jet_at(jv).value - fac1.jet_at(jv).value))
-    reports.append(rep)
-    fac2 = xi_H(WeightIndex(wi.two_k, -wi.two_m), xi_H_skew(wi, f))
-    rep = VerificationReport("lapH-factorization:xiH o xiSkH", points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        rep.record(p, abs(lap.jet_at(jv).value - fac2.jet_at(jv).value))
-    reports.append(rep)
-
-    return reports
-
-
-def verify_x_factorization(k, f, depth, points):
-    """X+^D X-^D expressed as a polynomial in the hyperbolic Laplacian on
-    functions of tau: prod_{d<D} (-Delta_k + (k - 2d)_d) with the falling
-    Pochhammer symbol and (n)_0 = 0.  (The opposite-sign Laplacian is the
-    convention under which the product identity holds; verified against the
-    raising/lowering compositions to machine precision.)"""
-    D = depth
-    g = f
-    for d in range(D):
-        g = classical_lower(g)
-    for d in range(D - 1, -1, -1):
-        g = classical_raise(g, k - 2 * (d + 1))
-    h = f
-    for d in range(D):
-        h_prev = h
-        h = laplace_hyperbolic(k, h_prev)
-        h = handle_lincomb([(-1.0, h), (_pochhammer_falling(k - 2 * d, d), h_prev)])
-    rep = VerificationReport("quasi-factorization:X+^%dX-^%d" % (D, D), points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        rep.record(p, abs(g.jet_at(jv).value - h.jet_at(jv).value))
-    return rep
-
-
-def verify_hyperbolic_xi_factorization(k, f, points):
-    """Delta_k = -xi_{2-k} o xi_k with the scalar Bruinier-Funke xi."""
-    lap = laplace_hyperbolic(k, f)
-    fac = xi_bruinier_funke(2.0 - k, xi_bruinier_funke(k, f))
-    rep = VerificationReport("lapK-factorization:-xi_{2-k} o xi_k", points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        rep.record(p, abs(lap.jet_at(jv).value + fac.jet_at(jv).value))
-    return rep
-
-
-def verify_semimeromorphic_casimir(wi, f, points, skew=False):
-    """C_{k,m}(phi) = 2 xi^sk_{3-k,m} o xi_{k,m}(phi) for semi-meromorphic phi
-    (and the skew analog)."""
-    k, m = wi.k, wi.m
-    if skew:
-        # the skew factorization holds for the unnormalized conjugated
-        # Casimir: y^(1/2-k) C_{1-k,m} y^(k-1/2) phi
-        #        = 2 xi_{3-k,m} o xi^sk_{k,m} (phi) - (2k-1) phi
-        cas = casimir_skew(wi, f)
-        fac = xi(WeightIndex(6 - wi.two_k, wi.two_m), xi_skew(wi, f))
-        rep = VerificationReport("semimeromorphic:CasimirSk via xi o xiSk", points)
-        for p in points:
-            jv = JetVars.at(p, 0)
-            conj_part = cas.jet_at(jv).value / (8j * math.pi * m) - (
-                2.0 * k - 1.0
-            ) * f.jet_at(jv).value
-            rhs = 2.0 * fac.jet_at(jv).value - (2.0 * k - 1.0) * f.jet_at(jv).value
-            rep.record(p, abs(conj_part - rhs))
-        return rep
-    cas = casimir(wi, f)
-    fac = xi_skew(WeightIndex(6 - wi.two_k, wi.two_m), xi(wi, f))
-    rep = VerificationReport("semimeromorphic:Casimir=2 xiSk o xi", points)
-    for p in points:
-        jv = JetVars.at(p, 0)
-        rep.record(p, abs(cas.jet_at(jv).value - 2.0 * fac.jet_at(jv).value))
-    return rep

@@ -2,16 +2,15 @@
 completion E, the H-kernel, Jacobi theta, congruence theta series, and the
 R-series, all with exact Taylor jets.
 
-Series functions are exposed in two layers: a jet-level evaluator taking
-complex jets for tau and z (so they can be composed, e.g. inside slash
-actions or the mu-family specializations), and a FunctionHandle wrapper
+Series functions are jet-level evaluators taking complex jets for tau and z
+(so they can be composed, e.g. inside slash actions or the mu-family
+specializations); the theta series also have a FunctionHandle wrapper
 bound to the plain coordinates.
 """
 
 import cmath
 import math
 
-import numpy as np
 from scipy import special as sp
 
 from .core import FunctionHandle, TruncationPolicy
@@ -125,10 +124,6 @@ def error_completion_derivatives(w0, n):
         prev = g[i - 1] if i >= 1 else 0.0
         g.append(-TWO_PI * (w0 * g[i] + i * prev))
     return ds + g[:n]
-
-
-def error_completion_jet(arg):
-    return arg.apply_derivatives(error_completion_derivatives(arg.value.real, arg.order))
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +321,3 @@ def zwegers_R_jet(tau, z, policy=None):
         ).exp()
         n += 1.0
     return total
-
-
-def zwegers_R_handle(policy=None):
-    def je(jv):
-        return zwegers_R_jet(jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="zwegers_R")

@@ -1,11 +1,13 @@
-"""Named verification suites over the identity catalog: operator/slash
-covariance, kernel annihilation and xi-image tables, factorization
-identities, Weil matrix relations, the completed Appell component laws, and
-the decomposition round trip.
+"""Every identity check of the catalog, as named verification suites:
+operator/slash covariance, kernel annihilation and xi-image tables,
+factorization identities, Weil matrix relations, the completed Appell
+component laws, the decomposition round trip, and numerics hygiene.
 
-Each suite returns a list of SuiteResult records with pinned tolerances;
-the command line front end serializes them and the test harness asserts on
-them.  All default point sets are deterministic.
+The `verify_*` drivers check one identity family on given functions and
+points and return SuiteResult records; the `suite_*` functions run them
+over the shipped catalog and point sets with pinned tolerances.  The
+command line front end serializes the records and the test harness asserts
+on them.  All default point sets are deterministic.
 """
 
 import cmath
@@ -23,6 +25,7 @@ from .core import (
     WeightIndex,
     exp_qn_zeta_r,
 )
+from .errors import JetUnavailable
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
 from .jets import Jet
 from .kernels import (
@@ -32,32 +35,36 @@ from .kernels import (
     theta_decompose,
     theta_fourier_data,
     theta_recompose,
-    verify_kernel_annihilation,
-    verify_xi_image_table,
+    xi_image_rows,
 )
 from .mu import (
-    component_labels,
     mu_hat_2_handle,
+    mu_hat_2_jet,
+    mu_hat_component_jet,
     mu_hat_ml_handle,
     mu_m_jet,
 )
 from .operators import (
     OperatorSpec,
     apply_operator,
+    apply_to_tagged,
+    casimir,
+    casimir_skew,
+    classical_lower,
+    classical_raise,
+    handle_lincomb,
     laplace_heisenberg,
-    verify_covariance,
-    verify_factorizations,
-    verify_hyperbolic_xi_factorization,
-    verify_semimeromorphic_casimir,
-    verify_x_factorization,
+    laplace_hyperbolic,
+    lower_Y,
+    raise_Y,
     xi,
+    xi_bruinier_funke,
     xi_H,
+    xi_H_skew,
     xi_skew,
 )
-from .special import theta_ml_handle, theta_ml_jet, zwegers_R_jet
-from .weil import labels, rho_generator, rho_word, vector_slash
-
-TWO_PI = 2.0 * math.pi
+from .special import jacobi_theta_jet, theta_ml_handle, theta_ml_jet, zwegers_R_jet
+from .weil import labels, rho_generator, rho_word, root_of_unity, vector_slash
 
 GENERIC_POINTS = (
     EvalPoint(0.13, 1.1, 0.21, 0.17),
@@ -102,12 +109,43 @@ class SuiteResult:
         }
 
 
-def _from_report(report, tol):
-    return SuiteResult(report.identity, report.max_residual, tol)
+def _max_residual(residual, points):
+    """max over the points of |residual(jv)|, with jv the order-0 plain
+    coordinate jets at the point (0.0 for no points)."""
+    worst = 0.0
+    for p in points:
+        worst = max(worst, abs(residual(JetVars.at(p, 0))))
+    return worst
+
+
+def _gap(lhs, rhs):
+    """The residual lhs - rhs of two handles."""
+    return lambda jv: lhs.jet_at(jv).value - rhs.jet_at(jv).value
 
 
 # ----------------------------------------------------------------------
 # covariance
+
+
+def _generator_name(A):
+    """A's key in GENERATORS, or its repr for any other element."""
+    for name, gen in GENERATORS.items():
+        if gen == A:
+            return name
+    return repr(A)
+
+
+def verify_covariance(op_name, phi, A, points, tol=1e-8):
+    """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
+    weight/index; a DomainError if op does not act on phi's action kind."""
+    image = apply_to_tagged(op_name, phi)
+    lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), apply_slash(phi, A).f)
+    rhs = apply_slash(image, A).f
+    return SuiteResult(
+        "covariance:%s|%s on %s" % (op_name, _generator_name(A), phi.f.label),
+        _max_residual(_gap(lhs, rhs), points),
+        tol,
+    )
 
 
 def covariance_catalog():
@@ -150,15 +188,9 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
         kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
         catalog = std if kind == "standard" else skew
         for gname in gens or GENERATORS:
-            A = GENERATORS[gname]
             for phi in catalog:
-                rep = verify_covariance(op_name, phi, A, points)
                 results.append(
-                    SuiteResult(
-                        "covariance:%s|%s on %s" % (op_name, gname, phi.f.label),
-                        rep.max_residual,
-                        tol,
-                    )
+                    verify_covariance(op_name, phi, GENERATORS[gname], points, tol)
                 )
     return results
 
@@ -183,13 +215,66 @@ XI_TABLE_PARAMS = (
 )
 
 
+def _params_tag(params):
+    return "[%g,%g,%d,%d]" % (params.k, params.m, params.n, params.r)
+
+
+def verify_kernel_annihilation(params, points, tol=1e-7):
+    """Casimir (skew Casimir on skew terms) and Heisenberg Laplace
+    annihilation of every kernel term at the given parameters."""
+    wi = params.weight_index()
+    results = []
+    for skew in (False, True):
+        for i in (1, 2, 3, 4):
+            f = kernel_term_handle(i, params, skew=skew)
+            tag = "c%d%s" % (i, "sk" if skew else "")
+            for name, op_name in (
+                ("Casimir", "CasimirSk" if skew else "Casimir"),
+                ("LaplaceH", "LaplaceH"),
+            ):
+                image = apply_operator(OperatorSpec(op_name, wi), f)
+                results.append(
+                    SuiteResult(
+                        "kernel-annihilation:%s(%s)@%s"
+                        % (name, tag, _params_tag(params)),
+                        _max_residual(lambda jv: image.jet_at(jv).value, points),
+                        tol,
+                    )
+                )
+    return results
+
+
+def verify_xi_image_table(params, points, tol=1e-7):
+    """The sixteen rows of kernels.xi_image_rows at the given parameters:
+    xi-operator image minus the expected multiple of a kernel term."""
+    wi = params.weight_index()
+    results = []
+    for case, op_name, (i, skew), const, target in xi_image_rows(params):
+        lhs = apply_operator(
+            OperatorSpec(op_name, wi), kernel_term_handle(i, params, skew=skew)
+        )
+        if target is None:
+            residual = lambda jv: lhs.jet_at(jv).value
+        else:
+            ti, tskew, tparams = target
+            rhs = kernel_term_handle(ti, tparams, skew=tskew)
+            residual = lambda jv: lhs.jet_at(jv).value - const * rhs.jet_at(jv).value
+        results.append(
+            SuiteResult(
+                "xi-image:%s@%s" % (case, _params_tag(params)),
+                _max_residual(residual, points),
+                tol,
+            )
+        )
+    return results
+
+
 def suite_kernels(points=None, tol=1e-7):
     """Casimir and Heisenberg Laplace annihilation of all kernel terms."""
     points = points or GENERIC_POINTS
     results = []
     for params in KERNEL_PARAMS:
-        for rep in verify_kernel_annihilation(params, points):
-            results.append(_from_report(rep, tol))
+        results.extend(verify_kernel_annihilation(params, points, tol))
     return results
 
 
@@ -198,13 +283,148 @@ def suite_xi_images(params_list=None, points=None, tol=1e-7):
     points = points or GENERIC_POINTS
     results = []
     for params in params_list or XI_TABLE_PARAMS:
-        for rep in verify_xi_image_table(params, points):
-            results.append(_from_report(rep, tol))
+        results.extend(verify_xi_image_table(params, points, tol))
     return results
 
 
 # ----------------------------------------------------------------------
 # factorizations
+
+
+def verify_factorizations(wi, f, depth, points, tol=1e-6):
+    """The factorization identities of the Heisenberg operators:
+
+    (a) [Y-, Y+] = -2 pi m;
+    (b) Y+^D Y-^D = prod_{d<D} (Delta^H_m + 2 pi m d), for depth D <= 3;
+    (c) Delta^H_m = xi^{sk,H}_{k,-m} o xi^H_{k,m}, in both orders.
+    """
+    k, m = wi.k, wi.m
+    D = depth
+    if D > 3:
+        raise JetUnavailable("depth capped at 3")
+    results = []
+
+    # (a) commutator [Y-, Y+] = Y- Y+ - Y+ Y-
+    up_down = lower_Y(raise_Y(f, k, m), k + 1, m)
+    down_up = raise_Y(lower_Y(f, k, m), k - 1, m)
+    results.append(
+        SuiteResult(
+            "commutator:[Y-,Y+]=-2pim",
+            _max_residual(
+                lambda jv: (up_down.jet_at(jv).value - down_up.jet_at(jv).value)
+                - (-2.0 * math.pi * m * f.jet_at(jv).value),
+                points,
+            ),
+            tol,
+        )
+    )
+
+    # (b) Y+^D Y-^D vs the Delta^H polynomial
+    g = f
+    for d in range(D):
+        g = lower_Y(g, k - d, m)
+    for d in range(D - 1, -1, -1):
+        g = raise_Y(g, k - d - 1, m)
+    h = f
+    for d in range(D):
+        h_prev = h
+        h = laplace_heisenberg(wi, h_prev)
+        h = handle_lincomb([(1.0, h), (2.0 * math.pi * m * d, h_prev)])
+    results.append(
+        SuiteResult(
+            "quasi-factorization:Y+^%dY-^%d" % (D, D),
+            _max_residual(_gap(g, h), points),
+            tol,
+        )
+    )
+
+    # (c) Heisenberg Laplace factorization through the xi^H pair
+    lap = laplace_heisenberg(wi, f)
+    flipped = WeightIndex(wi.two_k, -wi.two_m)
+    for name, fac in (
+        ("xiSkH o xiH", xi_H_skew(flipped, xi_H(wi, f))),
+        ("xiH o xiSkH", xi_H(flipped, xi_H_skew(wi, f))),
+    ):
+        results.append(
+            SuiteResult(
+                "lapH-factorization:" + name, _max_residual(_gap(lap, fac), points), tol
+            )
+        )
+    return results
+
+
+def _pochhammer_falling(n, l):
+    """(n)_l = prod_{i=0}^{l-1} (n - i), with (n)_0 = 0 by convention."""
+    if l == 0:
+        return 0.0
+    out = 1.0
+    for i in range(l):
+        out *= n - i
+    return out
+
+
+def verify_x_factorization(k, f, depth, points, tol=1e-6):
+    """X+^D X-^D expressed as a polynomial in the hyperbolic Laplacian on
+    functions of tau: prod_{d<D} (-Delta_k + (k - 2d)_d) with the falling
+    Pochhammer symbol and (n)_0 = 0.  (The opposite-sign Laplacian is the
+    convention under which the product identity holds; verified against the
+    raising/lowering compositions to machine precision.)"""
+    D = depth
+    g = f
+    for d in range(D):
+        g = classical_lower(g)
+    for d in range(D - 1, -1, -1):
+        g = classical_raise(g, k - 2 * (d + 1))
+    h = f
+    for d in range(D):
+        h_prev = h
+        h = laplace_hyperbolic(k, h_prev)
+        h = handle_lincomb([(-1.0, h), (_pochhammer_falling(k - 2 * d, d), h_prev)])
+    return SuiteResult(
+        "quasi-factorization:X+^%dX-^%d" % (D, D), _max_residual(_gap(g, h), points), tol
+    )
+
+
+def verify_hyperbolic_xi_factorization(k, f, points, tol=1e-6):
+    """Delta_k = -xi_{2-k} o xi_k with the scalar Bruinier-Funke xi."""
+    lap = laplace_hyperbolic(k, f)
+    fac = xi_bruinier_funke(2.0 - k, xi_bruinier_funke(k, f))
+    return SuiteResult(
+        "lapK-factorization:-xi_{2-k} o xi_k",
+        _max_residual(lambda jv: lap.jet_at(jv).value + fac.jet_at(jv).value, points),
+        tol,
+    )
+
+
+def verify_semimeromorphic_casimir(wi, f, points, skew=False, tol=1e-6):
+    """C_{k,m}(phi) = 2 xi^sk_{3-k,m} o xi_{k,m}(phi) for semi-meromorphic phi
+    (and the skew analog)."""
+    k, m = wi.k, wi.m
+    partner = WeightIndex(6 - wi.two_k, wi.two_m)
+    if skew:
+        # the skew factorization holds for the unnormalized conjugated
+        # Casimir: y^(1/2-k) C_{1-k,m} y^(k-1/2) phi
+        #        = 2 xi_{3-k,m} o xi^sk_{k,m} (phi) - (2k-1) phi
+        cas = casimir_skew(wi, f)
+        fac = xi(partner, xi_skew(wi, f))
+
+        def residual(jv):
+            conj_part = cas.jet_at(jv).value / (8j * math.pi * m) - (
+                2.0 * k - 1.0
+            ) * f.jet_at(jv).value
+            rhs = 2.0 * fac.jet_at(jv).value - (2.0 * k - 1.0) * f.jet_at(jv).value
+            return conj_part - rhs
+
+        identity = "semimeromorphic:CasimirSk via xi o xiSk"
+    else:
+        cas = casimir(wi, f)
+        fac = xi_skew(partner, xi(wi, f))
+
+        def residual(jv):
+            return cas.jet_at(jv).value - 2.0 * fac.jet_at(jv).value
+
+        identity = "semimeromorphic:Casimir=2 xiSk o xi"
+    return SuiteResult(identity, _max_residual(residual, points), tol)
 
 
 def _yv_test_handle(n, r):
@@ -231,24 +451,20 @@ def suite_factorizations(points=None, tol=1e-6):
     wi = WeightIndex(1, 2)
     probe = _yv_test_handle(1, 1)
     for depth in (1, 2, 3):
-        for rep in verify_factorizations(wi, probe, depth, points):
-            results.append(_from_report(rep, tol))
+        results.extend(verify_factorizations(wi, probe, depth, points, tol))
     wi_half = WeightIndex(3, 1)
     theta_half = theta_ml_handle(1, 0.5)
-    for rep in verify_factorizations(wi_half, theta_half, 2, points):
-        results.append(_from_report(rep, tol))
+    results.extend(verify_factorizations(wi_half, theta_half, 2, points, tol))
     tau_probe = _tau_test_handle()
     for depth in (1, 2):
-        rep = verify_x_factorization(2.5, tau_probe, depth, points)
-        results.append(_from_report(rep, tol))
-    rep = verify_hyperbolic_xi_factorization(1.5, tau_probe, points)
-    results.append(_from_report(rep, tol))
+        results.append(verify_x_factorization(2.5, tau_probe, depth, points, tol))
+    results.append(verify_hyperbolic_xi_factorization(1.5, tau_probe, points, tol))
     for wi_c, n, r in ((WeightIndex(1, 2), 1, 1), (WeightIndex(3, 2), 0, 1)):
         mero = exp_qn_zeta_r(n, r)
-        rep = verify_semimeromorphic_casimir(wi_c, mero, points)
-        results.append(_from_report(rep, tol))
-        rep = verify_semimeromorphic_casimir(wi_c, mero, points, skew=True)
-        results.append(_from_report(rep, tol))
+        for skew in (False, True):
+            results.append(
+                verify_semimeromorphic_casimir(wi_c, mero, points, skew=skew, tol=tol)
+            )
     return results
 
 
@@ -307,10 +523,6 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
 # the completed Appell component family
 
 
-def _root_of_unity(num, den):
-    return cmath.exp(2j * math.pi * num / den)
-
-
 def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     """The claimed T and S transformation laws of the component vector, and
     the vector-slash form of the S law.
@@ -322,14 +534,14 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     results = []
     for two_m in two_m_list:
         m = two_m / 2.0
-        ls = component_labels(two_m)
+        ls = labels(two_m)
         handles = {l: mu_hat_ml_handle(two_m, l) for l in ls}
         wi = WeightIndex(1, -two_m)
         for l in ls:
             tagged = TaggedForm(handles[l], wi, "standard")
             slashed_T = apply_slash(tagged, GEN_T).f
             slashed_S = apply_slash(tagged, GEN_S).f
-            phase = _root_of_unity(-l * l, 2 * two_m)
+            phase = root_of_unity(-l * l, 2 * two_m)
             resid_T = 0.0
             resid_S = 0.0
             for p in points:
@@ -339,7 +551,7 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
                 lhs = slashed_S.eval(p)
                 pref = 1j / cmath.sqrt(1j * two_m)
                 rhs = pref * sum(
-                    _root_of_unity(l * lp, two_m) * handles[lp].eval(p)
+                    root_of_unity(l * lp, two_m) * handles[lp].eval(p)
                     for lp in ls
                 )
                 resid_S = max(resid_S, abs(lhs - rhs))
@@ -357,7 +569,7 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     # (index m = 1): slash every component, compare against M h with
     # M = (i / sqrt(2im)) [e_{2m}(l l')]
     two_m = 2
-    ls = component_labels(two_m)
+    ls = labels(two_m)
     handles = [mu_hat_ml_handle(two_m, l) for l in ls]
     wi = WeightIndex(1, -two_m)
     p = points[0]
@@ -368,7 +580,7 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
         ]
     )
     M = (1j / cmath.sqrt(2j * two_m / 2.0)) * np.array(
-        [[_root_of_unity(l * lp, two_m) for lp in ls] for l in ls]
+        [[root_of_unity(l * lp, two_m) for lp in ls] for l in ls]
     )
     base = np.array([h.eval(p) for h in handles])
     results.append(
@@ -391,44 +603,35 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     results = []
     for two_m in two_m_list:
         wi = WeightIndex(1, -two_m)
-        for l in component_labels(two_m):
+        for l in labels(two_m):
             f = mu_hat_ml_handle(two_m, l)
             img = xi_H(wi, f)
-            resid = 0.0
-            for p in points:
-                jv = JetVars.at(p, 0)
-                resid = max(
-                    resid,
-                    abs(
-                        img.jet_at(jv).value
-                        - theta_ml_jet(two_m, l, jv.tau, jv.z).value
-                    ),
-                )
             results.append(
                 SuiteResult(
                     "mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l),
-                    resid,
+                    _max_residual(
+                        lambda jv: img.jet_at(jv).value
+                        - theta_ml_jet(two_m, l, jv.tau, jv.z).value,
+                        points,
+                    ),
                     tol_xi,
                 )
             )
             lap = laplace_heisenberg(wi, f)
-            resid = 0.0
-            for p in points[:5]:
-                resid = max(resid, abs(lap.jet_at(JetVars.at(p, 0)).value))
             results.append(
                 SuiteResult(
                     "mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l),
-                    resid,
+                    _max_residual(lambda jv: lap.jet_at(jv).value, points[:5]),
                     tol_lap,
                 )
             )
-    f2 = mu_hat_2_handle()
-    img = xi(WeightIndex(1, -1), f2)
-    resid = 0.0
-    for p in points[:5]:
-        resid = max(resid, abs(img.jet_at(JetVars.at(p, 0)).value))
+    img = xi(WeightIndex(1, -1), mu_hat_2_handle())
     results.append(
-        SuiteResult("mu-xi-theta:xi(mu_hat_2)=0", resid, tol_mu2)
+        SuiteResult(
+            "mu-xi-theta:xi(mu_hat_2)=0",
+            _max_residual(lambda jv: img.jet_at(jv).value, points[:5]),
+            tol_mu2,
+        )
     )
     return results
 
@@ -478,7 +681,9 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
             for (D, l), c in classes.items():
                 v2 += c * cmath.exp(
                     2j * math.pi * (D / (2.0 * two_m)) * p.tau
-                ) * theta_ml_jet(two_m, l, _cjet(p.tau), _cjet(p.z)).value
+                ) * theta_ml_jet(
+                    two_m, l, Jet.constant(p.tau, 0), Jet.constant(p.z, 0)
+                ).value
             resid = max(resid, abs(v1 - v2))
         results.append(
             SuiteResult(
@@ -498,10 +703,6 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
     return results
 
 
-def _cjet(val):
-    return Jet.constant(complex(val), 0)
-
-
 # ----------------------------------------------------------------------
 # numerics hygiene
 
@@ -511,8 +712,6 @@ def catalog_values(p, policy):
     vals = {}
     jv_tau = Jet.constant(p.tau, 0)
     jv_z = Jet.constant(p.z, 0)
-    from .special import jacobi_theta_jet
-
     vals["theta"] = jacobi_theta_jet(jv_tau, jv_z, policy).value
     vals["theta_ml[2,0]"] = theta_ml_jet(2, 0, jv_tau, jv_z, policy).value
     vals["theta_ml[1,0.5]"] = theta_ml_jet(1, 0.5, jv_tau, jv_z, policy).value
@@ -520,8 +719,6 @@ def catalog_values(p, policy):
     vals["mu_m[2]"] = mu_m_jet(
         2, jv_tau, Jet.constant(0.31 + 0.55j, 0), Jet.constant(0.17 - 0.23j, 0), policy
     ).value
-    from .mu import mu_hat_2_jet, mu_hat_component_jet
-
     vals["mu_hat[2,0]"] = mu_hat_component_jet(2, 0.0, jv_tau, jv_z, policy).value
     vals["mu_hat[1,0.5]"] = mu_hat_component_jet(1, 0.5, jv_tau, jv_z, policy).value
     vals["mu_hat_2"] = mu_hat_2_jet(jv_tau, jv_z, policy).value

@@ -12,12 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EvalPoint, WeightIndex, principal_sqrt
+from .core import WeightIndex, principal_sqrt
 from .errors import DomainError
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, group_word
-
-TWO_PI = 2.0 * math.pi
-
 
 def root_of_unity(num, den):
     """e^(2 pi i num / den) for integer num, den."""
@@ -25,7 +22,8 @@ def root_of_unity(num, den):
 
 
 def labels(two_m):
-    """Representation labels modulo 2m.
+    """Representation labels modulo 2m, also the labels of the theta and
+    completed Appell components.
 
     For integer index (2m even) these are the integers 0..2m-1.  For
     half-integer index (2m odd) the labels live in Z + 1/2: with integer
@@ -62,9 +60,6 @@ class WeilMatrix:
 
     def dual(self):
         return WeilMatrix(self.two_m, np.conj(self.data))
-
-    def hermitian_transpose(self):
-        return WeilMatrix(self.two_m, self.data.conj().T)
 
     def unitarity_defect(self):
         n = self.two_m

@@ -6,9 +6,20 @@ import sys
 
 import pytest
 
+from mjlab import cli
 from mjlab.cli import parse_complex
-from mjlab.core import EvalPoint
-from mjlab.special import theta_ml_handle
+from mjlab.core import EvalPoint, JetVars
+from mjlab.jets import Jet
+from mjlab.kernels import KernelParams, kernel_term_handle
+from mjlab.mu import mu_hat_2_jet, mu_hat_component_jet, mu_m_jet, r_hat_component_jet
+from mjlab.special import (
+    H_jet,
+    error_completion_E,
+    jacobi_theta_jet,
+    theta_ml_handle,
+    theta_ml_jet,
+    zwegers_R_jet,
+)
 
 
 def run_cli(*args, stdin=None):
@@ -89,6 +100,73 @@ def test_eval_truncation_overflow_exits_3():
     res = run_cli("eval", "theta_ml", "--m", "1", "--tau", "0+0.02i",
                   "--radius", "3")
     assert res.returncode == 3
+
+
+def run_main(capsys, *args):
+    """In-process `mjlab ARGS...`: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+TAU, Z = 0.13 + 1.1j, 0.21 + 0.17j
+AT_POINT = ("--tau", "0.13+1.1i", "--z", "0.21+0.17i")
+KERNEL_ARGS = ("--k", "0.5", "--m", "-1", "--n", "-1", "--r", "1")
+
+
+def C(w):
+    return Jet.constant(complex(w), 0)
+
+
+def _kernel_case(name):
+    params = KernelParams.of(0.5, -1, -1, 1)
+    h = kernel_term_handle(int(name[1]), params, skew=name.endswith("sk"))
+    jv = JetVars.at(EvalPoint.from_tau_z(TAU, Z), 0)
+    return KERNEL_ARGS, lambda: h.jet_at(jv).value
+
+
+# catalog name -> (eval arguments besides the point, order-0 evaluation of
+# its jet form; the scalar E has only its point evaluator)
+EVAL_CASES = {
+    "theta": ((), lambda: jacobi_theta_jet(C(TAU), C(Z)).value),
+    "theta_ml": (("--m", "1", "--l", "1"),
+                 lambda: theta_ml_jet(2, 1.0, C(TAU), C(Z)).value),
+    "R": ((), lambda: zwegers_R_jet(C(TAU), C(Z)).value),
+    "E": (("--w", "0.3"), lambda: complex(error_completion_E(0.3))),
+    "H": (("--w", "0.7", "--k", "1.5"), lambda: H_jet(C(0.7), 1.5).value),
+    "mu": (("--m", "1", "--z2", "0.17-0.23i"),
+           lambda: mu_m_jet(2, C(TAU), C(Z), C(0.17 - 0.23j)).value),
+    "mu_hat_ml": (("--m", "1", "--l", "1"),
+                  lambda: mu_hat_component_jet(2, 1.0, C(TAU), C(Z)).value),
+    "R_hat_ml": (("--m", "1.5", "--l", "0.5"),
+                 lambda: r_hat_component_jet(3, 0.5, C(TAU), C(Z)).value),
+    "mu_hat_2": ((), lambda: mu_hat_2_jet(C(TAU), C(Z)).value),
+}
+for _name in ("c1", "c2", "c3", "c4", "c1sk", "c2sk", "c3sk", "c4sk"):
+    EVAL_CASES[_name] = _kernel_case(_name)
+
+
+def test_eval_cases_cover_the_catalog():
+    assert set(EVAL_CASES) == set(cli.CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES))
+def test_eval_prints_the_jet_form_value(name, capsys):
+    args, jet_value = EVAL_CASES[name]
+    code, out, err = run_main(capsys, "eval", name, *args, *AT_POINT)
+    assert code == 0, err
+    want = jet_value()
+    assert json.loads(out)["value"] == [want.real, want.imag]
+
+
+@pytest.mark.parametrize("m", ["4", "0"])
+def test_eval_r_hat_ml_rejects_ranks_outside_the_family(m, capsys):
+    code, _, err = run_main(capsys, "eval", "R_hat_ml", "--m", m)
+    assert code == 1
+    assert err.startswith("domain error:")
 
 
 def test_eval_writes_to_file(tmp_path):

@@ -22,12 +22,12 @@ from mjlab.kernels import (
     theta_fourier_data,
     theta_like_recompose,
     theta_recompose,
-    verify_kernel_annihilation,
-    verify_xi_image_table,
 )
-from mjlab.mu import component_labels, mu_hat_component_jet
+from mjlab.mu import mu_hat_component_jet
 from mjlab.operators import xi_H
 from mjlab.special import gamma_half_cont, H_function, theta_ml_jet
+from mjlab.verify import verify_kernel_annihilation, verify_xi_image_table
+from mjlab.weil import labels as component_labels
 
 C = lambda w: Jet.constant(w, 0)
 

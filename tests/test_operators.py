@@ -11,6 +11,7 @@ from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.mu import mu_hat_2_handle, mu_hat_ml_handle
 from mjlab.operators import (
+    OPERATOR_NAMES,
     OperatorSpec,
     apply_operator,
     apply_to_tagged,
@@ -21,17 +22,19 @@ from mjlab.operators import (
     lower_X,
     lower_Y,
     raise_Y,
-    verify_covariance,
-    verify_factorizations,
-    verify_hyperbolic_xi_factorization,
-    verify_semimeromorphic_casimir,
-    verify_x_factorization,
     xi,
     xi_H,
     xi_H_skew,
     xi_bruinier_funke,
 )
 from mjlab.special import jacobi_theta_handle, theta_ml_handle
+from mjlab.verify import (
+    verify_covariance,
+    verify_factorizations,
+    verify_hyperbolic_xi_factorization,
+    verify_semimeromorphic_casimir,
+    verify_x_factorization,
+)
 
 POINTS = [
     EvalPoint(0.13, 1.1, 0.21, 0.17),
@@ -214,3 +217,24 @@ def test_heisenberg_laplacian_composition():
     direct = raise_Y(lower_Y(f, wi.k, wi.m), wi.k - 1.0, wi.m)
     for p in POINTS[:2]:
         assert abs(composite.eval(p) - direct.eval(p)) < 1e-10
+
+
+def _tagged_input(kind):
+    """A generic form of the given action kind at weight 1/2, index 1."""
+    return TaggedForm(exp_qn_zeta_r(1, 1), WeightIndex(1, 2), kind)
+
+
+@pytest.mark.parametrize("name", OPERATOR_NAMES)
+def test_every_operator_name_applies_to_a_tagged_form(name):
+    kind = OperatorSpec(name, WeightIndex(1, 2)).input_kind()
+    out = apply_to_tagged(name, _tagged_input(kind))
+    assert out.action_kind in ("standard", "skew")
+    assert math.isfinite(abs(out.f.eval(POINTS[0])))
+
+
+@pytest.mark.parametrize("name", ["LaplaceK", "Heat"])
+def test_removed_operator_names_raise_domain_error(name):
+    with pytest.raises(DomainError):
+        OperatorSpec(name, WeightIndex(1, 2))
+    with pytest.raises(DomainError):
+        apply_to_tagged(name, _tagged_input("standard"))

@@ -51,3 +51,10 @@ def test_factorizations_suite_passes():
 def test_decomposition_roundtrip_suite_passes():
     results = run_suite("decomposition-roundtrip", seed=1)
     assert all(res.passed for res in results)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_returns_only_suite_results(name):
+    results = run_suite(name)
+    assert results
+    assert all(type(res) is SuiteResult for res in results)
