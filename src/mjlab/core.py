@@ -125,12 +125,6 @@ class TruncationPolicy:
             return min(self.max_radius, int(cap))
         return self.max_radius
 
-    def scaled(self, radius_factor=1, tail_factor=1.0):
-        return TruncationPolicy(
-            tail_bound=self.tail_bound * tail_factor,
-            max_radius=max(1, int(self.max_radius * radius_factor)),
-        )
-
 
 class JetVars:
     """The four coordinate jets at a base point, or transformed versions
@@ -239,7 +233,6 @@ class FunctionHandle:
         self._jet_fn = jet_fn
         self.label = label
         self.fd_step = fd_step
-        self.jet_kind = "exact" if jet_fn is not None else "finite-difference"
 
     def eval(self, p):
         if self._fn is not None:

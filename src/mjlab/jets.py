@@ -228,12 +228,6 @@ class Jet:
             ts.append(ts[-1] * (alpha - j + 1) / (j * a0))
         return self.apply_taylor(ts)
 
-    def sqrt(self):
-        return self.cpow(0.5)
-
-    def real(self):
-        return (self + self.conj()) * 0.5
-
     def imag(self):
         return (self - self.conj()) * (-0.5j)
 

@@ -20,9 +20,7 @@ from functools import lru_cache
 from .core import FunctionHandle, TruncationPolicy
 from .errors import DomainError, PoleAtAppell, PoleAtTheta
 from .jets import Jet
-from .special import _gaussian_radius, jacobi_theta_jet, zwegers_R_jet
-
-TWO_PI = 2.0 * math.pi
+from .special import TWO_PI, _gaussian_radius, jacobi_theta_jet, zwegers_R_jet
 
 # beyond this rank the multiplicity tables get large and the sums slow
 MAX_RANK = 6

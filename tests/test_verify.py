@@ -1,9 +1,18 @@
 """The verification suite registry and its result records."""
 
+import math
+
 import pytest
 
+from mjlab.core import FunctionHandle
 from mjlab.errors import DomainError
-from mjlab.verify import SUITES, SuiteResult, run_suite
+from mjlab.verify import (
+    GENERIC_POINTS,
+    SUITES,
+    SuiteResult,
+    run_suite,
+    verify_hyperbolic_xi_factorization,
+)
 
 
 def test_registry_contains_all_suites():
@@ -58,3 +67,17 @@ def test_every_suite_returns_only_suite_results(name):
     results = run_suite(name)
     assert results
     assert all(type(res) is SuiteResult for res in results)
+
+
+@pytest.mark.parametrize("nan_at", [None, 0.9])
+def test_nan_residual_fails_the_check(nan_at):
+    """A NaN residual at any point (None: at every point) is the result."""
+
+    def je(jv):
+        bad = nan_at is None or jv.y.value.real == nan_at
+        return jv.y * (math.nan if bad else 1.0)
+
+    h = FunctionHandle(jet_fn=je, label="nan")
+    result = verify_hyperbolic_xi_factorization(1.5, h, GENERIC_POINTS[:3])
+    assert math.isnan(result.max_residual)
+    assert not result.passed
