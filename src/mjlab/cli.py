@@ -317,6 +317,7 @@ def decompose_cmd(infile, out):
 @click.option("--r", type=int, default=0)
 @click.option("--tau", type=COMPLEX, default="0+1i")
 @click.option("--z", type=COMPLEX, default="0+0i")
+@click.option("--z2", type=COMPLEX, default="0+0i")
 @click.option("--tau-grid", is_flag=True, default=False,
               help="vary tau over the window instead of z")
 @click.option("--min", "lo", type=(float, float), default=(0.0, 0.0),
@@ -327,7 +328,7 @@ def decompose_cmd(infile, out):
 @click.option("--radius", type=int, default=None)
 @click.option("--tail", type=float, default=None)
 @click.option("--out", type=click.Path(), default=None)
-def grid_cmd(function, k, m, l, n, r, tau, z, tau_grid, lo, hi, steps,
+def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
              radius, tail, out):
     """Evaluate a catalog function on a rectangular grid and emit CSV with
     columns x,y,u,v,re,im,pole (pole rows have empty value fields)."""
@@ -347,7 +348,7 @@ def grid_cmd(function, k, m, l, n, r, tau, z, tau_grid, lo, hi, steps,
                 tt, zz = tau, complex(a, b)
             opts = {
                 "k": k, "m": m, "l": l, "n": n, "r": r, "w": a,
-                "tau": tt, "z": zz, "z2": 0j,
+                "tau": tt, "z": zz, "z2": z2,
             }
             try:
                 val = CATALOG[function](opts, policy)

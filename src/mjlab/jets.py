@@ -3,9 +3,14 @@
 A Jet stores the Taylor coefficients (partial derivatives divided by the
 factorial of the multi-index) of a smooth complex-valued function of
 tau = x + iy and z = u + iv up to a fixed total order.  All catalog series
-in the library are evaluated term by term in this arithmetic, which gives
-closed-form partial derivatives to machine precision -- the "exact jet"
-path that the third-order operator compositions rely on.
+in the library are evaluated in this arithmetic, which gives closed-form
+partial derivatives to machine precision -- the "exact jet" path that the
+third-order operator compositions rely on.
+
+The coefficient array has shape (*batch, n_monomials): leading batch axes
+hold independent jets (one per series term, say), and every operation acts
+row-wise, broadcasting like numpy.  A series is one batched jet of its term
+exponents, one batched `exp` and one `sum` over the batch axis.
 
 Conjugation is coefficient-wise because the underlying variables are real.
 """
@@ -47,7 +52,9 @@ def monomial_index(order):
 
 @lru_cache(maxsize=None)
 def _mul_table(order):
-    """Index triples (i, j, k) with monomial_i * monomial_j = monomial_k."""
+    """Index pairs (i, j) with monomial_i * monomial_j = monomial_k, sorted
+    by k, and the start of each k's run (the offsets for np.add.reduceat;
+    every k has the run entry (k, 0))."""
     mons = monomials(order)
     idx = monomial_index(order)
     ii, jj, kk = [], [], []
@@ -60,7 +67,9 @@ def _mul_table(order):
             ii.append(i)
             jj.append(j)
             kk.append(k)
-    return np.asarray(ii), np.asarray(jj), np.asarray(kk)
+    by_k = np.argsort(kk, kind="stable")
+    starts = np.searchsorted(np.asarray(kk)[by_k], np.arange(len(mons)))
+    return np.asarray(ii)[by_k], np.asarray(jj)[by_k], starts
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +87,31 @@ def _deriv_table(order, var):
     return src, fac
 
 
+def _finite_exp(a):
+    """np.exp of an array, raising OverflowError (as cmath.exp does) instead
+    of returning an infinite value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(a)
+    if not np.isfinite(out).all():
+        raise OverflowError("math range error")
+    return out
+
+
+def _per_row(k):
+    """A scalar, or a numpy array of per-row constants shaped to scale the
+    coefficient rows of a batched jet."""
+    return k[..., None] if isinstance(k, np.ndarray) else k
+
+
 class Jet:
+    """A truncated Taylor series, or a batch of them: c has shape
+    (*batch, n_monomials).  Scalars and numpy arrays of shape batch act as
+    constant jets (one value per row)."""
+
     __slots__ = ("order", "c")
+
+    # numpy defers `array * jet` and friends to the Jet methods
+    __array_ufunc__ = None
 
     def __init__(self, order, coef):
         self.order = order
@@ -87,8 +119,8 @@ class Jet:
 
     @classmethod
     def constant(cls, val, order):
-        c = np.zeros(len(monomials(order)), dtype=complex)
-        c[0] = val
+        c = np.zeros(np.shape(val) + (len(monomials(order)),), dtype=complex)
+        c[..., 0] = val
         return cls(order, c)
 
     @classmethod
@@ -102,8 +134,15 @@ class Jet:
         return cls(order, c)
 
     @property
+    def batched(self):
+        return self.c.ndim > 1
+
+    @property
     def value(self):
-        return complex(self.c[0])
+        """The constant term: a complex number, or an array of shape batch."""
+        if self.c.ndim == 1:
+            return complex(self.c[0])
+        return self.c[..., 0]
 
     def copy(self):
         return Jet(self.order, self.c.copy())
@@ -112,10 +151,18 @@ class Jet:
         if order == self.order:
             return self
         if order > self.order:
-            c = np.zeros(len(monomials(order)), dtype=complex)
-            c[: len(self.c)] = self.c
+            c = np.zeros(self.c.shape[:-1] + (len(monomials(order)),), dtype=complex)
+            c[..., : self.c.shape[-1]] = self.c
             return Jet(order, c)
-        return Jet(order, self.c[: len(monomials(order))].copy())
+        return Jet(order, self.c[..., : len(monomials(order))].copy())
+
+    def sum(self, weights=None):
+        """Reduce the leading batch axis: the plain sum of the rows, or the
+        linear combinations weights @ rows (weights of shape (K, B) give a
+        batch of K jets)."""
+        if weights is None:
+            return Jet(self.order, self.c.sum(axis=0))
+        return Jet(self.order, np.asarray(weights) @ self.c)
 
     # -- ring operations -------------------------------------------------
 
@@ -146,19 +193,22 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.order, self.c * other)
+            return Jet(self.order, self.c * _per_row(other))
         a, b = self._coerce(other)
-        ii, jj, kk = _mul_table(a.order)
-        out = np.zeros_like(a.c)
-        np.add.at(out, kk, a.c[ii] * b.c[jj])
-        return Jet(a.order, out)
+        if a.order == 0:
+            return Jet(0, a.c * b.c)
+        ii, jj, starts = _mul_table(a.order)
+        ac, bc = a.c, b.c
+        if ac.ndim == 1 and bc.ndim == 1:  # plain indexing is the faster path
+            return Jet(a.order, np.add.reduceat(ac[ii] * bc[jj], starts))
+        return Jet(a.order, np.add.reduceat(ac[..., ii] * bc[..., jj], starts, axis=-1))
 
     def __rmul__(self, other):
-        return Jet(self.order, self.c * other)
+        return Jet(self.order, self.c * _per_row(other))
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.order, self.c / other)
+            return Jet(self.order, self.c / _per_row(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -186,18 +236,21 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         src, fac = _deriv_table(self.order, var)
-        return Jet(self.order - 1, self.c[src] * fac)
+        return Jet(self.order - 1, self.c[..., src] * fac)
 
     # -- analytic functions ----------------------------------------------
 
     def apply_taylor(self, ts):
         """Compose with a univariate function given by Taylor coefficients.
 
-        ts[j] must equal f^(j)(a0) / j! where a0 is this jet's value.
+        ts[j] must equal f^(j)(a0) / j! where a0 is this jet's value; for a
+        batched jet each ts[j] may be an array of its batch shape (one
+        function per row).
         """
         tilde = self.copy()
-        tilde.c[0] = 0.0
-        out = Jet.constant(ts[-1], self.order)
+        tilde.c[..., 0] = 0.0
+        out = Jet(self.order, np.zeros(self.c.shape, dtype=complex))
+        out.c[..., 0] = ts[-1]
         for j in range(len(ts) - 2, -1, -1):
             out = out * tilde + ts[j]
         return out
@@ -207,23 +260,29 @@ class Jet:
         return self.apply_taylor(ts)
 
     def exp(self):
-        e0 = cmath.exp(self.value)
+        e0 = _finite_exp(self.value) if self.batched else cmath.exp(self.value)
         ts = [e0 / math.factorial(j) for j in range(self.order + 1)]
         return self.apply_taylor(ts)
 
-    def reciprocal(self):
+    def _nonzero_value(self, message):
+        """The constant term, checked to be nonzero in every row."""
         a0 = self.value
-        if a0 == 0:
-            raise ZeroDivisionError("jet with zero constant term")
+        if (a0 == 0).any() if self.batched else a0 == 0:
+            raise ZeroDivisionError(message)
+        return a0
+
+    def reciprocal(self):
+        a0 = self._nonzero_value("jet with zero constant term")
         ts = [(-1) ** j * a0 ** (-(j + 1)) for j in range(self.order + 1)]
         return self.apply_taylor(ts)
 
     def cpow(self, alpha):
         """Principal-branch power with arbitrary (complex) exponent."""
-        a0 = self.value
-        if a0 == 0:
-            raise ZeroDivisionError("jet power at zero base")
-        ts = [cmath.exp(alpha * cmath.log(a0))]
+        a0 = self._nonzero_value("jet power at zero base")
+        if self.batched:
+            ts = [_finite_exp(alpha * np.log(a0))]
+        else:
+            ts = [cmath.exp(alpha * cmath.log(a0))]
         for j in range(1, self.order + 1):
             ts.append(ts[-1] * (alpha - j + 1) / (j * a0))
         return self.apply_taylor(ts)
@@ -247,6 +306,8 @@ class Jet:
         return {mon: self.partial(mon) for mon in monomials(self.order)}
 
     def __repr__(self):
+        if self.batched:
+            return "Jet(order=%d, batch=%r)" % (self.order, self.c.shape[:-1])
         return "Jet(order=%d, value=%r)" % (self.order, self.value)
 
 

@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .core import FunctionHandle, TruncationPolicy
 from .errors import DomainError, PoleAtAppell, PoleAtTheta
-from .jets import Jet
-from .special import TWO_PI, _gaussian_radius, jacobi_theta_jet, zwegers_R_jet
+from .jets import _finite_exp
+from .special import TWO_PI, _finite_sum, _gaussian_radius, jacobi_theta_jet, zwegers_R_jet
 
 # beyond this rank the multiplicity tables get large and the sums slow
 MAX_RANK = 6
@@ -59,17 +61,20 @@ class MuParameters:
 
 @lru_cache(maxsize=None)
 def lattice_multiplicities(rank, radius):
-    """Counts of vectors n in [-radius, radius]^rank with a given
-    (sum of entries, sum of squares) pair."""
-    states = {(0, 0): 1}
-    for _ in range(rank):
-        nxt = {}
-        for (s1, s2), cnt in states.items():
-            for n in range(-radius, radius + 1):
-                key = (s1 + n, s2 + n * n)
-                nxt[key] = nxt.get(key, 0) + cnt
-        states = nxt
-    return states
+    """The states of the vectors n in [-radius, radius]^rank: one row
+    (s1, s2, count) per occurring pair of entry sum s1 and square sum s2,
+    with the number of vectors that have it, sorted by (s1, s2)."""
+    # counts[s1 + rank * radius, s2], built one coordinate at a time
+    counts = np.zeros((2 * rank * radius + 1, rank * radius * radius + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for done in range(rank):
+        prev = counts[: 2 * done * radius + 1, : done * radius * radius + 1].copy()
+        h, w = prev.shape
+        counts[: h + 2 * radius, : w + radius * radius] = 0
+        for n in range(-radius, radius + 1):
+            counts[n + radius : n + radius + h, n * n : n * n + w] += prev
+    s1, s2 = np.nonzero(counts)
+    return np.stack([s1 - rank * radius, s2, counts[s1, s2]], axis=1)
 
 
 def _check_theta_pole(tau_val, z_val):
@@ -96,7 +101,6 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     if not isinstance(two_m, int) or not 1 <= two_m <= MAX_RANK:
         raise DomainError("2m must be an integer in [1, %d]" % MAX_RANK)
     policy = policy or TruncationPolicy()
-    order = tau.order
     tau_val = tau.value
     y0 = tau_val.imag
     if not y0 > 0:
@@ -112,53 +116,34 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     radius = _gaussian_radius(
         math.pi * y0, math.pi * y0 + TWO_PI * abs(v2), policy.tail_bound, policy
     )
-    states = lattice_multiplicities(two_m, radius)
-
-    # exp(pi i s2 tau) and exp(s1 (pi i tau + 2 pi i z2)) via cached powers
-    base_s2 = (1j * math.pi * tau).exp()
-    base_s1 = (1j * math.pi * tau + TWO_PI * 1j * z2).exp()
-    pow_s2 = {0: Jet.constant(1.0, order)}
-    pow_s1 = {0: Jet.constant(1.0, order)}
-
-    def cached_power(cache, base, n):
-        if n not in cache:
-            cache[n] = base ** n
-        return cache[n]
-
-    # denominators 1 - e^(2 pi i z1) q^(s1), formed lazily per entry sum
-    appell_factor = (TWO_PI * 1j * z1).exp()
-    qpow_cache = {}
-    den_inv = {}
-
-    def denominator_inverse(s1):
-        if s1 not in den_inv:
-            qp = cached_power(qpow_cache, (TWO_PI * 1j * tau).exp(), s1)
-            den = 1.0 - appell_factor * qp
-            if abs(den.value) < POLE_TOL_APPELL:
-                raise PoleAtAppell(
-                    "Appell denominator vanishes at z1=%r, entry sum %d"
-                    % (z1.value, s1)
-                )
-            den_inv[s1] = den.reciprocal()
-        return den_inv[s1]
+    s1, s2, cnt = lattice_multiplicities(two_m, radius).T
 
     # drop states whose numerator bound is negligible before touching the
     # denominator, so near-misses of distant poles cannot inflate the tail
-    floor = policy.tail_bound * 1e-2
-    total = Jet.constant(0.0, order)
-    for (s1, s2), cnt in sorted(states.items()):
-        bound = cnt * math.exp(-math.pi * y0 * (s2 + s1) - TWO_PI * s1 * v2)
-        if bound < floor:
-            continue
-        sign = -1.0 if s1 % 2 else 1.0
-        term = (
-            cached_power(pow_s2, base_s2, s2)
-            * cached_power(pow_s1, base_s1, s1)
-            * denominator_inverse(s1)
-        )
-        total = total + (sign * cnt) * term
+    bound = cnt * _finite_exp(-math.pi * y0 * (s2 + s1) - TWO_PI * s1 * v2)
+    keep = ~(bound < policy.tail_bound * 1e-2)
+    s1, s2, cnt = s1[keep], s2[keep], cnt[keep]
+    u1, i1 = np.unique(s1, return_inverse=True)
+    u2, i2 = np.unique(s2, return_inverse=True)
 
-    return (1j * math.pi * z1).exp() * total * theta_inv_pow
+    # denominators 1 - e^(2 pi i z1) q^(s1), one row per kept entry sum
+    den = 1.0 - (TWO_PI * 1j * z1).exp() * ((TWO_PI * 1j * u1) * tau).exp()
+    small = np.abs(den.value) < POLE_TOL_APPELL
+    if small.any():
+        raise PoleAtAppell(
+            "Appell denominator vanishes at z1=%r, entry sum %d"
+            % (z1.value, u1[small.argmax()])
+        )
+
+    # the sum over states factors as sum over s1 of
+    # e^(s1 (pi i tau + 2 pi i z2)) / den(s1) times
+    # sum over s2 of (-1)^(s1) cnt e^(pi i s2 tau)
+    weights = np.zeros((len(u1), len(u2)))
+    weights[i1, i2] = np.where(s1 % 2, -cnt, cnt)
+    inner = ((1j * math.pi * u2) * tau).exp().sum(weights)
+    outer = (u1 * (1j * math.pi * tau + TWO_PI * 1j * z2)).exp() * den.reciprocal()
+    total = (outer * inner).sum()
+    return _finite_sum((1j * math.pi * z1).exp() * total * theta_inv_pow, "Appell sum")
 
 
 # ----------------------------------------------------------------------

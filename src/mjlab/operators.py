@@ -162,14 +162,19 @@ def laplace_heisenberg_map(k, m):
 
 
 def casimir_map(k, m):
-    """The third-order Casimir operator of the standard action."""
+    """The third-order Casimir operator of the standard action,
+
+        2 X+ X- - inv X+ Y- Y- + inv Y+ Y+ X- + inv (k - 2) Y+ Y-
+
+    (inv = 1 / (2 pi m), weights left implicit), grouped by the first
+    lowering so that X-^{k,m} and Y-^{k,m} are each applied once."""
     inv = 1.0 / (2.0 * math.pi * m)
-    return (
-        2.0 * (raise_X(k - 2, m) @ lower_X(k, m))
-        + (-inv) * (raise_X(k - 2, m) @ lower_Y(k - 1, m) @ lower_Y(k, m))
-        + inv * (raise_Y(k - 1, m) @ raise_Y(k - 2, m) @ lower_X(k, m))
-        + (inv * (k - 2.0)) * laplace_heisenberg_map(k, m)
+    after_x = 2.0 * raise_X(k - 2, m) + inv * (raise_Y(k - 1, m) @ raise_Y(k - 2, m))
+    after_y = (
+        (-inv) * (raise_X(k - 2, m) @ lower_Y(k - 1, m))
+        + (inv * (k - 2.0)) * raise_Y(k - 1, m)
     )
+    return after_x @ lower_X(k, m) + after_y @ lower_Y(k, m)
 
 
 def casimir_skew_map(k, m):

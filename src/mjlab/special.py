@@ -5,17 +5,22 @@ R-series, all with exact Taylor jets.
 Series functions are jet-level evaluators taking complex jets for tau and z
 (so they can be composed, e.g. inside slash actions or the mu-family
 specializations); the theta series also have a FunctionHandle wrapper
-bound to the plain coordinates.
+bound to the plain coordinates.  Each series builds the exponents of all its
+terms as one batched jet (one row per term), takes one batched exp and sums
+the rows once.
+
+scipy.special is imported only by the functions that need it (the
+incomplete gamma functions and the H-kernel); theta, the R-series and E
+use the error functions of the standard library.
 """
 
 import cmath
 import math
 
-from scipy import special as sp
+import numpy as np
 
 from .core import FunctionHandle, TruncationPolicy
 from .errors import DomainError, HUndefined, TruncationOverflow
-from .jets import Jet
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,6 +35,8 @@ def lower_incomplete_gamma(s, x):
         raise DomainError("lower incomplete gamma needs s > 0")
     if x < 0:
         raise DomainError("lower incomplete gamma needs x >= 0")
+    from scipy import special as sp
+
     return float(sp.gammainc(s, x) * sp.gamma(s))
 
 
@@ -41,6 +48,8 @@ def upper_incomplete_gamma(s, x):
     """
     if x <= 0:
         raise DomainError("upper incomplete gamma needs x > 0")
+    from scipy import special as sp
+
     if s > 0:
         return float(sp.gammaincc(s, x) * sp.gamma(s))
     if s == 0:
@@ -106,20 +115,26 @@ def gamma_half_jet(arg):
 # error completion E
 
 
+def _elementwise(fn, x):
+    """fn of a float, or of each entry of a 1-d numpy array."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(t) for t in x.tolist()])
+    return fn(x)
+
+
 def error_completion_E(w):
-    """E(w) = 2 int_0^w e^(-pi u^2) du, computed via gamma(1/2, pi w^2)."""
-    if w == 0:
-        return 0.0
-    s = 1.0 if w > 0 else -1.0
-    return s / math.sqrt(math.pi) * lower_incomplete_gamma(0.5, math.pi * w * w)
+    """E(w) = 2 int_0^w e^(-pi u^2) du = erf(sqrt(pi) w), elementwise for a
+    1-d numpy array w."""
+    return _elementwise(math.erf, math.sqrt(math.pi) * w)
 
 
 def error_completion_derivatives(w0, n):
+    """[E, E', ..., E^(n)] at w0 (elementwise for a numpy array w0)."""
     ds = [error_completion_E(w0)]
     if n == 0:
         return ds
     # derivatives of g(w) = 2 e^(-pi w^2): g^(i+1) = -2 pi (w g^(i) + i g^(i-1))
-    g = [2.0 * math.exp(-math.pi * w0 * w0)]
+    g = [2.0 * np.exp(-math.pi * w0 * w0)]
     for i in range(n - 1):
         prev = g[i - 1] if i >= 1 else 0.0
         g.append(-TWO_PI * (w0 * g[i] + i * prev))
@@ -147,6 +162,8 @@ def _integral_I(j, w):
             acc += term
         return math.factorial(j) * math.exp(-x) * acc
     if j == -1:
+        from scipy import special as sp
+
         # Gamma(0, x); for x < 0 take the real principal-value continuation
         if x > 0:
             return float(sp.exp1(x))
@@ -202,6 +219,14 @@ def H_jet(arg, k):
 # truncation helpers
 
 
+def _finite_sum(total, what):
+    """total, or OverflowError if a coefficient overflowed to inf or nan
+    (a Taylor coefficient can overflow where the value does not)."""
+    if not np.isfinite(total.c).all():
+        raise OverflowError("%s overflows at jet order %d" % (what, total.order))
+    return total
+
+
 def _gaussian_radius(quad, lin, tail, policy):
     """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0."""
     L = math.log(1.0 / tail)
@@ -226,14 +251,10 @@ def jacobi_theta_jet(tau, z, policy=None):
     if not y0 > 0:
         raise DomainError("theta requires Im(tau) > 0")
     R = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
-    order = tau.order
-    total = Jet.constant(0.0, order)
-    r = -R - 0.5
-    while r <= R + 0.5:
-        sign = (-1) ** int(r + 0.5)
-        total = total + sign * (1j * math.pi * r * r * tau + TWO_PI * 1j * r * z).exp()
-        r += 1.0
-    return total
+    k = np.arange(-R, R + 2)  # r = k - 1/2 runs over -R - 1/2, ..., R + 1/2
+    r = k - 0.5
+    terms = ((1j * math.pi * r * r) * tau + (TWO_PI * 1j * r) * z).exp()
+    return terms.sum(np.where(k % 2, -1.0, 1.0))
 
 
 def jacobi_theta_handle(policy=None):
@@ -259,18 +280,11 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
         math.pi * y0 / (2.0 * m), TWO_PI * abs(v0), policy.tail_bound, policy
     )
     l = l % two_m  # may be half-integral for odd 2m
-    order = tau.order
-    total = Jet.constant(0.0, order)
     t_lo = -int((R + l) // two_m) - 1
     t_hi = int((R - l) // two_m) + 1
-    for t in range(t_lo, t_hi + 1):
-        r = l + two_m * t
-        if abs(r) > R + two_m:
-            continue
-        total = total + (
-            2j * math.pi * (r * r / (4.0 * m)) * tau + TWO_PI * 1j * r * z
-        ).exp()
-    return total
+    r = l + two_m * np.arange(t_lo, t_hi + 1)
+    r = r[np.abs(r) <= R + two_m]
+    return ((2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z).exp().sum()
 
 
 def theta_ml_handle(two_m, l, policy=None):
@@ -301,23 +315,14 @@ def zwegers_R_jet(tau, z, policy=None):
     if R > cap:
         raise TruncationOverflow(R, cap)
     order = tau.order
-    sqrt2y = (2.0 * y).cpow(0.5)
-    total = Jet.constant(0.0, order)
-    n = -R - 0.5
-    while n <= R + 0.5:
-        w = sqrt2y * (n + v / y)
-        sgn = 1.0 if n > 0 else -1.0
-        w0 = w.value.real
-        # sgn(n) - E(w) without cancellation: same-side values go through erfc
-        if sgn * w0 >= 0:
-            amp0 = sgn * float(sp.erfc(math.sqrt(math.pi) * abs(w0)))
-        else:
-            amp0 = sgn - error_completion_E(w0)
-        ds = error_completion_derivatives(w0, order)
-        amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
-        sign = (-1) ** int(n - 0.5)
-        total = total + amp * sign * (
-            -1j * math.pi * n * n * tau - TWO_PI * 1j * n * z
-        ).exp()
-        n += 1.0
-    return total
+    n = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
+    sgn = np.where(n > 0, 1.0, -1.0)
+    w = (2.0 * y).cpow(0.5) * (n + v / y)
+    w0 = w.value.real
+    ds = error_completion_derivatives(w0, order)
+    # sgn(n) - E(w) without cancellation: same-side values go through erfc
+    erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
+    amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])
+    amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
+    terms = amp * (-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z).exp()
+    return _finite_sum(terms.sum(np.where((n - 0.5) % 2, -1.0, 1.0)), "R-series")

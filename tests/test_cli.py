@@ -267,6 +267,22 @@ def test_grid_flags_pole_rows():
         assert parts[4] == "" and parts[5] == ""
 
 
+def test_grid_mu_passes_z2_like_eval(capsys):
+    window = ("--tau", "0.1+1.1i", "--min", "0.1", "0.2", "--max", "0.4", "0.5")
+    code, out, err = run_main(capsys, "grid", "mu", "--z2", "0.17-0.23i",
+                              "--steps", "2", "2", *window)
+    assert code == 0, err
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert len(rows) == 4
+    for x, y, u, v, re, im, pole in rows:
+        assert pole == "0"
+        code, out, err = run_main(capsys, "eval", "mu", "--z2", "0.17-0.23i",
+                                  "--tau", "%s+%si" % (x, y), "--z", "%s+%si" % (u, v))
+        assert code == 0, err
+        want = json.loads(out)["value"]
+        assert [re, im] == ["%.12g" % want[0], "%.12g" % want[1]]
+
+
 def test_grid_rejects_bad_steps():
     res = run_cli("grid", "theta_ml", "--steps", "0", "5")
     assert res.returncode == 1

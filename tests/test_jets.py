@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -163,3 +164,105 @@ def test_ring_axioms(a, b, c):
 def test_exp_of_constant_jet(w):
     jet = Jet.constant(w, 2).exp()
     assert abs(jet.value - cmath.exp(w)) <= 1e-12 * abs(cmath.exp(w))
+
+
+# ----------------------------------------------------------------------
+# batch axes: a (B, M) jet acts as B independent jets
+
+
+def row_jets(order, shift):
+    """Three generic scalar jets at the base point, distinct per shift."""
+    x, y, u, v = variable_jets(order)
+    return [
+        (x * (0.3 + shift) + 1j * y) * (u - 0.7) + (2.0 + shift),
+        (y * y + u * (0.2j * shift) + 1.5).cpow(0.5) + v,
+        ((x + v) * (0.4 - 0.1j * shift)).exp() + 0.5 * shift,
+    ]
+
+
+def stacked(jets):
+    return Jet(jets[0].order, np.stack([j.c for j in jets]))
+
+
+def assert_rows(batched, rows, tol=1e-13):
+    assert batched.c.shape == (len(rows), len(rows[0].c))
+    for got, want in zip(batched.c, rows):
+        scale = max(1.0, np.max(np.abs(want.c)))
+        assert np.max(np.abs(got - want.c)) <= tol * scale
+
+
+ROWS = (0, 1, 2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_batched_ring_operations_act_row_wise(order):
+    a_rows = [row_jets(order, s)[0] for s in ROWS]
+    b_rows = [row_jets(order, s)[1] for s in ROWS]
+    a, b = stacked(a_rows), stacked(b_rows)
+    assert_rows(a * b, [p * q for p, q in zip(a_rows, b_rows)])
+    assert_rows(a + b, [p + q for p, q in zip(a_rows, b_rows)])
+    assert_rows(a - b, [p - q for p, q in zip(a_rows, b_rows)])
+    assert_rows(-a, [-p for p in a_rows])
+    assert_rows(a / b, [p / q for p, q in zip(a_rows, b_rows)])
+    assert_rows(a ** 3, [p ** 3 for p in a_rows])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_batched_analytic_functions_act_row_wise(order):
+    rows = [row_jets(order, s)[2] for s in ROWS]
+    a = stacked(rows)
+    assert_rows(a.exp(), [r.exp() for r in rows])
+    assert_rows(a.reciprocal(), [r.reciprocal() for r in rows])
+    assert_rows(a.cpow(0.5 - 0.25j), [r.cpow(0.5 - 0.25j) for r in rows])
+    # per-row Taylor coefficients: row i is composed with its own polynomial
+    ts_rows = [[i + 1.0, 0.5j * i, 1.0, -0.25 * i][: order + 1] for i in ROWS]
+    ts = [np.array(col) for col in zip(*ts_rows)]
+    assert_rows(a.apply_taylor(ts), [r.apply_taylor(t) for r, t in zip(rows, ts_rows)])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_batched_deriv_and_truncate_act_row_wise(order):
+    rows = [row_jets(order, s)[0] * row_jets(order, s)[2] for s in ROWS]
+    a = stacked(rows)
+    for var in range(4):
+        assert_rows(a.deriv(var), [r.deriv(var) for r in rows])
+    for n in range(order + 2):
+        assert_rows(a.truncate(n), [r.truncate(n) for r in rows])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_batched_jet_broadcasts_against_scalar_jets_and_arrays(order):
+    rows = [row_jets(order, s)[0] for s in ROWS]
+    a = stacked(rows)
+    s = row_jets(order, 5)[1]
+    assert_rows(a * s, [r * s for r in rows])
+    assert_rows(s * a, [s * r for r in rows])
+    assert_rows(a + s, [r + s for r in rows])
+    assert_rows(s - a, [s - r for r in rows])
+    k = np.array([0.5, -1.0, 2.0j])
+    assert_rows(a * k, [r * w for r, w in zip(rows, k)])
+    assert_rows(k * a, [r * w for r, w in zip(rows, k)])
+    assert_rows(a + k, [r + w for r, w in zip(rows, k)])
+    assert_rows(a / k, [r / w for r, w in zip(rows, k)])
+    # a scalar jet times an array of scalars is a batch
+    assert_rows(s * k, [s * w for w in k])
+    assert np.allclose(a.value, [r.value for r in rows])
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_batched_sum_reduces_the_batch_axis(order):
+    rows = [row_jets(order, s)[1] for s in ROWS]
+    a = stacked(rows)
+    plain = a.sum()
+    assert plain.c.shape == rows[0].c.shape
+    assert np.allclose(plain.c, (rows[0] + rows[1] + rows[2]).c, rtol=1e-14)
+    w = np.array([1.0, -2.0, 0.5])
+    assert np.allclose(a.sum(w).c, (rows[0] - 2.0 * rows[1] + 0.5 * rows[2]).c,
+                       rtol=1e-14)
+    assert_rows(a.sum(np.eye(3)[::-1]), rows[::-1])
+
+
+def test_batched_exp_raises_on_overflow():
+    a = Jet.constant(np.array([1.0, 800.0 + 0.5j]), 2)
+    with pytest.raises(OverflowError):
+        a.exp()

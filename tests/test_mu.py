@@ -101,7 +101,7 @@ def test_mu_parameters_validation():
 
 def test_lattice_multiplicities_count_states():
     # rank 2, radius 1: 9 lattice points grouped by (entry sum, square sum)
-    states = lattice_multiplicities(2, 1)
+    states = {(s1, s2): cnt for s1, s2, cnt in lattice_multiplicities(2, 1).tolist()}
     assert sum(states.values()) == 9
     assert states[(0, 2)] == 2  # (1, -1) and (-1, 1)
     assert states[(0, 0)] == 1

@@ -12,6 +12,7 @@ from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.mu import mu_hat_2_handle, mu_hat_ml_handle
 from mjlab.operators import (
     OPERATOR_NAMES,
+    JetMap,
     OperatorSpec,
     apply_operator,
     apply_to_tagged,
@@ -374,3 +375,28 @@ def test_fused_composite_equals_nested_first_order_images(name, order, slash):
         a = fused.jet_at(JetVars.at(p, order)).c
         b = ref.jet_at(JetVars.at(p, order)).c
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, p)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_casimir_applies_each_lowering_of_the_operand_once(order, monkeypatch):
+    import mjlab.operators as operators
+
+    calls = {}
+
+    def counted(name, build):
+        def factory(k, m):
+            inner = build(k, m)
+
+            def apply(F, jv):
+                calls[name, k] = calls.get((name, k), 0) + 1
+                return inner.apply(F, jv)
+
+            return JetMap(inner.loss, apply)
+
+        return factory
+
+    monkeypatch.setattr(operators, "lower_X", counted("X-", lower_X))
+    monkeypatch.setattr(operators, "lower_Y", counted("Y-", lower_Y))
+    k, m = 3.0, 2.0
+    image(operators.casimir_map(k, m), yv_probe()).jet_at(JetVars.at(POINTS[0], order))
+    assert calls == {("X-", k): 1, ("Y-", k): 1, ("Y-", k - 1): 1}
