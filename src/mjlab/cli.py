@@ -1,11 +1,23 @@
 """Command line front end: evaluate catalog functions, run verification
 suites, decompose Fourier data, and emit plot-ready grids.
 
-Machine output is JSON except for grids, which are CSV.  Exit codes:
-1 usage error, 2 evaluation at a pole, 3 truncation overflow, 4 failed
-identity or non-decomposable input.
+Machine output is JSON except for grids, which are CSV.  Every library
+error (`MjlabError`) ends in an exit code and a one-line message, never a
+traceback:
+
+1 usage or domain error, 2 evaluation at a pole, 3 truncation overflow,
+4 failed identity or non-decomposable input, 5 value overflow (a value or
+Taylor coefficient beyond the floating-point range), 6 evaluation failure
+(derivatives unavailable at the point, a non-finite sample, a
+finite-difference stencil outside the domain, any other library error).
+
+Each subcommand executes only the modules it uses: the kernels, operators,
+slashes, Weil matrices and verification suites load on first use, so
+`eval` and `grid` of the theta series, the R-series and the Appell family
+never execute them.
 """
 
+import importlib.util
 import json
 import sys
 
@@ -15,17 +27,12 @@ from .core import EvalPoint, TruncationPolicy
 from .errors import (
     DomainError,
     EvaluationAtPole,
+    MjlabError,
     NotThetaDecomposable,
     TruncationOverflow,
+    ValueOverflow,
 )
 from .jets import Jet
-from .kernels import (
-    FourierData,
-    KernelParams,
-    h_to_json,
-    kernel_term_handle,
-    theta_decompose,
-)
 from .mu import (
     MuParameters,
     mu_hat_2_jet,
@@ -40,12 +47,37 @@ from .special import (
     theta_ml_jet,
     zwegers_R_jet,
 )
-from .verify import SUITES, run_suite
+
+
+def _on_first_use(name):
+    """The module mjlab.<name>, executed when one of its attributes is first
+    read (importlib.util.LazyLoader).  It is registered in sys.modules and
+    on the package at once, so every import of it, and any tool that lists
+    the package's modules, gets this one module object."""
+    full = "%s.%s" % (__package__, name)
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# the layers only some subcommands use, all registered at once, so that
+# after `import mjlab.cli` every layer of the package is in sys.modules
+for _name in ("group", "weil", "operators"):
+    _on_first_use(_name)
+kernels = _on_first_use("kernels")
+verify = _on_first_use("verify")
 
 EXIT_USAGE = 1
 EXIT_POLE = 2
 EXIT_TRUNCATION = 3
 EXIT_FAILED = 4
+EXIT_OVERFLOW = 5
+EXIT_EVALUATION = 6
 
 
 def parse_complex(text):
@@ -157,8 +189,8 @@ def _eval_kernel(name):
     i = int(name[1])
 
     def run(o, policy):
-        params = KernelParams.of(o["k"], o["m"], o["n"], o["r"])
-        h = kernel_term_handle(i, params, skew=skew)
+        params = kernels.KernelParams.of(o["k"], o["m"], o["n"], o["r"])
+        h = kernels.kernel_term_handle(i, params, skew=skew)
         return h.eval(_point(o["tau"], o["z"]))
 
     return run
@@ -252,10 +284,10 @@ def eval_cmd(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
     """Run a named identity suite and print a JSON report."""
-    if suite not in SUITES:
+    if suite not in verify.SUITES:
         raise click.UsageError(
             "unknown suite %r; valid suites: %s"
-            % (suite, ", ".join(sorted(SUITES)))
+            % (suite, ", ".join(sorted(verify.SUITES)))
         )
     kwargs = {}
     if suite == "covariance":
@@ -267,9 +299,9 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         kk = 0.5 if k is None else k
         mm = 1.0 if m is None else m
         if n is None and r is None:
-            params = [KernelParams.of(kk, mm, 0, 1), KernelParams.of(kk, mm, 0, 0)]
+            params = [kernels.KernelParams.of(kk, mm, 0, r0) for r0 in (1, 0)]
         else:
-            params = [KernelParams.of(kk, mm, n or 0, r or 0)]
+            params = [kernels.KernelParams.of(kk, mm, n or 0, r or 0)]
         kwargs["params_list"] = params
     if suite == "weil" and two_m is not None:
         kwargs["two_m_list"] = [two_m]
@@ -277,7 +309,7 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         kwargs["two_m_list"] = [two_m]
     if suite == "decomposition-roundtrip":
         kwargs["seed"] = seed
-    results = run_suite(suite, **kwargs)
+    results = verify.run_suite(suite, **kwargs)
     if tol is not None:
         for res in results:
             res.tol = tol
@@ -303,9 +335,9 @@ def decompose_cmd(infile, out):
             text = fh.read()
     else:
         text = sys.stdin.read()
-    data = FourierData.from_text(text, holomorphic=True)
-    h = theta_decompose(data)
-    _write_out(h_to_json(h), out)
+    data = kernels.FourierData.from_text(text, holomorphic=True)
+    h = kernels.theta_decompose(data)
+    _write_out(kernels.h_to_json(h), out)
 
 
 @cli.command("grid")
@@ -384,6 +416,12 @@ def main(argv=None):
     except DomainError as exc:
         click.echo("domain error: %s" % exc, err=True)
         sys.exit(EXIT_USAGE)
+    except ValueOverflow as exc:
+        click.echo("value overflow: %s" % exc, err=True)
+        sys.exit(EXIT_OVERFLOW)
+    except MjlabError as exc:
+        click.echo("evaluation failure (%s): %s" % (type(exc).__name__, exc), err=True)
+        sys.exit(EXIT_EVALUATION)
     return 0
 
 

@@ -9,6 +9,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     DomainError,
     JetUnavailable,
@@ -16,11 +18,15 @@ from .errors import (
     StencilOutOfDomain,
     ZeroArgument,
 )
-from .jets import Jet, VAR_U, VAR_V, VAR_X, VAR_Y, monomials
+from .jets import Jet, monomials
 
 
 def principal_sqrt(w):
-    """Square root with argument in (-pi/2, pi/2]."""
+    """Square root with argument in (-pi/2, pi/2], elementwise for an array."""
+    if isinstance(w, np.ndarray):
+        if (w == 0).any():
+            raise ZeroArgument("principal_sqrt(0)")
+        return np.sqrt(w.astype(complex))
     w = complex(w)
     if w == 0:
         raise ZeroArgument("principal_sqrt(0)")
@@ -128,7 +134,9 @@ class TruncationPolicy:
 
 class JetVars:
     """The four coordinate jets at a base point, or transformed versions
-    of them (after a group action)."""
+    of them (after a group action).  At a stack of P points each coordinate
+    jet has c.shape == (P, M): every function evaluated on them returns one
+    row per point."""
 
     __slots__ = ("x", "y", "u", "v", "order", "plain")
 
@@ -142,19 +150,32 @@ class JetVars:
 
     @classmethod
     def at(cls, p, order):
-        return cls(
-            Jet.variable(VAR_X, p.x, order),
-            Jet.variable(VAR_Y, p.y, order),
-            Jet.variable(VAR_U, p.u, order),
-            Jet.variable(VAR_V, p.v, order),
-            plain=True,
+        """Plain coordinate jets at an EvalPoint, or at a sequence of them
+        (a stack)."""
+        if isinstance(p, EvalPoint):
+            return cls._plain((p.x, p.y, p.u, p.v), order)
+        return cls._plain(
+            tuple(np.array(c, dtype=float) for c in zip(*((q.x, q.y, q.u, q.v) for q in p))),
+            order,
         )
+
+    @classmethod
+    def _plain(cls, base, order):
+        return cls(*(Jet.variable(var, val, order) for var, val in enumerate(base)), plain=True)
+
+    @property
+    def base(self):
+        """The values (x, y, u, v) of the coordinate jets: floats, or arrays
+        over the stack."""
+        return tuple(j.value.real for j in (self.x, self.y, self.u, self.v))
 
     @property
     def point(self):
-        return EvalPoint(
-            self.x.value.real, self.y.value.real, self.u.value.real, self.v.value.real
-        )
+        """The base point: an EvalPoint, or a tuple of them for a stack."""
+        x, y, u, v = self.base
+        if np.ndim(x) == 0:
+            return EvalPoint(x, y, u, v)
+        return tuple(EvalPoint(*q) for q in zip(x.tolist(), y.tolist(), u.tolist(), v.tolist()))
 
     @property
     def tau(self):
@@ -172,11 +193,16 @@ class JetVars:
     def zbar(self):
         return self.u - 1j * self.v
 
+    def at_base(self, order):
+        """Plain coordinate jets of the given order at the base point (or
+        stack) of these jets."""
+        return JetVars._plain(self.base, order)
+
     def extend(self, extra):
         """Plain coordinate jets at the same base point with a higher order."""
         if not self.plain:
             raise JetUnavailable("cannot extend non-plain jet variables")
-        return JetVars.at(self.point, self.order + extra)
+        return self.at_base(self.order + extra)
 
     @classmethod
     def from_complex(cls, tau, taubar, z, zbar):
@@ -191,12 +217,13 @@ class JetVars:
 
 
 def _compose_taylor(table_jet, jv, base):
-    """Evaluate a Taylor polynomial (given as a plain-coordinate Jet at `base`)
+    """Evaluate a Taylor polynomial (given as a plain-coordinate Jet at the
+    base values (x, y, u, v), one row of coefficients per point of a stack)
     on transformed coordinate jets."""
-    dx = jv.x - base.x
-    dy = jv.y - base.y
-    du = jv.u - base.u
-    dv = jv.v - base.v
+    dx = jv.x - base[0]
+    dy = jv.y - base[1]
+    du = jv.u - base[2]
+    dv = jv.v - base[3]
     out = Jet.constant(0.0, jv.order)
     powers = {}
 
@@ -207,8 +234,8 @@ def _compose_taylor(table_jet, jv, base):
         return powers[key]
 
     for i, mon in enumerate(monomials(table_jet.order)):
-        coef = table_jet.c[i]
-        if coef == 0:
+        coef = table_jet.c[..., i]
+        if not coef.any():
             continue
         term = Jet.constant(coef, jv.order)
         for var_jet, e in zip((dx, dy, du, dv), mon):
@@ -245,19 +272,28 @@ class FunctionHandle:
         """Jet of this function on the given (possibly transformed) coordinates."""
         if self._jet_fn is not None:
             return self._jet_fn(jv)
-        # finite-difference path: Taylor table at the base point, then compose
-        base = jv.point
-        table = finite_difference_jet(self, base, jv.order, step=self.fd_step)
-        tj = _table_to_jet(table, jv.order)
+        # finite-difference path: Taylor table at each base point, stacked,
+        # then composed with the transformed coordinates
+        points = jv.point
+        if isinstance(points, EvalPoint):
+            tj = _table_to_jet(self._fd_table(points, jv.order), jv.order)
+        else:
+            tj = Jet(
+                jv.order,
+                np.stack([_table_to_jet(self._fd_table(p, jv.order), jv.order).c for p in points]),
+            )
         if jv.plain:
             return tj
-        return _compose_taylor(tj, jv, base)
+        return _compose_taylor(tj, jv, jv.base)
+
+    def _fd_table(self, p, order):
+        return finite_difference_jet(self, p, order, step=self.fd_step)
 
     def jet(self, p, order):
         """Table of mixed partials in (x, y, u, v) up to the given order."""
         if self._jet_fn is not None:
             return self._jet_fn(JetVars.at(p, order)).table()
-        return finite_difference_jet(self, p, order, step=self.fd_step)
+        return self._fd_table(p, order)
 
 
 def _table_to_jet(table, order):

@@ -33,6 +33,10 @@ class JetUnavailable(MjlabError):
     """Derivatives of the requested order cannot be produced at this point."""
 
 
+class ValueOverflow(MjlabError, OverflowError):
+    """A value or a Taylor coefficient exceeds the floating-point range."""
+
+
 class TruncationOverflow(MjlabError):
     """The truncation radius needed to hit the tail target exceeds the cap."""
 

@@ -8,9 +8,11 @@ partial derivatives to machine precision -- the "exact jet" path that the
 third-order operator compositions rely on.
 
 The coefficient array has shape (*batch, n_monomials): leading batch axes
-hold independent jets (one per series term, say), and every operation acts
-row-wise, broadcasting like numpy.  A series is one batched jet of its term
-exponents, one batched `exp` and one `sum` over the batch axis.
+hold independent jets, and every operation acts row-wise, broadcasting like
+numpy.  The coordinate jets at a stack of P points have shape (P, M) (the
+point axis), and a series adds a term axis in front, (terms, P, M): it is
+one batched jet of its term exponents, one batched `exp` and one `sum` over
+the term axis.
 
 Conjugation is coefficient-wise because the underlying variables are real.
 """
@@ -20,6 +22,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ValueOverflow
 
 NVARS = 4  # x, y, u, v
 VAR_X, VAR_Y, VAR_U, VAR_V = range(NVARS)
@@ -72,6 +76,63 @@ def _mul_table(order):
     return np.asarray(ii)[by_k], np.asarray(jj)[by_k], starts
 
 
+# coefficient products per block of a batched multiply: the block's
+# products (96 KB) and gather indices stay in cache (two rows per block at
+# order 6, the largest order the operators reach)
+_BLOCK = 6144
+
+
+@lru_cache(maxsize=None)
+def _flat_mul_table(order):
+    """_mul_table for a block of jets stored back to back in one flat array:
+    the pair count per jet, then flat gather indices and reduceat offsets
+    for as many jets as fit in _BLOCK products.  The entries of the first r
+    jets are a prefix, so a smaller block slices the table."""
+    ii, jj, starts = _mul_table(order)
+    n_mons, n_pairs = len(starts), len(ii)
+    rows = np.arange(max(1, _BLOCK // n_pairs))[:, None]
+    return (
+        n_pairs,
+        (rows * n_mons + ii).ravel(),
+        (rows * n_mons + jj).ravel(),
+        (rows * n_pairs + starts).ravel(),
+    )
+
+
+def _flat_rows(c, shape):
+    """The coefficient array c broadcast to shape, as one flat array."""
+    if c.shape == shape:
+        return c.reshape(-1)
+    out = np.empty(shape, dtype=complex)
+    out[...] = c
+    return out.reshape(-1)
+
+
+def _batched_product(ac, bc, order):
+    """Coefficients of the row-wise product of two batched coefficient
+    arrays (broadcast against each other), one flat gather per block."""
+    n_mons = ac.shape[-1]
+    if ac.shape == bc.shape:
+        shape = ac.shape
+        af, bf = ac.reshape(-1), bc.reshape(-1)
+    else:
+        shape = np.broadcast(ac[..., 0], bc[..., 0]).shape + (n_mons,)
+        af, bf = _flat_rows(ac, shape), _flat_rows(bc, shape)
+    n_pairs, fi, fj, fs = _flat_mul_table(order)
+
+    def block(a, b):
+        n = a.size // n_mons * n_pairs
+        return np.add.reduceat(a[fi[:n]] * b[fj[:n]], fs[: a.size])
+
+    step = len(fs)  # coefficients per full block
+    if af.size <= step:
+        return block(af, bf).reshape(shape)
+    out = np.empty(af.size, dtype=complex)
+    for lo in range(0, af.size, step):
+        out[lo : lo + step] = block(af[lo : lo + step], bf[lo : lo + step])
+    return out.reshape(shape)
+
+
 @lru_cache(maxsize=None)
 def _deriv_table(order, var):
     """For each target monomial of order-1, the source index and factor."""
@@ -88,13 +149,21 @@ def _deriv_table(order, var):
 
 
 def _finite_exp(a):
-    """np.exp of an array, raising OverflowError (as cmath.exp does) instead
-    of returning an infinite value."""
+    """np.exp of an array (or a scalar), raising ValueOverflow instead of
+    returning an infinite value."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(a)
     if not np.isfinite(out).all():
-        raise OverflowError("math range error")
+        raise ValueOverflow("exp overflows the floating-point range")
     return out
+
+
+def _scalar_exp(a):
+    """cmath.exp, raising ValueOverflow where it overflows."""
+    try:
+        return cmath.exp(a)
+    except OverflowError:
+        raise ValueOverflow("exp overflows the floating-point range") from None
 
 
 def _per_row(k):
@@ -125,12 +194,14 @@ class Jet:
 
     @classmethod
     def variable(cls, var, val, order):
-        c = np.zeros(len(monomials(order)), dtype=complex)
-        c[0] = val
+        """The coordinate jet of variable var at val, or at each entry of an
+        array val (a stack of coordinate jets)."""
+        c = np.zeros(np.shape(val) + (len(monomials(order)),), dtype=complex)
+        c[..., 0] = val
         if order >= 1:
             e = [0, 0, 0, 0]
             e[var] = 1
-            c[monomial_index(order)[tuple(e)]] = 1.0
+            c[..., monomial_index(order)[tuple(e)]] = 1.0
         return cls(order, c)
 
     @property
@@ -157,12 +228,20 @@ class Jet:
         return Jet(order, self.c[..., : len(monomials(order))].copy())
 
     def sum(self, weights=None):
-        """Reduce the leading batch axis: the plain sum of the rows, or the
-        linear combinations weights @ rows (weights of shape (K, B) give a
-        batch of K jets)."""
+        """Reduce the leading (term) axis: the plain sum of the rows, or the
+        linear combinations weights @ rows.  Weights of shape (K, T) give a
+        batch of K jets; weights of shape (*points, K, T) combine the rows
+        of each point of a stack (c of shape (T, *points, M)) with that
+        point's own weights."""
+        c = self.c
         if weights is None:
-            return Jet(self.order, self.c.sum(axis=0))
-        return Jet(self.order, np.asarray(weights) @ self.c)
+            return Jet(self.order, c.sum(axis=0))
+        if c.ndim == 2:
+            return Jet(self.order, weights @ c)
+        if weights.ndim > 2:
+            return Jet(self.order, np.einsum("...kt,t...m->k...m", weights, c))
+        out = weights @ c.reshape(c.shape[0], -1)
+        return Jet(self.order, out.reshape(weights.shape[:-1] + c.shape[1:]))
 
     # -- ring operations -------------------------------------------------
 
@@ -174,7 +253,17 @@ class Jet:
             return self.truncate(n), other.truncate(n)
         return self, Jet.constant(other, self.order)
 
+    def _plus_constant(self, k):
+        """self + k for a scalar or an array of per-row constants k."""
+        if isinstance(k, np.ndarray) and k.shape != self.c.shape[:-1]:
+            return self + Jet.constant(k, self.order)  # k broadcasts the batch
+        c = self.c.copy()
+        c[..., 0] += k
+        return Jet(self.order, c)
+
     def __add__(self, other):
+        if not isinstance(other, Jet):
+            return self._plus_constant(other)
         a, b = self._coerce(other)
         return Jet(a.order, a.c + b.c)
 
@@ -184,12 +273,13 @@ class Jet:
         return Jet(self.order, -self.c)
 
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            return self._plus_constant(-other)
         a, b = self._coerce(other)
         return Jet(a.order, a.c - b.c)
 
     def __rsub__(self, other):
-        a, b = self._coerce(other)
-        return Jet(a.order, b.c - a.c)
+        return (-self)._plus_constant(other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -197,11 +287,15 @@ class Jet:
         a, b = self._coerce(other)
         if a.order == 0:
             return Jet(0, a.c * b.c)
-        ii, jj, starts = _mul_table(a.order)
         ac, bc = a.c, b.c
-        if ac.ndim == 1 and bc.ndim == 1:  # plain indexing is the faster path
+        if ac.ndim == 1 and bc.ndim == 1:
+            ii, jj, starts = _mul_table(a.order)
             return Jet(a.order, np.add.reduceat(ac[ii] * bc[jj], starts))
-        return Jet(a.order, np.add.reduceat(ac[..., ii] * bc[..., jj], starts, axis=-1))
+        if ac.size == bc.size == ac.shape[-1]:  # a stack of one: the plain product
+            ii, jj, starts = _mul_table(a.order)
+            out = np.add.reduceat(ac.ravel()[ii] * bc.ravel()[jj], starts)
+            return Jet(a.order, out.reshape(ac.shape if ac.ndim >= bc.ndim else bc.shape))
+        return Jet(a.order, _batched_product(ac, bc, a.order))
 
     def __rmul__(self, other):
         return Jet(self.order, self.c * _per_row(other))
@@ -218,15 +312,18 @@ class Jet:
         if isinstance(n, int):
             if n < 0:
                 return self.reciprocal() ** (-n)
-            out = Jet.constant(1.0, self.order)
+            if n == 0:
+                return Jet.constant(1.0, self.order)
+            out = None
             base = self
             e = n
-            while e:
+            while True:
                 if e & 1:
-                    out = out * base
-                base = base * base
+                    out = base if out is None else out * base
                 e >>= 1
-            return out
+                if not e:
+                    return out
+                base = base * base
         return self.cpow(n)
 
     def conj(self):
@@ -247,12 +344,18 @@ class Jet:
         batched jet each ts[j] may be an array of its batch shape (one
         function per row).
         """
+        if len(ts) == 1:  # an order-0 jet: its one coefficient is the value
+            c = np.empty(self.c.shape, dtype=complex)
+            c[..., 0] = ts[0]
+            return Jet(0, c)
         tilde = self.copy()
         tilde.c[..., 0] = 0.0
-        out = Jet(self.order, np.zeros(self.c.shape, dtype=complex))
-        out.c[..., 0] = ts[-1]
-        for j in range(len(ts) - 2, -1, -1):
-            out = out * tilde + ts[j]
+        # Horner's scheme, each step adding ts[j] to the fresh constant term
+        out = tilde * ts[-1]
+        out.c[..., 0] += ts[-2]
+        for j in range(len(ts) - 3, -1, -1):
+            out = out * tilde
+            out.c[..., 0] += ts[j]
         return out
 
     def apply_derivatives(self, ds):
@@ -260,7 +363,7 @@ class Jet:
         return self.apply_taylor(ts)
 
     def exp(self):
-        e0 = _finite_exp(self.value) if self.batched else cmath.exp(self.value)
+        e0 = _finite_exp(self.value) if self.batched else _scalar_exp(self.value)
         ts = [e0 / math.factorial(j) for j in range(self.order + 1)]
         return self.apply_taylor(ts)
 
@@ -282,7 +385,7 @@ class Jet:
         if self.batched:
             ts = [_finite_exp(alpha * np.log(a0))]
         else:
-            ts = [cmath.exp(alpha * cmath.log(a0))]
+            ts = [_scalar_exp(alpha * cmath.log(a0))]
         for j in range(1, self.order + 1):
             ts.append(ts[-1] * (alpha - j + 1) / (j * a0))
         return self.apply_taylor(ts)

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .core import FunctionHandle, JetVars, WeightIndex
 from .errors import DomainError, JetUnavailable, NotThetaDecomposable
 from .jets import Jet
@@ -78,22 +80,22 @@ class KernelParams:
 
 
 def _sgn_gamma_jet(params, jv):
-    """sgn(r + 2mv/y) gamma(1/2, (-pi y / m)(r + 2mv/y)^2) as a jet."""
+    """sgn(r + 2mv/y) gamma(1/2, (-pi y / m)(r + 2mv/y)^2) as a jet (0 at
+    order 0 on the jump locus), one row per point of a stack."""
     m = params.m
     Y, V = jv.y, jv.v
     a = params.r + (2.0 * m) * V / Y
-    a0 = a.value.real
-    if abs(a0) < 1e-14:
-        if jv.order > 0:
+    dist = abs(a.value.real)
+    if jv.order > 0:
+        if np.any(dist < 1e-14):
             raise JetUnavailable(
                 "sgn factor is not smooth on the locus r + 2mv/y = 0"
             )
-        return Jet.constant(0.0, 0)
-    if abs(a0) < SGN_LOCUS_TOL and jv.order > 0:
-        raise JetUnavailable(
-            "jet requested within %g of the sgn jump locus" % SGN_LOCUS_TOL
-        )
-    sgn = 1.0 if a0 > 0 else -1.0
+        if np.any(dist < SGN_LOCUS_TOL):
+            raise JetUnavailable(
+                "jet requested within %g of the sgn jump locus" % SGN_LOCUS_TOL
+            )
+    sgn = np.where(dist < 1e-14, 0.0, np.sign(a.value.real))
     arg = (-math.pi / m) * Y * a * a
     return sgn * gamma_half_jet(arg)
 

@@ -21,8 +21,18 @@ import numpy as np
 
 from .core import FunctionHandle, TruncationPolicy
 from .errors import DomainError, PoleAtAppell, PoleAtTheta
-from .jets import _finite_exp
-from .special import TWO_PI, _finite_sum, _gaussian_radius, jacobi_theta_jet, zwegers_R_jet
+from .jets import Jet, _finite_exp
+from .special import (
+    TWO_PI,
+    _finite_sum,
+    _gaussian_radius,
+    _largest,
+    _masked_exp,
+    _positive,
+    _term_axis,
+    jacobi_theta_jet,
+    zwegers_R_jet,
+)
 
 # beyond this rank the multiplicity tables get large and the sums slow
 MAX_RANK = 6
@@ -77,17 +87,54 @@ def lattice_multiplicities(rank, radius):
     return np.stack([s1 - rank * radius, s2, counts[s1, s2]], axis=1)
 
 
+@lru_cache(maxsize=None)
+def _state_index(rank, radius, outer):
+    """Positions of the states of lattice_multiplicities(rank, radius) among
+    those of the larger radius outer (both sorted by (s1, s2))."""
+    width = rank * outer * outer + 1  # s2 < width
+    inner_rows = lattice_multiplicities(rank, radius)
+    outer_rows = lattice_multiplicities(rank, outer)
+    return np.searchsorted(
+        outer_rows[:, 0] * width + outer_rows[:, 1], inner_rows[:, 0] * width + inner_rows[:, 1]
+    )
+
+
+def _state_counts(rank, radius):
+    """The states (s1, s2) of the largest radius of a point stack and their
+    counts: one shared count row, or for a stack whose radii differ one row
+    per point holding that point's own counts (0 for a state outside it)."""
+    R = _largest(radius)
+    s1, s2, cnt = lattice_multiplicities(rank, R).T
+    if isinstance(radius, int) or (radius == R).all():
+        return s1, s2, cnt
+    counts = np.zeros(radius.shape + cnt.shape, dtype=np.int64)
+    rows = counts.reshape(-1, len(cnt))
+    for r in np.unique(radius).tolist():
+        at = np.ix_(np.flatnonzero(radius == r), _state_index(rank, r, R))
+        rows[at] = lattice_multiplicities(rank, r)[:, 2]
+    return s1, s2, counts
+
+
+def _at(values, shape, index):
+    """The entry at a flat point index of a scalar or a per-point array
+    broadcast to the point shape."""
+    return complex(np.broadcast_to(values, shape).flat[index])
+
+
 def _check_theta_pole(tau_val, z_val):
-    """Raise if z lies on the zero divisor Z tau + Z of theta."""
+    """Raise if z lies on the zero divisor Z tau + Z of theta (at any point
+    of a stack)."""
     y0 = tau_val.imag
     alpha = z_val.imag / y0
     beta = z_val.real - alpha * tau_val.real
-    if (
-        abs(alpha - round(alpha)) < POLE_TOL_THETA
-        and abs(beta - round(beta)) < POLE_TOL_THETA
-    ):
+    hit = (abs(alpha - np.rint(alpha)) < POLE_TOL_THETA) & (
+        abs(beta - np.rint(beta)) < POLE_TOL_THETA
+    )
+    if hit.any():
+        first = np.argmax(hit)
         raise PoleAtTheta(
-            "theta denominator vanishes at z=%r (tau=%r)" % (z_val, tau_val)
+            "theta denominator vanishes at z=%r (tau=%r)"
+            % (_at(z_val, hit.shape, first), _at(tau_val, hit.shape, first))
         )
 
 
@@ -97,53 +144,92 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     e^(pi i z1) / theta(z2; tau)^(2m) times the sum over n in Z^(2m) of
     (-1)^(s1) q^((s2 + s1)/2) e^(2 pi i s1 z2) / (1 - e^(2 pi i z1) q^(s1)),
     where s1 and s2 are the entry sum and the square sum of n.
+
+    At a stack of points each point sums the states it sums alone: the
+    states come from the largest radius of the stack, each point reads its
+    own counts and tail floor, and the entry-sum and square-sum axes hold
+    the states some point keeps, with weight 0 (and no exp, reciprocal or
+    pole check) where a point does not keep one.
     """
     if not isinstance(two_m, int) or not 1 <= two_m <= MAX_RANK:
         raise DomainError("2m must be an integer in [1, %d]" % MAX_RANK)
     policy = policy or TruncationPolicy()
+    points = tau.c.shape[:-1]
+    if not points == z1.c.shape[:-1] == z2.c.shape[:-1]:  # tau on every point
+        points = np.broadcast_shapes(points, z1.c.shape[:-1], z2.c.shape[:-1])
+        tau = Jet(tau.order, np.broadcast_to(tau.c, points + tau.c.shape[-1:]))
     tau_val = tau.value
     y0 = tau_val.imag
-    if not y0 > 0:
+    if not _positive(y0):
         raise DomainError("Appell sum requires Im(tau) > 0")
     v2 = z2.value.imag
 
     _check_theta_pole(tau_val, z2.value)
-    theta = jacobi_theta_jet(tau, z2, policy)
-    theta_inv_pow = theta.reciprocal() ** two_m
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+        theta = jacobi_theta_jet(tau, z2, policy)
+        theta_inv_pow = theta.reciprocal() ** two_m
 
-    # each coordinate contributes exp(-pi y n^2) against at most
-    # exp((pi y + 2 pi |v2|) |n|); the denominator is handled separately
-    radius = _gaussian_radius(
-        math.pi * y0, math.pi * y0 + TWO_PI * abs(v2), policy.tail_bound, policy
-    )
-    s1, s2, cnt = lattice_multiplicities(two_m, radius).T
-
-    # drop states whose numerator bound is negligible before touching the
-    # denominator, so near-misses of distant poles cannot inflate the tail
-    bound = cnt * _finite_exp(-math.pi * y0 * (s2 + s1) - TWO_PI * s1 * v2)
-    keep = ~(bound < policy.tail_bound * 1e-2)
-    s1, s2, cnt = s1[keep], s2[keep], cnt[keep]
-    u1, i1 = np.unique(s1, return_inverse=True)
-    u2, i2 = np.unique(s2, return_inverse=True)
-
-    # denominators 1 - e^(2 pi i z1) q^(s1), one row per kept entry sum
-    den = 1.0 - (TWO_PI * 1j * z1).exp() * ((TWO_PI * 1j * u1) * tau).exp()
-    small = np.abs(den.value) < POLE_TOL_APPELL
-    if small.any():
-        raise PoleAtAppell(
-            "Appell denominator vanishes at z1=%r, entry sum %d"
-            % (z1.value, u1[small.argmax()])
+        # each coordinate contributes exp(-pi y n^2) against at most
+        # exp((pi y + 2 pi |v2|) |n|); the denominator is handled separately
+        radius = _gaussian_radius(
+            math.pi * y0, math.pi * y0 + TWO_PI * abs(v2), policy.tail_bound, policy
         )
+        s1, s2, cnt = _state_counts(two_m, radius)
 
-    # the sum over states factors as sum over s1 of
-    # e^(s1 (pi i tau + 2 pi i z2)) / den(s1) times
-    # sum over s2 of (-1)^(s1) cnt e^(pi i s2 tau)
-    weights = np.zeros((len(u1), len(u2)))
-    weights[i1, i2] = np.where(s1 % 2, -cnt, cnt)
-    inner = ((1j * math.pi * u2) * tau).exp().sum(weights)
-    outer = (u1 * (1j * math.pi * tau + TWO_PI * 1j * z2)).exp() * den.reciprocal()
-    total = (outer * inner).sum()
-    return _finite_sum((1j * math.pi * z1).exp() * total * theta_inv_pow, "Appell sum")
+        # drop states whose numerator bound is negligible before touching the
+        # denominator, so near-misses of distant poles cannot inflate the tail
+        y_s, v_s = np.asarray(y0)[..., None], np.asarray(v2)[..., None]  # per point
+        bound = cnt * _finite_exp(-math.pi * y_s * (s2 + s1) - TWO_PI * s1 * v_s)
+        keep = ~(bound < policy.tail_bound * 1e-2)  # (*points, states)
+        kept = keep if keep.ndim == 1 else keep.reshape(-1, keep.shape[-1]).any(axis=0)
+        s1, s2, cnt, keep = s1[kept], s2[kept], cnt[..., kept], keep[..., kept]
+        # s1 is sorted (and holds 0, the zero vector is always kept)
+        first = np.empty(len(s1), dtype=bool)
+        first[0] = True
+        np.not_equal(s1[1:], s1[:-1], out=first[1:])
+        u1, i1 = s1[first], np.cumsum(first) - 1
+        u2, i2 = np.unique(s2, return_inverse=True)
+
+        # the sum over states factors as sum over s1 of
+        # e^(s1 (pi i tau + 2 pi i z2)) / den(s1) times
+        # sum over s2 of (-1)^(s1) cnt e^(pi i s2 tau): one weight matrix,
+        # or one per point where the points keep different states
+        signed = np.where(s1 % 2, -cnt, cnt)
+        ragged = not keep.all()
+        if ragged:
+            signed = signed * keep
+        weights = np.zeros(signed.shape[:-1] + (len(u1), len(u2)))
+        weights[..., i1, i2] = signed
+        mask1 = _kept_rows(weights, -1) if ragged else None
+        mask2 = _kept_rows(weights, -2) if ragged else None
+
+        # denominators 1 - e^(2 pi i z1) q^(s1), one row per kept entry sum
+        # (1 where a point does not keep the entry sum)
+        u1 = _term_axis(u1, tau, z1, z2)
+        den = 1.0 - (TWO_PI * 1j * z1).exp() * _masked_exp((TWO_PI * 1j * u1) * tau, mask1)
+        small = np.abs(den.value) < POLE_TOL_APPELL
+        if small.any():
+            rows = small.reshape(len(u1), -1)
+            first = np.argmax(rows.any(axis=0))
+            raise PoleAtAppell(
+                "Appell denominator vanishes at z1=%r, entry sum %d"
+                % (_at(z1.value, points, first), u1.flat[np.argmax(rows[:, first])])
+            )
+        inner = _masked_exp((1j * math.pi * _term_axis(u2, tau)) * tau, mask2).sum(weights)
+        outer = _masked_exp(u1 * (1j * math.pi * tau + TWO_PI * 1j * z2), mask1)
+        total = (outer * den.reciprocal() * inner).sum()
+        out = (1j * math.pi * z1).exp() * total * theta_inv_pow
+    return _finite_sum(out, "Appell sum")
+
+
+def _kept_rows(weights, axis):
+    """Which rows of a state axis of the weights (-1: entry sums, -2: square
+    sums) each point keeps, as a float mask with the state axis first, or
+    None where every point keeps every row."""
+    has = (weights != 0).any(axis=axis)
+    if has.all():
+        return None
+    return np.moveaxis(has, -1, 0).astype(float)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ checked in `mjlab.verify`.
 import math
 from dataclasses import dataclass
 
-from .core import FunctionHandle, JetVars, WeightIndex, _compose_taylor
+from .core import FunctionHandle, WeightIndex, _compose_taylor
 from .errors import DomainError
 from .group import TaggedForm
 from .jets import d_tau, d_taubar, d_z, d_zbar
@@ -78,9 +78,9 @@ def image(jmap, f, label=""):
     """The handle of jmap applied to the handle f."""
 
     def je(jv):
-        plain = jv if jv.plain else JetVars.at(jv.point, jv.order)
+        plain = jv if jv.plain else jv.at_base(jv.order)
         out = jmap.apply(f.jet_at(plain.extend(jmap.loss)), plain)
-        return out if jv.plain else _compose_taylor(out, jv, plain.point)
+        return out if jv.plain else _compose_taylor(out, jv, plain.base)
 
     return FunctionHandle(jet_fn=je, label=label)
 

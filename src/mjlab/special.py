@@ -6,23 +6,28 @@ Series functions are jet-level evaluators taking complex jets for tau and z
 (so they can be composed, e.g. inside slash actions or the mu-family
 specializations); the theta series also have a FunctionHandle wrapper
 bound to the plain coordinates.  Each series builds the exponents of all its
-terms as one batched jet (one row per term), takes one batched exp and sums
-the rows once.
+terms as one batched jet (a term axis in front of the point axes), takes
+one batched exp and sums the term axis once.  At a stack of points the
+truncation radius is the largest one of the stack, and a per-point mask
+keeps, for each point, exactly the terms that point sums alone; masked
+terms never reach exp.
 
 scipy.special is imported only by the functions that need it (the
-incomplete gamma functions and the H-kernel); theta, the R-series and E
-use the error functions of the standard library.
+incomplete gamma functions and the H-kernel at weight 3/2); theta, the
+R-series, E and gamma(1/2, x) use the error functions of the standard
+library.
 """
 
-import cmath
 import math
 
 import numpy as np
 
 from .core import FunctionHandle, TruncationPolicy
-from .errors import DomainError, HUndefined, TruncationOverflow
+from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
+from .jets import _finite_exp
 
 TWO_PI = 2.0 * math.pi
+_SQRT_PI = math.sqrt(math.pi)
 
 
 # ----------------------------------------------------------------------
@@ -58,13 +63,16 @@ def upper_incomplete_gamma(s, x):
 
 
 def gamma_half_cont(x):
-    """gamma(1/2, x) continued to all real x.
+    """gamma(1/2, x) continued to all real x (elementwise for an array).
 
-    For x < 0 the principal branch from the upper half plane is used, so the
-    value is i*sqrt(|x|) times an entire positive series (no cancellation).
+    For x >= 0 the value is sqrt(pi) erf(sqrt(x)).  For x < 0 the principal
+    branch from the upper half plane is used, so the value is i*sqrt(|x|)
+    times an entire positive series (no cancellation).
     """
+    if isinstance(x, np.ndarray):
+        return _elementwise(gamma_half_cont, x).astype(complex)
     if x >= 0:
-        return complex(lower_incomplete_gamma(0.5, x))
+        return complex(_SQRT_PI * math.erf(math.sqrt(x)))
     t = -x
     # sum_{n>=0} t^n / (n! (n + 1/2)), all terms positive
     term = 1.0 / 0.5
@@ -80,14 +88,15 @@ def gamma_half_cont(x):
 
 
 def gamma_half_derivatives(t0, n):
-    """[g, g', ..., g^(n)] of g(t) = gamma(1/2, t) at t0 (t0 != 0)."""
-    if t0 == 0:
-        raise DomainError("gamma(1/2, t) jet at t = 0 is not smooth")
+    """[g, g', ..., g^(n)] of g(t) = gamma(1/2, t) at t0 (t0 != 0 for
+    n > 0), elementwise for an array t0."""
     ds = [gamma_half_cont(t0)]
     if n == 0:
         return ds
+    if np.any(np.equal(t0, 0)):
+        raise DomainError("gamma(1/2, t) jet at t = 0 is not smooth")
     # phi = t^(-1/2) e^(-t), principal branch from above for t < 0
-    phi0 = cmath.exp(-t0) / cmath.sqrt(complex(t0))
+    phi0 = _finite_exp(-t0) / np.sqrt(t0 + 0j)
     # phi^(j) = p_j(1/t) * phi with p_{j+1} = p_j' + p_j * (-1/(2t) - 1)
     p = {0: 1.0}  # polynomial in s = 1/t, key = power of s
     for j in range(n):
@@ -116,15 +125,15 @@ def gamma_half_jet(arg):
 
 
 def _elementwise(fn, x):
-    """fn of a float, or of each entry of a 1-d numpy array."""
+    """fn of a float, or of each entry of a numpy array of any shape."""
     if isinstance(x, np.ndarray):
-        return np.array([fn(t) for t in x.tolist()])
+        return np.array([fn(t) for t in x.ravel().tolist()]).reshape(x.shape)
     return fn(x)
 
 
 def error_completion_E(w):
     """E(w) = 2 int_0^w e^(-pi u^2) du = erf(sqrt(pi) w), elementwise for a
-    1-d numpy array w."""
+    numpy array w."""
     return _elementwise(math.erf, math.sqrt(math.pi) * w)
 
 
@@ -176,11 +185,15 @@ def H_function(w, k):
 
     The exponent 1/2 - k is an integer; for w > 0 and k >= 3/2 the value is
     the continuation in k given by the integration-by-parts recurrence.
+    A value beyond the floating-point range raises ValueOverflow.
     """
     if w == 0:
         raise HUndefined("H is undefined at w = 0")
     j = _half_int_exponent(k)
-    return math.exp(-w) * _integral_I(j, w)
+    try:
+        return math.exp(-w) * _integral_I(j, w)
+    except OverflowError:
+        raise ValueOverflow("H(%r) at k=%r exceeds the floating-point range" % (w, k)) from None
 
 
 def _half_int_exponent(k):
@@ -192,11 +205,14 @@ def _half_int_exponent(k):
 
 
 def H_derivatives(w0, k, n):
-    """[H, H', ..., H^(n)] at w0, from H' = -H + 2 (-2w)^j e^w with j = 1/2-k."""
+    """[H, H', ..., H^(n)] at w0, from H' = -H + 2 (-2w)^j e^w with j = 1/2-k
+    (elementwise for an array w0)."""
     j = _half_int_exponent(k)
-    hs = [H_function(w0, k)]
+    hs = [_elementwise(lambda w: H_function(w, k), w0)]
+    if n == 0:
+        return hs
     base = -2.0 * w0
-    ew = math.exp(w0)
+    ew = _finite_exp(w0)
     for order in range(n):
         # d^order/dw^order of (-2w)^j e^w via Leibniz
         a = 0.0
@@ -220,23 +236,72 @@ def H_jet(arg, k):
 
 
 def _finite_sum(total, what):
-    """total, or OverflowError if a coefficient overflowed to inf or nan
+    """total, or ValueOverflow if a coefficient overflowed to inf or nan
     (a Taylor coefficient can overflow where the value does not)."""
     if not np.isfinite(total.c).all():
-        raise OverflowError("%s overflows at jet order %d" % (what, total.order))
+        raise ValueOverflow("%s overflows at jet order %d" % (what, total.order))
     return total
 
 
+def _largest(radius):
+    """The largest radius of a point stack (radius itself at one point)."""
+    return radius if isinstance(radius, int) else int(radius.max())
+
+
+def _positive(y0):
+    """Whether Im(tau) is positive at every point."""
+    return (y0 > 0).all() if isinstance(y0, np.ndarray) else y0 > 0
+
+
+def _check_radius(radius, policy):
+    """radius (an int, or an int array over a point stack) against the cap."""
+    cap = policy.effective_max_radius()
+    worst = _largest(radius)
+    if worst > cap:
+        raise TruncationOverflow(worst, cap)
+    return radius
+
+
 def _gaussian_radius(quad, lin, tail, policy):
-    """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0."""
+    """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0
+    (elementwise for arrays quad and lin)."""
     L = math.log(1.0 / tail)
     disc = lin * lin + 4.0 * quad * L
-    R = (lin + math.sqrt(disc)) / (2.0 * quad)
-    R = int(math.ceil(R)) + 1
-    cap = policy.effective_max_radius()
-    if R > cap:
-        raise TruncationOverflow(R, cap)
-    return R
+    R = _ceil_int((lin + _sqrt(disc)) / (2.0 * quad)) + 1
+    return _check_radius(R, policy)
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _ceil_int(x):
+    """ceil(x) as an int, or as an int array for an array x."""
+    return np.ceil(x).astype(int) if isinstance(x, np.ndarray) else int(math.ceil(x))
+
+
+def _term_axis(values, *jets):
+    """A 1-d array of per-term constants shaped to broadcast as a term axis
+    in front of the point axes of the given jets."""
+    points = max([j.c.ndim for j in jets]) - 1
+    return values.reshape(values.shape + (1,) * points) if points else values
+
+
+def _stack_mask(radius, keep):
+    """The per-term, per-point mask keep(radius) as floats, or None when
+    the radius is one int or the same at every point of the stack (the
+    terms of the largest radius are then every point's own terms)."""
+    if isinstance(radius, int) or (radius == radius.flat[0]).all():
+        return None
+    return keep(radius).astype(float)
+
+
+def _masked_exp(expo, mask):
+    """exp of a batched exponent jet, with masked (0) entries set to 0
+    without evaluating their exponentials."""
+    if mask is None:
+        return expo.exp()
+    return (expo * mask).exp() * mask
 
 
 # ----------------------------------------------------------------------
@@ -248,12 +313,15 @@ def jacobi_theta_jet(tau, z, policy=None):
     policy = policy or TruncationPolicy()
     y0 = tau.value.imag
     v0 = z.value.imag
-    if not y0 > 0:
+    if not _positive(y0):
         raise DomainError("theta requires Im(tau) > 0")
-    R = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
+    radius = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
+    R = _largest(radius)
     k = np.arange(-R, R + 2)  # r = k - 1/2 runs over -R - 1/2, ..., R + 1/2
-    r = k - 0.5
-    terms = ((1j * math.pi * r * r) * tau + (TWO_PI * 1j * r) * z).exp()
+    kk = _term_axis(k, tau, z)
+    r = kk - 0.5
+    mask = _stack_mask(radius, lambda rad: (kk >= -rad) & (kk <= rad + 1))
+    terms = _masked_exp((1j * math.pi * r * r) * tau + (TWO_PI * 1j * r) * z, mask)
     return terms.sum(np.where(k % 2, -1.0, 1.0))
 
 
@@ -276,15 +344,19 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     m = two_m / 2.0
     y0 = tau.value.imag
     v0 = z.value.imag
-    R = _gaussian_radius(
+    radius = _gaussian_radius(
         math.pi * y0 / (2.0 * m), TWO_PI * abs(v0), policy.tail_bound, policy
     )
+    R = _largest(radius)
     l = l % two_m  # may be half-integral for odd 2m
     t_lo = -int((R + l) // two_m) - 1
     t_hi = int((R - l) // two_m) + 1
     r = l + two_m * np.arange(t_lo, t_hi + 1)
-    r = r[np.abs(r) <= R + two_m]
-    return ((2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z).exp().sum()
+    r = _term_axis(r[np.abs(r) <= R + two_m], tau, z)
+    mask = _stack_mask(radius, lambda rad: np.abs(r) <= rad + two_m)
+    return _masked_exp(
+        (2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z, mask
+    ).sum()
 
 
 def theta_ml_handle(two_m, l, policy=None):
@@ -306,16 +378,15 @@ def zwegers_R_jet(tau, z, policy=None):
     v = z.imag()
     y0 = y.value.real
     v0 = v.value.real
-    if not y0 > 0:
+    if not _positive(y0):
         raise DomainError("R requires Im(tau) > 0")
     shift = abs(v0) / y0
     L = math.log(1.0 / policy.tail_bound)
-    R = int(math.ceil(math.sqrt(L / (math.pi * y0)) + shift)) + 2
-    cap = policy.effective_max_radius()
-    if R > cap:
-        raise TruncationOverflow(R, cap)
+    radius = _check_radius(_ceil_int(_sqrt(L / (math.pi * y0)) + shift) + 2, policy)
+    R = _largest(radius)
     order = tau.order
-    n = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
+    n_terms = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
+    n = _term_axis(n_terms, tau, z)
     sgn = np.where(n > 0, 1.0, -1.0)
     w = (2.0 * y).cpow(0.5) * (n + v / y)
     w0 = w.value.real
@@ -324,5 +395,8 @@ def zwegers_R_jet(tau, z, policy=None):
     erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
     amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])
     amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
-    terms = amp * (-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z).exp()
-    return _finite_sum(terms.sum(np.where((n - 0.5) % 2, -1.0, 1.0)), "R-series")
+    mask = _stack_mask(radius, lambda rad: abs(n) <= rad + 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+        terms = amp * _masked_exp(-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z, mask)
+        total = terms.sum(np.where((n_terms - 0.5) % 2, -1.0, 1.0))
+    return _finite_sum(total, "R-series")

@@ -14,7 +14,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .kernels import (
     kernel_term_handle,
     theta_decompose,
     theta_fourier_data,
-    theta_recompose,
+    theta_recompose_handle,
     xi_image_rows,
 )
 from .mu import (
@@ -111,15 +110,18 @@ class SuiteResult:
         }
 
 
-def _worse(a, b):
-    """max(a, b), NaN if either is NaN (the builtin max drops a NaN b)."""
-    return a if math.isnan(a) or a >= b else b
+def _row_max(values):
+    """max |value| over the rows of a point stack (NaN if any row is NaN)."""
+    return float(np.max(np.abs(values)))
 
 
 def _max_residual(residual, points):
     """max over the points of |residual(jv)|, with jv the order-0 plain
-    coordinate jets at the point (0.0 for no points, NaN if any is NaN)."""
-    return reduce(_worse, (abs(residual(JetVars.at(p, 0))) for p in points), 0.0)
+    coordinate jets of the whole point stack, so that residual returns one
+    row per point (0.0 for no points, NaN if any row is NaN)."""
+    if not len(points):
+        return 0.0
+    return _row_max(residual(JetVars.at(points, 0)))
 
 
 def _gap(lhs, rhs):
@@ -526,38 +528,32 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     recorded obstruction) and is reported faithfully.
     """
     points = points or GENERIC_POINTS[:5]
+    jv = JetVars.at(points, 0)
     results = []
     for two_m in two_m_list:
-        m = two_m / 2.0
         ls = labels(two_m)
         handles = {l: mu_hat_ml_handle(two_m, l) for l in ls}
+        values = {l: h.jet_at(jv).value for l, h in handles.items()}
         wi = WeightIndex(1, -two_m)
+        pref = 1j / cmath.sqrt(1j * two_m)
         for l in ls:
             tagged = TaggedForm(handles[l], wi, "standard")
-            slashed_T = apply_slash(tagged, GEN_T).f
-            slashed_S = apply_slash(tagged, GEN_S).f
+            slashed_T = apply_slash(tagged, GEN_T).f.jet_at(jv).value
+            slashed_S = apply_slash(tagged, GEN_S).f.jet_at(jv).value
             phase = root_of_unity(-l * l, 2 * two_m)
-            resid_T = 0.0
-            resid_S = 0.0
-            for p in points:
-                lhs = slashed_T.eval(p)
-                rhs = phase * handles[l].eval(p)
-                resid_T = _worse(resid_T, abs(lhs - rhs))
-                lhs = slashed_S.eval(p)
-                pref = 1j / cmath.sqrt(1j * two_m)
-                rhs = pref * sum(
-                    root_of_unity(l * lp, two_m) * handles[lp].eval(p)
-                    for lp in ls
-                )
-                resid_S = _worse(resid_S, abs(lhs - rhs))
+            mixed = sum(root_of_unity(l * lp, two_m) * values[lp] for lp in ls)
             results.append(
                 SuiteResult(
-                    "mu-transform:T-law@2m=%d,l=%s" % (two_m, l), resid_T, tol
+                    "mu-transform:T-law@2m=%d,l=%s" % (two_m, l),
+                    _row_max(slashed_T - phase * values[l]),
+                    tol,
                 )
             )
             results.append(
                 SuiteResult(
-                    "mu-transform:S-law@2m=%d,l=%s" % (two_m, l), resid_S, tol
+                    "mu-transform:S-law@2m=%d,l=%s" % (two_m, l),
+                    _row_max(slashed_S - pref * mixed),
+                    tol,
                 )
             )
     # the same S law phrased as a matrix acting on the component vector
@@ -665,21 +661,19 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
         EvalPoint(0.1 * i - 0.3, 1.2 + 0.05 * i, 0.07 * i - 0.2, 0.03 * i)
         for i in range(10)
     ]
+    jv = JetVars.at(points, 0)
+    tau = jv.tau.value
     results = []
     for two_m in (2, 3):
         data, classes = _synthetic_class_data(two_m, seed + two_m)
         h = theta_decompose(data)
-        resid = 0.0
-        for p in points:
-            v1 = theta_recompose(two_m, h, p)
-            v2 = 0j
-            for (D, l), c in classes.items():
-                v2 += c * cmath.exp(
-                    2j * math.pi * (D / (2.0 * two_m)) * p.tau
-                ) * theta_ml_jet(
-                    two_m, l, Jet.constant(p.tau, 0), Jet.constant(p.z, 0)
-                ).value
-            resid = _worse(resid, abs(v1 - v2))
+        v1 = theta_recompose_handle(two_m, h).jet_at(jv).value
+        v2 = 0j
+        for (D, l), c in classes.items():
+            v2 += c * np.exp(
+                2j * math.pi * (D / (2.0 * two_m)) * tau
+            ) * theta_ml_jet(two_m, l, jv.tau, jv.z).value
+        resid = _row_max(v1 - v2)
         results.append(
             SuiteResult(
                 "decomposition:roundtrip@2m=%d" % two_m, resid, tol
@@ -702,22 +696,23 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
 # numerics hygiene
 
 
-def catalog_values(p, policy):
-    """Reported catalog values at a point under a truncation policy."""
-    vals = {}
-    jv_tau = Jet.constant(p.tau, 0)
-    jv_z = Jet.constant(p.z, 0)
-    vals["theta"] = jacobi_theta_jet(jv_tau, jv_z, policy).value
-    vals["theta_ml[2,0]"] = theta_ml_jet(2, 0, jv_tau, jv_z, policy).value
-    vals["theta_ml[1,0.5]"] = theta_ml_jet(1, 0.5, jv_tau, jv_z, policy).value
-    vals["R"] = zwegers_R_jet(jv_tau, jv_z, policy).value
-    vals["mu_m[2]"] = mu_m_jet(
-        2, jv_tau, Jet.constant(0.31 + 0.55j, 0), Jet.constant(0.17 - 0.23j, 0), policy
-    ).value
-    vals["mu_hat[2,0]"] = mu_hat_component_jet(2, 0.0, jv_tau, jv_z, policy).value
-    vals["mu_hat[1,0.5]"] = mu_hat_component_jet(1, 0.5, jv_tau, jv_z, policy).value
-    vals["mu_hat_2"] = mu_hat_2_jet(jv_tau, jv_z, policy).value
-    return vals
+def catalog_values(points, policy):
+    """Reported catalog values at a stack of points under a truncation
+    policy: one array (a row per point) per catalog name."""
+    jv = JetVars.at(points, 0)
+    tau, z = jv.tau, jv.z
+    return {
+        "theta": jacobi_theta_jet(tau, z, policy).value,
+        "theta_ml[2,0]": theta_ml_jet(2, 0, tau, z, policy).value,
+        "theta_ml[1,0.5]": theta_ml_jet(1, 0.5, tau, z, policy).value,
+        "R": zwegers_R_jet(tau, z, policy).value,
+        "mu_m[2]": mu_m_jet(
+            2, tau, Jet.constant(0.31 + 0.55j, 0), Jet.constant(0.17 - 0.23j, 0), policy
+        ).value,
+        "mu_hat[2,0]": mu_hat_component_jet(2, 0.0, tau, z, policy).value,
+        "mu_hat[1,0.5]": mu_hat_component_jet(1, 0.5, tau, z, policy).value,
+        "mu_hat_2": mu_hat_2_jet(tau, z, policy).value,
+    }
 
 
 def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
@@ -725,17 +720,15 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
     versus exact-jet agreement."""
     points = points or [EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.3, 1.5, 0.11, 0.08)]
     results = []
-    base = TruncationPolicy(tail_bound=1e-14)
     # squaring the tail target twice roughly doubles every Gaussian radius
-    doubled = TruncationPolicy(tail_bound=1e-56)
-    for p in points:
-        v1 = catalog_values(p, base)
-        v2 = catalog_values(p, doubled)
+    v1 = catalog_values(points, TruncationPolicy(tail_bound=1e-14))
+    v2 = catalog_values(points, TruncationPolicy(tail_bound=1e-56))
+    for i, p in enumerate(points):
         for name in v1:
             results.append(
                 SuiteResult(
                     "hygiene:radius-doubling:%s@y=%g" % (name, p.y),
-                    abs(v1[name] - v2[name]),
+                    float(abs(v1[name][i] - v2[name][i])),
                     tol_trunc,
                 )
             )
@@ -750,7 +743,7 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
             exact = h.jet(p, 2)
             approx = plain.jet(p, 2)
             scale = max(abs(v) for v in exact.values())
-            resid = reduce(_worse, (abs(exact[k] - approx[k]) for k in exact)) / scale
+            resid = _row_max([exact[k] - approx[k] for k in exact]) / scale
             results.append(
                 SuiteResult(
                     "hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y), resid, tol_fd

@@ -9,6 +9,7 @@ import pytest
 from mjlab import cli
 from mjlab.cli import parse_complex
 from mjlab.core import EvalPoint, JetVars
+from mjlab.errors import JetUnavailable, NonFinite, StencilOutOfDomain
 from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.mu import mu_hat_2_jet, mu_hat_component_jet, mu_m_jet, r_hat_component_jet
@@ -110,6 +111,91 @@ def run_main(capsys, *args):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# every library error ends in a documented exit code and one message line
+
+OVERFLOW_CASES = [
+    ("eval", "R", "--tau", "0.1+10i", "--z", "0.1+3i"),
+    ("eval", "c2", "--n", "50", "--tau", "0.1+3i"),
+    ("eval", "H", "--w", "800"),
+    ("verify", "mu-transform", "--two-m", "3"),
+]
+
+
+@pytest.mark.parametrize("args", OVERFLOW_CASES)
+def test_value_overflow_exits_5_without_traceback(args):
+    res = run_cli(*args)
+    assert res.returncode == cli.EXIT_OVERFLOW == 5, res.stderr
+    assert res.stderr.startswith("value overflow:")
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("error", [JetUnavailable, NonFinite, StencilOutOfDomain])
+def test_evaluation_failures_exit_6(error, monkeypatch, capsys):
+    def fail(opts, policy):
+        raise error("no jet here")
+
+    monkeypatch.setitem(cli.CATALOG, "theta", fail)
+    code, out, err = run_main(capsys, "eval", "theta")
+    assert code == cli.EXIT_EVALUATION == 6
+    assert err.startswith("evaluation failure (%s): no jet here" % error.__name__)
+
+
+def test_every_exit_code_is_documented():
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert codes == {1, 2, 3, 4, 5, 6}
+    for code in codes:
+        assert "%d " % code in cli.__doc__
+
+
+# the series subcommands execute only the series modules (and no scipy);
+# the other layers stay registered, unexecuted, until first use
+SERIES_COMMANDS = [
+    ["eval", "theta"],
+    ["eval", "theta_ml", "--m", "3", "--l", "1"],
+    ["eval", "R", "--z", "0.1+0.2i"],
+    ["eval", "mu", "--z", "0.31+0.55i", "--z2", "0.17-0.23i"],
+    ["eval", "mu_hat_ml", "--m", "1", "--l", "0"],
+    ["eval", "R_hat_ml", "--m", "1", "--l", "0"],
+    ["eval", "mu_hat_2", "--z", "0.1+0.2i"],
+    ["grid", "theta_ml", "--steps", "2", "2"],
+    ["grid", "mu_hat_ml", "--steps", "2", "2", "--tau", "0.1+1.1i"],
+]
+
+
+def test_series_commands_execute_only_the_series_modules():
+    script = (
+        "import sys, types\n"
+        "from mjlab.cli import main\n"
+        "for argv in %r:\n"
+        "    main(argv)\n"
+        "print(' '.join(sorted(m for m, mod in sys.modules.items()\n"
+        "                      if m.startswith(('mjlab', 'scipy'))\n"
+        "                      and type(mod) is types.ModuleType)))\n"
+        % (SERIES_COMMANDS,)
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.splitlines()[-1].split())
+    assert loaded == {"mjlab", "mjlab.cli", "mjlab.core", "mjlab.errors", "mjlab.jets",
+                      "mjlab.mu", "mjlab.special"}
+
+
+def test_kernel_terms_at_weight_one_half_do_not_load_scipy():
+    script = (
+        "import sys\n"
+        "from mjlab.cli import main\n"
+        "for name in ('c1', 'c2', 'c3', 'c4'):\n"
+        "    for m in ('1', '-1'):\n"
+        "        main(['eval', name, '--m', m, '--n', '1', '--r', '1', '--z', '0.1+0.2i'])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
 
 
 TAU, Z = 0.13 + 1.1j, 0.21 + 0.17j

@@ -7,7 +7,13 @@ import pytest
 
 import series_reference as ref
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy
-from mjlab.errors import DomainError, PoleAtAppell, PoleAtTheta, TruncationOverflow
+from mjlab.errors import (
+    DomainError,
+    PoleAtAppell,
+    PoleAtTheta,
+    TruncationOverflow,
+    ValueOverflow,
+)
 from mjlab.jets import Jet
 from mjlab.mu import (
     COMPONENT_SHIFT,
@@ -36,8 +42,10 @@ def outcome(fn, *args):
 def reference(fn, *args):
     """The outcome of a reference loop, with a silent overflow of a
     coefficient (inf or nan) counted as the OverflowError that the batched
-    form raises there."""
-    out = outcome(fn, *args)
+    form raises there (numpy's overflow warnings are silenced: the check
+    follows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = outcome(fn, *args)
     if isinstance(out, type) or np.isfinite(out).all():
         return out
     return OverflowError
@@ -49,7 +57,9 @@ def assert_same(got, want, label):
         assert np.isfinite(got).all(), label
         return
     if isinstance(want, type) or isinstance(got, type):
-        assert got is want, (label, got, want)
+        # the library raises its typed OverflowError subclass
+        assert got is want or (want is OverflowError and got is ValueOverflow), (
+            label, got, want)
         return
     assert got.shape == want.shape, label
     scale = np.max(np.abs(want))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from mjlab.core import FunctionHandle
@@ -73,9 +74,9 @@ def test_every_suite_returns_only_suite_results(name):
 def test_nan_residual_fails_the_check(nan_at):
     """A NaN residual at any point (None: at every point) is the result."""
 
-    def je(jv):
-        bad = nan_at is None or jv.y.value.real == nan_at
-        return jv.y * (math.nan if bad else 1.0)
+    def je(jv):  # one row per point of the stack
+        bad = (jv.y.value.real == nan_at) | (nan_at is None)
+        return jv.y * np.where(bad, math.nan, 1.0)
 
     h = FunctionHandle(jet_fn=je, label="nan")
     result = verify_hyperbolic_xi_factorization(1.5, h, GENERIC_POINTS[:3])
