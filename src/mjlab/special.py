@@ -12,10 +12,11 @@ truncation radius is the largest one of the stack, and a per-point mask
 keeps, for each point, exactly the terms that point sums alone; masked
 terms never reach exp.
 
-scipy.special is imported only by the functions that need it (the
-incomplete gamma functions and the H-kernel at weight 3/2); theta, the
-R-series, E and gamma(1/2, x) use the error functions of the standard
-library.
+scipy.special is imported only by the incomplete gamma functions of
+positive order; theta, the R-series, E, gamma(1/2, x) and the H-kernel at
+every weight use the standard library (the exponential integrals E1 and Ei
+of the weight-3/2 kernel by their series, continued fraction and
+asymptotic expansion).
 """
 
 import math
@@ -53,12 +54,12 @@ def upper_incomplete_gamma(s, x):
     """
     if x <= 0:
         raise DomainError("upper incomplete gamma needs x > 0")
-    from scipy import special as sp
-
     if s > 0:
+        from scipy import special as sp
+
         return float(sp.gammaincc(s, x) * sp.gamma(s))
     if s == 0:
-        return float(sp.exp1(x))
+        return exp1(x)
     return (upper_incomplete_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
 
 
@@ -121,6 +122,77 @@ def gamma_half_jet(arg):
 
 
 # ----------------------------------------------------------------------
+# exponential integrals
+
+_EULER_GAMMA = 0.57721566490153286061
+_EPS = 2.0 ** -53
+
+
+def exp1(x):
+    """E1(x) = int_x^infty e^(-t) / t dt for x > 0.
+
+    The power series -gamma - log x - sum_k (-x)^k / (k k!) for x <= 2,
+    summed exactly rounded (math.fsum; E1(2) = 0.049 is the result of a
+    cancellation between terms near 1), the continued fraction of
+    e^x E1(x) (modified Lentz) beyond.
+    """
+    if x <= 0:
+        raise DomainError("E1 needs x > 0")
+    if x <= 2.0:
+        terms = [-_EULER_GAMMA, -math.log(x)]
+        term, k = 1.0, 0
+        while abs(term) >= 1e-18 * k:
+            k += 1
+            term *= -x / k
+            terms.append(-term / k)
+        return math.fsum(terms)
+    b = x + 1.0
+    c = 1e300  # Lentz's start, 1 / tiny
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h * math.exp(-x)
+
+
+def expi(x):
+    """Ei(x) = PV int_-infty^x e^t / t dt for x > 0.
+
+    The power series gamma + log x + sum_k x^k / (k k!) (all terms positive)
+    up to x = -log(eps), the asymptotic series e^x / x sum_k k! / x^k beyond,
+    where its smallest term is below eps.  OverflowError where e^x is beyond
+    the floating-point range.
+    """
+    if x <= 0:
+        raise DomainError("Ei needs x > 0")
+    if x <= -math.log(_EPS):
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= x / k
+            total += term / k
+            if term < _EPS * total * k:
+                return _EULER_GAMMA + math.log(x) + total
+    total, term, k = 1.0, 1.0, 0
+    while True:
+        k += 1
+        prev = term
+        term *= k / x
+        if term < _EPS * total or term >= prev:
+            break
+        total += term
+    return math.exp(x) / x * total
+
+
+# ----------------------------------------------------------------------
 # error completion E
 
 
@@ -171,12 +243,10 @@ def _integral_I(j, w):
             acc += term
         return math.factorial(j) * math.exp(-x) * acc
     if j == -1:
-        from scipy import special as sp
-
         # Gamma(0, x); for x < 0 take the real principal-value continuation
         if x > 0:
-            return float(sp.exp1(x))
-        return -float(sp.expi(-x))
+            return exp1(x)
+        return -expi(-x)
     return (_integral_I(j + 1, w) - math.exp(2.0 * w) * x ** (j + 1)) / (j + 1)
 
 

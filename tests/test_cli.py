@@ -198,6 +198,26 @@ def test_kernel_terms_at_weight_one_half_do_not_load_scipy():
     assert res.stdout.splitlines()[-1] == "False"
 
 
+def test_kernel_terms_at_weight_three_halves_and_H_do_not_load_scipy():
+    # the weight-3/2 kernel needs the exponential integrals E1 and Ei
+    script = (
+        "import sys\n"
+        "from mjlab.cli import main\n"
+        "for name in ('c1', 'c2', 'c3', 'c4', 'c1sk', 'c2sk', 'c3sk', 'c4sk'):\n"
+        "    for m in ('1', '-1'):\n"
+        "        main(['eval', name, '--k', '1.5', '--m', m, '--n', '1', '--r', '1',\n"
+        "              '--z', '0.1+0.2i'])\n"
+        "for k in ('-1.5', '-0.5', '0.5', '1.5'):\n"
+        "    for w in ('-0.7', '0.4'):\n"
+        "        main(['eval', 'H', '--w', w, '--k', k])\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 TAU, Z = 0.13 + 1.1j, 0.21 + 0.17j
 AT_POINT = ("--tau", "0.13+1.1i", "--z", "0.21+0.17i")
 KERNEL_ARGS = ("--k", "0.5", "--m", "-1", "--n", "-1", "--r", "1")

@@ -23,6 +23,8 @@ from mjlab.special import (
     H_function,
     error_completion_E,
     error_completion_derivatives,
+    exp1,
+    expi,
     gamma_half_cont,
     gamma_half_derivatives,
     jacobi_theta_jet,
@@ -87,6 +89,24 @@ def test_gamma_half_positive_axis_against_mpmath():
     got = gamma_half_cont(np.array(xs).reshape(2, -1))
     assert got.shape == (2, len(xs) // 2)
     assert all(got.ravel()[i] == gamma_half_cont(x) for i, x in enumerate(xs))
+
+
+def test_exponential_integrals_against_mpmath():
+    """E1 to 1e-14 relative on (0, 700]; Ei to 1e-14 relative on (0, 700],
+    absolute near its root x = 0.3725."""
+    xs = [1e-12, 1e-6, 1e-3, 0.3725074107813666, 1.0, 2.0, 2.0000001, 36.04, 36.05, 40.0]
+    xs += [0.05 * 1.03 ** i for i in range(323)]
+    for x in xs:
+        want = float(mpmath.e1(x))
+        assert abs(exp1(x) - want) <= 1e-14 * want, x
+        want = float(mpmath.ei(x))
+        assert abs(expi(x) - want) <= 1e-14 * max(1.0, abs(want)), x
+    with pytest.raises(OverflowError):
+        expi(710.0)
+    with pytest.raises(DomainError):
+        exp1(0.0)
+    with pytest.raises(DomainError):
+        expi(-1.0)
 
 
 @pytest.mark.parametrize("t0", [0.9, -1.1])
