@@ -264,7 +264,7 @@ def eval_cmd(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
             "z": [z.real, z.imag],
         },
         "value": [value.real, value.imag],
-        "truncation_radius": policy.effective_max_radius(),
+        "truncation_radius": policy.max_radius,
         "est_tail": policy.tail_bound,
     }
     _write_out(json.dumps(record), out)

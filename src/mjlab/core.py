@@ -5,7 +5,6 @@ derivatives of (x, y, u, v) up to order 3.
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,9 +108,6 @@ class WeightIndex:
         return WeightIndex(self.two_k, -self.two_m)
 
 
-_ENV_MAX_RADIUS = "MJLAB_MAX_RADIUS"
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Absolute tail target and a hard cap on lattice summation radius."""
@@ -124,12 +120,6 @@ class TruncationPolicy:
             raise DomainError("tail_bound must be positive")
         if self.max_radius < 1:
             raise DomainError("max_radius must be >= 1")
-
-    def effective_max_radius(self):
-        cap = os.environ.get(_ENV_MAX_RADIUS)
-        if cap is not None:
-            return min(self.max_radius, int(cap))
-        return self.max_radius
 
 
 class JetVars:
@@ -272,38 +262,15 @@ class FunctionHandle:
         """Jet of this function on the given (possibly transformed) coordinates."""
         if self._jet_fn is not None:
             return self._jet_fn(jv)
-        # finite-difference path: Taylor table at each base point, stacked,
-        # then composed with the transformed coordinates
+        # finite-difference path: Taylor coefficients at each base point,
+        # stacked, then composed with the transformed coordinates
         points = jv.point
-        if isinstance(points, EvalPoint):
-            tj = _table_to_jet(self._fd_table(points, jv.order), jv.order)
-        else:
-            tj = Jet(
-                jv.order,
-                np.stack([_table_to_jet(self._fd_table(p, jv.order), jv.order).c for p in points]),
-            )
+        fd = lambda p: finite_difference_jet(self, p, jv.order, step=self.fd_step).c
+        c = fd(points) if isinstance(points, EvalPoint) else np.stack([fd(p) for p in points])
+        tj = Jet(jv.order, c)
         if jv.plain:
             return tj
         return _compose_taylor(tj, jv, jv.base)
-
-    def _fd_table(self, p, order):
-        return finite_difference_jet(self, p, order, step=self.fd_step)
-
-    def jet(self, p, order):
-        """Table of mixed partials in (x, y, u, v) up to the given order."""
-        if self._jet_fn is not None:
-            return self._jet_fn(JetVars.at(p, order)).table()
-        return self._fd_table(p, order)
-
-
-def _table_to_jet(table, order):
-    j = Jet.constant(0.0, order)
-    for i, mon in enumerate(monomials(order)):
-        f = 1.0
-        for a in mon:
-            f *= math.factorial(a)
-        j.c[i] = table[mon] / f
-    return j
 
 
 def default_fd_step(p):
@@ -311,8 +278,8 @@ def default_fd_step(p):
 
 
 def finite_difference_jet(f, p, order, step=None):
-    """All mixed partials of f at p up to `order` by central differences
-    with one Richardson extrapolation level.
+    """The Taylor jet of f at p up to `order`, each mixed partial by
+    central differences with one Richardson extrapolation level.
     """
     if order > 3:
         raise JetUnavailable("finite differences support order <= 3")
@@ -353,21 +320,39 @@ def finite_difference_jet(f, p, order, step=None):
                 )
         return sample(offsets)
 
-    table = {}
-    for mon in monomials(order):
+    c = np.zeros(len(monomials(order)), dtype=complex)
+    for i, mon in enumerate(monomials(order)):
         if sum(mon) == 0:
-            table[mon] = sample((0.0, 0.0, 0.0, 0.0))
+            c[i] = sample((0.0, 0.0, 0.0, 0.0))
             continue
         coarse = central(mon, (0.0, 0.0, 0.0, 0.0), h)
         fine = central(mon, (0.0, 0.0, 0.0, 0.0), h / 2)
-        table[mon] = (4.0 * fine - coarse) / 3.0
-    return table
+        c[i] = (4.0 * fine - coarse) / 3.0 / math.prod(map(math.factorial, mon))
+    return Jet(order, c)
+
+
+def _term_axis(values, *jets):
+    """A 1-d array of per-term constants shaped to broadcast as a term axis
+    in front of the point axes of the given jets."""
+    points = max([j.c.ndim for j in jets]) - 1
+    return values.reshape(values.shape + (1,) * points) if points else values
+
+
+def fourier_sum_jet(terms, tau, z):
+    """sum of c q^n zeta^r over a finite sequence of terms (n, r, c) with
+    real exponents (a rational n as its float): every term on a term axis,
+    one batched exp, one Jet.sum."""
+    if not terms:
+        return Jet.constant(0.0, tau.order)
+    n, r, c = (np.array(col) for col in zip(*terms))
+    n, r = _term_axis(n, tau, z), _term_axis(r, tau, z)
+    return (2j * math.pi * (n * tau + r * z)).exp().sum(c)
 
 
 def exp_qn_zeta_r(n, r):
     """The elementary exponential q^n zeta^r as an exact handle."""
 
     def je(jv):
-        return (2j * math.pi * (n * jv.tau + r * jv.z)).exp()
+        return fourier_sum_jet([(n, r, 1.0)], jv.tau, jv.z)
 
     return FunctionHandle(jet_fn=je, label="q^%s zeta^%s" % (n, r))

@@ -7,7 +7,6 @@ Cocycle signs for products are resolved numerically at the reference point
 tau = i rather than by a symbolic 2-cocycle table.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -46,36 +45,6 @@ class JacobiGroupElement:
 
     def act_tau(self, tau):
         return (self.a * tau + self.b) / (self.c * tau + self.d)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "a": self.a,
-                "b": self.b,
-                "c": self.c,
-                "d": self.d,
-                "eps": self.eps,
-                "lambda": self.lam,
-                "mu": self.mu,
-                "kappa": self.kappa,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(
-            a=obj.get("a", 1.0),
-            b=obj.get("b", 0.0),
-            c=obj.get("c", 0.0),
-            d=obj.get("d", 1.0),
-            eps=int(obj.get("eps", 1)),
-            lam=obj.get("lambda", 0.0),
-            mu=obj.get("mu", 0.0),
-            kappa=obj.get("kappa", 0.0),
-        )
 
 
 IDENTITY = JacobiGroupElement()

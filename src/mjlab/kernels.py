@@ -11,7 +11,6 @@ exponents.  The annihilation and image identities are checked in
 `mjlab.verify`.
 """
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FunctionHandle, JetVars, WeightIndex
+from .core import FunctionHandle, WeightIndex, fourier_sum_jet
 from .errors import DomainError, JetUnavailable, NotThetaDecomposable
 from .jets import Jet
 from .mu import mu_hat_component_jet
@@ -131,11 +130,6 @@ def kernel_jet(i, params, skew, jv):
     if i == 3:
         return _sgn_gamma_jet(params, jv)
     return Y.cpow(1.5 - k) * _sgn_gamma_jet(params, jv)
-
-
-def kernel_c(i, params, skew, p):
-    """Point value of the coefficient function c_i(n, r; y, v)."""
-    return kernel_jet(i, params, skew, JetVars.at(p, 0)).value
 
 
 def kernel_term_handle(i, params, skew=False):
@@ -251,13 +245,10 @@ class FourierData:
 
     def handle(self):
         """The generating function sum c(n, r) q^n zeta^r as a handle."""
-        items = sorted(self.coefficients.items())
+        terms = [(n, r, c) for (n, r), c in sorted(self.coefficients.items())]
 
         def je(jv):
-            out = Jet.constant(0.0, jv.order)
-            for (n, r), c in items:
-                out = out + c * (2j * math.pi * (n * jv.tau + r * jv.z)).exp()
-            return out
+            return fourier_sum_jet(terms, jv.tau, jv.z)
 
         return FunctionHandle(jet_fn=je, label="fourier[2m=%d]" % self.two_m)
 
@@ -338,30 +329,20 @@ def h_from_json(text):
     return out
 
 
-def h_series_eval(series, tau):
-    """Value of a rational-exponent q-series at tau."""
-    return sum(
-        c * cmath.exp(2j * math.pi * float(e) * tau) for e, c in series
-    )
-
-
 def h_series_handle(series, label="h"):
     """A rational-exponent q-series as a handle (a function of tau only)."""
+    terms = [(float(e), 0, c) for e, c in series]
 
     def je(jv):
-        out = Jet.constant(0.0, jv.order)
-        for e, c in series:
-            out = out + c * (2j * math.pi * float(e) * jv.tau).exp()
-        return out
+        return fourier_sum_jet(terms, jv.tau, jv.z)
 
     return FunctionHandle(jet_fn=je, label=label)
 
 
-def theta_recompose_handle(two_m, h, policy=None):
-    """sum over labels of h_l(tau) theta_{m,l}(tau, z) with exact jets.
-
-    h maps labels to either rational-exponent series (lists) or handles.
-    """
+def _recompose_handle(component_jet, two_m, h, varphi, policy, label):
+    """sum over labels of h_l(tau) component_jet(two_m, l, tau, z), plus
+    varphi when given, with exact jets; h maps labels to handles or
+    rational-exponent series."""
     hs = {
         l: (v if isinstance(v, FunctionHandle) else h_series_handle(v))
         for l, v in h.items()
@@ -370,16 +351,20 @@ def theta_recompose_handle(two_m, h, policy=None):
     def je(jv):
         out = Jet.constant(0.0, jv.order)
         for l, handle in hs.items():
-            out = out + handle.jet_at(jv) * theta_ml_jet(
-                two_m, l, jv.tau, jv.z, policy
-            )
+            out = out + handle.jet_at(jv) * component_jet(two_m, l, jv.tau, jv.z, policy)
+        if varphi is not None:
+            out = out + varphi.jet_at(jv)
         return out
 
-    return FunctionHandle(jet_fn=je, label="theta-recompose[2m=%d]" % two_m)
+    return FunctionHandle(jet_fn=je, label="%s[2m=%d]" % (label, two_m))
 
 
-def theta_recompose(two_m, h, p, policy=None):
-    return theta_recompose_handle(two_m, h, policy).eval(p)
+def theta_recompose_handle(two_m, h, policy=None):
+    """sum over labels of h_l(tau) theta_{m,l}(tau, z) with exact jets.
+
+    h maps labels to either rational-exponent series (lists) or handles.
+    """
+    return _recompose_handle(theta_ml_jet, two_m, h, None, policy, "theta-recompose")
 
 
 def theta_like_recompose_handle(two_m, h, varphi=None, policy=None):
@@ -390,27 +375,12 @@ def theta_like_recompose_handle(two_m, h, varphi=None, policy=None):
     or rational-exponent series; missing labels contribute nothing.
     """
     valid = set(labels(two_m))
-    hs = {}
-    for l, v in h.items():
+    for l in h:
         if l not in valid:
             raise DomainError(
                 "label %r is not one of the canonical labels %r"
                 % (l, sorted(valid))
             )
-        hs[l] = v if isinstance(v, FunctionHandle) else h_series_handle(v)
-
-    def je(jv):
-        out = Jet.constant(0.0, jv.order)
-        for l, handle in hs.items():
-            out = out + handle.jet_at(jv) * mu_hat_component_jet(
-                two_m, l, jv.tau, jv.z, policy
-            )
-        if varphi is not None:
-            out = out + varphi.jet_at(jv)
-        return out
-
-    return FunctionHandle(jet_fn=je, label="mu-recompose[2m=%d]" % two_m)
-
-
-def theta_like_recompose(two_m, h, varphi, p, policy=None):
-    return theta_like_recompose_handle(two_m, h, varphi, policy).eval(p)
+    return _recompose_handle(
+        mu_hat_component_jet, two_m, h, varphi, policy, "mu-recompose"
+    )

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy
+from .core import FunctionHandle, TruncationPolicy, _term_axis
 from .errors import DomainError, PoleAtAppell, PoleAtTheta
 from .jets import Jet, _finite_exp
 from .special import (
@@ -29,7 +29,6 @@ from .special import (
     _largest,
     _masked_exp,
     _positive,
-    _term_axis,
     jacobi_theta_jet,
     zwegers_R_jet,
 )

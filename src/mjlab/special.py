@@ -1,6 +1,6 @@
-"""Scalar special-function catalog: incomplete gamma functions, the error
-completion E, the H-kernel, Jacobi theta, congruence theta series, and the
-R-series, all with exact Taylor jets.
+"""Scalar special-function catalog: gamma(1/2, x), the exponential
+integrals, the error completion E, the H-kernel, Jacobi theta, congruence
+theta series, and the R-series, all with exact Taylor jets.
 
 Series functions are jet-level evaluators taking complex jets for tau and z
 (so they can be composed, e.g. inside slash actions or the mu-family
@@ -11,19 +11,13 @@ one batched exp and sums the term axis once.  At a stack of points the
 truncation radius is the largest one of the stack, and a per-point mask
 keeps, for each point, exactly the terms that point sums alone; masked
 terms never reach exp.
-
-scipy.special is imported only by the incomplete gamma functions of
-positive order; theta, the R-series, E, gamma(1/2, x) and the H-kernel at
-every weight use the standard library (the exponential integrals E1 and Ei
-of the weight-3/2 kernel by their series, continued fraction and
-asymptotic expansion).
 """
 
 import math
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy
+from .core import FunctionHandle, TruncationPolicy, _term_axis
 from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
 from .jets import _finite_exp
 
@@ -32,35 +26,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 # ----------------------------------------------------------------------
-# incomplete gamma functions
-
-
-def lower_incomplete_gamma(s, x):
-    """gamma(s, x) = int_0^x t^(s-1) e^(-t) dt for s > 0, x >= 0."""
-    if s <= 0:
-        raise DomainError("lower incomplete gamma needs s > 0")
-    if x < 0:
-        raise DomainError("lower incomplete gamma needs x >= 0")
-    from scipy import special as sp
-
-    return float(sp.gammainc(s, x) * sp.gamma(s))
-
-
-def upper_incomplete_gamma(s, x):
-    """Gamma(s, x) = int_x^infty t^(s-1) e^(-t) dt for x > 0, any real s.
-
-    For s <= 0 the value is obtained by the downward recurrence
-    Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s.
-    """
-    if x <= 0:
-        raise DomainError("upper incomplete gamma needs x > 0")
-    if s > 0:
-        from scipy import special as sp
-
-        return float(sp.gammaincc(s, x) * sp.gamma(s))
-    if s == 0:
-        return exp1(x)
-    return (upper_incomplete_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
+# gamma(1/2, x)
 
 
 def gamma_half_cont(x):
@@ -129,7 +95,12 @@ _EPS = 2.0 ** -53
 
 
 def exp1(x):
-    """E1(x) = int_x^infty e^(-t) / t dt for x > 0.
+    """E1(x) = int_x^infty e^(-t) / t dt for x > 0."""
+    return _exp1_scaled(x) * math.exp(-x)
+
+
+def _exp1_scaled(x):
+    """e^x E1(x) for x > 0.
 
     The power series -gamma - log x - sum_k (-x)^k / (k k!) for x <= 2,
     summed exactly rounded (math.fsum; E1(2) = 0.049 is the result of a
@@ -145,7 +116,7 @@ def exp1(x):
             k += 1
             term *= -x / k
             terms.append(-term / k)
-        return math.fsum(terms)
+        return math.exp(x) * math.fsum(terms)
     b = x + 1.0
     c = 1e300  # Lentz's start, 1 / tiny
     d = 1.0 / b
@@ -160,16 +131,21 @@ def exp1(x):
         delta = c * d
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x)
+            return h
 
 
 def expi(x):
-    """Ei(x) = PV int_-infty^x e^t / t dt for x > 0.
+    """Ei(x) = PV int_-infty^x e^t / t dt for x > 0; OverflowError where
+    e^x is beyond the floating-point range."""
+    return math.exp(x) * _expi_scaled(x)
+
+
+def _expi_scaled(x):
+    """e^(-x) Ei(x) for x > 0.
 
     The power series gamma + log x + sum_k x^k / (k k!) (all terms positive)
-    up to x = -log(eps), the asymptotic series e^x / x sum_k k! / x^k beyond,
-    where its smallest term is below eps.  OverflowError where e^x is beyond
-    the floating-point range.
+    up to x = -log(eps), the asymptotic series 1 / x sum_k k! / x^k beyond,
+    where its smallest term is below eps.
     """
     if x <= 0:
         raise DomainError("Ei needs x > 0")
@@ -180,7 +156,7 @@ def expi(x):
             term *= x / k
             total += term / k
             if term < _EPS * total * k:
-                return _EULER_GAMMA + math.log(x) + total
+                return math.exp(-x) * (_EULER_GAMMA + math.log(x) + total)
     total, term, k = 1.0, 1.0, 0
     while True:
         k += 1
@@ -189,7 +165,7 @@ def expi(x):
         if term < _EPS * total or term >= prev:
             break
         total += term
-    return math.exp(x) / x * total
+    return total / x
 
 
 # ----------------------------------------------------------------------
@@ -226,28 +202,29 @@ def error_completion_derivatives(w0, n):
 # the H-kernel
 
 
-def _integral_I(j, w):
-    """int_{-2w}^infty t^j e^(-t) dt for integer j, continued in j for w > 0.
+def _scaled_integral(j, w):
+    """G_j(w) = e^(-2w) int_{-2w}^infty t^j e^(-t) dt for integer j,
+    continued in j for w > 0, so that H = e^w G_j without forming e^(-w)
+    and e^(2w) apart.
 
-    For j >= 0 this is Gamma(j+1, -2w) in closed form; for j < 0 the downward
-    integration-by-parts recurrence defines the holomorphic continuation.
+    For j >= 0 this is e^x Gamma(j+1, x) at x = -2w in closed form; for
+    j < 0 the downward integration-by-parts recurrence defines the
+    holomorphic continuation.
     """
     x = -2.0 * w
     if j >= 0:
-        # Gamma(j+1, x) = j! e^(-x) sum_{i<=j} x^i / i!, valid for all real x
+        # j! sum_{i<=j} x^i / i!, valid for all real x
         acc = 0.0
         term = 1.0
         for i in range(j + 1):
             if i > 0:
                 term *= x / i
             acc += term
-        return math.factorial(j) * math.exp(-x) * acc
+        return math.factorial(j) * acc
     if j == -1:
-        # Gamma(0, x); for x < 0 take the real principal-value continuation
-        if x > 0:
-            return exp1(x)
-        return -expi(-x)
-    return (_integral_I(j + 1, w) - math.exp(2.0 * w) * x ** (j + 1)) / (j + 1)
+        # e^x Gamma(0, x); for x < 0 the real principal-value continuation
+        return _exp1_scaled(x) if x > 0 else -_expi_scaled(-x)
+    return (_scaled_integral(j + 1, w) - x ** (j + 1)) / (j + 1)
 
 
 def H_function(w, k):
@@ -261,9 +238,14 @@ def H_function(w, k):
         raise HUndefined("H is undefined at w = 0")
     j = _half_int_exponent(k)
     try:
-        return math.exp(-w) * _integral_I(j, w)
+        # e^w in two halves, so that e^w G_j is finite wherever H is
+        half = math.exp(0.5 * w)
+        value = half * _scaled_integral(j, w) * half
     except OverflowError:
-        raise ValueOverflow("H(%r) at k=%r exceeds the floating-point range" % (w, k)) from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueOverflow("H(%r) at k=%r exceeds the floating-point range" % (w, k))
+    return value
 
 
 def _half_int_exponent(k):
@@ -325,7 +307,7 @@ def _positive(y0):
 
 def _check_radius(radius, policy):
     """radius (an int, or an int array over a point stack) against the cap."""
-    cap = policy.effective_max_radius()
+    cap = policy.max_radius
     worst = _largest(radius)
     if worst > cap:
         raise TruncationOverflow(worst, cap)
@@ -348,13 +330,6 @@ def _sqrt(x):
 def _ceil_int(x):
     """ceil(x) as an int, or as an int array for an array x."""
     return np.ceil(x).astype(int) if isinstance(x, np.ndarray) else int(math.ceil(x))
-
-
-def _term_axis(values, *jets):
-    """A 1-d array of per-term constants shaped to broadcast as a term axis
-    in front of the point axes of the given jets."""
-    points = max([j.c.ndim for j in jets]) - 1
-    return values.reshape(values.shape + (1,) * points) if points else values
 
 
 def _stack_mask(radius, keep):

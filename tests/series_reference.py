@@ -83,7 +83,7 @@ def zwegers_R(tau, z, policy=None):
     shift = abs(v0) / y0
     L = math.log(1.0 / policy.tail_bound)
     R = int(math.ceil(math.sqrt(L / (math.pi * y0)) + shift)) + 2
-    cap = policy.effective_max_radius()
+    cap = policy.max_radius
     if R > cap:
         raise TruncationOverflow(R, cap)
     order = tau.order

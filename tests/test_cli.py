@@ -268,6 +268,27 @@ def test_eval_prints_the_jet_form_value(name, capsys):
     assert json.loads(out)["value"] == [want.real, want.imag]
 
 
+def test_no_suite_and_no_catalog_eval_loads_scipy():
+    # scipy is a test-only dependency: the oracles of the test suite use it,
+    # no program path does
+    evals = [["eval", name, *args, *AT_POINT] for name, (args, _) in sorted(EVAL_CASES.items())]
+    script = (
+        "import sys\n"
+        "from mjlab import verify\n"
+        "from mjlab.cli import main\n"
+        "for name in verify.SUITES:\n"
+        "    verify.run_suite(name)\n"
+        "for argv in %r:\n"
+        "    main(argv)\n"
+        "print('scipy' in sys.modules)\n"
+        % (evals,)
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("m", ["4", "0"])
 def test_eval_r_hat_ml_rejects_ranks_outside_the_family(m, capsys):
     code, _, err = run_main(capsys, "eval", "R_hat_ml", "--m", m)

@@ -7,21 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from mjlab.core import EvalPoint, TruncationPolicy
+from mjlab.core import EvalPoint, JetVars, TruncationPolicy
 from mjlab.errors import DomainError, JetUnavailable, NotThetaDecomposable
 from mjlab.jets import Jet
 from mjlab.kernels import (
     FourierData,
     KernelParams,
     h_from_json,
-    h_series_eval,
+    h_series_handle,
     h_to_json,
-    kernel_c,
+    kernel_jet,
     kernel_term_handle,
     theta_decompose,
     theta_fourier_data,
-    theta_like_recompose,
-    theta_recompose,
+    theta_recompose_handle,
 )
 from mjlab.mu import mu_hat_component_jet
 from mjlab.operators import xi_H
@@ -76,7 +75,7 @@ def test_second_kernel_factor_degenerate_closed_form():
     # at vanishing discriminant the H-factor degenerates to y^(3/2-k)
     params = KernelParams.of(0.5, 1.0, 0, 0)
     for p in POINTS:
-        got = kernel_c(2, params, False, p)
+        got = kernel_jet(2, params, False, JetVars.at(p, 0)).value
         want = p.y ** 1.0
         assert abs(got - want) < 1e-12 * want
 
@@ -87,7 +86,7 @@ def test_second_kernel_factor_uses_H_kernel():
     for p in POINTS:
         arg = math.pi * D * p.y / (2.0 * m)
         want = H_function(arg, k) * math.exp(arg)
-        got = kernel_c(2, params, False, p)
+        got = kernel_jet(2, params, False, JetVars.at(p, 0)).value
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
@@ -98,7 +97,7 @@ def test_third_kernel_factor_uses_incomplete_gamma():
         a = r + 2.0 * m * p.v / p.y
         s = 1.0 if a > 0 else -1.0
         want = s * gamma_half_cont((-math.pi * p.y / m) * a * a)
-        got = kernel_c(3, params, False, p)
+        got = kernel_jet(3, params, False, JetVars.at(p, 0)).value
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
@@ -108,7 +107,7 @@ def test_third_kernel_factor_vanishes_on_sign_locus():
     y = 1.1
     v = -r * y / (2.0 * m)  # r + 2 m v / y = 0
     p = EvalPoint(0.13, y, 0.21, v)
-    assert kernel_c(3, params, False, p) == 0.0
+    assert kernel_jet(3, params, False, JetVars.at(p, 0)).value == 0.0
 
 
 def test_third_kernel_jet_unavailable_on_sign_locus():
@@ -119,15 +118,15 @@ def test_third_kernel_jet_unavailable_on_sign_locus():
     p = EvalPoint(0.13, y, 0.21, v)
     h = kernel_term_handle(3, params)
     with pytest.raises(JetUnavailable):
-        h.jet(p, 1)
+        h.jet_at(JetVars.at(p, 1))
 
 
 def test_fourth_kernel_factor_is_product_of_factors():
     params = KernelParams.of(0.5, -1.0, -1, 1)
     for p in POINTS:
-        c2 = kernel_c(2, params, False, p)
-        c3 = kernel_c(3, params, False, p)
-        c4 = kernel_c(4, params, False, p)
+        c2 = kernel_jet(2, params, False, JetVars.at(p, 0)).value
+        c3 = kernel_jet(3, params, False, JetVars.at(p, 0)).value
+        c4 = kernel_jet(4, params, False, JetVars.at(p, 0)).value
         # c4 carries both nonholomorphic factors
         assert abs(c4 - c2 * c3) <= 1e-10 * max(1.0, abs(c2 * c3))
 
@@ -135,8 +134,8 @@ def test_fourth_kernel_factor_is_product_of_factors():
 def test_skew_degenerate_matches_standard():
     std = KernelParams.of(0.5, 1.0, 0, 0)
     for p in POINTS:
-        a = kernel_c(2, std, False, p)
-        b = kernel_c(2, std, True, p)
+        a = kernel_jet(2, std, False, JetVars.at(p, 0)).value
+        b = kernel_jet(2, std, True, JetVars.at(p, 0)).value
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
@@ -225,7 +224,7 @@ def test_h_series_eval():
     tau = 0.13 + 1.1j
     q = cmath.exp(2j * math.pi * tau)
     want = 2.0 * q ** complex(Fraction(-1, 4)) + 1j * q ** complex(Fraction(1, 2))
-    got = h_series_eval(series, tau)
+    got = h_series_handle(series).eval(EvalPoint.from_tau_z(tau))
     assert abs(got - want) < 1e-12 * abs(want)
 
 
@@ -254,7 +253,7 @@ def test_decomposition_roundtrip_against_direct_sum():
     data = FourierData(two_m, coeffs, holomorphic=True)
     h = theta_decompose(data)
     for p in POINTS:
-        got = theta_recompose(two_m, h, p)
+        got = theta_recompose_handle(two_m, h).eval(p)
         want = brute_class_sum(data, p)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 

@@ -10,8 +10,6 @@ from mjlab.core import EvalPoint
 from mjlab.errors import DomainError
 from mjlab.special import theta_ml_handle
 from mjlab.weil import (
-    WeilMatrix,
-    WeilVector,
     labels,
     rho_generator,
     rho_word,
@@ -38,25 +36,26 @@ def test_root_of_unity():
 @pytest.mark.parametrize("two_m", TWO_MS)
 @pytest.mark.parametrize("which", ["T", "S"])
 def test_generators_are_unitary(two_m, which):
-    assert rho_generator(two_m, which).unitarity_defect() < 1e-13
+    mat = rho_generator(two_m, which)
+    assert np.max(np.abs(mat @ mat.conj().T - np.eye(two_m))) < 1e-13
 
 
 @pytest.mark.parametrize("two_m", TWO_MS)
 def test_braid_relation(two_m):
     st3 = rho_word(two_m, "STSTST")
     s2 = rho_word(two_m, "SS")
-    assert st3.distance(s2) < 1e-12
+    assert np.max(np.abs(st3 - s2)) < 1e-12
 
 
 @pytest.mark.parametrize("two_m", TWO_MS)
 def test_s_has_order_eight(two_m):
-    s8 = rho_generator(two_m, "S").power(8)
-    assert s8.distance(WeilMatrix.identity(two_m)) < 1e-12
+    s8 = np.linalg.matrix_power(rho_generator(two_m, "S"), 8)
+    assert np.max(np.abs(s8 - np.eye(two_m))) < 1e-12
 
 
 def test_t_is_diagonal_with_unit_entries():
     for two_m in TWO_MS:
-        data = rho_generator(two_m, "T").data
+        data = rho_generator(two_m, "T")
         off = data - np.diag(np.diag(data))
         assert np.max(np.abs(off)) == 0.0
         assert np.max(np.abs(np.abs(np.diag(data)) - 1.0)) < 1e-14
@@ -64,8 +63,8 @@ def test_t_is_diagonal_with_unit_entries():
 
 def test_dual_is_entrywise_conjugate():
     for which in ("T", "S"):
-        a = rho_generator(3, which, dual=True).data
-        b = np.conj(rho_generator(3, which).data)
+        a = rho_generator(3, which, dual=True)
+        b = np.conj(rho_generator(3, which))
         assert np.max(np.abs(a - b)) == 0.0
 
 
@@ -77,28 +76,14 @@ def test_word_multiplies_generator_matrices():
         @ rho_generator(two_m, "S")
         @ rho_generator(two_m, "T")
     )
-    assert got.distance(want) < 1e-14
-
-
-def test_matrix_json_roundtrip():
-    mat = rho_word(3, "ST")
-    back = WeilMatrix.from_json(mat.to_json())
-    assert back.two_m == 3
-    assert mat.distance(back) < 1e-15
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_matrix_validation():
     with pytest.raises(DomainError):
-        WeilMatrix(2, np.eye(3))
-    with pytest.raises(DomainError):
         rho_generator(2, "R")
     with pytest.raises(DomainError):
         rho_word(2, "")
-
-
-def test_vector_validation():
-    with pytest.raises(DomainError):
-        WeilVector(2, [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("two_m", [2, 4])
@@ -109,14 +94,14 @@ def test_theta_vector_invariant_under_dual_slash(two_m, word):
     p = EvalPoint(0.17, 1.2, 0.13, 0.21)
     comps = [theta_ml_handle(two_m, l) for l in labels(two_m)]
     base = np.array([h.eval(p) for h in comps])
-    moved = np.array(list(vector_slash(comps, 1, two_m, word, p, dual=True)))
+    moved = vector_slash(comps, 1, two_m, word, p, dual=True)
     scale = max(1.0, float(np.max(np.abs(base))))
     assert float(np.max(np.abs(moved - base))) < 1e-8 * scale, word
 
 
 def test_s_matrix_entries():
     two_m = 2
-    got = rho_generator(two_m, "S").data
+    got = rho_generator(two_m, "S")
     pref = 1.0 / cmath.sqrt(2j)
     for i, l in enumerate(labels(two_m)):
         for j, lp in enumerate(labels(two_m)):
