@@ -23,7 +23,7 @@ import sys
 
 import click
 
-from .core import EvalPoint, TruncationPolicy
+from .core import EvalPoint, TruncationPolicy, half_integer
 from .errors import (
     DomainError,
     EvaluationAtPole,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .jets import Jet
 from .mu import (
-    MuParameters,
     mu_hat_2_jet,
     mu_hat_component_jet,
     mu_m_jet,
@@ -111,21 +110,8 @@ def _policy(radius, tail):
     return TruncationPolicy(**kwargs)
 
 
-def _two_m_of(m):
-    two_m = round(2 * m)
-    if abs(2 * m - two_m) > 1e-9:
-        raise click.UsageError("m must be a half-integer, got %r" % m)
-    return int(two_m)
-
-
 def _cjet(val):
     return Jet.constant(complex(val), 0)
-
-
-def _point(tau, z):
-    if tau.imag <= 0:
-        raise click.UsageError("tau must satisfy Im(tau) > 0")
-    return EvalPoint.from_tau_z(tau, z)
 
 
 # catalog evaluators: name -> callable(opts, policy) -> value.  Each one
@@ -139,7 +125,7 @@ def _eval_theta(o, policy):
 
 def _eval_theta_ml(o, policy):
     return theta_ml_jet(
-        _two_m_of(o["m"]), o["l"], _cjet(o["tau"]), _cjet(o["z"]), policy
+        half_integer(o["m"], "m"), o["l"], _cjet(o["tau"]), _cjet(o["z"]), policy
     ).value
 
 
@@ -156,19 +142,14 @@ def _eval_H(o, policy):
 
 
 def _eval_mu(o, policy):
-    params = MuParameters(_two_m_of(o["m"]))
-    p = _point(o["tau"], 0j)
     return mu_m_jet(
-        params.two_m, _cjet(p.tau), _cjet(o["z"]), _cjet(o["z2"]), policy
+        half_integer(o["m"], "m"), _cjet(o["tau"]), _cjet(o["z"]), _cjet(o["z2"]), policy
     ).value
 
 
 def _component_args(o):
-    """(2m, l, tau, z) of a completed-component request, the rank checked
-    by MuParameters (the R-part alone would accept any rank)."""
-    params = MuParameters(_two_m_of(o["m"]), o["l"])
-    p = _point(o["tau"], o["z"])
-    return params.two_m, params.l, _cjet(p.tau), _cjet(p.z)
+    """(2m, l, tau, z) of a completed-component request."""
+    return half_integer(o["m"], "m"), o["l"], _cjet(o["tau"]), _cjet(o["z"])
 
 
 def _eval_mu_hat_ml(o, policy):
@@ -180,8 +161,7 @@ def _eval_R_hat_ml(o, policy):
 
 
 def _eval_mu_hat_2(o, policy):
-    p = _point(o["tau"], o["z"])
-    return mu_hat_2_jet(_cjet(p.tau), _cjet(p.z), policy).value
+    return mu_hat_2_jet(_cjet(o["tau"]), _cjet(o["z"]), policy).value
 
 
 def _eval_kernel(name):
@@ -191,7 +171,7 @@ def _eval_kernel(name):
     def run(o, policy):
         params = kernels.KernelParams.of(o["k"], o["m"], o["n"], o["r"])
         h = kernels.kernel_term_handle(i, params, skew=skew)
-        return h.eval(_point(o["tau"], o["z"]))
+        return h.eval(EvalPoint.from_tau_z(o["tau"], o["z"]))
 
     return run
 

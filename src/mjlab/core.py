@@ -6,7 +6,6 @@ derivatives of (x, y, u, v) up to order 3.
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,6 +67,33 @@ class EvalPoint:
         return cls(tau.real, tau.imag, z.real, z.imag)
 
 
+# how far 2x may lie from an integer for x to count as a half-integer
+HALF_INTEGER_TOL = 1e-9
+
+
+def half_integer(x, name):
+    """2x as an int for a half-integer x (an integer or an odd multiple of
+    1/2); DomainError naming the parameter otherwise."""
+    two_x = 2.0 * float(x)
+    if not (math.isfinite(two_x) and abs(two_x - round(two_x)) <= HALF_INTEGER_TOL):
+        raise DomainError("%s must be a half-integer, got %r" % (name, x))
+    return round(two_x)
+
+
+def labels(two_m):
+    """Representation labels modulo 2m, also the labels of the theta and
+    completed Appell components.
+
+    For integer index (2m even) these are the integers 0..2m-1.  For
+    half-integer index (2m odd) the labels live in Z + 1/2: with integer
+    labels the T-matrix entries are not well defined modulo 2m and the
+    braid relation (ST)^3 = S^2 fails, while with half-integer labels both
+    hold to machine precision.
+    """
+    off = 0.5 if two_m % 2 else 0.0
+    return [j + off for j in range(two_m)]
+
+
 @dataclass(frozen=True)
 class WeightIndex:
     """A weight/index pair (k, m) of half-integers, m != 0.
@@ -94,11 +120,7 @@ class WeightIndex:
 
     @classmethod
     def of(cls, k, m):
-        two_k = Fraction(k).limit_denominator(2) * 2
-        two_m = Fraction(m).limit_denominator(2) * 2
-        if two_k.denominator != 1 or two_m.denominator != 1:
-            raise DomainError("k and m must be half-integers")
-        return cls(int(two_k), int(two_m))
+        return cls(half_integer(k, "k"), half_integer(m, "m"))
 
     def shift_k(self, dk2):
         """New weight with 2k shifted by the integer dk2."""

@@ -160,56 +160,47 @@ def _root_jet(A, jv):
     """Jet of the chosen branch of sqrt(c tau + d)."""
     den = A.c * jv.tau + A.d
     w0 = den.value
-    root0 = A.eps * principal_sqrt(w0) if A.c != 0 else A.eps * principal_sqrt(
-        complex(A.d)
-    )
-    # series of sqrt around w0 on the chosen sheet
-    ts = [root0]
+    # series of sqrt around w0 on the sheet of omega
+    ts = [A.omega(jv.tau.value)]
     for j in range(1, jv.order + 1):
         ts.append(ts[-1] * (1.5 - j) / (j * w0))
     return den.apply_taylor(ts)
 
 
-def slash(phi, A):
-    """phi |_{k,m} A for a standard-action tagged form."""
-    if phi.action_kind != "standard":
-        raise DomainError("slash needs a standard-action form")
+def _slashed(phi, A, kind, weigh):
+    """phi slashed by A with the action of the given kind: phi at the
+    transformed coordinates, times the weight factor that
+    weigh(F, root, den, denbar) applies to it, times the index factor."""
+    if phi.action_kind != kind:
+        raise DomainError("the %s slash needs a %s-action form" % (kind, kind))
     wi = phi.weight_index
-    k2 = wi.two_k
     m = wi.m
 
     def je(jv):
         jv2, den, denbar, zs = _transformed_vars(A, jv)
         root = _root_jet(A, jv)
-        weight_factor = root ** (-k2)
         index_factor = _index_exponent(A, m, jv.tau, jv.z, zs, den)
-        return phi.f.jet_at(jv2) * weight_factor * index_factor
+        return weigh(phi.f.jet_at(jv2), root, den, denbar) * index_factor
 
-    label = "(%s)|[%g,%g]" % (phi.f.label, wi.k, wi.m)
-    return TaggedForm(
-        FunctionHandle(jet_fn=je, label=label), wi, "standard"
-    )
+    tag = "sk" if kind == "skew" else ""
+    label = "(%s)|%s[%g,%g]" % (phi.f.label, tag, wi.k, wi.m)
+    return TaggedForm(FunctionHandle(jet_fn=je, label=label), wi, kind)
+
+
+def slash(phi, A):
+    """phi |_{k,m} A for a standard-action tagged form."""
+    k2 = phi.weight_index.two_k
+    return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2))
 
 
 def skew_slash(phi, A):
     """phi |^sk_{k,m} A for a skew-action tagged form."""
-    if phi.action_kind != "skew":
-        raise DomainError("skew_slash needs a skew-action form")
-    wi = phi.weight_index
-    k2 = wi.two_k
-    m = wi.m
+    k2 = phi.weight_index.two_k
 
-    def je(jv):
-        jv2, den, denbar, zs = _transformed_vars(A, jv)
-        root = _root_jet(A, jv)
-        rootbar = root.conj()
-        weight_factor = rootbar ** (2 - k2)
-        abs_factor = (den * denbar).cpow(-0.5)
-        index_factor = _index_exponent(A, m, jv.tau, jv.z, zs, den)
-        return phi.f.jet_at(jv2) * weight_factor * abs_factor * index_factor
+    def weigh(F, root, den, denbar):
+        return F * root.conj() ** (2 - k2) * (den * denbar).cpow(-0.5)
 
-    label = "(%s)|sk[%g,%g]" % (phi.f.label, wi.k, wi.m)
-    return TaggedForm(FunctionHandle(jet_fn=je, label=label), wi, "skew")
+    return _slashed(phi, A, "skew", weigh)
 
 
 def apply_slash(phi, A):

@@ -21,9 +21,8 @@ import numpy as np
 from .core import FunctionHandle, WeightIndex, fourier_sum_jet
 from .errors import DomainError, JetUnavailable, NotThetaDecomposable
 from .jets import Jet
-from .mu import mu_hat_component_jet
+from .mu import check_component, mu_hat_component_jet
 from .special import H_jet, gamma_half_jet, theta_ml_jet
-from .weil import labels
 
 # the sgn factor of c_3/c_4 is locally constant; jets are refused closer to
 # its jump locus r + 2mv/y = 0 than this
@@ -31,31 +30,19 @@ SGN_LOCUS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Weight k, index m (half-integers, m != 0), and a Fourier pair (n, r).
+class KernelParams(WeightIndex):
+    """A weight/index pair (k, m) and a Fourier pair (n, r) of integers.
 
     The discriminant D = 4mn - r^2 is always recomputed from the fields.
     """
 
-    two_k: int
-    two_m: int
     n: int
     r: int
 
     def __post_init__(self):
-        if self.two_m == 0:
-            raise DomainError("index m must be nonzero")
-        for name in ("two_k", "two_m", "n", "r"):
-            if not isinstance(getattr(self, name), int):
-                raise DomainError("%s must be an integer" % name)
-
-    @property
-    def k(self):
-        return self.two_k / 2.0
-
-    @property
-    def m(self):
-        return self.two_m / 2.0
+        super().__post_init__()
+        if not isinstance(self.n, int) or not isinstance(self.r, int):
+            raise DomainError("n and r must be integers, got n=%r, r=%r" % (self.n, self.r))
 
     @property
     def D(self):
@@ -64,7 +51,7 @@ class KernelParams:
     @classmethod
     def of(cls, k, m, n, r):
         wi = WeightIndex.of(k, m)
-        return cls(wi.two_k, wi.two_m, int(n), int(r))
+        return cls(wi.two_k, wi.two_m, n, r)
 
     def weight_index(self):
         return WeightIndex(self.two_k, self.two_m)
@@ -263,14 +250,18 @@ class FourierData:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("index 2m="):
             raise DomainError("missing 'index 2m=<integer>' header")
-        two_m = int(lines[0].split("=", 1)[1])
-        coeffs = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 4:
-                raise DomainError("expected 'n r re im', got %r" % ln)
-            n, r = int(parts[0]), int(parts[1])
-            coeffs[(n, r)] = complex(float(parts[2]), float(parts[3]))
+        ln = lines[0]
+        try:
+            two_m = int(ln.split("=", 1)[1])
+            coeffs = {}
+            for ln in lines[1:]:
+                n, r, re, im = ln.split()
+                coeffs[(int(n), int(r))] = complex(float(re), float(im))
+        except ValueError:
+            raise DomainError(
+                "malformed line %r: expected 'index 2m=<integer>', then 'n r re im'"
+                " with integers n, r" % ln
+            ) from None
         return cls(two_m, coeffs, holomorphic=holomorphic)
 
 
@@ -371,16 +362,11 @@ def theta_like_recompose_handle(two_m, h, varphi=None, policy=None):
     """sum over labels of h_l(tau) mu_hat_{m,l}(tau, z), plus an optional
     meromorphic part, with exact jets.
 
-    h maps the canonical component labels (weil.labels(two_m)) to handles
+    h maps the canonical component labels (core.labels(two_m)) to handles
     or rational-exponent series; missing labels contribute nothing.
     """
-    valid = set(labels(two_m))
     for l in h:
-        if l not in valid:
-            raise DomainError(
-                "label %r is not one of the canonical labels %r"
-                % (l, sorted(valid))
-            )
+        check_component(two_m, l)
     return _recompose_handle(
         mu_hat_component_jet, two_m, h, varphi, policy, "mu-recompose"
     )

@@ -14,12 +14,11 @@ value is the jet at order 0.
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy, _term_axis
+from .core import FunctionHandle, TruncationPolicy, _term_axis, labels
 from .errors import DomainError, PoleAtAppell, PoleAtTheta
 from .jets import Jet, _finite_exp
 from .special import (
@@ -28,8 +27,8 @@ from .special import (
     _gaussian_radius,
     _largest,
     _masked_exp,
-    _positive,
     jacobi_theta_jet,
+    require_upper_half_plane,
     zwegers_R_jet,
 )
 
@@ -42,30 +41,22 @@ POLE_TOL_THETA = 1e-8
 POLE_TOL_APPELL = 1e-12
 
 
-@dataclass(frozen=True)
-class MuParameters:
-    """Rank 2m (a positive integer up to MAX_RANK) and a component label l.
+def check_component(two_m, l=None):
+    """DomainError unless the rank 2m is an integer from 1 to MAX_RANK and,
+    when a label is given, l is one of the canonical labels core.labels(two_m).
 
-    The label enters only the completed functions; the plain lattice sum
-    ignores it.  Canonical labels follow weil.labels(two_m): integers for
-    even 2m, half-integers for odd 2m; with this parity the diagonal
-    translation law of the completed components is well defined modulo 2m.
+    Canonical labels are integers for even 2m and half-integers for odd 2m;
+    with this parity the diagonal translation law of the completed
+    components is well defined modulo 2m.  The label enters only the
+    completed functions; the plain lattice sum ignores it.
     """
-
-    two_m: int
-    l: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.two_m, int) or self.two_m < 1:
-            raise DomainError("2m must be a positive integer")
-        if self.two_m > MAX_RANK:
-            raise DomainError(
-                "rank 2m=%d exceeds supported maximum %d" % (self.two_m, MAX_RANK)
-            )
-
-    @property
-    def m(self):
-        return self.two_m / 2.0
+    if not isinstance(two_m, int) or not 1 <= two_m <= MAX_RANK:
+        raise DomainError("2m must be an integer in [1, %d], got %r" % (MAX_RANK, two_m))
+    if l is not None and l not in labels(two_m):
+        raise DomainError(
+            "label %r is not one of the canonical labels %r for 2m=%d"
+            % (l, labels(two_m), two_m)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -150,8 +141,7 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     the states some point keeps, with weight 0 (and no exp, reciprocal or
     pole check) where a point does not keep one.
     """
-    if not isinstance(two_m, int) or not 1 <= two_m <= MAX_RANK:
-        raise DomainError("2m must be an integer in [1, %d]" % MAX_RANK)
+    check_component(two_m)
     policy = policy or TruncationPolicy()
     points = tau.c.shape[:-1]
     if not points == z1.c.shape[:-1] == z2.c.shape[:-1]:  # tau on every point
@@ -159,8 +149,7 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
         tau = Jet(tau.order, np.broadcast_to(tau.c, points + tau.c.shape[-1:]))
     tau_val = tau.value
     y0 = tau_val.imag
-    if not _positive(y0):
-        raise DomainError("Appell sum requires Im(tau) > 0")
+    require_upper_half_plane(y0, "Appell sum")
     v2 = z2.value.imag
 
     _check_theta_pole(tau_val, z2.value)
@@ -264,6 +253,7 @@ def _component_phase(l):
 def mu_hat_component_jet(two_m, l, tau, z, policy=None):
     """The completed component: normalized prefactor times (Appell part
     minus (i/2) times the nonholomorphic R-series at the shifted argument)."""
+    check_component(two_m, l)
     m = two_m / 2.0
     lpm = l + m
     zs = z + COMPONENT_SHIFT
@@ -283,6 +273,7 @@ def r_hat_component_jet(two_m, l, tau, z, policy=None):
     """The nonholomorphic part of the completed component on its own,
     with the sign convention that completed = holomorphic-type part plus
     this term."""
+    check_component(two_m, l)
     zs = z + COMPONENT_SHIFT
     r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, l, tau, zs), policy)
     pref = _component_phase(l) * _completion_prefactor(two_m, l, tau, zs)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy, _term_axis
+from .core import FunctionHandle, TruncationPolicy, _term_axis, half_integer
 from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
 from .jets import _finite_exp
 
@@ -249,11 +249,11 @@ def H_function(w, k):
 
 
 def _half_int_exponent(k):
-    j2 = 1.0 - 2.0 * k
-    j = round(j2 / 2.0)
-    if abs(j2 / 2.0 - j) > 1e-12:
-        raise DomainError("k must be a half-integer (odd/2), got %r" % (k,))
-    return int(j)
+    """The integer exponent j = 1/2 - k of H, for k an odd multiple of 1/2."""
+    two_k = half_integer(k, "k")
+    if two_k % 2 == 0:
+        raise DomainError("H needs k an odd multiple of 1/2, got %r" % (k,))
+    return (1 - two_k) // 2
 
 
 def H_derivatives(w0, k, n):
@@ -264,17 +264,22 @@ def H_derivatives(w0, k, n):
     if n == 0:
         return hs
     base = -2.0 * w0
-    ew = _finite_exp(w0)
-    for order in range(n):
-        # d^order/dw^order of (-2w)^j e^w via Leibniz
-        a = 0.0
-        for i in range(order + 1):
-            fall = 1.0
-            for t in range(i):
-                fall *= (j - t)
-            if fall != 0.0:
-                a += math.comb(order, i) * (-2.0) ** i * fall * base ** (j - i)
-        hs.append(-hs[-1] + 2.0 * a * ew)
+    # e^w in two halves, as in H_function, so that the derivatives do not
+    # overflow where e^w alone does
+    half = _finite_exp(0.5 * w0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for order in range(n):
+            # d^order/dw^order of (-2w)^j e^w via Leibniz
+            a = 0.0
+            for i in range(order + 1):
+                fall = 1.0
+                for t in range(i):
+                    fall *= (j - t)
+                if fall != 0.0:
+                    a += math.comb(order, i) * (-2.0) ** i * fall * base ** (j - i)
+            hs.append(-hs[-1] + 2.0 * a * half * half)
+    if not np.isfinite(hs).all():
+        raise ValueOverflow("H derivatives at k=%r exceed the floating-point range" % (k,))
     return hs
 
 
@@ -300,9 +305,11 @@ def _largest(radius):
     return radius if isinstance(radius, int) else int(radius.max())
 
 
-def _positive(y0):
-    """Whether Im(tau) is positive at every point."""
-    return (y0 > 0).all() if isinstance(y0, np.ndarray) else y0 > 0
+def require_upper_half_plane(y0, series):
+    """DomainError unless Im(tau) = y0 is positive at every point of a
+    stack (y0 a float, or an array over the stack)."""
+    if not ((y0 > 0).all() if isinstance(y0, np.ndarray) else y0 > 0):
+        raise DomainError("%s requires Im(tau) > 0" % series)
 
 
 def _check_radius(radius, policy):
@@ -358,8 +365,7 @@ def jacobi_theta_jet(tau, z, policy=None):
     policy = policy or TruncationPolicy()
     y0 = tau.value.imag
     v0 = z.value.imag
-    if not _positive(y0):
-        raise DomainError("theta requires Im(tau) > 0")
+    require_upper_half_plane(y0, "theta")
     radius = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
     R = _largest(radius)
     k = np.arange(-R, R + 2)  # r = k - 1/2 runs over -R - 1/2, ..., R + 1/2
@@ -389,6 +395,7 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     m = two_m / 2.0
     y0 = tau.value.imag
     v0 = z.value.imag
+    require_upper_half_plane(y0, "theta_{m,l}")
     radius = _gaussian_radius(
         math.pi * y0 / (2.0 * m), TWO_PI * abs(v0), policy.tail_bound, policy
     )
@@ -423,8 +430,7 @@ def zwegers_R_jet(tau, z, policy=None):
     v = z.imag()
     y0 = y.value.real
     v0 = v.value.real
-    if not _positive(y0):
-        raise DomainError("R requires Im(tau) > 0")
+    require_upper_half_plane(y0, "R")
     shift = abs(v0) / y0
     L = math.log(1.0 / policy.tail_bound)
     radius = _check_radius(_ceil_int(_sqrt(L / (math.pi * y0)) + shift) + 2, policy)

@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import WeightIndex, principal_sqrt
+from .core import WeightIndex, labels, principal_sqrt
 from .errors import DomainError
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, group_word
 
@@ -19,20 +19,6 @@ from .group import GEN_S, GEN_T, TaggedForm, apply_slash, group_word
 def root_of_unity(num, den):
     """e^(2 pi i num / den) for integer num, den."""
     return cmath.exp(2j * math.pi * (num % den) / den)
-
-
-def labels(two_m):
-    """Representation labels modulo 2m, also the labels of the theta and
-    completed Appell components.
-
-    For integer index (2m even) these are the integers 0..2m-1.  For
-    half-integer index (2m odd) the labels live in Z + 1/2: with integer
-    labels the T-matrix entries are not well defined modulo 2m and the
-    braid relation (ST)^3 = S^2 fails, while with half-integer labels both
-    hold to machine precision.
-    """
-    off = 0.5 if two_m % 2 else 0.0
-    return [j + off for j in range(two_m)]
 
 
 def rho_generator(two_m, which, dual=False):

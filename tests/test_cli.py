@@ -1,14 +1,18 @@
 """The command line interface: formats, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjlab import cli
 from mjlab.cli import parse_complex
-from mjlab.core import EvalPoint, JetVars
+from mjlab.core import EvalPoint, JetVars, labels
 from mjlab.errors import JetUnavailable, NonFinite, StencilOutOfDomain
 from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
@@ -296,6 +300,70 @@ def test_eval_r_hat_ml_rejects_ranks_outside_the_family(m, capsys):
     assert err.startswith("domain error:")
 
 
+# each request lies outside the declared domain in one parameter
+DOMAIN_CASES = [
+    ("eval", "c2", "--k", "0.74", "--m", "-1.26", "--n", "-1", "--r", "1",
+     "--tau", "0.1+1.1i"),
+    ("eval", "mu", "--m", "1.2", "--tau", "0.1+1.1i"),
+    ("eval", "mu_hat_ml", "--m", "1", "--l", "2", "--tau", "0.1+1.1i", "--z", "0.2+0.1i"),
+    ("eval", "R_hat_ml", "--m", "1", "--l", "0.3", "--tau", "0.1+1.1i"),
+    ("eval", "theta_ml", "--tau", "0.1-1i"),
+    ("eval", "theta_ml", "--tau", "0.1"),
+]
+
+
+@pytest.mark.parametrize("args", DOMAIN_CASES, ids=" ".join)
+def test_requests_outside_the_domain_exit_1_with_one_line(args, capsys):
+    code, out, err = run_main(capsys, *args)
+    assert code == cli.EXIT_USAGE == 1
+    assert out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1, err
+
+
+HALF_INTEGERS = st.integers(-8, 8).map(lambda n: n / 2)
+NOT_HALF_INTEGERS = st.floats(-4, 4).filter(lambda x: abs(2 * x - round(2 * x)) > 1e-6)
+
+
+def _literal(w):
+    im = repr(w.imag)
+    return "%r%s%si" % (w.real, "" if im.startswith("-") else "+", im)
+
+
+@st.composite
+def eval_requests(draw):
+    """`eval` arguments of any catalog function: k and m half-integers or
+    not, 2m from 0 to 8, canonical labels or others, Im(tau) on, near and
+    off the boundary of the upper half plane."""
+    two_m = draw(st.integers(0, 8))
+    m = draw(st.one_of(st.just(two_m / 2), NOT_HALF_INTEGERS))
+    l = draw(st.one_of(st.sampled_from(labels(two_m) or [0.0]),
+                       st.floats(-3, 9).map(lambda x: round(x, 2))))
+    y = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1e-3]), st.floats(0.5, 3.0)))
+    tau = complex(draw(st.floats(-0.5, 0.5)), y)
+    z = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0)))
+    return [
+        "eval", draw(st.sampled_from(sorted(cli.CATALOG))),
+        "--k=%r" % draw(st.one_of(HALF_INTEGERS, NOT_HALF_INTEGERS)),
+        "--m=%r" % m, "--l=%r" % l,
+        "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-2, 2)),
+        "--w=%r" % draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0))),
+        "--tau=" + _literal(tau), "--z=" + _literal(z), "--z2=0.17-0.23i",
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=eval_requests())
+def test_eval_fuzz_ends_in_a_documented_exit_code_and_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(7), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
 def test_eval_writes_to_file(tmp_path):
     out = tmp_path / "value.json"
     res = run_cli("eval", "E", "--w", "0.0", "--out", str(out))
@@ -357,6 +425,15 @@ def test_decompose_violation_exits_4():
     res = run_cli("decompose", stdin=bad)
     assert res.returncode == 4
     assert "decomposable" in res.stderr.lower()
+
+
+@pytest.mark.parametrize("text", ["index 2m=abc\n", "index 2m=2\n0 0 x 1\n"])
+def test_decompose_malformed_numbers_exit_1(text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_main(capsys, "decompose")
+    assert code == 1
+    bad = text.splitlines()[-1]
+    assert err.startswith("domain error: malformed line %r" % bad) and err.count("\n") == 1
 
 
 def test_decompose_reads_file(tmp_path):

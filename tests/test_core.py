@@ -12,6 +12,7 @@ from mjlab.core import (
     WeightIndex,
     exp_qn_zeta_r,
     finite_difference_jet,
+    half_integer,
     principal_sqrt,
 )
 from mjlab.errors import (
@@ -52,10 +53,25 @@ class TestWeightIndex:
         with pytest.raises(DomainError):
             WeightIndex(1.5, 2)
 
+    def test_of_rejects_what_is_not_a_half_integer(self):
+        # no rounding to the nearest half-integer
+        for k, m in ((0.74, -1.26), (0.5, 1.2), (1 / 3, 1.0), (0.5, float("nan"))):
+            with pytest.raises(DomainError):
+                WeightIndex.of(k, m)
+
     def test_shift_and_negate(self):
         wi = WeightIndex.of(0.5, 1.0)
         assert wi.shift_k(2).k == 1.5
         assert wi.negate_m().m == -1.0
+
+
+def test_half_integer():
+    assert half_integer(1.5, "k") == 3
+    assert half_integer(-2, "m") == -4
+    assert half_integer(0.5 + 1e-12, "k") == 1
+    for bad in (0.74, 0.25, 1.0 + 1e-6, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="m must be a half-integer"):
+            half_integer(bad, "m")
 
 
 class TestTruncationPolicy:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mjlab.core import EvalPoint, JetVars, TruncationPolicy
+from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex
 from mjlab.errors import DomainError, JetUnavailable, NotThetaDecomposable
 from mjlab.jets import Jet
 from mjlab.kernels import (
@@ -46,6 +46,22 @@ def test_kernel_params_discriminant():
     assert params.D == 2 * params.two_m * params.n - params.r ** 2
     assert params.D == 3  # two_m = -2, n = -1, r = 1
     assert KernelParams.of(0.5, 1.0, 0, 0).D == 0
+
+
+def test_kernel_params_extend_weight_index():
+    params = KernelParams.of(1.5, -0.5, 2, -1)
+    assert isinstance(params, WeightIndex)
+    assert (params.two_k, params.two_m, params.n, params.r) == (3, -1, 2, -1)
+    assert (params.k, params.m) == (1.5, -0.5)
+    assert params.weight_index() == WeightIndex(3, -1)
+
+
+@pytest.mark.parametrize("k,m,n,r", [
+    (0.74, -1.26, -1, 1), (0.5, 0, 0, 0), (0.5, 1, 0.7, 0), (0.5, 1, 0, 1.5),
+])
+def test_kernel_params_reject_values_outside_the_domain(k, m, n, r):
+    with pytest.raises(DomainError):
+        KernelParams.of(k, m, n, r)
 
 
 def test_kernel_params_partners():
@@ -172,6 +188,17 @@ def test_fourier_text_roundtrip():
 def test_fourier_text_rejects_bad_header():
     with pytest.raises(DomainError):
         FourierData.from_text("no header\n0 0 1 0\n")
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("index 2m=abc\n", "index 2m=abc"),
+    ("index 2m=2\n0 0 x 1\n", "0 0 x 1"),
+    ("index 2m=2\n0 0.5 1 0\n", "0 0.5 1 0"),
+    ("index 2m=2\n0 0 1\n", "0 0 1"),
+])
+def test_fourier_text_names_the_malformed_line(text, bad):
+    with pytest.raises(DomainError, match=repr(bad)):
+        FourierData.from_text(text)
 
 
 def test_class_function_violation_raises():

@@ -16,7 +16,7 @@ from mjlab.core import EvalPoint, TruncationPolicy, WeightIndex
 from mjlab.errors import DomainError, EvaluationAtPole
 from mjlab.jets import Jet, d_taubar, d_zbar
 from mjlab.mu import (
-    MuParameters,
+    check_component,
     lattice_multiplicities,
     mu_hat_2_handle,
     mu_hat_component_jet,
@@ -91,12 +91,27 @@ def test_component_labels_parity():
     assert component_labels(3) == [0.5, 1.5, 2.5]
 
 
-def test_mu_parameters_validation():
-    MuParameters(1, 0.5)
+def test_check_component_validation():
+    check_component(1, 0.5)
+    check_component(6)
     with pytest.raises(DomainError):
-        MuParameters(0)
+        check_component(0)
     with pytest.raises(DomainError):
-        MuParameters(99)
+        check_component(99)
+    with pytest.raises(DomainError):
+        check_component(2.0)
+    # labels outside core.labels(two_m): wrong parity, out of range, generic
+    for two_m, l in ((1, 0.0), (2, 0.5), (2, 2), (2, 0.3), (3, 3.5)):
+        with pytest.raises(DomainError):
+            check_component(two_m, l)
+
+
+@pytest.mark.parametrize("evaluate", [mu_hat_component_jet, r_hat_component_jet])
+def test_components_reject_labels_and_ranks_outside_the_family(evaluate):
+    tau, z = C(0.1 + 1.1j), C(0.2 + 0.1j)
+    for two_m, l in ((2, 2), (2, 0.3), (1, 0.0), (7, 0.5), (0, 0.0)):
+        with pytest.raises(DomainError):
+            evaluate(two_m, l, tau, z)
 
 
 def test_lattice_multiplicities_count_states():
@@ -174,9 +189,8 @@ def test_completion_splits_into_holomorphic_plus_r_part():
 
 
 def test_component_point_evaluators_agree_with_jets():
-    params = MuParameters(2, 1)
     p = POINTS[0]
-    a = mu_hat_ml_handle(params.two_m, params.l).eval(p)
+    a = mu_hat_ml_handle(2, 1).eval(p)
     b = mu_hat_component_jet(2, 1, C(p.tau), C(p.z)).value
     assert a == b
     h = R_hat_ml_handle(2, 1)

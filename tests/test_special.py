@@ -19,9 +19,11 @@ import scipy.special as sp
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy
 from mjlab.errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
 from mjlab.jets import Jet, d_z
+from mjlab.mu import mu_m_jet
 from mjlab.special import (
     H_derivatives,
     H_function,
+    H_jet,
     error_completion_E,
     error_completion_derivatives,
     exp1,
@@ -181,6 +183,26 @@ def test_H_against_mpmath_over_the_float_range(k):
         assert abs(got - want) <= 1e-13 * max(abs(want), sys.float_info.min), (k, w)
 
 
+def _H_jet_oracle(w, k, d):
+    """The d-th derivative of H at w in mpmath."""
+    with mpmath.workdps(40):
+        f = lambda t: mpmath.re(mpmath.exp(-t) * mpmath.gammainc(1.5 - k, -2 * t))
+        return float(mpmath.diff(f, mpmath.mpf(w), d))
+
+
+@pytest.mark.parametrize("w", [700.0, 709.0, 710.0, 712.0, 716.0])
+def test_H_jet_beyond_the_range_of_exp(w):
+    """H and its derivatives are finite past w = 709.78, where e^w alone
+    overflows; every order matches mpmath."""
+    k = 1.5
+    for order in (1, 2, 3):
+        table = H_jet(Jet.variable(1, w, order), k).table()
+        for d in range(order + 1):
+            want = _H_jet_oracle(w, k, d)
+            got = table[(0, d, 0, 0)]
+            assert abs(got - want) <= 1e-13 * abs(want), (w, order, d)
+
+
 def test_H_derivatives_match_finite_differences():
     w0, k = -0.8, 1.5
     hs = H_derivatives(w0, k, 2)
@@ -286,6 +308,26 @@ def test_theta_ml_label_periodicity_and_elliptic_shift():
 def test_theta_ml_rejects_nonpositive_index():
     with pytest.raises(DomainError):
         theta_ml_jet(0, 0, C(1j), C(0j))
+
+
+SERIES = {
+    "theta": lambda tau, z: jacobi_theta_jet(tau, z),
+    "theta_ml": lambda tau, z: theta_ml_jet(2, 1, tau, z),
+    "R": lambda tau, z: zwegers_R_jet(tau, z),
+    "Appell sum": lambda tau, z: mu_m_jet(1, tau, z, z + 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+@pytest.mark.parametrize("y", [-1.0, 0.0, float("nan")])
+def test_series_reject_tau_off_the_upper_half_plane(name, y):
+    z = C(0.2 + 0.1j)
+    with pytest.raises(DomainError, match=r"requires Im\(tau\) > 0"):
+        SERIES[name](C(complex(0.1, y)), z)
+    # one bad point of a stack is enough
+    stack = Jet.constant(np.array([0.1 + 1.1j, complex(0.1, y)]), 0)
+    with pytest.raises(DomainError, match=r"requires Im\(tau\) > 0"):
+        SERIES[name](stack, z)
 
 
 # ----------------------------------------------------------------------
