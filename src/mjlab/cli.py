@@ -23,7 +23,7 @@ import sys
 
 import click
 
-from .core import EvalPoint, TruncationPolicy, half_integer
+from .core import EvalPoint, TruncationPolicy, half_integer, require_finite
 from .errors import (
     DomainError,
     EvaluationAtPole,
@@ -82,23 +82,31 @@ EXIT_EVALUATION = 6
 def parse_complex(text):
     """Complex literals of the form a+bi with no spaces (also plain reals
     and pure imaginaries)."""
-    cleaned = text.strip().replace("i", "j")
+    cleaned = text.strip()
+    if cleaned.endswith("i"):
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError:
         raise click.UsageError("cannot parse complex literal %r" % text)
 
 
-class ComplexParam(click.ParamType):
-    name = "complex"
+class _Finite(click.ParamType):
+    """A number option whose value must be finite (nan and inf are domain
+    errors): a float, or a complex literal a+bi."""
+
+    def __init__(self, name, parse):
+        self.name = name
+        self.parse = parse
 
     def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
-        return parse_complex(value)
+        if isinstance(value, str):
+            value = self.parse(value, param, ctx)
+        return require_finite(value, param.opts[0] if param else self.name)
 
 
-COMPLEX = ComplexParam()
+FLOAT = _Finite("float", click.FLOAT.convert)
+COMPLEX = _Finite("complex", lambda text, param, ctx: parse_complex(text))
 
 
 def _policy(radius, tail):
@@ -217,10 +225,10 @@ def cli():
 @click.argument("function")
 @click.option("--k", type=float, default=0.5, help="weight (half-integer)")
 @click.option("--m", type=float, default=1.0, help="index (half-integer)")
-@click.option("--l", type=float, default=0.0, help="component label")
+@click.option("--l", type=FLOAT, default=0.0, help="component label")
 @click.option("--n", type=int, default=0)
 @click.option("--r", type=int, default=0)
-@click.option("--w", type=float, default=0.0, help="real scalar argument")
+@click.option("--w", type=FLOAT, default=0.0, help="real scalar argument")
 @click.option("--tau", type=COMPLEX, default="0+1i")
 @click.option("--z", type=COMPLEX, default="0+0i")
 @click.option("--z2", type=COMPLEX, default="0+0i")
@@ -324,7 +332,7 @@ def decompose_cmd(infile, out):
 @click.argument("function")
 @click.option("--k", type=float, default=0.5)
 @click.option("--m", type=float, default=1.0)
-@click.option("--l", type=float, default=0.0)
+@click.option("--l", type=FLOAT, default=0.0)
 @click.option("--n", type=int, default=0)
 @click.option("--r", type=int, default=0)
 @click.option("--tau", type=COMPLEX, default="0+1i")
@@ -332,9 +340,9 @@ def decompose_cmd(infile, out):
 @click.option("--z2", type=COMPLEX, default="0+0i")
 @click.option("--tau-grid", is_flag=True, default=False,
               help="vary tau over the window instead of z")
-@click.option("--min", "lo", type=(float, float), default=(0.0, 0.0),
+@click.option("--min", "lo", type=(FLOAT, FLOAT), default=(0.0, 0.0),
               help="lower corner of the window")
-@click.option("--max", "hi", type=(float, float), default=(1.0, 1.0),
+@click.option("--max", "hi", type=(FLOAT, FLOAT), default=(1.0, 1.0),
               help="upper corner of the window")
 @click.option("--steps", type=(int, int), default=(50, 50))
 @click.option("--radius", type=int, default=None)

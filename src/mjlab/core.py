@@ -1,6 +1,6 @@
-"""Foundational types: evaluation points, weights, truncation policy, and
-the differentiation engine that turns any function handle into partial
-derivatives of (x, y, u, v) up to order 3.
+"""Foundational types: evaluation points, weights, truncation policy,
+coordinate jets, exact-jet function handles, and finite-difference jets of
+a handle (the independent reference that exact jets are checked against).
 """
 
 import cmath
@@ -80,6 +80,14 @@ def half_integer(x, name):
     return round(two_x)
 
 
+def require_finite(x, name):
+    """x itself if it is a finite real or complex number; DomainError naming
+    the parameter otherwise."""
+    if not cmath.isfinite(x):
+        raise DomainError("%s must be finite, got %r" % (name, x))
+    return x
+
+
 def labels(two_m):
     """Representation labels modulo 2m, also the labels of the theta and
     completed Appell components.
@@ -138,8 +146,8 @@ class TruncationPolicy:
     max_radius: int = 64
 
     def __post_init__(self):
-        if not self.tail_bound > 0:
-            raise DomainError("tail_bound must be positive")
+        if not 0 < self.tail_bound < 1:
+            raise DomainError("tail_bound must lie in (0, 1), got %r" % (self.tail_bound,))
         if self.max_radius < 1:
             raise DomainError("max_radius must be >= 1")
 
@@ -180,14 +188,6 @@ class JetVars:
         """The values (x, y, u, v) of the coordinate jets: floats, or arrays
         over the stack."""
         return tuple(j.value.real for j in (self.x, self.y, self.u, self.v))
-
-    @property
-    def point(self):
-        """The base point: an EvalPoint, or a tuple of them for a stack."""
-        x, y, u, v = self.base
-        if np.ndim(x) == 0:
-            return EvalPoint(x, y, u, v)
-        return tuple(EvalPoint(*q) for q in zip(x.tolist(), y.tolist(), u.tolist(), v.tolist()))
 
     @property
     def tau(self):
@@ -258,97 +258,72 @@ def _compose_taylor(table_jet, jv, base):
 
 
 class FunctionHandle:
-    """An evaluatable complex function on H x C with derivative jets.
+    """An evaluatable complex function on H x C with derivative jets,
+    defined by a callable mapping JetVars -> Jet (the function evaluated in
+    Taylor arithmetic).  fd_step, when given, is the step of its
+    finite-difference jets (`finite_difference_jet`)."""
 
-    Exact handles are defined by a callable mapping JetVars -> Jet (the
-    function evaluated in Taylor arithmetic).  Plain handles carry only a
-    point evaluator and fall back to finite differences for jets.
-    """
-
-    def __init__(self, fn=None, jet_fn=None, label="", fd_step=None):
-        if fn is None and jet_fn is None:
-            raise ValueError("need fn or jet_fn")
-        self._fn = fn
+    def __init__(self, jet_fn, label="", fd_step=None):
         self._jet_fn = jet_fn
         self.label = label
         self.fd_step = fd_step
 
     def eval(self, p):
-        if self._fn is not None:
-            return complex(self._fn(p))
         return self.jet_at(JetVars.at(p, 0)).value
-
-    __call__ = eval
 
     def jet_at(self, jv):
         """Jet of this function on the given (possibly transformed) coordinates."""
-        if self._jet_fn is not None:
-            return self._jet_fn(jv)
-        # finite-difference path: Taylor coefficients at each base point,
-        # stacked, then composed with the transformed coordinates
-        points = jv.point
-        fd = lambda p: finite_difference_jet(self, p, jv.order, step=self.fd_step).c
-        c = fd(points) if isinstance(points, EvalPoint) else np.stack([fd(p) for p in points])
-        tj = Jet(jv.order, c)
-        if jv.plain:
-            return tj
-        return _compose_taylor(tj, jv, jv.base)
+        return self._jet_fn(jv)
 
 
 def default_fd_step(p):
     return 1e-3 * max(1.0, p.y)
 
 
-def finite_difference_jet(f, p, order, step=None):
-    """The Taylor jet of f at p up to `order`, each mixed partial by
-    central differences with one Richardson extrapolation level.
+def finite_difference_jet(h, p, order):
+    """The Taylor jet of the handle h at p up to `order` from samples of
+    h.eval, each mixed partial by central differences with one Richardson
+    extrapolation level: the independent reference for exact jets.  The
+    step is h.fd_step, or default_fd_step(p) when that is None.
     """
     if order > 3:
         raise JetUnavailable("finite differences support order <= 3")
-    h = step if step is not None else default_fd_step(p)
-    # worst case the stencil moves `order` steps of size h in y
-    if p.y - order * h <= 0:
+    step = h.fd_step if h.fd_step is not None else default_fd_step(p)
+    # worst case the stencil moves `order` steps in y
+    if p.y - order * step <= 0:
         raise StencilOutOfDomain(
-            "stencil leaves the upper half plane at y=%g, h=%g" % (p.y, h)
+            "stencil leaves the upper half plane at y=%g, h=%g" % (p.y, step)
         )
-    evaluator = f.eval if isinstance(f, FunctionHandle) else f
     cache = {}
 
     def sample(offsets):
-        key = offsets
-        if key not in cache:
-            q = EvalPoint(
-                p.x + offsets[0], p.y + offsets[1], p.u + offsets[2], p.v + offsets[3]
-            )
-            val = complex(evaluator(q))
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        if offsets not in cache:
+            q = EvalPoint(*(b + o for b, o in zip((p.x, p.y, p.u, p.v), offsets)))
+            val = h.eval(q)
+            if not cmath.isfinite(val):
                 raise NonFinite("non-finite sample at %r" % (q,))
-            cache[key] = val
-        return cache[key]
+            cache[offsets] = val
+        return cache[offsets]
+
+    def bump(t, var, d):
+        return t[:var] + (t[var] + d,) + t[var + 1 :]
 
     def central(alpha, offsets, hh):
         # recursive central difference in the first active variable
-        for var in range(4):
-            if alpha[var] > 0:
-                lower = list(alpha)
-                lower[var] -= 1
-                lower = tuple(lower)
-                up = list(offsets)
-                up[var] += hh
-                dn = list(offsets)
-                dn[var] -= hh
-                return (central(lower, tuple(up), hh) - central(lower, tuple(dn), hh)) / (
-                    2 * hh
-                )
-        return sample(offsets)
+        var = next((i for i, a in enumerate(alpha) if a), None)
+        if var is None:
+            return sample(offsets)
+        lower = bump(alpha, var, -1)
+        up = central(lower, bump(offsets, var, hh), hh)
+        return (up - central(lower, bump(offsets, var, -hh), hh)) / (2 * hh)
 
     c = np.zeros(len(monomials(order)), dtype=complex)
     for i, mon in enumerate(monomials(order)):
         if sum(mon) == 0:
             c[i] = sample((0.0, 0.0, 0.0, 0.0))
             continue
-        coarse = central(mon, (0.0, 0.0, 0.0, 0.0), h)
-        fine = central(mon, (0.0, 0.0, 0.0, 0.0), h / 2)
+        coarse = central(mon, (0.0, 0.0, 0.0, 0.0), step)
+        fine = central(mon, (0.0, 0.0, 0.0, 0.0), step / 2)
         c[i] = (4.0 * fine - coarse) / 3.0 / math.prod(map(math.factorial, mon))
     return Jet(order, c)
 

@@ -156,17 +156,6 @@ def _index_exponent(A, m, tau, z, zs, den):
     return (2j * math.pi * m * inner).exp()
 
 
-def _root_jet(A, jv):
-    """Jet of the chosen branch of sqrt(c tau + d)."""
-    den = A.c * jv.tau + A.d
-    w0 = den.value
-    # series of sqrt around w0 on the sheet of omega
-    ts = [A.omega(jv.tau.value)]
-    for j in range(1, jv.order + 1):
-        ts.append(ts[-1] * (1.5 - j) / (j * w0))
-    return den.apply_taylor(ts)
-
-
 def _slashed(phi, A, kind, weigh):
     """phi slashed by A with the action of the given kind: phi at the
     transformed coordinates, times the weight factor that
@@ -178,7 +167,7 @@ def _slashed(phi, A, kind, weigh):
 
     def je(jv):
         jv2, den, denbar, zs = _transformed_vars(A, jv)
-        root = _root_jet(A, jv)
+        root = A.eps * den.cpow(0.5)  # the branch omega of sqrt(c tau + d)
         index_factor = _index_exponent(A, m, jv.tau, jv.z, zs, den)
         return weigh(phi.f.jet_at(jv2), root, den, denbar) * index_factor
 

@@ -236,8 +236,6 @@ class Jet:
         c = self.c
         if weights is None:
             return Jet(self.order, c.sum(axis=0))
-        if c.ndim == 2:
-            return Jet(self.order, weights @ c)
         if weights.ndim > 2:
             return Jet(self.order, np.einsum("...kt,t...m->k...m", weights, c))
         out = weights @ c.reshape(c.shape[0], -1)
@@ -287,18 +285,9 @@ class Jet:
         a, b = self._coerce(other)
         if a.order == 0:
             return Jet(0, a.c * b.c)
-        ac, bc = a.c, b.c
-        if ac.ndim == 1 and bc.ndim == 1:
-            ii, jj, starts = _mul_table(a.order)
-            return Jet(a.order, np.add.reduceat(ac[ii] * bc[jj], starts))
-        if ac.size == bc.size == ac.shape[-1]:  # a stack of one: the plain product
-            ii, jj, starts = _mul_table(a.order)
-            out = np.add.reduceat(ac.ravel()[ii] * bc.ravel()[jj], starts)
-            return Jet(a.order, out.reshape(ac.shape if ac.ndim >= bc.ndim else bc.shape))
-        return Jet(a.order, _batched_product(ac, bc, a.order))
+        return Jet(a.order, _batched_product(a.c, b.c, a.order))
 
-    def __rmul__(self, other):
-        return Jet(self.order, self.c * _per_row(other))
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):

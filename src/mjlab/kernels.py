@@ -87,36 +87,28 @@ def _sgn_gamma_jet(params, jv):
 
 
 def kernel_jet(i, params, skew, jv):
-    """Jet of the coefficient function c_i (or c_i^sk) in (y, v)."""
+    """Jet of the coefficient function c_i (or c_i^sk) in (y, v): a y-factor
+    (1 or e^(2w) for c_1 and c_3, H(+-w) e^w for c_2 and c_4, with
+    w = pi D y / 2m; 1 and y^(3/2-k) at D = 0) times, for c_3 and c_4, the
+    sgn-gamma factor."""
     if i not in (1, 2, 3, 4):
         raise DomainError("kernel label must be 1..4")
     k, m, D = params.k, params.m, params.D
     Y = jv.y
-    if D != 0:
+    y_factor = None  # a factor 1
+    if D == 0:  # the skew coefficients coincide with the standard ones
+        if i in (2, 4):
+            y_factor = Y.cpow(1.5 - k)
+    else:
         w = (math.pi * D / (2.0 * m)) * Y
-        if not skew:
-            if i == 1:
-                return Jet.constant(1.0, jv.order)
-            if i == 2:
-                return H_jet(w, k) * w.exp()
-            if i == 3:
-                return _sgn_gamma_jet(params, jv)
-            return H_jet(w, k) * w.exp() * _sgn_gamma_jet(params, jv)
-        if i == 1:
-            return (2.0 * w).exp()
-        if i == 2:
-            return H_jet(-1.0 * w, k) * w.exp()
-        if i == 3:
-            return (2.0 * w).exp() * _sgn_gamma_jet(params, jv)
-        return H_jet(-1.0 * w, k) * w.exp() * _sgn_gamma_jet(params, jv)
-    # D = 0: the skew coefficients coincide with the standard ones
-    if i == 1:
-        return Jet.constant(1.0, jv.order)
-    if i == 2:
-        return Y.cpow(1.5 - k)
-    if i == 3:
-        return _sgn_gamma_jet(params, jv)
-    return Y.cpow(1.5 - k) * _sgn_gamma_jet(params, jv)
+        if i in (2, 4):
+            y_factor = H_jet(-1.0 * w if skew else w, k) * w.exp()
+        elif skew:
+            y_factor = (2.0 * w).exp()
+    if i in (1, 2):
+        return Jet.constant(1.0, jv.order) if y_factor is None else y_factor
+    sgn_gamma = _sgn_gamma_jet(params, jv)
+    return sgn_gamma if y_factor is None else y_factor * sgn_gamma
 
 
 def kernel_term_handle(i, params, skew=False):

@@ -12,9 +12,8 @@ linear combinations of them.  `image` is the one function that turns a map
 and an operand handle into a handle: it evaluates the operand once, at the
 image order plus the total loss, and on transformed coordinates (after a
 slash) composes the plain-coordinate image jet as a Taylor polynomial.
-Operands without exact jets go through the finite-difference path of
-`FunctionHandle.jet_at`.  The identities these operators satisfy are
-checked in `mjlab.verify`.
+Every operand is an exact-jet handle.  The identities these operators
+satisfy are checked in `mjlab.verify`.
 """
 
 import math

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy, _term_axis, half_integer
+from .core import FunctionHandle, TruncationPolicy, _term_axis, half_integer, require_finite
 from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
 from .jets import _finite_exp
 
@@ -391,6 +391,7 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     """theta_{m,l}(tau, z) = sum over r = l mod 2m of q^(r^2/4m) zeta^r."""
     if two_m <= 0:
         raise DomainError("theta_{m,l} requires m > 0")
+    require_finite(l, "label l")
     policy = policy or TruncationPolicy()
     m = two_m / 2.0
     y0 = tau.value.imag

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -49,6 +50,9 @@ def run_cli(*args, stdin=None):
         ("3", 3 + 0j),
         ("0.25-1.5i", 0.25 - 1.5j),
         ("2i", 2j),
+        # only the trailing i is the imaginary unit (inf is not jnf)
+        ("inf+0i", complex(math.inf, 0)),
+        ("0.1-infi", complex(0.1, -math.inf)),
     ],
 )
 def test_parse_complex(text, want):
@@ -309,6 +313,20 @@ DOMAIN_CASES = [
     ("eval", "R_hat_ml", "--m", "1", "--l", "0.3", "--tau", "0.1+1.1i"),
     ("eval", "theta_ml", "--tau", "0.1-1i"),
     ("eval", "theta_ml", "--tau", "0.1"),
+    # every number of a request is finite
+    ("eval", "theta_ml", "--l", "nan"),
+    ("eval", "theta_ml", "--l", "inf"),
+    ("eval", "R", "--tau", "0.1+1i", "--z", "nan"),
+    ("eval", "theta", "--tau", "nan+1i"),
+    ("eval", "mu", "--z2", "nan"),
+    ("eval", "H", "--w", "nan"),
+    ("eval", "E", "--w", "nan"),
+    ("eval", "theta", "--z", "inf+0i"),
+    # the tail target lies strictly between 0 and 1
+    ("eval", "theta", "--tail", "2"),
+    ("eval", "theta", "--tail", "inf"),
+    ("eval", "R", "--tail", "5"),
+    ("grid", "theta", "--steps", "2", "2", "--tail", "inf"),
 ]
 
 
@@ -322,6 +340,11 @@ def test_requests_outside_the_domain_exit_1_with_one_line(args, capsys):
 
 HALF_INTEGERS = st.integers(-8, 8).map(lambda n: n / 2)
 NOT_HALF_INTEGERS = st.floats(-4, 4).filter(lambda x: abs(2 * x - round(2 * x)) > 1e-6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _or_non_finite(numbers):
+    return st.one_of(numbers, NON_FINITE)
 
 
 def _literal(w):
@@ -333,22 +356,31 @@ def _literal(w):
 def eval_requests(draw):
     """`eval` arguments of any catalog function: k and m half-integers or
     not, 2m from 0 to 8, canonical labels or others, Im(tau) on, near and
-    off the boundary of the upper half plane."""
+    off the boundary of the upper half plane, nan and +-inf for the label,
+    w and each part of tau, z and z2, and tail targets of 1 or more."""
     two_m = draw(st.integers(0, 8))
     m = draw(st.one_of(st.just(two_m / 2), NOT_HALF_INTEGERS))
     l = draw(st.one_of(st.sampled_from(labels(two_m) or [0.0]),
-                       st.floats(-3, 9).map(lambda x: round(x, 2))))
-    y = draw(st.one_of(st.sampled_from([-1.0, 0.0, 1e-3]), st.floats(0.5, 3.0)))
-    tau = complex(draw(st.floats(-0.5, 0.5)), y)
-    z = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0)))
+                       st.floats(-3, 9).map(lambda x: round(x, 2)), NON_FINITE))
+    y = draw(_or_non_finite(st.one_of(st.sampled_from([-1.0, 0.0, 1e-3]),
+                                      st.floats(0.5, 3.0))))
+    tau = complex(draw(_or_non_finite(st.floats(-0.5, 0.5))), y)
+    z = complex(draw(_or_non_finite(st.floats(-0.5, 0.5))),
+                draw(_or_non_finite(st.floats(-1.0, 1.0))))
+    z2 = complex(draw(_or_non_finite(st.just(0.17))), draw(_or_non_finite(st.just(-0.23))))
+    tail = draw(st.one_of(st.none(), st.sampled_from([2.0, math.inf])))
     return [
         "eval", draw(st.sampled_from(sorted(cli.CATALOG))),
         "--k=%r" % draw(st.one_of(HALF_INTEGERS, NOT_HALF_INTEGERS)),
         "--m=%r" % m, "--l=%r" % l,
         "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-2, 2)),
-        "--w=%r" % draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0))),
-        "--tau=" + _literal(tau), "--z=" + _literal(z), "--z2=0.17-0.23i",
-    ]
+        "--w=%r" % draw(_or_non_finite(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))),
+        "--tau=" + _literal(tau), "--z=" + _literal(z), "--z2=" + _literal(z2),
+    ] + ([] if tail is None else ["--tail=%r" % tail])
+
+
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -362,6 +394,8 @@ def test_eval_fuzz_ends_in_a_documented_exit_code_and_one_line(argv):
             code = exc.code
     assert code in range(7), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    if not code:  # a record in strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_eval_writes_to_file(tmp_path):

@@ -14,6 +14,7 @@ from mjlab.core import (
     finite_difference_jet,
     half_integer,
     principal_sqrt,
+    require_finite,
 )
 from mjlab.errors import (
     DomainError,
@@ -86,6 +87,20 @@ class TestTruncationPolicy:
         with pytest.raises(DomainError):
             TruncationPolicy(max_radius=0)
 
+    @pytest.mark.parametrize("tail", [-1e-3, 1.0, 2.0, float("inf"), float("nan")])
+    def test_tail_bound_lies_strictly_between_0_and_1(self, tail):
+        # a tail target of 1 or more has log(1/tail) <= 0, which no radius meets
+        with pytest.raises(DomainError, match="tail_bound must lie in"):
+            TruncationPolicy(tail_bound=tail)
+
+
+def test_require_finite():
+    assert require_finite(1.5, "w") == 1.5
+    assert require_finite(0.1 + 2j, "z") == 0.1 + 2j
+    for bad in (float("nan"), float("inf"), complex(0.1, float("nan")), complex(-float("inf"), 1)):
+        with pytest.raises(DomainError, match="z must be finite"):
+            require_finite(bad, "z")
+
 
 def test_principal_sqrt_branch():
     assert abs(principal_sqrt(-1.0) - 1j) < 1e-15
@@ -103,10 +118,8 @@ def test_exp_qn_zeta_r_value():
 def test_finite_difference_matches_exact_jet():
     p = EvalPoint(0.13, 1.1, 0.21, 0.17)
     h = exp_qn_zeta_r(1, 2)
-    jv = JetVars.at(p, 2)
-    exact = h.jet_at(jv).table()
-    plain = FunctionHandle(fn=h.eval)
-    approx = plain.jet_at(jv).table()
+    exact = h.jet_at(JetVars.at(p, 2)).table()
+    approx = finite_difference_jet(h, p, 2).table()
     for mon, w in exact.items():
         assert abs(approx[mon] - w) <= 1e-6 * max(1.0, abs(w)), mon
 
@@ -119,6 +132,17 @@ def test_finite_difference_limits():
         finite_difference_jet(h, EvalPoint(0.0, 1e-6), 2)
 
 
+def test_finite_difference_steps_by_fd_step():
+    # the default step at y = 0.5 keeps an order-2 stencil in the upper
+    # half plane; a step of 0.3 leaves it
+    h = exp_qn_zeta_r(1, 1)
+    p = EvalPoint(0.1, 0.5, 0.2, 0.1)
+    assert finite_difference_jet(h, p, 2).order == 2
+    coarse = FunctionHandle(h.jet_at, fd_step=0.3)
+    with pytest.raises(StencilOutOfDomain, match="h=0.3"):
+        finite_difference_jet(coarse, p, 2)
+
+
 def test_jetvars_extend_only_plain():
     p = EvalPoint(0.0, 1.0)
     jv = JetVars.at(p, 1)
@@ -126,22 +150,3 @@ def test_jetvars_extend_only_plain():
     mixed = JetVars.from_complex(jv.tau, jv.taubar, jv.z, jv.zbar)
     with pytest.raises(JetUnavailable):
         mixed.extend(1)
-
-
-def test_handle_jet_at_transformed_coordinates():
-    # composing the finite-difference Taylor table through a coordinate
-    # change must agree with the exact-jet path
-    p = EvalPoint(0.13, 1.1, 0.21, 0.17)
-    h = exp_qn_zeta_r(1, 1)
-    jv = JetVars.at(p, 2)
-    shifted = JetVars.from_complex(
-        jv.tau * 0.5 + 0.1, jv.taubar * 0.5 + 0.1, jv.z + 0.2, jv.zbar + 0.2
-    )
-    exact = h.jet_at(shifted)
-    plain = FunctionHandle(fn=h.eval)
-    approx = plain.jet_at(shifted)
-    assert abs(exact.value - approx.value) < 1e-7
-    for var in range(4):
-        a = exact.deriv(var).value
-        b = approx.deriv(var).value
-        assert abs(a - b) <= 1e-5 * max(1.0, abs(a))

@@ -1,0 +1,38 @@
+"""The README's module and exit-code tables match the package."""
+
+import re
+from pathlib import Path
+
+from mjlab import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def _table(header):
+    """The first cells of the rows of the README table under the given
+    header row."""
+    lines = README.splitlines()
+    start = lines.index(header) + 2  # skip the header and the rule
+    cells = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        cells.append(line.split("|")[1].strip())
+    return cells
+
+
+def test_module_table_names_every_module():
+    documented = _table("| module | contents |")
+    modules = sorted(
+        "`mjlab.%s`" % path.stem
+        for path in (ROOT / "src" / "mjlab").glob("*.py")
+        if path.stem != "__init__"
+    )
+    assert sorted(documented) == modules
+
+
+def test_exit_code_table_lists_every_exit_code():
+    documented = [int(code) for code in _table("| code | meaning |")]
+    codes = {v for k, v in vars(cli).items() if re.fullmatch(r"EXIT_[A-Z]+", k)}
+    assert sorted(documented) == sorted(codes | {0})

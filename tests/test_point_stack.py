@@ -188,14 +188,6 @@ def test_every_generator_slash_stacks(gen, order):
     assert_stack_equals_points(slashed.jet_at, min(order, 2))
 
 
-@pytest.mark.parametrize("order", (0, 1, 2))
-def test_finite_difference_handles_stack(order):
-    plain = FunctionHandle(fn=theta_ml_handle(2, 0).eval, label="plain")
-    assert_stack_equals_points(plain.jet_at, order)
-    slashed = apply_slash(TaggedForm(plain, WeightIndex(1, 2), "standard"), GENERATORS["S"]).f
-    assert_stack_equals_points(slashed.jet_at, order)
-
-
 # ----------------------------------------------------------------------
 # error parity
 

@@ -330,6 +330,12 @@ def test_series_reject_tau_off_the_upper_half_plane(name, y):
         SERIES[name](stack, z)
 
 
+@pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf])
+def test_theta_ml_rejects_a_non_finite_label(l):
+    with pytest.raises(DomainError, match="label l must be finite"):
+        theta_ml_jet(2, l, C(0.1 + 1.1j), C(0.2 + 0.1j))
+
+
 # ----------------------------------------------------------------------
 # the nonholomorphic R-series
 
