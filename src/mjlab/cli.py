@@ -20,6 +20,7 @@ never execute them.
 import importlib.util
 import json
 import sys
+import time
 
 import click
 
@@ -297,7 +298,9 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         kwargs["two_m_list"] = [two_m]
     if suite == "decomposition-roundtrip":
         kwargs["seed"] = seed
+    start = time.perf_counter()
     results = verify.run_suite(suite, **kwargs)
+    seconds = time.perf_counter() - start
     if tol is not None:
         for res in results:
             res.tol = tol
@@ -305,6 +308,7 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         "suite": suite,
         "checks": [res.as_dict() for res in results],
         "passed": all(res.passed for res in results),
+        "seconds": seconds,
     }
     _write_out(json.dumps(report, indent=2), out)
     if not report["passed"]:

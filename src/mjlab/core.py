@@ -81,9 +81,14 @@ def half_integer(x, name):
 
 
 def require_finite(x, name):
-    """x itself if it is a finite real or complex number; DomainError naming
-    the parameter otherwise."""
-    if not cmath.isfinite(x):
+    """x itself if it is a finite real or complex number, or an array of
+    them (a value per point of a stack); DomainError naming the parameter
+    and its first non-finite value otherwise."""
+    if isinstance(x, np.ndarray):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise DomainError("%s must be finite, got %r" % (name, x[bad][0].item()))
+    elif not cmath.isfinite(x):
         raise DomainError("%s must be finite, got %r" % (name, x))
     return x
 

@@ -148,8 +148,8 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
         points = np.broadcast_shapes(points, z1.c.shape[:-1], z2.c.shape[:-1])
         tau = Jet(tau.order, np.broadcast_to(tau.c, points + tau.c.shape[-1:]))
     tau_val = tau.value
+    require_upper_half_plane("Appell sum", tau_val, z1=z1.value, z2=z2.value)
     y0 = tau_val.imag
-    require_upper_half_plane(y0, "Appell sum")
     v2 = z2.value.imag
 
     _check_theta_pole(tau_val, z2.value)
@@ -254,6 +254,7 @@ def mu_hat_component_jet(two_m, l, tau, z, policy=None):
     """The completed component: normalized prefactor times (Appell part
     minus (i/2) times the nonholomorphic R-series at the shifted argument)."""
     check_component(two_m, l)
+    require_upper_half_plane("mu_hat_{m,l}", tau.value, z=z.value)
     m = two_m / 2.0
     lpm = l + m
     zs = z + COMPONENT_SHIFT
@@ -274,6 +275,7 @@ def r_hat_component_jet(two_m, l, tau, z, policy=None):
     with the sign convention that completed = holomorphic-type part plus
     this term."""
     check_component(two_m, l)
+    require_upper_half_plane("R_hat_{m,l}", tau.value, z=z.value)
     zs = z + COMPONENT_SHIFT
     r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, l, tau, zs), policy)
     pref = _component_phase(l) * _completion_prefactor(two_m, l, tau, zs)
@@ -300,6 +302,7 @@ def R_hat_ml_handle(two_m, l, policy=None):
 
 def mu_two_variable_jet(tau, u, v, policy=None):
     """The rank-one completed Appell function mu(u, v) + (i/2) R(u - v)."""
+    require_upper_half_plane("mu", tau.value, u=u.value, v=v.value)
     mu_part = mu_m_jet(1, tau, u, v, policy)
     r_part = zwegers_R_jet(tau, u - v, policy)
     return mu_part + 0.5j * r_part
@@ -307,6 +310,7 @@ def mu_two_variable_jet(tau, u, v, policy=None):
 
 def mu_hat_2_jet(tau, z, policy=None):
     """The completed function at (z + (1 + tau)/2, (1 + tau)/2)."""
+    require_upper_half_plane("mu_hat_2", tau.value, z=z.value)
     shift = (1.0 + tau) * 0.5
     return mu_two_variable_jet(tau, z + shift, shift, policy)
 

@@ -305,11 +305,15 @@ def _largest(radius):
     return radius if isinstance(radius, int) else int(radius.max())
 
 
-def require_upper_half_plane(y0, series):
-    """DomainError unless Im(tau) = y0 is positive at every point of a
-    stack (y0 a float, or an array over the stack)."""
+def require_upper_half_plane(series, tau, **args):
+    """The domain of a series: its argument values tau and args (numbers,
+    or arrays over a point stack) finite and Im(tau) > 0 at every point;
+    DomainError naming the series and the argument otherwise."""
+    y0 = tau.imag
     if not ((y0 > 0).all() if isinstance(y0, np.ndarray) else y0 > 0):
         raise DomainError("%s requires Im(tau) > 0" % series)
+    for name, x in (("tau", tau),) + tuple(args.items()):
+        require_finite(x, "%s argument %s" % (series, name))
 
 
 def _check_radius(radius, policy):
@@ -363,9 +367,9 @@ def _masked_exp(expo, mask):
 def jacobi_theta_jet(tau, z, policy=None):
     """theta(z; tau) = sum over r in Z+1/2 of (-1)^(r+1/2) q^(r^2/2) zeta^r."""
     policy = policy or TruncationPolicy()
+    require_upper_half_plane("theta", tau.value, z=z.value)
     y0 = tau.value.imag
     v0 = z.value.imag
-    require_upper_half_plane(y0, "theta")
     radius = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
     R = _largest(radius)
     k = np.arange(-R, R + 2)  # r = k - 1/2 runs over -R - 1/2, ..., R + 1/2
@@ -394,9 +398,9 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     require_finite(l, "label l")
     policy = policy or TruncationPolicy()
     m = two_m / 2.0
+    require_upper_half_plane("theta_{m,l}", tau.value, z=z.value)
     y0 = tau.value.imag
     v0 = z.value.imag
-    require_upper_half_plane(y0, "theta_{m,l}")
     radius = _gaussian_radius(
         math.pi * y0 / (2.0 * m), TWO_PI * abs(v0), policy.tail_bound, policy
     )
@@ -427,11 +431,11 @@ def zwegers_R_jet(tau, z, policy=None):
     """R(z; tau) = sum over n in Z+1/2 of
     (sgn(n) - E(sqrt(2y)(n + v/y))) (-1)^(n-1/2) q^(-n^2/2) zeta^(-n)."""
     policy = policy or TruncationPolicy()
+    require_upper_half_plane("R", tau.value, z=z.value)
     y = tau.imag()
     v = z.imag()
     y0 = y.value.real
     v0 = v.value.real
-    require_upper_half_plane(y0, "R")
     shift = abs(v0) / y0
     L = math.log(1.0 / policy.tail_bound)
     radius = _check_radius(_ceil_int(_sqrt(L / (math.pi * y0)) + shift) + 2, policy)

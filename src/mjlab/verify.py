@@ -13,7 +13,7 @@ on them.  All default point sets are deterministic.
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import (
     exp_qn_zeta_r,
     finite_difference_jet,
 )
-from .errors import JetUnavailable
+from .errors import DomainError, JetUnavailable
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
 from .jets import Jet
 from .kernels import (
@@ -148,17 +148,39 @@ def _generator_name(A):
     return repr(A)
 
 
-def verify_covariance(op_name, phi, A, points, tol=1e-8):
+def verify_covariance(op_name, phi, A, points, tol=1e-8, phi_A=None):
     """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
-    weight/index; a DomainError if op does not act on phi's action kind."""
+    weight/index; a DomainError if op does not act on phi's action kind.
+    phi_A is phi|A, built here unless the caller already holds it."""
     image = apply_to_tagged(op_name, phi)
-    lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), apply_slash(phi, A).f)
+    phi_A = phi_A if phi_A is not None else apply_slash(phi, A)
+    lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A.f)
     rhs = apply_slash(image, A).f
     return SuiteResult(
         "covariance:%s|%s on %s" % (op_name, _generator_name(A), phi.f.label),
         _max_residual(_gap(lhs, rhs), points),
         tol,
     )
+
+
+def _memoized(phi):
+    """The tagged form phi with the jets of its handle on plain coordinates
+    cached by jet order and base point stack: a repeated call returns the
+    jet the first identical call made.  Jets on transformed coordinates are
+    evaluated afresh every time."""
+    f = phi.f
+    cache = {}
+
+    def je(jv):
+        if not jv.plain:
+            return f.jet_at(jv)
+        base = np.array(jv.base)
+        key = (jv.order, base.shape, base.tobytes())
+        if key not in cache:
+            cache[key] = f.jet_at(jv)
+        return cache[key]
+
+    return replace(phi, f=FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step))
 
 
 def covariance_catalog():
@@ -193,17 +215,41 @@ COVARIANCE_OPS = (
 
 
 def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
-    """op(phi|A) = (op phi)|A' for every operator and group generator."""
+    """op(phi|A) = (op phi)|A' for every operator and group generator.
+
+    Each catalog form phi and each slashed form phi|A is evaluated once per
+    point stack and jet order: both are memoized for the length of the call,
+    and every operator of phi's action kind reuses their jets (the right-hand
+    sides evaluate phi at the A-transformed base, the left-hand sides phi|A
+    at the base)."""
     points = points or GENERIC_POINTS[:3]
+    gens = gens or list(GENERATORS)
+    for gname in gens:
+        if gname not in GENERATORS:
+            raise DomainError(
+                "unknown generator %r; valid generators: %s" % (gname, ", ".join(GENERATORS))
+            )
     std, skew = covariance_catalog()
+    catalogs = {
+        "standard": [_memoized(phi) for phi in std],
+        "skew": [_memoized(phi) for phi in skew],
+    }
+    slashed = {
+        (id(phi), gname): _memoized(apply_slash(phi, GENERATORS[gname]))
+        for catalog in catalogs.values()
+        for phi in catalog
+        for gname in gens
+    }
     results = []
     for op_name in ops or COVARIANCE_OPS:
         kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
-        catalog = std if kind == "standard" else skew
-        for gname in gens or GENERATORS:
-            for phi in catalog:
+        for gname in gens:
+            for phi in catalogs[kind]:
                 results.append(
-                    verify_covariance(op_name, phi, GENERATORS[gname], points, tol)
+                    verify_covariance(
+                        op_name, phi, GENERATORS[gname], points, tol,
+                        slashed[(id(phi), gname)],
+                    )
                 )
     return results
 

@@ -327,6 +327,10 @@ DOMAIN_CASES = [
     ("eval", "theta", "--tail", "inf"),
     ("eval", "R", "--tail", "5"),
     ("grid", "theta", "--steps", "2", "2", "--tail", "inf"),
+    # covariance names its operator and generator
+    ("verify", "covariance", "--gen", "nu"),
+    ("verify", "covariance", "--op", "X+", "--gen", "nu"),
+    ("verify", "covariance", "--op", "Z+"),
 ]
 
 
@@ -416,6 +420,15 @@ def test_verify_weil_suite_passes():
     report = json.loads(res.stdout)
     assert report["passed"] is True
     assert all(c["max_residual"] < c["tol"] for c in report["checks"])
+
+
+def test_verify_report_gives_the_suite_wall_time(capsys):
+    code, out, err = run_main(capsys, "verify", "weil", "--two-m", "2")
+    assert code in (0, None), err
+    report = json.loads(out)
+    assert list(report) == ["suite", "checks", "passed", "seconds"]
+    seconds = report["seconds"]
+    assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0.0
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -1,9 +1,10 @@
-"""The README's module and exit-code tables match the package."""
+"""The README's module and exit-code tables and its list of verification
+suites match the package."""
 
 import re
 from pathlib import Path
 
-from mjlab import cli
+from mjlab import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -36,3 +37,15 @@ def test_exit_code_table_lists_every_exit_code():
     documented = [int(code) for code in _table("| code | meaning |")]
     codes = {v for k, v in vars(cli).items() if re.fullmatch(r"EXIT_[A-Z]+", k)}
     assert sorted(documented) == sorted(codes | {0})
+
+
+def test_suite_list_names_every_suite():
+    lines = README.splitlines()
+    start = lines.index("## Verification suites") + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("#"))
+    documented = [
+        re.match(r"- `([^`]+)` —", line).group(1)
+        for line in lines[start:end]
+        if line.startswith("- ")
+    ]
+    assert sorted(documented) == sorted(verify.SUITES)

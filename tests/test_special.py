@@ -19,7 +19,13 @@ import scipy.special as sp
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy
 from mjlab.errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
 from mjlab.jets import Jet, d_z
-from mjlab.mu import mu_m_jet
+from mjlab.mu import (
+    mu_hat_2_jet,
+    mu_hat_component_jet,
+    mu_m_jet,
+    mu_two_variable_jet,
+    r_hat_component_jet,
+)
 from mjlab.special import (
     H_derivatives,
     H_function,
@@ -328,6 +334,42 @@ def test_series_reject_tau_off_the_upper_half_plane(name, y):
     stack = Jet.constant(np.array([0.1 + 1.1j, complex(0.1, y)]), 0)
     with pytest.raises(DomainError, match=r"requires Im\(tau\) > 0"):
         SERIES[name](stack, z)
+
+
+# every series with argument values (tau first) at which it is finite
+SERIES_AT = {
+    "theta": (jacobi_theta_jet, (0.1 + 1.1j, 0.2 + 0.1j)),
+    "theta_ml": (lambda tau, z: theta_ml_jet(2, 1, tau, z), (0.1 + 1.1j, 0.2 + 0.1j)),
+    "R": (zwegers_R_jet, (0.1 + 1.1j, 0.2 + 0.1j)),
+    "mu_m": (lambda tau, z1, z2: mu_m_jet(2, tau, z1, z2),
+             (0.1 + 1.1j, 0.31 + 0.55j, 0.17 - 0.23j)),
+    "mu_hat_component": (lambda tau, z: mu_hat_component_jet(2, 0.0, tau, z),
+                         (0.1 + 1.1j, 0.2 + 0.1j)),
+    "r_hat_component": (lambda tau, z: r_hat_component_jet(2, 0.0, tau, z),
+                        (0.1 + 1.1j, 0.2 + 0.1j)),
+    "mu_two_variable": (mu_two_variable_jet, (0.1 + 1.1j, 0.31 + 0.55j, 0.17 - 0.23j)),
+    "mu_hat_2": (mu_hat_2_jet, (0.1 + 1.1j, 0.2 + 0.1j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_AT))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_reject_a_non_finite_argument(name, bad):
+    fn, args = SERIES_AT[name]
+    assert np.isfinite(fn(*map(C, args)).value)
+    for i, arg in enumerate(args):
+        for off in (complex(bad, arg.imag), complex(arg.real, bad)):
+            if i == 0 and off.imag != arg.imag:
+                continue  # a non-finite Im(tau) is not Im(tau) > 0
+            at = list(args)
+            at[i] = off
+            with pytest.raises(DomainError, match="must be finite"):
+                fn(*map(C, at))
+            # one bad row of a stack is enough
+            stacks = [np.array([a, a, a]) for a in args]
+            stacks[i][1] = off
+            with pytest.raises(DomainError, match="must be finite"):
+                fn(*(Jet.constant(c, 0) for c in stacks))
 
 
 @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf])
