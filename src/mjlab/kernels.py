@@ -4,7 +4,9 @@ decomposition/recomposition of holomorphic-type Fourier data.
 
 A kernel term is c_i(n, r; y, v) q^n zeta^r where the coefficient functions
 c_1..c_4 (and the skew variants) span the solution space of the Casimir and
-Heisenberg Laplace equations for the discriminant D = 4mn - r^2.  Fourier
+Heisenberg Laplace equations for the discriminant D = 4mn - r^2; c_3 and
+c_4 carry a Gaussian-integral factor in r + 2mv/y, smooth across its zero
+locus, so every kernel term has exact jets at every point.  Fourier
 data with the class-function property c(n, r) = c(n', r') for equal D and
 r = r' mod 2m decomposes into label-indexed q-series with exact rational
 exponents.  The annihilation and image identities are checked in
@@ -19,14 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import FunctionHandle, WeightIndex, fourier_sum_jet
-from .errors import DomainError, JetUnavailable, NotThetaDecomposable
+from .errors import DomainError, NotThetaDecomposable
 from .jets import Jet
 from .mu import check_component, mu_hat_component_jet
-from .special import H_jet, gamma_half_jet, theta_ml_jet
-
-# the sgn factor of c_3/c_4 is locally constant; jets are refused closer to
-# its jump locus r + 2mv/y = 0 than this
-SGN_LOCUS_TOL = 1e-3
+from .special import H_jet, _finite_sum, gaussian_integral_jet, theta_ml_jet
 
 
 @dataclass(frozen=True)
@@ -66,31 +64,26 @@ class KernelParams(WeightIndex):
 
 
 def _sgn_gamma_jet(params, jv):
-    """sgn(r + 2mv/y) gamma(1/2, (-pi y / m)(r + 2mv/y)^2) as a jet (0 at
-    order 0 on the jump locus), one row per point of a stack."""
+    """sgn(a) gamma(1/2, -pi y a^2 / m) with a = r + 2mv/y as a jet, one row
+    per point of a stack.
+
+    The factor is an entire odd function of a, smooth across a = 0: with
+    b = (pi y / |m|)^(1/2) a it is the Gaussian integral F_1(b) =
+    sqrt(pi) erf(b) for m < 0 and i F_-1(b) = i sqrt(pi) erfi(b) for m > 0.
+    """
     m = params.m
     Y, V = jv.y, jv.v
-    a = params.r + (2.0 * m) * V / Y
-    dist = abs(a.value.real)
-    if jv.order > 0:
-        if np.any(dist < 1e-14):
-            raise JetUnavailable(
-                "sgn factor is not smooth on the locus r + 2mv/y = 0"
-            )
-        if np.any(dist < SGN_LOCUS_TOL):
-            raise JetUnavailable(
-                "jet requested within %g of the sgn jump locus" % SGN_LOCUS_TOL
-            )
-    sgn = np.where(dist < 1e-14, 0.0, np.sign(a.value.real))
-    arg = (-math.pi / m) * Y * a * a
-    return sgn * gamma_half_jet(arg)
+    b = (math.pi / abs(m) * Y).cpow(0.5) * (params.r + (2.0 * m) * V / Y)
+    if m < 0:
+        return gaussian_integral_jet(1.0, b)
+    return 1j * gaussian_integral_jet(-1.0, b)
 
 
 def kernel_jet(i, params, skew, jv):
     """Jet of the coefficient function c_i (or c_i^sk) in (y, v): a y-factor
     (1 or e^(2w) for c_1 and c_3, H(+-w) e^w for c_2 and c_4, with
     w = pi D y / 2m; 1 and y^(3/2-k) at D = 0) times, for c_3 and c_4, the
-    sgn-gamma factor."""
+    Gaussian-integral factor of `_sgn_gamma_jet`."""
     if i not in (1, 2, 3, 4):
         raise DomainError("kernel label must be 1..4")
     k, m, D = params.k, params.m, params.D
@@ -115,15 +108,15 @@ def kernel_term_handle(i, params, skew=False):
     """The full term c_i(n, r; y, v) q^n zeta^r with exact jets."""
     n, r = params.n, params.r
 
-    def je(jv):
-        phase = (2j * math.pi * (n * jv.tau + r * jv.z)).exp()
-        return kernel_jet(i, params, skew, jv) * phase
+    label = "c%d%s[%g,%g,%d,%d]" % (i, "sk" if skew else "", params.k, params.m, n, r)
 
-    tag = "sk" if skew else ""
-    return FunctionHandle(
-        jet_fn=je,
-        label="c%d%s[%g,%g,%d,%d]" % (i, tag, params.k, params.m, n, r),
-    )
+    def je(jv):
+        # a product of factors that overflows is a ValueOverflow, not inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+            phase = (2j * math.pi * (n * jv.tau + r * jv.z)).exp()
+            return _finite_sum(kernel_jet(i, params, skew, jv) * phase, label)
+
+    return FunctionHandle(jet_fn=je, label=label)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Scalar special-function catalog: gamma(1/2, x), the exponential
-integrals, the error completion E, the H-kernel, Jacobi theta, congruence
-theta series, and the R-series, all with exact Taylor jets.
+"""Scalar special-function catalog: the exponential integrals, the Gaussian
+integral F_c with the error completion E, the H-kernel, Jacobi theta,
+congruence theta series, and the R-series, all with exact Taylor jets.
 
 Series functions are jet-level evaluators taking complex jets for tau and z
 (so they can be composed, e.g. inside slash actions or the mu-family
@@ -22,69 +22,6 @@ from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
 from .jets import _finite_exp
 
 TWO_PI = 2.0 * math.pi
-_SQRT_PI = math.sqrt(math.pi)
-
-
-# ----------------------------------------------------------------------
-# gamma(1/2, x)
-
-
-def gamma_half_cont(x):
-    """gamma(1/2, x) continued to all real x (elementwise for an array).
-
-    For x >= 0 the value is sqrt(pi) erf(sqrt(x)).  For x < 0 the principal
-    branch from the upper half plane is used, so the value is i*sqrt(|x|)
-    times an entire positive series (no cancellation).
-    """
-    if isinstance(x, np.ndarray):
-        return _elementwise(gamma_half_cont, x).astype(complex)
-    if x >= 0:
-        return complex(_SQRT_PI * math.erf(math.sqrt(x)))
-    t = -x
-    # sum_{n>=0} t^n / (n! (n + 1/2)), all terms positive
-    term = 1.0 / 0.5
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term = term * t / n * (n - 0.5) / (n + 0.5)
-        total += term
-        if term < 1e-17 * total or n > 600:
-            break
-    return 1j * math.sqrt(t) * total
-
-
-def gamma_half_derivatives(t0, n):
-    """[g, g', ..., g^(n)] of g(t) = gamma(1/2, t) at t0 (t0 != 0 for
-    n > 0), elementwise for an array t0."""
-    ds = [gamma_half_cont(t0)]
-    if n == 0:
-        return ds
-    if np.any(np.equal(t0, 0)):
-        raise DomainError("gamma(1/2, t) jet at t = 0 is not smooth")
-    # phi = t^(-1/2) e^(-t), principal branch from above for t < 0
-    phi0 = _finite_exp(-t0) / np.sqrt(t0 + 0j)
-    # phi^(j) = p_j(1/t) * phi with p_{j+1} = p_j' + p_j * (-1/(2t) - 1)
-    p = {0: 1.0}  # polynomial in s = 1/t, key = power of s
-    for j in range(n):
-        val = sum(c * t0 ** (-pw) for pw, c in p.items())
-        ds.append(val * phi0)
-        if j == n - 1:
-            break
-        nxt = {}
-        for pw, c in p.items():
-            # derivative in t of c * s^pw is -pw * c * s^(pw+1)
-            if pw:
-                nxt[pw + 1] = nxt.get(pw + 1, 0.0) - pw * c
-            nxt[pw] = nxt.get(pw, 0.0) - c
-            nxt[pw + 1] = nxt.get(pw + 1, 0.0) - 0.5 * c
-        p = nxt
-    return ds[: n + 1]
-
-
-def gamma_half_jet(arg):
-    """gamma(1/2, .) applied to a real-valued jet."""
-    return arg.apply_derivatives(gamma_half_derivatives(arg.value.real, arg.order))
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +106,7 @@ def _expi_scaled(x):
 
 
 # ----------------------------------------------------------------------
-# error completion E
+# the Gaussian integral F_c and the error completion E
 
 
 def _elementwise(fn, x):
@@ -179,23 +116,54 @@ def _elementwise(fn, x):
     return fn(x)
 
 
+def _gaussian_integral_series(c, b):
+    """F_c(b) for c < 0 and a float b: 2b sum_n t^n / (n! (2n+1)) with
+    t = |c| b^2, all terms positive, summed to convergence (the terms peak
+    near n = t); ValueOverflow where the value is beyond the floating-point
+    range."""
+    t = -c * b * b
+    term = total = 1.0
+    n = 0
+    while term > _EPS * total:
+        n += 1
+        term *= t / n * (2 * n - 1) / (2 * n + 1)
+        total += term
+    value = 2.0 * b * total
+    if not math.isfinite(value):
+        raise ValueOverflow("F_%r(%r) exceeds the floating-point range" % (c, b))
+    return value
+
+
+def gaussian_integral_derivatives(c, b0, n):
+    """[F, F', ..., F^(n)] at b0 of F_c(b) = 2 int_0^b e^(-c s^2) ds for real
+    c != 0 (elementwise for a numpy array b0).
+
+    F = sqrt(pi/c) erf(sqrt(c) b) for c > 0, a positive series for c < 0.
+    F' = g = 2 e^(-c b^2), and g^(i+1) = -2c (b g^(i) + i g^(i-1)).  F_c is
+    entire and odd: E = F_pi, and F_1, F_-1 give the c_3/c_4 kernel factor.
+    """
+    if c > 0:
+        ds = [math.sqrt(math.pi / c) * _elementwise(math.erf, math.sqrt(c) * b0)]
+    else:
+        ds = [_elementwise(lambda b: _gaussian_integral_series(c, b), b0)]
+    if n == 0:
+        return ds
+    g = [2.0 * _finite_exp(-c * b0 * b0)]
+    for i in range(n - 1):
+        prev = g[i - 1] if i >= 1 else 0.0
+        g.append(-2.0 * c * (b0 * g[i] + i * prev))
+    return ds + g[:n]
+
+
+def gaussian_integral_jet(c, arg):
+    """F_c applied to a real-valued jet."""
+    return arg.apply_derivatives(gaussian_integral_derivatives(c, arg.value.real, arg.order))
+
+
 def error_completion_E(w):
     """E(w) = 2 int_0^w e^(-pi u^2) du = erf(sqrt(pi) w), elementwise for a
     numpy array w."""
-    return _elementwise(math.erf, math.sqrt(math.pi) * w)
-
-
-def error_completion_derivatives(w0, n):
-    """[E, E', ..., E^(n)] at w0 (elementwise for a numpy array w0)."""
-    ds = [error_completion_E(w0)]
-    if n == 0:
-        return ds
-    # derivatives of g(w) = 2 e^(-pi w^2): g^(i+1) = -2 pi (w g^(i) + i g^(i-1))
-    g = [2.0 * np.exp(-math.pi * w0 * w0)]
-    for i in range(n - 1):
-        prev = g[i - 1] if i >= 1 else 0.0
-        g.append(-TWO_PI * (w0 * g[i] + i * prev))
-    return ds + g[:n]
+    return gaussian_integral_derivatives(math.pi, w, 0)[0]
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +414,7 @@ def zwegers_R_jet(tau, z, policy=None):
     sgn = np.where(n > 0, 1.0, -1.0)
     w = (2.0 * y).cpow(0.5) * (n + v / y)
     w0 = w.value.real
-    ds = error_completion_derivatives(w0, order)
+    ds = gaussian_integral_derivatives(math.pi, w0, order)
     # sgn(n) - E(w) without cancellation: same-side values go through erfc
     erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
     amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])

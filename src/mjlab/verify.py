@@ -39,6 +39,7 @@ from .kernels import (
     xi_image_rows,
 )
 from .mu import (
+    check_component,
     mu_hat_2_handle,
     mu_hat_2_jet,
     mu_hat_component_jet,
@@ -514,11 +515,13 @@ def suite_factorizations(points=None, tol=1e-6):
 
 def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
                tol_braid=1e-12, tol_theta=1e-8):
+    # every rank's generator images first: rho_generator rejects a bad 2m
+    # before any row is computed
+    gens = [(two_m, {w: rho_generator(two_m, w) for w in "TS"}) for two_m in two_m_list]
     results = []
-    for two_m in two_m_list:
+    for two_m, mats in gens:
         eye = np.eye(two_m)
-        for which in ("T", "S"):
-            mat = rho_generator(two_m, which)
+        for which, mat in mats.items():
             results.append(
                 SuiteResult(
                     "weil:unitarity:%s@2m=%d" % (which, two_m),
@@ -567,6 +570,8 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     The T law holds; the S law of the displayed completion fails (the
     recorded obstruction) and is reported faithfully.
     """
+    for two_m in two_m_list:
+        check_component(two_m)
     points = points or GENERIC_POINTS[:5]
     jv = JetVars.at(points, 0)
     results = []

@@ -15,7 +15,7 @@ from mjlab.core import TruncationPolicy
 from mjlab.errors import DomainError, PoleAtAppell, TruncationOverflow
 from mjlab.jets import Jet
 from mjlab.mu import MAX_RANK, POLE_TOL_APPELL, _check_theta_pole
-from mjlab.special import TWO_PI, _gaussian_radius, error_completion_derivatives
+from mjlab.special import TWO_PI, _gaussian_radius, gaussian_integral_derivatives
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +94,7 @@ def zwegers_R(tau, z, policy=None):
         w = sqrt2y * (n + v / y)
         sgn = 1.0 if n > 0 else -1.0
         w0 = w.value.real
-        ds = error_completion_derivatives(w0, order)
+        ds = gaussian_integral_derivatives(math.pi, w0, order)
         if sgn * w0 >= 0:
             amp0 = sgn * float(sp.erfc(math.sqrt(math.pi) * abs(w0)))
         else:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,8 @@ OVERFLOW_CASES = [
     ("eval", "c2", "--n", "50", "--tau", "0.1+3i"),
     ("eval", "H", "--w", "800"),
     ("verify", "mu-transform", "--two-m", "3"),
+    # the c3 factor i sqrt(pi) erfi(b) at b^2 = 500 pi
+    ("eval", "c3", "--k", "0.5", "--m", "0.5", "--n", "0", "--r", "5", "--tau", "0.1+10i"),
 ]
 
 
@@ -137,6 +140,18 @@ def test_value_overflow_exits_5_without_traceback(args):
     assert res.returncode == cli.EXIT_OVERFLOW == 5, res.stderr
     assert res.stderr.startswith("value overflow:")
     assert "Traceback" not in res.stderr
+
+
+def test_eval_c3_matches_mpmath_where_its_factor_is_large(capsys):
+    # r + 2mv/y = 5 at z = 0, so the factor is i sqrt(pi) erfi(b) with
+    # b^2 = pi y 25 / m = 200 pi, where its positive series needs 840 terms
+    code, out, err = run_main(capsys, "eval", "c3", "--k", "0.5", "--m", "0.5", "--n", "0",
+                              "--r", "5", "--tau", "0.1+4i")
+    assert code == 0, err
+    with mpmath.workdps(30):
+        want = complex(1j * mpmath.sqrt(mpmath.pi) * mpmath.erfi(mpmath.sqrt(200 * mpmath.pi)))
+    got = complex(*json.loads(out)["value"])
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("error", [JetUnavailable, NonFinite, StencilOutOfDomain])
@@ -331,6 +346,9 @@ DOMAIN_CASES = [
     ("verify", "covariance", "--gen", "nu"),
     ("verify", "covariance", "--op", "X+", "--gen", "nu"),
     ("verify", "covariance", "--op", "Z+"),
+    # every rank of a verify request is checked before any row is computed
+    ("verify", "weil", "--two-m", "-1"),
+    ("verify", "mu-transform", "--two-m", "-2"),
 ]
 
 
@@ -358,27 +376,34 @@ def _literal(w):
 
 @st.composite
 def eval_requests(draw):
-    """`eval` arguments of any catalog function: k and m half-integers or
-    not, 2m from 0 to 8, canonical labels or others, Im(tau) on, near and
-    off the boundary of the upper half plane, nan and +-inf for the label,
-    w and each part of tau, z and z2, and tail targets of 1 or more."""
-    two_m = draw(st.integers(0, 8))
-    m = draw(st.one_of(st.just(two_m / 2), NOT_HALF_INTEGERS))
-    l = draw(st.one_of(st.sampled_from(labels(two_m) or [0.0]),
-                       st.floats(-3, 9).map(lambda x: round(x, 2)), NON_FINITE))
-    y = draw(_or_non_finite(st.one_of(st.sampled_from([-1.0, 0.0, 1e-3]),
-                                      st.floats(0.5, 3.0))))
-    tau = complex(draw(_or_non_finite(st.floats(-0.5, 0.5))), y)
-    z = complex(draw(_or_non_finite(st.floats(-0.5, 0.5))),
-                draw(_or_non_finite(st.floats(-1.0, 1.0))))
-    z2 = complex(draw(_or_non_finite(st.just(0.17))), draw(_or_non_finite(st.just(-0.23))))
-    tail = draw(st.one_of(st.none(), st.sampled_from([2.0, math.inf])))
+    """`eval` arguments of any catalog function.  Half of the requests lie
+    in the declared domain: k and m half-integers, 2m from 1 to 6,
+    canonical labels, finite numbers, Im(tau) from 0.5 to 20 and r from -6
+    to 6 (reaching the overflow of the c3/c4 factor).  The other half may
+    also draw 2m = 0, 7, 8, k and m not half-integers, other labels,
+    Im(tau) on and off the boundary of the upper half plane, nan and +-inf
+    for the label, w and each part of tau, z and z2, and tail targets of 1
+    or more."""
+    inside = draw(st.booleans())
+
+    def number(domain, outside=NON_FINITE):
+        return draw(domain if inside else st.one_of(domain, outside))
+
+    two_m = draw(st.integers(1, 6) if inside else st.integers(0, 8))
+    m = number(st.sampled_from([two_m / 2, -two_m / 2]), NOT_HALF_INTEGERS)
+    l = number(st.sampled_from(labels(two_m) or [0.0]),
+               st.one_of(st.floats(-3, 9).map(lambda x: round(x, 2)), NON_FINITE))
+    y = number(st.floats(0.5, 20.0), st.one_of(st.sampled_from([-1.0, 0.0, 1e-3]), NON_FINITE))
+    tau = complex(number(st.floats(-0.5, 0.5)), y)
+    z = complex(number(st.floats(-0.5, 0.5)), number(st.floats(-1.0, 1.0)))
+    z2 = complex(number(st.just(0.17)), number(st.just(-0.23)))
+    tail = None if inside else draw(st.one_of(st.none(), st.sampled_from([2.0, math.inf])))
     return [
         "eval", draw(st.sampled_from(sorted(cli.CATALOG))),
-        "--k=%r" % draw(st.one_of(HALF_INTEGERS, NOT_HALF_INTEGERS)),
+        "--k=%r" % number(HALF_INTEGERS, NOT_HALF_INTEGERS),
         "--m=%r" % m, "--l=%r" % l,
-        "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-2, 2)),
-        "--w=%r" % draw(_or_non_finite(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))),
+        "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-6, 6)),
+        "--w=%r" % number(st.one_of(st.just(0.0), st.floats(-5.0, 5.0))),
         "--tau=" + _literal(tau), "--z=" + _literal(z), "--z2=" + _literal(z2),
     ] + ([] if tail is None else ["--tail=%r" % tail])
 
@@ -399,6 +424,66 @@ def test_eval_fuzz_ends_in_a_documented_exit_code_and_one_line(argv):
     assert code in range(7), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     if not code:  # a record in strict JSON: no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@st.composite
+def kernel_requests(draw):
+    """`eval` arguments of the kernel terms inside their declared domain:
+    k an odd multiple of 1/2 (as H needs), m a nonzero half-integer, n and
+    r from -6 to 6, Im(tau) from 0.5 to 20 and Im(z) from -1 to 1, which
+    reaches the overflow of the c3/c4 factor i sqrt(pi) erfi(b)."""
+    return [
+        "eval", draw(st.sampled_from(["c%d%s" % (i, sk) for i in (1, 2, 3, 4)
+                                      for sk in ("", "sk")])),
+        "--k=%r" % (draw(st.integers(-4, 3)) + 0.5),
+        "--m=%r" % draw(HALF_INTEGERS.filter(bool)),
+        "--n=%d" % draw(st.integers(-6, 6)), "--r=%d" % draw(st.integers(-6, 6)),
+        "--tau=" + _literal(complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(0.5, 20.0)))),
+        "--z=" + _literal(complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0)))),
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=kernel_requests())
+def test_kernel_fuzz_evaluates_or_overflows(argv):
+    # inside the domain a kernel term is a finite value or a value overflow
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, cli.EXIT_OVERFLOW), (argv, err.getvalue())
+    if not code:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@st.composite
+def verify_requests(draw):
+    """`verify` arguments of the suites that take a rank or a weight: 2m
+    from -3 to 8 for weil and mu-transform, k and m half-integers, other
+    floats or non-finite, and small n, r for xi-images."""
+    suite = draw(st.sampled_from(["weil", "mu-transform", "xi-images"]))
+    k, m = (draw(_or_non_finite(st.one_of(HALF_INTEGERS, st.floats(-4, 4)))) for _ in "km")
+    return [
+        "verify", suite, "--two-m=%d" % draw(st.integers(-3, 8)), "--k=%r" % k, "--m=%r" % m,
+        "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-2, 2)),
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=verify_requests())
+def test_verify_fuzz_ends_in_a_documented_exit_code_and_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(7), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    if code in (0, None, cli.EXIT_FAILED):  # a report in strict JSON
         json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 

@@ -5,10 +5,11 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex
-from mjlab.errors import DomainError, JetUnavailable, NotThetaDecomposable
+from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex, finite_difference_jet
+from mjlab.errors import DomainError, NotThetaDecomposable
 from mjlab.jets import Jet
 from mjlab.kernels import (
     FourierData,
@@ -24,8 +25,8 @@ from mjlab.kernels import (
 )
 from mjlab.mu import mu_hat_component_jet
 from mjlab.operators import xi_H
-from mjlab.special import gamma_half_cont, H_function, theta_ml_jet
-from mjlab.verify import verify_kernel_annihilation, verify_xi_image_table
+from mjlab.special import H_function, theta_ml_jet
+from mjlab.verify import XI_TABLE_PARAMS, verify_kernel_annihilation, verify_xi_image_table
 from mjlab.weil import labels as component_labels
 
 C = lambda w: Jet.constant(w, 0)
@@ -107,34 +108,53 @@ def test_second_kernel_factor_uses_H_kernel():
 
 
 def test_third_kernel_factor_uses_incomplete_gamma():
-    params = KernelParams.of(0.5, -1.0, -1, 1)
-    m, r = params.m, params.r
-    for p in POINTS:
-        a = r + 2.0 * m * p.v / p.y
-        s = 1.0 if a > 0 else -1.0
-        want = s * gamma_half_cont((-math.pi * p.y / m) * a * a)
-        got = kernel_jet(3, params, False, JetVars.at(p, 0)).value
-        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+    for m in (-1.0, 1.0):
+        params = KernelParams.of(0.5, m, -1, 1)
+        for p in POINTS:
+            a = params.r + 2.0 * m * p.v / p.y
+            s = 1.0 if a > 0 else -1.0
+            # gamma(1/2, .) continued from the upper half plane
+            x = (-math.pi * p.y / m) * a * a
+            want = s * complex(mpmath.gammainc(0.5, 0, mpmath.mpc(x, 1e-30)))
+            got = kernel_jet(3, params, False, JetVars.at(p, 0)).value
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (m, p)
+
+
+def _on_sign_locus(params, y=1.1):
+    """A point with r + 2 m v / y = 0."""
+    return EvalPoint(0.13, y, 0.21, -params.r * y / (2.0 * params.m))
 
 
 def test_third_kernel_factor_vanishes_on_sign_locus():
     params = KernelParams.of(0.5, -1.0, -1, 1)
-    m, r = params.m, params.r
-    y = 1.1
-    v = -r * y / (2.0 * m)  # r + 2 m v / y = 0
-    p = EvalPoint(0.13, y, 0.21, v)
+    p = _on_sign_locus(params)
     assert kernel_jet(3, params, False, JetVars.at(p, 0)).value == 0.0
 
 
-def test_third_kernel_jet_unavailable_on_sign_locus():
-    params = KernelParams.of(0.5, -1.0, -1, 1)
-    m, r = params.m, params.r
-    y = 1.1
-    v = -r * y / (2.0 * m)
-    p = EvalPoint(0.13, y, 0.21, v)
-    h = kernel_term_handle(3, params)
-    with pytest.raises(JetUnavailable):
-        h.jet_at(JetVars.at(p, 1))
+@pytest.mark.parametrize("params", XI_TABLE_PARAMS + (KernelParams.of(0.5, 1, 0, 1),
+                                                     KernelParams.of(1.5, 0.5, 0, 1)),
+                         ids=repr)
+def test_third_and_fourth_kernel_jets_are_smooth_on_sign_locus(params):
+    """sgn(a) gamma(1/2, -pi y a^2 / m) is entire in a = r + 2mv/y: on
+    a = 0 the exact jets of c_3, c_4 (and skew) agree with finite
+    differences, and the annihilation identities (and the xi-image table,
+    at its parameters) hold there."""
+    p = _on_sign_locus(params)
+    for i in (3, 4):
+        for skew in (False, True):
+            h = kernel_term_handle(i, params, skew=skew)
+            for order in (1, 2, 3):
+                exact = h.jet_at(JetVars.at(p, order)).table()
+                approx = finite_difference_jet(h, p, order).table()
+                scale = max(abs(v) for v in exact.values())
+                worst = max(abs(exact[mon] - approx[mon]) for mon in exact)
+                assert worst <= 1e-5 * scale, (i, skew, order, worst / scale)
+    results = verify_kernel_annihilation(params, [p])
+    if params in XI_TABLE_PARAMS:
+        results += verify_xi_image_table(params, [p])
+    assert all(res.passed for res in results), [
+        (res.identity, res.max_residual) for res in results if not res.passed
+    ]
 
 
 def test_fourth_kernel_factor_is_product_of_factors():

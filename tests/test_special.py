@@ -1,9 +1,10 @@
 """Special functions against quadrature and closed-form oracles.
 
 Every derived value is checked against an independent computation:
-scipy quadrature and mpmath for gamma(1/2, x), E and the exponential
-integrals, mpmath and closed forms for the half-integral H-kernel, and the
-Jacobi triple product plus quasi-periodicity for the theta series.
+scipy quadrature and mpmath for the Gaussian integral F_c (erf, erfi and
+gamma(1/2, x)), E and the exponential integrals, mpmath and closed forms
+for the half-integral H-kernel, and the Jacobi triple product plus
+quasi-periodicity for the theta series.
 """
 
 import cmath
@@ -31,11 +32,10 @@ from mjlab.special import (
     H_function,
     H_jet,
     error_completion_E,
-    error_completion_derivatives,
     exp1,
     expi,
-    gamma_half_cont,
-    gamma_half_derivatives,
+    gaussian_integral_derivatives,
+    gaussian_integral_jet,
     jacobi_theta_jet,
     theta_ml_jet,
     zwegers_R_jet,
@@ -45,7 +45,68 @@ C = lambda w: Jet.constant(w, 0)
 
 
 # ----------------------------------------------------------------------
-# gamma(1/2, x) and the exponential integrals
+# the Gaussian integral F_c and the exponential integrals
+
+
+def F(c, b):
+    return gaussian_integral_derivatives(c, b, 0)[0]
+
+
+def gamma_half(x):
+    """gamma(1/2, x) through the Gaussian integral: F_1(sqrt(x)) for x >= 0,
+    i F_-1(sqrt(-x)) on the branch continued from the upper half plane."""
+    return F(1.0, math.sqrt(x)) if x >= 0 else 1j * F(-1.0, math.sqrt(-x))
+
+
+def test_gaussian_integral_against_mpmath_erf_and_erfi():
+    """F_1 = sqrt(pi) erf to 1e-15 and F_-1 = sqrt(pi) erfi to 1e-13
+    relative, both odd, F_-1 up to b^2 = 709 where e^(b^2) nears the
+    floating-point limit; F_pi = erf(sqrt(pi) .) is E."""
+    bs = [0.0, 1e-9, 1e-3, 0.3, 1.0, 2.5, 4.0, 6.0]
+    with mpmath.workdps(30):
+        sqrt_pi = mpmath.sqrt(mpmath.pi)
+        for b in bs + [27.0] + [-b for b in bs]:
+            want = float(sqrt_pi * mpmath.erf(b))
+            assert abs(F(1.0, b) - want) <= 1e-15 * abs(want), b
+            assert error_completion_E(b) == F(math.pi, b)
+        squares = [0.25 * i for i in range(1, 400)] + list(range(100, 500, 7))
+        squares += [500.0 + 0.5 * i for i in range(419)]
+        for b2 in squares:
+            for b in (math.sqrt(b2), -math.sqrt(b2)):
+                want = float(sqrt_pi * mpmath.erfi(b))
+                assert abs(F(-1.0, b) - want) <= 1e-13 * abs(want), b2
+    # elementwise on arrays
+    b = np.array(bs[:6]).reshape(2, 3)
+    got = F(-1.0, b)
+    assert got.shape == (2, 3)
+    assert all(got.ravel()[i] == F(-1.0, x) for i, x in enumerate(bs[:6]))
+
+
+def test_gaussian_integral_beyond_the_float_range_raises():
+    assert math.isfinite(F(-1.0, math.sqrt(712.0)))
+    with pytest.raises(ValueOverflow):
+        F(-1.0, math.sqrt(715.0))
+    with pytest.raises(ValueOverflow):
+        F(-1.0, -40.0)
+    with pytest.raises(ValueOverflow):  # F' = 2 e^(b^2)
+        gaussian_integral_derivatives(-1.0, math.sqrt(710.0), 1)
+
+
+@pytest.mark.parametrize("c", [math.pi, 1.0, -1.0, -0.3])
+def test_gaussian_integral_derivatives_against_mpmath(c):
+    # F^(j) is the (j-1)-th derivative of the integrand 2 e^(-c b^2)
+    for b0 in (0.0, 0.7, -1.9, 3.1):
+        ds = gaussian_integral_derivatives(c, b0, 5)
+        for j, d in enumerate(ds[1:]):
+            want = float(mpmath.diff(lambda b: 2 * mpmath.exp(-c * b * b), b0, j))
+            assert abs(d - want) <= 1e-13 * max(1.0, abs(want)), (b0, j)
+
+
+@pytest.mark.parametrize("c", [math.pi, 1.0, -1.0])
+def test_gaussian_integral_derivatives_at_zero(c):
+    # F is odd with F' = 2 e^(-c b^2): the jet at 0 exists at every order
+    assert gaussian_integral_derivatives(c, 0.0, 5) == [0.0, 2.0, 0.0, -4.0 * c, 0.0,
+                                                        24.0 * c * c]
 
 
 @pytest.mark.parametrize("x", [-0.3, -1.7, -6.0])
@@ -54,21 +115,25 @@ def test_gamma_half_continuation_against_quadrature(x):
     # gamma(1/2, x) = i * int_0^|x| s^(-1/2) e^s ds for x < 0;
     # substituting s = w^2 removes the endpoint singularity
     want, err = si.quad(lambda w: 2.0 * math.exp(w * w), 0.0, math.sqrt(-x))
-    got = gamma_half_cont(x)
+    got = gamma_half(x)
     assert abs(got.real) < 1e-12
     assert abs(got.imag - want) < 1e-10 * max(1.0, want)
 
 
 def test_gamma_half_positive_axis_against_mpmath():
-    """sqrt(pi) erf(sqrt(x)) is gamma(1/2, x) to 1e-14 relative on [0, 50]."""
+    """F_1(sqrt(x)) is gamma(1/2, x) to 1e-14 relative on [0, 50], and
+    i F_-1(sqrt(-x)) is its continuation down to x = -709."""
     xs = [0.0, 1e-12, 1e-6, 1e-3] + [0.25 * i for i in range(1, 201)]
     for x in xs:
         want = complex(mpmath.gammainc(0.5, 0, x))
-        assert abs(gamma_half_cont(x) - want) <= 1e-14 * abs(want), x
-    # elementwise on arrays
-    got = gamma_half_cont(np.array(xs).reshape(2, -1))
-    assert got.shape == (2, len(xs) // 2)
-    assert all(got.ravel()[i] == gamma_half_cont(x) for i, x in enumerate(xs))
+        assert abs(gamma_half(x) - want) <= 1e-14 * abs(want), x
+    with mpmath.workdps(30):
+        for x in [-1e-6, -0.5, -3.0, -40.0, -300.0, -550.0, -628.0, -700.0, -709.0]:
+            # mpmath continues gamma(1/2, x) from the upper half plane
+            want = complex(mpmath.gammainc(0.5, 0, mpmath.mpc(x, 1e-40)))
+            # sqrt(-x) rounds to eps/2 relative, and F_-1 near b amplifies
+            # a relative error of b by about 2 b^2 = 2|x|
+            assert abs(gamma_half(x) - want) <= (1e-13 - x * 2.0 ** -53) * abs(want), x
 
 
 def test_exponential_integrals_against_mpmath():
@@ -91,19 +156,17 @@ def test_exponential_integrals_against_mpmath():
 
 @pytest.mark.parametrize("t0", [0.9, -1.1])
 def test_gamma_half_derivatives_match_finite_differences(t0):
-    ds = gamma_half_derivatives(t0, 2)
+    # gamma(1/2, t) as the Gaussian integral of the jet sqrt(+-t)
+    sign = 1.0 if t0 > 0 else -1.0
+    b = (sign * Jet.variable(0, t0, 2)).cpow(0.5)
+    jet = gaussian_integral_jet(sign, b) * (1.0 if t0 > 0 else 1j)
+    ds = [jet.partial((j, 0, 0, 0)) for j in range(3)]
     h = 1e-4
-    fd1 = (gamma_half_cont(t0 + h) - gamma_half_cont(t0 - h)) / (2.0 * h)
-    fd2 = (
-        gamma_half_cont(t0 + h) - 2.0 * gamma_half_cont(t0) + gamma_half_cont(t0 - h)
-    ) / (h * h)
+    fd1 = (gamma_half(t0 + h) - gamma_half(t0 - h)) / (2.0 * h)
+    fd2 = (gamma_half(t0 + h) - 2.0 * gamma_half(t0) + gamma_half(t0 - h)) / (h * h)
+    assert abs(ds[0] - gamma_half(t0)) < 1e-15 * abs(ds[0])
     assert abs(ds[1] - fd1) < 1e-6 * max(1.0, abs(fd1))
     assert abs(ds[2] - fd2) < 1e-4 * max(1.0, abs(fd2))
-
-
-def test_gamma_half_jet_rejects_zero():
-    with pytest.raises(DomainError):
-        gamma_half_derivatives(0.0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +187,7 @@ def test_error_completion_is_odd_and_zero_at_origin():
 
 def test_error_completion_derivative_is_gaussian():
     w = 0.6
-    ds = error_completion_derivatives(w, 2)
+    ds = gaussian_integral_derivatives(math.pi, w, 2)
     assert abs(ds[1] - 2.0 * math.exp(-math.pi * w * w)) < 1e-14
     # second derivative: -2 pi w times the first
     assert abs(ds[2] + 2.0 * math.pi * w * ds[1]) < 1e-13
