@@ -235,13 +235,15 @@ class JetVars:
 
 def _compose_taylor(table_jet, jv, base):
     """Evaluate a Taylor polynomial (given as a plain-coordinate Jet at the
-    base values (x, y, u, v), one row of coefficients per point of a stack)
-    on transformed coordinate jets."""
+    base values (x, y, u, v), one row of coefficients per point of a stack,
+    or per stacked operand and point) on transformed coordinate jets.  The
+    result keeps the table's batch shape, also when every coefficient is
+    zero."""
     dx = jv.x - base[0]
     dy = jv.y - base[1]
     du = jv.u - base[2]
     dv = jv.v - base[3]
-    out = Jet.constant(0.0, jv.order)
+    out = Jet.constant(np.zeros(table_jet.c.shape[:-1]), jv.order)
     powers = {}
 
     def power(j, n):

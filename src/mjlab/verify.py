@@ -112,23 +112,37 @@ class SuiteResult:
         }
 
 
-def _row_max(values):
-    """max |value| over the rows of a point stack (NaN if any row is NaN)."""
+def _abs_max(values):
+    """max |value| over all entries (NaN if any entry is NaN)."""
     return float(np.max(np.abs(values)))
 
 
-def _max_residual(residual, points):
+def _max_residual(residual, points, rows=None):
     """max over the points of |residual(jv)|, with jv the order-0 plain
-    coordinate jets of the whole point stack, so that residual returns one
-    row per point (0.0 for no points, NaN if any row is NaN)."""
+    coordinate jets of the whole point stack.  residual returns one value
+    per point, and the result is a float; or, with `rows` given, an array
+    of shape (rows, points), one row per stacked operand, and the result is
+    a list of `rows` floats, each the max over its own row.  0.0 for no
+    points; NaN where a value is NaN."""
     if not len(points):
-        return 0.0
-    return _row_max(residual(JetVars.at(points, 0)))
+        return 0.0 if rows is None else [0.0] * rows
+    values = np.abs(residual(JetVars.at(points, 0)))
+    if rows is None:
+        return float(np.max(values))
+    return [float(r) for r in np.max(values, axis=-1)]
 
 
-def _gap(lhs, rhs):
-    """The residual lhs - rhs of two handles."""
-    return lambda jv: lhs.jet_at(jv).value - rhs.jet_at(jv).value
+def _stacked(handles):
+    """One handle over the given handles: its jet on any coordinates is
+    their jets, each evaluated alone on them, stacked on a new leading row
+    axis, shape (rows, *points, M).  Operators, slashes and Taylor
+    composition act row-wise on it, so each row is what its handle gives
+    alone, bit for bit."""
+
+    def je(jv):
+        return Jet(jv.order, np.stack([h.jet_at(jv).c for h in handles]))
+
+    return FunctionHandle(jet_fn=je)
 
 
 def _image_residual(jmap, f, points):
@@ -137,31 +151,15 @@ def _image_residual(jmap, f, points):
     return _max_residual(lambda jv: out.jet_at(jv).value, points)
 
 
+def _image_rows(op_name, wi, handles, points):
+    """max over the points of |op f| for each handle f: one image of their
+    stack, with the named operator at weight/index wi."""
+    out = apply_operator(OperatorSpec(op_name, wi), _stacked(handles))
+    return _max_residual(lambda jv: out.jet_at(jv).value, points, rows=len(handles))
+
+
 # ----------------------------------------------------------------------
 # covariance
-
-
-def _generator_name(A):
-    """A's key in GENERATORS, or its repr for any other element."""
-    for name, gen in GENERATORS.items():
-        if gen == A:
-            return name
-    return repr(A)
-
-
-def verify_covariance(op_name, phi, A, points, tol=1e-8, phi_A=None):
-    """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
-    weight/index; a DomainError if op does not act on phi's action kind.
-    phi_A is phi|A, built here unless the caller already holds it."""
-    image = apply_to_tagged(op_name, phi)
-    phi_A = phi_A if phi_A is not None else apply_slash(phi, A)
-    lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A.f)
-    rhs = apply_slash(image, A).f
-    return SuiteResult(
-        "covariance:%s|%s on %s" % (op_name, _generator_name(A), phi.f.label),
-        _max_residual(_gap(lhs, rhs), points),
-        tol,
-    )
 
 
 def _memoized(phi):
@@ -182,6 +180,57 @@ def _memoized(phi):
         return cache[key]
 
     return replace(phi, f=FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step))
+
+
+def _stacked_forms(forms):
+    """Tagged forms of one weight/index and action kind as one memoized
+    tagged form over their stacked handles."""
+    return _memoized(replace(forms[0], f=_stacked([phi.f for phi in forms])))
+
+
+def _covariance_checks(op_name, forms, gens, points, tol, phi=None, phi_A=None):
+    """op(phi|A) = (op phi)|A' for each of the tagged forms (one
+    weight/index and action kind) and each generator of gens (name ->
+    element), A' acting at the shifted weight/index, in generator-major
+    order; a DomainError if op does not act on the forms' action kind.
+
+    phi stacks the forms, and phi_A stacks every phi|A in the same order as
+    the checks; both are built here unless the caller already holds them.
+    Each side is one operator image: of phi_A on the left, and of phi,
+    slashed once per generator, on the right."""
+    if phi is None:
+        phi = _stacked_forms(forms)
+    image = apply_to_tagged(op_name, phi)
+    if phi_A is None:
+        phi_A = _stacked_forms([apply_slash(f, A) for A in gens.values() for f in forms])
+    lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A.f)
+    rhs = [apply_slash(image, A).f for A in gens.values()]
+
+    def gap(jv):
+        return lhs.jet_at(jv).value - np.concatenate([h.jet_at(jv).value for h in rhs])
+
+    residuals = _max_residual(gap, points, rows=len(gens) * len(forms))
+    names = [
+        "covariance:%s|%s on %s" % (op_name, gname, f.f.label) for gname in gens for f in forms
+    ]
+    return [SuiteResult(name, r, tol) for name, r in zip(names, residuals)]
+
+
+def _generator_name(A):
+    """A's key in GENERATORS, or its repr for any other element."""
+    for name, gen in GENERATORS.items():
+        if gen == A:
+            return name
+    return repr(A)
+
+
+def verify_covariance(op_name, phi, A, points, tol=1e-8, phi_A=None):
+    """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
+    weight/index; a DomainError if op does not act on phi's action kind.
+    phi_A is phi|A, built here unless the caller already holds it."""
+    stack_A = None if phi_A is None else _stacked_forms([phi_A])
+    return _covariance_checks(op_name, [phi], {_generator_name(A): A}, points, tol,
+                              phi_A=stack_A)[0]
 
 
 def covariance_catalog():
@@ -218,11 +267,13 @@ COVARIANCE_OPS = (
 def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
     """op(phi|A) = (op phi)|A' for every operator and group generator.
 
-    Each catalog form phi and each slashed form phi|A is evaluated once per
-    point stack and jet order: both are memoized for the length of the call,
-    and every operator of phi's action kind reuses their jets (the right-hand
-    sides evaluate phi at the A-transformed base, the left-hand sides phi|A
-    at the base)."""
+    The catalog forms are grouped by action kind and weight/index.  Per
+    group, the forms and the slashed forms phi|A (over every generator) are
+    each stacked into one memoized handle, so each form and each slashed
+    form is evaluated once per point stack and jet order, and every
+    operator of the group's action kind is one image of each stack and one
+    slash per generator (see _covariance_checks).  The checks come in the
+    order operator, generator, catalog form."""
     points = points or GENERIC_POINTS[:3]
     gens = gens or list(GENERATORS)
     for gname in gens:
@@ -230,28 +281,29 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
             raise DomainError(
                 "unknown generator %r; valid generators: %s" % (gname, ", ".join(GENERATORS))
             )
+    gens = {gname: GENERATORS[gname] for gname in gens}
     std, skew = covariance_catalog()
-    catalogs = {
-        "standard": [_memoized(phi) for phi in std],
-        "skew": [_memoized(phi) for phi in skew],
-    }
-    slashed = {
-        (id(phi), gname): _memoized(apply_slash(phi, GENERATORS[gname]))
-        for catalog in catalogs.values()
-        for phi in catalog
-        for gname in gens
+    groups = {}
+    for phi in std + skew:
+        groups.setdefault((phi.action_kind, phi.weight_index), []).append(phi)
+    stacks = {
+        key: (
+            _stacked_forms(forms),
+            _stacked_forms([apply_slash(f, A) for A in gens.values() for f in forms]),
+        )
+        for key, forms in groups.items()
     }
     results = []
     for op_name in ops or COVARIANCE_OPS:
         kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
-        for gname in gens:
-            for phi in catalogs[kind]:
-                results.append(
-                    verify_covariance(
-                        op_name, phi, GENERATORS[gname], points, tol,
-                        slashed[(id(phi), gname)],
-                    )
-                )
+        checks = {}
+        for key, forms in groups.items():
+            if key[0] == kind:
+                rows = _covariance_checks(op_name, forms, gens, points, tol, *stacks[key])
+                keys = [(gname, id(f)) for gname in gens for f in forms]
+                checks.update(zip(keys, rows))
+        catalog = std if kind == "standard" else skew
+        results.extend(checks[(gname, id(f))] for gname in gens for f in catalog)
     return results
 
 
@@ -281,52 +333,55 @@ def _params_tag(params):
 
 def verify_kernel_annihilation(params, points, tol=1e-7):
     """Casimir (skew Casimir on skew terms) and Heisenberg Laplace
-    annihilation of every kernel term at the given parameters."""
+    annihilation of every kernel term at the given parameters: one Casimir
+    image of the four standard terms, one skew Casimir image of the four
+    skew terms and one Heisenberg Laplace image of all eight."""
     wi = params.weight_index()
+    terms = [(skew, i) for skew in (False, True) for i in (1, 2, 3, 4)]
+    handles = [kernel_term_handle(i, params, skew=skew) for skew, i in terms]
+    casimir = _image_rows("Casimir", wi, handles[:4], points) + _image_rows(
+        "CasimirSk", wi, handles[4:], points
+    )
+    laplace = _image_rows("LaplaceH", wi, handles, points)
     results = []
-    for skew in (False, True):
-        for i in (1, 2, 3, 4):
-            f = kernel_term_handle(i, params, skew=skew)
-            tag = "c%d%s" % (i, "sk" if skew else "")
-            for name, op_name in (
-                ("Casimir", "CasimirSk" if skew else "Casimir"),
-                ("LaplaceH", "LaplaceH"),
-            ):
-                image = apply_operator(OperatorSpec(op_name, wi), f)
-                results.append(
-                    SuiteResult(
-                        "kernel-annihilation:%s(%s)@%s"
-                        % (name, tag, _params_tag(params)),
-                        _max_residual(lambda jv: image.jet_at(jv).value, points),
-                        tol,
-                    )
-                )
+    for (skew, i), casimir_residual, laplace_residual in zip(terms, casimir, laplace):
+        at = "(c%d%s)@%s" % (i, "sk" if skew else "", _params_tag(params))
+        results.append(SuiteResult("kernel-annihilation:Casimir" + at, casimir_residual, tol))
+        results.append(SuiteResult("kernel-annihilation:LaplaceH" + at, laplace_residual, tol))
     return results
 
 
 def verify_xi_image_table(params, points, tol=1e-7):
     """The sixteen rows of kernels.xi_image_rows at the given parameters:
-    xi-operator image minus the expected multiple of a kernel term."""
+    xi-operator image minus the expected multiple of a kernel term.  Each
+    xi operator is one image of the stack of its rows' kernel terms."""
     wi = params.weight_index()
-    results = []
-    for case, op_name, (i, skew), const, target in xi_image_rows(params):
+    table = xi_image_rows(params)
+    residuals = {}
+    for op_name in dict.fromkeys(row[1] for row in table):
+        rows = [row for row in table if row[1] == op_name]
         lhs = apply_operator(
-            OperatorSpec(op_name, wi), kernel_term_handle(i, params, skew=skew)
+            OperatorSpec(op_name, wi),
+            _stacked([kernel_term_handle(i, params, skew=skew) for _, _, (i, skew), _, _ in rows]),
         )
-        if target is None:
-            residual = lambda jv: lhs.jet_at(jv).value
-        else:
-            ti, tskew, tparams = target
-            rhs = kernel_term_handle(ti, tparams, skew=tskew)
-            residual = lambda jv: lhs.jet_at(jv).value - const * rhs.jet_at(jv).value
-        results.append(
-            SuiteResult(
-                "xi-image:%s@%s" % (case, _params_tag(params)),
-                _max_residual(residual, points),
-                tol,
-            )
-        )
-    return results
+        rhs = []  # (constant, target kernel term or None)
+        for _, _, _, const, target in rows:
+            if target is not None:
+                ti, tskew, tparams = target
+                target = kernel_term_handle(ti, tparams, skew=tskew)
+            rhs.append((const, target))
+
+        def gap(jv):
+            return np.stack([
+                value if h is None else value - const * h.jet_at(jv).value
+                for value, (const, h) in zip(lhs.jet_at(jv).value, rhs)
+            ])
+
+        residuals.update(zip((row[0] for row in rows), _max_residual(gap, points, rows=len(rows))))
+    return [
+        SuiteResult("xi-image:%s@%s" % (case, _params_tag(params)), residuals[case], tol)
+        for case, *_ in table
+    ]
 
 
 def suite_kernels(points=None, tol=1e-7):
@@ -525,20 +580,20 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
             results.append(
                 SuiteResult(
                     "weil:unitarity:%s@2m=%d" % (which, two_m),
-                    _row_max(mat @ mat.conj().T - eye),
+                    _abs_max(mat @ mat.conj().T - eye),
                     tol_unitary,
                 )
             )
         results.append(
             SuiteResult(
                 "weil:braid:(ST)^3=S^2@2m=%d" % two_m,
-                _row_max(rho_word(two_m, "STSTST") - rho_word(two_m, "SS")),
+                _abs_max(rho_word(two_m, "STSTST") - rho_word(two_m, "SS")),
                 tol_braid,
             )
         )
         results.append(
             SuiteResult(
-                "weil:S^8=1@2m=%d" % two_m, _row_max(rho_word(two_m, "S" * 8) - eye), tol_braid
+                "weil:S^8=1@2m=%d" % two_m, _abs_max(rho_word(two_m, "S" * 8) - eye), tol_braid
             )
         )
     p = point or EvalPoint(0.17, 1.2, 0.13, 0.21)
@@ -552,7 +607,7 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
             results.append(
                 SuiteResult(
                     "weil:theta-vector-invariance:%s@2m=%d" % (word, two_m),
-                    _row_max(out - base),
+                    _abs_max(out - base),
                     tol_theta,
                 )
             )
@@ -565,7 +620,8 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
 
 def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     """The claimed T and S transformation laws of the component vector, and
-    the vector-slash form of the S law.
+    the vector-slash form of the S law.  The components of each rank are
+    one stacked handle, slashed once by T and once by S.
 
     The T law holds; the S law of the displayed completion fails (the
     recorded obstruction) and is reported faithfully.
@@ -577,27 +633,27 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
-        handles = {l: mu_hat_ml_handle(two_m, l) for l in ls}
-        values = {l: h.jet_at(jv).value for l, h in handles.items()}
-        wi = WeightIndex(1, -two_m)
+        tagged = TaggedForm(
+            _stacked([mu_hat_ml_handle(two_m, l) for l in ls]), WeightIndex(1, -two_m)
+        )
+        values = tagged.f.jet_at(jv).value
+        slashed_T = apply_slash(tagged, GEN_T).f.jet_at(jv).value
+        slashed_S = apply_slash(tagged, GEN_S).f.jet_at(jv).value
         pref = 1j / cmath.sqrt(1j * two_m)
-        for l in ls:
-            tagged = TaggedForm(handles[l], wi, "standard")
-            slashed_T = apply_slash(tagged, GEN_T).f.jet_at(jv).value
-            slashed_S = apply_slash(tagged, GEN_S).f.jet_at(jv).value
+        for j, l in enumerate(ls):
             phase = root_of_unity(-l * l, 2 * two_m)
-            mixed = sum(root_of_unity(l * lp, two_m) * values[lp] for lp in ls)
+            mixed = sum(root_of_unity(l * lp, two_m) * values[jp] for jp, lp in enumerate(ls))
             results.append(
                 SuiteResult(
                     "mu-transform:T-law@2m=%d,l=%s" % (two_m, l),
-                    _row_max(slashed_T - phase * values[l]),
+                    _abs_max(slashed_T[j] - phase * values[j]),
                     tol,
                 )
             )
             results.append(
                 SuiteResult(
                     "mu-transform:S-law@2m=%d,l=%s" % (two_m, l),
-                    _row_max(slashed_S - pref * mixed),
+                    _abs_max(slashed_S[j] - pref * mixed),
                     tol,
                 )
             )
@@ -606,19 +662,13 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     # M = (i / sqrt(2im)) [e_{2m}(l l')]
     two_m = 2
     ls = labels(two_m)
-    handles = [mu_hat_ml_handle(two_m, l) for l in ls]
-    wi = WeightIndex(1, -two_m)
+    tagged = TaggedForm(_stacked([mu_hat_ml_handle(two_m, l) for l in ls]), WeightIndex(1, -two_m))
     p = points[0]
-    slashed = np.array(
-        [
-            apply_slash(TaggedForm(h, wi, "standard"), GEN_S).f.eval(p)
-            for h in handles
-        ]
-    )
+    slashed = apply_slash(tagged, GEN_S).f.eval(p)
     M = (1j / cmath.sqrt(2j * two_m / 2.0)) * np.array(
         [[root_of_unity(l * lp, two_m) for lp in ls] for l in ls]
     )
-    base = np.array([h.eval(p) for h in handles])
+    base = tagged.f.eval(p)
     results.append(
         SuiteResult(
             "mu-transform:vector-S-law@2m=%d" % two_m,
@@ -634,30 +684,34 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     """xi^H maps each completed component onto the matching theta
     component; the Heisenberg Laplace operator annihilates the components;
     the covariant xi operator annihilates the distinguished weight-1/2
-    combination."""
+    combination.  The components of each rank are one stacked operand of
+    one xi^H image and one Heisenberg Laplace image."""
     points = points or GENERIC_POINTS_10
     results = []
     for two_m in two_m_list:
         wi = WeightIndex(1, -two_m)
-        for l in labels(two_m):
-            f = mu_hat_ml_handle(two_m, l)
-            img = image(xi_H_map(wi.k, wi.m), f)
+        ls = labels(two_m)
+        handles = [mu_hat_ml_handle(two_m, l) for l in ls]
+        img = apply_operator(OperatorSpec("xiH", wi), _stacked(handles))
+
+        def gap(jv):
+            thetas = [theta_ml_jet(two_m, l, jv.tau, jv.z).value for l in ls]
+            return img.jet_at(jv).value - np.stack(thetas)
+
+        xi_rows = _max_residual(gap, points, rows=len(ls))
+        lap_rows = _image_rows("LaplaceH", wi, handles, points[:5])
+        for l, xi_residual, lap_residual in zip(ls, xi_rows, lap_rows):
             results.append(
                 SuiteResult(
                     "mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l),
-                    _max_residual(
-                        lambda jv: img.jet_at(jv).value
-                        - theta_ml_jet(two_m, l, jv.tau, jv.z).value,
-                        points,
-                    ),
+                    xi_residual,
                     tol_xi,
                 )
             )
-            lap = image(laplace_heisenberg_map(wi.k, wi.m), f)
             results.append(
                 SuiteResult(
                     "mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l),
-                    _max_residual(lambda jv: lap.jet_at(jv).value, points[:5]),
+                    lap_residual,
                     tol_lap,
                 )
             )
@@ -718,7 +772,7 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
             v2 += c * np.exp(
                 2j * math.pi * (D / (2.0 * two_m)) * tau
             ) * theta_ml_jet(two_m, l, jv.tau, jv.z).value
-        resid = _row_max(v1 - v2)
+        resid = _abs_max(v1 - v2)
         results.append(
             SuiteResult(
                 "decomposition:roundtrip@2m=%d" % two_m, resid, tol
@@ -787,7 +841,7 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
             exact = h.jet_at(JetVars.at(p, 2)).table()
             approx = finite_difference_jet(h, p, 2).table()
             scale = max(abs(v) for v in exact.values())
-            resid = _row_max([exact[k] - approx[k] for k in exact]) / scale
+            resid = _abs_max([exact[k] - approx[k] for k in exact]) / scale
             results.append(
                 SuiteResult(
                     "hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y), resid, tol_fd

@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from mjlab.core import EvalPoint, FunctionHandle, JetVars, TruncationPolicy, WeightIndex
+from mjlab.core import (
+    EvalPoint,
+    FunctionHandle,
+    JetVars,
+    TruncationPolicy,
+    WeightIndex,
+    _compose_taylor,
+)
 from mjlab.errors import (
     PoleAtAppell,
     PoleAtTheta,
@@ -16,7 +23,7 @@ from mjlab.errors import (
     ValueOverflow,
 )
 from mjlab.group import TaggedForm, apply_slash
-from mjlab.jets import Jet
+from mjlab.jets import Jet, monomials
 from mjlab.kernels import KernelParams, kernel_jet, kernel_term_handle
 from mjlab.mu import (
     _state_counts,
@@ -27,9 +34,14 @@ from mjlab.mu import (
     mu_two_variable_jet,
     r_hat_component_jet,
 )
-from mjlab.operators import _OPERATORS, image
+from mjlab.operators import _OPERATORS, apply_to_tagged, image
 from mjlab.special import jacobi_theta_jet, theta_ml_handle, theta_ml_jet, zwegers_R_jet
-from mjlab.verify import GENERATORS, _max_residual, verify_hyperbolic_xi_factorization
+from mjlab.verify import (
+    GENERATORS,
+    _max_residual,
+    _stacked,
+    verify_hyperbolic_xi_factorization,
+)
 from mjlab.weil import labels
 
 ORDERS = (0, 1, 2, 3)
@@ -188,6 +200,45 @@ def test_every_generator_slash_stacks(gen, order):
     assert_stack_equals_points(slashed.jet_at, min(order, 2))
 
 
+def test_taylor_composition_of_a_zero_table_keeps_its_batch_shape():
+    """An all-zero table (two operand rows over the point stack) composes
+    to zeros of its own batch shape, not to one unbatched zero."""
+    plain = JetVars.at(STACK, 2)
+    moved = JetVars.from_complex(plain.tau * 2.0, plain.taubar * 2.0, plain.z, plain.zbar)
+    table = Jet(2, np.zeros((2, len(STACK), len(monomials(2))), dtype=complex))
+    out = _compose_taylor(table, moved, plain.base)
+    assert out.c.shape == table.c.shape and not out.c.any()
+
+
+def test_slash_of_a_vanishing_image_keeps_the_operand_rows():
+    """X- annihilates the holomorphic theta_ml[2,0]: its image, slashed by
+    S, is one zero row per stacked operand and point."""
+    rows = TaggedForm(_stacked([theta_ml_handle(2, 0)] * 2), WeightIndex(1, 2))
+    slashed = apply_slash(apply_to_tagged("X-", rows), GENERATORS["S"]).f
+    value = slashed.jet_at(JetVars.at(STACK, 0)).value
+    assert value.shape == (2, len(STACK)) and not value.any()
+
+
+@pytest.mark.parametrize("order", (0, 2))
+def test_a_row_stack_is_its_handles_alone(order):
+    """Every row of a stacked handle, of its operator image and of its
+    slash is bit for bit what the row's handle gives alone."""
+    handles = [theta_ml_handle(2, 0), yv_probe(), kernel_term_handle(3, KERNEL_PARAMS[0])]
+    jv = JetVars.at(STACK, order)
+    wi = WeightIndex(1, -2)
+    stacked = TaggedForm(_stacked(handles), wi)
+    for build in (
+        lambda phi: phi,
+        lambda phi: apply_to_tagged("Y+", phi),
+        lambda phi: apply_slash(phi, GENERATORS["S"]),
+        lambda phi: apply_slash(apply_to_tagged("X+", phi), GENERATORS["lambda"]),
+    ):
+        rows = build(stacked).f.jet_at(jv).c
+        assert rows.shape[0] == len(handles)
+        for row, h in zip(rows, handles):
+            assert np.array_equal(row, build(TaggedForm(h, wi)).f.jet_at(jv).c)
+
+
 # ----------------------------------------------------------------------
 # error parity
 
@@ -252,3 +303,18 @@ def test_max_residual_is_nan_if_one_row_is_nan():
     result = verify_hyperbolic_xi_factorization(1.5, h, points)
     assert math.isnan(result.max_residual)
     assert not result.passed
+
+
+def test_max_residual_reduces_each_operand_row_alone():
+    """With operand rows, a NaN in one row makes that row NaN and no other,
+    and a stack of no points gives 0.0 per row."""
+
+    def residual(jv):
+        y = jv.y.value.real
+        return np.stack([y, np.where(y == 3.0, math.nan, -y), 0.0 * y])
+
+    got = _max_residual(residual, STACK, rows=3)
+    assert got[0] == 3.0 and math.isnan(got[1]) and got[2] == 0.0
+    assert _max_residual(residual, STACK[:1], rows=3) == [0.5, 0.5, 0.0]
+    assert _max_residual(residual, [], rows=3) == [0.0, 0.0, 0.0]
+    assert _max_residual(residual, []) == 0.0

@@ -1,5 +1,6 @@
 """The verification suite registry and its result records."""
 
+import cmath
 import json
 import math
 
@@ -9,20 +10,35 @@ import pytest
 from mjlab import cli
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
 from mjlab.errors import DomainError
-from mjlab.group import TaggedForm, apply_slash
+from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
+from mjlab.kernels import kernel_term_handle, xi_image_rows
+from mjlab.mu import mu_hat_ml_handle
 from mjlab.operators import OperatorSpec, apply_operator, apply_to_tagged
+from mjlab.special import theta_ml_jet
 from mjlab.verify import (
     COVARIANCE_OPS,
     GENERATORS,
     GENERIC_POINTS,
+    GENERIC_POINTS_10,
+    KERNEL_PARAMS,
     SUITES,
+    XI_TABLE_PARAMS,
     SuiteResult,
     _memoized,
+    _params_tag,
     covariance_catalog,
     run_suite,
     suite_covariance,
+    suite_kernels,
+    suite_mu_transform,
+    suite_mu_xi_theta,
+    suite_xi_images,
+    verify_covariance,
     verify_hyperbolic_xi_factorization,
+    verify_kernel_annihilation,
+    verify_xi_image_table,
 )
+from mjlab.weil import labels, root_of_unity
 
 
 def test_registry_contains_all_suites():
@@ -195,3 +211,111 @@ def test_memo_never_serves_transformed_coordinates():
     assert len(calls) == 3
     assert out[0] is not out[1]
     assert np.array_equal(out[1].c, phi.f.jet_at(moved).c)
+
+
+# ----------------------------------------------------------------------
+# row stacks: each suite row is its identity evaluated alone
+
+
+def alone(value):
+    """The max residual of one identity's values at a point stack."""
+    return float(np.max(np.abs(value)))
+
+
+def rows_of(results):
+    return [(res.identity, res.max_residual, res.tol) for res in results]
+
+
+def test_kernels_suite_rows_equal_their_identities_alone():
+    jv = JetVars.at(GENERIC_POINTS, 0)
+    want = []
+    for params in KERNEL_PARAMS:
+        wi = params.weight_index()
+        for skew in (False, True):
+            for i in (1, 2, 3, 4):
+                f = kernel_term_handle(i, params, skew=skew)
+                tag = "c%d%s" % (i, "sk" if skew else "")
+                for name, op_name in (("Casimir", "CasimirSk" if skew else "Casimir"),
+                                      ("LaplaceH", "LaplaceH")):
+                    value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
+                    want.append(("kernel-annihilation:%s(%s)@%s" % (name, tag, _params_tag(params)),
+                                 alone(value), 1e-7))
+    assert rows_of(suite_kernels()) == want
+    assert rows_of(verify_kernel_annihilation(KERNEL_PARAMS[1], GENERIC_POINTS)) == want[16:32]
+
+
+def test_xi_images_suite_rows_equal_their_identities_alone():
+    jv = JetVars.at(GENERIC_POINTS, 0)
+    want = []
+    for params in XI_TABLE_PARAMS:
+        wi = params.weight_index()
+        for case, op_name, (i, skew), const, target in xi_image_rows(params):
+            f = kernel_term_handle(i, params, skew=skew)
+            value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
+            if target is not None:
+                ti, tskew, tparams = target
+                value = value - const * kernel_term_handle(ti, tparams, skew=tskew).jet_at(jv).value
+            want.append(("xi-image:%s@%s" % (case, _params_tag(params)), alone(value), 1e-7))
+    assert rows_of(suite_xi_images()) == want
+    assert rows_of(verify_xi_image_table(XI_TABLE_PARAMS[1], GENERIC_POINTS)) == want[16:]
+
+
+def test_verify_covariance_is_the_one_row_case_of_the_suite():
+    full = {res.identity: res.as_dict() for res in suite_covariance()}
+    points = GENERIC_POINTS[:3]
+    for op_name in COVARIANCE_OPS:
+        kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
+        std, skew = covariance_catalog()
+        for gname, A in GENERATORS.items():
+            for phi in std if kind == "standard" else skew:
+                res = verify_covariance(op_name, phi, A, points)
+                assert res.as_dict() == full[res.identity]
+                held = verify_covariance(op_name, phi, A, points, phi_A=apply_slash(phi, A))
+                assert held.as_dict() == res.as_dict()
+
+
+@pytest.mark.parametrize(
+    "ops,gens",
+    [(["X+"], ["S"]), (["xiSk"], ["T"]), (["Y-", "Xsk+"], None), (None, ["mu", "lambda"])],
+)
+def test_covariance_subsets_are_rows_of_the_full_suite_in_its_order(ops, gens):
+    got = [res.as_dict() for res in suite_covariance(ops=ops, gens=gens)]
+    want = [
+        res.as_dict() for op_name in ops or COVARIANCE_OPS
+        for gname in gens or GENERATORS
+        for res in suite_covariance(ops=[op_name])
+        if res.identity.startswith("covariance:%s|%s on " % (op_name, gname))
+    ]
+    assert got and got == want
+
+
+def test_mu_xi_theta_rows_equal_their_identities_alone():
+    want = []
+    for two_m in (1, 2):
+        wi = WeightIndex(1, -two_m)
+        for l in labels(two_m):
+            f = mu_hat_ml_handle(two_m, l)
+            jv = JetVars.at(GENERIC_POINTS_10, 0)
+            xi = apply_operator(OperatorSpec("xiH", wi), f).jet_at(jv).value
+            theta = theta_ml_jet(two_m, l, jv.tau, jv.z).value
+            lap = apply_operator(OperatorSpec("LaplaceH", wi), f)
+            want.append(alone(xi - theta))
+            want.append(alone(lap.jet_at(JetVars.at(GENERIC_POINTS, 0)).value))
+    assert [res.max_residual for res in suite_mu_xi_theta()[:-1]] == want
+
+
+def test_mu_transform_rows_equal_their_laws_per_component():
+    """Criterion 5's S-law rows included: each component slashed alone."""
+    jv = JetVars.at(GENERIC_POINTS, 0)
+    want = []
+    for two_m in (1, 2):
+        ls = labels(two_m)
+        tagged = {l: TaggedForm(mu_hat_ml_handle(two_m, l), WeightIndex(1, -two_m)) for l in ls}
+        values = {l: phi.f.jet_at(jv).value for l, phi in tagged.items()}
+        for l in ls:
+            slashed_T = apply_slash(tagged[l], GEN_T).f.jet_at(jv).value
+            slashed_S = apply_slash(tagged[l], GEN_S).f.jet_at(jv).value
+            mixed = sum(root_of_unity(l * lp, two_m) * values[lp] for lp in ls)
+            want.append(alone(slashed_T - root_of_unity(-l * l, 2 * two_m) * values[l]))
+            want.append(alone(slashed_S - 1j / cmath.sqrt(1j * two_m) * mixed))
+    assert [res.max_residual for res in suite_mu_transform()[:-1]] == want
