@@ -259,6 +259,17 @@ def eval_cmd(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
     _write_out(json.dumps(record), out)
 
 
+# the options each suite reads besides --tol and --out; any other option
+# given to a suite is a domain error
+SUITE_OPTIONS = {
+    "covariance": ("op", "gen"),
+    "xi-images": ("k", "m", "n", "r"),
+    "weil": ("two_m",),
+    "mu-transform": ("two_m",),
+    "decomposition-roundtrip": ("seed",),
+}
+
+
 @cli.command("verify")
 @click.argument("suite")
 @click.option("--op", default=None, help="restrict covariance to one operator")
@@ -269,7 +280,7 @@ def eval_cmd(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
 @click.option("--r", type=int, default=None)
 @click.option("--two-m", "two_m", type=int, default=None)
 @click.option("--tol", type=float, default=None, help="override every tolerance")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
     """Run a named identity suite and print a JSON report."""
@@ -278,13 +289,22 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
             "unknown suite %r; valid suites: %s"
             % (suite, ", ".join(sorted(verify.SUITES)))
         )
+    given = {"op": op, "gen": gen, "k": k, "m": m, "n": n, "r": r, "two_m": two_m,
+             "seed": seed}
+    reads = SUITE_OPTIONS.get(suite, ())
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise DomainError(
+                "suite %r does not read --%s; it reads %s"
+                % (suite, name.replace("_", "-"),
+                   ", ".join("--" + o.replace("_", "-") for o in reads + ("tol", "out")))
+            )
     kwargs = {}
-    if suite == "covariance":
-        if op:
-            kwargs["ops"] = [op]
-        if gen:
-            kwargs["gens"] = [gen]
-    if suite == "xi-images" and (k is not None or m is not None):
+    if op:
+        kwargs["ops"] = [op]
+    if gen:
+        kwargs["gens"] = [gen]
+    if suite == "xi-images" and any(v is not None for v in (k, m, n, r)):
         kk = 0.5 if k is None else k
         mm = 1.0 if m is None else m
         if n is None and r is None:
@@ -292,11 +312,9 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         else:
             params = [kernels.KernelParams.of(kk, mm, n or 0, r or 0)]
         kwargs["params_list"] = params
-    if suite == "weil" and two_m is not None:
+    if two_m is not None:
         kwargs["two_m_list"] = [two_m]
-    if suite == "mu-transform" and two_m is not None:
-        kwargs["two_m_list"] = [two_m]
-    if suite == "decomposition-roundtrip":
+    if seed is not None:
         kwargs["seed"] = seed
     start = time.perf_counter()
     results = verify.run_suite(suite, **kwargs)

@@ -6,7 +6,9 @@ A kernel term is c_i(n, r; y, v) q^n zeta^r where the coefficient functions
 c_1..c_4 (and the skew variants) span the solution space of the Casimir and
 Heisenberg Laplace equations for the discriminant D = 4mn - r^2; c_3 and
 c_4 carry a Gaussian-integral factor in r + 2mv/y, smooth across its zero
-locus, so every kernel term has exact jets at every point.  Fourier
+locus, so every kernel term has exact jets at every point.  Each term is
+one exponential of a single exponent jet times bounded factors free of
+exponentials, so it is finite wherever its value is.  Fourier
 data with the class-function property c(n, r) = c(n', r') for equal D and
 r = r' mod 2m decomposes into label-indexed q-series with exact rational
 exponents.  The annihilation and image identities are checked in
@@ -24,7 +26,7 @@ from .core import FunctionHandle, WeightIndex, fourier_sum_jet
 from .errors import DomainError, NotThetaDecomposable
 from .jets import Jet
 from .mu import check_component, mu_hat_component_jet
-from .special import H_jet, _finite_sum, gaussian_integral_jet, theta_ml_jet
+from .special import G_jet, _finite_sum, dawson_jet, gaussian_integral_jet, theta_ml_jet
 
 
 @dataclass(frozen=True)
@@ -63,60 +65,54 @@ class KernelParams(WeightIndex):
         return KernelParams(self.two_k, -self.two_m, -self.n, -self.r)
 
 
-def _sgn_gamma_jet(params, jv):
-    """sgn(a) gamma(1/2, -pi y a^2 / m) with a = r + 2mv/y as a jet, one row
-    per point of a stack.
-
-    The factor is an entire odd function of a, smooth across a = 0: with
-    b = (pi y / |m|)^(1/2) a it is the Gaussian integral F_1(b) =
-    sqrt(pi) erf(b) for m < 0 and i F_-1(b) = i sqrt(pi) erfi(b) for m > 0.
-    """
-    m = params.m
-    Y, V = jv.y, jv.v
-    b = (math.pi / abs(m) * Y).cpow(0.5) * (params.r + (2.0 * m) * V / Y)
-    if m < 0:
-        return gaussian_integral_jet(1.0, b)
-    return 1j * gaussian_integral_jet(-1.0, b)
+def _term_label(i, params, skew):
+    return "c%d%s[%g,%g,%d,%d]" % (i, "sk" if skew else "", params.k, params.m, params.n, params.r)
 
 
 def kernel_jet(i, params, skew, jv):
-    """Jet of the coefficient function c_i (or c_i^sk) in (y, v): a y-factor
-    (1 or e^(2w) for c_1 and c_3, H(+-w) e^w for c_2 and c_4, with
-    w = pi D y / 2m; 1 and y^(3/2-k) at D = 0) times, for c_3 and c_4, the
-    Gaussian-integral factor of `_sgn_gamma_jet`."""
+    """Jet of the kernel term c_i q^n zeta^r (c_i^sk q^n zeta^r if skew):
+    exp(E) times factors free of exponentials.  E = 2 pi i (n tau + r z),
+    plus 2w = pi D y / m for c_2, c_4, c_1^sk and c_3^sk (D != 0), plus b^2
+    for c_3 and c_4 when m > 0, b = (pi y / |m|)^(1/2) (r + 2mv/y).  The
+    factors: G(+-w) (`G_jet`; y^(3/2-k) at D = 0) for c_2 and c_4; F_1(b)
+    for m < 0, i D(b) (`dawson_jet`) for m > 0, for c_3 and c_4."""
     if i not in (1, 2, 3, 4):
         raise DomainError("kernel label must be 1..4")
     k, m, D = params.k, params.m, params.D
     Y = jv.y
-    y_factor = None  # a factor 1
-    if D == 0:  # the skew coefficients coincide with the standard ones
+    expo = (2j * math.pi) * (params.n * jv.tau + params.r * jv.z)
+    factors = []
+    if D == 0:  # the skew terms coincide with the standard ones
         if i in (2, 4):
-            y_factor = Y.cpow(1.5 - k)
+            factors.append(Y.cpow(1.5 - k))
     else:
         w = (math.pi * D / (2.0 * m)) * Y
+        if (i % 2 == 0) != skew:
+            expo = expo + 2.0 * w
         if i in (2, 4):
-            y_factor = H_jet(-1.0 * w if skew else w, k) * w.exp()
-        elif skew:
-            y_factor = (2.0 * w).exp()
-    if i in (1, 2):
-        return Jet.constant(1.0, jv.order) if y_factor is None else y_factor
-    sgn_gamma = _sgn_gamma_jet(params, jv)
-    return sgn_gamma if y_factor is None else y_factor * sgn_gamma
+            factors.append(G_jet(-1.0 * w if skew else w, k))
+    if i in (3, 4):
+        b = (math.pi / abs(m) * Y).cpow(0.5) * (params.r + (2.0 * m) * jv.v / Y)
+        if m < 0:
+            factors.append(gaussian_integral_jet(1.0, b))
+        else:
+            expo = expo + b * b
+            factors.append(1j * dawson_jet(b))
+    # an exponential or a product that overflows is a ValueOverflow, not inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+        term = expo.exp()
+        for factor in factors:
+            term = term * factor
+    return _finite_sum(term, _term_label(i, params, skew))
 
 
 def kernel_term_handle(i, params, skew=False):
     """The full term c_i(n, r; y, v) q^n zeta^r with exact jets."""
-    n, r = params.n, params.r
-
-    label = "c%d%s[%g,%g,%d,%d]" % (i, "sk" if skew else "", params.k, params.m, n, r)
 
     def je(jv):
-        # a product of factors that overflows is a ValueOverflow, not inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
-            phase = (2j * math.pi * (n * jv.tau + r * jv.z)).exp()
-            return _finite_sum(kernel_jet(i, params, skew, jv) * phase, label)
+        return kernel_jet(i, params, skew, jv)
 
-    return FunctionHandle(jet_fn=je, label=label)
+    return FunctionHandle(jet_fn=je, label=_term_label(i, params, skew))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Scalar special-function catalog: the exponential integrals, the Gaussian
-integral F_c with the error completion E, the H-kernel, Jacobi theta,
-congruence theta series, and the R-series, all with exact Taylor jets.
+integral F_c with the error completion E, the Dawson factor e^(-b^2) F_-1,
+the H-kernel and its factor G = e^(-w) H, Jacobi theta, congruence theta
+series, and the R-series, all with exact Taylor jets (H by value only: the
+kernel terms take G and the Dawson factor, which are free of exponentials
+and bounded, and put e^w and e^(b^2) into their own exponent).
 
 Series functions are jet-level evaluators taking complex jets for tau and z
 (so they can be composed, e.g. inside slash actions or the mu-family
@@ -14,6 +17,7 @@ terms never reach exp.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +45,8 @@ def _exp1_scaled(x):
 
     The power series -gamma - log x - sum_k (-x)^k / (k k!) for x <= 2,
     summed exactly rounded (math.fsum; E1(2) = 0.049 is the result of a
-    cancellation between terms near 1), the continued fraction of
-    e^x E1(x) (modified Lentz) beyond.
+    cancellation between terms near 1), the continued fraction
+    `_gamma_cf` beyond.
     """
     if x <= 0:
         raise DomainError("E1 needs x > 0")
@@ -54,17 +58,24 @@ def _exp1_scaled(x):
             term *= -x / k
             terms.append(-term / k)
         return math.exp(x) * math.fsum(terms)
-    b = x + 1.0
+    return _gamma_cf(0, x)
+
+
+def _gamma_cf(a, x):
+    """e^x x^(-a) Gamma(a, x) for x > 0 and an integer a <= 0, by the
+    continued fraction 1 / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...))
+    (modified Lentz); it converges fast for x > 2."""
+    b = x + 1.0 - a
     c = 1e300  # Lentz's start, 1 / tiny
     d = 1.0 / b
     h = d
     i = 0
     while True:
         i += 1
-        a = -float(i * i)
+        an = -float(i * (i - a))
         b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
+        d = 1.0 / (an * d + b)
+        c = b + an / c
         delta = c * d
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -116,36 +127,15 @@ def _elementwise(fn, x):
     return fn(x)
 
 
-def _gaussian_integral_series(c, b):
-    """F_c(b) for c < 0 and a float b: 2b sum_n t^n / (n! (2n+1)) with
-    t = |c| b^2, all terms positive, summed to convergence (the terms peak
-    near n = t); ValueOverflow where the value is beyond the floating-point
-    range."""
-    t = -c * b * b
-    term = total = 1.0
-    n = 0
-    while term > _EPS * total:
-        n += 1
-        term *= t / n * (2 * n - 1) / (2 * n + 1)
-        total += term
-    value = 2.0 * b * total
-    if not math.isfinite(value):
-        raise ValueOverflow("F_%r(%r) exceeds the floating-point range" % (c, b))
-    return value
-
-
 def gaussian_integral_derivatives(c, b0, n):
     """[F, F', ..., F^(n)] at b0 of F_c(b) = 2 int_0^b e^(-c s^2) ds for real
-    c != 0 (elementwise for a numpy array b0).
+    c > 0 (elementwise for a numpy array b0).
 
-    F = sqrt(pi/c) erf(sqrt(c) b) for c > 0, a positive series for c < 0.
-    F' = g = 2 e^(-c b^2), and g^(i+1) = -2c (b g^(i) + i g^(i-1)).  F_c is
-    entire and odd: E = F_pi, and F_1, F_-1 give the c_3/c_4 kernel factor.
+    F = sqrt(pi/c) erf(sqrt(c) b), F' = g = 2 e^(-c b^2), and
+    g^(i+1) = -2c (b g^(i) + i g^(i-1)).  F_c is entire and odd: E = F_pi,
+    and F_1 is the c_3/c_4 kernel factor for m < 0.
     """
-    if c > 0:
-        ds = [math.sqrt(math.pi / c) * _elementwise(math.erf, math.sqrt(c) * b0)]
-    else:
-        ds = [_elementwise(lambda b: _gaussian_integral_series(c, b), b0)]
+    ds = [math.sqrt(math.pi / c) * _elementwise(math.erf, math.sqrt(c) * b0)]
     if n == 0:
         return ds
     g = [2.0 * _finite_exp(-c * b0 * b0)]
@@ -158,6 +148,46 @@ def gaussian_integral_derivatives(c, b0, n):
 def gaussian_integral_jet(c, arg):
     """F_c applied to a real-valued jet."""
     return arg.apply_derivatives(gaussian_integral_derivatives(c, arg.value.real, arg.order))
+
+
+def _dawson(b):
+    """D(b) = 2 e^(-b^2) int_0^b e^(s^2) ds = e^(-b^2) F_-1(b), twice
+    Dawson's integral, for a float b; |D| <= 1.09.
+
+    For b^2 <= 40, e^(-b^2) times the positive series 2b sum_n
+    b^(2n) / (n! (2n+1)) of F_-1 (its terms peak near n = b^2); beyond, the
+    asymptotic series 1/b sum_k (2k-1)!! / (2b^2)^k, whose smallest term is
+    below e^(-b^2) relative.
+    """
+    t = b * b
+    term = total = 1.0
+    if t <= 40.0:
+        n = 0
+        while term > _EPS * total:
+            n += 1
+            term *= t / n * (2 * n - 1) / (2 * n + 1)
+            total += term
+        return 2.0 * b * total * math.exp(-t)
+    k = 0
+    while term > _EPS * total:
+        k += 1
+        term *= (2 * k - 1) / (2.0 * t)
+        total += term
+    return total / b
+
+
+def dawson_jet(arg):
+    """D(b) = e^(-b^2) F_-1(b) of `_dawson` applied to a real-valued jet:
+    D' = 2 - 2bD and D^(i+1) = -2 (b D^(i) + i D^(i-1)).  The c_3/c_4
+    kernel factor for m > 0 is i e^(b^2) D(b), with e^(b^2) in the term's
+    exponent.  The recurrence cancels to about (2b)^i eps of D in the i-th
+    derivative, far below the size of that derivative of e^(b^2) D."""
+    b0 = arg.value.real
+    ds = [_elementwise(_dawson, b0)]
+    for i in range(arg.order):
+        prev = ds[i - 1] if i >= 1 else 0.0
+        ds.append((2.0 if i == 0 else 0.0) - 2.0 * (b0 * ds[i] + i * prev))
+    return arg.apply_derivatives(ds)
 
 
 def error_completion_E(w):
@@ -175,9 +205,15 @@ def _scaled_integral(j, w):
     continued in j for w > 0, so that H = e^w G_j without forming e^(-w)
     and e^(2w) apart.
 
-    For j >= 0 this is e^x Gamma(j+1, x) at x = -2w in closed form; for
-    j < 0 the downward integration-by-parts recurrence defines the
-    holomorphic continuation.
+    This is e^x Gamma(j+1, x) at x = -2w.  For j >= 0 it is a polynomial in
+    x.  For j < 0: the continued fraction `_gamma_cf` for x > 2; the
+    asymptotic series x^j sum_i j (j-1) ... (j-i+1) / x^i, cut at its
+    smallest term, for x <= -40; for j < -1 and -40 < x < -2, the integral
+    of e^(-s) (x+s)^j over 0 < s < -x/2 (24-point Gauss-Legendre) plus
+    e^(x/2) G_j(x/2); elsewhere the downward integration-by-parts
+    recurrence from j = -1, which also defines the holomorphic
+    continuation.  Away from the zeros of G_j, the relative error is
+    below 1e-13 for j >= -3.
     """
     x = -2.0 * w
     if j >= 0:
@@ -189,10 +225,36 @@ def _scaled_integral(j, w):
                 term *= x / i
             acc += term
         return math.factorial(j) * acc
+    if x > 2.0:
+        return x ** (j + 1) * _gamma_cf(j + 1, x)
+    if x <= -40.0:
+        total = term = 1.0
+        i = 0
+        while True:
+            i += 1
+            nxt = term * (j - i + 1) / x
+            if abs(nxt) < _EPS * abs(total) or abs(nxt) >= abs(term):
+                return x ** j * total
+            term = nxt
+            total += term
+    if j < -1 and x < -2.0:
+        nodes, weights = _gauss_legendre(24)
+        half = -0.25 * x  # half the length of 0 < s < -x/2
+        s = half * (nodes + 1.0)
+        integral = half * float(np.dot(weights, np.exp(-s) * (x + s) ** j))
+        return integral + math.exp(0.5 * x) * _scaled_integral(j, 0.5 * w)
     if j == -1:
         # e^x Gamma(0, x); for x < 0 the real principal-value continuation
         return _exp1_scaled(x) if x > 0 else -_expi_scaled(-x)
     return (_scaled_integral(j + 1, w) - x ** (j + 1)) / (j + 1)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
 
 
 def H_function(w, k):
@@ -224,36 +286,21 @@ def _half_int_exponent(k):
     return (1 - two_k) // 2
 
 
-def H_derivatives(w0, k, n):
-    """[H, H', ..., H^(n)] at w0, from H' = -H + 2 (-2w)^j e^w with j = 1/2-k
-    (elementwise for an array w0)."""
+def G_jet(arg, k):
+    """G(w) = e^(-w) H(w) = `_scaled_integral`(1/2 - k, w) applied to a
+    real-valued jet, from G' = -2G + 2 (-2w)^j with j = 1/2 - k: bounded by
+    a power of w, free of exponentials of w.  The c_2/c_4 kernel terms take
+    it with e^w in the term's exponent."""
     j = _half_int_exponent(k)
-    hs = [_elementwise(lambda w: H_function(w, k), w0)]
-    if n == 0:
-        return hs
-    base = -2.0 * w0
-    # e^w in two halves, as in H_function, so that the derivatives do not
-    # overflow where e^w alone does
-    half = _finite_exp(0.5 * w0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for order in range(n):
-            # d^order/dw^order of (-2w)^j e^w via Leibniz
-            a = 0.0
-            for i in range(order + 1):
-                fall = 1.0
-                for t in range(i):
-                    fall *= (j - t)
-                if fall != 0.0:
-                    a += math.comb(order, i) * (-2.0) ** i * fall * base ** (j - i)
-            hs.append(-hs[-1] + 2.0 * a * half * half)
-    if not np.isfinite(hs).all():
-        raise ValueOverflow("H derivatives at k=%r exceed the floating-point range" % (k,))
-    return hs
-
-
-def H_jet(arg, k):
     w0 = arg.value.real
-    return arg.apply_derivatives(H_derivatives(w0, k, arg.order))
+    gs = [_elementwise(lambda w: _scaled_integral(j, w), w0)]
+    fall = 1.0  # j (j - 1) ... (j - i + 1)
+    for i in range(arg.order):
+        # the i-th derivative of (-2w)^j
+        power = fall * (-2.0) ** i * (-2.0 * w0) ** (j - i) if fall else 0.0
+        gs.append(-2.0 * gs[i] + 2.0 * power)
+        fall *= j - i
+    return arg.apply_derivatives(gs)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Reference evaluators for the four series: one scalar jet operation per
-term, in the summation order of the original term-by-term loops.
+term, in the summation order of the original term-by-term loops; and the
+kernel terms c_i q^n zeta^r evaluated directly in mpmath.
 
 The library evaluates each series as one batched jet broadcast; these loops
 are the independent form its results are compared against in
@@ -9,6 +10,7 @@ tests/test_series_batched.py.
 import math
 from functools import lru_cache
 
+import mpmath
 from scipy import special as sp
 
 from mjlab.core import TruncationPolicy
@@ -143,3 +145,40 @@ def mu_m(two_m, tau, z1, z2, policy=None):
         term = base_s2 ** s2 * base_s1 ** s1 * den.reciprocal()
         total = total + (sign * cnt) * term
     return (1j * math.pi * z1).exp() * total * theta_inv_pow
+
+
+def kernel_term(name, k, m, n, r, tau, z):
+    """The kernel term c_i(n, r; y, v) q^n zeta^r named c1..c4 or c1sk..c4sk
+    at weight k and index m, as an mpmath complex at 40 digits, from the
+    defining formulas: w = pi D y / 2m with D = 4mn - r^2, H(w) =
+    e^(-w) Gamma(3/2 - k, -2w) through gammainc (its real part, the
+    principal value), c_2 = H(w) e^w, c_2^sk = H(-w) e^w, c_1^sk = e^(2w)
+    (y^(3/2-k) for c_2 and 1 for c_1^sk at D = 0), and the c_3/c_4 factor
+    sqrt(pi) erf(b) for m < 0 and i sqrt(pi) erfi(b) for m > 0, with
+    b = (pi y / |m|)^(1/2) (r + 2mv/y); c_3 and c_4 are c_1 and c_2 times
+    that factor."""
+    i, skew = int(name[1]), name.endswith("sk")
+    with mpmath.workdps(40):
+        k, m = mpmath.mpf(k), mpmath.mpf(m)
+        tau, z = mpmath.mpc(tau), mpmath.mpc(z)
+        y, v = tau.imag, z.imag
+        D = 4 * m * n - r * r
+        c = mpmath.mpf(1)
+        if D == 0:
+            if i in (2, 4):
+                c = y ** (mpmath.mpf(1.5) - k)
+        else:
+            w = mpmath.pi * D * y / (2 * m)
+            if i in (2, 4):
+                arg = -w if skew else w
+                H = mpmath.re(mpmath.exp(-arg) * mpmath.gammainc(mpmath.mpf(1.5) - k, -2 * arg))
+                c = H * mpmath.exp(w)
+            elif skew:
+                c = mpmath.exp(2 * w)
+        if i in (3, 4):
+            b = mpmath.sqrt(mpmath.pi * y / abs(m)) * (r + 2 * m * v / y)
+            if m < 0:
+                c *= mpmath.sqrt(mpmath.pi) * mpmath.erf(b)
+            else:
+                c *= 1j * mpmath.sqrt(mpmath.pi) * mpmath.erfi(b)
+        return c * mpmath.exp(2j * mpmath.pi * (n * tau + r * z))

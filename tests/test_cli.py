@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 import pytest
+import series_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.mu import mu_hat_2_jet, mu_hat_component_jet, mu_m_jet, r_hat_component_jet
 from mjlab.special import (
-    H_jet,
+    H_function,
     error_completion_E,
     jacobi_theta_jet,
     theta_ml_handle,
@@ -258,14 +259,14 @@ def _kernel_case(name):
 
 
 # catalog name -> (eval arguments besides the point, order-0 evaluation of
-# its jet form; the scalar E has only its point evaluator)
+# its jet form; the scalars E and H have only their point evaluators)
 EVAL_CASES = {
     "theta": ((), lambda: jacobi_theta_jet(C(TAU), C(Z)).value),
     "theta_ml": (("--m", "1", "--l", "1"),
                  lambda: theta_ml_jet(2, 1.0, C(TAU), C(Z)).value),
     "R": ((), lambda: zwegers_R_jet(C(TAU), C(Z)).value),
     "E": (("--w", "0.3"), lambda: complex(error_completion_E(0.3))),
-    "H": (("--w", "0.7", "--k", "1.5"), lambda: H_jet(C(0.7), 1.5).value),
+    "H": (("--w", "0.7", "--k", "1.5"), lambda: complex(H_function(0.7, 1.5))),
     "mu": (("--m", "1", "--z2", "0.17-0.23i"),
            lambda: mu_m_jet(2, C(TAU), C(Z), C(0.17 - 0.23j)).value),
     "mu_hat_ml": (("--m", "1", "--l", "1"),
@@ -349,6 +350,13 @@ DOMAIN_CASES = [
     # every rank of a verify request is checked before any row is computed
     ("verify", "weil", "--two-m", "-1"),
     ("verify", "mu-transform", "--two-m", "-2"),
+    # a suite reads only its own options
+    ("verify", "kernels", "--k", "1.5"),
+    ("verify", "covariance", "--two-m", "3"),
+    ("verify", "weil", "--seed", "5"),
+    ("verify", "xi-images", "--two-m", "2"),
+    ("verify", "hygiene", "--op", "X+"),
+    ("verify", "decomposition-roundtrip", "--k", "0.5"),
 ]
 
 
@@ -444,30 +452,74 @@ def kernel_requests(draw):
     ]
 
 
+def _kernel_reference(argv):
+    """The mpmath value of the kernel term that `eval` arguments
+    ("eval", name, "--opt=value", ...) request, with eval's defaults."""
+    opts = {"k": "0.5", "m": "1.0", "n": "0", "r": "0", "tau": "0+1i", "z": "0+0i"}
+    opts.update(arg[2:].split("=", 1) for arg in argv[2:])
+    return ref.kernel_term(argv[1], float(opts["k"]), float(opts["m"]), int(opts["n"]),
+                           int(opts["r"]), parse_complex(opts["tau"]), parse_complex(opts["z"]))
+
+
+def _check_kernel_term(argv, code, out, err):
+    """A kernel term request printed mpmath's value to 1e-11 relative or
+    1e-290 absolute, or exited 5 where mpmath's |term| exceeds 1e290.  The
+    exponent E of a term reaches several thousand here, and rounds to
+    about |E| 1e-16."""
+    want = _kernel_reference(argv)
+    if code == cli.EXIT_OVERFLOW:
+        assert abs(want) > 1e290, (argv, err, want)
+        return
+    assert not code, (argv, err)
+    got = mpmath.mpc(*json.loads(out, parse_constant=_reject_constant)["value"])
+    assert abs(got - want) <= max(1e-11 * abs(want), 1e-290), (argv, got, want)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=kernel_requests())
 def test_kernel_fuzz_evaluates_or_overflows(argv):
-    # inside the domain a kernel term is a finite value or a value overflow
+    # inside the domain a kernel term is mpmath's value, or a value overflow
+    # where it exceeds the floating-point range
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, cli.EXIT_OVERFLOW), (argv, err.getvalue())
-    if not code:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    _check_kernel_term(argv, code, out.getvalue(), err.getvalue())
+
+
+# kernel terms whose exponentials overflow or underflow apart, although the
+# term is a float (or below the smallest one)
+SCALED_TERM_CASES = [
+    ("eval", "c3sk", "--k=3.5", "--m=0.5", "--n=2", "--r=-6", "--tau=0+17.25i", "--z=0+1i"),
+    ("eval", "c4", "--k=1.5", "--m=0.5", "--n=0", "--r=5", "--tau=0.1+10i"),
+    ("eval", "c2", "--n=-50", "--tau=0.1+3i"),
+    ("eval", "c2sk", "--n=50", "--tau=0.1+3i"),
+    ("eval", "c4sk", "--n=50", "--r=1", "--tau=0.1+3i"),
+    ("eval", "c1sk", "--n=-3", "--tau=0.1+40i"),
+]
+
+
+@pytest.mark.parametrize("argv", SCALED_TERM_CASES, ids=" ".join)
+def test_kernel_terms_with_one_exponential_match_mpmath(argv, capsys):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0, err
+    _check_kernel_term(argv, code, out, err)
 
 
 @st.composite
 def verify_requests(draw):
-    """`verify` arguments of the suites that take a rank or a weight: 2m
-    from -3 to 8 for weil and mu-transform, k and m half-integers, other
-    floats or non-finite, and small n, r for xi-images."""
+    """`verify` arguments of the suites that take a rank or a weight, each
+    with only the options it reads: 2m from -3 to 8 for weil and
+    mu-transform; k and m half-integers, other floats or non-finite, and
+    small n, r for xi-images."""
     suite = draw(st.sampled_from(["weil", "mu-transform", "xi-images"]))
+    if suite != "xi-images":
+        return ["verify", suite, "--two-m=%d" % draw(st.integers(-3, 8))]
     k, m = (draw(_or_non_finite(st.one_of(HALF_INTEGERS, st.floats(-4, 4)))) for _ in "km")
     return [
-        "verify", suite, "--two-m=%d" % draw(st.integers(-3, 8)), "--k=%r" % k, "--m=%r" % m,
+        "verify", suite, "--k=%r" % k, "--m=%r" % m,
         "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-2, 2)),
     ]
 
@@ -514,6 +566,31 @@ def test_verify_report_gives_the_suite_wall_time(capsys):
     assert list(report) == ["suite", "checks", "passed", "seconds"]
     seconds = report["seconds"]
     assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0.0
+
+
+@pytest.mark.parametrize("args,params", [
+    (("--n", "3", "--r", "2"), "[0.5,1,3,2]"),
+    (("--r", "1"), "[0.5,1,0,1]"),
+    (("--k", "1.5"), "[1.5,1,0,1]"),
+])
+def test_verify_xi_images_runs_the_requested_parameters(args, params, capsys):
+    # any of --k, --m, --n and --r selects the parameters, with the defaults
+    # k = 1/2, m = 1, n = 0 and r = 0 (r = 1 and 0 when n and r are absent)
+    code, out, err = run_main(capsys, "verify", "xi-images", *args)
+    assert code in (None, 0, cli.EXIT_FAILED), err
+    tags = {c["identity"].rsplit("@", 1)[1] for c in json.loads(out)["checks"]}
+    assert params in tags and "[0.5,-1,-1,1]" not in tags
+
+
+def test_verify_seed_reaches_decomposition_roundtrip(monkeypatch, capsys):
+    seen = []
+    suite = cli.verify.SUITES["decomposition-roundtrip"]
+    monkeypatch.setitem(cli.verify.SUITES, "decomposition-roundtrip",
+                        lambda **kw: seen.append(kw) or suite(**kw))
+    for argv in (("--seed", "5"), ()):
+        code, out, err = run_main(capsys, "verify", "decomposition-roundtrip", *argv)
+        assert code in (None, 0), err
+    assert seen == [{"seed": 5}, {}]
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -1,10 +1,13 @@
 """The README's module and exit-code tables and its list of verification
-suites match the package."""
+suites match the package, and the module table names only what exists."""
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
-from mjlab import cli, verify
+import mjlab
+from mjlab import cli, errors, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -49,3 +52,32 @@ def test_suite_list_names_every_suite():
         if line.startswith("- ")
     ]
     assert sorted(documented) == sorted(verify.SUITES)
+
+
+def test_module_table_names_only_what_exists():
+    """Every backticked identifier in the module table resolves: an
+    attribute (dotted path) of its row's module, of a class there, or of
+    the package; else a suite, a catalog name, an error class or the
+    command `mjlab`."""
+    lines = README.splitlines()
+    start = lines.index("| module | contents |") + 2
+    known = set(verify.SUITES) | set(cli.CATALOG) | set(dir(errors)) | {"mjlab"}
+    unresolved = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        _, module, contents, _ = line.split("|")
+        mod = importlib.import_module(module.strip().strip("`"))
+        owners = [mod, mjlab] + [c for c in vars(mod).values() if inspect.isclass(c)]
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", contents):
+            if name not in known and not any(_resolves(o, name) for o in owners):
+                unresolved.append((mod.__name__, name))
+    assert unresolved == []
+
+
+def _resolves(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True

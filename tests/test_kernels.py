@@ -79,6 +79,13 @@ def test_kernel_params_partners():
 # closed forms of the kernel factors
 
 
+def coefficient(i, params, skew, p):
+    """c_i(n, r; y, v) (c_i^sk when skew): the kernel term at p divided by
+    q^n zeta^r."""
+    term = kernel_jet(i, params, skew, JetVars.at(p, 0)).value
+    return term / (p.q ** params.n * p.zeta ** params.r)
+
+
 def test_first_kernel_factor_is_plane_wave():
     # c_1 is the pure exponential q^n zeta^r
     params = KernelParams.of(0.5, -1.0, -1, 1)
@@ -92,7 +99,7 @@ def test_second_kernel_factor_degenerate_closed_form():
     # at vanishing discriminant the H-factor degenerates to y^(3/2-k)
     params = KernelParams.of(0.5, 1.0, 0, 0)
     for p in POINTS:
-        got = kernel_jet(2, params, False, JetVars.at(p, 0)).value
+        got = coefficient(2, params, False, p)
         want = p.y ** 1.0
         assert abs(got - want) < 1e-12 * want
 
@@ -103,7 +110,7 @@ def test_second_kernel_factor_uses_H_kernel():
     for p in POINTS:
         arg = math.pi * D * p.y / (2.0 * m)
         want = H_function(arg, k) * math.exp(arg)
-        got = kernel_jet(2, params, False, JetVars.at(p, 0)).value
+        got = coefficient(2, params, False, p)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
@@ -116,7 +123,7 @@ def test_third_kernel_factor_uses_incomplete_gamma():
             # gamma(1/2, .) continued from the upper half plane
             x = (-math.pi * p.y / m) * a * a
             want = s * complex(mpmath.gammainc(0.5, 0, mpmath.mpc(x, 1e-30)))
-            got = kernel_jet(3, params, False, JetVars.at(p, 0)).value
+            got = coefficient(3, params, False, p)
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want)), (m, p)
 
 
@@ -128,7 +135,7 @@ def _on_sign_locus(params, y=1.1):
 def test_third_kernel_factor_vanishes_on_sign_locus():
     params = KernelParams.of(0.5, -1.0, -1, 1)
     p = _on_sign_locus(params)
-    assert kernel_jet(3, params, False, JetVars.at(p, 0)).value == 0.0
+    assert coefficient(3, params, False, p) == 0.0
 
 
 @pytest.mark.parametrize("params", XI_TABLE_PARAMS + (KernelParams.of(0.5, 1, 0, 1),
@@ -160,9 +167,9 @@ def test_third_and_fourth_kernel_jets_are_smooth_on_sign_locus(params):
 def test_fourth_kernel_factor_is_product_of_factors():
     params = KernelParams.of(0.5, -1.0, -1, 1)
     for p in POINTS:
-        c2 = kernel_jet(2, params, False, JetVars.at(p, 0)).value
-        c3 = kernel_jet(3, params, False, JetVars.at(p, 0)).value
-        c4 = kernel_jet(4, params, False, JetVars.at(p, 0)).value
+        c2 = coefficient(2, params, False, p)
+        c3 = coefficient(3, params, False, p)
+        c4 = coefficient(4, params, False, p)
         # c4 carries both nonholomorphic factors
         assert abs(c4 - c2 * c3) <= 1e-10 * max(1.0, abs(c2 * c3))
 
@@ -170,8 +177,8 @@ def test_fourth_kernel_factor_is_product_of_factors():
 def test_skew_degenerate_matches_standard():
     std = KernelParams.of(0.5, 1.0, 0, 0)
     for p in POINTS:
-        a = kernel_jet(2, std, False, JetVars.at(p, 0)).value
-        b = kernel_jet(2, std, True, JetVars.at(p, 0)).value
+        a = coefficient(2, std, False, p)
+        b = coefficient(2, std, True, p)
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 

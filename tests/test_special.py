@@ -1,9 +1,10 @@
 """Special functions against quadrature and closed-form oracles.
 
 Every derived value is checked against an independent computation:
-scipy quadrature and mpmath for the Gaussian integral F_c (erf, erfi and
-gamma(1/2, x)), E and the exponential integrals, mpmath and closed forms
-for the half-integral H-kernel, and the Jacobi triple product plus
+scipy quadrature and mpmath for the Gaussian integral F_c (erf), the
+Dawson factor D = e^(-b^2) F_-1 (erfi and gamma(1/2, x)), E and the
+exponential integrals, mpmath and closed forms for the half-integral
+H-kernel and its factor G = e^(-w) H, and the Jacobi triple product plus
 quasi-periodicity for the theta series.
 """
 
@@ -28,9 +29,9 @@ from mjlab.mu import (
     r_hat_component_jet,
 )
 from mjlab.special import (
-    H_derivatives,
+    G_jet,
     H_function,
-    H_jet,
+    dawson_jet,
     error_completion_E,
     exp1,
     expi,
@@ -48,20 +49,36 @@ C = lambda w: Jet.constant(w, 0)
 # the Gaussian integral F_c and the exponential integrals
 
 
+def F_jet(c, b):
+    """F_c of a real jet b as the library forms it: `gaussian_integral_jet`
+    for c > 0; for c < 0, as in the kernel terms, e^(|c| b^2) times the
+    Dawson factor D(sqrt|c| b) / sqrt|c|, with D = e^(-b^2) F_-1."""
+    if c > 0:
+        return gaussian_integral_jet(c, b)
+    root = math.sqrt(-c)
+    return (-c * b * b).exp() * dawson_jet(root * b) * (1.0 / root)
+
+
 def F(c, b):
-    return gaussian_integral_derivatives(c, b, 0)[0]
+    return F_jet(c, C(b)).value.real
+
+
+def D(b):
+    """The Dawson factor at a float b, or at each entry of an array b."""
+    return dawson_jet(C(b)).value.real
 
 
 def gamma_half(x):
     """gamma(1/2, x) through the Gaussian integral: F_1(sqrt(x)) for x >= 0,
-    i F_-1(sqrt(-x)) on the branch continued from the upper half plane."""
-    return F(1.0, math.sqrt(x)) if x >= 0 else 1j * F(-1.0, math.sqrt(-x))
+    i e^(-x) D(sqrt(-x)) = i F_-1(sqrt(-x)) on the branch continued from the
+    upper half plane."""
+    return F(1.0, math.sqrt(x)) if x >= 0 else 1j * math.exp(-x) * D(math.sqrt(-x))
 
 
 def test_gaussian_integral_against_mpmath_erf_and_erfi():
-    """F_1 = sqrt(pi) erf to 1e-15 and F_-1 = sqrt(pi) erfi to 1e-13
-    relative, both odd, F_-1 up to b^2 = 709 where e^(b^2) nears the
-    floating-point limit; F_pi = erf(sqrt(pi) .) is E."""
+    """F_1 = sqrt(pi) erf to 1e-15, odd; F_pi = erf(sqrt(pi) .) is E; the
+    Dawson factor D = e^(-b^2) sqrt(pi) erfi to 1e-13 relative, odd, from
+    b = 0 to b^2 = 8100, far past b^2 = 709 where e^(b^2) overflows."""
     bs = [0.0, 1e-9, 1e-3, 0.3, 1.0, 2.5, 4.0, 6.0]
     with mpmath.workdps(30):
         sqrt_pi = mpmath.sqrt(mpmath.pi)
@@ -70,43 +87,83 @@ def test_gaussian_integral_against_mpmath_erf_and_erfi():
             assert abs(F(1.0, b) - want) <= 1e-15 * abs(want), b
             assert error_completion_E(b) == F(math.pi, b)
         squares = [0.25 * i for i in range(1, 400)] + list(range(100, 500, 7))
-        squares += [500.0 + 0.5 * i for i in range(419)]
+        squares += [500.0 + 0.5 * i for i in range(419)] + list(range(710, 8101, 97))
         for b2 in squares:
             for b in (math.sqrt(b2), -math.sqrt(b2)):
-                want = float(sqrt_pi * mpmath.erfi(b))
-                assert abs(F(-1.0, b) - want) <= 1e-13 * abs(want), b2
+                want = float(sqrt_pi * mpmath.exp(-mpmath.mpf(b) ** 2) * mpmath.erfi(b))
+                assert abs(D(b) - want) <= 1e-13 * abs(want), b2
     # elementwise on arrays
     b = np.array(bs[:6]).reshape(2, 3)
-    got = F(-1.0, b)
+    got = D(b)
     assert got.shape == (2, 3)
-    assert all(got.ravel()[i] == F(-1.0, x) for i, x in enumerate(bs[:6]))
+    assert all(got.ravel()[i] == D(x) for i, x in enumerate(bs[:6]))
 
 
-def test_gaussian_integral_beyond_the_float_range_raises():
-    assert math.isfinite(F(-1.0, math.sqrt(712.0)))
+def test_dawson_factor_is_bounded_where_erfi_overflows():
+    """|D| <= 1.09 everywhere, D(b) b -> 1 for large b, where F_-1 =
+    e^(b^2) D is far beyond the floating-point range; e^(b^2) overflows as
+    a jet exponential, with ValueOverflow."""
+    for b in [0.1 * i for i in range(1, 300)] + [30.0, 90.0, 1e3, 1e8, 1e150]:
+        assert 0.0 < D(b) <= 1.09 and D(-b) == -D(b), b
+    assert abs(D(1e3) * 1e3 - 1.0) < 1e-6 and D(1e8) * 1e8 == 1.0
+    assert math.isfinite(F(-1.0, math.sqrt(709.0)))
     with pytest.raises(ValueOverflow):
-        F(-1.0, math.sqrt(715.0))
-    with pytest.raises(ValueOverflow):
-        F(-1.0, -40.0)
-    with pytest.raises(ValueOverflow):  # F' = 2 e^(b^2)
-        gaussian_integral_derivatives(-1.0, math.sqrt(710.0), 1)
+        F(-1.0, math.sqrt(712.0))
 
 
 @pytest.mark.parametrize("c", [math.pi, 1.0, -1.0, -0.3])
 def test_gaussian_integral_derivatives_against_mpmath(c):
-    # F^(j) is the (j-1)-th derivative of the integrand 2 e^(-c b^2)
+    # F^(j) is the (j-1)-th derivative of the integrand 2 e^(-c b^2); for
+    # c < 0, F_c is formed as e^(|c| b^2) D(sqrt|c| b) / sqrt|c|
     for b0 in (0.0, 0.7, -1.9, 3.1):
-        ds = gaussian_integral_derivatives(c, b0, 5)
+        jet = F_jet(c, Jet.variable(0, b0, 5))
+        ds = [jet.partial((j, 0, 0, 0)).real for j in range(6)]
         for j, d in enumerate(ds[1:]):
             want = float(mpmath.diff(lambda b: 2 * mpmath.exp(-c * b * b), b0, j))
             assert abs(d - want) <= 1e-13 * max(1.0, abs(want)), (b0, j)
 
 
-@pytest.mark.parametrize("c", [math.pi, 1.0, -1.0])
+@pytest.mark.parametrize("c", [math.pi, 1.0])
 def test_gaussian_integral_derivatives_at_zero(c):
     # F is odd with F' = 2 e^(-c b^2): the jet at 0 exists at every order
     assert gaussian_integral_derivatives(c, 0.0, 5) == [0.0, 2.0, 0.0, -4.0 * c, 0.0,
                                                         24.0 * c * c]
+
+
+def test_dawson_factor_vanishes_with_its_even_derivatives_at_zero():
+    # D is odd with D' = 2 - 2bD: at b = 0 the derivatives are 0, 2, 0, -8, 0, 64
+    table = dawson_jet(Jet.variable(0, 0.0, 5)).table()
+    assert [table[(j, 0, 0, 0)] for j in range(6)] == [0.0, 2.0, 0.0, -8.0, 0.0, 64.0]
+
+
+def _scaled_erfi_derivatives(b, n):
+    """e^(-b^2) F_-1^(i)(b) for i = 0..n in mpmath at 40 digits: sqrt(pi)
+    e^(-b^2) erfi(b), then 2 p_(i-1)(b) with p_0 = 1, p_(i+1) = p_i' + 2b p_i
+    (F_-1' = 2 e^(b^2))."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        out = [mpmath.sqrt(mpmath.pi) * mpmath.exp(-b * b) * mpmath.erfi(b)]
+        p = [mpmath.mpf(1)]  # coefficients of p_i in powers of b
+        for _ in range(n):
+            out.append(2 * mpmath.polyval(p[::-1], b))
+            p = [2 * (p[i - 1] if i else 0) + ((i + 1) * p[i + 1] if i + 1 < len(p) else 0)
+                 for i in range(len(p) + 1)]
+        return [float(d) for d in out]
+
+
+def test_dawson_jet_against_mpmath():
+    """The jet of e^(b^2 - b0^2) D(b), the c_3/c_4 factor of a kernel term
+    for m > 0 with e^(b0^2) taken out, at orders 0-4 for b0 in [0, 90]: its
+    Taylor coefficients match e^(-b0^2) F_-1 to 1e-13 of the largest."""
+    for b0 in [0.0, 1e-3, 0.5, 0.924, 2.0, 6.3, 6.33, 10.0, 26.6, 40.0, 90.0]:
+        for sign in (1.0, -1.0):
+            b = Jet.variable(0, sign * b0, 4)
+            table = ((b * b - b0 * b0).exp() * dawson_jet(b)).table()
+            got = [table[(j, 0, 0, 0)].real / math.factorial(j) for j in range(5)]
+            want = [d / math.factorial(j)
+                    for j, d in enumerate(_scaled_erfi_derivatives(sign * b0, 4))]
+            scale = max(abs(t) for t in want)
+            assert max(abs(g - t) for g, t in zip(got, want)) <= 1e-13 * scale, sign * b0
 
 
 @pytest.mark.parametrize("x", [-0.3, -1.7, -6.0])
@@ -122,7 +179,7 @@ def test_gamma_half_continuation_against_quadrature(x):
 
 def test_gamma_half_positive_axis_against_mpmath():
     """F_1(sqrt(x)) is gamma(1/2, x) to 1e-14 relative on [0, 50], and
-    i F_-1(sqrt(-x)) is its continuation down to x = -709."""
+    i e^(-x) D(sqrt(-x)) is its continuation down to x = -709."""
     xs = [0.0, 1e-12, 1e-6, 1e-3] + [0.25 * i for i in range(1, 201)]
     for x in xs:
         want = complex(mpmath.gammainc(0.5, 0, x))
@@ -131,7 +188,7 @@ def test_gamma_half_positive_axis_against_mpmath():
         for x in [-1e-6, -0.5, -3.0, -40.0, -300.0, -550.0, -628.0, -700.0, -709.0]:
             # mpmath continues gamma(1/2, x) from the upper half plane
             want = complex(mpmath.gammainc(0.5, 0, mpmath.mpc(x, 1e-40)))
-            # sqrt(-x) rounds to eps/2 relative, and F_-1 near b amplifies
+            # sqrt(-x) rounds to eps/2 relative, and D near b amplifies
             # a relative error of b by about 2 b^2 = 2|x|
             assert abs(gamma_half(x) - want) <= (1e-13 - x * 2.0 ** -53) * abs(want), x
 
@@ -159,7 +216,7 @@ def test_gamma_half_derivatives_match_finite_differences(t0):
     # gamma(1/2, t) as the Gaussian integral of the jet sqrt(+-t)
     sign = 1.0 if t0 > 0 else -1.0
     b = (sign * Jet.variable(0, t0, 2)).cpow(0.5)
-    jet = gaussian_integral_jet(sign, b) * (1.0 if t0 > 0 else 1j)
+    jet = F_jet(sign, b) * (1.0 if t0 > 0 else 1j)
     ds = [jet.partial((j, 0, 0, 0)) for j in range(3)]
     h = 1e-4
     fd1 = (gamma_half(t0 + h) - gamma_half(t0 - h)) / (2.0 * h)
@@ -237,7 +294,7 @@ def _H_oracle(w, k):
 H_ARGS = [float(w) for w in np.geomspace(1e-3, 709.0, 120)] + [356.0, 360.0, 380.0, 400.0]
 
 
-@pytest.mark.parametrize("k", [-0.5, 0.5, 1.5])
+@pytest.mark.parametrize("k", [-0.5, 0.5, 1.5, 2.5, 3.5])
 def test_H_against_mpmath_over_the_float_range(k):
     """1e-13 relative wherever |H| is a normal float, ValueOverflow exactly
     where |H| exceeds the floating-point range."""
@@ -252,32 +309,64 @@ def test_H_against_mpmath_over_the_float_range(k):
         assert abs(got - want) <= 1e-13 * max(abs(want), sys.float_info.min), (k, w)
 
 
-def _H_jet_oracle(w, k, d):
-    """The d-th derivative of H at w in mpmath."""
+def _G_oracle(w, k, n):
+    """G, G', ..., G^(n) at w in mpmath at 40 digits: G = e^(-w) H, then
+    G^(i+1) = -2 G^(i) + 2 d^i/dw^i (-2w)^j with j = 1/2 - k."""
+    j = int(0.5 - k)
     with mpmath.workdps(40):
-        f = lambda t: mpmath.re(mpmath.exp(-t) * mpmath.gammainc(1.5 - k, -2 * t))
-        return float(mpmath.diff(f, mpmath.mpf(w), d))
+        w = mpmath.mpf(w)
+        gs = [mpmath.re(mpmath.exp(-2 * w) * mpmath.gammainc(1.5 - k, -2 * w))]
+        fall = mpmath.mpf(1)
+        for i in range(n):
+            gs.append(-2 * gs[i] + 2 * fall * (-2) ** i * (-2 * w) ** (j - i))
+            fall *= j - i
+        return [float(g) for g in gs]
+
+
+def _G_taylor(w, k, order):
+    table = G_jet(Jet.variable(1, w, order), k).table()
+    return [table[(0, d, 0, 0)].real / math.factorial(d) for d in range(order + 1)]
+
+
+G_ARGS = [float(w) for w in np.geomspace(1e-3, 709.0, 40)] + [0.3725, 1.0, 20.0, 20.5]
+
+
+@pytest.mark.parametrize("k", [-0.5, 0.5, 1.5, 2.5, 3.5])
+def test_G_jet_against_mpmath(k):
+    """The Taylor coefficients of G = e^(-w) H at orders 0-4 for w in
+    +-[1e-3, 709], to 1e-13 of the jet's largest coefficient."""
+    for w in G_ARGS + [-w for w in G_ARGS]:
+        got = _G_taylor(w, k, 4)
+        want = [g / math.factorial(d) for d, g in enumerate(_G_oracle(w, k, 4))]
+        scale = max(abs(t) for t in want)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13 * scale, (k, w)
 
 
 @pytest.mark.parametrize("w", [700.0, 709.0, 710.0, 712.0, 716.0])
-def test_H_jet_beyond_the_range_of_exp(w):
-    """H and its derivatives are finite past w = 709.78, where e^w alone
-    overflows; every order matches mpmath."""
+def test_G_jet_beyond_the_range_of_exp(w):
+    """G and its derivatives are finite past w = 709.78, where e^w alone
+    overflows (the factor H(-w') e^(w') of c_2^sk at w' = -w); every order
+    matches mpmath's numerical derivatives to 1e-13 of the largest Taylor
+    coefficient (G' = 2 (-2w)^j - 2G cancels to 1e-3 of G here)."""
     k = 1.5
+    with mpmath.workdps(40):
+        f = lambda t: mpmath.re(mpmath.exp(-2 * t) * mpmath.gammainc(1.5 - k, -2 * t))
+        want = [float(mpmath.diff(f, mpmath.mpf(w), d)) / math.factorial(d) for d in range(4)]
     for order in (1, 2, 3):
-        table = H_jet(Jet.variable(1, w, order), k).table()
+        got = _G_taylor(w, k, order)
+        assert all(math.isfinite(g) for g in got)
         for d in range(order + 1):
-            want = _H_jet_oracle(w, k, d)
-            got = table[(0, d, 0, 0)]
-            assert abs(got - want) <= 1e-13 * abs(want), (w, order, d)
+            assert abs(got[d] - want[d]) <= 1e-13 * abs(want[0]), (w, order, d)
 
 
-def test_H_derivatives_match_finite_differences():
+def test_G_derivatives_match_finite_differences():
     w0, k = -0.8, 1.5
-    hs = H_derivatives(w0, k, 2)
+    gs = _G_taylor(w0, k, 2)
+    G = lambda w: _G_taylor(w, k, 0)[0]
     h = 1e-5
-    fd1 = (H_function(w0 + h, k) - H_function(w0 - h, k)) / (2.0 * h)
-    assert abs(hs[1] - fd1) < 1e-6 * max(1.0, abs(fd1))
+    fd1 = (G(w0 + h) - G(w0 - h)) / (2.0 * h)
+    assert abs(gs[0] - H_function(w0, k) * math.exp(-w0)) < 1e-15
+    assert abs(gs[1] - fd1) < 1e-6 * max(1.0, abs(fd1))
 
 
 # ----------------------------------------------------------------------
