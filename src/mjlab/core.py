@@ -210,6 +210,11 @@ class JetVars:
     def zbar(self):
         return self.u - 1j * self.v
 
+    def base_key(self):
+        """A hashable key of the base point (or point stack) of these jets."""
+        base = np.array(self.base)
+        return base.shape, base.tobytes()
+
     def at_base(self, order):
         """Plain coordinate jets of the given order at the base point (or
         stack) of these jets."""

@@ -4,7 +4,10 @@ slash actions.
 Elements carry an SL2 part, a branch sign for sqrt(c tau + d) relative to
 the principal branch, a Heisenberg part (lambda, mu) and a central kappa.
 Cocycle signs for products are resolved numerically at the reference point
-tau = i rather than by a symbolic 2-cocycle table.
+tau = i rather than by a symbolic 2-cocycle table.  A slash by an element
+at an index takes everything it needs of the coordinates, whatever the
+weight and the form, from one SlashFrame; `shared_slash_frames` lets the
+slashes of one computation share each frame.
 """
 
 import math
@@ -12,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .core import FunctionHandle, JetVars, WeightIndex, principal_sqrt
 from .errors import DomainError
+from .jets import Jet
 
 _REF_TAU = 1j
 
@@ -127,28 +131,31 @@ class TaggedForm:
 
 def _transformed_vars(A, jv):
     """Coordinate jets after the Jacobi group action, plus the pieces the
-    automorphy factors need."""
+    automorphy factors need: den = c tau + d, its conjugate, 1/den and
+    z + lam tau + mu."""
     tau = jv.tau
     taubar = jv.taubar
     z = jv.z
     zbar = jv.zbar
     den = A.c * tau + A.d
     denbar = A.c * taubar + A.d
+    inv = den.reciprocal()
+    invbar = denbar.reciprocal()
     zs = z + A.lam * tau + A.mu
     zsbar = zbar + A.lam * taubar + A.mu
-    tau2 = (A.a * tau + A.b) / den
-    taubar2 = (A.a * taubar + A.b) / denbar
-    z2 = zs / den
-    zbar2 = zsbar / denbar
+    tau2 = (A.a * tau + A.b) * inv
+    taubar2 = (A.a * taubar + A.b) * invbar
+    z2 = zs * inv
+    zbar2 = zsbar * invbar
     jv2 = JetVars.from_complex(tau2, taubar2, z2, zbar2)
-    return jv2, den, denbar, zs
+    return jv2, den, denbar, inv, zs
 
 
-def _index_exponent(A, m, tau, z, zs, den):
+def _index_exponent(A, m, tau, z, zs, inv):
     # e^(2 pi i m (-c (z + lam tau + mu)^2 / (c tau + d)
     #              + lam^2 tau + 2 lam z + lam mu + kappa))
     inner = (
-        -A.c * zs * zs / den
+        -A.c * zs * zs * inv
         + A.lam * A.lam * tau
         + 2.0 * A.lam * z
         + (A.lam * A.mu + A.kappa)
@@ -156,44 +163,83 @@ def _index_exponent(A, m, tau, z, zs, den):
     return (2j * math.pi * m * inner).exp()
 
 
-def _slashed(phi, A, kind, weigh):
+@dataclass(frozen=True)
+class SlashFrame:
+    """What a slash by A at index m needs of the coordinates jv, whatever
+    the weight and the form: the transformed coordinates, den = c tau + d
+    and its conjugate, the root omega of c tau + d and the index factor."""
+
+    jv: JetVars
+    den: Jet
+    denbar: Jet
+    root: Jet
+    index_factor: Jet
+
+
+def _slash_frame(A, m, jv):
+    """The SlashFrame of A at index m on the coordinates jv."""
+    jv2, den, denbar, inv, zs = _transformed_vars(A, jv)
+    root = A.eps * den.cpow(0.5)  # the branch omega of sqrt(c tau + d)
+    return SlashFrame(jv2, den, denbar, root, _index_exponent(A, m, jv.tau, jv.z, zs, inv))
+
+
+def shared_slash_frames():
+    """A frame function for slashes that share their frames: the first call
+    for an element, an index, a jet order and a stack of plain base points
+    computes the SlashFrame, and later calls return it.  Frames on
+    transformed coordinates are computed afresh.  Pass one to the slashes
+    of one computation on one point set and drop it with them."""
+    frames = {}
+
+    def frame(A, m, jv):
+        if not jv.plain:
+            return _slash_frame(A, m, jv)
+        key = (A, m, jv.order) + jv.base_key()
+        if key not in frames:
+            frames[key] = _slash_frame(A, m, jv)
+        return frames[key]
+
+    return frame
+
+
+def _slashed(phi, A, kind, weigh, frame):
     """phi slashed by A with the action of the given kind: phi at the
     transformed coordinates, times the weight factor that
-    weigh(F, root, den, denbar) applies to it, times the index factor."""
+    weigh(F, root, den, denbar) applies to it, times the index factor.  The
+    frame function, when given (see shared_slash_frames), gives the frame."""
     if phi.action_kind != kind:
         raise DomainError("the %s slash needs a %s-action form" % (kind, kind))
     wi = phi.weight_index
     m = wi.m
+    frame = frame or _slash_frame
 
     def je(jv):
-        jv2, den, denbar, zs = _transformed_vars(A, jv)
-        root = A.eps * den.cpow(0.5)  # the branch omega of sqrt(c tau + d)
-        index_factor = _index_exponent(A, m, jv.tau, jv.z, zs, den)
-        return weigh(phi.f.jet_at(jv2), root, den, denbar) * index_factor
+        fr = frame(A, m, jv)
+        return weigh(phi.f.jet_at(fr.jv), fr.root, fr.den, fr.denbar) * fr.index_factor
 
     tag = "sk" if kind == "skew" else ""
     label = "(%s)|%s[%g,%g]" % (phi.f.label, tag, wi.k, wi.m)
     return TaggedForm(FunctionHandle(jet_fn=je, label=label), wi, kind)
 
 
-def slash(phi, A):
+def slash(phi, A, frame=None):
     """phi |_{k,m} A for a standard-action tagged form."""
     k2 = phi.weight_index.two_k
-    return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2))
+    return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2), frame)
 
 
-def skew_slash(phi, A):
+def skew_slash(phi, A, frame=None):
     """phi |^sk_{k,m} A for a skew-action tagged form."""
     k2 = phi.weight_index.two_k
 
     def weigh(F, root, den, denbar):
         return F * root.conj() ** (2 - k2) * (den * denbar).cpow(-0.5)
 
-    return _slashed(phi, A, "skew", weigh)
+    return _slashed(phi, A, "skew", weigh, frame)
 
 
-def apply_slash(phi, A):
+def apply_slash(phi, A, frame=None):
     """Dispatch on the form's action kind."""
     if phi.action_kind == "skew":
-        return skew_slash(phi, A)
-    return slash(phi, A)
+        return skew_slash(phi, A, frame)
+    return slash(phi, A, frame)

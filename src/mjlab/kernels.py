@@ -8,7 +8,9 @@ Heisenberg Laplace equations for the discriminant D = 4mn - r^2; c_3 and
 c_4 carry a Gaussian-integral factor in r + 2mv/y, smooth across its zero
 locus, so every kernel term has exact jets at every point.  Each term is
 one exponential of a single exponent jet times bounded factors free of
-exponentials, so it is finite wherever its value is.  Fourier
+exponentials, so it is finite wherever its value is; the terms of one
+parameter set are evaluated together as a kernel family that forms each
+shared piece once.  Fourier
 data with the class-function property c(n, r) = c(n', r') for equal D and
 r = r' mod 2m decomposes into label-indexed q-series with exact rational
 exponents.  The annihilation and image identities are checked in
@@ -69,41 +71,76 @@ def _term_label(i, params, skew):
     return "c%d%s[%g,%g,%d,%d]" % (i, "sk" if skew else "", params.k, params.m, params.n, params.r)
 
 
-def kernel_jet(i, params, skew, jv):
-    """Jet of the kernel term c_i q^n zeta^r (c_i^sk q^n zeta^r if skew):
-    exp(E) times factors free of exponentials.  E = 2 pi i (n tau + r z),
-    plus 2w = pi D y / m for c_2, c_4, c_1^sk and c_3^sk (D != 0), plus b^2
-    for c_3 and c_4 when m > 0, b = (pi y / |m|)^(1/2) (r + 2mv/y).  The
-    factors: G(+-w) (`G_jet`; y^(3/2-k) at D = 0) for c_2 and c_4; F_1(b)
-    for m < 0, i D(b) (`dawson_jet`) for m > 0, for c_3 and c_4."""
-    if i not in (1, 2, 3, 4):
-        raise DomainError("kernel label must be 1..4")
+KERNEL_TERMS = tuple((i, skew) for skew in (False, True) for i in (1, 2, 3, 4))
+
+
+def kernel_family_jet(params, terms, jv):
+    """Jets of the kernel terms (i, skew) of `terms` at one parameter set,
+    stacked on a new leading row axis: shape (len(terms), *points, M).
+
+    Each term is exp(E) times factors free of exponentials.
+    E = 2 pi i (n tau + r z), plus 2w = pi D y / m for c_2, c_4, c_1^sk and
+    c_3^sk (D != 0), plus b^2 for c_3 and c_4 when m > 0, with
+    b = (pi y / |m|)^(1/2) (r + 2mv/y).  The factors: G(+-w) (`G_jet`;
+    y^(3/2-k) at D = 0) for c_2 and c_4; F_1(b) for m < 0, i D(b)
+    (`dawson_jet`) for m > 0, for c_3 and c_4.  The terms share these
+    pieces: E, w, b, each factor and the exp of each distinct exponent are
+    formed once, when the first term that needs them is.  So every row is
+    the jet its term gives alone, bit for bit, and the first term that
+    fails raises what it raises alone."""
+    for i, _ in terms:
+        if i not in (1, 2, 3, 4):
+            raise DomainError("kernel label must be 1..4")
     k, m, D = params.k, params.m, params.D
     Y = jv.y
-    expo = (2j * math.pi) * (params.n * jv.tau + params.r * jv.z)
-    factors = []
-    if D == 0:  # the skew terms coincide with the standard ones
+    E = (2j * math.pi) * (params.n * jv.tau + params.r * jv.z)
+    w = (math.pi * D / (2.0 * m)) * Y if D != 0 else None
+    pieces = {}
+
+    def piece(key, make):
+        if key not in pieces:
+            pieces[key] = make()
+        return pieces[key]
+
+    def b():
+        return piece("b", lambda: (math.pi / abs(m) * Y).cpow(0.5)
+                     * (params.r + (2.0 * m) * jv.v / Y))
+
+    def exp(two_w, bb):
+        expo = E + 2.0 * w if two_w else E
+        if bb:
+            expo = expo + b() * b()
+        return expo.exp()
+
+    rows = []
+    for i, skew in terms:
+        two_w = D != 0 and (i % 2 == 0) != skew
+        bb = i in (3, 4) and m > 0
+        factors = []
         if i in (2, 4):
-            factors.append(Y.cpow(1.5 - k))
-    else:
-        w = (math.pi * D / (2.0 * m)) * Y
-        if (i % 2 == 0) != skew:
-            expo = expo + 2.0 * w
-        if i in (2, 4):
-            factors.append(G_jet(-1.0 * w if skew else w, k))
-    if i in (3, 4):
-        b = (math.pi / abs(m) * Y).cpow(0.5) * (params.r + (2.0 * m) * jv.v / Y)
-        if m < 0:
-            factors.append(gaussian_integral_jet(1.0, b))
-        else:
-            expo = expo + b * b
-            factors.append(1j * dawson_jet(b))
-    # an exponential or a product that overflows is a ValueOverflow, not inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
-        term = expo.exp()
-        for factor in factors:
-            term = term * factor
-    return _finite_sum(term, _term_label(i, params, skew))
+            if D == 0:  # the skew terms coincide with the standard ones
+                factors.append(piece("y", lambda: Y.cpow(1.5 - k)))
+            else:
+                factors.append(piece(("G", skew), lambda: G_jet(-1.0 * w if skew else w, k)))
+        if i in (3, 4):
+            if m < 0:
+                factors.append(piece("F", lambda: gaussian_integral_jet(1.0, b())))
+            else:
+                factors.append(piece("F", lambda: 1j * dawson_jet(b())))
+        # an exponential or a product that overflows is a ValueOverflow, not inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+            term = piece(("exp", two_w, bb), lambda: exp(two_w, bb))
+            for factor in factors:
+                term = term * factor
+        rows.append(_finite_sum(term, _term_label(i, params, skew)))
+    return Jet(rows[0].order, np.stack([row.c for row in rows]))
+
+
+def kernel_jet(i, params, skew, jv):
+    """Jet of the kernel term c_i q^n zeta^r (c_i^sk q^n zeta^r if skew):
+    the one-term case of `kernel_family_jet`."""
+    family = kernel_family_jet(params, ((i, skew),), jv)
+    return Jet(family.order, family.c[0])
 
 
 def kernel_term_handle(i, params, skew=False):

@@ -27,11 +27,13 @@ from .core import (
     finite_difference_jet,
 )
 from .errors import DomainError, JetUnavailable
-from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
+from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg, shared_slash_frames
 from .jets import Jet
 from .kernels import (
+    KERNEL_TERMS,
     FourierData,
     KernelParams,
+    kernel_family_jet,
     kernel_term_handle,
     theta_decompose,
     theta_fourier_data,
@@ -95,9 +97,14 @@ GENERATORS = {
 
 @dataclass
 class SuiteResult:
+    """One check: its identity, its largest residual against its tolerance
+    and, for a check taken over points, the point [x, y, u, v] where the
+    residual is largest (None for any other check)."""
+
     identity: str
     max_residual: float
     tol: float
+    worst_point: list = None
 
     @property
     def passed(self):
@@ -109,6 +116,7 @@ class SuiteResult:
             "max_residual": self.max_residual,
             "tol": self.tol,
             "passed": self.passed,
+            "worst_point": self.worst_point,
         }
 
 
@@ -119,17 +127,28 @@ def _abs_max(values):
 
 def _max_residual(residual, points, rows=None):
     """max over the points of |residual(jv)|, with jv the order-0 plain
-    coordinate jets of the whole point stack.  residual returns one value
-    per point, and the result is a float; or, with `rows` given, an array
-    of shape (rows, points), one row per stacked operand, and the result is
-    a list of `rows` floats, each the max over its own row.  0.0 for no
-    points; NaN where a value is NaN."""
+    coordinate jets of the whole point stack, and the point [x, y, u, v]
+    where it is reached (the first of equal maxima; the first NaN, where
+    the max is NaN).  residual returns one value per point, and the result
+    is one (max, point) pair; or, with `rows` given, an array of shape
+    (rows, points), one row per stacked operand, and the result is a list
+    of `rows` pairs, each its own row's.  (0.0, None) for no points."""
     if not len(points):
-        return 0.0 if rows is None else [0.0] * rows
-    values = np.abs(residual(JetVars.at(points, 0)))
-    if rows is None:
-        return float(np.max(values))
-    return [float(r) for r in np.max(values, axis=-1)]
+        return (0.0, None) if rows is None else [(0.0, None)] * rows
+    jv = JetVars.at(points, 0)
+    values = np.abs(residual(jv))
+    coords = np.stack(jv.base, axis=-1)
+
+    def pair(row):
+        return float(np.max(row)), coords[int(np.argmax(row))].tolist()
+
+    return pair(values) if rows is None else [pair(row) for row in values]
+
+
+def _results(names, residuals, tol):
+    """SuiteResult records of the named checks from their (max, point)
+    residual pairs."""
+    return [SuiteResult(name, r, tol, point) for name, (r, point) in zip(names, residuals)]
 
 
 def _stacked(handles):
@@ -145,17 +164,56 @@ def _stacked(handles):
     return FunctionHandle(jet_fn=je)
 
 
-def _image_residual(jmap, f, points):
-    """max over the points of |jmap(f)|, with f evaluated once per point."""
+def _concatenated(stacks, picks=None):
+    """One handle over row-stacked handles: their jets (the rows picks[j] of
+    the j-th, all of its rows without picks) concatenated on the leading
+    row axis."""
+
+    def je(jv):
+        jets = [h.jet_at(jv).c for h in stacks]
+        if picks is not None:
+            jets = [c[rows] for c, rows in zip(jets, picks)]
+        return Jet(jv.order, np.concatenate(jets))
+
+    return FunctionHandle(jet_fn=je)
+
+
+def _image_check(identity, jmap, f, points, tol):
+    """The check jmap(f) = 0: max over the points of |jmap(f)| and its
+    point, with f evaluated once per point."""
     out = image(jmap, f)
-    return _max_residual(lambda jv: out.jet_at(jv).value, points)
+    return _results([identity], [_max_residual(lambda jv: out.jet_at(jv).value, points)], tol)[0]
 
 
-def _image_rows(op_name, wi, handles, points):
-    """max over the points of |op f| for each handle f: one image of their
-    stack, with the named operator at weight/index wi."""
-    out = apply_operator(OperatorSpec(op_name, wi), _stacked(handles))
-    return _max_residual(lambda jv: out.jet_at(jv).value, points, rows=len(handles))
+def _image_rows(op_name, wi, stack, rows, points):
+    """max over the points of |op f| and its point for each of the `rows`
+    rows f of a row-stacked handle: one image of the stack, with the named
+    operator at weight/index wi."""
+    out = apply_operator(OperatorSpec(op_name, wi), stack)
+    return _max_residual(lambda jv: out.jet_at(jv).value, points, rows=rows)
+
+
+def _held(f, truncate=False):
+    """The handle f with its jets on plain coordinates held by jet order and
+    base point stack: a repeated call returns the jet the first identical
+    call made.  With truncate, a held jet also serves every lower order,
+    truncated, and a call at a higher order replaces it; that is for
+    handles whose lower-order jets are truncations of their higher-order
+    ones bit for bit, as the kernel terms' are (a series' truncation
+    radius depends on the order, so its jets are not).  Jets on transformed
+    coordinates are evaluated afresh every time."""
+    cache = {}
+
+    def je(jv):
+        if not jv.plain:
+            return f.jet_at(jv)
+        key = jv.base_key() + (() if truncate else (jv.order,))
+        held = cache.get(key)
+        if held is None or held.order < jv.order:
+            held = cache[key] = f.jet_at(jv)
+        return held.truncate(jv.order)
+
+    return FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step)
 
 
 # ----------------------------------------------------------------------
@@ -164,22 +222,8 @@ def _image_rows(op_name, wi, handles, points):
 
 def _memoized(phi):
     """The tagged form phi with the jets of its handle on plain coordinates
-    cached by jet order and base point stack: a repeated call returns the
-    jet the first identical call made.  Jets on transformed coordinates are
-    evaluated afresh every time."""
-    f = phi.f
-    cache = {}
-
-    def je(jv):
-        if not jv.plain:
-            return f.jet_at(jv)
-        base = np.array(jv.base)
-        key = (jv.order, base.shape, base.tobytes())
-        if key not in cache:
-            cache[key] = f.jet_at(jv)
-        return cache[key]
-
-    return replace(phi, f=FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step))
+    held by jet order and base point stack (see _held)."""
+    return replace(phi, f=_held(phi.f))
 
 
 def _stacked_forms(forms):
@@ -188,32 +232,35 @@ def _stacked_forms(forms):
     return _memoized(replace(forms[0], f=_stacked([phi.f for phi in forms])))
 
 
-def _covariance_checks(op_name, forms, gens, points, tol, phi=None, phi_A=None):
+def _slashed_stack(phi, gens, frame):
+    """The stacked tagged form phi slashed once by each generator of gens
+    (name -> element) with the frame function, the slashed stacks
+    concatenated generator-major into one memoized tagged form."""
+    slashed = [apply_slash(phi, A, frame).f for A in gens.values()]
+    return _memoized(replace(phi, f=_concatenated(slashed)))
+
+
+def _covariance_checks(op_name, forms, gens, points, tol, phi, phi_A, frame):
     """op(phi|A) = (op phi)|A' for each of the tagged forms (one
     weight/index and action kind) and each generator of gens (name ->
     element), A' acting at the shifted weight/index, in generator-major
     order; a DomainError if op does not act on the forms' action kind.
 
     phi stacks the forms, and phi_A stacks every phi|A in the same order as
-    the checks; both are built here unless the caller already holds them.
-    Each side is one operator image: of phi_A on the left, and of phi,
-    slashed once per generator, on the right."""
-    if phi is None:
-        phi = _stacked_forms(forms)
+    the checks.  Each side is one operator image: of phi_A on the left, and
+    of phi, slashed once per generator with the frame function, on the
+    right."""
     image = apply_to_tagged(op_name, phi)
-    if phi_A is None:
-        phi_A = _stacked_forms([apply_slash(f, A) for A in gens.values() for f in forms])
     lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A.f)
-    rhs = [apply_slash(image, A).f for A in gens.values()]
+    rhs = [apply_slash(image, A, frame).f for A in gens.values()]
 
     def gap(jv):
         return lhs.jet_at(jv).value - np.concatenate([h.jet_at(jv).value for h in rhs])
 
-    residuals = _max_residual(gap, points, rows=len(gens) * len(forms))
     names = [
         "covariance:%s|%s on %s" % (op_name, gname, f.f.label) for gname in gens for f in forms
     ]
-    return [SuiteResult(name, r, tol) for name, r in zip(names, residuals)]
+    return _results(names, _max_residual(gap, points, rows=len(gens) * len(forms)), tol)
 
 
 def _generator_name(A):
@@ -228,9 +275,14 @@ def verify_covariance(op_name, phi, A, points, tol=1e-8, phi_A=None):
     """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
     weight/index; a DomainError if op does not act on phi's action kind.
     phi_A is phi|A, built here unless the caller already holds it."""
-    stack_A = None if phi_A is None else _stacked_forms([phi_A])
-    return _covariance_checks(op_name, [phi], {_generator_name(A): A}, points, tol,
-                              phi_A=stack_A)[0]
+    gens = {_generator_name(A): A}
+    frame = shared_slash_frames()
+    stack = _stacked_forms([phi])
+    if phi_A is None:
+        stack_A = _slashed_stack(stack, gens, frame)
+    else:
+        stack_A = _stacked_forms([phi_A])
+    return _covariance_checks(op_name, [phi], gens, points, tol, stack, stack_A, frame)[0]
 
 
 def covariance_catalog():
@@ -268,12 +320,14 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
     """op(phi|A) = (op phi)|A' for every operator and group generator.
 
     The catalog forms are grouped by action kind and weight/index.  Per
-    group, the forms and the slashed forms phi|A (over every generator) are
-    each stacked into one memoized handle, so each form and each slashed
+    group, the forms are stacked into one memoized handle phi, and phi
+    slashed once per generator into another, so each form and each slashed
     form is evaluated once per point stack and jet order, and every
     operator of the group's action kind is one image of each stack and one
-    slash per generator (see _covariance_checks).  The checks come in the
-    order operator, generator, catalog form."""
+    slash per generator (see _covariance_checks).  All slashes share one
+    frame per generator, index, jet order and point stack
+    (group.shared_slash_frames).  The checks come in the order operator,
+    generator, catalog form."""
     points = points or GENERIC_POINTS[:3]
     gens = gens or list(GENERATORS)
     for gname in gens:
@@ -286,20 +340,18 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
     groups = {}
     for phi in std + skew:
         groups.setdefault((phi.action_kind, phi.weight_index), []).append(phi)
-    stacks = {
-        key: (
-            _stacked_forms(forms),
-            _stacked_forms([apply_slash(f, A) for A in gens.values() for f in forms]),
-        )
-        for key, forms in groups.items()
-    }
+    frame = shared_slash_frames()
+    stacks = {}
+    for key, forms in groups.items():
+        phi = _stacked_forms(forms)
+        stacks[key] = (phi, _slashed_stack(phi, gens, frame))
     results = []
     for op_name in ops or COVARIANCE_OPS:
         kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
         checks = {}
         for key, forms in groups.items():
             if key[0] == kind:
-                rows = _covariance_checks(op_name, forms, gens, points, tol, *stacks[key])
+                rows = _covariance_checks(op_name, forms, gens, points, tol, *stacks[key], frame)
                 keys = [(gname, id(f)) for gname in gens for f in forms]
                 checks.update(zip(keys, rows))
         catalog = std if kind == "standard" else skew
@@ -331,75 +383,126 @@ def _params_tag(params):
     return "[%g,%g,%d,%d]" % (params.k, params.m, params.n, params.r)
 
 
+def _kernel_family(params):
+    """The eight kernel terms at params (KERNEL_TERMS) as one held kernel
+    family handle: evaluated once per point stack at the highest order
+    asked for, and truncated for the lower orders."""
+    f = FunctionHandle(jet_fn=lambda jv: kernel_family_jet(params, KERNEL_TERMS, jv))
+    return _held(f, truncate=True)
+
+
+def _by_weight_index(check, params_list, points, tol):
+    """check(group, points, tol) for the parameter sets of each
+    weight/index, which returns a list of checks per parameter set of its
+    group; the checks of every set in the order of params_list."""
+    groups = {}
+    for j, params in enumerate(params_list):
+        groups.setdefault(params.weight_index(), []).append(j)
+    checks = {}
+    for group in groups.values():
+        checks.update(zip(group, check([params_list[j] for j in group], points, tol)))
+    return [res for j in range(len(params_list)) for res in checks[j]]
+
+
+def _kernel_annihilation(params_list, points, tol):
+    """The checks of verify_kernel_annihilation for each parameter set of
+    one weight/index.  Each set's terms are one kernel family, evaluated
+    once at the Casimir order (the Heisenberg Laplace order is its
+    truncation).  One Casimir image of every set's four standard terms, one
+    skew Casimir image of their skew terms and one Heisenberg Laplace image
+    of all of them."""
+    wi = params_list[0].weight_index()
+    families = [_kernel_family(params) for params in params_list]
+    n = len(families)
+    standard_terms, skew_terms = [slice(0, 4)] * n, [slice(4, 8)] * n
+    # the Casimir image first: it asks for the highest order
+    casimir = _image_rows("Casimir", wi, _concatenated(families, standard_terms), 4 * n, points)
+    casimir_sk = _image_rows("CasimirSk", wi, _concatenated(families, skew_terms), 4 * n, points)
+    laplace = _image_rows("LaplaceH", wi, _concatenated(families), 8 * n, points)
+    out = []
+    for j, params in enumerate(params_list):
+        results = []
+        rows = casimir[4 * j:4 * j + 4] + casimir_sk[4 * j:4 * j + 4]
+        for (i, skew), casimir_row, laplace_row in zip(KERNEL_TERMS, rows, laplace[8 * j:]):
+            at = "(c%d%s)@%s" % (i, "sk" if skew else "", _params_tag(params))
+            results += _results(
+                ["kernel-annihilation:Casimir" + at, "kernel-annihilation:LaplaceH" + at],
+                [casimir_row, laplace_row], tol,
+            )
+        out.append(results)
+    return out
+
+
 def verify_kernel_annihilation(params, points, tol=1e-7):
     """Casimir (skew Casimir on skew terms) and Heisenberg Laplace
     annihilation of every kernel term at the given parameters: one Casimir
     image of the four standard terms, one skew Casimir image of the four
     skew terms and one Heisenberg Laplace image of all eight."""
-    wi = params.weight_index()
-    terms = [(skew, i) for skew in (False, True) for i in (1, 2, 3, 4)]
-    handles = [kernel_term_handle(i, params, skew=skew) for skew, i in terms]
-    casimir = _image_rows("Casimir", wi, handles[:4], points) + _image_rows(
-        "CasimirSk", wi, handles[4:], points
-    )
-    laplace = _image_rows("LaplaceH", wi, handles, points)
-    results = []
-    for (skew, i), casimir_residual, laplace_residual in zip(terms, casimir, laplace):
-        at = "(c%d%s)@%s" % (i, "sk" if skew else "", _params_tag(params))
-        results.append(SuiteResult("kernel-annihilation:Casimir" + at, casimir_residual, tol))
-        results.append(SuiteResult("kernel-annihilation:LaplaceH" + at, laplace_residual, tol))
-    return results
+    return _kernel_annihilation([params], points, tol)[0]
+
+
+def _xi_image_tables(params_list, points, tol):
+    """The checks of verify_xi_image_table for each parameter set of one
+    weight/index.  Each set's terms are one kernel family; each xi operator
+    is one image of its rows' terms over all the sets, and the targets are
+    one order-0 kernel family per partner parameter set, of the terms the
+    rows name."""
+    wi = params_list[0].weight_index()
+    tables = [xi_image_rows(params) for params in params_list]
+    families = [_kernel_family(params) for params in params_list]
+    ops = list(dict.fromkeys(row[1] for row in tables[0]))
+    images = [
+        apply_operator(OperatorSpec(op_name, wi), _concatenated(families, [
+            [KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
+            for table in tables
+        ]))
+        for op_name in ops
+    ]
+    # every row: (its set's index, case, constant, target (i, skew, params) or None)
+    rows = [(j, row[0], row[3], row[4]) for op_name in ops
+            for j, table in enumerate(tables) for row in table if row[1] == op_name]
+    targets = {}  # partner params -> its target terms, in the order of first use
+    for *_, target in rows:
+        if target is not None:
+            targets.setdefault(target[2], {})[target[:2]] = None
+
+    def gap(jv):
+        lhs = np.concatenate([img.jet_at(jv).value for img in images])
+        held = {
+            tparams: dict(zip(terms, kernel_family_jet(tparams, tuple(terms), jv).value))
+            for tparams, terms in targets.items()
+        }
+        return np.stack([
+            value if target is None else value - const * held[target[2]][target[:2]]
+            for value, (_, _, const, target) in zip(lhs, rows)
+        ])
+
+    residuals = dict(zip(((j, case) for j, case, _, _ in rows),
+                         _max_residual(gap, points, rows=len(rows))))
+    return [
+        _results(["xi-image:%s@%s" % (case, _params_tag(params)) for case, *_ in table],
+                 [residuals[(j, case)] for case, *_ in table], tol)
+        for j, (params, table) in enumerate(zip(params_list, tables))
+    ]
 
 
 def verify_xi_image_table(params, points, tol=1e-7):
     """The sixteen rows of kernels.xi_image_rows at the given parameters:
-    xi-operator image minus the expected multiple of a kernel term.  Each
-    xi operator is one image of the stack of its rows' kernel terms."""
-    wi = params.weight_index()
-    table = xi_image_rows(params)
-    residuals = {}
-    for op_name in dict.fromkeys(row[1] for row in table):
-        rows = [row for row in table if row[1] == op_name]
-        lhs = apply_operator(
-            OperatorSpec(op_name, wi),
-            _stacked([kernel_term_handle(i, params, skew=skew) for _, _, (i, skew), _, _ in rows]),
-        )
-        rhs = []  # (constant, target kernel term or None)
-        for _, _, _, const, target in rows:
-            if target is not None:
-                ti, tskew, tparams = target
-                target = kernel_term_handle(ti, tparams, skew=tskew)
-            rhs.append((const, target))
-
-        def gap(jv):
-            return np.stack([
-                value if h is None else value - const * h.jet_at(jv).value
-                for value, (const, h) in zip(lhs.jet_at(jv).value, rhs)
-            ])
-
-        residuals.update(zip((row[0] for row in rows), _max_residual(gap, points, rows=len(rows))))
-    return [
-        SuiteResult("xi-image:%s@%s" % (case, _params_tag(params)), residuals[case], tol)
-        for case, *_ in table
-    ]
+    xi-operator image minus the expected multiple of a kernel term."""
+    return _xi_image_tables([params], points, tol)[0]
 
 
 def suite_kernels(points=None, tol=1e-7):
-    """Casimir and Heisenberg Laplace annihilation of all kernel terms."""
-    points = points or GENERIC_POINTS
-    results = []
-    for params in KERNEL_PARAMS:
-        results.extend(verify_kernel_annihilation(params, points, tol))
-    return results
+    """Casimir and Heisenberg Laplace annihilation of all kernel terms: one
+    image per operator and weight/index (see _kernel_annihilation)."""
+    return _by_weight_index(_kernel_annihilation, KERNEL_PARAMS, points or GENERIC_POINTS, tol)
 
 
 def suite_xi_images(params_list=None, points=None, tol=1e-7):
-    """The full image table of the four xi operators on kernel terms."""
-    points = points or GENERIC_POINTS
-    results = []
-    for params in params_list or XI_TABLE_PARAMS:
-        results.extend(verify_xi_image_table(params, points, tol))
-    return results
+    """The full image table of the four xi operators on kernel terms: one
+    image per operator and weight/index (see _xi_image_tables)."""
+    return _by_weight_index(_xi_image_tables, params_list or XI_TABLE_PARAMS,
+                            points or GENERIC_POINTS, tol)
 
 
 # ----------------------------------------------------------------------
@@ -422,11 +525,8 @@ def verify_factorizations(wi, f, depth, points, tol=1e-6):
     # (a) commutator [Y-, Y+] = Y- Y+ - Y+ Y-
     commutator = lower_Y(k + 1, m) @ raise_Y(k, m) - raise_Y(k - 1, m) @ lower_Y(k, m)
     results.append(
-        SuiteResult(
-            "commutator:[Y-,Y+]=-2pim",
-            _image_residual(commutator - (-2.0 * math.pi * m) * IDENTITY, f, points),
-            tol,
-        )
+        _image_check("commutator:[Y-,Y+]=-2pim",
+                     commutator - (-2.0 * math.pi * m) * IDENTITY, f, points, tol)
     )
 
     # (b) Y+^D Y-^D vs the Delta^H polynomial
@@ -438,11 +538,7 @@ def verify_factorizations(wi, f, depth, points, tol=1e-6):
     h = IDENTITY
     for d in range(D):
         h = laplace_heisenberg_map(k, m) @ h + (2.0 * math.pi * m * d) * h
-    results.append(
-        SuiteResult(
-            "quasi-factorization:Y+^%dY-^%d" % (D, D), _image_residual(g - h, f, points), tol
-        )
-    )
+    results.append(_image_check("quasi-factorization:Y+^%dY-^%d" % (D, D), g - h, f, points, tol))
 
     # (c) Heisenberg Laplace factorization through the xi^H pair
     lap = laplace_heisenberg_map(k, m)
@@ -450,11 +546,7 @@ def verify_factorizations(wi, f, depth, points, tol=1e-6):
         ("xiSkH o xiH", xi_H_skew_map(k, -m) @ xi_H_map(k, m)),
         ("xiH o xiSkH", xi_H_map(k, -m) @ xi_H_skew_map(k, m)),
     ):
-        results.append(
-            SuiteResult(
-                "lapH-factorization:" + name, _image_residual(lap - fac, f, points), tol
-            )
-        )
+        results.append(_image_check("lapH-factorization:" + name, lap - fac, f, points, tol))
     return results
 
 
@@ -483,19 +575,14 @@ def verify_x_factorization(k, f, depth, points, tol=1e-6):
     h = IDENTITY
     for d in range(D):
         h = (-1.0) * (laplace_hyperbolic(k) @ h) + _pochhammer_falling(k - 2 * d, d) * h
-    return SuiteResult(
-        "quasi-factorization:X+^%dX-^%d" % (D, D), _image_residual(g - h, f, points), tol
-    )
+    return _image_check("quasi-factorization:X+^%dX-^%d" % (D, D), g - h, f, points, tol)
 
 
 def verify_hyperbolic_xi_factorization(k, f, points, tol=1e-6):
     """Delta_k = -xi_{2-k} o xi_k with the scalar Bruinier-Funke xi."""
     fac = xi_bruinier_funke(2.0 - k) @ xi_bruinier_funke(k)
-    return SuiteResult(
-        "lapK-factorization:-xi_{2-k} o xi_k",
-        _image_residual(laplace_hyperbolic(k) + fac, f, points),
-        tol,
-    )
+    return _image_check("lapK-factorization:-xi_{2-k} o xi_k", laplace_hyperbolic(k) + fac, f,
+                        points, tol)
 
 
 def verify_semimeromorphic_casimir(wi, f, points, skew=False, tol=1e-6):
@@ -508,18 +595,13 @@ def verify_semimeromorphic_casimir(wi, f, points, skew=False, tol=1e-6):
         #        = 2 xi_{3-k,m} o xi^sk_{k,m} (phi) - (2k-1) phi,
         # and the (2k-1) phi terms of both sides cancel
         fac = xi_map(3.0 - k, m) @ xi_skew_map(k, m)
-        return SuiteResult(
+        return _image_check(
             "semimeromorphic:CasimirSk via xi o xiSk",
-            _image_residual((1.0 / (8j * math.pi * m)) * casimir_skew_map(k, m) - 2.0 * fac,
-                            f, points),
-            tol,
+            (1.0 / (8j * math.pi * m)) * casimir_skew_map(k, m) - 2.0 * fac, f, points, tol,
         )
     fac = xi_skew_map(3.0 - k, m) @ xi_map(k, m)
-    return SuiteResult(
-        "semimeromorphic:Casimir=2 xiSk o xi",
-        _image_residual(casimir_map(k, m) - 2.0 * fac, f, points),
-        tol,
-    )
+    return _image_check("semimeromorphic:Casimir=2 xiSk o xi", casimir_map(k, m) - 2.0 * fac, f,
+                        points, tol)
 
 
 def _yv_test_handle(n, r):
@@ -629,34 +711,30 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     for two_m in two_m_list:
         check_component(two_m)
     points = points or GENERIC_POINTS[:5]
-    jv = JetVars.at(points, 0)
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
         tagged = TaggedForm(
             _stacked([mu_hat_ml_handle(two_m, l) for l in ls]), WeightIndex(1, -two_m)
         )
-        values = tagged.f.jet_at(jv).value
-        slashed_T = apply_slash(tagged, GEN_T).f.jet_at(jv).value
-        slashed_S = apply_slash(tagged, GEN_S).f.jet_at(jv).value
         pref = 1j / cmath.sqrt(1j * two_m)
-        for j, l in enumerate(ls):
-            phase = root_of_unity(-l * l, 2 * two_m)
-            mixed = sum(root_of_unity(l * lp, two_m) * values[jp] for jp, lp in enumerate(ls))
-            results.append(
-                SuiteResult(
-                    "mu-transform:T-law@2m=%d,l=%s" % (two_m, l),
-                    _abs_max(slashed_T[j] - phase * values[j]),
-                    tol,
-                )
-            )
-            results.append(
-                SuiteResult(
-                    "mu-transform:S-law@2m=%d,l=%s" % (two_m, l),
-                    _abs_max(slashed_S[j] - pref * mixed),
-                    tol,
-                )
-            )
+
+        def gaps(jv):
+            """The T-law and S-law gaps of every component, in label order."""
+            values = tagged.f.jet_at(jv).value
+            slashed_T = apply_slash(tagged, GEN_T).f.jet_at(jv).value
+            slashed_S = apply_slash(tagged, GEN_S).f.jet_at(jv).value
+            rows = []
+            for j, l in enumerate(ls):
+                phase = root_of_unity(-l * l, 2 * two_m)
+                mixed = sum(root_of_unity(l * lp, two_m) * values[jp] for jp, lp in enumerate(ls))
+                rows += [slashed_T[j] - phase * values[j], slashed_S[j] - pref * mixed]
+            return np.stack(rows)
+
+        names = [
+            "mu-transform:%s-law@2m=%d,l=%s" % (law, two_m, l) for l in ls for law in "TS"
+        ]
+        results += _results(names, _max_residual(gaps, points, rows=len(names)), tol)
     # the same S law phrased as a matrix acting on the component vector
     # (index m = 1): slash every component, compare against M h with
     # M = (i / sqrt(2im)) [e_{2m}(l l')]
@@ -699,29 +777,15 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
             return img.jet_at(jv).value - np.stack(thetas)
 
         xi_rows = _max_residual(gap, points, rows=len(ls))
-        lap_rows = _image_rows("LaplaceH", wi, handles, points[:5])
-        for l, xi_residual, lap_residual in zip(ls, xi_rows, lap_rows):
-            results.append(
-                SuiteResult(
-                    "mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l),
-                    xi_residual,
-                    tol_xi,
-                )
-            )
-            results.append(
-                SuiteResult(
-                    "mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l),
-                    lap_residual,
-                    tol_lap,
-                )
-            )
-    img = image(xi_map(0.5, -0.5), mu_hat_2_handle())
+        lap_rows = _image_rows("LaplaceH", wi, _stacked(handles), len(ls), points[:5])
+        for l, xi_row, lap_row in zip(ls, xi_rows, lap_rows):
+            results += _results(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l)],
+                                [xi_row], tol_xi)
+            results += _results(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l)],
+                                [lap_row], tol_lap)
     results.append(
-        SuiteResult(
-            "mu-xi-theta:xi(mu_hat_2)=0",
-            _max_residual(lambda jv: img.jet_at(jv).value, points[:5]),
-            tol_mu2,
-        )
+        _image_check("mu-xi-theta:xi(mu_hat_2)=0", xi_map(0.5, -0.5), mu_hat_2_handle(),
+                     points[:5], tol_mu2)
     )
     return results
 
@@ -760,24 +824,24 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
         EvalPoint(0.1 * i - 0.3, 1.2 + 0.05 * i, 0.07 * i - 0.2, 0.03 * i)
         for i in range(10)
     ]
-    jv = JetVars.at(points, 0)
-    tau = jv.tau.value
     results = []
     for two_m in (2, 3):
         data, classes = _synthetic_class_data(two_m, seed + two_m)
         h = theta_decompose(data)
-        v1 = theta_recompose_handle(two_m, h).jet_at(jv).value
-        v2 = 0j
-        for (D, l), c in classes.items():
-            v2 += c * np.exp(
-                2j * math.pi * (D / (2.0 * two_m)) * tau
-            ) * theta_ml_jet(two_m, l, jv.tau, jv.z).value
-        resid = _abs_max(v1 - v2)
-        results.append(
-            SuiteResult(
-                "decomposition:roundtrip@2m=%d" % two_m, resid, tol
-            )
-        )
+
+        def gap(jv):
+            """Recomposed minus directly summed data."""
+            tau = jv.tau.value
+            v1 = theta_recompose_handle(two_m, h).jet_at(jv).value
+            v2 = 0j
+            for (D, l), c in classes.items():
+                v2 += c * np.exp(
+                    2j * math.pi * (D / (2.0 * two_m)) * tau
+                ) * theta_ml_jet(two_m, l, jv.tau, jv.z).value
+            return v1 - v2
+
+        results += _results(["decomposition:roundtrip@2m=%d" % two_m],
+                            [_max_residual(gap, points)], tol)
     h = theta_decompose(theta_fourier_data(2, 0))
     delta_ok = (
         h[0] == [(0, 1.0)] or (len(h[0]) == 1 and h[0][0][0] == 0

@@ -20,6 +20,7 @@ from mjlab.errors import JetUnavailable, NonFinite, StencilOutOfDomain
 from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.mu import mu_hat_2_jet, mu_hat_component_jet, mu_m_jet, r_hat_component_jet
+from mjlab.operators import xi_H
 from mjlab.special import (
     H_function,
     error_completion_E,
@@ -566,6 +567,30 @@ def test_verify_report_gives_the_suite_wall_time(capsys):
     assert list(report) == ["suite", "checks", "passed", "seconds"]
     seconds = report["seconds"]
     assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0.0
+
+
+def test_verify_report_names_the_worst_point_of_each_check(capsys):
+    """A check taken over points names the point [x, y, u, v] of its
+    largest residual; a check not taken over points names none."""
+    code, out, err = run_main(capsys, "verify", "xi-images")
+    assert code in (0, None), err
+    checks = {c["identity"]: c for c in json.loads(out)["checks"]}
+    points = [EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.40, 0.9, 0.05, 0.31),
+              EvalPoint(0.31, 1.6, -0.12, 0.23), EvalPoint(0.02, 0.8, 0.40, -0.27),
+              EvalPoint(-0.20, 1.3, 0.33, 0.41)]
+    coords = [[p.x, p.y, p.u, p.v] for p in points]
+    assert all(c["worst_point"] in coords for c in checks.values())
+    # xi^H(c_3) = -2 sqrt(pi) c_1^sk at [k, -m, -n, -r], one point at a time
+    params = KernelParams.of(0.5, -1, -1, 1)
+    lhs = xi_H(params.weight_index(), kernel_term_handle(3, params))
+    rhs = kernel_term_handle(1, params.xi_H_partner(), skew=True)
+    gaps = [abs(lhs.eval(p) + 2.0 * math.sqrt(math.pi) * rhs.eval(p)) for p in points]
+    check = checks["xi-image:xiH(c3)@[0.5,-1,-1,1]"]
+    assert check["worst_point"] == coords[gaps.index(max(gaps))]
+    assert check["max_residual"] == pytest.approx(max(gaps), rel=1e-6)
+    code, out, err = run_main(capsys, "verify", "weil", "--two-m", "2")
+    assert code in (0, None), err
+    assert all(c["worst_point"] is None for c in json.loads(out)["checks"])
 
 
 @pytest.mark.parametrize("args,params", [

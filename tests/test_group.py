@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from mjlab.core import EvalPoint, WeightIndex
+from mjlab.core import EvalPoint, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import (
     GEN_S,
@@ -16,11 +17,13 @@ from mjlab.group import (
     group_multiply,
     group_word,
     heisenberg,
+    shared_slash_frames,
     skew_slash,
     slash,
 )
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.special import theta_ml_handle
+from mjlab.verify import GENERATORS, GENERIC_POINTS, _stacked
 
 POINTS = [
     EvalPoint(0.13, 1.1, 0.21, 0.17),
@@ -139,3 +142,52 @@ def test_theta_is_invariant_under_integer_heisenberg_translations():
             a = phi.eval(p)
             b = out.eval(p)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a)), (lam, mu)
+
+
+# ----------------------------------------------------------------------
+# slash frames: one per element, index, jet order and point stack
+
+
+@pytest.mark.parametrize("order", (0, 1, 2))
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_slash_of_a_row_stack_is_the_stack_of_its_rows_slashes(gen, order):
+    """slash and skew_slash of a row-stacked handle give, bit for bit, the
+    rows each handle's own slash gives, with fresh or with shared frames."""
+    A = GENERATORS[gen]
+    params = KernelParams.of(0.5, -1, -1, 1)
+    handles = [theta_ml_handle(2, 0), kernel_term_handle(1, params, skew=True),
+               kernel_term_handle(4, params, skew=True)]
+    wi = WeightIndex(1, -2)
+    jv = JetVars.at(GENERIC_POINTS[:3], order)
+    for kind, slash_by in (("standard", slash), ("skew", skew_slash)):
+        alone = [slash_by(TaggedForm(h, wi, kind), A).f.jet_at(jv).c for h in handles]
+        stack = TaggedForm(_stacked(handles), wi, kind)
+        frame = shared_slash_frames()
+        for shared in (None, frame, frame):
+            rows = slash_by(stack, A, shared).f.jet_at(jv).c
+            assert rows.shape[0] == len(handles)
+            for row, want in zip(rows, alone):
+                assert np.array_equal(row, want)
+
+
+def test_shared_frames_hold_one_frame_per_element_index_order_and_stack():
+    frame = shared_slash_frames()
+    stack = GENERIC_POINTS[:3]
+    first = frame(GEN_S, -1.0, JetVars.at(stack, 1))
+    assert frame(GEN_S, -1.0, JetVars.at(stack, 1)) is first
+    moved = stack[:2] + (EvalPoint(0.31, 1.6, -0.12, 0.24),)
+    for A, m, jv in (
+        (GEN_T, -1.0, JetVars.at(stack, 1)),
+        (GEN_S, 1.0, JetVars.at(stack, 1)),
+        (GEN_S, -1.0, JetVars.at(stack, 2)),
+        (GEN_S, -1.0, JetVars.at(moved, 1)),
+        (GEN_S, -1.0, JetVars.at(stack[0], 1)),
+    ):
+        out = frame(A, m, jv)
+        assert out is not first and out is frame(A, m, jv)
+    # frames on transformed coordinates are computed afresh
+    transformed = first.jv
+    assert not transformed.plain
+    again = frame(GEN_T, -1.0, transformed)
+    assert again is not frame(GEN_T, -1.0, transformed)
+    assert np.array_equal(again.index_factor.c, frame(GEN_T, -1.0, transformed).index_factor.c)

@@ -6,17 +6,20 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex, finite_difference_jet
-from mjlab.errors import DomainError, NotThetaDecomposable
+from mjlab.errors import DomainError, NotThetaDecomposable, ValueOverflow
 from mjlab.jets import Jet
 from mjlab.kernels import (
+    KERNEL_TERMS,
     FourierData,
     KernelParams,
     h_from_json,
     h_series_handle,
     h_to_json,
+    kernel_family_jet,
     kernel_jet,
     kernel_term_handle,
     theta_decompose,
@@ -26,7 +29,13 @@ from mjlab.kernels import (
 from mjlab.mu import mu_hat_component_jet
 from mjlab.operators import xi_H
 from mjlab.special import H_function, theta_ml_jet
-from mjlab.verify import XI_TABLE_PARAMS, verify_kernel_annihilation, verify_xi_image_table
+from mjlab.verify import (
+    GENERIC_POINTS,
+    KERNEL_PARAMS,
+    XI_TABLE_PARAMS,
+    verify_kernel_annihilation,
+    verify_xi_image_table,
+)
 from mjlab.weil import labels as component_labels
 
 C = lambda w: Jet.constant(w, 0)
@@ -180,6 +189,83 @@ def test_skew_degenerate_matches_standard():
         a = coefficient(2, std, False, p)
         b = coefficient(2, std, True, p)
         assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+# ----------------------------------------------------------------------
+# kernel families: the terms of one parameter set share their pieces
+
+
+def _family_params():
+    """Every KERNEL_PARAMS and XI_TABLE_PARAMS entry with its xi and xi^H
+    partners."""
+    out = []
+    for params in KERNEL_PARAMS + XI_TABLE_PARAMS:
+        for p in (params, params.xi_partner(), params.xi_H_partner()):
+            if p not in out:
+                out.append(p)
+    return out
+
+
+FAMILY_PARAMS = _family_params()
+# every term, the reverse order, and a subset that shares nothing in order
+FAMILY_TERMS = (KERNEL_TERMS, KERNEL_TERMS[::-1], ((4, True), (1, False), (4, False), (3, True)))
+
+
+def test_family_parameters_cover_both_discriminant_kinds_and_signs_of_m():
+    assert {p.D == 0 for p in FAMILY_PARAMS} == {True, False}
+    assert {p.m > 0 for p in FAMILY_PARAMS} == {True, False}
+    assert {(p.D == 0, p.m > 0) for p in FAMILY_PARAMS} == {
+        (True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("params", FAMILY_PARAMS, ids=repr)
+def test_family_rows_are_their_terms_alone(params, order):
+    """Each row of a family is, bit for bit, the one-term kernel_jet of its
+    term: at one point and at a point stack, in any term order."""
+    for points in (GENERIC_POINTS[0], GENERIC_POINTS):
+        jv = JetVars.at(points, order)
+        for terms in FAMILY_TERMS:
+            family = kernel_family_jet(params, terms, jv)
+            assert family.order == order and family.c.shape[0] == len(terms)
+            for row, (i, skew) in zip(family.c, terms):
+                assert np.array_equal(row, kernel_jet(i, params, skew, jv).c), (i, skew)
+
+
+@pytest.mark.parametrize("params", FAMILY_PARAMS, ids=repr)
+def test_a_truncated_family_is_the_family_at_the_lower_order(params):
+    """The lower-order jets of kernel terms are truncations of an order-4
+    jet, bit for bit, so verify may serve them from one evaluation."""
+    for points in (GENERIC_POINTS[0], GENERIC_POINTS):
+        top = kernel_family_jet(params, KERNEL_TERMS, JetVars.at(points, 4))
+        for order in range(4):
+            want = kernel_family_jet(params, KERNEL_TERMS, JetVars.at(points, order))
+            assert np.array_equal(top.truncate(order).c, want.c), order
+
+
+def test_a_family_raises_what_its_first_failing_term_raises():
+    jv = JetVars.at(GENERIC_POINTS, 1)
+    integer_k = KernelParams.of(1, 1, 0, 1)  # c_2 and c_4 need a half-integer k
+    family = kernel_family_jet(integer_k, ((1, False), (3, True)), jv)
+    assert family.c.shape[0] == 2
+    for terms in (((1, False), (2, False)), ((3, True), (4, True), (2, False))):
+        i, skew = terms[1]  # the first term that fails
+        with pytest.raises(DomainError) as alone:
+            kernel_jet(i, integer_k, skew, jv)
+        with pytest.raises(DomainError) as stacked:
+            kernel_family_jet(integer_k, terms, jv)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(DomainError):
+        kernel_family_jet(KERNEL_PARAMS[0], ((1, False), (5, False)), jv)
+    # c_2 at n = 50, tau = 0.1 + 3i is 2.1e409; c_1 there is finite
+    big = KernelParams.of(0.5, 1, 50, 1)
+    jv = JetVars.at(EvalPoint(0.1, 3.0, 0.2, 0.1), 1)
+    assert np.isfinite(kernel_family_jet(big, ((1, False),), jv).c).all()
+    with pytest.raises(ValueOverflow) as alone:
+        kernel_jet(2, big, False, jv)
+    with pytest.raises(ValueOverflow) as stacked:
+        kernel_family_jet(big, ((1, False), (2, False), (4, False)), jv)
+    assert str(stacked.value) == str(alone.value)
 
 
 # ----------------------------------------------------------------------

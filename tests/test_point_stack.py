@@ -293,8 +293,9 @@ def test_max_residual_is_nan_if_one_row_is_nan():
     def residual(jv):
         return np.where(jv.y.value.real == 3.0, math.nan, 0.0)
 
-    assert math.isnan(_max_residual(residual, points))
-    assert _max_residual(residual, points[:1]) == 0.0
+    value, worst = _max_residual(residual, points)
+    assert math.isnan(value) and worst == [-0.3, 3.0, 0.4, -0.2]
+    assert _max_residual(residual, points[:1]) == (0.0, [0.13, 0.5, 0.21, 0.17])
 
     def je(jv):  # NaN on the second row only
         return jv.y * np.where(jv.y.value.real == 3.0, math.nan, 1.0)
@@ -307,14 +308,17 @@ def test_max_residual_is_nan_if_one_row_is_nan():
 
 def test_max_residual_reduces_each_operand_row_alone():
     """With operand rows, a NaN in one row makes that row NaN and no other,
-    and a stack of no points gives 0.0 per row."""
+    and a stack of no points gives 0.0 per row.  Each row names its own
+    worst point: the first of equal maxima, the NaN point of a NaN row."""
 
     def residual(jv):
         y = jv.y.value.real
         return np.stack([y, np.where(y == 3.0, math.nan, -y), 0.0 * y])
 
+    first, second = [0.13, 0.5, 0.21, 0.17], [-0.3, 3.0, 0.4, -0.2]
     got = _max_residual(residual, STACK, rows=3)
-    assert got[0] == 3.0 and math.isnan(got[1]) and got[2] == 0.0
-    assert _max_residual(residual, STACK[:1], rows=3) == [0.5, 0.5, 0.0]
-    assert _max_residual(residual, [], rows=3) == [0.0, 0.0, 0.0]
-    assert _max_residual(residual, []) == 0.0
+    assert got[0] == (3.0, second) and got[2] == (0.0, first)
+    assert math.isnan(got[1][0]) and got[1][1] == second
+    assert _max_residual(residual, STACK[:1], rows=3) == [(0.5, first), (0.5, first), (0.0, first)]
+    assert _max_residual(residual, [], rows=3) == [(0.0, None)] * 3
+    assert _max_residual(residual, []) == (0.0, None)

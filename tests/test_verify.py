@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -226,38 +227,55 @@ def rows_of(results):
     return [(res.identity, res.max_residual, res.tol) for res in results]
 
 
+def jittered(points, seed, by=0.02):
+    """The points with every coordinate moved by a seeded amount of at most
+    `by`."""
+    rng = random.Random(seed)
+    return tuple(EvalPoint(*(c + rng.uniform(-by, by) for c in (p.x, p.y, p.u, p.v)))
+                 for p in points)
+
+
+# the shipped points and three jittered copies (seeds 1-3)
+POINT_SETS = (GENERIC_POINTS,) + tuple(jittered(GENERIC_POINTS, seed) for seed in (1, 2, 3))
+
+
 def test_kernels_suite_rows_equal_their_identities_alone():
-    jv = JetVars.at(GENERIC_POINTS, 0)
-    want = []
-    for params in KERNEL_PARAMS:
-        wi = params.weight_index()
-        for skew in (False, True):
-            for i in (1, 2, 3, 4):
-                f = kernel_term_handle(i, params, skew=skew)
-                tag = "c%d%s" % (i, "sk" if skew else "")
-                for name, op_name in (("Casimir", "CasimirSk" if skew else "Casimir"),
-                                      ("LaplaceH", "LaplaceH")):
-                    value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
-                    want.append(("kernel-annihilation:%s(%s)@%s" % (name, tag, _params_tag(params)),
-                                 alone(value), 1e-7))
-    assert rows_of(suite_kernels()) == want
-    assert rows_of(verify_kernel_annihilation(KERNEL_PARAMS[1], GENERIC_POINTS)) == want[16:32]
+    """Each family is evaluated once and truncated, and each image stacks
+    the terms of both parameter sets of a weight/index."""
+    for points in POINT_SETS:
+        jv = JetVars.at(points, 0)
+        want = []
+        for params in KERNEL_PARAMS:
+            wi = params.weight_index()
+            for skew in (False, True):
+                for i in (1, 2, 3, 4):
+                    f = kernel_term_handle(i, params, skew=skew)
+                    tag = "c%d%s" % (i, "sk" if skew else "")
+                    for name, op_name in (("Casimir", "CasimirSk" if skew else "Casimir"),
+                                          ("LaplaceH", "LaplaceH")):
+                        value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
+                        want.append(("kernel-annihilation:%s(%s)@%s"
+                                     % (name, tag, _params_tag(params)), alone(value), 1e-7))
+        assert rows_of(suite_kernels(points=points)) == want
+        assert rows_of(verify_kernel_annihilation(KERNEL_PARAMS[1], points)) == want[16:32]
 
 
 def test_xi_images_suite_rows_equal_their_identities_alone():
-    jv = JetVars.at(GENERIC_POINTS, 0)
-    want = []
-    for params in XI_TABLE_PARAMS:
-        wi = params.weight_index()
-        for case, op_name, (i, skew), const, target in xi_image_rows(params):
-            f = kernel_term_handle(i, params, skew=skew)
-            value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
-            if target is not None:
-                ti, tskew, tparams = target
-                value = value - const * kernel_term_handle(ti, tparams, skew=tskew).jet_at(jv).value
-            want.append(("xi-image:%s@%s" % (case, _params_tag(params)), alone(value), 1e-7))
-    assert rows_of(suite_xi_images()) == want
-    assert rows_of(verify_xi_image_table(XI_TABLE_PARAMS[1], GENERIC_POINTS)) == want[16:]
+    for points in POINT_SETS:
+        jv = JetVars.at(points, 0)
+        want = []
+        for params in XI_TABLE_PARAMS:
+            wi = params.weight_index()
+            for case, op_name, (i, skew), const, target in xi_image_rows(params):
+                f = kernel_term_handle(i, params, skew=skew)
+                value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
+                if target is not None:
+                    ti, tskew, tparams = target
+                    value = value - const * kernel_term_handle(
+                        ti, tparams, skew=tskew).jet_at(jv).value
+                want.append(("xi-image:%s@%s" % (case, _params_tag(params)), alone(value), 1e-7))
+        assert rows_of(suite_xi_images(points=points)) == want
+        assert rows_of(verify_xi_image_table(XI_TABLE_PARAMS[1], points)) == want[16:]
 
 
 def test_verify_covariance_is_the_one_row_case_of_the_suite():
