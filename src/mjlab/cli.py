@@ -24,7 +24,8 @@ import time
 
 import click
 
-from .core import EvalPoint, TruncationPolicy, half_integer, require_finite
+from .catalog import CATALOG, build
+from .core import EvalPoint, FunctionHandle, TaggedForm, TruncationPolicy, require_finite
 from .errors import (
     DomainError,
     EvaluationAtPole,
@@ -32,20 +33,6 @@ from .errors import (
     NotThetaDecomposable,
     TruncationOverflow,
     ValueOverflow,
-)
-from .jets import Jet
-from .mu import (
-    mu_hat_2_jet,
-    mu_hat_component_jet,
-    mu_m_jet,
-    r_hat_component_jet,
-)
-from .special import (
-    H_function,
-    error_completion_E,
-    jacobi_theta_jet,
-    theta_ml_jet,
-    zwegers_R_jet,
 )
 
 
@@ -119,85 +106,11 @@ def _policy(radius, tail):
     return TruncationPolicy(**kwargs)
 
 
-def _cjet(val):
-    return Jet.constant(complex(val), 0)
-
-
-# catalog evaluators: name -> callable(opts, policy) -> value.  Each one
-# evaluates the function's jet form at order 0; E and H are real scalar
-# functions and are evaluated directly.
-
-
-def _eval_theta(o, policy):
-    return jacobi_theta_jet(_cjet(o["tau"]), _cjet(o["z"]), policy).value
-
-
-def _eval_theta_ml(o, policy):
-    return theta_ml_jet(
-        half_integer(o["m"], "m"), o["l"], _cjet(o["tau"]), _cjet(o["z"]), policy
-    ).value
-
-
-def _eval_R(o, policy):
-    return zwegers_R_jet(_cjet(o["tau"]), _cjet(o["z"]), policy).value
-
-
-def _eval_E(o, policy):
-    return complex(error_completion_E(o["w"]))
-
-
-def _eval_H(o, policy):
-    return complex(H_function(o["w"], o["k"]))
-
-
-def _eval_mu(o, policy):
-    return mu_m_jet(
-        half_integer(o["m"], "m"), _cjet(o["tau"]), _cjet(o["z"]), _cjet(o["z2"]), policy
-    ).value
-
-
-def _component_args(o):
-    """(2m, l, tau, z) of a completed-component request."""
-    return half_integer(o["m"], "m"), o["l"], _cjet(o["tau"]), _cjet(o["z"])
-
-
-def _eval_mu_hat_ml(o, policy):
-    return mu_hat_component_jet(*_component_args(o), policy).value
-
-
-def _eval_R_hat_ml(o, policy):
-    return r_hat_component_jet(*_component_args(o), policy).value
-
-
-def _eval_mu_hat_2(o, policy):
-    return mu_hat_2_jet(_cjet(o["tau"]), _cjet(o["z"]), policy).value
-
-
-def _eval_kernel(name):
-    skew = name.endswith("sk")
-    i = int(name[1])
-
-    def run(o, policy):
-        params = kernels.KernelParams.of(o["k"], o["m"], o["n"], o["r"])
-        h = kernels.kernel_term_handle(i, params, skew=skew)
-        return h.eval(EvalPoint.from_tau_z(o["tau"], o["z"]))
-
-    return run
-
-
-CATALOG = {
-    "theta": _eval_theta,
-    "theta_ml": _eval_theta_ml,
-    "R": _eval_R,
-    "E": _eval_E,
-    "H": _eval_H,
-    "mu": _eval_mu,
-    "mu_hat_ml": _eval_mu_hat_ml,
-    "R_hat_ml": _eval_R_hat_ml,
-    "mu_hat_2": _eval_mu_hat_2,
-}
-for _name in ("c1", "c2", "c3", "c4", "c1sk", "c2sk", "c3sk", "c4sk"):
-    CATALOG[_name] = _eval_kernel(_name)
+def _value(form, w, tau, z):
+    """A built catalog entry's value: a scalar function's at w, any other's at (tau, z)."""
+    if isinstance(form, (FunctionHandle, TaggedForm)):
+        return form.eval(EvalPoint.from_tau_z(tau, z))
+    return complex(form(w))
 
 
 def _check_function(name):
@@ -240,11 +153,8 @@ def eval_cmd(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
     """Evaluate a catalog function at a point and print a JSON record."""
     _check_function(function)
     policy = _policy(radius, tail)
-    opts = {
-        "k": k, "m": m, "l": l, "n": n, "r": r, "w": w,
-        "tau": tau, "z": z, "z2": z2,
-    }
-    value = CATALOG[function](opts, policy)
+    form = build(function, policy, k=k, m=m, l=l, n=n, r=r, z2=z2)
+    value = _value(form, w, tau, z)
     record = {
         "function": function,
         "params": {"k": k, "m": m, "l": l, "n": n, "r": r, "w": w},
@@ -379,6 +289,7 @@ def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
     n1, n2 = steps
     if n1 < 1 or n2 < 1:
         raise click.UsageError("steps must be positive")
+    form = build(function, policy, k=k, m=m, l=l, n=n, r=r, z2=z2)
     rows = ["x,y,u,v,re,im,pole"]
     for i in range(n1):
         a = lo[0] + (hi[0] - lo[0]) * i / max(1, n1 - 1)
@@ -388,12 +299,8 @@ def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
                 tt, zz = complex(a, b), z
             else:
                 tt, zz = tau, complex(a, b)
-            opts = {
-                "k": k, "m": m, "l": l, "n": n, "r": r, "w": a,
-                "tau": tt, "z": zz, "z2": z2,
-            }
             try:
-                val = CATALOG[function](opts, policy)
+                val = _value(form, a, tt, zz)
                 rows.append(
                     "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,0"
                     % (tt.real, tt.imag, zz.real, zz.imag, val.real, val.imag)

@@ -1,6 +1,7 @@
 """Foundational types: evaluation points, weights, truncation policy,
-coordinate jets, exact-jet function handles, and finite-difference jets of
-a handle (the independent reference that exact jets are checked against).
+coordinate jets, exact-jet function handles, tagged forms (a handle with
+its weight/index and action kind), and finite-difference jets of a handle
+(the independent reference that exact jets are checked against).
 """
 
 import cmath
@@ -16,7 +17,7 @@ from .errors import (
     StencilOutOfDomain,
     ZeroArgument,
 )
-from .jets import Jet, monomials
+from .jets import Jet, monomial_index, monomials
 
 
 def principal_sqrt(w):
@@ -186,7 +187,17 @@ class JetVars:
 
     @classmethod
     def _plain(cls, base, order):
-        return cls(*(Jet.variable(var, val, order) for var, val in enumerate(base)), plain=True)
+        """The four coordinate jets (`Jet.variable`), the rows of one array."""
+        base = np.asarray(base, dtype=complex)
+        if order:
+            c = np.zeros(base.shape + (len(monomials(order)),), dtype=complex)
+            c[..., 0] = base
+            for var, unit in enumerate(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))):
+                c[var, ..., monomial_index(order)[unit]] = 1.0
+        else:
+            c = base[..., None]
+        x, y, u, v = c
+        return cls(Jet(order, x), Jet(order, y), Jet(order, u), Jet(order, v), plain=True)
 
     @property
     def base(self):
@@ -194,21 +205,23 @@ class JetVars:
         over the stack."""
         return tuple(j.value.real for j in (self.x, self.y, self.u, self.v))
 
+    # x + iy and the others straight from the coefficient arrays: the sums
+    # Jet arithmetic forms, bit for bit, without its dispatch per point
     @property
     def tau(self):
-        return self.x + 1j * self.y
+        return Jet(self.order, self.x.c + self.y.c * 1j)
 
     @property
     def taubar(self):
-        return self.x - 1j * self.y
+        return Jet(self.order, self.x.c - self.y.c * 1j)
 
     @property
     def z(self):
-        return self.u + 1j * self.v
+        return Jet(self.u.order, self.u.c + self.v.c * 1j)
 
     @property
     def zbar(self):
-        return self.u - 1j * self.v
+        return Jet(self.u.order, self.u.c - self.v.c * 1j)
 
     def base_key(self):
         """A hashable key of the base point (or point stack) of these jets."""
@@ -286,6 +299,25 @@ class FunctionHandle:
     def jet_at(self, jv):
         """Jet of this function on the given (possibly transformed) coordinates."""
         return self._jet_fn(jv)
+
+
+@dataclass(frozen=True)
+class TaggedForm:
+    """A function handle together with its weight/index and action kind."""
+
+    f: FunctionHandle
+    weight_index: WeightIndex
+    action_kind: str = "standard"  # standard | skew
+
+    def __post_init__(self):
+        if self.action_kind not in ("standard", "skew"):
+            raise DomainError("action_kind must be standard or skew")
+
+    def eval(self, p):
+        return self.f.eval(p)
+
+    def jet_at(self, jv):
+        return self.f.jet_at(jv)
 
 
 def default_fd_step(p):

@@ -13,7 +13,7 @@ slashes of one computation share each frame.
 import math
 from dataclasses import dataclass, replace
 
-from .core import FunctionHandle, JetVars, WeightIndex, principal_sqrt
+from .core import FunctionHandle, JetVars, TaggedForm, principal_sqrt
 from .errors import DomainError
 from .jets import Jet
 
@@ -111,22 +111,6 @@ def group_inverse(A):
     # fix kappa and branch so that A * inv is the identity
     inv = replace(inv, kappa=inv.kappa - prod.kappa, eps=inv.eps * prod.eps)
     return inv
-
-
-@dataclass(frozen=True)
-class TaggedForm:
-    """A function handle together with its weight/index and action kind."""
-
-    f: FunctionHandle
-    weight_index: WeightIndex
-    action_kind: str = "standard"  # standard | skew
-
-    def __post_init__(self):
-        if self.action_kind not in ("standard", "skew"):
-            raise DomainError("action_kind must be standard or skew")
-
-    def eval(self, p):
-        return self.f.eval(p)
 
 
 def _transformed_vars(A, jv):

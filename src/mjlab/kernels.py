@@ -177,7 +177,12 @@ def xi_image_rows(params):
         a_sk = _const_pow(math.pi * D / m, 1.5 - k)
     else:
         a_xi = a_sk = 1.5 - k
-    a_h = -2.0 * _SQRT_PI
+    # Y- = -i y d/dzbar of the c3/c4 factor is 2m (pi y/|m|)^(1/2) eps e^(-+b^2)
+    # (eps = 1 for F_1, m < 0; i for i e^(b^2) D, m > 0): xi^H conjugates it and
+    # divides by (|m| y)^(1/2), leaving sgn(m) 2 sqrt(pi) conj(eps) = -2 sqrt(pi)
+    # eps; xi^{sk,H} (Ysk- = Y-/y, times (|m| y)^(1/2)) gives |m| times that.
+    eps = 1j if m > 0 else 1.0
+    a_h, a_sk_h = -2.0 * _SQRT_PI * eps, -2.0 * _SQRT_PI * eps * abs(m)
     rows = [
         ("xi(c1)", "xi", (1, False), 0.0, None),
         ("xi(c2)", "xi", (2, False), a_xi, (1, True, p_xi)),
@@ -193,8 +198,8 @@ def xi_image_rows(params):
         ("xiSk(c4sk)", "xiSk", (4, True), a_sk, (3, False, p_xi)),
         ("xiSkH(c1sk)", "xiSkH", (1, True), 0.0, None),
         ("xiSkH(c2sk)", "xiSkH", (2, True), 0.0, None),
-        ("xiSkH(c3sk)", "xiSkH", (3, True), a_h, (1, False, p_xh)),
-        ("xiSkH(c4sk)", "xiSkH", (4, True), a_h, (2, False, p_xh)),
+        ("xiSkH(c3sk)", "xiSkH", (3, True), a_sk_h, (1, False, p_xh)),
+        ("xiSkH(c4sk)", "xiSkH", (4, True), a_sk_h, (2, False, p_xh)),
     ]
     return rows
 

@@ -220,6 +220,15 @@ def _kept_rows(weights, axis):
     return np.moveaxis(has, -1, 0).astype(float)
 
 
+def mu_m_handle(two_m, z2, policy=None):
+    """The Appell sum at z1 = z and the constant z2."""
+
+    def je(jv):
+        return mu_m_jet(two_m, jv.tau, jv.z, Jet.constant(z2, jv.order), policy)
+
+    return FunctionHandle(jet_fn=je, label="mu_m[%d]" % two_m)
+
+
 # ----------------------------------------------------------------------
 # completed vector components
 

@@ -471,3 +471,10 @@ def zwegers_R_jet(tau, z, policy=None):
         terms = amp * _masked_exp(-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z, mask)
         total = terms.sum(np.where((n_terms - 0.5) % 2, -1.0, 1.0))
     return _finite_sum(total, "R-series")
+
+
+def zwegers_R_handle(policy=None):
+    def je(jv):
+        return zwegers_R_jet(jv.tau, jv.z, policy)
+
+    return FunctionHandle(jet_fn=je, label="R")

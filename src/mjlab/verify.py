@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .catalog import build
 from .core import (
     EvalPoint,
     FunctionHandle,
@@ -27,27 +28,19 @@ from .core import (
     finite_difference_jet,
 )
 from .errors import DomainError, JetUnavailable
-from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg, shared_slash_frames
+from .group import GEN_S, GEN_T, apply_slash, heisenberg, shared_slash_frames
 from .jets import Jet
 from .kernels import (
     KERNEL_TERMS,
     FourierData,
     KernelParams,
     kernel_family_jet,
-    kernel_term_handle,
     theta_decompose,
     theta_fourier_data,
     theta_recompose_handle,
     xi_image_rows,
 )
-from .mu import (
-    check_component,
-    mu_hat_2_handle,
-    mu_hat_2_jet,
-    mu_hat_component_jet,
-    mu_hat_ml_handle,
-    mu_m_jet,
-)
+from .mu import check_component
 from .operators import (
     IDENTITY,
     OperatorSpec,
@@ -68,7 +61,7 @@ from .operators import (
     xi_map,
     xi_skew_map,
 )
-from .special import jacobi_theta_jet, theta_ml_handle, theta_ml_jet, zwegers_R_jet
+from .special import theta_ml_handle, theta_ml_jet
 from .weil import labels, rho_generator, rho_word, root_of_unity, vector_slash
 
 GENERIC_POINTS = (
@@ -227,9 +220,9 @@ def _memoized(phi):
 
 
 def _stacked_forms(forms):
-    """Tagged forms of one weight/index and action kind as one memoized
-    tagged form over their stacked handles."""
-    return _memoized(replace(forms[0], f=_stacked([phi.f for phi in forms])))
+    """Tagged forms of one weight/index and action kind as one tagged form
+    over their stacked handles."""
+    return replace(forms[0], f=_stacked([phi.f for phi in forms]))
 
 
 def _slashed_stack(phi, gens, frame):
@@ -271,44 +264,28 @@ def _generator_name(A):
     return repr(A)
 
 
-def verify_covariance(op_name, phi, A, points, tol=1e-8, phi_A=None):
+def verify_covariance(op_name, phi, A, points, tol=1e-8):
     """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
-    weight/index; a DomainError if op does not act on phi's action kind.
-    phi_A is phi|A, built here unless the caller already holds it."""
+    weight/index; a DomainError if op does not act on phi's action kind."""
     gens = {_generator_name(A): A}
     frame = shared_slash_frames()
-    stack = _stacked_forms([phi])
-    if phi_A is None:
-        stack_A = _slashed_stack(stack, gens, frame)
-    else:
-        stack_A = _stacked_forms([phi_A])
-    return _covariance_checks(op_name, [phi], gens, points, tol, stack, stack_A, frame)[0]
+    stack = _memoized(_stacked_forms([phi]))
+    return _covariance_checks(op_name, [phi], gens, points, tol, stack,
+                              _slashed_stack(stack, gens, frame), frame)[0]
 
 
-def covariance_catalog():
-    """Tagged catalog functions used by the covariance suite."""
-    std = [
-        TaggedForm(theta_ml_handle(2, 0), WeightIndex(1, 2), "standard"),
-        TaggedForm(
-            kernel_term_handle(3, KernelParams.of(0.5, -1, -1, 1)),
-            WeightIndex(1, -2),
-            "standard",
-        ),
-        TaggedForm(mu_hat_ml_handle(2, 0.0), WeightIndex(1, -2), "standard"),
-    ]
-    skew = [
-        TaggedForm(
-            kernel_term_handle(1, KernelParams.of(0.5, -1, -1, 1), skew=True),
-            WeightIndex(1, -2),
-            "skew",
-        ),
-        TaggedForm(
-            kernel_term_handle(4, KernelParams.of(0.5, -1, -1, 1), skew=True),
-            WeightIndex(1, -2),
-            "skew",
-        ),
-    ]
-    return std, skew
+# the kernel parameters [k, m, n, r] of the covariance and hygiene suites
+KERNEL_OPTIONS = {"k": 0.5, "m": -1, "n": -1, "r": 1}
+
+# the covariance suite's catalog functions by name and options: three of the
+# standard action, two of the skew action
+COVARIANCE_FORMS = (
+    ("theta_ml", {"m": 1, "l": 0}),
+    ("c3", KERNEL_OPTIONS),
+    ("mu_hat_ml", {"m": 1, "l": 0.0}),
+    ("c1sk", KERNEL_OPTIONS),
+    ("c4sk", KERNEL_OPTIONS),
+)
 
 COVARIANCE_OPS = (
     "X+", "X-", "Y+", "Y-", "Xsk+", "Xsk-", "Ysk+", "Ysk-",
@@ -336,14 +313,14 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
                 "unknown generator %r; valid generators: %s" % (gname, ", ".join(GENERATORS))
             )
     gens = {gname: GENERATORS[gname] for gname in gens}
-    std, skew = covariance_catalog()
+    catalog = [build(name, **options) for name, options in COVARIANCE_FORMS]
     groups = {}
-    for phi in std + skew:
+    for phi in catalog:
         groups.setdefault((phi.action_kind, phi.weight_index), []).append(phi)
     frame = shared_slash_frames()
     stacks = {}
     for key, forms in groups.items():
-        phi = _stacked_forms(forms)
+        phi = _memoized(_stacked_forms(forms))
         stacks[key] = (phi, _slashed_stack(phi, gens, frame))
     results = []
     for op_name in ops or COVARIANCE_OPS:
@@ -354,8 +331,8 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
                 rows = _covariance_checks(op_name, forms, gens, points, tol, *stacks[key], frame)
                 keys = [(gname, id(f)) for gname in gens for f in forms]
                 checks.update(zip(keys, rows))
-        catalog = std if kind == "standard" else skew
-        results.extend(checks[(gname, id(f))] for gname in gens for f in catalog)
+        results.extend(checks[(gname, id(f))] for gname in gens for f in catalog
+                       if f.action_kind == kind)
     return results
 
 
@@ -700,6 +677,11 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
 # the completed Appell component family
 
 
+def _components(two_m):
+    """The completed components of rank 2m as one stacked tagged form."""
+    return _stacked_forms([build("mu_hat_ml", m=two_m / 2, l=l) for l in labels(two_m)])
+
+
 def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     """The claimed T and S transformation laws of the component vector, and
     the vector-slash form of the S law.  The components of each rank are
@@ -714,9 +696,7 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
-        tagged = TaggedForm(
-            _stacked([mu_hat_ml_handle(two_m, l) for l in ls]), WeightIndex(1, -two_m)
-        )
+        tagged = _components(two_m)
         pref = 1j / cmath.sqrt(1j * two_m)
 
         def gaps(jv):
@@ -740,7 +720,7 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     # M = (i / sqrt(2im)) [e_{2m}(l l')]
     two_m = 2
     ls = labels(two_m)
-    tagged = TaggedForm(_stacked([mu_hat_ml_handle(two_m, l) for l in ls]), WeightIndex(1, -two_m))
+    tagged = _components(two_m)
     p = points[0]
     slashed = apply_slash(tagged, GEN_S).f.eval(p)
     M = (1j / cmath.sqrt(2j * two_m / 2.0)) * np.array(
@@ -767,26 +747,26 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     points = points or GENERIC_POINTS_10
     results = []
     for two_m in two_m_list:
-        wi = WeightIndex(1, -two_m)
         ls = labels(two_m)
-        handles = [mu_hat_ml_handle(two_m, l) for l in ls]
-        img = apply_operator(OperatorSpec("xiH", wi), _stacked(handles))
+        stack = _components(two_m)
+        wi = stack.weight_index
+        img = apply_operator(OperatorSpec("xiH", wi), stack.f)
 
         def gap(jv):
             thetas = [theta_ml_jet(two_m, l, jv.tau, jv.z).value for l in ls]
             return img.jet_at(jv).value - np.stack(thetas)
 
         xi_rows = _max_residual(gap, points, rows=len(ls))
-        lap_rows = _image_rows("LaplaceH", wi, _stacked(handles), len(ls), points[:5])
+        lap_rows = _image_rows("LaplaceH", wi, stack.f, len(ls), points[:5])
         for l, xi_row, lap_row in zip(ls, xi_rows, lap_rows):
             results += _results(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l)],
                                 [xi_row], tol_xi)
             results += _results(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l)],
                                 [lap_row], tol_lap)
-    results.append(
-        _image_check("mu-xi-theta:xi(mu_hat_2)=0", xi_map(0.5, -0.5), mu_hat_2_handle(),
-                     points[:5], tol_mu2)
-    )
+    mu_hat_2 = build("mu_hat_2")
+    wi = mu_hat_2.weight_index
+    results.append(_image_check("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f,
+                                points[:5], tol_mu2))
     return results
 
 
@@ -859,23 +839,27 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
 # numerics hygiene
 
 
-def catalog_values(points, policy):
-    """Reported catalog values at a stack of points under a truncation
-    policy: one array (a row per point) per catalog name."""
-    jv = JetVars.at(points, 0)
-    tau, z = jv.tau, jv.z
-    return {
-        "theta": jacobi_theta_jet(tau, z, policy).value,
-        "theta_ml[2,0]": theta_ml_jet(2, 0, tau, z, policy).value,
-        "theta_ml[1,0.5]": theta_ml_jet(1, 0.5, tau, z, policy).value,
-        "R": zwegers_R_jet(tau, z, policy).value,
-        "mu_m[2]": mu_m_jet(
-            2, tau, Jet.constant(0.31 + 0.55j, 0), Jet.constant(0.17 - 0.23j, 0), policy
-        ).value,
-        "mu_hat[2,0]": mu_hat_component_jet(2, 0.0, tau, z, policy).value,
-        "mu_hat[1,0.5]": mu_hat_component_jet(1, 0.5, tau, z, policy).value,
-        "mu_hat_2": mu_hat_2_jet(tau, z, policy).value,
-    }
+# hygiene's radius-doubling values: name -> catalog name, options and the z
+# of every point (None: the point's own z)
+HYGIENE_VALUES = {
+    "theta": ("theta", {}, None),
+    "theta_ml[2,0]": ("theta_ml", {"m": 1, "l": 0}, None),
+    "theta_ml[1,0.5]": ("theta_ml", {"m": 0.5, "l": 0.5}, None),
+    "R": ("R", {}, None),
+    "mu_m[2]": ("mu", {"m": 1, "z2": 0.17 - 0.23j}, 0.31 + 0.55j),
+    "mu_hat[2,0]": ("mu_hat_ml", {"m": 1, "l": 0.0}, None),
+    "mu_hat[1,0.5]": ("mu_hat_ml", {"m": 0.5, "l": 0.5}, None),
+    "mu_hat_2": ("mu_hat_2", {}, None),
+}
+
+
+def _hygiene_values(points, policy):
+    """HYGIENE_VALUES at a point stack under a policy: an array per name."""
+    values = {}
+    for name, (fn, options, z) in HYGIENE_VALUES.items():
+        at = points if z is None else [EvalPoint.from_tau_z(p.tau, z) for p in points]
+        values[name] = build(fn, policy, **options).jet_at(JetVars.at(at, 0)).value
+    return values
 
 
 def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
@@ -884,8 +868,8 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
     points = points or [EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.3, 1.5, 0.11, 0.08)]
     results = []
     # squaring the tail target twice roughly doubles every Gaussian radius
-    v1 = catalog_values(points, TruncationPolicy(tail_bound=1e-14))
-    v2 = catalog_values(points, TruncationPolicy(tail_bound=1e-56))
+    v1 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-14))
+    v2 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-56))
     for i, p in enumerate(points):
         for name in v1:
             results.append(
@@ -896,11 +880,8 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
                 )
             )
     # finite differences against exact jets, relative, order <= 2
-    exact_handles = [
-        theta_ml_handle(2, 0),
-        kernel_term_handle(1, KernelParams.of(0.5, -1, -1, 1), skew=True),
-    ]
-    for h in exact_handles:
+    for fn, options in (("theta_ml", {"m": 1, "l": 0}), ("c1sk", KERNEL_OPTIONS)):
+        h = build(fn, **options).f
         for p in points:
             exact = h.jet_at(JetVars.at(p, 2)).table()
             approx = finite_difference_jet(h, p, 2).table()

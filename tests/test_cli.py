@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -13,9 +14,9 @@ import series_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mjlab import cli
+from mjlab import catalog, cli
 from mjlab.cli import parse_complex
-from mjlab.core import EvalPoint, JetVars, labels
+from mjlab.core import EvalPoint, FunctionHandle, JetVars, TaggedForm, labels
 from mjlab.errors import JetUnavailable, NonFinite, StencilOutOfDomain
 from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
@@ -158,10 +159,11 @@ def test_eval_c3_matches_mpmath_where_its_factor_is_large(capsys):
 
 @pytest.mark.parametrize("error", [JetUnavailable, NonFinite, StencilOutOfDomain])
 def test_evaluation_failures_exit_6(error, monkeypatch, capsys):
-    def fail(opts, policy):
+    def fail(jv):
         raise error("no jet here")
 
-    monkeypatch.setitem(cli.CATALOG, "theta", fail)
+    monkeypatch.setitem(catalog.CATALOG, "theta",
+                        catalog.Entry((), "plain", lambda policy: FunctionHandle(jet_fn=fail)))
     code, out, err = run_main(capsys, "eval", "theta")
     assert code == cli.EXIT_EVALUATION == 6
     assert err.startswith("evaluation failure (%s): no jet here" % error.__name__)
@@ -204,8 +206,8 @@ def test_series_commands_execute_only_the_series_modules():
                          timeout=120)
     assert res.returncode == 0, res.stderr
     loaded = set(res.stdout.splitlines()[-1].split())
-    assert loaded == {"mjlab", "mjlab.cli", "mjlab.core", "mjlab.errors", "mjlab.jets",
-                      "mjlab.mu", "mjlab.special"}
+    assert loaded == {"mjlab", "mjlab.catalog", "mjlab.cli", "mjlab.core", "mjlab.errors",
+                      "mjlab.jets", "mjlab.mu", "mjlab.special"}
 
 
 def test_kernel_terms_at_weight_one_half_do_not_load_scipy():
@@ -281,7 +283,29 @@ for _name in ("c1", "c2", "c3", "c4", "c1sk", "c2sk", "c3sk", "c4sk"):
 
 
 def test_eval_cases_cover_the_catalog():
-    assert set(EVAL_CASES) == set(cli.CATALOG)
+    assert set(EVAL_CASES) == set(catalog.CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES))
+def test_catalog_entries_build_what_their_tag_says(name):
+    args, _ = EVAL_CASES[name]
+    given = dict(zip(args[::2], args[1::2]))
+    options = {"k": float(given.get("--k", 0.5)), "m": float(given.get("--m", 1.0)),
+               "l": float(given.get("--l", 0.0)), "n": int(given.get("--n", 0)),
+               "r": int(given.get("--r", 0)), "z2": parse_complex(given.get("--z2", "0"))}
+    tag = catalog.CATALOG[name].tag
+    form = catalog.build(name, **options)
+    if tag == "scalar":
+        assert not isinstance(form, (FunctionHandle, TaggedForm)) and callable(form)
+    elif tag == "plain":
+        assert isinstance(form, FunctionHandle)
+    else:
+        # twice the value of each term a tag may name
+        twice = {"k": 2 * options["k"], "m": 2 * options["m"], "-m": -2 * options["m"],
+                 "1/2": 1, "-1/2": -1}
+        weight, index, kind = tag
+        assert (form.weight_index.two_k, form.weight_index.two_m) == (twice[weight], twice[index])
+        assert form.action_kind == kind
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES))
@@ -291,6 +315,57 @@ def test_eval_prints_the_jet_form_value(name, capsys):
     assert code == 0, err
     want = jet_value()
     assert json.loads(out)["value"] == [want.real, want.imag]
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES))
+@pytest.mark.parametrize("tau_grid", [False, True])
+def test_every_grid_row_is_the_eval_at_its_point(name, tau_grid, capsys):
+    # grid and eval build the catalog entry alike and evaluate it alike: a
+    # scalar (E, H) at w, the first coordinate of the window, any other
+    # function at the row's point
+    args, _ = EVAL_CASES[name]
+    w_at = args.index("--w") if "--w" in args else len(args)
+    args = args[:w_at] + args[w_at + 2:]
+    # corners whose grid coordinates are exact binary fractions
+    window = ("--min", "0.125", "0.875", "--max", "0.375", "1.25") if tau_grid else (
+        "--min", "0.125", "0.25", "--max", "0.375", "0.5")
+    code, out, err = run_main(capsys, "grid", name, *args, *AT_POINT, "--steps", "2", "2",
+                              *window, *(("--tau-grid",) if tau_grid else ()))
+    assert code in (0, None), err
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert len(rows) == 4
+    for x, y, u, v, re, im, pole in rows:
+        assert pole == "0"
+        code, out, err = run_main(capsys, "eval", name, *args, "--w", x if tau_grid else u,
+                                  "--tau", "%s+%si" % (x, y), "--z", "%s+%si" % (u, v))
+        assert code in (0, None), err
+        want = json.loads(out)["value"]
+        assert [re, im] == ["%.12g" % want[0], "%.12g" % want[1]]
+
+
+def test_catalog_commands_run_under_the_perfbench_tracer(capsys, monkeypatch):
+    # the perfbench tracer rebinds every public mjlab function, also inside
+    # tuples held by module-level tables such as the catalog that cli imports;
+    # the catalog must keep working and its evaluations must reach the
+    # rebound series
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer
+
+    from mjlab import verify  # noqa: F401  (the tracer reads verify.SUITES)
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert all(isinstance(entry, catalog.Entry) for entry in catalog.CATALOG.values())
+        grid = run_main(capsys, "grid", "R", "--steps", "2", "2",
+                        "--min", "0.1", "0.1", "--max", "0.3", "0.2")
+        theta = run_main(capsys, "eval", "theta", *AT_POINT)
+    finally:
+        t.uninstall()
+    assert grid[0] in (0, None), grid[2]
+    assert theta[0] in (0, None), theta[2]
+    assert t.stats["special.zwegers_R_jet"][0] == 4
+    assert t.stats["special.jacobi_theta_jet"][0] == 1
 
 
 def test_no_suite_and_no_catalog_eval_loads_scipy():
@@ -408,7 +483,7 @@ def eval_requests(draw):
     z2 = complex(number(st.just(0.17)), number(st.just(-0.23)))
     tail = None if inside else draw(st.one_of(st.none(), st.sampled_from([2.0, math.inf])))
     return [
-        "eval", draw(st.sampled_from(sorted(cli.CATALOG))),
+        "eval", draw(st.sampled_from(sorted(catalog.CATALOG))),
         "--k=%r" % number(HALF_INTEGERS, NOT_HALF_INTEGERS),
         "--m=%r" % m, "--l=%r" % l,
         "--n=%d" % draw(st.integers(-2, 2)), "--r=%d" % draw(st.integers(-6, 6)),
@@ -703,22 +778,6 @@ def test_grid_flags_pole_rows():
     for row in pole_rows:
         parts = row.split(",")
         assert parts[4] == "" and parts[5] == ""
-
-
-def test_grid_mu_passes_z2_like_eval(capsys):
-    window = ("--tau", "0.1+1.1i", "--min", "0.1", "0.2", "--max", "0.4", "0.5")
-    code, out, err = run_main(capsys, "grid", "mu", "--z2", "0.17-0.23i",
-                              "--steps", "2", "2", *window)
-    assert code == 0, err
-    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
-    assert len(rows) == 4
-    for x, y, u, v, re, im, pole in rows:
-        assert pole == "0"
-        code, out, err = run_main(capsys, "eval", "mu", "--z2", "0.17-0.23i",
-                                  "--tau", "%s+%si" % (x, y), "--z", "%s+%si" % (u, v))
-        assert code == 0, err
-        want = json.loads(out)["value"]
-        assert [re, im] == ["%.12g" % want[0], "%.12g" % want[1]]
 
 
 def test_grid_rejects_bad_steps():

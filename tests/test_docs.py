@@ -1,5 +1,6 @@
-"""The README's module and exit-code tables and its list of verification
-suites match the package, and the module table names only what exists."""
+"""The README's module, catalog and exit-code tables and its list of
+verification suites match the package, and the module table names only
+what exists."""
 
 import importlib
 import inspect
@@ -7,23 +8,29 @@ import re
 from pathlib import Path
 
 import mjlab
-from mjlab import cli, errors, verify
+from mjlab import catalog, cli, errors, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 
 
-def _table(header):
-    """The first cells of the rows of the README table under the given
-    header row."""
+def _rows(header):
+    """The cells of the rows of the README table under the given header
+    row."""
     lines = README.splitlines()
     start = lines.index(header) + 2  # skip the header and the rule
-    cells = []
+    rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        cells.append(line.split("|")[1].strip())
-    return cells
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+    return rows
+
+
+def _table(header):
+    """The first cells of the rows of the README table under the given
+    header row."""
+    return [row[0] for row in _rows(header)]
 
 
 def test_module_table_names_every_module():
@@ -34,6 +41,17 @@ def test_module_table_names_every_module():
         if path.stem != "__init__"
     )
     assert sorted(documented) == modules
+
+
+def test_catalog_table_gives_every_entry_its_options_and_tag():
+    documented = {
+        name.strip("`"): (tuple(re.findall(r"`(\w+)`", options)), tag)
+        for name, options, tag in _rows("| name | options | tag |")
+    }
+    assert documented == {
+        name: (entry.options, entry.tag if isinstance(entry.tag, str) else "(%s, %s) %s" % entry.tag)
+        for name, entry in catalog.CATALOG.items()
+    }
 
 
 def test_exit_code_table_lists_every_exit_code():
@@ -61,7 +79,7 @@ def test_module_table_names_only_what_exists():
     command `mjlab`."""
     lines = README.splitlines()
     start = lines.index("| module | contents |") + 2
-    known = set(verify.SUITES) | set(cli.CATALOG) | set(dir(errors)) | {"mjlab"}
+    known = set(verify.SUITES) | set(catalog.CATALOG) | set(dir(errors)) | {"mjlab"}
     unresolved = []
     for line in lines[start:]:
         if not line.startswith("|"):

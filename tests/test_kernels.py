@@ -287,6 +287,23 @@ def test_xi_image_table_at_reference_parameters():
             assert res.max_residual < 1e-7, res.as_dict()
 
 
+# both signs of m, |m| from 1/2 to 2, k from 1/2 to 5/2 and D < 0, = 0, > 0;
+# the xi^H and xi^{sk,H} constants -2 sqrt(pi) eps and -2 sqrt(pi) |m| eps
+# (eps = i for m > 0, 1 for m < 0) hold at every one.  At [1/2,3/2,-1,2],
+# [5/2,-3/2,1,2] and [3/2,-1,0,2] some rows miss the absolute tolerance at
+# rounding level against jet coefficients up to 3e13; they wait for
+# residuals relative to the operands' scale.
+XI_TABLE_SETS = [(0.5, 1, 0, 1), (1.5, 0.5, 0, 1), (1.5, -0.5, 0, 1), (0.5, -2, -1, 1),
+                 (0.5, 2, 1, 1), (1.5, 1, 1, -1), (2.5, 0.5, 1, 1), (0.5, 0.5, 1, 0),
+                 (2.5, 2, -1, 1)]
+
+
+@pytest.mark.parametrize("k,m,n,r", XI_TABLE_SETS)
+def test_xi_image_table_away_from_the_shipped_parameters(k, m, n, r):
+    for res in verify_xi_image_table(KernelParams.of(k, m, n, r), GENERIC_POINTS):
+        assert res.passed, res.as_dict()
+
+
 # ----------------------------------------------------------------------
 # Fourier data and the class-function property
 
