@@ -162,31 +162,39 @@ class JetVars:
     """The four coordinate jets at a base point, or transformed versions
     of them (after a group action).  At a stack of P points each coordinate
     jet has c.shape == (P, M): every function evaluated on them returns one
-    row per point."""
+    row per point.
 
-    __slots__ = ("x", "y", "u", "v", "order", "plain")
+    `held` is the memo of a computation (`at` starts one), shared by every
+    plain order of its base: coordinate jets by order, handle jets by
+    (handle, order), and `group`'s slash frames and transformed-base memos.
+    Transformed coordinates carry the memo of their own base.  Nothing in a
+    memo refers back to it, so reference counting frees it."""
 
-    def __init__(self, x, y, u, v, plain=False):
+    __slots__ = ("x", "y", "u", "v", "order", "plain", "held")
+
+    def __init__(self, x, y, u, v, plain=False, held=None):
         self.x = x
         self.y = y
         self.u = u
         self.v = v
         self.order = x.order
         self.plain = plain
+        self.held = {} if held is None else held
 
     @classmethod
     def at(cls, p, order):
         """Plain coordinate jets at an EvalPoint, or at a sequence of them
-        (a stack)."""
+        (a stack): the start of a computation, with a memo of its own."""
         if isinstance(p, EvalPoint):
-            return cls._plain((p.x, p.y, p.u, p.v), order)
-        return cls._plain(
-            tuple(np.array(c, dtype=float) for c in zip(*((q.x, q.y, q.u, q.v) for q in p))),
-            order,
-        )
+            base = (p.x, p.y, p.u, p.v)
+        else:
+            base = np.array([[q.x for q in p], [q.y for q in p], [q.u for q in p],
+                             [q.v for q in p]], dtype=float)
+        coords = cls._plain(base, order)
+        return cls(*coords, True, {order: coords})
 
-    @classmethod
-    def _plain(cls, base, order):
+    @staticmethod
+    def _plain(base, order):
         """The four coordinate jets (`Jet.variable`), the rows of one array."""
         base = np.asarray(base, dtype=complex)
         if order:
@@ -197,7 +205,7 @@ class JetVars:
         else:
             c = base[..., None]
         x, y, u, v = c
-        return cls(Jet(order, x), Jet(order, y), Jet(order, u), Jet(order, v), plain=True)
+        return Jet(order, x), Jet(order, y), Jet(order, u), Jet(order, v)
 
     @property
     def base(self):
@@ -223,15 +231,13 @@ class JetVars:
     def zbar(self):
         return Jet(self.u.order, self.u.c - self.v.c * 1j)
 
-    def base_key(self):
-        """A hashable key of the base point (or point stack) of these jets."""
-        base = np.array(self.base)
-        return base.shape, base.tobytes()
-
     def at_base(self, order):
         """Plain coordinate jets of the given order at the base point (or
-        stack) of these jets."""
-        return JetVars._plain(self.base, order)
+        stack) of these jets, made once per memo."""
+        coords = self.held.get(order)
+        if coords is None:
+            coords = self.held[order] = JetVars._plain(self.base, order)
+        return JetVars(*coords, True, self.held)
 
     def extend(self, extra):
         """Plain coordinate jets at the same base point with a higher order."""
@@ -240,14 +246,16 @@ class JetVars:
         return self.at_base(self.order + extra)
 
     @classmethod
-    def from_complex(cls, tau, taubar, z, zbar):
-        """Build transformed coordinates from holomorphic/antiholomorphic jets."""
+    def from_complex(cls, tau, taubar, z, zbar, held=None):
+        """Build transformed coordinates from holomorphic/antiholomorphic
+        jets, with the memo `held` of their base (a fresh one if None)."""
         return cls(
             (tau + taubar) * 0.5,
             (tau - taubar) * (-0.5j),
             (z + zbar) * 0.5,
             (z - zbar) * (-0.5j),
             plain=False,
+            held=held,
         )
 
 
@@ -294,11 +302,20 @@ class FunctionHandle:
         self.fd_step = fd_step
 
     def eval(self, p):
-        return self.jet_at(JetVars.at(p, 0)).value
+        # a computation of its own: nothing held there to serve yet
+        return self._jet_fn(JetVars.at(p, 0)).value
 
     def jet_at(self, jv):
-        """Jet of this function on the given (possibly transformed) coordinates."""
-        return self._jet_fn(jv)
+        """Jet of this function on the given (possibly transformed)
+        coordinates.  On plain coordinates it is made once per computation:
+        held in their memo by (handle, order)."""
+        if not jv.plain:
+            return self._jet_fn(jv)
+        key = (self, jv.order)
+        jet = jv.held.get(key)
+        if jet is None:
+            jet = jv.held[key] = self._jet_fn(jv)
+        return jet
 
 
 @dataclass(frozen=True)

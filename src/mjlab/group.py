@@ -6,8 +6,11 @@ the principal branch, a Heisenberg part (lambda, mu) and a central kappa.
 Cocycle signs for products are resolved numerically at the reference point
 tau = i rather than by a symbolic 2-cocycle table.  A slash by an element
 at an index takes everything it needs of the coordinates, whatever the
-weight and the form, from one SlashFrame; `shared_slash_frames` lets the
-slashes of one computation share each frame.
+weight and the form, from one SlashFrame, made once per computation on
+plain coordinates and held in its memo (`JetVars.held`).  Its transformed
+coordinates carry the memo of the transformed base, which every frame of
+the element shares, so an operand evaluated there (by an operator image,
+say) is evaluated once per transformed base and order.
 """
 
 import math
@@ -113,28 +116,6 @@ def group_inverse(A):
     return inv
 
 
-def _transformed_vars(A, jv):
-    """Coordinate jets after the Jacobi group action, plus the pieces the
-    automorphy factors need: den = c tau + d, its conjugate, 1/den and
-    z + lam tau + mu."""
-    tau = jv.tau
-    taubar = jv.taubar
-    z = jv.z
-    zbar = jv.zbar
-    den = A.c * tau + A.d
-    denbar = A.c * taubar + A.d
-    inv = den.reciprocal()
-    invbar = denbar.reciprocal()
-    zs = z + A.lam * tau + A.mu
-    zsbar = zbar + A.lam * taubar + A.mu
-    tau2 = (A.a * tau + A.b) * inv
-    taubar2 = (A.a * taubar + A.b) * invbar
-    z2 = zs * inv
-    zbar2 = zsbar * invbar
-    jv2 = JetVars.from_complex(tau2, taubar2, z2, zbar2)
-    return jv2, den, denbar, inv, zs
-
-
 def _index_exponent(A, m, tau, z, zs, inv):
     # e^(2 pi i m (-c (z + lam tau + mu)^2 / (c tau + d)
     #              + lam^2 tau + 2 lam z + lam mu + kappa))
@@ -160,45 +141,53 @@ class SlashFrame:
     index_factor: Jet
 
 
-def _slash_frame(A, m, jv):
-    """The SlashFrame of A at index m on the coordinates jv."""
-    jv2, den, denbar, inv, zs = _transformed_vars(A, jv)
+def _frame(A, m, jv, held):
+    """The SlashFrame of A at index m on the coordinates jv, its transformed
+    coordinates carrying the memo `held` (a fresh one if None)."""
+    tau = jv.tau
+    taubar = jv.taubar
+    z = jv.z
+    zbar = jv.zbar
+    den = A.c * tau + A.d
+    denbar = A.c * taubar + A.d
+    inv = den.reciprocal()
+    invbar = denbar.reciprocal()
+    zs = z + A.lam * tau + A.mu
+    zsbar = zbar + A.lam * taubar + A.mu
+    tau2 = (A.a * tau + A.b) * inv
+    taubar2 = (A.a * taubar + A.b) * invbar
+    z2 = zs * inv
+    zbar2 = zsbar * invbar
+    jv2 = JetVars.from_complex(tau2, taubar2, z2, zbar2, held)
     root = A.eps * den.cpow(0.5)  # the branch omega of sqrt(c tau + d)
-    return SlashFrame(jv2, den, denbar, root, _index_exponent(A, m, jv.tau, jv.z, zs, inv))
+    return SlashFrame(jv2, den, denbar, root, _index_exponent(A, m, tau, z, zs, inv))
 
 
-def shared_slash_frames():
-    """A frame function for slashes that share their frames: the first call
-    for an element, an index, a jet order and a stack of plain base points
-    computes the SlashFrame, and later calls return it.  Frames on
-    transformed coordinates are computed afresh.  Pass one to the slashes
-    of one computation on one point set and drop it with them."""
-    frames = {}
-
-    def frame(A, m, jv):
-        if not jv.plain:
-            return _slash_frame(A, m, jv)
-        key = (A, m, jv.order) + jv.base_key()
-        if key not in frames:
-            frames[key] = _slash_frame(A, m, jv)
-        return frames[key]
-
+def _slash_frame(A, m, jv):
+    """The SlashFrame of A at index m on the coordinates jv: on plain ones
+    held in their memo by (A, m, order), its transformed coordinates
+    carrying the memo held there by A (the A-transformed base's, whatever
+    the index and the order); on transformed ones made afresh."""
+    if not jv.plain:
+        return _frame(A, m, jv, None)
+    key = (A, m, jv.order)
+    frame = jv.held.get(key)
+    if frame is None:
+        frame = jv.held[key] = _frame(A, m, jv, jv.held.setdefault(A, {}))
     return frame
 
 
-def _slashed(phi, A, kind, weigh, frame):
+def _slashed(phi, A, kind, weigh):
     """phi slashed by A with the action of the given kind: phi at the
     transformed coordinates, times the weight factor that
-    weigh(F, root, den, denbar) applies to it, times the index factor.  The
-    frame function, when given (see shared_slash_frames), gives the frame."""
+    weigh(F, root, den, denbar) applies to it, times the index factor."""
     if phi.action_kind != kind:
         raise DomainError("the %s slash needs a %s-action form" % (kind, kind))
     wi = phi.weight_index
     m = wi.m
-    frame = frame or _slash_frame
 
     def je(jv):
-        fr = frame(A, m, jv)
+        fr = _slash_frame(A, m, jv)
         return weigh(phi.f.jet_at(fr.jv), fr.root, fr.den, fr.denbar) * fr.index_factor
 
     tag = "sk" if kind == "skew" else ""
@@ -206,24 +195,24 @@ def _slashed(phi, A, kind, weigh, frame):
     return TaggedForm(FunctionHandle(jet_fn=je, label=label), wi, kind)
 
 
-def slash(phi, A, frame=None):
+def slash(phi, A):
     """phi |_{k,m} A for a standard-action tagged form."""
     k2 = phi.weight_index.two_k
-    return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2), frame)
+    return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2))
 
 
-def skew_slash(phi, A, frame=None):
+def skew_slash(phi, A):
     """phi |^sk_{k,m} A for a skew-action tagged form."""
     k2 = phi.weight_index.two_k
 
     def weigh(F, root, den, denbar):
         return F * root.conj() ** (2 - k2) * (den * denbar).cpow(-0.5)
 
-    return _slashed(phi, A, "skew", weigh, frame)
+    return _slashed(phi, A, "skew", weigh)
 
 
-def apply_slash(phi, A, frame=None):
+def apply_slash(phi, A):
     """Dispatch on the form's action kind."""
     if phi.action_kind == "skew":
-        return skew_slash(phi, A, frame)
-    return slash(phi, A, frame)
+        return skew_slash(phi, A)
+    return slash(phi, A)

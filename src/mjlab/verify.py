@@ -7,7 +7,10 @@ The `verify_*` drivers check one identity family on given functions and
 points and return SuiteResult records; the `suite_*` functions run them
 over the shipped catalog and point sets with pinned tolerances.  The
 command line front end serializes the records and the test harness asserts
-on them.  All default point sets are deterministic.
+on them.  All default point sets are deterministic.  A `verify_*` check
+takes a sequence of points or their order-0 coordinate jets; a suite
+evaluates all of its checks on one `JetVars.at(points, 0)`, so they share
+each jet and slash frame through that computation's memo.
 """
 
 import cmath
@@ -28,7 +31,7 @@ from .core import (
     finite_difference_jet,
 )
 from .errors import DomainError, JetUnavailable
-from .group import GEN_S, GEN_T, apply_slash, heisenberg, shared_slash_frames
+from .group import GEN_S, GEN_T, apply_slash, heisenberg
 from .jets import Jet
 from .kernels import (
     KERNEL_TERMS,
@@ -118,19 +121,25 @@ def _abs_max(values):
     return float(np.max(np.abs(values)))
 
 
+def _at(points):
+    """The order-0 plain coordinate jets of a check's points: a computation
+    of their own for a sequence of EvalPoints, or the coordinates given."""
+    return points if isinstance(points, JetVars) else JetVars.at(points, 0)
+
+
 def _max_residual(residual, points, rows=None):
     """max over the points of |residual(jv)|, with jv the order-0 plain
-    coordinate jets of the whole point stack, and the point [x, y, u, v]
-    where it is reached (the first of equal maxima; the first NaN, where
-    the max is NaN).  residual returns one value per point, and the result
-    is one (max, point) pair; or, with `rows` given, an array of shape
-    (rows, points), one row per stacked operand, and the result is a list
-    of `rows` pairs, each its own row's.  (0.0, None) for no points."""
-    if not len(points):
-        return (0.0, None) if rows is None else [(0.0, None)] * rows
-    jv = JetVars.at(points, 0)
-    values = np.abs(residual(jv))
+    coordinate jets of the whole point stack (`_at`), and the point
+    [x, y, u, v] where it is reached (the first of equal maxima; the first
+    NaN, where the max is NaN).  residual returns one value per point, and
+    the result is one (max, point) pair; or, with `rows` given, an array of
+    shape (rows, points), one row per stacked operand, and the result is a
+    list of `rows` pairs, each its own row's.  (0.0, None) for no points."""
+    jv = _at(points)
     coords = np.stack(jv.base, axis=-1)
+    if not len(coords):
+        return (0.0, None) if rows is None else [(0.0, None)] * rows
+    values = np.abs(residual(jv))
 
     def pair(row):
         return float(np.max(row)), coords[int(np.argmax(row))].tolist()
@@ -186,37 +195,8 @@ def _image_rows(op_name, wi, stack, rows, points):
     return _max_residual(lambda jv: out.jet_at(jv).value, points, rows=rows)
 
 
-def _held(f, truncate=False):
-    """The handle f with its jets on plain coordinates held by jet order and
-    base point stack: a repeated call returns the jet the first identical
-    call made.  With truncate, a held jet also serves every lower order,
-    truncated, and a call at a higher order replaces it; that is for
-    handles whose lower-order jets are truncations of their higher-order
-    ones bit for bit, as the kernel terms' are (a series' truncation
-    radius depends on the order, so its jets are not).  Jets on transformed
-    coordinates are evaluated afresh every time."""
-    cache = {}
-
-    def je(jv):
-        if not jv.plain:
-            return f.jet_at(jv)
-        key = jv.base_key() + (() if truncate else (jv.order,))
-        held = cache.get(key)
-        if held is None or held.order < jv.order:
-            held = cache[key] = f.jet_at(jv)
-        return held.truncate(jv.order)
-
-    return FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step)
-
-
 # ----------------------------------------------------------------------
 # covariance
-
-
-def _memoized(phi):
-    """The tagged form phi with the jets of its handle on plain coordinates
-    held by jet order and base point stack (see _held)."""
-    return replace(phi, f=_held(phi.f))
 
 
 def _stacked_forms(forms):
@@ -225,15 +205,14 @@ def _stacked_forms(forms):
     return replace(forms[0], f=_stacked([phi.f for phi in forms]))
 
 
-def _slashed_stack(phi, gens, frame):
+def _slashed_stack(phi, gens):
     """The stacked tagged form phi slashed once by each generator of gens
-    (name -> element) with the frame function, the slashed stacks
-    concatenated generator-major into one memoized tagged form."""
-    slashed = [apply_slash(phi, A, frame).f for A in gens.values()]
-    return _memoized(replace(phi, f=_concatenated(slashed)))
+    (name -> element), the slashed stacks concatenated generator-major into
+    one tagged form."""
+    return replace(phi, f=_concatenated([apply_slash(phi, A).f for A in gens.values()]))
 
 
-def _covariance_checks(op_name, forms, gens, points, tol, phi, phi_A, frame):
+def _covariance_checks(op_name, forms, gens, points, tol, phi, phi_A):
     """op(phi|A) = (op phi)|A' for each of the tagged forms (one
     weight/index and action kind) and each generator of gens (name ->
     element), A' acting at the shifted weight/index, in generator-major
@@ -241,11 +220,10 @@ def _covariance_checks(op_name, forms, gens, points, tol, phi, phi_A, frame):
 
     phi stacks the forms, and phi_A stacks every phi|A in the same order as
     the checks.  Each side is one operator image: of phi_A on the left, and
-    of phi, slashed once per generator with the frame function, on the
-    right."""
+    of phi, slashed once per generator, on the right."""
     image = apply_to_tagged(op_name, phi)
     lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A.f)
-    rhs = [apply_slash(image, A, frame).f for A in gens.values()]
+    rhs = [apply_slash(image, A).f for A in gens.values()]
 
     def gap(jv):
         return lhs.jet_at(jv).value - np.concatenate([h.jet_at(jv).value for h in rhs])
@@ -268,10 +246,9 @@ def verify_covariance(op_name, phi, A, points, tol=1e-8):
     """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
     weight/index; a DomainError if op does not act on phi's action kind."""
     gens = {_generator_name(A): A}
-    frame = shared_slash_frames()
-    stack = _memoized(_stacked_forms([phi]))
+    stack = _stacked_forms([phi])
     return _covariance_checks(op_name, [phi], gens, points, tol, stack,
-                              _slashed_stack(stack, gens, frame), frame)[0]
+                              _slashed_stack(stack, gens))[0]
 
 
 # the kernel parameters [k, m, n, r] of the covariance and hygiene suites
@@ -297,14 +274,12 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
     """op(phi|A) = (op phi)|A' for every operator and group generator.
 
     The catalog forms are grouped by action kind and weight/index.  Per
-    group, the forms are stacked into one memoized handle phi, and phi
-    slashed once per generator into another, so each form and each slashed
-    form is evaluated once per point stack and jet order, and every
-    operator of the group's action kind is one image of each stack and one
-    slash per generator (see _covariance_checks).  All slashes share one
-    frame per generator, index, jet order and point stack
-    (group.shared_slash_frames).  The checks come in the order operator,
-    generator, catalog form."""
+    group, the forms are stacked into one handle phi, and phi slashed once
+    per generator into another, and every operator of the group's action
+    kind is one image of each stack and one slash per generator (see
+    _covariance_checks).  On one computation, each stack is evaluated once
+    per base (the points or their image under a generator) and jet order.
+    The checks come in the order operator, generator, catalog form."""
     points = points or GENERIC_POINTS[:3]
     gens = gens or list(GENERATORS)
     for gname in gens:
@@ -317,18 +292,18 @@ def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
     groups = {}
     for phi in catalog:
         groups.setdefault((phi.action_kind, phi.weight_index), []).append(phi)
-    frame = shared_slash_frames()
+    jv = JetVars.at(points, 0)
     stacks = {}
     for key, forms in groups.items():
-        phi = _memoized(_stacked_forms(forms))
-        stacks[key] = (phi, _slashed_stack(phi, gens, frame))
+        phi = _stacked_forms(forms)
+        stacks[key] = (phi, _slashed_stack(phi, gens))
     results = []
     for op_name in ops or COVARIANCE_OPS:
         kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
         checks = {}
         for key, forms in groups.items():
             if key[0] == kind:
-                rows = _covariance_checks(op_name, forms, gens, points, tol, *stacks[key], frame)
+                rows = _covariance_checks(op_name, forms, gens, jv, tol, *stacks[key])
                 keys = [(gname, id(f)) for gname in gens for f in forms]
                 checks.update(zip(keys, rows))
         results.extend(checks[(gname, id(f))] for gname in gens for f in catalog
@@ -361,23 +336,35 @@ def _params_tag(params):
 
 
 def _kernel_family(params):
-    """The eight kernel terms at params (KERNEL_TERMS) as one held kernel
-    family handle: evaluated once per point stack at the highest order
-    asked for, and truncated for the lower orders."""
-    f = FunctionHandle(jet_fn=lambda jv: kernel_family_jet(params, KERNEL_TERMS, jv))
-    return _held(f, truncate=True)
+    """The eight kernel terms at params (KERNEL_TERMS) as one handle.  The
+    memo holds its highest order asked for and serves a lower one as its
+    truncation: the kernel terms' jets truncate bit for bit (a series'
+    radius depends on the order, so its jets are never truncated)."""
+    key = ("kernel family", params)
+
+    def je(jv):
+        if not jv.plain:
+            return kernel_family_jet(params, KERNEL_TERMS, jv)
+        held = jv.held.get(key)
+        if held is None or held.order < jv.order:
+            held = jv.held[key] = kernel_family_jet(params, KERNEL_TERMS, jv)
+        return held.truncate(jv.order)
+
+    return FunctionHandle(jet_fn=je)
 
 
 def _by_weight_index(check, params_list, points, tol):
     """check(group, points, tol) for the parameter sets of each
     weight/index, which returns a list of checks per parameter set of its
-    group; the checks of every set in the order of params_list."""
+    group, all on one computation; the checks of every set in the order of
+    params_list."""
+    jv = JetVars.at(points, 0)
     groups = {}
     for j, params in enumerate(params_list):
         groups.setdefault(params.weight_index(), []).append(j)
     checks = {}
     for group in groups.values():
-        checks.update(zip(group, check([params_list[j] for j in group], points, tol)))
+        checks.update(zip(group, check([params_list[j] for j in group], jv, tol)))
     return [res for j in range(len(params_list)) for res in checks[j]]
 
 
@@ -388,14 +375,15 @@ def _kernel_annihilation(params_list, points, tol):
     truncation).  One Casimir image of every set's four standard terms, one
     skew Casimir image of their skew terms and one Heisenberg Laplace image
     of all of them."""
+    jv = _at(points)
     wi = params_list[0].weight_index()
     families = [_kernel_family(params) for params in params_list]
     n = len(families)
     standard_terms, skew_terms = [slice(0, 4)] * n, [slice(4, 8)] * n
     # the Casimir image first: it asks for the highest order
-    casimir = _image_rows("Casimir", wi, _concatenated(families, standard_terms), 4 * n, points)
-    casimir_sk = _image_rows("CasimirSk", wi, _concatenated(families, skew_terms), 4 * n, points)
-    laplace = _image_rows("LaplaceH", wi, _concatenated(families), 8 * n, points)
+    casimir = _image_rows("Casimir", wi, _concatenated(families, standard_terms), 4 * n, jv)
+    casimir_sk = _image_rows("CasimirSk", wi, _concatenated(families, skew_terms), 4 * n, jv)
+    laplace = _image_rows("LaplaceH", wi, _concatenated(families), 8 * n, jv)
     out = []
     for j, params in enumerate(params_list):
         results = []
@@ -497,13 +485,14 @@ def verify_factorizations(wi, f, depth, points, tol=1e-6):
     D = depth
     if D > 3:
         raise JetUnavailable("depth capped at 3")
+    jv = _at(points)
     results = []
 
     # (a) commutator [Y-, Y+] = Y- Y+ - Y+ Y-
     commutator = lower_Y(k + 1, m) @ raise_Y(k, m) - raise_Y(k - 1, m) @ lower_Y(k, m)
     results.append(
         _image_check("commutator:[Y-,Y+]=-2pim",
-                     commutator - (-2.0 * math.pi * m) * IDENTITY, f, points, tol)
+                     commutator - (-2.0 * math.pi * m) * IDENTITY, f, jv, tol)
     )
 
     # (b) Y+^D Y-^D vs the Delta^H polynomial
@@ -515,7 +504,7 @@ def verify_factorizations(wi, f, depth, points, tol=1e-6):
     h = IDENTITY
     for d in range(D):
         h = laplace_heisenberg_map(k, m) @ h + (2.0 * math.pi * m * d) * h
-    results.append(_image_check("quasi-factorization:Y+^%dY-^%d" % (D, D), g - h, f, points, tol))
+    results.append(_image_check("quasi-factorization:Y+^%dY-^%d" % (D, D), g - h, f, jv, tol))
 
     # (c) Heisenberg Laplace factorization through the xi^H pair
     lap = laplace_heisenberg_map(k, m)
@@ -523,7 +512,7 @@ def verify_factorizations(wi, f, depth, points, tol=1e-6):
         ("xiSkH o xiH", xi_H_skew_map(k, -m) @ xi_H_map(k, m)),
         ("xiH o xiSkH", xi_H_map(k, -m) @ xi_H_skew_map(k, m)),
     ):
-        results.append(_image_check("lapH-factorization:" + name, lap - fac, f, points, tol))
+        results.append(_image_check("lapH-factorization:" + name, lap - fac, f, jv, tol))
     return results
 
 
@@ -601,24 +590,26 @@ def _tau_test_handle():
 
 
 def suite_factorizations(points=None, tol=1e-6):
-    points = points or GENERIC_POINTS[:3]
+    """Every factorization identity on its probes, all evaluated on one
+    computation at the points, so a probe's jets are shared by its checks."""
+    jv = JetVars.at(points or GENERIC_POINTS[:3], 0)
     results = []
     wi = WeightIndex(1, 2)
     probe = _yv_test_handle(1, 1)
     for depth in (1, 2, 3):
-        results.extend(verify_factorizations(wi, probe, depth, points, tol))
+        results.extend(verify_factorizations(wi, probe, depth, jv, tol))
     wi_half = WeightIndex(3, 1)
     theta_half = theta_ml_handle(1, 0.5)
-    results.extend(verify_factorizations(wi_half, theta_half, 2, points, tol))
+    results.extend(verify_factorizations(wi_half, theta_half, 2, jv, tol))
     tau_probe = _tau_test_handle()
     for depth in (1, 2):
-        results.append(verify_x_factorization(2.5, tau_probe, depth, points, tol))
-    results.append(verify_hyperbolic_xi_factorization(1.5, tau_probe, points, tol))
+        results.append(verify_x_factorization(2.5, tau_probe, depth, jv, tol))
+    results.append(verify_hyperbolic_xi_factorization(1.5, tau_probe, jv, tol))
     for wi_c, n, r in ((WeightIndex(1, 2), 1, 1), (WeightIndex(3, 2), 0, 1)):
         mero = exp_qn_zeta_r(n, r)
         for skew in (False, True):
             results.append(
-                verify_semimeromorphic_casimir(wi_c, mero, points, skew=skew, tol=tol)
+                verify_semimeromorphic_casimir(wi_c, mero, jv, skew=skew, tol=tol)
             )
     return results
 
@@ -684,8 +675,10 @@ def _components(two_m):
 
 def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     """The claimed T and S transformation laws of the component vector, and
-    the vector-slash form of the S law.  The components of each rank are
-    one stacked handle, slashed once by T and once by S.
+    the vector-slash form of the S law, per rank.  The components of each
+    rank are one stacked handle, slashed once by T and once by S; the laws
+    are evaluated on one computation at the points, and the vector form at
+    the first point alone.
 
     The T law holds; the S law of the displayed completion fails (the
     recorded obstruction) and is reported faithfully.
@@ -693,6 +686,7 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
     for two_m in two_m_list:
         check_component(two_m)
     points = points or GENERIC_POINTS[:5]
+    at_points, at_first = JetVars.at(points, 0), JetVars.at(points[0], 0)
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
@@ -714,26 +708,15 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
         names = [
             "mu-transform:%s-law@2m=%d,l=%s" % (law, two_m, l) for l in ls for law in "TS"
         ]
-        results += _results(names, _max_residual(gaps, points, rows=len(names)), tol)
-    # the same S law phrased as a matrix acting on the component vector
-    # (index m = 1): slash every component, compare against M h with
-    # M = (i / sqrt(2im)) [e_{2m}(l l')]
-    two_m = 2
-    ls = labels(two_m)
-    tagged = _components(two_m)
-    p = points[0]
-    slashed = apply_slash(tagged, GEN_S).f.eval(p)
-    M = (1j / cmath.sqrt(2j * two_m / 2.0)) * np.array(
-        [[root_of_unity(l * lp, two_m) for lp in ls] for l in ls]
-    )
-    base = tagged.f.eval(p)
-    results.append(
-        SuiteResult(
-            "mu-transform:vector-S-law@2m=%d" % two_m,
-            float(np.max(np.abs(slashed - M @ base))),
-            tol,
-        )
-    )
+        results += _results(names, _max_residual(gaps, at_points, rows=len(names)), tol)
+        # the same S law phrased as a matrix acting on the component vector:
+        # slash every component, compare against M h with
+        # M = (i / sqrt(2im)) [e_{2m}(l l')]
+        slashed = apply_slash(tagged, GEN_S).f.jet_at(at_first).value
+        M = pref * np.array([[root_of_unity(l * lp, two_m) for lp in ls] for l in ls])
+        base = tagged.f.jet_at(at_first).value
+        results.append(SuiteResult("mu-transform:vector-S-law@2m=%d" % two_m,
+                                   _abs_max(slashed - M @ base), tol))
     return results
 
 
@@ -743,8 +726,11 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     component; the Heisenberg Laplace operator annihilates the components;
     the covariant xi operator annihilates the distinguished weight-1/2
     combination.  The components of each rank are one stacked operand of
-    one xi^H image and one Heisenberg Laplace image."""
+    one xi^H image and one Heisenberg Laplace image.  The xi^H checks are
+    evaluated on one computation at the points, the others on one at the
+    first five."""
     points = points or GENERIC_POINTS_10
+    at_points, at_five = JetVars.at(points, 0), JetVars.at(points[:5], 0)
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
@@ -756,8 +742,8 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
             thetas = [theta_ml_jet(two_m, l, jv.tau, jv.z).value for l in ls]
             return img.jet_at(jv).value - np.stack(thetas)
 
-        xi_rows = _max_residual(gap, points, rows=len(ls))
-        lap_rows = _image_rows("LaplaceH", wi, stack.f, len(ls), points[:5])
+        xi_rows = _max_residual(gap, at_points, rows=len(ls))
+        lap_rows = _image_rows("LaplaceH", wi, stack.f, len(ls), at_five)
         for l, xi_row, lap_row in zip(ls, xi_rows, lap_rows):
             results += _results(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l)],
                                 [xi_row], tol_xi)
@@ -766,7 +752,7 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     mu_hat_2 = build("mu_hat_2")
     wi = mu_hat_2.weight_index
     results.append(_image_check("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f,
-                                points[:5], tol_mu2))
+                                at_five, tol_mu2))
     return results
 
 
@@ -804,6 +790,7 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
         EvalPoint(0.1 * i - 0.3, 1.2 + 0.05 * i, 0.07 * i - 0.2, 0.03 * i)
         for i in range(10)
     ]
+    jv = JetVars.at(points, 0)
     results = []
     for two_m in (2, 3):
         data, classes = _synthetic_class_data(two_m, seed + two_m)
@@ -821,7 +808,7 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
             return v1 - v2
 
         results += _results(["decomposition:roundtrip@2m=%d" % two_m],
-                            [_max_residual(gap, points)], tol)
+                            [_max_residual(gap, jv)], tol)
     h = theta_decompose(theta_fourier_data(2, 0))
     delta_ok = (
         h[0] == [(0, 1.0)] or (len(h[0]) == 1 and h[0][0][0] == 0
@@ -854,11 +841,13 @@ HYGIENE_VALUES = {
 
 
 def _hygiene_values(points, policy):
-    """HYGIENE_VALUES at a point stack under a policy: an array per name."""
+    """HYGIENE_VALUES at a point stack under a policy: an array per name,
+    each on one computation at the points or at the points moved to its z."""
+    jv = JetVars.at(points, 0)
     values = {}
     for name, (fn, options, z) in HYGIENE_VALUES.items():
-        at = points if z is None else [EvalPoint.from_tau_z(p.tau, z) for p in points]
-        values[name] = build(fn, policy, **options).jet_at(JetVars.at(at, 0)).value
+        at = jv if z is None else JetVars.at([EvalPoint.from_tau_z(p.tau, z) for p in points], 0)
+        values[name] = build(fn, policy, **options).jet_at(at).value
     return values
 
 

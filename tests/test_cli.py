@@ -368,6 +368,28 @@ def test_catalog_commands_run_under_the_perfbench_tracer(capsys, monkeypatch):
     assert t.stats["special.jacobi_theta_jet"][0] == 1
 
 
+def test_suites_run_under_the_perfbench_tracer(monkeypatch):
+    # the tracer rebinds FunctionHandle.jet_at, group.slash and
+    # group.skew_slash, and the memo of a suite's computation sits behind
+    # all three: the traced rows are the untraced rows
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracer
+
+    from mjlab import verify
+
+    suites = ("covariance", "hygiene")
+    want = {name: [res.as_dict() for res in verify.run_suite(name)] for name in suites}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        got = {name: [res.as_dict() for res in verify.run_suite(name)] for name in suites}
+    finally:
+        t.uninstall()
+    assert got == want
+    assert t.stats["core.FunctionHandle.jet_at"][0] > 0
+    assert t.stats["group.slash"][0] > 0 and t.stats["group.skew_slash"][0] > 0
+
+
 def test_no_suite_and_no_catalog_eval_loads_scipy():
     # scipy is a test-only dependency: the oracles of the test suite use it,
     # no program path does

@@ -1,7 +1,9 @@
-"""Points, weights, truncation policy, and finite-difference jets."""
+"""Points, weights, truncation policy, coordinate jets and their memo, and
+finite-difference jets."""
 
 import math
 
+import numpy as np
 import pytest
 
 from mjlab.core import (
@@ -150,3 +152,74 @@ def test_jetvars_extend_only_plain():
     mixed = JetVars.from_complex(jv.tau, jv.taubar, jv.z, jv.zbar)
     with pytest.raises(JetUnavailable):
         mixed.extend(1)
+
+
+# ----------------------------------------------------------------------
+# the memo of a computation: JetVars.at starts one
+
+
+STACK = (EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.40, 0.9, 0.05, 0.31),
+         EvalPoint(0.31, 1.6, -0.12, 0.23))
+
+
+def counting_handle():
+    """A handle whose jet function counts its calls."""
+    calls = []
+
+    def je(jv):
+        calls.append(jv.order)
+        return jv.tau * jv.z
+
+    return FunctionHandle(jet_fn=je, label="tau z"), calls
+
+
+def test_memo_serves_a_repeated_plain_evaluation():
+    f, calls = counting_handle()
+    jv = JetVars.at(STACK, 2)
+    first = f.jet_at(jv)
+    assert f.jet_at(jv) is first
+    # every plain order of the computation shares its memo
+    assert f.jet_at(jv.extend(1).at_base(2)) is first
+    assert len(calls) == 1
+
+
+def test_memo_holds_each_order_of_the_coordinate_jets_once():
+    jv = JetVars.at(STACK, 1)
+    assert jv.at_base(1).x is jv.x
+    assert jv.extend(1).y is jv.extend(1).y and jv.extend(1).order == 2
+    assert jv.at_base(0).v is jv.extend(2).at_base(0).v
+    assert JetVars.at(STACK, 1).x is not jv.x
+
+
+def test_memo_serves_no_other_order_stack_or_point():
+    f, calls = counting_handle()
+    jv = JetVars.at(STACK, 1)
+    first = f.jet_at(jv)
+    moved = STACK[:2] + (EvalPoint(0.31, 1.6, -0.12, 0.24),)
+    others = (
+        jv.extend(1),  # another order
+        JetVars.at(STACK, 1),  # another computation at the same stack
+        JetVars.at(moved, 1),
+        JetVars.at(STACK[:1], 1),  # a stack of one point
+        JetVars.at(STACK[0], 1),  # the point on its own
+    )
+    for other in others:
+        assert f.jet_at(other) is not first
+    assert len(calls) == 1 + len(others)
+    assert np.array_equal(f.jet_at(others[1]).c, first.c)
+
+
+def test_memo_never_serves_transformed_coordinates():
+    f, calls = counting_handle()
+    plain = JetVars.at(STACK, 1)
+    moved = JetVars.from_complex(plain.tau * 2.0, plain.taubar * 2.0, plain.z, plain.zbar)
+    assert not moved.plain
+    f.jet_at(plain)
+    out = [f.jet_at(moved) for _ in range(2)]
+    assert len(calls) == 3
+    assert out[0] is not out[1] and np.array_equal(out[0].c, out[1].c)
+    # the plain coordinates at the transformed base have a memo of their own
+    at_moved = moved.at_base(1)
+    assert at_moved.held is moved.held and at_moved.held is not plain.held
+    assert f.jet_at(at_moved) is f.jet_at(moved.at_base(1))
+    assert len(calls) == 4

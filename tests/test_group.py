@@ -16,8 +16,8 @@ from mjlab.group import (
     group_inverse,
     group_multiply,
     group_word,
+    _slash_frame,
     heisenberg,
-    shared_slash_frames,
     skew_slash,
     slash,
 )
@@ -145,49 +145,58 @@ def test_theta_is_invariant_under_integer_heisenberg_translations():
 
 
 # ----------------------------------------------------------------------
-# slash frames: one per element, index, jet order and point stack
+# slash frames: one per element, index and jet order of a computation
 
 
 @pytest.mark.parametrize("order", (0, 1, 2))
 @pytest.mark.parametrize("gen", sorted(GENERATORS))
 def test_slash_of_a_row_stack_is_the_stack_of_its_rows_slashes(gen, order):
     """slash and skew_slash of a row-stacked handle give, bit for bit, the
-    rows each handle's own slash gives, with fresh or with shared frames."""
+    rows each handle's own slash gives on a computation of its own, with
+    the frame made by the first slash or held for the second."""
     A = GENERATORS[gen]
     params = KernelParams.of(0.5, -1, -1, 1)
     handles = [theta_ml_handle(2, 0), kernel_term_handle(1, params, skew=True),
                kernel_term_handle(4, params, skew=True)]
     wi = WeightIndex(1, -2)
-    jv = JetVars.at(GENERIC_POINTS[:3], order)
+    stack = GENERIC_POINTS[:3]
     for kind, slash_by in (("standard", slash), ("skew", skew_slash)):
-        alone = [slash_by(TaggedForm(h, wi, kind), A).f.jet_at(jv).c for h in handles]
-        stack = TaggedForm(_stacked(handles), wi, kind)
-        frame = shared_slash_frames()
-        for shared in (None, frame, frame):
-            rows = slash_by(stack, A, shared).f.jet_at(jv).c
+        alone = [slash_by(TaggedForm(h, wi, kind), A).f.jet_at(JetVars.at(stack, order)).c
+                 for h in handles]
+        jv = JetVars.at(stack, order)
+        for _ in range(2):
+            rows = slash_by(TaggedForm(_stacked(handles), wi, kind), A).f.jet_at(jv).c
             assert rows.shape[0] == len(handles)
             for row, want in zip(rows, alone):
                 assert np.array_equal(row, want)
 
 
-def test_shared_frames_hold_one_frame_per_element_index_order_and_stack():
-    frame = shared_slash_frames()
+def test_memo_holds_one_frame_per_element_index_and_order():
     stack = GENERIC_POINTS[:3]
-    first = frame(GEN_S, -1.0, JetVars.at(stack, 1))
-    assert frame(GEN_S, -1.0, JetVars.at(stack, 1)) is first
+    jv = JetVars.at(stack, 1)
+    first = _slash_frame(GEN_S, -1.0, jv)
+    assert _slash_frame(GEN_S, -1.0, jv) is first
+    assert _slash_frame(GEN_S, -1.0, jv.extend(1).at_base(1)) is first
     moved = stack[:2] + (EvalPoint(0.31, 1.6, -0.12, 0.24),)
-    for A, m, jv in (
-        (GEN_T, -1.0, JetVars.at(stack, 1)),
-        (GEN_S, 1.0, JetVars.at(stack, 1)),
-        (GEN_S, -1.0, JetVars.at(stack, 2)),
+    for A, m, other in (
+        (GEN_T, -1.0, jv),
+        (GEN_S, 1.0, jv),
+        (GEN_S, -1.0, jv.extend(1)),
+        (GEN_S, -1.0, JetVars.at(stack, 1)),  # another computation
         (GEN_S, -1.0, JetVars.at(moved, 1)),
         (GEN_S, -1.0, JetVars.at(stack[0], 1)),
     ):
-        out = frame(A, m, jv)
-        assert out is not first and out is frame(A, m, jv)
+        out = _slash_frame(A, m, other)
+        assert out is not first and out is _slash_frame(A, m, other)
+    # the frames of one element share the memo of the transformed base,
+    # whatever the index and the order, and hold no other
+    assert _slash_frame(GEN_S, 1.0, jv.extend(1)).jv.held is first.jv.held
+    assert _slash_frame(GEN_T, -1.0, jv).jv.held is not first.jv.held
+    assert first.jv.held is not jv.held
     # frames on transformed coordinates are computed afresh
     transformed = first.jv
     assert not transformed.plain
-    again = frame(GEN_T, -1.0, transformed)
-    assert again is not frame(GEN_T, -1.0, transformed)
-    assert np.array_equal(again.index_factor.c, frame(GEN_T, -1.0, transformed).index_factor.c)
+    again = _slash_frame(GEN_T, -1.0, transformed)
+    assert again is not _slash_frame(GEN_T, -1.0, transformed)
+    assert np.array_equal(again.index_factor.c,
+                          _slash_frame(GEN_T, -1.0, transformed).index_factor.c)

@@ -1,22 +1,24 @@
 """The verification suite registry and its result records."""
 
 import cmath
+import gc
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mjlab import cli
+from mjlab import cli, group
 from mjlab.catalog import build
-from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
+from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex, exp_qn_zeta_r
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
 from mjlab.kernels import kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.operators import OperatorSpec, apply_operator, apply_to_tagged
-from mjlab.special import theta_ml_jet
+from mjlab.special import theta_ml_handle, theta_ml_jet
 from mjlab.verify import (
     COVARIANCE_OPS,
     GENERATORS,
@@ -27,17 +29,22 @@ from mjlab.verify import (
     XI_TABLE_PARAMS,
     SuiteResult,
     COVARIANCE_FORMS,
-    _memoized,
     _params_tag,
+    _tau_test_handle,
+    _yv_test_handle,
     run_suite,
     suite_covariance,
+    suite_factorizations,
     suite_kernels,
     suite_mu_transform,
     suite_mu_xi_theta,
     suite_xi_images,
     verify_covariance,
+    verify_factorizations,
     verify_hyperbolic_xi_factorization,
     verify_kernel_annihilation,
+    verify_semimeromorphic_casimir,
+    verify_x_factorization,
     verify_xi_image_table,
 )
 from mjlab.weil import labels, root_of_unity
@@ -163,56 +170,46 @@ def test_two_covariance_suites_agree():
     assert [res.as_dict() for res in first] == [res.as_dict() for res in second]
 
 
-def counting_form():
-    """A tagged form whose handle counts its evaluations."""
-    calls = []
+def test_covariance_builds_each_coordinate_jet_and_frame_once(monkeypatch):
+    """One computation per suite call: the coordinate jets of each base
+    (the points, or their image under a generator) and order are built
+    once, and so is the slash frame of each generator, index and order."""
+    builds, frames = [], []
+    plain, frame = JetVars._plain, group._frame
 
-    def je(jv):
-        calls.append(jv.order)
-        return jv.tau * jv.z
+    def counted_plain(base, order):
+        builds.append((np.asarray(base).tobytes(), order))
+        return plain(base, order)
 
-    phi = TaggedForm(FunctionHandle(jet_fn=je, label="tau z"), WeightIndex(1, 2))
-    return phi, calls
+    def counted_frame(A, m, jv, held):
+        frames.append((A, m, jv.order, jv.plain))
+        return frame(A, m, jv, held)
 
-
-def test_memo_serves_a_repeated_plain_evaluation():
-    phi, calls = counting_form()
-    memo = _memoized(phi)
-    assert memo.f.label == phi.f.label and memo.weight_index == phi.weight_index
-    stack = GENERIC_POINTS[:3]
-    first = memo.f.jet_at(JetVars.at(stack, 2))
-    again = memo.f.jet_at(JetVars.at(stack, 2))
-    assert again is first and len(calls) == 1
-
-
-def test_memo_misses_on_another_stack_or_order():
-    phi, calls = counting_form()
-    memo = _memoized(phi)
-    stack = GENERIC_POINTS[:3]
-    moved = stack[:2] + (EvalPoint(0.31, 1.6, -0.12, 0.24),)
-    for jv in (
-        JetVars.at(stack, 1),
-        JetVars.at(stack, 2),
-        JetVars.at(moved, 1),
-        JetVars.at(stack[:1], 1),  # a stack of one point
-        JetVars.at(stack[0], 1),  # the point itself
-    ):
-        want = phi.f.jet_at(jv)
-        assert np.array_equal(memo.f.jet_at(jv).c, want.c)
-    assert len(calls) == 2 * 5
+    monkeypatch.setattr(JetVars, "_plain", staticmethod(counted_plain))
+    monkeypatch.setattr(group, "_frame", counted_frame)
+    suite_covariance()
+    assert len(builds) == len(set(builds)) == 15
+    assert len(frames) == len(set(frames)) == 24
+    assert all(on_plain for *_, on_plain in frames)
 
 
-def test_memo_never_serves_transformed_coordinates():
-    phi, calls = counting_form()
-    memo = _memoized(phi)
-    plain = JetVars.at(GENERIC_POINTS[:3], 1)
-    moved = JetVars.from_complex(plain.tau * 2.0, plain.taubar * 2.0, plain.z, plain.zbar)
-    assert not moved.plain
-    memo.f.jet_at(plain)
-    out = [memo.f.jet_at(moved) for _ in range(2)]
-    assert len(calls) == 3
-    assert out[0] is not out[1]
-    assert np.array_equal(out[1].c, phi.f.jet_at(moved).c)
+def test_suite_memos_are_freed_by_reference_counting():
+    """Nothing a memo holds refers back to it, so a suite's computation is
+    freed when the suite returns, with the cyclic collector off."""
+    suites = (suite_covariance, suite_kernels)
+    for suite in suites:  # fill the module-level caches of the jet tables
+        suite()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for suite in suites:
+            suite()
+            assert tracemalloc.get_traced_memory()[0] - start < 0.1 * 2**20, suite.__name__
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -335,4 +332,43 @@ def test_mu_transform_rows_equal_their_laws_per_component():
             mixed = sum(root_of_unity(l * lp, two_m) * values[lp] for lp in ls)
             want.append(alone(slashed_T - root_of_unity(-l * l, 2 * two_m) * values[l]))
             want.append(alone(slashed_S - 1j / cmath.sqrt(1j * two_m) * mixed))
-    assert [res.max_residual for res in suite_mu_transform()[:-1]] == want
+    got = [res.max_residual for res in suite_mu_transform() if "vector" not in res.identity]
+    assert got == want
+
+
+@pytest.mark.parametrize("two_m_list", [(1,), (2,), (1, 2)])
+def test_mu_transform_vector_rows_follow_the_ranks(two_m_list):
+    """One vector-S-law row per rank, after that rank's law rows: the
+    components slashed alone at the first point against the S matrix."""
+    p = GENERIC_POINTS[0]
+    rows = suite_mu_transform(two_m_list=two_m_list)
+    vector = [res for res in rows if "vector" in res.identity]
+    assert [res.identity for res in vector] == [
+        "mu-transform:vector-S-law@2m=%d" % two_m for two_m in two_m_list]
+    for two_m, res in zip(two_m_list, vector):
+        ls = labels(two_m)
+        comps = [TaggedForm(mu_hat_ml_handle(two_m, l), WeightIndex(1, -two_m)) for l in ls]
+        slashed = np.array([apply_slash(phi, GEN_S).f.eval(p) for phi in comps])
+        M = 1j / cmath.sqrt(1j * two_m) * np.array(
+            [[root_of_unity(l * lp, two_m) for lp in ls] for l in ls])
+        base = np.array([phi.f.eval(p) for phi in comps])
+        assert res.max_residual == alone(slashed - M @ base)
+        assert res.worst_point is None
+
+
+def test_factorization_rows_equal_their_identities_alone():
+    """The suite shares its probes' jets across checks on one computation;
+    each verify_* call here has fresh probes and a computation of its own."""
+    points = GENERIC_POINTS[:3]
+    want = []
+    for depth in (1, 2, 3):
+        want += verify_factorizations(WeightIndex(1, 2), _yv_test_handle(1, 1), depth, points)
+    want += verify_factorizations(WeightIndex(3, 1), theta_ml_handle(1, 0.5), 2, points)
+    for depth in (1, 2):
+        want.append(verify_x_factorization(2.5, _tau_test_handle(), depth, points))
+    want.append(verify_hyperbolic_xi_factorization(1.5, _tau_test_handle(), points))
+    for wi, n, r in ((WeightIndex(1, 2), 1, 1), (WeightIndex(3, 2), 0, 1)):
+        for skew in (False, True):
+            want.append(verify_semimeromorphic_casimir(wi, exp_qn_zeta_r(n, r), points,
+                                                       skew=skew))
+    assert [res.as_dict() for res in suite_factorizations()] == [res.as_dict() for res in want]
