@@ -29,6 +29,7 @@ from .core import EvalPoint, FunctionHandle, TaggedForm, TruncationPolicy, requi
 from .errors import (
     DomainError,
     EvaluationAtPole,
+    HUndefined,
     MjlabError,
     NotThetaDecomposable,
     TruncationOverflow,
@@ -283,7 +284,8 @@ def decompose_cmd(infile, out):
 def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
              radius, tail, out):
     """Evaluate a catalog function on a rectangular grid and emit CSV with
-    columns x,y,u,v,re,im,pole (pole rows have empty value fields)."""
+    columns x,y,u,v,re,im,pole (pole rows, and H at w = 0 where it is
+    undefined, have empty value fields and the flag 1)."""
     _check_function(function)
     policy = _policy(radius, tail)
     n1, n2 = steps
@@ -305,7 +307,7 @@ def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
                     "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,0"
                     % (tt.real, tt.imag, zz.real, zz.imag, val.real, val.imag)
                 )
-            except EvaluationAtPole:
+            except (EvaluationAtPole, HUndefined):
                 rows.append(
                     "%.12g,%.12g,%.12g,%.12g,,,1"
                     % (tt.real, tt.imag, zz.real, zz.imag)

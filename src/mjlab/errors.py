@@ -18,7 +18,8 @@ class ZeroArgument(DomainError):
 
 
 class HUndefined(DomainError):
-    """The H-kernel was requested at w = 0, where its continuation is undefined."""
+    """The H-kernel was requested at w = 0 for k >= 3/2, where its integral
+    diverges."""
 
 
 class StencilOutOfDomain(MjlabError):

@@ -260,13 +260,15 @@ def _gauss_legendre(n):
 def H_function(w, k):
     """H(w) = e^(-w) int_{-2w}^infty t^(1/2-k) e^(-t) dt for half-integer k.
 
-    The exponent 1/2 - k is an integer; for w > 0 and k >= 3/2 the value is
-    the continuation in k given by the integration-by-parts recurrence.
-    A value beyond the floating-point range raises ValueOverflow.
+    The exponent j = 1/2 - k is an integer; for w > 0 and k >= 3/2 the value
+    is the continuation in k given by the integration-by-parts recurrence.
+    For k <= 1/2, H is entire, with H(0) = Gamma(3/2 - k) = j!; for k >= 3/2
+    the integral diverges at w = 0, which raises HUndefined.  A value
+    beyond the floating-point range raises ValueOverflow.
     """
-    if w == 0:
-        raise HUndefined("H is undefined at w = 0")
     j = _half_int_exponent(k)
+    if w == 0 and j < 0:
+        raise HUndefined("H is undefined at w = 0 for k >= 3/2, got k=%r" % (k,))
     try:
         # e^w in two halves, so that e^w G_j is finite wherever H is
         half = math.exp(0.5 * w)

@@ -3,14 +3,19 @@ operator/slash covariance, kernel annihilation and xi-image tables,
 factorization identities, Weil matrix relations, the completed Appell
 component laws, the decomposition round trip, and numerics hygiene.
 
-The `verify_*` drivers check one identity family on given functions and
-points and return SuiteResult records; the `suite_*` functions run them
-over the shipped catalog and point sets with pinned tolerances.  The
-command line front end serializes the records and the test harness asserts
-on them.  All default point sets are deterministic.  A `verify_*` check
-takes a sequence of points or their order-0 coordinate jets; a suite
-evaluates all of its checks on one `JetVars.at(points, 0)`, so they share
-each jet and slash frame through that computation's memo.
+Each identity family has one `verify_*` driver, which checks it on given
+functions, parameter sets and points and returns SuiteResult records; the
+covariance, kernel and xi-image drivers take lists and group them by
+weight/index (covariance also by action kind) into row stacks, one operator
+image per group.  Each `suite_*` function is its drivers called at the
+shipped catalog, parameters and point sets with pinned tolerances.  Every
+check taken over points is reduced by `_rows`, which names the point of
+its largest residual.  The command line front end serializes the records
+and the test harness asserts on them.  All default point sets are
+deterministic.  A driver takes a sequence of points or their order-0
+coordinate jets; a suite evaluates all of its checks on one
+`JetVars.at(points, 0)`, so they share each jet and slash frame through
+that computation's memo.
 """
 
 import cmath
@@ -127,128 +132,109 @@ def _at(points):
     return points if isinstance(points, JetVars) else JetVars.at(points, 0)
 
 
-def _max_residual(residual, points, rows=None):
-    """max over the points of |residual(jv)|, with jv the order-0 plain
-    coordinate jets of the whole point stack (`_at`), and the point
-    [x, y, u, v] where it is reached (the first of equal maxima; the first
-    NaN, where the max is NaN).  residual returns one value per point, and
-    the result is one (max, point) pair; or, with `rows` given, an array of
-    shape (rows, points), one row per stacked operand, and the result is a
-    list of `rows` pairs, each its own row's.  (0.0, None) for no points."""
+def _rows(names, gap, points, tol):
+    """SuiteResult records of the named checks taken over points.  gap(jv),
+    with jv the order-0 plain coordinate jets of the points (`_at`), gives
+    one residual row per name over the points (at a point alone, one value
+    per name).  Each record holds the max |residual| of its row and the
+    point [x, y, u, v] where it is reached: the first of equal maxima, or
+    the first NaN where the max is NaN.  0.0 and no point for no points."""
     jv = _at(points)
-    coords = np.stack(jv.base, axis=-1)
+    coords = np.stack(jv.base, axis=-1).reshape(-1, 4)
     if not len(coords):
-        return (0.0, None) if rows is None else [(0.0, None)] * rows
-    values = np.abs(residual(jv))
-
-    def pair(row):
-        return float(np.max(row)), coords[int(np.argmax(row))].tolist()
-
-    return pair(values) if rows is None else [pair(row) for row in values]
+        return [SuiteResult(name, 0.0, tol) for name in names]
+    values = np.abs(gap(jv)).reshape(len(names), -1)
+    return [SuiteResult(name, float(np.max(row)), tol, coords[int(np.argmax(row))].tolist())
+            for name, row in zip(names, values)]
 
 
-def _results(names, residuals, tol):
-    """SuiteResult records of the named checks from their (max, point)
-    residual pairs."""
-    return [SuiteResult(name, r, tol, point) for name, (r, point) in zip(names, residuals)]
-
-
-def _stacked(handles):
-    """One handle over the given handles: its jet on any coordinates is
-    their jets, each evaluated alone on them, stacked on a new leading row
-    axis, shape (rows, *points, M).  Operators, slashes and Taylor
-    composition act row-wise on it, so each row is what its handle gives
-    alone, bit for bit."""
+def _stacked(handles, picks=None):
+    """One handle over the given handles, whose jet on any coordinates is
+    theirs, each evaluated alone on them, on a leading row axis, shape
+    (rows, *points, M): each handle's jet as one row, or with picks, the
+    rows picks[j] of the j-th (itself row-stacked) concatenated.  Operators,
+    slashes and Taylor composition act row-wise on it, so each row is what
+    its handle gives alone, bit for bit."""
 
     def je(jv):
-        return Jet(jv.order, np.stack([h.jet_at(jv).c for h in handles]))
+        jets = [h.jet_at(jv).c for h in handles]
+        if picks is None:
+            return Jet(jv.order, np.stack(jets))
+        return Jet(jv.order, np.concatenate([c[rows] for c, rows in zip(jets, picks)]))
 
     return FunctionHandle(jet_fn=je)
 
 
-def _concatenated(stacks, picks=None):
-    """One handle over row-stacked handles: their jets (the rows picks[j] of
-    the j-th, all of its rows without picks) concatenated on the leading
-    row axis."""
-
-    def je(jv):
-        jets = [h.jet_at(jv).c for h in stacks]
-        if picks is not None:
-            jets = [c[rows] for c, rows in zip(jets, picks)]
-        return Jet(jv.order, np.concatenate(jets))
-
-    return FunctionHandle(jet_fn=je)
+def _grouped(items, key, checks):
+    """checks(group) for each group of the items of one key(item), in the
+    order of first appearance, which gives a list of checks per item of the
+    group: the lists of all items, in the order of items."""
+    groups = {}
+    for j, item in enumerate(items):
+        groups.setdefault(key(item), []).append(j)
+    out = [None] * len(items)
+    for group in groups.values():
+        for j, item_checks in zip(group, checks([items[j] for j in group])):
+            out[j] = item_checks
+    return out
 
 
 def _image_check(identity, jmap, f, points, tol):
-    """The check jmap(f) = 0: max over the points of |jmap(f)| and its
-    point, with f evaluated once per point."""
+    """The check jmap(f) = 0 over the points, with f evaluated once per
+    point."""
     out = image(jmap, f)
-    return _results([identity], [_max_residual(lambda jv: out.jet_at(jv).value, points)], tol)[0]
-
-
-def _image_rows(op_name, wi, stack, rows, points):
-    """max over the points of |op f| and its point for each of the `rows`
-    rows f of a row-stacked handle: one image of the stack, with the named
-    operator at weight/index wi."""
-    out = apply_operator(OperatorSpec(op_name, wi), stack)
-    return _max_residual(lambda jv: out.jet_at(jv).value, points, rows=rows)
+    return _rows([identity], lambda jv: out.jet_at(jv).value, points, tol)[0]
 
 
 # ----------------------------------------------------------------------
 # covariance
 
 
-def _stacked_forms(forms):
-    """Tagged forms of one weight/index and action kind as one tagged form
-    over their stacked handles."""
-    return replace(forms[0], f=_stacked([phi.f for phi in forms]))
+def verify_covariance(ops, forms, gens, points, tol=1e-8):
+    """op(phi|A) = (op phi)|A' for each operator of ops, each generator A of
+    gens (name -> element) and each tagged form phi of forms on which the
+    operator acts, A' acting at the shifted weight/index, in the order
+    operator, generator, form.
 
+    The forms of one action kind and weight/index are stacked into one
+    handle phi, and phi slashed once per generator into another, phi_A,
+    both shared by every operator.  Each operator is one image of phi_A on
+    the left, and one image of phi, slashed once per generator, on the
+    right.  On one computation, each stack is evaluated once per base (the
+    points or their image under a generator) and jet order."""
+    jv = _at(points)
+    stacks = {}  # (action kind, weight/index) -> (phi, phi_A)
 
-def _slashed_stack(phi, gens):
-    """The stacked tagged form phi slashed once by each generator of gens
-    (name -> element), the slashed stacks concatenated generator-major into
-    one tagged form."""
-    return replace(phi, f=_concatenated([apply_slash(phi, A).f for A in gens.values()]))
+    def checks(op_name, group):
+        """The checks of one group of forms, a list per form, in generator
+        order."""
+        key = (group[0].action_kind, group[0].weight_index)
+        if key not in stacks:
+            phi = replace(group[0], f=_stacked([f.f for f in group]))
+            slashes = [apply_slash(phi, A).f for A in gens.values()]
+            stacks[key] = phi, _stacked(slashes, [slice(None)] * len(slashes))
+        phi, phi_A = stacks[key]
+        op_phi = apply_to_tagged(op_name, phi)
+        lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A)
+        rhs = [apply_slash(op_phi, A).f for A in gens.values()]
 
+        def gap(jv):
+            return lhs.jet_at(jv).value - np.concatenate([h.jet_at(jv).value for h in rhs])
 
-def _covariance_checks(op_name, forms, gens, points, tol, phi, phi_A):
-    """op(phi|A) = (op phi)|A' for each of the tagged forms (one
-    weight/index and action kind) and each generator of gens (name ->
-    element), A' acting at the shifted weight/index, in generator-major
-    order; a DomainError if op does not act on the forms' action kind.
+        names = [
+            "covariance:%s|%s on %s" % (op_name, gname, f.f.label) for gname in gens for f in group
+        ]
+        rows = _rows(names, gap, jv, tol)
+        return [rows[j::len(group)] for j in range(len(group))]
 
-    phi stacks the forms, and phi_A stacks every phi|A in the same order as
-    the checks.  Each side is one operator image: of phi_A on the left, and
-    of phi, slashed once per generator, on the right."""
-    image = apply_to_tagged(op_name, phi)
-    lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A.f)
-    rhs = [apply_slash(image, A).f for A in gens.values()]
-
-    def gap(jv):
-        return lhs.jet_at(jv).value - np.concatenate([h.jet_at(jv).value for h in rhs])
-
-    names = [
-        "covariance:%s|%s on %s" % (op_name, gname, f.f.label) for gname in gens for f in forms
-    ]
-    return _results(names, _max_residual(gap, points, rows=len(gens) * len(forms)), tol)
-
-
-def _generator_name(A):
-    """A's key in GENERATORS, or its repr for any other element."""
-    for name, gen in GENERATORS.items():
-        if gen == A:
-            return name
-    return repr(A)
-
-
-def verify_covariance(op_name, phi, A, points, tol=1e-8):
-    """op(phi|A) = (op phi)|A' over the points, A' acting at the shifted
-    weight/index; a DomainError if op does not act on phi's action kind."""
-    gens = {_generator_name(A): A}
-    stack = _stacked_forms([phi])
-    return _covariance_checks(op_name, [phi], gens, points, tol, stack,
-                              _slashed_stack(stack, gens))[0]
+    results = []
+    for op_name in ops:
+        kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
+        per_form = _grouped([phi for phi in forms if phi.action_kind == kind],
+                            lambda phi: phi.weight_index,
+                            lambda group: checks(op_name, group))
+        results += [res for per_gen in zip(*per_form) for res in per_gen]
+    return results
 
 
 # the kernel parameters [k, m, n, r] of the covariance and hygiene suites
@@ -271,44 +257,18 @@ COVARIANCE_OPS = (
 
 
 def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
-    """op(phi|A) = (op phi)|A' for every operator and group generator.
-
-    The catalog forms are grouped by action kind and weight/index.  Per
-    group, the forms are stacked into one handle phi, and phi slashed once
-    per generator into another, and every operator of the group's action
-    kind is one image of each stack and one slash per generator (see
-    _covariance_checks).  On one computation, each stack is evaluated once
-    per base (the points or their image under a generator) and jet order.
-    The checks come in the order operator, generator, catalog form."""
-    points = points or GENERIC_POINTS[:3]
+    """verify_covariance on the catalog forms COVARIANCE_FORMS, for every
+    operator and group generator unless restricted to the named ones."""
     gens = gens or list(GENERATORS)
     for gname in gens:
         if gname not in GENERATORS:
             raise DomainError(
                 "unknown generator %r; valid generators: %s" % (gname, ", ".join(GENERATORS))
             )
-    gens = {gname: GENERATORS[gname] for gname in gens}
-    catalog = [build(name, **options) for name, options in COVARIANCE_FORMS]
-    groups = {}
-    for phi in catalog:
-        groups.setdefault((phi.action_kind, phi.weight_index), []).append(phi)
-    jv = JetVars.at(points, 0)
-    stacks = {}
-    for key, forms in groups.items():
-        phi = _stacked_forms(forms)
-        stacks[key] = (phi, _slashed_stack(phi, gens))
-    results = []
-    for op_name in ops or COVARIANCE_OPS:
-        kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
-        checks = {}
-        for key, forms in groups.items():
-            if key[0] == kind:
-                rows = _covariance_checks(op_name, forms, gens, jv, tol, *stacks[key])
-                keys = [(gname, id(f)) for gname in gens for f in forms]
-                checks.update(zip(keys, rows))
-        results.extend(checks[(gname, id(f))] for gname in gens for f in catalog
-                       if f.action_kind == kind)
-    return results
+    forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
+    return verify_covariance(ops or COVARIANCE_OPS, forms,
+                             {gname: GENERATORS[gname] for gname in gens},
+                             points or GENERIC_POINTS[:3], tol)
 
 
 # ----------------------------------------------------------------------
@@ -353,121 +313,105 @@ def _kernel_family(params):
     return FunctionHandle(jet_fn=je)
 
 
-def _by_weight_index(check, params_list, points, tol):
-    """check(group, points, tol) for the parameter sets of each
-    weight/index, which returns a list of checks per parameter set of its
-    group, all on one computation; the checks of every set in the order of
-    params_list."""
-    jv = JetVars.at(points, 0)
-    groups = {}
-    for j, params in enumerate(params_list):
-        groups.setdefault(params.weight_index(), []).append(j)
-    checks = {}
-    for group in groups.values():
-        checks.update(zip(group, check([params_list[j] for j in group], jv, tol)))
-    return [res for j in range(len(params_list)) for res in checks[j]]
+def verify_kernel_annihilation(params_list, points, tol=1e-7):
+    """Casimir (skew Casimir on skew terms) and Heisenberg Laplace
+    annihilation of every kernel term at each parameter set, in the order
+    of params_list.
 
-
-def _kernel_annihilation(params_list, points, tol):
-    """The checks of verify_kernel_annihilation for each parameter set of
-    one weight/index.  Each set's terms are one kernel family, evaluated
-    once at the Casimir order (the Heisenberg Laplace order is its
-    truncation).  One Casimir image of every set's four standard terms, one
+    Each set's terms are one kernel family, evaluated once at the Casimir
+    order (the Heisenberg Laplace order is its truncation).  Per
+    weight/index, one Casimir image of every set's four standard terms, one
     skew Casimir image of their skew terms and one Heisenberg Laplace image
     of all of them."""
     jv = _at(points)
-    wi = params_list[0].weight_index()
-    families = [_kernel_family(params) for params in params_list]
-    n = len(families)
-    standard_terms, skew_terms = [slice(0, 4)] * n, [slice(4, 8)] * n
-    # the Casimir image first: it asks for the highest order
-    casimir = _image_rows("Casimir", wi, _concatenated(families, standard_terms), 4 * n, jv)
-    casimir_sk = _image_rows("CasimirSk", wi, _concatenated(families, skew_terms), 4 * n, jv)
-    laplace = _image_rows("LaplaceH", wi, _concatenated(families), 8 * n, jv)
-    out = []
-    for j, params in enumerate(params_list):
-        results = []
-        rows = casimir[4 * j:4 * j + 4] + casimir_sk[4 * j:4 * j + 4]
-        for (i, skew), casimir_row, laplace_row in zip(KERNEL_TERMS, rows, laplace[8 * j:]):
-            at = "(c%d%s)@%s" % (i, "sk" if skew else "", _params_tag(params))
-            results += _results(
-                ["kernel-annihilation:Casimir" + at, "kernel-annihilation:LaplaceH" + at],
-                [casimir_row, laplace_row], tol,
-            )
-        out.append(results)
-    return out
+
+    def checks(group):
+        wi = group[0].weight_index()
+        families = [_kernel_family(params) for params in group]
+
+        def image_rows(op_name, identity, terms):
+            out = apply_operator(OperatorSpec(op_name, wi),
+                                 _stacked(families, [terms] * len(group)))
+            names = [
+                "kernel-annihilation:%s(c%d%s)@%s"
+                % (identity, i, "sk" if skew else "", _params_tag(params))
+                for params in group for i, skew in KERNEL_TERMS[terms]
+            ]
+            return _rows(names, lambda jv: out.jet_at(jv).value, jv, tol)
+
+        # the Casimir image first: it asks for the highest order
+        casimir = image_rows("Casimir", "Casimir", slice(0, 4))
+        casimir_sk = image_rows("CasimirSk", "Casimir", slice(4, 8))
+        laplace = image_rows("LaplaceH", "LaplaceH", slice(0, 8))
+        return [
+            [res for pair in zip(casimir[4 * j:4 * j + 4] + casimir_sk[4 * j:4 * j + 4],
+                                 laplace[8 * j:8 * j + 8]) for res in pair]
+            for j in range(len(group))
+        ]
+
+    return [res for checked in _grouped(params_list, KernelParams.weight_index, checks)
+            for res in checked]
 
 
-def verify_kernel_annihilation(params, points, tol=1e-7):
-    """Casimir (skew Casimir on skew terms) and Heisenberg Laplace
-    annihilation of every kernel term at the given parameters: one Casimir
-    image of the four standard terms, one skew Casimir image of the four
-    skew terms and one Heisenberg Laplace image of all eight."""
-    return _kernel_annihilation([params], points, tol)[0]
+def verify_xi_image_table(params_list, points, tol=1e-7):
+    """The sixteen rows of kernels.xi_image_rows at each parameter set, in
+    the order of params_list: xi-operator image minus the expected multiple
+    of a kernel term.
 
+    Each set's terms are one kernel family; per weight/index, each xi
+    operator is one image of its rows' terms over all the sets, and the
+    targets are one order-0 kernel family per partner parameter set, of the
+    terms the rows name."""
+    jv = _at(points)
 
-def _xi_image_tables(params_list, points, tol):
-    """The checks of verify_xi_image_table for each parameter set of one
-    weight/index.  Each set's terms are one kernel family; each xi operator
-    is one image of its rows' terms over all the sets, and the targets are
-    one order-0 kernel family per partner parameter set, of the terms the
-    rows name."""
-    wi = params_list[0].weight_index()
-    tables = [xi_image_rows(params) for params in params_list]
-    families = [_kernel_family(params) for params in params_list]
-    ops = list(dict.fromkeys(row[1] for row in tables[0]))
-    images = [
-        apply_operator(OperatorSpec(op_name, wi), _concatenated(families, [
-            [KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
-            for table in tables
-        ]))
-        for op_name in ops
-    ]
-    # every row: (its set's index, case, constant, target (i, skew, params) or None)
-    rows = [(j, row[0], row[3], row[4]) for op_name in ops
-            for j, table in enumerate(tables) for row in table if row[1] == op_name]
-    targets = {}  # partner params -> its target terms, in the order of first use
-    for *_, target in rows:
-        if target is not None:
-            targets.setdefault(target[2], {})[target[:2]] = None
+    def checks(group):
+        wi = group[0].weight_index()
+        tables = [xi_image_rows(params) for params in group]
+        families = [_kernel_family(params) for params in group]
+        ops = list(dict.fromkeys(row[1] for row in tables[0]))
+        images = [
+            apply_operator(OperatorSpec(op_name, wi), _stacked(families, [
+                [KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
+                for table in tables
+            ]))
+            for op_name in ops
+        ]
+        # every row: (its set's index, case, constant, target (i, skew, params) or None)
+        rows = [(j, row[0], row[3], row[4]) for op_name in ops
+                for j, table in enumerate(tables) for row in table if row[1] == op_name]
+        targets = {}  # partner params -> its target terms, in the order of first use
+        for *_, target in rows:
+            if target is not None:
+                targets.setdefault(target[2], {})[target[:2]] = None
 
-    def gap(jv):
-        lhs = np.concatenate([img.jet_at(jv).value for img in images])
-        held = {
-            tparams: dict(zip(terms, kernel_family_jet(tparams, tuple(terms), jv).value))
-            for tparams, terms in targets.items()
-        }
-        return np.stack([
-            value if target is None else value - const * held[target[2]][target[:2]]
-            for value, (_, _, const, target) in zip(lhs, rows)
-        ])
+        def gap(jv):
+            lhs = np.concatenate([img.jet_at(jv).value for img in images])
+            held = {
+                tparams: dict(zip(terms, kernel_family_jet(tparams, tuple(terms), jv).value))
+                for tparams, terms in targets.items()
+            }
+            return np.stack([
+                value if target is None else value - const * held[target[2]][target[:2]]
+                for value, (_, _, const, target) in zip(lhs, rows)
+            ])
 
-    residuals = dict(zip(((j, case) for j, case, _, _ in rows),
-                         _max_residual(gap, points, rows=len(rows))))
-    return [
-        _results(["xi-image:%s@%s" % (case, _params_tag(params)) for case, *_ in table],
-                 [residuals[(j, case)] for case, *_ in table], tol)
-        for j, (params, table) in enumerate(zip(params_list, tables))
-    ]
+        names = ["xi-image:%s@%s" % (case, _params_tag(group[j])) for j, case, _, _ in rows]
+        checked = dict(zip(((j, case) for j, case, _, _ in rows), _rows(names, gap, jv, tol)))
+        return [[checked[(j, row[0])] for row in table] for j, table in enumerate(tables)]
 
-
-def verify_xi_image_table(params, points, tol=1e-7):
-    """The sixteen rows of kernels.xi_image_rows at the given parameters:
-    xi-operator image minus the expected multiple of a kernel term."""
-    return _xi_image_tables([params], points, tol)[0]
+    return [res for checked in _grouped(params_list, KernelParams.weight_index, checks)
+            for res in checked]
 
 
 def suite_kernels(points=None, tol=1e-7):
-    """Casimir and Heisenberg Laplace annihilation of all kernel terms: one
-    image per operator and weight/index (see _kernel_annihilation)."""
-    return _by_weight_index(_kernel_annihilation, KERNEL_PARAMS, points or GENERIC_POINTS, tol)
+    """verify_kernel_annihilation at KERNEL_PARAMS."""
+    return verify_kernel_annihilation(KERNEL_PARAMS, points or GENERIC_POINTS, tol)
 
 
 def suite_xi_images(params_list=None, points=None, tol=1e-7):
-    """The full image table of the four xi operators on kernel terms: one
-    image per operator and weight/index (see _xi_image_tables)."""
-    return _by_weight_index(_xi_image_tables, params_list or XI_TABLE_PARAMS,
-                            points or GENERIC_POINTS, tol)
+    """verify_xi_image_table at XI_TABLE_PARAMS unless given parameter
+    sets."""
+    return verify_xi_image_table(params_list or XI_TABLE_PARAMS, points or GENERIC_POINTS, tol)
 
 
 # ----------------------------------------------------------------------
@@ -620,47 +564,38 @@ def suite_factorizations(points=None, tol=1e-6):
 
 def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
                tol_braid=1e-12, tol_theta=1e-8):
+    """Unitarity of the Weil generator images, the braid relation and the
+    order of S per rank, and the invariance of the theta vector of each
+    even rank under the dual vector slash by T and by S at one point."""
     # every rank's generator images first: rho_generator rejects a bad 2m
     # before any row is computed
     gens = [(two_m, {w: rho_generator(two_m, w) for w in "TS"}) for two_m in two_m_list]
     results = []
     for two_m, mats in gens:
         eye = np.eye(two_m)
-        for which, mat in mats.items():
-            results.append(
-                SuiteResult(
-                    "weil:unitarity:%s@2m=%d" % (which, two_m),
-                    _abs_max(mat @ mat.conj().T - eye),
-                    tol_unitary,
-                )
-            )
-        results.append(
-            SuiteResult(
-                "weil:braid:(ST)^3=S^2@2m=%d" % two_m,
-                _abs_max(rho_word(two_m, "STSTST") - rho_word(two_m, "SS")),
-                tol_braid,
-            )
-        )
-        results.append(
-            SuiteResult(
-                "weil:S^8=1@2m=%d" % two_m, _abs_max(rho_word(two_m, "S" * 8) - eye), tol_braid
-            )
-        )
-    p = point or EvalPoint(0.17, 1.2, 0.13, 0.21)
+        results += [SuiteResult("weil:unitarity:%s@2m=%d" % (which, two_m),
+                                _abs_max(mat @ mat.conj().T - eye), tol_unitary)
+                    for which, mat in mats.items()]
+        results += [
+            SuiteResult("weil:braid:(ST)^3=S^2@2m=%d" % two_m,
+                        _abs_max(rho_word(two_m, "STSTST") - rho_word(two_m, "SS")), tol_braid),
+            SuiteResult("weil:S^8=1@2m=%d" % two_m,
+                        _abs_max(rho_word(two_m, "S" * 8) - eye), tol_braid),
+        ]
+    # the theta vectors of every even rank on one computation at the point
+    jv = JetVars.at(point or EvalPoint(0.17, 1.2, 0.13, 0.21), 0)
     for two_m in two_m_list:
         if two_m % 2:
             continue
         comps = [theta_ml_handle(two_m, l) for l in labels(two_m)]
-        base = np.array([h.eval(p) for h in comps])
-        for word in ("T", "S"):
-            out = vector_slash(comps, 1, two_m, word, p, dual=True)
-            results.append(
-                SuiteResult(
-                    "weil:theta-vector-invariance:%s@2m=%d" % (word, two_m),
-                    _abs_max(out - base),
-                    tol_theta,
-                )
-            )
+
+        def gap(jv):
+            base = np.array([h.jet_at(jv).value for h in comps])
+            return [_abs_max(vector_slash(comps, 1, two_m, word, jv, dual=True) - base)
+                    for word in "TS"]
+
+        names = ["weil:theta-vector-invariance:%s@2m=%d" % (word, two_m) for word in "TS"]
+        results += _rows(names, gap, jv, tol_theta)
     return results
 
 
@@ -670,7 +605,8 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
 
 def _components(two_m):
     """The completed components of rank 2m as one stacked tagged form."""
-    return _stacked_forms([build("mu_hat_ml", m=two_m / 2, l=l) for l in labels(two_m)])
+    forms = [build("mu_hat_ml", m=two_m / 2, l=l) for l in labels(two_m)]
+    return replace(forms[0], f=_stacked([phi.f for phi in forms]))
 
 
 def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
@@ -708,15 +644,17 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
         names = [
             "mu-transform:%s-law@2m=%d,l=%s" % (law, two_m, l) for l in ls for law in "TS"
         ]
-        results += _results(names, _max_residual(gaps, at_points, rows=len(names)), tol)
+        results += _rows(names, gaps, at_points, tol)
         # the same S law phrased as a matrix acting on the component vector:
         # slash every component, compare against M h with
         # M = (i / sqrt(2im)) [e_{2m}(l l')]
-        slashed = apply_slash(tagged, GEN_S).f.jet_at(at_first).value
         M = pref * np.array([[root_of_unity(l * lp, two_m) for lp in ls] for l in ls])
-        base = tagged.f.jet_at(at_first).value
-        results.append(SuiteResult("mu-transform:vector-S-law@2m=%d" % two_m,
-                                   _abs_max(slashed - M @ base), tol))
+
+        def vector_gap(jv):
+            slashed = apply_slash(tagged, GEN_S).f.jet_at(jv).value
+            return _abs_max(slashed - M @ tagged.f.jet_at(jv).value)
+
+        results += _rows(["mu-transform:vector-S-law@2m=%d" % two_m], vector_gap, at_first, tol)
     return results
 
 
@@ -742,13 +680,12 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
             thetas = [theta_ml_jet(two_m, l, jv.tau, jv.z).value for l in ls]
             return img.jet_at(jv).value - np.stack(thetas)
 
-        xi_rows = _max_residual(gap, at_points, rows=len(ls))
-        lap_rows = _image_rows("LaplaceH", wi, stack.f, len(ls), at_five)
-        for l, xi_row, lap_row in zip(ls, xi_rows, lap_rows):
-            results += _results(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l)],
-                                [xi_row], tol_xi)
-            results += _results(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l)],
-                                [lap_row], tol_lap)
+        xi_rows = _rows(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l) for l in ls],
+                        gap, at_points, tol_xi)
+        lap = apply_operator(OperatorSpec("LaplaceH", wi), stack.f)
+        lap_rows = _rows(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l) for l in ls],
+                         lambda jv: lap.jet_at(jv).value, at_five, tol_lap)
+        results += [res for pair in zip(xi_rows, lap_rows) for res in pair]
     mu_hat_2 = build("mu_hat_2")
     wi = mu_hat_2.weight_index
     results.append(_image_check("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f,
@@ -807,8 +744,7 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
                 ) * theta_ml_jet(two_m, l, jv.tau, jv.z).value
             return v1 - v2
 
-        results += _results(["decomposition:roundtrip@2m=%d" % two_m],
-                            [_max_residual(gap, jv)], tol)
+        results += _rows(["decomposition:roundtrip@2m=%d" % two_m], gap, jv, tol)
     h = theta_decompose(theta_fourier_data(2, 0))
     delta_ok = (
         h[0] == [(0, 1.0)] or (len(h[0]) == 1 and h[0][0][0] == 0
@@ -841,13 +777,15 @@ HYGIENE_VALUES = {
 
 
 def _hygiene_values(points, policy):
-    """HYGIENE_VALUES at a point stack under a policy: an array per name,
-    each on one computation at the points or at the points moved to its z."""
+    """HYGIENE_VALUES at a point stack under a policy: per name, the points
+    it is taken at (the points, or the points moved to its z) and an array
+    of its values there, each on one computation."""
     jv = JetVars.at(points, 0)
     values = {}
     for name, (fn, options, z) in HYGIENE_VALUES.items():
-        at = jv if z is None else JetVars.at([EvalPoint.from_tau_z(p.tau, z) for p in points], 0)
-        values[name] = build(fn, policy, **options).jet_at(at).value
+        at = points if z is None else [EvalPoint.from_tau_z(p.tau, z) for p in points]
+        handle = build(fn, policy, **options)
+        values[name] = at, handle.jet_at(jv if z is None else JetVars.at(at, 0)).value
     return values
 
 
@@ -860,27 +798,21 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
     v1 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-14))
     v2 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-56))
     for i, p in enumerate(points):
-        for name in v1:
-            results.append(
-                SuiteResult(
-                    "hygiene:radius-doubling:%s@y=%g" % (name, p.y),
-                    float(abs(v1[name][i] - v2[name][i])),
-                    tol_trunc,
-                )
-            )
+        for name, (at, value) in v1.items():
+            results += _rows(["hygiene:radius-doubling:%s@y=%g" % (name, p.y)],
+                             lambda jv: value[i] - v2[name][1][i], at[i], tol_trunc)
     # finite differences against exact jets, relative, order <= 2
     for fn, options in (("theta_ml", {"m": 1, "l": 0}), ("c1sk", KERNEL_OPTIONS)):
         h = build(fn, **options).f
         for p in points:
-            exact = h.jet_at(JetVars.at(p, 2)).table()
-            approx = finite_difference_jet(h, p, 2).table()
-            scale = max(abs(v) for v in exact.values())
-            resid = _abs_max([exact[k] - approx[k] for k in exact]) / scale
-            results.append(
-                SuiteResult(
-                    "hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y), resid, tol_fd
-                )
-            )
+
+            def gap(jv):
+                exact = h.jet_at(jv.extend(2)).table()
+                approx = finite_difference_jet(h, p, 2).table()
+                scale = max(abs(v) for v in exact.values())
+                return _abs_max([exact[k] - approx[k] for k in exact]) / scale
+
+            results += _rows(["hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y)], gap, p, tol_fd)
     return results
 
 

@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import WeightIndex, labels, principal_sqrt
+from .core import JetVars, WeightIndex, labels, principal_sqrt
 from .errors import DomainError
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, group_word
 
@@ -67,17 +67,21 @@ def vector_slash(components, k2, index_two_m, word, p, dual=False):
     components: list of 2m FunctionHandles on H x C;
     k2: twice the (half-integer) scalar weight;
     index_two_m: twice the Jacobi index used in the scalar slash (sign
-    included); the representation dimension is len(components).
+    included); the representation dimension is len(components);
+    p: an EvalPoint, or its order-0 plain coordinate jets.
     The scalar weight-k Jacobi action is applied to every component, then the
-    representation matrix of the word (dual if requested).
+    representation matrix of the word (dual if requested).  Every component
+    and every slash is evaluated on one computation at p (its coordinate
+    jets, or `JetVars.at(p, 0)`), so the components share one slash frame.
     """
     n = len(components)
+    jv = p if isinstance(p, JetVars) else JetVars.at(p, 0)
     if not word:
-        return np.array([h.eval(p) for h in components])
+        return np.array([h.jet_at(jv).value for h in components])
     A = group_element_of_word(word)
     wi = WeightIndex(k2, index_two_m)
     vals = np.array(
-        [apply_slash(TaggedForm(h, wi, "standard"), A).f.eval(p) for h in components]
+        [apply_slash(TaggedForm(h, wi, "standard"), A).f.jet_at(jv).value for h in components]
     )
     # slashing composes as a right action (phi|g1)|g2 = phi|(g1 g2), so the
     # compensating matrix multiplies the generator images in reversed order

@@ -435,6 +435,8 @@ DOMAIN_CASES = [
     ("eval", "mu", "--z2", "nan"),
     ("eval", "H", "--w", "nan"),
     ("eval", "E", "--w", "nan"),
+    # H at w = 0 diverges for k >= 3/2
+    ("eval", "H", "--w", "0", "--k", "1.5"),
     ("eval", "theta", "--z", "inf+0i"),
     # the tail target lies strictly between 0 and 1
     ("eval", "theta", "--tail", "2"),
@@ -685,9 +687,16 @@ def test_verify_report_names_the_worst_point_of_each_check(capsys):
     check = checks["xi-image:xiH(c3)@[0.5,-1,-1,1]"]
     assert check["worst_point"] == coords[gaps.index(max(gaps))]
     assert check["max_residual"] == pytest.approx(max(gaps), rel=1e-6)
+    # a check taken at one point names it; the Weil matrix rows use none
     code, out, err = run_main(capsys, "verify", "weil", "--two-m", "2")
     assert code in (0, None), err
-    assert all(c["worst_point"] is None for c in json.loads(out)["checks"])
+    worst = {c["identity"]: c["worst_point"] for c in json.loads(out)["checks"]}
+    assert worst == {
+        "weil:unitarity:T@2m=2": None, "weil:unitarity:S@2m=2": None,
+        "weil:braid:(ST)^3=S^2@2m=2": None, "weil:S^8=1@2m=2": None,
+        "weil:theta-vector-invariance:T@2m=2": [0.17, 1.2, 0.13, 0.21],
+        "weil:theta-vector-invariance:S@2m=2": [0.17, 1.2, 0.13, 0.21],
+    }
 
 
 @pytest.mark.parametrize("args,params", [
@@ -800,6 +809,25 @@ def test_grid_flags_pole_rows():
     for row in pole_rows:
         parts = row.split(",")
         assert parts[4] == "" and parts[5] == ""
+
+
+@pytest.mark.parametrize("k", [0.5, -1.5, 1.5, 2.5])
+def test_grid_H_runs_through_w_0(k, capsys):
+    """The default window starts at w = 0, where H(0) = (1/2 - k)! for
+    k <= 1/2 and H is undefined for k >= 3/2: a flagged row with empty
+    value fields.  Every other row is H at its w."""
+    code, out, err = run_main(capsys, "grid", "H", "--k", repr(k), "--steps", "3", "3")
+    assert code in (0, None), err
+    rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+    assert len(rows) == 9
+    for row in rows:
+        w = float(row[2])
+        if w == 0 and k >= 1.5:
+            assert row[4:] == ["", "", "1"]
+        else:
+            assert row[4:] == ["%.12g" % H_function(w, k), "0", "0"]
+    assert {row[4] for row in rows[:3]} == ({""} if k >= 1.5 else {
+        "%.12g" % math.factorial(int(0.5 - k))})
 
 
 def test_grid_rejects_bad_steps():

@@ -165,9 +165,9 @@ def test_third_and_fourth_kernel_jets_are_smooth_on_sign_locus(params):
                 scale = max(abs(v) for v in exact.values())
                 worst = max(abs(exact[mon] - approx[mon]) for mon in exact)
                 assert worst <= 1e-5 * scale, (i, skew, order, worst / scale)
-    results = verify_kernel_annihilation(params, [p])
+    results = verify_kernel_annihilation([params], [p])
     if params in XI_TABLE_PARAMS:
-        results += verify_xi_image_table(params, [p])
+        results += verify_xi_image_table([params], [p])
     assert all(res.passed for res in results), [
         (res.identity, res.max_residual) for res in results if not res.passed
     ]
@@ -274,7 +274,7 @@ def test_a_family_raises_what_its_first_failing_term_raises():
 
 def test_kernel_annihilation_report():
     params = KernelParams.of(0.5, -1.0, -1, 1)
-    results = verify_kernel_annihilation(params, POINTS)
+    results = verify_kernel_annihilation([params], POINTS)
     for res in results:
         assert res.max_residual < 1e-7, res.as_dict()
 
@@ -282,7 +282,7 @@ def test_kernel_annihilation_report():
 def test_xi_image_table_at_reference_parameters():
     for params in (KernelParams.of(0.5, -1.0, -1, 1),
                    KernelParams.of(0.5, -1.0, 0, 0)):
-        results = verify_xi_image_table(params, POINTS)
+        results = verify_xi_image_table([params], POINTS)
         for res in results:
             assert res.max_residual < 1e-7, res.as_dict()
 
@@ -300,7 +300,7 @@ XI_TABLE_SETS = [(0.5, 1, 0, 1), (1.5, 0.5, 0, 1), (1.5, -0.5, 0, 1), (0.5, -2, 
 
 @pytest.mark.parametrize("k,m,n,r", XI_TABLE_SETS)
 def test_xi_image_table_away_from_the_shipped_parameters(k, m, n, r):
-    for res in verify_xi_image_table(KernelParams.of(k, m, n, r), GENERIC_POINTS):
+    for res in verify_xi_image_table([KernelParams.of(k, m, n, r)], GENERIC_POINTS):
         assert res.passed, res.as_dict()
 
 

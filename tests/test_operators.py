@@ -143,13 +143,13 @@ def test_skew_casimir_annihilates_skew_kernel_term():
 @pytest.mark.parametrize("gen", [GEN_T, GEN_S, heisenberg(1, 0)])
 def test_covariance_on_theta(op_name, gen):
     phi = TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
-    report = verify_covariance(op_name, phi, gen, POINTS[:2])
+    [report] = verify_covariance([op_name], [phi], {"A": gen}, POINTS[:2])
     assert report.max_residual < 1e-7, (op_name, report.as_dict())
 
 
 def test_covariance_on_completed_component():
     phi = TaggedForm(mu_hat_ml_handle(2, 0), WeightIndex(1, -2), "standard")
-    report = verify_covariance("Y+", phi, GEN_T, POINTS[:1])
+    [report] = verify_covariance(["Y+"], [phi], {"T": GEN_T}, POINTS[:1])
     assert report.max_residual < 1e-7, report.as_dict()
 
 

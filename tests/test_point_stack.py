@@ -38,7 +38,7 @@ from mjlab.operators import _OPERATORS, apply_to_tagged, image
 from mjlab.special import jacobi_theta_jet, theta_ml_handle, theta_ml_jet, zwegers_R_jet
 from mjlab.verify import (
     GENERATORS,
-    _max_residual,
+    _rows,
     _stacked,
     verify_hyperbolic_xi_factorization,
 )
@@ -287,15 +287,20 @@ def test_points_that_succeed_alone_never_raise_in_a_stack(two_m):
         assert_stack_equals_points(fn, 0, PROBE_POINTS)
 
 
-def test_max_residual_is_nan_if_one_row_is_nan():
+def reduced(results):
+    """(max residual, worst point) of each row of `_rows`."""
+    return [(res.max_residual, res.worst_point) for res in results]
+
+
+def test_rows_is_nan_if_one_point_is_nan():
     points = STACK
 
     def residual(jv):
         return np.where(jv.y.value.real == 3.0, math.nan, 0.0)
 
-    value, worst = _max_residual(residual, points)
+    [(value, worst)] = reduced(_rows(["r"], residual, points, 1.0))
     assert math.isnan(value) and worst == [-0.3, 3.0, 0.4, -0.2]
-    assert _max_residual(residual, points[:1]) == (0.0, [0.13, 0.5, 0.21, 0.17])
+    assert reduced(_rows(["r"], residual, points[:1], 1.0)) == [(0.0, [0.13, 0.5, 0.21, 0.17])]
 
     def je(jv):  # NaN on the second row only
         return jv.y * np.where(jv.y.value.real == 3.0, math.nan, 1.0)
@@ -306,7 +311,7 @@ def test_max_residual_is_nan_if_one_row_is_nan():
     assert not result.passed
 
 
-def test_max_residual_reduces_each_operand_row_alone():
+def test_rows_reduces_each_operand_row_alone():
     """With operand rows, a NaN in one row makes that row NaN and no other,
     and a stack of no points gives 0.0 per row.  Each row names its own
     worst point: the first of equal maxima, the NaN point of a NaN row."""
@@ -315,10 +320,26 @@ def test_max_residual_reduces_each_operand_row_alone():
         y = jv.y.value.real
         return np.stack([y, np.where(y == 3.0, math.nan, -y), 0.0 * y])
 
+    names = ["a", "b", "c"]
     first, second = [0.13, 0.5, 0.21, 0.17], [-0.3, 3.0, 0.4, -0.2]
-    got = _max_residual(residual, STACK, rows=3)
+    got = _rows(names, residual, STACK, 1.0)
+    assert [res.identity for res in got] == names and all(res.tol == 1.0 for res in got)
+    got = reduced(got)
     assert got[0] == (3.0, second) and got[2] == (0.0, first)
     assert math.isnan(got[1][0]) and got[1][1] == second
-    assert _max_residual(residual, STACK[:1], rows=3) == [(0.5, first), (0.5, first), (0.0, first)]
-    assert _max_residual(residual, [], rows=3) == [(0.0, None)] * 3
-    assert _max_residual(residual, []) == (0.0, None)
+    assert reduced(_rows(names, residual, STACK[:1], 1.0)) == [(0.5, first), (0.5, first),
+                                                                (0.0, first)]
+    assert reduced(_rows(names, residual, [], 1.0)) == [(0.0, None)] * 3
+    assert reduced(_rows(["r"], residual, [], 1.0)) == [(0.0, None)]
+
+
+def test_rows_at_a_point_alone_name_that_point():
+    """At one EvalPoint (not a stack of one), each row is one value and
+    names the point."""
+
+    def residual(jv):
+        return [jv.y.value.real, 2.0 * jv.x.value.real]
+
+    p = STACK[0]
+    assert reduced(_rows(["y", "2x"], residual, p, 1.0)) == [
+        (0.5, [0.13, 0.5, 0.21, 0.17]), (0.26, [0.13, 0.5, 0.21, 0.17])]

@@ -277,8 +277,10 @@ def test_H_recurrence_consistency():
 
 
 def test_H_undefined_at_zero_and_integer_weight():
-    with pytest.raises(HUndefined):
-        H_function(0.0, 0.5)
+    # at w = 0 the integral of t^(1/2-k) e^(-t) diverges for k >= 3/2 only
+    for k in (1.5, 2.5):
+        with pytest.raises(HUndefined):
+            H_function(0.0, k)
     with pytest.raises(DomainError):
         H_function(0.5, 1.0)
 
@@ -289,6 +291,12 @@ def _H_oracle(w, k):
     with mpmath.workdps(40):
         w = mpmath.mpf(w)
         return mpmath.re(mpmath.exp(-w) * mpmath.gammainc(1.5 - k, -2 * w))
+
+
+@pytest.mark.parametrize("k", [0.5, -0.5, -1.5])
+def test_H_at_zero_against_mpmath(k):
+    """For k <= 1/2, H is entire: H(0) = Gamma(3/2 - k) = (1/2 - k)!."""
+    assert H_function(0.0, k) == float(_H_oracle(0.0, k)) == math.factorial(int(0.5 - k))
 
 
 H_ARGS = [float(w) for w in np.geomspace(1e-3, 709.0, 120)] + [356.0, 360.0, 380.0, 400.0]

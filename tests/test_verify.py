@@ -104,6 +104,19 @@ def test_every_suite_returns_only_suite_results(name):
     assert all(type(res) is SuiteResult for res in results)
 
 
+# the rows of each suite at its defaults: perfbench's verify workload counts
+# rows per second, so a suite that dropped or repeated rows would read as a
+# change of speed
+SUITE_ROWS = {
+    "covariance": 120, "kernels": 128, "xi-images": 32, "factorizations": 23, "weil": 20,
+    "mu-transform": 8, "mu-xi-theta": 7, "decomposition-roundtrip": 3, "hygiene": 20,
+}
+
+
+def test_every_suite_keeps_its_row_count():
+    assert {name: len(run_suite(name)) for name in SUITES} == SUITE_ROWS
+
+
 @pytest.mark.parametrize("nan_at", [None, 0.9])
 def test_nan_residual_fails_the_check(nan_at):
     """A NaN residual at any point (None: at every point) is the result."""
@@ -193,6 +206,21 @@ def test_covariance_builds_each_coordinate_jet_and_frame_once(monkeypatch):
     assert all(on_plain for *_, on_plain in frames)
 
 
+def test_weil_builds_one_slash_frame_per_generator_and_rank(monkeypatch):
+    """The theta vector of each even rank and all its slashes are one
+    computation at the point: one frame per word and index."""
+    frames, frame = [], group._frame
+
+    def counted_frame(A, m, jv, held):
+        frames.append((A, m, jv.order, jv.plain))
+        return frame(A, m, jv, held)
+
+    monkeypatch.setattr(group, "_frame", counted_frame)
+    run_suite("weil")
+    assert len(frames) == len(set(frames)) == 4
+    assert {(A, m) for A, m, *_ in frames} == {(A, m) for A in (GEN_T, GEN_S) for m in (1, 2)}
+
+
 def test_suite_memos_are_freed_by_reference_counting():
     """Nothing a memo holds refers back to it, so a suite's computation is
     freed when the suite returns, with the cyclic collector off."""
@@ -255,7 +283,7 @@ def test_kernels_suite_rows_equal_their_identities_alone():
                         want.append(("kernel-annihilation:%s(%s)@%s"
                                      % (name, tag, _params_tag(params)), alone(value), 1e-7))
         assert rows_of(suite_kernels(points=points)) == want
-        assert rows_of(verify_kernel_annihilation(KERNEL_PARAMS[1], points)) == want[16:32]
+        assert rows_of(verify_kernel_annihilation([KERNEL_PARAMS[1]], points)) == want[16:32]
 
 
 def test_xi_images_suite_rows_equal_their_identities_alone():
@@ -273,7 +301,7 @@ def test_xi_images_suite_rows_equal_their_identities_alone():
                         ti, tparams, skew=tskew).jet_at(jv).value
                 want.append(("xi-image:%s@%s" % (case, _params_tag(params)), alone(value), 1e-7))
         assert rows_of(suite_xi_images(points=points)) == want
-        assert rows_of(verify_xi_image_table(XI_TABLE_PARAMS[1], points)) == want[16:]
+        assert rows_of(verify_xi_image_table([XI_TABLE_PARAMS[1]], points)) == want[16:]
 
 
 def test_verify_covariance_is_the_one_row_case_of_the_suite():
@@ -284,7 +312,7 @@ def test_verify_covariance_is_the_one_row_case_of_the_suite():
         forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
         for gname, A in GENERATORS.items():
             for phi in (f for f in forms if f.action_kind == kind):
-                res = verify_covariance(op_name, phi, A, points)
+                [res] = verify_covariance([op_name], [phi], {gname: A}, points)
                 assert res.as_dict() == full[res.identity]
 
 
@@ -339,7 +367,8 @@ def test_mu_transform_rows_equal_their_laws_per_component():
 @pytest.mark.parametrize("two_m_list", [(1,), (2,), (1, 2)])
 def test_mu_transform_vector_rows_follow_the_ranks(two_m_list):
     """One vector-S-law row per rank, after that rank's law rows: the
-    components slashed alone at the first point against the S matrix."""
+    components slashed alone at the first point against the S matrix,
+    naming that point."""
     p = GENERIC_POINTS[0]
     rows = suite_mu_transform(two_m_list=two_m_list)
     vector = [res for res in rows if "vector" in res.identity]
@@ -353,7 +382,7 @@ def test_mu_transform_vector_rows_follow_the_ranks(two_m_list):
             [[root_of_unity(l * lp, two_m) for lp in ls] for l in ls])
         base = np.array([phi.f.eval(p) for phi in comps])
         assert res.max_residual == alone(slashed - M @ base)
-        assert res.worst_point is None
+        assert res.worst_point == [p.x, p.y, p.u, p.v]
 
 
 def test_factorization_rows_equal_their_identities_alone():
