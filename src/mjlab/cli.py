@@ -190,7 +190,7 @@ SUITE_OPTIONS = {
 @click.option("--n", type=int, default=None)
 @click.option("--r", type=int, default=None)
 @click.option("--two-m", "two_m", type=int, default=None)
-@click.option("--tol", type=float, default=None, help="override every tolerance")
+@click.option("--tol", type=FLOAT, default=None, help="override every tolerance (> 0)")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
@@ -200,6 +200,8 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
             "unknown suite %r; valid suites: %s"
             % (suite, ", ".join(sorted(verify.SUITES)))
         )
+    if tol is not None and tol <= 0:
+        raise DomainError("--tol must be positive, got %r" % (tol,))
     given = {"op": op, "gen": gen, "k": k, "m": m, "n": n, "r": r, "two_m": two_m,
              "seed": seed}
     reads = SUITE_OPTIONS.get(suite, ())

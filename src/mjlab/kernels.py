@@ -58,6 +58,10 @@ class KernelParams(WeightIndex):
     def weight_index(self):
         return WeightIndex(self.two_k, self.two_m)
 
+    def tag(self):
+        """The label [k,m,n,r] of the parameter set."""
+        return "[%g,%g,%d,%d]" % (self.k, self.m, self.n, self.r)
+
     def xi_partner(self):
         """Parameters [3 - k, m, n, r] of the xi / xi^sk image."""
         return KernelParams(6 - self.two_k, self.two_m, self.n, self.r)
@@ -68,7 +72,7 @@ class KernelParams(WeightIndex):
 
 
 def _term_label(i, params, skew):
-    return "c%d%s[%g,%g,%d,%d]" % (i, "sk" if skew else "", params.k, params.m, params.n, params.r)
+    return "c%d%s%s" % (i, "sk" if skew else "", params.tag())
 
 
 KERNEL_TERMS = tuple((i, skew) for skew in (False, True) for i in (1, 2, 3, 4))

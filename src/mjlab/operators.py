@@ -2,7 +2,8 @@
 operators, both Casimir operators, the Heisenberg and hyperbolic Laplace
 operators, the classical weight raising/lowering operators on functions of
 tau, and the four xi-operators, with the named operator table behind
-`apply_operator`.
+`apply_operator`, the one function that applies an operator by name to a
+tagged form.
 
 A jet map sends the jet of an operand at order n + loss to the jet of its
 image at order n, both on plain coordinates; its coefficient jets in y and v
@@ -17,7 +18,6 @@ satisfy are checked in `mjlab.verify`.
 """
 
 import math
-from dataclasses import dataclass
 
 from .core import FunctionHandle, WeightIndex, _compose_taylor
 from .errors import DomainError
@@ -307,42 +307,26 @@ _OPERATORS = {
 OPERATOR_NAMES = tuple(_OPERATORS)
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    name: str
-    weight_index: WeightIndex
-
-    def __post_init__(self):
-        if self.name not in _OPERATORS:
-            raise DomainError("unknown operator %r" % (self.name,))
-
-    def input_kind(self):
-        return _OPERATORS[self.name][1]
-
-    def output_kind(self):
-        return _OPERATORS[self.name][2]
-
-    def output_weight(self):
-        return _OPERATORS[self.name][3](self.weight_index)
+def _entry(name):
+    if name not in _OPERATORS:
+        raise DomainError("unknown operator %r" % (name,))
+    return _OPERATORS[name]
 
 
-def apply_operator(spec, f):
-    """Apply the named operator (with outer weight spec.weight_index) to a
-    FunctionHandle, returning a new handle."""
-    wi = spec.weight_index
-    jmap = _OPERATORS[spec.name][0](wi.k, wi.m)
-    return image(jmap, f, "%s[%g,%g](%s)" % (spec.name, wi.k, wi.m, f.label))
+def input_kind(name):
+    """The action kind of the forms the named operator takes."""
+    return _entry(name)[1]
 
 
-def apply_to_tagged(name, phi):
-    """Apply an operator to a TaggedForm, updating weight/index/action kind."""
-    spec = OperatorSpec(name, phi.weight_index)
-    if spec.input_kind() != phi.action_kind:
-        raise DomainError(
-            "%s expects a %s-action form" % (name, spec.input_kind())
-        )
-    out = apply_operator(spec, phi.f)
-    return TaggedForm(out, spec.output_weight(), spec.output_kind())
+def apply_operator(name, phi):
+    """The named operator applied to a TaggedForm of its input kind: the
+    image at its output weight/index and action kind."""
+    build, kind, out_kind, out_weight = _entry(name)
+    if phi.action_kind != kind:
+        raise DomainError("%s expects a %s-action form" % (name, kind))
+    wi = phi.weight_index
+    f = image(build(wi.k, wi.m), phi.f, "%s[%g,%g](%s)" % (name, wi.k, wi.m, phi.f.label))
+    return TaggedForm(f, out_weight(wi), out_kind)
 
 
 # handle-level entry points for callers that take
@@ -350,12 +334,12 @@ def apply_to_tagged(name, phi):
 
 
 def casimir(wi, f):
-    return apply_operator(OperatorSpec("Casimir", wi), f)
+    return apply_operator("Casimir", TaggedForm(f, wi)).f
 
 
 def xi(wi, f):
-    return apply_operator(OperatorSpec("xi", wi), f)
+    return apply_operator("xi", TaggedForm(f, wi)).f
 
 
 def xi_H(wi, f):
-    return apply_operator(OperatorSpec("xiH", wi), f)
+    return apply_operator("xiH", TaggedForm(f, wi)).f

@@ -205,26 +205,31 @@ def _scaled_integral(j, w):
     continued in j for w > 0, so that H = e^w G_j without forming e^(-w)
     and e^(2w) apart.
 
-    This is e^x Gamma(j+1, x) at x = -2w.  For j >= 0 it is a polynomial in
-    x.  For j < 0: the continued fraction `_gamma_cf` for x > 2; the
-    asymptotic series x^j sum_i j (j-1) ... (j-i+1) / x^i, cut at its
-    smallest term, for x <= -40; for j < -1 and -40 < x < -2, the integral
-    of e^(-s) (x+s)^j over 0 < s < -x/2 (24-point Gauss-Legendre) plus
-    e^(x/2) G_j(x/2); elsewhere the downward integration-by-parts
-    recurrence from j = -1, which also defines the holomorphic
-    continuation.  Away from the zeros of G_j, the relative error is
-    below 1e-13 for j >= -3.
+    This is e^x Gamma(j+1, x) at x = -2w.  For j >= 0 it is the polynomial
+    j! sum_{i<=j} x^i / i!, summed exactly and rounded once (ValueOverflow
+    beyond the float range).  For j < 0: the continued fraction `_gamma_cf`
+    for x > 2; the asymptotic series x^j sum_i j (j-1) ... (j-i+1) / x^i,
+    cut at its smallest term, for x <= -40; for j < -1 and -40 < x < -2,
+    the integral of e^(-s) (x+s)^j over 0 < s < -x/2 (24-point
+    Gauss-Legendre) plus e^(x/2) G_j(x/2); elsewhere the downward
+    integration-by-parts recurrence from j = -1, which also defines the
+    holomorphic continuation.  Away from the zeros of G_j, the relative
+    error is below 1e-13 for j >= -3.
     """
     x = -2.0 * w
     if j >= 0:
-        # j! sum_{i<=j} x^i / i!, valid for all real x
-        acc = 0.0
-        term = 1.0
-        for i in range(j + 1):
-            if i > 0:
-                term *= x / i
-            acc += term
-        return math.factorial(j) * acc
+        # G_i = i G_(i-1) + x^i from G_0 = 1, in integers with x = p / q: a
+        # float sum cancels for x < 0, and j! leaves the float range from
+        # j = 171 on, where G_j may not
+        p, q = x.as_integer_ratio()
+        num, power = 1, 1
+        for i in range(1, j + 1):
+            power *= p
+            num = i * q * num + power
+        try:
+            return num / q ** j
+        except OverflowError:
+            raise ValueOverflow("G_%d(%r) exceeds the floating-point range" % (j, w)) from None
     if x > 2.0:
         return x ** (j + 1) * _gamma_cf(j + 1, x)
     if x <= -40.0:

@@ -7,9 +7,10 @@ Each identity family has one `verify_*` driver, which checks it on given
 functions, parameter sets and points and returns SuiteResult records; the
 covariance, kernel and xi-image drivers take lists and group them by
 weight/index (covariance also by action kind) into row stacks, one operator
-image per group.  Each `suite_*` function is its drivers called at the
-shipped catalog, parameters and point sets with pinned tolerances.  Every
-check taken over points is reduced by `_rows`, which names the point of
+image per group; `verify_identities` takes operator identities, such as the
+factorization table, as (name, jet map, probe) checks.  Each `suite_*`
+function is its drivers called at the shipped catalog, parameters and
+point sets with pinned tolerances.  Every check taken over points is reduced by `_rows`, which names the point of
 its largest residual.  The command line front end serializes the records
 and the test harness asserts on them.  All default point sets are
 deterministic.  A driver takes a sequence of points or their order-0
@@ -31,12 +32,11 @@ from .core import (
     FunctionHandle,
     JetVars,
     TruncationPolicy,
-    WeightIndex,
     exp_qn_zeta_r,
     finite_difference_jet,
 )
 from .errors import DomainError, JetUnavailable
-from .group import GEN_S, GEN_T, apply_slash, heisenberg
+from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
 from .jets import Jet
 from .kernels import (
     KERNEL_TERMS,
@@ -51,14 +51,13 @@ from .kernels import (
 from .mu import check_component
 from .operators import (
     IDENTITY,
-    OperatorSpec,
     apply_operator,
-    apply_to_tagged,
     casimir_map,
     casimir_skew_map,
     classical_lower,
     classical_raise,
     image,
+    input_kind,
     laplace_heisenberg_map,
     laplace_hyperbolic,
     lower_Y,
@@ -179,13 +178,6 @@ def _grouped(items, key, checks):
     return out
 
 
-def _image_check(identity, jmap, f, points, tol):
-    """The check jmap(f) = 0 over the points, with f evaluated once per
-    point."""
-    out = image(jmap, f)
-    return _rows([identity], lambda jv: out.jet_at(jv).value, points, tol)[0]
-
-
 # ----------------------------------------------------------------------
 # covariance
 
@@ -212,10 +204,10 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
         if key not in stacks:
             phi = replace(group[0], f=_stacked([f.f for f in group]))
             slashes = [apply_slash(phi, A).f for A in gens.values()]
-            stacks[key] = phi, _stacked(slashes, [slice(None)] * len(slashes))
+            stacks[key] = phi, replace(phi, f=_stacked(slashes, [slice(None)] * len(slashes)))
         phi, phi_A = stacks[key]
-        op_phi = apply_to_tagged(op_name, phi)
-        lhs = apply_operator(OperatorSpec(op_name, phi.weight_index), phi_A)
+        op_phi = apply_operator(op_name, phi)
+        lhs = apply_operator(op_name, phi_A).f
         rhs = [apply_slash(op_phi, A).f for A in gens.values()]
 
         def gap(jv):
@@ -229,8 +221,7 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
 
     results = []
     for op_name in ops:
-        kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
-        per_form = _grouped([phi for phi in forms if phi.action_kind == kind],
+        per_form = _grouped([phi for phi in forms if phi.action_kind == input_kind(op_name)],
                             lambda phi: phi.weight_index,
                             lambda group: checks(op_name, group))
         results += [res for per_gen in zip(*per_form) for res in per_gen]
@@ -291,10 +282,6 @@ XI_TABLE_PARAMS = (
 )
 
 
-def _params_tag(params):
-    return "[%g,%g,%d,%d]" % (params.k, params.m, params.n, params.r)
-
-
 def _kernel_family(params):
     """The eight kernel terms at params (KERNEL_TERMS) as one handle.  The
     memo holds its highest order asked for and serves a lower one as its
@@ -330,11 +317,13 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
         families = [_kernel_family(params) for params in group]
 
         def image_rows(op_name, identity, terms):
-            out = apply_operator(OperatorSpec(op_name, wi),
-                                 _stacked(families, [terms] * len(group)))
+            # the Heisenberg Laplacian equals its skew version, so it takes
+            # the skew kernel terms as they are
+            stack = TaggedForm(_stacked(families, [terms] * len(group)), wi, input_kind(op_name))
+            out = apply_operator(op_name, stack).f
             names = [
                 "kernel-annihilation:%s(c%d%s)@%s"
-                % (identity, i, "sk" if skew else "", _params_tag(params))
+                % (identity, i, "sk" if skew else "", params.tag())
                 for params in group for i, skew in KERNEL_TERMS[terms]
             ]
             return _rows(names, lambda jv: out.jet_at(jv).value, jv, tol)
@@ -369,13 +358,12 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
         tables = [xi_image_rows(params) for params in group]
         families = [_kernel_family(params) for params in group]
         ops = list(dict.fromkeys(row[1] for row in tables[0]))
-        images = [
-            apply_operator(OperatorSpec(op_name, wi), _stacked(families, [
-                [KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
-                for table in tables
-            ]))
-            for op_name in ops
-        ]
+        images = []
+        for op_name in ops:
+            terms = [[KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
+                     for table in tables]
+            stack = TaggedForm(_stacked(families, terms), wi, input_kind(op_name))
+            images.append(apply_operator(op_name, stack).f)
         # every row: (its set's index, case, constant, target (i, skew, params) or None)
         rows = [(j, row[0], row[3], row[4]) for op_name in ops
                 for j, table in enumerate(tables) for row in table if row[1] == op_name]
@@ -395,7 +383,7 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
                 for value, (_, _, const, target) in zip(lhs, rows)
             ])
 
-        names = ["xi-image:%s@%s" % (case, _params_tag(group[j])) for j, case, _, _ in rows]
+        names = ["xi-image:%s@%s" % (case, group[j].tag()) for j, case, _, _ in rows]
         checked = dict(zip(((j, case) for j, case, _, _ in rows), _rows(names, gap, jv, tol)))
         return [[checked[(j, row[0])] for row in table] for j, table in enumerate(tables)]
 
@@ -415,103 +403,91 @@ def suite_xi_images(params_list=None, points=None, tol=1e-7):
 
 
 # ----------------------------------------------------------------------
-# factorizations
+# operator identities
 
 
-def verify_factorizations(wi, f, depth, points, tol=1e-6):
-    """The factorization identities of the Heisenberg operators:
+def verify_identities(checks, points, tol=1e-6):
+    """The checks jmap(f) = 0 over the points, one (name, jet map, probe
+    handle) each: one image per check, all reduced on one computation, so
+    the checks of one probe share its jets."""
+    images = [image(jmap, f) for _, jmap, f in checks]
+    return _rows([name for name, _, _ in checks],
+                 lambda jv: np.stack([img.jet_at(jv).value for img in images]), points, tol)
 
-    (a) [Y-, Y+] = -2 pi m;
-    (b) Y+^D Y-^D = prod_{d<D} (Delta^H_m + 2 pi m d), for depth D <= 3;
-    (c) Delta^H_m = xi^{sk,H}_{k,-m} o xi^H_{k,m}, in both orders.
+
+def heisenberg_factorizations(k, m, depths):
+    """(name, map) of the factorization identities of the Heisenberg
+    operators at weight k and index m:
+
+    [Y-, Y+] = -2 pi m;
+    Y+^D Y-^D = prod_{d<D} (Delta^H_m + 2 pi m d), for each depth D <= 3;
+    Delta^H_m = xi^{sk,H}_{k,-m} o xi^H_{k,m}, in both orders.
     """
-    k, m = wi.k, wi.m
-    D = depth
-    if D > 3:
+    if max(depths) > 3:
         raise JetUnavailable("depth capped at 3")
-    jv = _at(points)
-    results = []
-
-    # (a) commutator [Y-, Y+] = Y- Y+ - Y+ Y-
+    # [Y-, Y+] = Y- Y+ - Y+ Y-
     commutator = lower_Y(k + 1, m) @ raise_Y(k, m) - raise_Y(k - 1, m) @ lower_Y(k, m)
-    results.append(
-        _image_check("commutator:[Y-,Y+]=-2pim",
-                     commutator - (-2.0 * math.pi * m) * IDENTITY, f, jv, tol)
-    )
-
-    # (b) Y+^D Y-^D vs the Delta^H polynomial
-    g = IDENTITY
-    for d in range(D):
-        g = lower_Y(k - d, m) @ g
-    for d in range(D - 1, -1, -1):
-        g = raise_Y(k - d - 1, m) @ g
-    h = IDENTITY
-    for d in range(D):
-        h = laplace_heisenberg_map(k, m) @ h + (2.0 * math.pi * m * d) * h
-    results.append(_image_check("quasi-factorization:Y+^%dY-^%d" % (D, D), g - h, f, jv, tol))
-
-    # (c) Heisenberg Laplace factorization through the xi^H pair
+    out = [("commutator:[Y-,Y+]=-2pim", commutator - (-2.0 * math.pi * m) * IDENTITY)]
+    for D in depths:
+        g = IDENTITY
+        for d in range(D):
+            g = lower_Y(k - d, m) @ g
+        for d in range(D - 1, -1, -1):
+            g = raise_Y(k - d - 1, m) @ g
+        h = IDENTITY
+        for d in range(D):
+            h = laplace_heisenberg_map(k, m) @ h + (2.0 * math.pi * m * d) * h
+        out.append(("quasi-factorization:Y+^%dY-^%d" % (D, D), g - h))
     lap = laplace_heisenberg_map(k, m)
-    for name, fac in (
-        ("xiSkH o xiH", xi_H_skew_map(k, -m) @ xi_H_map(k, m)),
-        ("xiH o xiSkH", xi_H_map(k, -m) @ xi_H_skew_map(k, m)),
-    ):
-        results.append(_image_check("lapH-factorization:" + name, lap - fac, f, jv, tol))
-    return results
+    return out + [
+        ("lapH-factorization:xiSkH o xiH", lap - xi_H_skew_map(k, -m) @ xi_H_map(k, m)),
+        ("lapH-factorization:xiH o xiSkH", lap - xi_H_map(k, -m) @ xi_H_skew_map(k, m)),
+    ]
 
 
-def _pochhammer_falling(n, l):
-    """(n)_l = prod_{i=0}^{l-1} (n - i), with (n)_0 = 0 by convention."""
-    if l == 0:
-        return 0.0
-    out = 1.0
-    for i in range(l):
-        out *= n - i
+def x_factorizations(k, depths):
+    """(name, map) of X+^D X-^D, for each depth D, expressed as a polynomial
+    in the hyperbolic Laplacian on functions of tau:
+    prod_{d<D} (-Delta_k + (k - 2d)_d) with the falling Pochhammer symbol
+    (n)_l = n (n - 1) ... (n - l + 1) and (n)_0 = 0.  (The opposite-sign
+    Laplacian is the convention under which the product identity holds;
+    verified against the raising/lowering compositions to machine
+    precision.)"""
+    out = []
+    for D in depths:
+        g = IDENTITY
+        for d in range(D):
+            g = classical_lower() @ g
+        for d in range(D - 1, -1, -1):
+            g = classical_raise(k - 2 * (d + 1)) @ g
+        h = IDENTITY
+        for d in range(D):
+            falling = math.prod((k - 2 * d - i for i in range(d)), start=1.0) if d else 0.0
+            h = (-1.0) * (laplace_hyperbolic(k) @ h) + falling * h
+        out.append(("quasi-factorization:X+^%dX-^%d" % (D, D), g - h))
     return out
 
 
-def verify_x_factorization(k, f, depth, points, tol=1e-6):
-    """X+^D X-^D expressed as a polynomial in the hyperbolic Laplacian on
-    functions of tau: prod_{d<D} (-Delta_k + (k - 2d)_d) with the falling
-    Pochhammer symbol and (n)_0 = 0.  (The opposite-sign Laplacian is the
-    convention under which the product identity holds; verified against the
-    raising/lowering compositions to machine precision.)"""
-    D = depth
-    g = IDENTITY
-    for d in range(D):
-        g = classical_lower() @ g
-    for d in range(D - 1, -1, -1):
-        g = classical_raise(k - 2 * (d + 1)) @ g
-    h = IDENTITY
-    for d in range(D):
-        h = (-1.0) * (laplace_hyperbolic(k) @ h) + _pochhammer_falling(k - 2 * d, d) * h
-    return _image_check("quasi-factorization:X+^%dX-^%d" % (D, D), g - h, f, points, tol)
-
-
-def verify_hyperbolic_xi_factorization(k, f, points, tol=1e-6):
-    """Delta_k = -xi_{2-k} o xi_k with the scalar Bruinier-Funke xi."""
+def lapK_factorization(k):
+    """(name, map) of Delta_k = -xi_{2-k} o xi_k with the scalar
+    Bruinier-Funke xi."""
     fac = xi_bruinier_funke(2.0 - k) @ xi_bruinier_funke(k)
-    return _image_check("lapK-factorization:-xi_{2-k} o xi_k", laplace_hyperbolic(k) + fac, f,
-                        points, tol)
+    return [("lapK-factorization:-xi_{2-k} o xi_k", laplace_hyperbolic(k) + fac)]
 
 
-def verify_semimeromorphic_casimir(wi, f, points, skew=False, tol=1e-6):
-    """C_{k,m}(phi) = 2 xi^sk_{3-k,m} o xi_{k,m}(phi) for semi-meromorphic phi
-    (and the skew analog)."""
-    k, m = wi.k, wi.m
-    if skew:
-        # the skew factorization holds for the unnormalized conjugated
-        # Casimir: y^(1/2-k) C_{1-k,m} y^(k-1/2) phi
-        #        = 2 xi_{3-k,m} o xi^sk_{k,m} (phi) - (2k-1) phi,
-        # and the (2k-1) phi terms of both sides cancel
-        fac = xi_map(3.0 - k, m) @ xi_skew_map(k, m)
-        return _image_check(
-            "semimeromorphic:CasimirSk via xi o xiSk",
-            (1.0 / (8j * math.pi * m)) * casimir_skew_map(k, m) - 2.0 * fac, f, points, tol,
-        )
+def semimeromorphic_factorizations(k, m):
+    """(name, map) of C_{k,m}(phi) = 2 xi^sk_{3-k,m} o xi_{k,m}(phi) for
+    semi-meromorphic phi, and of its skew analog.  The skew factorization
+    holds for the unnormalized conjugated Casimir:
+    y^(1/2-k) C_{1-k,m} y^(k-1/2) phi = 2 xi_{3-k,m} o xi^sk_{k,m} (phi) - (2k-1) phi,
+    and the (2k-1) phi terms of both sides cancel."""
     fac = xi_skew_map(3.0 - k, m) @ xi_map(k, m)
-    return _image_check("semimeromorphic:Casimir=2 xiSk o xi", casimir_map(k, m) - 2.0 * fac, f,
-                        points, tol)
+    fac_skew = xi_map(3.0 - k, m) @ xi_skew_map(k, m)
+    return [
+        ("semimeromorphic:Casimir=2 xiSk o xi", casimir_map(k, m) - 2.0 * fac),
+        ("semimeromorphic:CasimirSk via xi o xiSk",
+         (1.0 / (8j * math.pi * m)) * casimir_skew_map(k, m) - 2.0 * fac_skew),
+    ]
 
 
 def _yv_test_handle(n, r):
@@ -533,29 +509,24 @@ def _tau_test_handle():
     return FunctionHandle(jet_fn=je, label="q + y^1.5")
 
 
+def factorization_checks():
+    """The factorization identities as one table of checks, each on its
+    probe (made afresh per call), its name ending in the probe's label."""
+    yv, tau = _yv_test_handle(1, 1), _tau_test_handle()
+    table = [
+        (heisenberg_factorizations(0.5, 1.0, (1, 2, 3)), yv),
+        (heisenberg_factorizations(1.5, 0.5, (2,)), theta_ml_handle(1, 0.5)),
+        (x_factorizations(2.5, (1, 2)), tau),
+        (lapK_factorization(1.5), tau),
+        (semimeromorphic_factorizations(0.5, 1.0), exp_qn_zeta_r(1, 1)),
+        (semimeromorphic_factorizations(1.5, 1.0), exp_qn_zeta_r(0, 1)),
+    ]
+    return [("%s on %s" % (name, f.label), jmap, f) for maps, f in table for name, jmap in maps]
+
+
 def suite_factorizations(points=None, tol=1e-6):
-    """Every factorization identity on its probes, all evaluated on one
-    computation at the points, so a probe's jets are shared by its checks."""
-    jv = JetVars.at(points or GENERIC_POINTS[:3], 0)
-    results = []
-    wi = WeightIndex(1, 2)
-    probe = _yv_test_handle(1, 1)
-    for depth in (1, 2, 3):
-        results.extend(verify_factorizations(wi, probe, depth, jv, tol))
-    wi_half = WeightIndex(3, 1)
-    theta_half = theta_ml_handle(1, 0.5)
-    results.extend(verify_factorizations(wi_half, theta_half, 2, jv, tol))
-    tau_probe = _tau_test_handle()
-    for depth in (1, 2):
-        results.append(verify_x_factorization(2.5, tau_probe, depth, jv, tol))
-    results.append(verify_hyperbolic_xi_factorization(1.5, tau_probe, jv, tol))
-    for wi_c, n, r in ((WeightIndex(1, 2), 1, 1), (WeightIndex(3, 2), 0, 1)):
-        mero = exp_qn_zeta_r(n, r)
-        for skew in (False, True):
-            results.append(
-                verify_semimeromorphic_casimir(wi_c, mero, jv, skew=skew, tol=tol)
-            )
-    return results
+    """verify_identities of factorization_checks at the points."""
+    return verify_identities(factorization_checks(), points or GENERIC_POINTS[:3], tol)
 
 
 # ----------------------------------------------------------------------
@@ -673,8 +644,7 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     for two_m in two_m_list:
         ls = labels(two_m)
         stack = _components(two_m)
-        wi = stack.weight_index
-        img = apply_operator(OperatorSpec("xiH", wi), stack.f)
+        img = apply_operator("xiH", stack).f
 
         def gap(jv):
             thetas = [theta_ml_jet(two_m, l, jv.tau, jv.z).value for l in ls]
@@ -682,15 +652,14 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
 
         xi_rows = _rows(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l) for l in ls],
                         gap, at_points, tol_xi)
-        lap = apply_operator(OperatorSpec("LaplaceH", wi), stack.f)
+        lap = apply_operator("LaplaceH", stack).f
         lap_rows = _rows(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l) for l in ls],
                          lambda jv: lap.jet_at(jv).value, at_five, tol_lap)
         results += [res for pair in zip(xi_rows, lap_rows) for res in pair]
     mu_hat_2 = build("mu_hat_2")
     wi = mu_hat_2.weight_index
-    results.append(_image_check("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f,
-                                at_five, tol_mu2))
-    return results
+    return results + verify_identities(
+        [("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f)], at_five, tol_mu2)
 
 
 # ----------------------------------------------------------------------

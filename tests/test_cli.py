@@ -131,6 +131,8 @@ OVERFLOW_CASES = [
     ("eval", "R", "--tau", "0.1+10i", "--z", "0.1+3i"),
     ("eval", "c2", "--n", "50", "--tau", "0.1+3i"),
     ("eval", "H", "--w", "800"),
+    # 3.99e308 = e^(-2 pi) Gamma(173, -3 pi), just beyond the float range
+    ("eval", "c2", "--k", "-171.5", "--m", "1", "--n", "1", "--r", "1"),
     ("verify", "mu-transform", "--two-m", "3"),
     # the c3 factor i sqrt(pi) erfi(b) at b^2 = 500 pi
     ("eval", "c3", "--k", "0.5", "--m", "0.5", "--n", "0", "--r", "5", "--tau", "0.1+10i"),
@@ -143,6 +145,25 @@ def test_value_overflow_exits_5_without_traceback(args):
     assert res.returncode == cli.EXIT_OVERFLOW == 5, res.stderr
     assert res.stderr.startswith("value overflow:")
     assert "Traceback" not in res.stderr
+
+
+# at k = -170.5 the exponent j = 1/2 - k is 171, and j! = 1.24e309 alone
+# exceeds the float range, where the values below do not
+@pytest.mark.parametrize("args,want", [
+    # c2 at tau = i, z = 0: q^n zeta^r e^(2w) G_j(w) = e^(-2 pi) Gamma(172, -2w),
+    # with w = pi D y / 2m = 3 pi / 2
+    (("c2", "--k", "-170.5", "--m", "1", "--n", "1", "--r", "1"),
+     lambda: mpmath.exp(-2 * mpmath.pi) * mpmath.gammainc(172, -3 * mpmath.pi)),
+    # H(w) = e^(-w) Gamma(172, -2w)
+    (("H", "--k", "-170.5", "--w", "5"), lambda: mpmath.exp(-5) * mpmath.gammainc(172, -10)),
+], ids=["c2", "H"])
+def test_eval_at_large_exponent_matches_mpmath(args, want, capsys):
+    code, out, err = run_main(capsys, "eval", *args)
+    assert code == 0, err
+    with mpmath.workdps(30):
+        want = float(want())
+    got = complex(*json.loads(out)["value"])
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 def test_eval_c3_matches_mpmath_where_its_factor_is_large(capsys):
@@ -457,6 +478,10 @@ DOMAIN_CASES = [
     ("verify", "xi-images", "--two-m", "2"),
     ("verify", "hygiene", "--op", "X+"),
     ("verify", "decomposition-roundtrip", "--k", "0.5"),
+    # every tolerance is finite and positive
+    ("verify", "weil", "--tol", "nan"),
+    ("verify", "weil", "--tol", "-1"),
+    ("verify", "weil", "--tol", "0"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Covariant operators: annihilation, commutators, covariance, images."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from mjlab.mu import mu_hat_2_handle, mu_hat_ml_handle
 from mjlab.operators import (
     OPERATOR_NAMES,
     JetMap,
-    OperatorSpec,
     apply_operator,
-    apply_to_tagged,
     casimir,
     casimir_skew_map,
     image,
+    input_kind,
     laplace_heisenberg_map,
     laplace_hyperbolic,
     lower_X,
@@ -33,11 +33,12 @@ from mjlab.operators import (
 )
 from mjlab.special import jacobi_theta_handle, theta_ml_handle
 from mjlab.verify import (
+    heisenberg_factorizations,
+    lapK_factorization,
+    semimeromorphic_factorizations,
     verify_covariance,
-    verify_factorizations,
-    verify_hyperbolic_xi_factorization,
-    verify_semimeromorphic_casimir,
-    verify_x_factorization,
+    verify_identities,
+    x_factorizations,
 )
 
 POINTS = [
@@ -58,6 +59,11 @@ def tau_probe():
         return (2j * math.pi * jv.tau).exp() + jv.y.cpow(1.5)
 
     return FunctionHandle(jet_fn=je, label="q+y^1.5")
+
+
+def on(maps, f):
+    """The (name, map) pairs of an identity family as checks on the probe f."""
+    return [(name, jmap, f) for name, jmap in maps]
 
 
 # ----------------------------------------------------------------------
@@ -105,17 +111,17 @@ def test_heisenberg_commutator_is_constant_times_index():
 def test_factorization_reports_pass():
     wi = WeightIndex(1, 2)
     f = exp_qn_zeta_r(1, 1)
-    for report in verify_factorizations(wi, f, 2, POINTS):
+    for report in verify_identities(on(heisenberg_factorizations(wi.k, wi.m, (2,)), f), POINTS):
         assert report.max_residual < 1e-9, report.as_dict()
 
 
 def test_x_factorization_report_passes():
-    report = verify_x_factorization(2.5, tau_probe(), 2, POINTS)
+    [report] = verify_identities(on(x_factorizations(2.5, (2,)), tau_probe()), POINTS)
     assert report.max_residual < 1e-9, report.as_dict()
 
 
 def test_hyperbolic_xi_factorization_report_passes():
-    report = verify_hyperbolic_xi_factorization(1.5, tau_probe(), POINTS)
+    [report] = verify_identities(on(lapK_factorization(1.5), tau_probe()), POINTS)
     assert report.max_residual < 1e-9, report.as_dict()
 
 
@@ -123,7 +129,7 @@ def test_hyperbolic_xi_factorization_report_passes():
 def test_semimeromorphic_casimir_report_passes(skew):
     wi = WeightIndex(1, 2)
     f = exp_qn_zeta_r(1, 1)
-    report = verify_semimeromorphic_casimir(wi, f, POINTS, skew=skew)
+    report = verify_identities(on(semimeromorphic_factorizations(wi.k, wi.m), f), POINTS)[skew]
     assert report.max_residual < 1e-8, report.as_dict()
 
 
@@ -183,36 +189,38 @@ def test_xi_kills_distinguished_completion():
 
 
 # ----------------------------------------------------------------------
-# operator specs and tagged application
+# application by name to tagged forms
 
 
-def test_operator_spec_application_matches_direct_call():
+def test_named_application_matches_direct_call():
     wi = WeightIndex(1, 2)
     f = exp_qn_zeta_r(1, 1)
-    got = apply_operator(OperatorSpec("Y+", wi), f)
+    got = apply_operator("Y+", TaggedForm(f, wi)).f
     want = image(raise_Y(wi.k, wi.m), f)
     for p in POINTS[:2]:
         assert abs(got.eval(p) - want.eval(p)) < 1e-12
 
 
-def test_apply_to_tagged_shifts_weight():
+def test_apply_operator_shifts_weight():
     phi = TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
-    out = apply_to_tagged("X+", phi)
+    out = apply_operator("X+", phi)
     assert out.weight_index.two_k == phi.weight_index.two_k + 4
-    flipped = apply_to_tagged("xiH", phi)
+    flipped = apply_operator("xiH", phi)
     assert flipped.weight_index.two_m == -phi.weight_index.two_m
     assert flipped.action_kind == "skew"
 
 
 def test_unknown_operator_name_raises():
     with pytest.raises(DomainError):
-        OperatorSpec("Z+", WeightIndex(1, 2))
+        input_kind("Z+")
+    with pytest.raises(DomainError):
+        apply_operator("Z+", _tagged_input("standard"))
 
 
 def test_operator_action_kind_mismatch_raises():
     phi = TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
     with pytest.raises(DomainError):
-        apply_to_tagged("Ysk+", phi)
+        apply_operator("Ysk+", phi)
 
 
 def test_heisenberg_laplacian_composition():
@@ -231,8 +239,7 @@ def _tagged_input(kind):
 
 @pytest.mark.parametrize("name", OPERATOR_NAMES)
 def test_every_operator_name_applies_to_a_tagged_form(name):
-    kind = OperatorSpec(name, WeightIndex(1, 2)).input_kind()
-    out = apply_to_tagged(name, _tagged_input(kind))
+    out = apply_operator(name, _tagged_input(input_kind(name)))
     assert out.action_kind in ("standard", "skew")
     assert math.isfinite(abs(out.f.eval(POINTS[0])))
 
@@ -240,9 +247,9 @@ def test_every_operator_name_applies_to_a_tagged_form(name):
 @pytest.mark.parametrize("name", ["LaplaceK", "Heat"])
 def test_removed_operator_names_raise_domain_error(name):
     with pytest.raises(DomainError):
-        OperatorSpec(name, WeightIndex(1, 2))
+        input_kind(name)
     with pytest.raises(DomainError):
-        apply_to_tagged(name, _tagged_input("standard"))
+        apply_operator(name, _tagged_input("standard"))
 
 
 # ----------------------------------------------------------------------
@@ -345,16 +352,23 @@ NESTED = {
 }
 
 
-def _slashed(spec, h):
-    return apply_slash(TaggedForm(h, spec.output_weight(), spec.output_kind()), GEN_S).f
+FUSED_WI = WeightIndex(3, 2)
+
+
+def _applied(name, f):
+    """The named operator's image of f, tagged at FUSED_WI."""
+    return apply_operator(name, TaggedForm(f, FUSED_WI, input_kind(name)))
+
+
+def _slashed(phi):
+    return apply_slash(phi, GEN_S).f
 
 
 @pytest.mark.parametrize("name", FUSED)
 def test_composite_calls_operand_jet_once_per_evaluation(name):
-    spec = OperatorSpec(name, WeightIndex(3, 2))
     f = CountingHandle(yv_probe())
-    out = apply_operator(spec, f)
-    for h in (out, _slashed(spec, out)):
+    out = _applied(name, f)
+    for h in (out.f, _slashed(out)):
         for order in (0, 1):
             f.calls = 0
             h.jet_at(JetVars.at(POINTS[0], order))
@@ -365,12 +379,11 @@ def test_composite_calls_operand_jet_once_per_evaluation(name):
 @pytest.mark.parametrize("order", [0, 1])
 @pytest.mark.parametrize("name", FUSED)
 def test_fused_composite_equals_nested_first_order_images(name, order, slash):
-    spec = OperatorSpec(name, WeightIndex(3, 2))
     f = yv_probe()
-    fused = apply_operator(spec, f)
-    ref = NESTED[name](spec.weight_index.k, spec.weight_index.m, f)
+    out = _applied(name, f)
+    fused, ref = out.f, NESTED[name](FUSED_WI.k, FUSED_WI.m, f)
     if slash:
-        fused, ref = _slashed(spec, fused), _slashed(spec, ref)
+        fused, ref = _slashed(out), _slashed(replace(out, f=ref))
     for p in POINTS:
         a = fused.jet_at(JetVars.at(p, order)).c
         b = ref.jet_at(JetVars.at(p, order)).c

@@ -34,13 +34,14 @@ from mjlab.mu import (
     mu_two_variable_jet,
     r_hat_component_jet,
 )
-from mjlab.operators import _OPERATORS, apply_to_tagged, image
+from mjlab.operators import _OPERATORS, apply_operator, image
 from mjlab.special import jacobi_theta_jet, theta_ml_handle, theta_ml_jet, zwegers_R_jet
 from mjlab.verify import (
     GENERATORS,
     _rows,
     _stacked,
-    verify_hyperbolic_xi_factorization,
+    lapK_factorization,
+    verify_identities,
 )
 from mjlab.weil import labels
 
@@ -214,7 +215,7 @@ def test_slash_of_a_vanishing_image_keeps_the_operand_rows():
     """X- annihilates the holomorphic theta_ml[2,0]: its image, slashed by
     S, is one zero row per stacked operand and point."""
     rows = TaggedForm(_stacked([theta_ml_handle(2, 0)] * 2), WeightIndex(1, 2))
-    slashed = apply_slash(apply_to_tagged("X-", rows), GENERATORS["S"]).f
+    slashed = apply_slash(apply_operator("X-", rows), GENERATORS["S"]).f
     value = slashed.jet_at(JetVars.at(STACK, 0)).value
     assert value.shape == (2, len(STACK)) and not value.any()
 
@@ -229,9 +230,9 @@ def test_a_row_stack_is_its_handles_alone(order):
     stacked = TaggedForm(_stacked(handles), wi)
     for build in (
         lambda phi: phi,
-        lambda phi: apply_to_tagged("Y+", phi),
+        lambda phi: apply_operator("Y+", phi),
         lambda phi: apply_slash(phi, GENERATORS["S"]),
-        lambda phi: apply_slash(apply_to_tagged("X+", phi), GENERATORS["lambda"]),
+        lambda phi: apply_slash(apply_operator("X+", phi), GENERATORS["lambda"]),
     ):
         rows = build(stacked).f.jet_at(jv).c
         assert rows.shape[0] == len(handles)
@@ -306,7 +307,8 @@ def test_rows_is_nan_if_one_point_is_nan():
         return jv.y * np.where(jv.y.value.real == 3.0, math.nan, 1.0)
 
     h = FunctionHandle(jet_fn=je, label="nan-row")
-    result = verify_hyperbolic_xi_factorization(1.5, h, points)
+    [result] = verify_identities([(name, jmap, h) for name, jmap in lapK_factorization(1.5)],
+                                 points)
     assert math.isnan(result.max_residual)
     assert not result.passed
 

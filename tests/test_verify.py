@@ -12,13 +12,13 @@ import pytest
 
 from mjlab import cli, group
 from mjlab.catalog import build
-from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex, exp_qn_zeta_r
+from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
 from mjlab.kernels import kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
-from mjlab.operators import OperatorSpec, apply_operator, apply_to_tagged
-from mjlab.special import theta_ml_handle, theta_ml_jet
+from mjlab.operators import apply_operator, input_kind
+from mjlab.special import theta_ml_jet
 from mjlab.verify import (
     COVARIANCE_OPS,
     GENERATORS,
@@ -29,9 +29,8 @@ from mjlab.verify import (
     XI_TABLE_PARAMS,
     SuiteResult,
     COVARIANCE_FORMS,
-    _params_tag,
-    _tau_test_handle,
-    _yv_test_handle,
+    factorization_checks,
+    lapK_factorization,
     run_suite,
     suite_covariance,
     suite_factorizations,
@@ -40,11 +39,8 @@ from mjlab.verify import (
     suite_mu_xi_theta,
     suite_xi_images,
     verify_covariance,
-    verify_factorizations,
-    verify_hyperbolic_xi_factorization,
+    verify_identities,
     verify_kernel_annihilation,
-    verify_semimeromorphic_casimir,
-    verify_x_factorization,
     verify_xi_image_table,
 )
 from mjlab.weil import labels, root_of_unity
@@ -108,13 +104,19 @@ def test_every_suite_returns_only_suite_results(name):
 # rows per second, so a suite that dropped or repeated rows would read as a
 # change of speed
 SUITE_ROWS = {
-    "covariance": 120, "kernels": 128, "xi-images": 32, "factorizations": 23, "weil": 20,
+    "covariance": 120, "kernels": 128, "xi-images": 32, "factorizations": 17, "weil": 20,
     "mu-transform": 8, "mu-xi-theta": 7, "decomposition-roundtrip": 3, "hygiene": 20,
 }
 
 
 def test_every_suite_keeps_its_row_count():
     assert {name: len(run_suite(name)) for name in SUITES} == SUITE_ROWS
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_names_each_check_once(name):
+    names = [res.identity for res in run_suite(name)]
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
 
 
 @pytest.mark.parametrize("nan_at", [None, 0.9])
@@ -126,7 +128,8 @@ def test_nan_residual_fails_the_check(nan_at):
         return jv.y * np.where(bad, math.nan, 1.0)
 
     h = FunctionHandle(jet_fn=je, label="nan")
-    result = verify_hyperbolic_xi_factorization(1.5, h, GENERIC_POINTS[:3])
+    [result] = verify_identities([(name, jmap, h) for name, jmap in lapK_factorization(1.5)],
+                                 GENERIC_POINTS[:3])
     assert math.isnan(result.max_residual)
     assert not result.passed
 
@@ -143,12 +146,9 @@ def unshared_covariance_rows(points):
     for op_name in COVARIANCE_OPS:
         for gname, A in GENERATORS.items():
             forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
-            kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
-            for phi in (f for f in forms if f.action_kind == kind):
-                lhs = apply_operator(
-                    OperatorSpec(op_name, phi.weight_index), apply_slash(phi, A).f
-                )
-                rhs = apply_slash(apply_to_tagged(op_name, phi), A).f
+            for phi in (f for f in forms if f.action_kind == input_kind(op_name)):
+                lhs = apply_operator(op_name, apply_slash(phi, A)).f
+                rhs = apply_slash(apply_operator(op_name, phi), A).f
                 jv = JetVars.at(points, 0)
                 gap = lhs.jet_at(jv).value - rhs.jet_at(jv).value
                 rows.append(
@@ -279,9 +279,10 @@ def test_kernels_suite_rows_equal_their_identities_alone():
                     tag = "c%d%s" % (i, "sk" if skew else "")
                     for name, op_name in (("Casimir", "CasimirSk" if skew else "Casimir"),
                                           ("LaplaceH", "LaplaceH")):
-                        value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
+                        phi = TaggedForm(f, wi, input_kind(op_name))
+                        value = apply_operator(op_name, phi).f.jet_at(jv).value
                         want.append(("kernel-annihilation:%s(%s)@%s"
-                                     % (name, tag, _params_tag(params)), alone(value), 1e-7))
+                                     % (name, tag, params.tag()), alone(value), 1e-7))
         assert rows_of(suite_kernels(points=points)) == want
         assert rows_of(verify_kernel_annihilation([KERNEL_PARAMS[1]], points)) == want[16:32]
 
@@ -294,12 +295,13 @@ def test_xi_images_suite_rows_equal_their_identities_alone():
             wi = params.weight_index()
             for case, op_name, (i, skew), const, target in xi_image_rows(params):
                 f = kernel_term_handle(i, params, skew=skew)
-                value = apply_operator(OperatorSpec(op_name, wi), f).jet_at(jv).value
+                phi = TaggedForm(f, wi, input_kind(op_name))
+                value = apply_operator(op_name, phi).f.jet_at(jv).value
                 if target is not None:
                     ti, tskew, tparams = target
                     value = value - const * kernel_term_handle(
                         ti, tparams, skew=tskew).jet_at(jv).value
-                want.append(("xi-image:%s@%s" % (case, _params_tag(params)), alone(value), 1e-7))
+                want.append(("xi-image:%s@%s" % (case, params.tag()), alone(value), 1e-7))
         assert rows_of(suite_xi_images(points=points)) == want
         assert rows_of(verify_xi_image_table([XI_TABLE_PARAMS[1]], points)) == want[16:]
 
@@ -308,10 +310,9 @@ def test_verify_covariance_is_the_one_row_case_of_the_suite():
     full = {res.identity: res.as_dict() for res in suite_covariance()}
     points = GENERIC_POINTS[:3]
     for op_name in COVARIANCE_OPS:
-        kind = OperatorSpec(op_name, WeightIndex(1, 2)).input_kind()
         forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
         for gname, A in GENERATORS.items():
-            for phi in (f for f in forms if f.action_kind == kind):
+            for phi in (f for f in forms if f.action_kind == input_kind(op_name)):
                 [res] = verify_covariance([op_name], [phi], {gname: A}, points)
                 assert res.as_dict() == full[res.identity]
 
@@ -336,11 +337,11 @@ def test_mu_xi_theta_rows_equal_their_identities_alone():
     for two_m in (1, 2):
         wi = WeightIndex(1, -two_m)
         for l in labels(two_m):
-            f = mu_hat_ml_handle(two_m, l)
+            f = TaggedForm(mu_hat_ml_handle(two_m, l), wi)
             jv = JetVars.at(GENERIC_POINTS_10, 0)
-            xi = apply_operator(OperatorSpec("xiH", wi), f).jet_at(jv).value
+            xi = apply_operator("xiH", f).f.jet_at(jv).value
             theta = theta_ml_jet(two_m, l, jv.tau, jv.z).value
-            lap = apply_operator(OperatorSpec("LaplaceH", wi), f)
+            lap = apply_operator("LaplaceH", f).f
             want.append(alone(xi - theta))
             want.append(alone(lap.jet_at(JetVars.at(GENERIC_POINTS, 0)).value))
     assert [res.max_residual for res in suite_mu_xi_theta()[:-1]] == want
@@ -387,17 +388,10 @@ def test_mu_transform_vector_rows_follow_the_ranks(two_m_list):
 
 def test_factorization_rows_equal_their_identities_alone():
     """The suite shares its probes' jets across checks on one computation;
-    each verify_* call here has fresh probes and a computation of its own."""
-    points = GENERIC_POINTS[:3]
-    want = []
-    for depth in (1, 2, 3):
-        want += verify_factorizations(WeightIndex(1, 2), _yv_test_handle(1, 1), depth, points)
-    want += verify_factorizations(WeightIndex(3, 1), theta_ml_handle(1, 0.5), 2, points)
-    for depth in (1, 2):
-        want.append(verify_x_factorization(2.5, _tau_test_handle(), depth, points))
-    want.append(verify_hyperbolic_xi_factorization(1.5, _tau_test_handle(), points))
-    for wi, n, r in ((WeightIndex(1, 2), 1, 1), (WeightIndex(3, 2), 0, 1)):
-        for skew in (False, True):
-            want.append(verify_semimeromorphic_casimir(wi, exp_qn_zeta_r(n, r), points,
-                                                       skew=skew))
-    assert [res.as_dict() for res in suite_factorizations()] == [res.as_dict() for res in want]
+    each row here is verify_identities of its check alone, with fresh
+    probes and a computation of its own."""
+    rows = suite_factorizations()
+    assert len(rows) == len(factorization_checks()) == 17
+    for j, res in enumerate(rows):
+        [alone_row] = verify_identities([factorization_checks()[j]], GENERIC_POINTS[:3])
+        assert alone_row.as_dict() == res.as_dict()
