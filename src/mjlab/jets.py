@@ -365,7 +365,10 @@ class Jet:
 
     def reciprocal(self):
         a0 = self._nonzero_value("jet with zero constant term")
-        ts = [(-1) ** j * a0 ** (-(j + 1)) for j in range(self.order + 1)]
+        try:
+            ts = [(-1) ** j * a0 ** (-(j + 1)) for j in range(self.order + 1)]
+        except OverflowError:  # complex ** of one row; an array gives inf
+            raise ValueOverflow("reciprocal overflows the floating-point range") from None
         return self.apply_taylor(ts)
 
     def cpow(self, alpha):

@@ -16,6 +16,7 @@ keeps, for each point, exactly the terms that point sums alone; masked
 terms never reach exp.
 """
 
+import contextlib
 import math
 from functools import lru_cache
 
@@ -338,31 +339,36 @@ def require_upper_half_plane(series, tau, **args):
         require_finite(x, "%s argument %s" % (series, name))
 
 
-def _check_radius(radius, policy):
-    """radius (an int, or an int array over a point stack) against the cap."""
+def _check_radius(x, extra, policy):
+    """ceil(x) + extra for a float x (an array over a point stack), as an
+    int (an int array), against the cap.  x is compared before it is
+    converted, so a radius beyond the float range (inf) is a
+    TruncationOverflow too."""
     cap = policy.max_radius
-    worst = _largest(radius)
-    if worst > cap:
-        raise TruncationOverflow(worst, cap)
-    return radius
+    worst = x.max() if isinstance(x, np.ndarray) else x
+    if worst > cap - extra:
+        raise TruncationOverflow(math.ceil(worst) + extra if math.isfinite(worst) else worst, cap)
+    return np.ceil(x).astype(int) + extra if isinstance(x, np.ndarray) else math.ceil(x) + extra
+
+
+def _overflow_to_inf(x):
+    """Lets the arithmetic of an array x (a point stack) overflow to inf
+    without a warning, as that of a number does; the radius check reports
+    an infinite radius."""
+    return np.errstate(over="ignore") if isinstance(x, np.ndarray) else contextlib.nullcontext()
 
 
 def _gaussian_radius(quad, lin, tail, policy):
     """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0
     (elementwise for arrays quad and lin)."""
     L = math.log(1.0 / tail)
-    disc = lin * lin + 4.0 * quad * L
-    R = _ceil_int((lin + _sqrt(disc)) / (2.0 * quad)) + 1
-    return _check_radius(R, policy)
+    with _overflow_to_inf(quad):
+        x = (lin + _sqrt(lin * lin + 4.0 * quad * L)) / (2.0 * quad)
+    return _check_radius(x, 1, policy)
 
 
 def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _ceil_int(x):
-    """ceil(x) as an int, or as an int array for an array x."""
-    return np.ceil(x).astype(int) if isinstance(x, np.ndarray) else int(math.ceil(x))
 
 
 def _stack_mask(radius, keep):
@@ -458,9 +464,9 @@ def zwegers_R_jet(tau, z, policy=None):
     v = z.imag()
     y0 = y.value.real
     v0 = v.value.real
-    shift = abs(v0) / y0
     L = math.log(1.0 / policy.tail_bound)
-    radius = _check_radius(_ceil_int(_sqrt(L / (math.pi * y0)) + shift) + 2, policy)
+    with _overflow_to_inf(y0):
+        radius = _check_radius(_sqrt(L / (math.pi * y0)) + abs(v0) / y0, 2, policy)
     R = _largest(radius)
     order = tau.order
     n_terms = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2

@@ -19,7 +19,6 @@ coordinate jets; a suite evaluates all of its checks on one
 that computation's memo.
 """
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, replace
@@ -69,7 +68,7 @@ from .operators import (
     xi_skew_map,
 )
 from .special import theta_ml_handle, theta_ml_jet
-from .weil import labels, rho_generator, rho_word, root_of_unity, vector_slash
+from .weil import labels, rho_generator, rho_word, vector_law
 
 GENERIC_POINTS = (
     EvalPoint(0.13, 1.1, 0.21, 0.17),
@@ -533,11 +532,20 @@ def suite_factorizations(points=None, tol=1e-6):
 # Weil matrices
 
 
+def _vector(name, two_m):
+    """The components of rank 2m of the catalog function name (theta_ml or
+    mu_hat_ml), in label order, as one row-stacked tagged form."""
+    forms = [build(name, m=two_m / 2, l=l) for l in labels(two_m)]
+    return replace(forms[0], f=_stacked([phi.f for phi in forms]))
+
+
 def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
                tol_braid=1e-12, tol_theta=1e-8):
     """Unitarity of the Weil generator images, the braid relation and the
-    order of S per rank, and the invariance of the theta vector of each
-    even rank under the dual vector slash by T and by S at one point."""
+    order of S per rank, and the Weil law of the theta vector of each even
+    rank under T and under S at one point, the largest gap over its
+    components.  (The S law of an odd rank's theta vector misses by O(1)
+    under rho and under its dual.)"""
     # every rank's generator images first: rho_generator rejects a bad 2m
     # before any row is computed
     gens = [(two_m, {w: rho_generator(two_m, w) for w in "TS"}) for two_m in two_m_list]
@@ -558,15 +566,11 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
     for two_m in two_m_list:
         if two_m % 2:
             continue
-        comps = [theta_ml_handle(two_m, l) for l in labels(two_m)]
-
-        def gap(jv):
-            base = np.array([h.jet_at(jv).value for h in comps])
-            return [_abs_max(vector_slash(comps, 1, two_m, word, jv, dual=True) - base)
-                    for word in "TS"]
-
+        theta = _vector("theta_ml", two_m)
+        laws = [vector_law(theta, word) for word in "TS"]
         names = ["weil:theta-vector-invariance:%s@2m=%d" % (word, two_m) for word in "TS"]
-        results += _rows(names, gap, jv, tol_theta)
+        results += _rows(names, lambda jv: [np.max(np.abs(law.jet_at(jv).value), axis=0)
+                                            for law in laws], jv, tol_theta)
     return results
 
 
@@ -574,58 +578,26 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
 # the completed Appell component family
 
 
-def _components(two_m):
-    """The completed components of rank 2m as one stacked tagged form."""
-    forms = [build("mu_hat_ml", m=two_m / 2, l=l) for l in labels(two_m)]
-    return replace(forms[0], f=_stacked([phi.f for phi in forms]))
-
-
 def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
-    """The claimed T and S transformation laws of the component vector, and
-    the vector-slash form of the S law, per rank.  The components of each
-    rank are one stacked handle, slashed once by T and once by S; the laws
-    are evaluated on one computation at the points, and the vector form at
-    the first point alone.
+    """The claimed T and S laws of the completed component vector per rank,
+    under the dual Weil representation (`weil.vector_law`), one row per law
+    and component, on one computation at the points.
 
     The T law holds; the S law of the displayed completion fails (the
     recorded obstruction) and is reported faithfully.
     """
     for two_m in two_m_list:
         check_component(two_m)
-    points = points or GENERIC_POINTS[:5]
-    at_points, at_first = JetVars.at(points, 0), JetVars.at(points[0], 0)
+    jv = JetVars.at(points or GENERIC_POINTS[:5], 0)
     results = []
     for two_m in two_m_list:
-        ls = labels(two_m)
-        tagged = _components(two_m)
-        pref = 1j / cmath.sqrt(1j * two_m)
-
-        def gaps(jv):
-            """The T-law and S-law gaps of every component, in label order."""
-            values = tagged.f.jet_at(jv).value
-            slashed_T = apply_slash(tagged, GEN_T).f.jet_at(jv).value
-            slashed_S = apply_slash(tagged, GEN_S).f.jet_at(jv).value
-            rows = []
-            for j, l in enumerate(ls):
-                phase = root_of_unity(-l * l, 2 * two_m)
-                mixed = sum(root_of_unity(l * lp, two_m) * values[jp] for jp, lp in enumerate(ls))
-                rows += [slashed_T[j] - phase * values[j], slashed_S[j] - pref * mixed]
-            return np.stack(rows)
-
-        names = [
-            "mu-transform:%s-law@2m=%d,l=%s" % (law, two_m, l) for l in ls for law in "TS"
-        ]
-        results += _rows(names, gaps, at_points, tol)
-        # the same S law phrased as a matrix acting on the component vector:
-        # slash every component, compare against M h with
-        # M = (i / sqrt(2im)) [e_{2m}(l l')]
-        M = pref * np.array([[root_of_unity(l * lp, two_m) for lp in ls] for l in ls])
-
-        def vector_gap(jv):
-            slashed = apply_slash(tagged, GEN_S).f.jet_at(jv).value
-            return _abs_max(slashed - M @ tagged.f.jet_at(jv).value)
-
-        results += _rows(["mu-transform:vector-S-law@2m=%d" % two_m], vector_gap, at_first, tol)
+        mu_hat = _vector("mu_hat_ml", two_m)
+        laws = [vector_law(mu_hat, word, dual=True) for word in "TS"]
+        names = ["mu-transform:%s-law@2m=%d,l=%s" % (word, two_m, l)
+                 for l in labels(two_m) for word in "TS"]
+        # rows per component: its T-law gap, then its S-law gap
+        results += _rows(names, lambda jv: np.stack([law.jet_at(jv).value for law in laws], 1),
+                         jv, tol)
     return results
 
 
@@ -643,7 +615,7 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
-        stack = _components(two_m)
+        stack = _vector("mu_hat_ml", two_m)
         img = apply_operator("xiH", stack).f
 
         def gap(jv):

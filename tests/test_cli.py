@@ -109,10 +109,23 @@ def test_eval_at_pole_exits_2():
     assert "pole" in res.stderr.lower()
 
 
-def test_eval_truncation_overflow_exits_3():
-    res = run_cli("eval", "theta_ml", "--m", "1", "--tau", "0+0.02i",
-                  "--radius", "3")
-    assert res.returncode == 3
+TRUNCATION_CASES = [
+    ("eval", "theta_ml", "--m", "1", "--tau", "0+0.02i", "--radius", "3"),
+    # radii beyond the float range
+    ("eval", "R", "--tau", "1e-310i"),
+    ("eval", "theta", "--z", "1e300i"),
+    ("eval", "theta_ml", "--m", "1", "--z", "1e300i"),
+    ("eval", "mu_hat_ml", "--m", "1", "--z", "1e300i"),
+]
+
+
+@pytest.mark.parametrize("args", TRUNCATION_CASES)
+def test_eval_truncation_overflow_exits_3_without_traceback(args):
+    res = run_cli(*args)
+    assert res.returncode == cli.EXIT_TRUNCATION == 3, res.stderr
+    assert res.stderr.startswith("truncation overflow:")
+    assert len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
 
 
 def run_main(capsys, *args):
@@ -136,6 +149,10 @@ OVERFLOW_CASES = [
     ("verify", "mu-transform", "--two-m", "3"),
     # the c3 factor i sqrt(pi) erfi(b) at b^2 = 500 pi
     ("eval", "c3", "--k", "0.5", "--m", "0.5", "--n", "0", "--r", "5", "--tau", "0.1+10i"),
+    # the reciprocal of a jet whose value is a subnormal float
+    ("eval", "c3", "--tau", "1e-320i", "--n", "1", "--r", "1", "--m", "1"),
+    ("eval", "c4sk", "--tau", "1e-320i", "--n", "1", "--r", "1", "--m", "1"),
+    ("eval", "c3", "--tau", "1e-310i", "--n", "1", "--r", "1", "--m", "-1"),
 ]
 
 
@@ -144,6 +161,7 @@ def test_value_overflow_exits_5_without_traceback(args):
     res = run_cli(*args)
     assert res.returncode == cli.EXIT_OVERFLOW == 5, res.stderr
     assert res.stderr.startswith("value overflow:")
+    assert len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
 
 
@@ -514,9 +532,10 @@ def eval_requests(draw):
     canonical labels, finite numbers, Im(tau) from 0.5 to 20 and r from -6
     to 6 (reaching the overflow of the c3/c4 factor).  The other half may
     also draw 2m = 0, 7, 8, k and m not half-integers, other labels,
-    Im(tau) on and off the boundary of the upper half plane, nan and +-inf
-    for the label, w and each part of tau, z and z2, and tail targets of 1
-    or more."""
+    Im(tau) on and off the boundary of the upper half plane and below the
+    normal float range, Im(z) near the float range, nan and +-inf for the
+    label, w and each part of tau, z and z2, and tail targets of 1 or
+    more."""
     inside = draw(st.booleans())
 
     def number(domain, outside=NON_FINITE):
@@ -526,9 +545,11 @@ def eval_requests(draw):
     m = number(st.sampled_from([two_m / 2, -two_m / 2]), NOT_HALF_INTEGERS)
     l = number(st.sampled_from(labels(two_m) or [0.0]),
                st.one_of(st.floats(-3, 9).map(lambda x: round(x, 2)), NON_FINITE))
-    y = number(st.floats(0.5, 20.0), st.one_of(st.sampled_from([-1.0, 0.0, 1e-3]), NON_FINITE))
+    y = number(st.floats(0.5, 20.0),
+               st.one_of(st.sampled_from([-1.0, 0.0, 1e-3, 1e-310, 1e-320]), NON_FINITE))
     tau = complex(number(st.floats(-0.5, 0.5)), y)
-    z = complex(number(st.floats(-0.5, 0.5)), number(st.floats(-1.0, 1.0)))
+    v = number(st.floats(-1.0, 1.0), st.one_of(st.sampled_from([1e300, -1e300]), NON_FINITE))
+    z = complex(number(st.floats(-0.5, 0.5)), v)
     z2 = complex(number(st.just(0.17)), number(st.just(-0.23)))
     tail = None if inside else draw(st.one_of(st.none(), st.sampled_from([2.0, math.inf])))
     return [

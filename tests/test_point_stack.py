@@ -258,6 +258,8 @@ def C(values):
         # one row overflows, one needs more terms than the cap allows
         (zwegers_R_jet, (C([0.13 + 1.1j, 0.1 + 10j]), C([0.2, 0.1 + 3j])), ValueOverflow),
         (zwegers_R_jet, (C([0.13 + 1.1j, 0.02j]), C([0.2, 0.1 + 2j])), TruncationOverflow),
+        # one row needs a radius beyond the float range
+        (jacobi_theta_jet, (C([1j, 1j]), C([0.1j, 1e300j])), TruncationOverflow),
     ],
 )
 def test_one_failing_row_raises_its_error(fn, args, error):

@@ -1,4 +1,5 @@
-"""The finite Weil-type representation and its vector slash action."""
+"""The finite Weil-type representation and the Weil law of vector-valued
+forms."""
 
 import cmath
 import math
@@ -6,15 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from mjlab.core import EvalPoint
+from mjlab.core import EvalPoint, FunctionHandle, JetVars, TaggedForm, WeightIndex
 from mjlab.errors import DomainError
+from mjlab.jets import Jet
 from mjlab.special import theta_ml_handle
 from mjlab.weil import (
     labels,
     rho_generator,
     rho_word,
     root_of_unity,
-    vector_slash,
+    vector_law,
 )
 
 TWO_MS = (1, 2, 3, 4, 5)
@@ -88,15 +90,32 @@ def test_matrix_validation():
 
 @pytest.mark.parametrize("two_m", [2, 4])
 @pytest.mark.parametrize("word", ["T", "S", "TS"])
-def test_theta_vector_invariant_under_dual_slash(two_m, word):
-    # the vector of index-m theta components, slashed at weight 1/2 and
-    # twisted by the dual representation matrix, reproduces itself
-    p = EvalPoint(0.17, 1.2, 0.13, 0.21)
+def test_theta_vector_transforms_under_rho(two_m, word):
+    # the vector of index-m theta components, slashed at weight 1/2,
+    # equals the representation matrix of the word times itself
     comps = [theta_ml_handle(two_m, l) for l in labels(two_m)]
-    base = np.array([h.eval(p) for h in comps])
-    moved = vector_slash(comps, 1, two_m, word, p, dual=True)
+    stack = FunctionHandle(
+        jet_fn=lambda jv: Jet(jv.order, np.stack([h.jet_at(jv).c for h in comps])))
+    theta = TaggedForm(stack, WeightIndex(1, two_m))
+    jv = JetVars.at([EvalPoint(0.17, 1.2, 0.13, 0.21), EvalPoint(-0.3, 0.9, 0.2, -0.15)], 0)
+    base = stack.jet_at(jv).value
+    gap = vector_law(theta, word).jet_at(jv).value
+    assert gap.shape == base.shape == (two_m, 2)
     scale = max(1.0, float(np.max(np.abs(base))))
-    assert float(np.max(np.abs(moved - base))) < 1e-8 * scale, word
+    assert float(np.max(np.abs(gap))) < 1e-8 * scale, word
+
+
+@pytest.mark.parametrize("two_m", range(1, 7))
+def test_dual_generators_are_the_claimed_component_law(two_m):
+    # the completed components' T phases e(-l^2/4m) and S matrix
+    # i/sqrt(2im) e(l l'/2m), with e(x) = e^(2 pi i x)
+    ls = labels(two_m)
+    phases = np.diag([cmath.exp(-2j * math.pi * l * l / (2 * two_m)) for l in ls])
+    mixing = 1j / cmath.sqrt(1j * two_m) * np.array(
+        [[cmath.exp(2j * math.pi * l * lp / two_m) for lp in ls] for l in ls])
+    for which, want in (("T", phases), ("S", mixing)):
+        got = rho_generator(two_m, which, dual=True)
+        assert np.max(np.abs(got - want)) < 1e-14, which
 
 
 def test_s_matrix_entries():
