@@ -122,12 +122,15 @@ def _check_function(name):
         )
 
 
+# every echo names its stream: without one, click caches a wrapper per
+# sys.stdout / sys.stderr object, which for a StringIO is the stream itself,
+# so an in-process caller's redirected buffers would never be freed
 def _write_out(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
 
 
 @click.group()
@@ -317,6 +320,11 @@ def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
     _write_out("\n".join(rows) + "\n", out)
 
 
+def _fail(message, code):
+    click.echo(message, file=sys.stderr)
+    sys.exit(code)
+
+
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
@@ -326,23 +334,17 @@ def main(argv=None):
     except click.Abort:
         sys.exit(EXIT_USAGE)
     except EvaluationAtPole as exc:
-        click.echo("pole: %s" % exc, err=True)
-        sys.exit(EXIT_POLE)
+        _fail("pole: %s" % exc, EXIT_POLE)
     except TruncationOverflow as exc:
-        click.echo("truncation overflow: %s" % exc, err=True)
-        sys.exit(EXIT_TRUNCATION)
+        _fail("truncation overflow: %s" % exc, EXIT_TRUNCATION)
     except NotThetaDecomposable as exc:
-        click.echo("not theta decomposable: %s" % exc, err=True)
-        sys.exit(EXIT_FAILED)
+        _fail("not theta decomposable: %s" % exc, EXIT_FAILED)
     except DomainError as exc:
-        click.echo("domain error: %s" % exc, err=True)
-        sys.exit(EXIT_USAGE)
+        _fail("domain error: %s" % exc, EXIT_USAGE)
     except ValueOverflow as exc:
-        click.echo("value overflow: %s" % exc, err=True)
-        sys.exit(EXIT_OVERFLOW)
+        _fail("value overflow: %s" % exc, EXIT_OVERFLOW)
     except MjlabError as exc:
-        click.echo("evaluation failure (%s): %s" % (type(exc).__name__, exc), err=True)
-        sys.exit(EXIT_EVALUATION)
+        _fail("evaluation failure (%s): %s" % (type(exc).__name__, exc), EXIT_EVALUATION)
     return 0
 
 

@@ -5,6 +5,7 @@ its weight/index and action kind), and finite-difference jets of a handle
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -341,11 +342,40 @@ def default_fd_step(p):
     return 1e-3 * max(1.0, p.y)
 
 
+def _central_offsets(mon, hh):
+    """The sample offsets of the central difference of the mixed partial
+    `mon` with step hh.  It is taken one derivative at a time, in the first
+    active variable first, each as (f(o + hh) - f(o - hh)) / 2hh, so its
+    offsets are the sequences of +hh or -hh steps, one per derivative, in
+    lexicographic order (+hh first), each summed in that order."""
+    axes = [var for var, e in enumerate(mon) for _ in range(e)]
+    out = []
+    for steps in itertools.product((hh, -hh), repeat=len(axes)):
+        o = [0.0, 0.0, 0.0, 0.0]
+        for var, d in zip(axes, steps):
+            o[var] += d
+        out.append(tuple(o))
+    return out
+
+
+def _central(values, hh):
+    """The central difference of `_central_offsets` from the samples at
+    its offsets: (up - down) / 2hh over adjacent pairs, the last
+    derivative's pairs first."""
+    while len(values) > 1:
+        values = [(up - down) / (2 * hh) for up, down in zip(values[::2], values[1::2])]
+    return values[0]
+
+
 def finite_difference_jet(h, p, order):
     """The Taylor jet of the handle h at p up to `order` from samples of
-    h.eval, each mixed partial by central differences with one Richardson
+    h, each mixed partial by central differences with one Richardson
     extrapolation level: the independent reference for exact jets.  The
     step is h.fd_step, or default_fd_step(p) when that is None.
+
+    h is evaluated once, on the stack of the stencil's points in the order
+    the partials meet them; a non-finite sample raises NonFinite naming the
+    first such point.
     """
     if order > 3:
         raise JetUnavailable("finite differences support order <= 3")
@@ -355,36 +385,28 @@ def finite_difference_jet(h, p, order):
         raise StencilOutOfDomain(
             "stencil leaves the upper half plane at y=%g, h=%g" % (p.y, step)
         )
-    cache = {}
-
-    def sample(offsets):
-        if offsets not in cache:
-            q = EvalPoint(*(b + o for b, o in zip((p.x, p.y, p.u, p.v), offsets)))
-            val = h.eval(q)
-            if not cmath.isfinite(val):
-                raise NonFinite("non-finite sample at %r" % (q,))
-            cache[offsets] = val
-        return cache[offsets]
-
-    def bump(t, var, d):
-        return t[:var] + (t[var] + d,) + t[var + 1 :]
-
-    def central(alpha, offsets, hh):
-        # recursive central difference in the first active variable
-        var = next((i for i, a in enumerate(alpha) if a), None)
-        if var is None:
-            return sample(offsets)
-        lower = bump(alpha, var, -1)
-        up = central(lower, bump(offsets, var, hh), hh)
-        return (up - central(lower, bump(offsets, var, -hh), hh)) / (2 * hh)
-
-    c = np.zeros(len(monomials(order)), dtype=complex)
-    for i, mon in enumerate(monomials(order)):
+    mons = monomials(order)
+    # per partial its coarse and its fine stencil
+    stencils = [[_central_offsets(mon, hh) for hh in (step, step / 2)] for mon in mons]
+    index = {}  # offsets -> position in the stack, in the order met
+    for pair in stencils:
+        for offsets in pair:
+            for o in offsets:
+                index.setdefault(o, len(index))
+    points = [EvalPoint(*(b + o for b, o in zip((p.x, p.y, p.u, p.v), offsets)))
+              for offsets in index]
+    values = np.broadcast_to(h.jet_at(JetVars.at(points, 0)).value, (len(points),))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NonFinite("non-finite sample at %r" % (points[bad.argmax()],))
+    values = [complex(v) for v in values]  # the arithmetic of lone h.eval samples
+    c = np.zeros(len(mons), dtype=complex)
+    for i, (mon, (at_step, at_half)) in enumerate(zip(mons, stencils)):
         if sum(mon) == 0:
-            c[i] = sample((0.0, 0.0, 0.0, 0.0))
+            c[i] = values[index[at_step[0]]]
             continue
-        coarse = central(mon, (0.0, 0.0, 0.0, 0.0), step)
-        fine = central(mon, (0.0, 0.0, 0.0, 0.0), step / 2)
+        coarse = _central([values[index[o]] for o in at_step], step)
+        fine = _central([values[index[o]] for o in at_half], step / 2)
         c[i] = (4.0 * fine - coarse) / 3.0 / math.prod(map(math.factorial, mon))
     return Jet(order, c)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FunctionHandle, TruncationPolicy, _term_axis, labels
-from .errors import DomainError, PoleAtAppell, PoleAtTheta
+from .errors import DomainError, PoleAtAppell, PoleAtTheta, ValueOverflow
 from .jets import Jet, _finite_exp
 from .special import (
     TWO_PI,
@@ -155,6 +155,8 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     _check_theta_pole(tau_val, z2.value)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
         theta = jacobi_theta_jet(tau, z2, policy)
+        if np.any(theta.value == 0):  # off its zeros: theta below the float range
+            raise ValueOverflow("1/theta(z2) overflows the floating-point range")
         theta_inv_pow = theta.reciprocal() ** two_m
 
         # each coordinate contributes exp(-pi y n^2) against at most

@@ -343,27 +343,41 @@ def _check_radius(x, extra, policy):
     """ceil(x) + extra for a float x (an array over a point stack), as an
     int (an int array), against the cap.  x is compared before it is
     converted, so a radius beyond the float range (inf) is a
-    TruncationOverflow too."""
+    TruncationOverflow too, and so is one that could not be formed (nan)."""
     cap = policy.max_radius
     worst = x.max() if isinstance(x, np.ndarray) else x
+    if math.isnan(worst):
+        raise TruncationOverflow(worst, cap, "truncation radius is not a number: its "
+                                 "bound overflows the floating-point range")
     if worst > cap - extra:
         raise TruncationOverflow(math.ceil(worst) + extra if math.isfinite(worst) else worst, cap)
     return np.ceil(x).astype(int) + extra if isinstance(x, np.ndarray) else math.ceil(x) + extra
 
 
 def _overflow_to_inf(x):
-    """Lets the arithmetic of an array x (a point stack) overflow to inf
-    without a warning, as that of a number does; the radius check reports
-    an infinite radius."""
-    return np.errstate(over="ignore") if isinstance(x, np.ndarray) else contextlib.nullcontext()
+    """Lets the arithmetic of an array x (a point stack) overflow to inf,
+    and inf / inf give nan, without a warning, as that of a number does;
+    the radius check reports an infinite or nan radius."""
+    if isinstance(x, np.ndarray):
+        return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
 
 
 def _gaussian_radius(quad, lin, tail, policy):
     """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0
-    (elementwise for arrays quad and lin)."""
+    (elementwise for arrays quad and lin).  Where 2 quad or the
+    discriminant overflows, the same root is taken as h + sqrt(h^2 + L / quad)
+    with h = lin / 2 quad: finite where the root is, 0 for an infinite quad
+    (pi y beyond the float range) and a finite lin, nan when both are
+    infinite."""
     L = math.log(1.0 / tail)
     with _overflow_to_inf(quad):
         x = (lin + _sqrt(lin * lin + 4.0 * quad * L)) / (2.0 * quad)
+        worst = x.max() if isinstance(x, np.ndarray) else x
+        if not math.isfinite(worst):
+            half = lin / quad / 2.0
+            scaled = half + _sqrt(half * half + L / quad)
+            x = np.where(np.isfinite(x), x, scaled) if isinstance(x, np.ndarray) else scaled
     return _check_radius(x, 1, policy)
 
 
@@ -404,7 +418,8 @@ def jacobi_theta_jet(tau, z, policy=None):
     kk = _term_axis(k, tau, z)
     r = kk - 0.5
     mask = _stack_mask(radius, lambda rad: (kk >= -rad) & (kk <= rad + 1))
-    terms = _masked_exp((1j * math.pi * r * r) * tau + (TWO_PI * 1j * r) * z, mask)
+    with np.errstate(over="ignore"):  # an exponent below the float range: exp is 0
+        terms = _masked_exp((1j * math.pi * r * r) * tau + (TWO_PI * 1j * r) * z, mask)
     return terms.sum(np.where(k % 2, -1.0, 1.0))
 
 
@@ -439,9 +454,10 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     r = l + two_m * np.arange(t_lo, t_hi + 1)
     r = _term_axis(r[np.abs(r) <= R + two_m], tau, z)
     mask = _stack_mask(radius, lambda rad: np.abs(r) <= rad + two_m)
-    return _masked_exp(
-        (2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z, mask
-    ).sum()
+    with np.errstate(over="ignore"):  # an exponent below the float range: exp is 0
+        terms = _masked_exp((2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z,
+                            mask)
+    return terms.sum()
 
 
 def theta_ml_handle(two_m, l, policy=None):
@@ -460,27 +476,26 @@ def zwegers_R_jet(tau, z, policy=None):
     (sgn(n) - E(sqrt(2y)(n + v/y))) (-1)^(n-1/2) q^(-n^2/2) zeta^(-n)."""
     policy = policy or TruncationPolicy()
     require_upper_half_plane("R", tau.value, z=z.value)
-    y = tau.imag()
-    v = z.imag()
-    y0 = y.value.real
-    v0 = v.value.real
-    L = math.log(1.0 / policy.tail_bound)
-    with _overflow_to_inf(y0):
-        radius = _check_radius(_sqrt(L / (math.pi * y0)) + abs(v0) / y0, 2, policy)
-    R = _largest(radius)
-    order = tau.order
-    n_terms = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
-    n = _term_axis(n_terms, tau, z)
-    sgn = np.where(n > 0, 1.0, -1.0)
-    w = (2.0 * y).cpow(0.5) * (n + v / y)
-    w0 = w.value.real
-    ds = gaussian_integral_derivatives(math.pi, w0, order)
-    # sgn(n) - E(w) without cancellation: same-side values go through erfc
-    erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
-    amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])
-    amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
-    mask = _stack_mask(radius, lambda rad: abs(n) <= rad + 0.5)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+        y = tau.imag()
+        v = z.imag()
+        y0 = y.value.real
+        v0 = v.value.real
+        L = math.log(1.0 / policy.tail_bound)
+        radius = _check_radius(_sqrt(L / (math.pi * y0)) + abs(v0) / y0, 2, policy)
+        R = _largest(radius)
+        order = tau.order
+        n_terms = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
+        n = _term_axis(n_terms, tau, z)
+        sgn = np.where(n > 0, 1.0, -1.0)
+        w = (2.0 * y).cpow(0.5) * (n + v / y)
+        w0 = w.value.real
+        ds = gaussian_integral_derivatives(math.pi, w0, order)
+        # sgn(n) - E(w) without cancellation: same-side values go through erfc
+        erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
+        amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])
+        amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
+        mask = _stack_mask(radius, lambda rad: abs(n) <= rad + 0.5)
         terms = amp * _masked_exp(-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z, mask)
         total = terms.sum(np.where((n_terms - 0.5) % 2, -1.0, 1.0))
     return _finite_sum(total, "R-series")

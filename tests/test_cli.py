@@ -1,10 +1,12 @@
 """The command line interface: formats, exit codes, determinism."""
 
+import gc
 import io
 import json
 import math
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -116,6 +118,8 @@ TRUNCATION_CASES = [
     ("eval", "theta", "--z", "1e300i"),
     ("eval", "theta_ml", "--m", "1", "--z", "1e300i"),
     ("eval", "mu_hat_ml", "--m", "1", "--z", "1e300i"),
+    # pi Im tau beyond the float range: the Appell bound inf / inf is no radius
+    ("eval", "mu_hat_2", "--tau", "1e308i"),
 ]
 
 
@@ -138,6 +142,26 @@ def run_main(capsys, *args):
     return code, out.out, out.err
 
 
+
+def test_in_process_main_frees_its_redirected_streams():
+    """click caches a wrapper per implicit sys.stdout / sys.stderr, which
+    for a StringIO is the stream itself: main names its streams, so the
+    buffers of an in-process caller die with the caller's references."""
+    refs = []
+    for args in (("eval", "theta"), ("eval", "theta", "--tau", "0-1i")):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                cli.main(list(args))
+            except SystemExit as exc:
+                assert exc.code == cli.EXIT_USAGE
+        assert bool(out.getvalue()) != bool(err.getvalue())  # a success, then an error
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+
+
 # every library error ends in a documented exit code and one message line
 
 OVERFLOW_CASES = [
@@ -153,6 +177,11 @@ OVERFLOW_CASES = [
     ("eval", "c3", "--tau", "1e-320i", "--n", "1", "--r", "1", "--m", "1"),
     ("eval", "c4sk", "--tau", "1e-320i", "--n", "1", "--r", "1", "--m", "1"),
     ("eval", "c3", "--tau", "1e-310i", "--n", "1", "--r", "1", "--m", "-1"),
+    # q^(-n^2/2) of the R-series, and 1/theta(z2) of the Appell part, at a
+    # large Im tau
+    ("eval", "R", "--tau", "1e308i"),
+    ("eval", "mu_hat_ml", "--m", "1", "--tau", "1e308i"),
+    ("eval", "mu_hat_ml", "--m", "1", "--tau", "1000i"),
 ]
 
 
@@ -164,6 +193,19 @@ def test_value_overflow_exits_5_without_traceback(args):
     assert len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
 
+
+
+@pytest.mark.parametrize("tau", ["1e306i", "1e308i"])
+@pytest.mark.parametrize("args,want", [
+    (("theta",), 0.0),
+    (("theta_ml", "--m", "1"), 1.0),
+], ids=["theta", "theta_ml"])
+def test_theta_series_at_huge_im_tau_keep_their_constant_term(args, want, tau):
+    # every term but q^0 is 0; the radius bound overflows (at 1e308i pi Im
+    # tau itself is beyond the float range) and is taken in scaled form
+    res = run_cli("eval", *args, "--tau", tau)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    assert json.loads(res.stdout)["value"] == [want, 0.0]
 
 # at k = -170.5 the exponent j = 1/2 - k is 171, and j! = 1.24e309 alone
 # exceeds the float range, where the values below do not

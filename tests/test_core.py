@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from fd_reference import bits, reference_fd_jet
 
 from mjlab.core import (
     EvalPoint,
@@ -21,9 +22,12 @@ from mjlab.core import (
 from mjlab.errors import (
     DomainError,
     JetUnavailable,
+    NonFinite,
     StencilOutOfDomain,
     ZeroArgument,
 )
+from mjlab.mu import mu_hat_ml_handle
+from mjlab.special import jacobi_theta_handle, theta_ml_handle, zwegers_R_handle
 
 
 class TestEvalPoint:
@@ -124,6 +128,69 @@ def test_finite_difference_matches_exact_jet():
     approx = finite_difference_jet(h, p, 2).table()
     for mon, w in exact.items():
         assert abs(approx[mon] - w) <= 1e-6 * max(1.0, abs(w)), mon
+
+
+FD_POINT = EvalPoint(0.13, 1.1, 0.21, 0.17)
+
+
+def _points_of(jv):
+    """The base points of plain coordinate jets, as (x, y, u, v) tuples of
+    float.hex strings (a stack gives one per point)."""
+    base = [np.atleast_1d(b) for b in jv.base]
+    return [tuple(float(c).hex() for c in q) for q in zip(*base)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_finite_difference_evaluates_its_stencil_once_at_the_reference_points(order):
+    """One evaluation of the handle per jet, on a stack of exactly the
+    points the per-sample loop visits, in its order, bit for bit; and the
+    jet itself bit for bit (a plane wave is the same on a stack)."""
+    inner = exp_qn_zeta_r(1, 2)
+    calls = []
+
+    def counted(jv):
+        calls.append(_points_of(jv))
+        return inner.jet_at(jv)
+
+    h = FunctionHandle(counted)
+    got = finite_difference_jet(h, FD_POINT, order)
+    assert len(calls) == 1
+    sampled = []
+    want = reference_fd_jet(inner, FD_POINT, order, sampled)
+    assert calls[0] == [tuple(float(c).hex() for c in (q.x, q.y, q.u, q.v)) for q in sampled]
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("h", [theta_ml_handle(2, 0), jacobi_theta_handle(), zwegers_R_handle(),
+                               mu_hat_ml_handle(2, 0.0)], ids=lambda h: h.label)
+@pytest.mark.parametrize("order", [1, 2])
+def test_finite_difference_of_series_matches_the_per_sample_reference(h, order):
+    # a stack sums a series' terms in sequence where one point may sum them
+    # pairwise: each sample may move by an ulp, which a difference of
+    # order d divides by step^d (about 1e-10 relative at order 2, 1e-7 at 3)
+    got = finite_difference_jet(h, FD_POINT, order).c
+    want = reference_fd_jet(h, FD_POINT, order).c
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_finite_difference_names_the_first_non_finite_sample():
+    inner = exp_qn_zeta_r(1, 2)
+    sampled = []
+    reference_fd_jet(inner, FD_POINT, 2, sampled)
+    bad = {_points_of(JetVars.at(q, 0))[0] for q in (sampled[9], sampled[4])}
+
+    def poisoned(jv):
+        hit = np.array([q in bad for q in _points_of(jv)])
+        return inner.jet_at(jv) + np.where(hit, np.inf, 0.0).reshape(np.shape(jv.base[0]))
+
+    h = FunctionHandle(poisoned)
+    message = "non-finite sample at %r" % (sampled[4],)
+    with pytest.raises(NonFinite) as ref:
+        reference_fd_jet(h, FD_POINT, 2)
+    assert str(ref.value) == message
+    with pytest.raises(NonFinite) as got:
+        finite_difference_jet(h, FD_POINT, 2)
+    assert str(got.value) == message
 
 
 def test_finite_difference_limits():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from fd_reference import bits, reference_fd_jet
 
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex, finite_difference_jet
 from mjlab.errors import DomainError, NotThetaDecomposable, ValueOverflow
@@ -161,7 +162,9 @@ def test_third_and_fourth_kernel_jets_are_smooth_on_sign_locus(params):
             h = kernel_term_handle(i, params, skew=skew)
             for order in (1, 2, 3):
                 exact = h.jet_at(JetVars.at(p, order)).table()
-                approx = finite_difference_jet(h, p, order).table()
+                fd = finite_difference_jet(h, p, order)
+                assert bits(fd) == bits(reference_fd_jet(h, p, order))
+                approx = fd.table()
                 scale = max(abs(v) for v in exact.values())
                 worst = max(abs(exact[mon] - approx[mon]) for mon in exact)
                 assert worst <= 1e-5 * scale, (i, skew, order, worst / scale)
@@ -171,6 +174,18 @@ def test_third_and_fourth_kernel_jets_are_smooth_on_sign_locus(params):
     assert all(res.passed for res in results), [
         (res.identity, res.max_residual) for res in results if not res.passed
     ]
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["standard", "skew"])
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_kernel_term_fd_jets_are_the_per_sample_jets(i, skew):
+    """Every kernel term is evaluated point by point on a stack: its
+    stacked finite-difference jet is the per-sample one bit for bit."""
+    params = XI_TABLE_PARAMS[0]
+    h = kernel_term_handle(i, params, skew=skew)
+    for p in GENERIC_POINTS[:2]:
+        for order in (1, 2, 3):
+            assert bits(finite_difference_jet(h, p, order)) == bits(reference_fd_jet(h, p, order))
 
 
 def test_fourth_kernel_factor_is_product_of_factors():
