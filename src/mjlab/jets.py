@@ -285,13 +285,6 @@ class Jet:
         a, b = self._coerce(other)
         if a.order == 0:
             return Jet(0, a.c * b.c)
-        if a.order == 1:
-            # each coefficient is a0 b_k + a_k b0, the sum of its two-term
-            # run in _mul_table, in the same order
-            a0, b0 = a.c[..., :1], b.c[..., :1]
-            c = a0 * b.c + a.c * b0
-            c[..., :1] = a0 * b0
-            return Jet(1, c)
         return Jet(a.order, _batched_product(a.c, b.c, a.order))
 
     __rmul__ = __mul__

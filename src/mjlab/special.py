@@ -365,19 +365,13 @@ def _overflow_to_inf(x):
 
 def _gaussian_radius(quad, lin, tail, policy):
     """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0
-    (elementwise for arrays quad and lin).  Where 2 quad or the
-    discriminant overflows, the same root is taken as h + sqrt(h^2 + L / quad)
-    with h = lin / 2 quad: finite where the root is, 0 for an infinite quad
-    (pi y beyond the float range) and a finite lin, nan when both are
-    infinite."""
+    (elementwise for arrays quad and lin), as h + sqrt(h^2 + L / quad) with
+    h = lin / 2 quad: 0 for an infinite quad (pi y beyond the float range)
+    and a finite lin, nan when both are infinite."""
     L = math.log(1.0 / tail)
     with _overflow_to_inf(quad):
-        x = (lin + _sqrt(lin * lin + 4.0 * quad * L)) / (2.0 * quad)
-        worst = x.max() if isinstance(x, np.ndarray) else x
-        if not math.isfinite(worst):
-            half = lin / quad / 2.0
-            scaled = half + _sqrt(half * half + L / quad)
-            x = np.where(np.isfinite(x), x, scaled) if isinstance(x, np.ndarray) else scaled
+        h = lin / (2.0 * quad)
+        x = h + _sqrt(h * h + L / quad)
     return _check_radius(x, 1, policy)
 
 
@@ -476,26 +470,28 @@ def zwegers_R_jet(tau, z, policy=None):
     (sgn(n) - E(sqrt(2y)(n + v/y))) (-1)^(n-1/2) q^(-n^2/2) zeta^(-n)."""
     policy = policy or TruncationPolicy()
     require_upper_half_plane("R", tau.value, z=z.value)
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
+    with np.errstate(over="ignore", invalid="ignore"):  # y is inf past half the float range
         y = tau.imag()
         v = z.imag()
-        y0 = y.value.real
-        v0 = v.value.real
-        L = math.log(1.0 / policy.tail_bound)
+    y0 = y.value.real
+    v0 = v.value.real
+    L = math.log(1.0 / policy.tail_bound)
+    with _overflow_to_inf(y0):
         radius = _check_radius(_sqrt(L / (math.pi * y0)) + abs(v0) / y0, 2, policy)
-        R = _largest(radius)
-        order = tau.order
-        n_terms = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
-        n = _term_axis(n_terms, tau, z)
-        sgn = np.where(n > 0, 1.0, -1.0)
-        w = (2.0 * y).cpow(0.5) * (n + v / y)
-        w0 = w.value.real
-        ds = gaussian_integral_derivatives(math.pi, w0, order)
-        # sgn(n) - E(w) without cancellation: same-side values go through erfc
-        erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
-        amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])
-        amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
-        mask = _stack_mask(radius, lambda rad: abs(n) <= rad + 0.5)
+    R = _largest(radius)
+    order = tau.order
+    n_terms = np.arange(-R, R + 2) - 0.5  # -R - 1/2, ..., R + 1/2
+    n = _term_axis(n_terms, tau, z)
+    sgn = np.where(n > 0, 1.0, -1.0)
+    w = (2.0 * y).cpow(0.5) * (n + v / y)
+    w0 = w.value.real
+    ds = gaussian_integral_derivatives(math.pi, w0, order)
+    # sgn(n) - E(w) without cancellation: same-side values go through erfc
+    erfc = _elementwise(math.erfc, math.sqrt(math.pi) * np.abs(w0))
+    amp0 = np.where(sgn * w0 >= 0, sgn * erfc, sgn - ds[0])
+    amp = w.apply_derivatives([amp0] + [-d for d in ds[1:]])
+    mask = _stack_mask(radius, lambda rad: abs(n) <= rad + 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
         terms = amp * _masked_exp(-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z, mask)
         total = terms.sum(np.where((n_terms - 0.5) % 2, -1.0, 1.0))
     return _finite_sum(total, "R-series")

@@ -142,7 +142,6 @@ def run_main(capsys, *args):
     return code, out.out, out.err
 
 
-
 def test_in_process_main_frees_its_redirected_streams():
     """click caches a wrapper per implicit sys.stdout / sys.stderr, which
     for a StringIO is the stream itself: main names its streams, so the
@@ -194,18 +193,18 @@ def test_value_overflow_exits_5_without_traceback(args):
     assert "Traceback" not in res.stderr
 
 
-
 @pytest.mark.parametrize("tau", ["1e306i", "1e308i"])
 @pytest.mark.parametrize("args,want", [
     (("theta",), 0.0),
     (("theta_ml", "--m", "1"), 1.0),
 ], ids=["theta", "theta_ml"])
 def test_theta_series_at_huge_im_tau_keep_their_constant_term(args, want, tau):
-    # every term but q^0 is 0; the radius bound overflows (at 1e308i pi Im
-    # tau itself is beyond the float range) and is taken in scaled form
+    # every term but q^0 is 0; at 1e308i pi Im tau itself is beyond the
+    # float range, and the radius bound is 0 rather than inf / inf
     res = run_cli("eval", *args, "--tau", tau)
     assert res.returncode == 0 and res.stderr == "", res.stderr
     assert json.loads(res.stdout)["value"] == [want, 0.0]
+
 
 # at k = -170.5 the exponent j = 1/2 - k is 171, and j! = 1.24e309 alone
 # exceeds the float range, where the values below do not

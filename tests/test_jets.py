@@ -16,7 +16,6 @@ from mjlab.jets import (
     VAR_X,
     VAR_Y,
     Jet,
-    _batched_product,
     d_tau,
     d_taubar,
     d_z,
@@ -267,25 +266,3 @@ def test_batched_exp_raises_on_overflow():
     a = Jet.constant(np.array([1.0, 800.0 + 0.5j]), 2)
     with pytest.raises(OverflowError):
         a.exp()
-
-
-@pytest.mark.parametrize("shapes", [((), ()), ((1,), ()), ((3,), (3,)), ((5,), (1,)),
-                                    ((2, 3), (3,)), ((2, 1), (1, 3)), ((14, 3), (14, 3))])
-def test_order_one_product_is_the_gathered_product(shapes):
-    """The closed-form order-1 product equals the gather/reduceat product:
-    bitwise, up to the sign of a zero, also on zero and -0 entries."""
-    rng = np.random.default_rng(1)
-
-    def coefficients(shape):
-        mag = 10.0 ** rng.uniform(-8, 8, shape + (5, 2))
-        c = (mag * rng.choice([-1.0, 1.0], mag.shape)).view(complex)[..., 0]
-        zeros = np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)])
-        c.flat[::3] = np.resize(zeros, c.flat[::3].shape)
-        return c
-
-    for _ in range(20):
-        a, b = coefficients(shapes[0]), coefficients(shapes[1])
-        got = (Jet(1, a) * Jet(1, b)).c
-        want = _batched_product(a, b, 1)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)  # == treats 0 and -0 alike
