@@ -168,7 +168,8 @@ class JetVars:
     `held` is the memo of a computation (`at` starts one), shared by every
     plain order of its base: coordinate jets by order, handle jets by
     (handle, order), and `group`'s slash frames and transformed-base memos.
-    Transformed coordinates carry the memo of their own base.  Nothing in a
+    Transformed coordinates carry the memo of their own base, which holds
+    the plain jets `FunctionHandle.jet_at` composes with them.  Nothing in a
     memo refers back to it, so reference counting frees it."""
 
     __slots__ = ("x", "y", "u", "v", "order", "plain", "held")
@@ -309,9 +310,11 @@ class FunctionHandle:
     def jet_at(self, jv):
         """Jet of this function on the given (possibly transformed)
         coordinates.  On plain coordinates it is made once per computation:
-        held in their memo by (handle, order)."""
+        held in their memo by (handle, order).  On transformed ones it is
+        that plain jet at their base composed with them, so the jet function
+        sees only plain coordinates."""
         if not jv.plain:
-            return self._jet_fn(jv)
+            return _compose_taylor(self.jet_at(jv.at_base(jv.order)), jv, jv.base)
         key = (self, jv.order)
         jet = jv.held.get(key)
         if jet is None:

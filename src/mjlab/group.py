@@ -9,8 +9,9 @@ at an index takes everything it needs of the coordinates, whatever the
 weight and the form, from one SlashFrame, made once per computation on
 plain coordinates and held in its memo (`JetVars.held`).  Its transformed
 coordinates carry the memo of the transformed base, which every frame of
-the element shares, so an operand evaluated there (by an operator image,
-say) is evaluated once per transformed base and order.
+the element shares: a form is evaluated there on plain jets, once per
+transformed base and order (`FunctionHandle.jet_at`), so a slash of a slash
+makes its inner frame on plain coordinates too.
 """
 
 import math
@@ -142,8 +143,8 @@ class SlashFrame:
 
 
 def _frame(A, m, jv, held):
-    """The SlashFrame of A at index m on the coordinates jv, its transformed
-    coordinates carrying the memo `held` (a fresh one if None)."""
+    """The SlashFrame of A at index m on the plain coordinates jv, its
+    transformed coordinates carrying the memo `held`."""
     tau = jv.tau
     taubar = jv.taubar
     z = jv.z
@@ -164,12 +165,10 @@ def _frame(A, m, jv, held):
 
 
 def _slash_frame(A, m, jv):
-    """The SlashFrame of A at index m on the coordinates jv: on plain ones
-    held in their memo by (A, m, order), its transformed coordinates
-    carrying the memo held there by A (the A-transformed base's, whatever
-    the index and the order); on transformed ones made afresh."""
-    if not jv.plain:
-        return _frame(A, m, jv, None)
+    """The SlashFrame of A at index m on the plain coordinates jv, held in
+    their memo by (A, m, order), its transformed coordinates carrying the
+    memo held there by A (the A-transformed base's, whatever the index and
+    the order)."""
     key = (A, m, jv.order)
     frame = jv.held.get(key)
     if frame is None:

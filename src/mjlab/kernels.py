@@ -25,10 +25,17 @@ from fractions import Fraction
 import numpy as np
 
 from .core import FunctionHandle, WeightIndex, fourier_sum_jet
-from .errors import DomainError, NotThetaDecomposable
+from .errors import DomainError, NotThetaDecomposable, ValueOverflow
 from .jets import Jet
 from .mu import check_component, mu_hat_component_jet
-from .special import G_jet, _finite_sum, dawson_jet, gaussian_integral_jet, theta_ml_jet
+from .special import (
+    G_jet,
+    G_log_jet,
+    _finite_sum,
+    dawson_jet,
+    gaussian_integral_jet,
+    theta_ml_jet,
+)
 
 
 @dataclass(frozen=True)
@@ -87,11 +94,12 @@ def kernel_family_jet(params, terms, jv):
     c_3^sk (D != 0), plus b^2 for c_3 and c_4 when m > 0, with
     b = (pi y / |m|)^(1/2) (r + 2mv/y).  The factors: G(+-w) (`G_jet`;
     y^(3/2-k) at D = 0) for c_2 and c_4; F_1(b) for m < 0, i D(b)
-    (`dawson_jet`) for m > 0, for c_3 and c_4.  The terms share these
-    pieces: E, w, b, each factor and the exp of each distinct exponent are
-    formed once, when the first term that needs them is.  So every row is
-    the jet its term gives alone, bit for bit, and the first term that
-    fails raises what it raises alone."""
+    (`dawson_jet`) for m > 0, for c_3 and c_4.  Where G leaves the float
+    range, log |G| joins the exponent and G / |G| is the factor
+    (`G_log_jet`).  The terms share these pieces: E, w, b, each factor and
+    the exp of each distinct exponent are formed once, when the first term
+    that needs them is.  So every row is the jet its term gives alone, bit
+    for bit, and the first term that fails raises what it raises alone."""
     for i, _ in terms:
         if i not in (1, 2, 3, 4):
             raise DomainError("kernel label must be 1..4")
@@ -110,10 +118,21 @@ def kernel_family_jet(params, terms, jv):
         return piece("b", lambda: (math.pi / abs(m) * Y).cpow(0.5)
                      * (params.r + (2.0 * m) * jv.v / Y))
 
-    def exp(two_w, bb):
+    def G(skew):
+        """(None, G(+-w)), or where G leaves the float range (the term need
+        not), log |G| at the value and the jet of G over |G| there."""
+        arg = -1.0 * w if skew else w
+        try:
+            return None, G_jet(arg, k)
+        except ValueOverflow:
+            return G_log_jet(arg, k)
+
+    def exp(two_w, bb, log_g):
         expo = E + 2.0 * w if two_w else E
         if bb:
             expo = expo + b() * b()
+        if log_g is not None:
+            expo = expo + log_g
         return expo.exp()
 
     rows = []
@@ -121,11 +140,13 @@ def kernel_family_jet(params, terms, jv):
         two_w = D != 0 and (i % 2 == 0) != skew
         bb = i in (3, 4) and m > 0
         factors = []
+        log_g = None
         if i in (2, 4):
             if D == 0:  # the skew terms coincide with the standard ones
                 factors.append(piece("y", lambda: Y.cpow(1.5 - k)))
             else:
-                factors.append(piece(("G", skew), lambda: G_jet(-1.0 * w if skew else w, k)))
+                log_g, g = piece(("G", skew), lambda: G(skew))
+                factors.append(g)
         if i in (3, 4):
             if m < 0:
                 factors.append(piece("F", lambda: gaussian_integral_jet(1.0, b())))
@@ -133,7 +154,8 @@ def kernel_family_jet(params, terms, jv):
                 factors.append(piece("F", lambda: 1j * dawson_jet(b())))
         # an exponential or a product that overflows is a ValueOverflow, not inf or nan
         with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
-            term = piece(("exp", two_w, bb), lambda: exp(two_w, bb))
+            key = ("exp", two_w, bb) if log_g is None else ("exp", two_w, bb, skew)
+            term = piece(key, lambda: exp(two_w, bb, log_g))
             for factor in factors:
                 term = term * factor
         rows.append(_finite_sum(term, _term_label(i, params, skew)))

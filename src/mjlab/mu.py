@@ -161,9 +161,7 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
 
         # each coordinate contributes exp(-pi y n^2) against at most
         # exp((pi y + 2 pi |v2|) |n|); the denominator is handled separately
-        radius = _gaussian_radius(
-            math.pi * y0, math.pi * y0 + TWO_PI * abs(v2), policy.tail_bound, policy
-        )
+        radius = _gaussian_radius(y0, 1, math.pi * y0 + TWO_PI * abs(v2), policy)
         s1, s2, cnt = _state_counts(two_m, radius)
 
         # drop states whose numerator bound is negligible before touching the

@@ -11,15 +11,16 @@ come from the plain coordinate jets at order n.  The first-order operators
 are written directly as maps; the composites are compositions (`@`) and
 linear combinations of them.  `image` is the one function that turns a map
 and an operand handle into a handle: it evaluates the operand once, at the
-image order plus the total loss, and on transformed coordinates (after a
-slash) composes the plain-coordinate image jet as a Taylor polynomial.
+image order plus the total loss.  After a slash, `FunctionHandle.jet_at`
+composes the image's plain jet at the transformed base with the transformed
+coordinates, as it does for every handle, so a map sees only plain ones.
 Every operand is an exact-jet handle.  The identities these operators
 satisfy are checked in `mjlab.verify`.
 """
 
 import math
 
-from .core import FunctionHandle, WeightIndex, _compose_taylor
+from .core import FunctionHandle, WeightIndex
 from .errors import DomainError
 from .group import TaggedForm
 from .jets import d_tau, d_taubar, d_z, d_zbar
@@ -77,9 +78,7 @@ def image(jmap, f, label=""):
     """The handle of jmap applied to the handle f."""
 
     def je(jv):
-        plain = jv if jv.plain else jv.at_base(jv.order)
-        out = jmap.apply(f.jet_at(plain.extend(jmap.loss)), plain)
-        return out if jv.plain else _compose_taylor(out, jv, plain.base)
+        return jmap.apply(f.jet_at(jv.extend(jmap.loss)), jv)
 
     return FunctionHandle(jet_fn=je, label=label)
 

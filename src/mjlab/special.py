@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FunctionHandle, TruncationPolicy, _term_axis, half_integer, require_finite
 from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
-from .jets import _finite_exp
+from .jets import Jet, _finite_exp
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,14 +219,7 @@ def _scaled_integral(j, w):
     """
     x = -2.0 * w
     if j >= 0:
-        # G_i = i G_(i-1) + x^i from G_0 = 1, in integers with x = p / q: a
-        # float sum cancels for x < 0, and j! leaves the float range from
-        # j = 171 on, where G_j may not
-        p, q = x.as_integer_ratio()
-        num, power = 1, 1
-        for i in range(1, j + 1):
-            power *= p
-            num = i * q * num + power
+        num, q = _scaled_integral_sum(j, x)
         try:
             return num / q ** j
         except OverflowError:
@@ -253,6 +246,27 @@ def _scaled_integral(j, w):
         # e^x Gamma(0, x); for x < 0 the real principal-value continuation
         return _exp1_scaled(x) if x > 0 else -_expi_scaled(-x)
     return (_scaled_integral(j + 1, w) - x ** (j + 1)) / (j + 1)
+
+
+def _scaled_integral_sum(j, x):
+    """G_j = num / q^j for j >= 0 at x = -2w, as the integers (num, q).
+
+    G_i = i G_(i-1) + x^i from G_0 = 1, in integers with x = p / q: a float
+    sum cancels for x < 0, and j! leaves the float range from j = 171 on,
+    where G_j may not."""
+    p, q = x.as_integer_ratio()
+    num, power = 1, 1
+    for i in range(1, j + 1):
+        power *= p
+        num = i * q * num + power
+    return num, q
+
+
+def _log_scaled_integral(j, w):
+    """The principal log of G_j(w) for j >= 0 (imaginary part pi where
+    G_j < 0), from the exact sum: finite where G_j leaves the float range."""
+    num, q = _scaled_integral_sum(j, -2.0 * w)
+    return complex(math.log(abs(num)) - j * math.log(q), 0.0 if num > 0 else math.pi)
 
 
 @lru_cache(maxsize=None)
@@ -311,6 +325,28 @@ def G_jet(arg, k):
     return arg.apply_derivatives(gs)
 
 
+def G_log_jet(arg, k):
+    """G_jet where G leaves the float range, for j = 1/2 - k >= 0: log |G|
+    at the value, and the jet of G over |G| at the value, whose
+    coefficients G^(i) / |G| follow G' = -2G + 2 (-2w)^j with the power
+    over |G| formed from logs.  A c_2/c_4 term folds the log into its one
+    exponent jet, so it is finite wherever its value is."""
+    j = _half_int_exponent(k)
+    w0 = arg.value.real
+    logs = _elementwise(lambda w: _log_scaled_integral(j, w), w0)
+    log_abs = logs.real
+    x = -2.0 * w0
+    gs = [1.0 - 2.0 * (logs.imag != 0)]  # the sign of G
+    fall = 1.0
+    for i in range(arg.order):
+        # the i-th derivative of (-2w)^j, over |G|
+        power = (fall * (-2.0) ** i * np.sign(x) ** (j - i)
+                 * np.exp((j - i) * np.log(np.abs(x)) - log_abs)) if fall else 0.0
+        gs.append(-2.0 * gs[i] + 2.0 * power)
+        fall *= j - i
+    return log_abs, arg.apply_derivatives(gs)
+
+
 # ----------------------------------------------------------------------
 # truncation helpers
 
@@ -363,13 +399,15 @@ def _overflow_to_inf(x):
     return contextlib.nullcontext()
 
 
-def _gaussian_radius(quad, lin, tail, policy):
-    """Smallest R with exp(-quad R^2 + lin R) <= tail for quad > 0
-    (elementwise for arrays quad and lin), as h + sqrt(h^2 + L / quad) with
-    h = lin / 2 quad: 0 for an infinite quad (pi y beyond the float range)
-    and a finite lin, nan when both are infinite."""
-    L = math.log(1.0 / tail)
-    with _overflow_to_inf(quad):
+def _gaussian_radius(y0, two_m, lin, policy):
+    """Smallest R with exp(-quad R^2 + lin R) <= tail for the quadratic
+    coefficient quad = pi y0 / 2m of a Gaussian series at Im tau = y0 > 0
+    (elementwise for arrays y0 and lin), as h + sqrt(h^2 + L / quad) with
+    h = lin / 2 quad: 0 for an infinite quad (pi y0 beyond the float
+    range) and a finite lin, nan when both are infinite."""
+    L = math.log(1.0 / policy.tail_bound)
+    with _overflow_to_inf(y0):
+        quad = math.pi * y0 / two_m
         h = lin / (2.0 * quad)
         x = h + _sqrt(h * h + L / quad)
     return _check_radius(x, 1, policy)
@@ -390,10 +428,13 @@ def _stack_mask(radius, keep):
 
 def _masked_exp(expo, mask):
     """exp of a batched exponent jet, with masked (0) entries set to 0
-    without evaluating their exponentials."""
+    without evaluating their exponentials: the kept entries are selected,
+    so a masked exponent beyond the float range (-inf) gives 0 too."""
     if mask is None:
         return expo.exp()
-    return (expo * mask).exp() * mask
+    keep = mask[..., None] != 0
+    kept = Jet(expo.order, np.where(keep, expo.c, 0)).exp()
+    return Jet(expo.order, np.where(keep, kept.c, 0))
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +447,7 @@ def jacobi_theta_jet(tau, z, policy=None):
     require_upper_half_plane("theta", tau.value, z=z.value)
     y0 = tau.value.imag
     v0 = z.value.imag
-    radius = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
+    radius = _gaussian_radius(y0, 1, TWO_PI * abs(v0), policy)
     R = _largest(radius)
     k = np.arange(-R, R + 2)  # r = k - 1/2 runs over -R - 1/2, ..., R + 1/2
     kk = _term_axis(k, tau, z)
@@ -438,9 +479,7 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     require_upper_half_plane("theta_{m,l}", tau.value, z=z.value)
     y0 = tau.value.imag
     v0 = z.value.imag
-    radius = _gaussian_radius(
-        math.pi * y0 / (2.0 * m), TWO_PI * abs(v0), policy.tail_bound, policy
-    )
+    radius = _gaussian_radius(y0, two_m, TWO_PI * abs(v0), policy)
     R = _largest(radius)
     l = l % two_m  # may be half-integral for odd 2m
     t_lo = -int((R + l) // two_m) - 1

@@ -146,16 +146,18 @@ def _rows(names, gap, points, tol):
             for name, row in zip(names, values)]
 
 
-def _stacked(handles, picks=None):
+def _stacked(handles, picks=None, reach=0):
     """One handle over the given handles, whose jet on any coordinates is
     theirs, each evaluated alone on them, on a leading row axis, shape
     (rows, *points, M): each handle's jet as one row, or with picks, the
     rows picks[j] of the j-th (itself row-stacked) concatenated.  Operators,
     slashes and Taylor composition act row-wise on it, so each row is what
-    its handle gives alone, bit for bit."""
+    its handle gives alone, bit for bit.  With a reach, each handle is
+    evaluated at order max(order, reach) on the same base and truncated."""
 
     def je(jv):
-        jets = [h.jet_at(jv).c for h in handles]
+        at = jv.at_base(reach) if reach > jv.order else jv
+        jets = [h.jet_at(at).truncate(jv.order).c for h in handles]
         if picks is None:
             return Jet(jv.order, np.stack(jets))
         return Jet(jv.order, np.concatenate([c[rows] for c, rows in zip(jets, picks)]))
@@ -191,8 +193,9 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
     handle phi, and phi slashed once per generator into another, phi_A,
     both shared by every operator.  Each operator is one image of phi_A on
     the left, and one image of phi, slashed once per generator, on the
-    right.  On one computation, each stack is evaluated once per base (the
-    points or their image under a generator) and jet order."""
+    right.  On one computation, each form stack is evaluated once per
+    generator base (the image of the points), at order COVARIANCE_REACH,
+    and both sides compose or truncate that jet."""
     jv = _at(points)
     stacks = {}  # (action kind, weight/index) -> (phi, phi_A)
 
@@ -201,7 +204,7 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
         order."""
         key = (group[0].action_kind, group[0].weight_index)
         if key not in stacks:
-            phi = replace(group[0], f=_stacked([f.f for f in group]))
+            phi = replace(group[0], f=_stacked([f.f for f in group], reach=COVARIANCE_REACH))
             slashes = [apply_slash(phi, A).f for A in gens.values()]
             stacks[key] = phi, replace(phi, f=_stacked(slashes, [slice(None)] * len(slashes)))
         phi, phi_A = stacks[key]
@@ -245,6 +248,10 @@ COVARIANCE_OPS = (
     "xiH", "xiSkH", "xi", "xiSk",
 )
 
+# the largest jet-order loss among COVARIANCE_OPS (xi and xiSk): the order
+# the covariance forms are evaluated at, whichever operators a call checks
+COVARIANCE_REACH = 2
+
 
 def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
     """verify_covariance on the catalog forms COVARIANCE_FORMS, for every
@@ -282,21 +289,9 @@ XI_TABLE_PARAMS = (
 
 
 def _kernel_family(params):
-    """The eight kernel terms at params (KERNEL_TERMS) as one handle.  The
-    memo holds its highest order asked for and serves a lower one as its
-    truncation: the kernel terms' jets truncate bit for bit (a series'
-    radius depends on the order, so its jets are never truncated)."""
-    key = ("kernel family", params)
-
-    def je(jv):
-        if not jv.plain:
-            return kernel_family_jet(params, KERNEL_TERMS, jv)
-        held = jv.held.get(key)
-        if held is None or held.order < jv.order:
-            held = jv.held[key] = kernel_family_jet(params, KERNEL_TERMS, jv)
-        return held.truncate(jv.order)
-
-    return FunctionHandle(jet_fn=je)
+    """The eight kernel terms at params (KERNEL_TERMS) as one handle, whose
+    jets truncate bit for bit."""
+    return FunctionHandle(jet_fn=lambda jv: kernel_family_jet(params, KERNEL_TERMS, jv))
 
 
 def verify_kernel_annihilation(params_list, points, tol=1e-7):
@@ -305,7 +300,7 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
     of params_list.
 
     Each set's terms are one kernel family, evaluated once at the Casimir
-    order (the Heisenberg Laplace order is its truncation).  Per
+    order 3 (the Heisenberg Laplace order is its truncation).  Per
     weight/index, one Casimir image of every set's four standard terms, one
     skew Casimir image of their skew terms and one Heisenberg Laplace image
     of all of them."""
@@ -318,7 +313,8 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
         def image_rows(op_name, identity, terms):
             # the Heisenberg Laplacian equals its skew version, so it takes
             # the skew kernel terms as they are
-            stack = TaggedForm(_stacked(families, [terms] * len(group)), wi, input_kind(op_name))
+            stack = TaggedForm(_stacked(families, [terms] * len(group), reach=3), wi,
+                               input_kind(op_name))
             out = apply_operator(op_name, stack).f
             names = [
                 "kernel-annihilation:%s(c%d%s)@%s"
@@ -327,7 +323,6 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
             ]
             return _rows(names, lambda jv: out.jet_at(jv).value, jv, tol)
 
-        # the Casimir image first: it asks for the highest order
         casimir = image_rows("Casimir", "Casimir", slice(0, 4))
         casimir_sk = image_rows("CasimirSk", "Casimir", slice(4, 8))
         laplace = image_rows("LaplaceH", "LaplaceH", slice(0, 8))
@@ -346,10 +341,10 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
     the order of params_list: xi-operator image minus the expected multiple
     of a kernel term.
 
-    Each set's terms are one kernel family; per weight/index, each xi
-    operator is one image of its rows' terms over all the sets, and the
-    targets are one order-0 kernel family per partner parameter set, of the
-    terms the rows name."""
+    Each set's terms are one kernel family, evaluated once at order 2 (the
+    largest xi loss); per weight/index, each xi operator is one image of its
+    rows' terms over all the sets, and the targets are one order-0 kernel
+    family per partner parameter set, of the terms the rows name."""
     jv = _at(points)
 
     def checks(group):
@@ -361,7 +356,7 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
         for op_name in ops:
             terms = [[KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
                      for table in tables]
-            stack = TaggedForm(_stacked(families, terms), wi, input_kind(op_name))
+            stack = TaggedForm(_stacked(families, terms, reach=2), wi, input_kind(op_name))
             images.append(apply_operator(op_name, stack).f)
         # every row: (its set's index, case, constant, target (i, skew, params) or None)
         rows = [(j, row[0], row[3], row[4]) for op_name in ops

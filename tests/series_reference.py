@@ -40,7 +40,7 @@ def jacobi_theta(tau, z, policy=None):
     v0 = z.value.imag
     if not y0 > 0:
         raise DomainError("theta requires Im(tau) > 0")
-    R = _gaussian_radius(math.pi * y0, TWO_PI * abs(v0), policy.tail_bound, policy)
+    R = _gaussian_radius(y0, 1, TWO_PI * abs(v0), policy)
     total = Jet.constant(0.0, tau.order)
     r = -R - 0.5
     while r <= R + 0.5:
@@ -57,9 +57,7 @@ def theta_ml(two_m, l, tau, z, policy=None):
     m = two_m / 2.0
     y0 = tau.value.imag
     v0 = z.value.imag
-    R = _gaussian_radius(
-        math.pi * y0 / (2.0 * m), TWO_PI * abs(v0), policy.tail_bound, policy
-    )
+    R = _gaussian_radius(y0, two_m, TWO_PI * abs(v0), policy)
     l = l % two_m
     total = Jet.constant(0.0, tau.order)
     t_lo = -int((R + l) // two_m) - 1
@@ -123,9 +121,7 @@ def mu_m(two_m, tau, z1, z2, policy=None):
 
     _check_theta_pole(tau_val, z2.value)
     theta_inv_pow = jacobi_theta(tau, z2, policy).reciprocal() ** two_m
-    radius = _gaussian_radius(
-        math.pi * y0, math.pi * y0 + TWO_PI * abs(v2), policy.tail_bound, policy
-    )
+    radius = _gaussian_radius(y0, 1, math.pi * y0 + TWO_PI * abs(v2), policy)
     states = lattice_states(two_m, radius)
 
     base_s2 = (1j * math.pi * tau).exp()

@@ -215,7 +215,12 @@ def test_theta_series_at_huge_im_tau_keep_their_constant_term(args, want, tau):
      lambda: mpmath.exp(-2 * mpmath.pi) * mpmath.gammainc(172, -3 * mpmath.pi)),
     # H(w) = e^(-w) Gamma(172, -2w)
     (("H", "--k", "-170.5", "--w", "5"), lambda: mpmath.exp(-5) * mpmath.gammainc(172, -10)),
-], ids=["c2", "H"])
+    # c2 at tau = 200i, z = 0, n = 0: Gamma(172, 200 pi) = 5.6e205, while
+    # G_171(w) = e^(200 pi) Gamma(172, 200 pi) at w = -100 pi is beyond the
+    # float range: the term folds log G into its exponent
+    (("c2", "--k", "-170.5", "--m", "1", "--n", "0", "--r", "1", "--tau", "0+200i"),
+     lambda: mpmath.gammainc(172, 200 * mpmath.pi)),
+], ids=["c2", "H", "c2-large-G"])
 def test_eval_at_large_exponent_matches_mpmath(args, want, capsys):
     code, out, err = run_main(capsys, "eval", *args)
     assert code == 0, err

@@ -13,6 +13,7 @@ from mjlab.core import (
     JetVars,
     TruncationPolicy,
     WeightIndex,
+    _compose_taylor,
     exp_qn_zeta_r,
     finite_difference_jet,
     half_integer,
@@ -277,16 +278,45 @@ def test_memo_serves_no_other_order_stack_or_point():
 
 
 def test_memo_never_serves_transformed_coordinates():
-    f, calls = counting_handle()
+    """A handle on transformed coordinates is evaluated once, on plain jets
+    at their base held in that base's memo, and each request composes its
+    jet there with them afresh; its jet function never sees transformed
+    coordinates."""
+    seen = []
+
+    def je(jv):
+        seen.append((jv.order, jv.plain))
+        return jv.tau * jv.z
+
+    f = FunctionHandle(jet_fn=je, label="tau z")
     plain = JetVars.at(STACK, 1)
     moved = JetVars.from_complex(plain.tau * 2.0, plain.taubar * 2.0, plain.z, plain.zbar)
     assert not moved.plain
     f.jet_at(plain)
     out = [f.jet_at(moved) for _ in range(2)]
-    assert len(calls) == 3
-    assert out[0] is not out[1] and np.array_equal(out[0].c, out[1].c)
+    assert seen == [(1, True), (1, True)]
     # the plain coordinates at the transformed base have a memo of their own
     at_moved = moved.at_base(1)
     assert at_moved.held is moved.held and at_moved.held is not plain.held
-    assert f.jet_at(at_moved) is f.jet_at(moved.at_base(1))
-    assert len(calls) == 4
+    table = f.jet_at(at_moved)
+    assert len(seen) == 2
+    want = _compose_taylor(table, moved, moved.base)
+    assert out[0] is not out[1]
+    for jet in out:
+        assert jet.order == 1 and bits(jet) == bits(want)
+
+
+def test_a_lower_plain_order_is_evaluated_afresh_not_truncated():
+    """A plain request at order n is always an evaluation at order n: a
+    series' jets do not truncate bit for bit (its radius depends on the
+    order), so the order-0 value after an order-1 request on the same
+    computation is the one a computation of its own gives (mu_hat's
+    truncated order-1 value differs from it in the last bits)."""
+    f, calls = counting_handle()
+    jv = JetVars.at(STACK, 0)
+    f.jet_at(jv.extend(1))
+    assert f.jet_at(jv).order == 0
+    assert calls == [1, 0]
+    h = mu_hat_ml_handle(2, 0.0)
+    h.jet_at(jv.extend(1))
+    assert bits(h.jet_at(jv)) == bits(h.jet_at(JetVars.at(STACK, 0)))

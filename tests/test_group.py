@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from mjlab import group
 from mjlab.core import EvalPoint, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import (
@@ -171,7 +172,7 @@ def test_slash_of_a_row_stack_is_the_stack_of_its_rows_slashes(gen, order):
                 assert np.array_equal(row, want)
 
 
-def test_memo_holds_one_frame_per_element_index_and_order():
+def test_memo_holds_one_frame_per_element_index_and_order(monkeypatch):
     stack = GENERIC_POINTS[:3]
     jv = JetVars.at(stack, 1)
     first = _slash_frame(GEN_S, -1.0, jv)
@@ -193,10 +194,20 @@ def test_memo_holds_one_frame_per_element_index_and_order():
     assert _slash_frame(GEN_S, 1.0, jv.extend(1)).jv.held is first.jv.held
     assert _slash_frame(GEN_T, -1.0, jv).jv.held is not first.jv.held
     assert first.jv.held is not jv.held
-    # frames on transformed coordinates are computed afresh
-    transformed = first.jv
-    assert not transformed.plain
-    again = _slash_frame(GEN_T, -1.0, transformed)
-    assert again is not _slash_frame(GEN_T, -1.0, transformed)
-    assert np.array_equal(again.index_factor.c,
-                          _slash_frame(GEN_T, -1.0, transformed).index_factor.c)
+    # a slash of a slash builds every frame on plain coordinates: the outer
+    # one at the points, the inner one at their image under the outer
+    # element, where the slashed form is evaluated and composed
+    frames, frame = [], group._frame
+
+    def counted_frame(A, m, jv, held):
+        frames.append((A, jv.order, jv.plain, jv.base))
+        return frame(A, m, jv, held)
+
+    monkeypatch.setattr(group, "_frame", counted_frame)
+    phi = TaggedForm(theta_ml_handle(2, 0.0), WeightIndex(1, 2))
+    fresh = JetVars.at(stack, 1)
+    apply_slash(apply_slash(phi, GEN_S), GEN_T).f.jet_at(fresh)
+    assert [(A, order, on_plain) for A, order, on_plain, _ in frames] == [
+        (GEN_T, 1, True), (GEN_S, 1, True)]
+    image = _slash_frame(GEN_T, 1.0, fresh).jv.base
+    assert all(np.array_equal(a, b) for a, b in zip(frames[1][3], image))

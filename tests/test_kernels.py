@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from fd_reference import bits, reference_fd_jet
 
+from mjlab import kernels
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex, finite_difference_jet
 from mjlab.errors import DomainError, NotThetaDecomposable, ValueOverflow
 from mjlab.jets import Jet
@@ -281,6 +282,26 @@ def test_a_family_raises_what_its_first_failing_term_raises():
     with pytest.raises(ValueOverflow) as stacked:
         kernel_family_jet(big, ((1, False), (2, False), (4, False)), jv)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("order", (0, 1, 3))
+@pytest.mark.parametrize("params", [KernelParams.of(-3.5, 1, 0, 1), KernelParams.of(-2.5, -1, 1, 1)],
+                         ids=repr)
+def test_a_family_with_log_g_folded_is_the_family(params, order, monkeypatch):
+    """Where G leaves the float range, the c2/c4 terms fold log |G| into
+    their exponent: forced where G is finite (G > 0 and G < 0, at x = -2w
+    of both signs), that form is the family to 1e-13."""
+    for points in (GENERIC_POINTS[0], GENERIC_POINTS):
+        jv = JetVars.at(points, order)
+        want = kernel_family_jet(params, KERNEL_TERMS, jv).c
+
+        def overflow(arg, k):
+            raise ValueOverflow("G")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "G_jet", overflow)
+            got = kernel_family_jet(params, KERNEL_TERMS, jv).c
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,21 @@ def test_one_failing_row_raises_its_error(fn, args, error):
         fn(*args)
 
 
+@pytest.mark.parametrize("order", (0, 1))
+def test_a_stack_reaching_huge_im_tau_is_its_one_point_stacks(order):
+    """At Im(tau) = 1e308, pi Im(tau) is beyond the float range: a stack's
+    radius arithmetic takes the inf without a warning (an error under the
+    test filters), and that point's masked terms, whose exponents are
+    -inf, are 0, not nan."""
+    points = (EvalPoint(0.0, 1.0, 0.1, 0.0), EvalPoint(0.0, 1e308, 0.1, 0.0))
+    for fn in (lambda jv: jacobi_theta_jet(jv.tau, jv.z),
+               lambda jv: theta_ml_jet(2, 0.0, jv.tau, jv.z)):
+        rows = fn(JetVars.at(points, order)).c
+        for p, row in zip(points, rows):
+            single = fn(JetVars.at([p], order)).c[0]
+            assert np.max(np.abs(row - single)) <= 1e-13 * np.max(np.abs(single)), p
+
+
 # the completed components at every rank and label, Im(tau) in {0.5, 1.2, 3}
 # and Im(z) / Im(tau) in {-0.95, 0, 0.95}, many of which overflow alone
 PROBE_POINTS = [EvalPoint(0.1, y, 0.2, a * y) for y in (0.5, 1.2, 3.0) for a in (-0.95, 0.0, 0.95)]

@@ -5,21 +5,23 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mjlab import cli, group
+from mjlab import cli, group, kernels, mu, special
 from mjlab.catalog import build
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
 from mjlab.kernels import kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
-from mjlab.operators import apply_operator, input_kind
+from mjlab.operators import _entry, apply_operator, input_kind
 from mjlab.special import theta_ml_jet
 from mjlab.verify import (
     COVARIANCE_OPS,
+    COVARIANCE_REACH,
     GENERATORS,
     GENERIC_POINTS,
     GENERIC_POINTS_10,
@@ -27,6 +29,7 @@ from mjlab.verify import (
     SUITES,
     XI_TABLE_PARAMS,
     SuiteResult,
+    _stacked,
     COVARIANCE_FORMS,
     factorization_checks,
     lapK_factorization,
@@ -140,18 +143,19 @@ def test_nan_residual_fails_the_check(nan_at):
 def unshared_covariance_rows(points):
     """(identity, max residual) of every covariance check in the suite's
     order, each built from fresh catalog, operator and slash handles and
-    evaluated on its own."""
+    evaluated on its own, its form a stack of one at the suite's reach."""
     rows = []
     for op_name in COVARIANCE_OPS:
         for gname, A in GENERATORS.items():
             forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
-            for phi in (f for f in forms if f.action_kind == input_kind(op_name)):
+            for form in (f for f in forms if f.action_kind == input_kind(op_name)):
+                phi = replace(form, f=_stacked([form.f], reach=COVARIANCE_REACH))
                 lhs = apply_operator(op_name, apply_slash(phi, A)).f
                 rhs = apply_slash(apply_operator(op_name, phi), A).f
                 jv = JetVars.at(points, 0)
                 gap = lhs.jet_at(jv).value - rhs.jet_at(jv).value
                 rows.append(
-                    ("covariance:%s|%s on %s" % (op_name, gname, phi.f.label),
+                    ("covariance:%s|%s on %s" % (op_name, gname, form.f.label),
                      float(np.max(np.abs(gap))))
                 )
     return rows
@@ -160,6 +164,47 @@ def unshared_covariance_rows(points):
 def test_covariance_suite_equals_its_checks_built_unshared():
     got = [(res.identity, res.max_residual) for res in suite_covariance()]
     assert got == unshared_covariance_rows(GENERIC_POINTS[:3])
+
+
+def test_covariance_reach_is_the_largest_loss_of_its_operators():
+    wi = WeightIndex(1, -2)
+    assert COVARIANCE_REACH == max(_entry(op_name)[0](wi.k, wi.m).loss
+                                   for op_name in COVARIANCE_OPS)
+
+
+def test_covariance_evaluates_each_form_once_per_generator_base(monkeypatch):
+    """One suite call evaluates each catalog form 4 times, once per
+    generator base, on plain coordinate jets of order 2: theta_ml and
+    mu_hat_ml 4 times each, the kernel family 12 times for its three
+    forms."""
+    calls = {}
+    # the tau jet of plain coordinates, less its value
+    plain_tau = JetVars(*JetVars._plain((0.0, 0.0, 0.0, 0.0), COVARIANCE_REACH), True).tau
+
+    def counted(name, module, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args):
+            tau = args[-1].tau if name == "kernel" else args[2]
+            on_plain = tau.order == COVARIANCE_REACH and np.array_equal(
+                tau.c[..., 1:], np.broadcast_to(plain_tau.c[1:], tau.c[..., 1:].shape))
+            calls.setdefault(name, []).append(on_plain)
+            return fn(*args)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted("theta_ml", special, "theta_ml_jet")
+    counted("mu_hat_ml", mu, "mu_hat_component_jet")
+    counted("kernel", kernels, "kernel_family_jet")
+    suite_covariance()
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "theta_ml": 4, "mu_hat_ml": 4, "kernel": 12}
+    assert all(all(seen) for seen in calls.values())
+
+
+def test_covariance_rows_keep_half_their_tolerance():
+    for res in suite_covariance(points=GENERIC_POINTS[:3]):
+        assert res.max_residual <= res.tol / 2, res.identity
 
 
 def test_covariance_cli_filter_prints_the_rows_of_the_full_suite(capsys):
