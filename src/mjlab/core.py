@@ -267,6 +267,8 @@ def _compose_taylor(table_jet, jv, base):
     or per stacked operand and point) on transformed coordinate jets.  The
     result keeps the table's batch shape, also when every coefficient is
     zero."""
+    if table_jet.order == jv.order == 0:  # a constant on constants
+        return table_jet
     dx = jv.x - base[0]
     dy = jv.y - base[1]
     du = jv.u - base[2]
@@ -284,10 +286,11 @@ def _compose_taylor(table_jet, jv, base):
         coef = table_jet.c[..., i]
         if not coef.any():
             continue
-        term = Jet.constant(coef, jv.order)
-        for var_jet, e in zip((dx, dy, du, dv), mon):
-            if e:
-                term = term * power(var_jet, e)
+        factors = [power(var_jet, e) for var_jet, e in zip((dx, dy, du, dv), mon) if e]
+        # scaled row by row, as a constant jet's product would be, less its zeros
+        term = factors[0] * coef if factors else Jet.constant(coef, jv.order)
+        for factor in factors[1:]:
+            term = term * factor
         out = out + term
     return out
 
