@@ -160,40 +160,45 @@ class TruncationPolicy:
 
 
 class JetVars:
-    """The four coordinate jets at a base point, or transformed versions
-    of them (after a group action).  At a stack of P points each coordinate
-    jet has c.shape == (P, M): every function evaluated on them returns one
-    row per point.
+    """The four coordinate jets x, y, u, v (`Jet.variable`) at a base point.
+    At a stack of P points each coordinate jet has c.shape == (P, M): every
+    function evaluated on them returns one row per point.
 
     `held` is the memo of a computation (`at` starts one), shared by every
-    plain order of its base: coordinate jets by order, handle jets by
-    (handle, order), and `group`'s slash frames and transformed-base memos.
-    Transformed coordinates carry the memo of their own base, which holds
-    the plain jets `FunctionHandle.jet_at` composes with them.  Nothing in a
-    memo refers back to it, so reference counting frees it."""
+    order of its base: coordinate jets by order, handle jets by (handle,
+    order), and `group`'s slash frames by (element, order) with the memo of
+    each element's transformed base.  Nothing in a memo refers back to it,
+    so reference counting frees it."""
 
-    __slots__ = ("x", "y", "u", "v", "order", "plain", "held")
+    __slots__ = ("x", "y", "u", "v", "order", "held")
 
-    def __init__(self, x, y, u, v, plain=False, held=None):
+    def __init__(self, x, y, u, v, held=None):
         self.x = x
         self.y = y
         self.u = u
         self.v = v
         self.order = x.order
-        self.plain = plain
         self.held = {} if held is None else held
 
     @classmethod
     def at(cls, p, order):
-        """Plain coordinate jets at an EvalPoint, or at a sequence of them
-        (a stack): the start of a computation, with a memo of its own."""
+        """Coordinate jets at an EvalPoint, or at a sequence of them (a
+        stack): the start of a computation, with a memo of its own."""
         if isinstance(p, EvalPoint):
             base = (p.x, p.y, p.u, p.v)
         else:
             base = np.array([[q.x for q in p], [q.y for q in p], [q.u for q in p],
                              [q.v for q in p]], dtype=float)
-        coords = cls._plain(base, order)
-        return cls(*coords, True, {order: coords})
+        return cls.held_at(base, order, {})
+
+    @classmethod
+    def held_at(cls, base, order, held):
+        """Coordinate jets of the given order at the base values (x, y, u,
+        v), made once per memo `held`."""
+        coords = held.get(order)
+        if coords is None:
+            coords = held[order] = cls._plain(base, order)
+        return cls(*coords, held)
 
     @staticmethod
     def _plain(base, order):
@@ -234,61 +239,39 @@ class JetVars:
         return Jet(self.u.order, self.u.c - self.v.c * 1j)
 
     def at_base(self, order):
-        """Plain coordinate jets of the given order at the base point (or
-        stack) of these jets, made once per memo."""
-        coords = self.held.get(order)
-        if coords is None:
-            coords = self.held[order] = JetVars._plain(self.base, order)
-        return JetVars(*coords, True, self.held)
+        """Coordinate jets of the given order at the same base point (or
+        stack), made once per memo."""
+        return JetVars.held_at(self.base, order, self.held)
 
     def extend(self, extra):
-        """Plain coordinate jets at the same base point with a higher order."""
-        if not self.plain:
-            raise JetUnavailable("cannot extend non-plain jet variables")
+        """Coordinate jets at the same base point with a higher order."""
         return self.at_base(self.order + extra)
 
-    @classmethod
-    def from_complex(cls, tau, taubar, z, zbar, held=None):
-        """Build transformed coordinates from holomorphic/antiholomorphic
-        jets, with the memo `held` of their base (a fresh one if None)."""
-        return cls(
-            (tau + taubar) * 0.5,
-            (tau - taubar) * (-0.5j),
-            (z + zbar) * 0.5,
-            (z - zbar) * (-0.5j),
-            plain=False,
-            held=held,
-        )
 
-
-def _compose_taylor(table_jet, jv, base):
-    """Evaluate a Taylor polynomial (given as a plain-coordinate Jet at the
-    base values (x, y, u, v), one row of coefficients per point of a stack,
-    or per stacked operand and point) on transformed coordinate jets.  The
-    result keeps the table's batch shape, also when every coefficient is
-    zero."""
-    if table_jet.order == jv.order == 0:  # a constant on constants
+def _compose_taylor(table_jet, shift, order):
+    """Evaluate a Taylor polynomial (a coordinate Jet at a base point, one
+    row of coefficients per point of a stack, or per stacked operand and
+    point) at the base moved by `shift`, the four displacement jets (dx,
+    dy, du, dv) of the given order.  The result keeps the table's batch
+    shape, also when every coefficient is zero."""
+    if table_jet.order == order == 0:  # a constant on constants
         return table_jet
-    dx = jv.x - base[0]
-    dy = jv.y - base[1]
-    du = jv.u - base[2]
-    dv = jv.v - base[3]
-    out = Jet.constant(np.zeros(table_jet.c.shape[:-1]), jv.order)
+    out = Jet.constant(np.zeros(table_jet.c.shape[:-1]), order)
     powers = {}
 
-    def power(j, n):
-        key = (id(j), n)
+    def power(var, n):
+        key = (var, n)
         if key not in powers:
-            powers[key] = j ** n
+            powers[key] = shift[var] ** n
         return powers[key]
 
     for i, mon in enumerate(monomials(table_jet.order)):
         coef = table_jet.c[..., i]
         if not coef.any():
             continue
-        factors = [power(var_jet, e) for var_jet, e in zip((dx, dy, du, dv), mon) if e]
+        factors = [power(var, e) for var, e in enumerate(mon) if e]
         # scaled row by row, as a constant jet's product would be, less its zeros
-        term = factors[0] * coef if factors else Jet.constant(coef, jv.order)
+        term = factors[0] * coef if factors else Jet.constant(coef, order)
         for factor in factors[1:]:
             term = term * factor
         out = out + term
@@ -311,13 +294,8 @@ class FunctionHandle:
         return self._jet_fn(JetVars.at(p, 0)).value
 
     def jet_at(self, jv):
-        """Jet of this function on the given (possibly transformed)
-        coordinates.  On plain coordinates it is made once per computation:
-        held in their memo by (handle, order).  On transformed ones it is
-        that plain jet at their base composed with them, so the jet function
-        sees only plain coordinates."""
-        if not jv.plain:
-            return _compose_taylor(self.jet_at(jv.at_base(jv.order)), jv, jv.base)
+        """Jet of this function on the coordinate jets jv, made once per
+        computation: held in their memo by (handle, order)."""
         key = (self, jv.order)
         jet = jv.held.get(key)
         if jet is None:

@@ -5,19 +5,20 @@ Elements carry an SL2 part, a branch sign for sqrt(c tau + d) relative to
 the principal branch, a Heisenberg part (lambda, mu) and a central kappa.
 Cocycle signs for products are resolved numerically at the reference point
 tau = i rather than by a symbolic 2-cocycle table.  A slash by an element
-at an index takes everything it needs of the coordinates, whatever the
-weight and the form, from one SlashFrame, made once per computation on
-plain coordinates and held in its memo (`JetVars.held`).  Its transformed
-coordinates carry the memo of the transformed base, which every frame of
-the element shares: a form is evaluated there on plain jets, once per
-transformed base and order (`FunctionHandle.jet_at`), so a slash of a slash
-makes its inner frame on plain coordinates too.
+takes everything it needs of the coordinates, whatever the weight, the
+index and the form, from one SlashFrame, made once per computation and jet
+order and held in its memo (`JetVars.held`).  The frame holds the
+coordinate jets at the transformed base point, with that point's memo,
+which every frame of the element shares, and the shift from that base to
+the transformed coordinates: a form is evaluated there once per order and
+its jet composed with the shift, so a slash of a slash makes its inner
+frame at the transformed base.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .core import FunctionHandle, JetVars, TaggedForm, principal_sqrt
+from .core import FunctionHandle, JetVars, TaggedForm, _compose_taylor, principal_sqrt
 from .errors import DomainError
 from .jets import Jet
 
@@ -101,7 +102,7 @@ def group_word(*elements):
     return out
 
 
-def group_inverse(A):
+def _group_inverse(A):
     inv = JacobiGroupElement(
         a=A.d,
         b=-A.b,
@@ -117,34 +118,32 @@ def group_inverse(A):
     return inv
 
 
-def _index_exponent(A, m, tau, z, zs, inv):
-    # e^(2 pi i m (-c (z + lam tau + mu)^2 / (c tau + d)
-    #              + lam^2 tau + 2 lam z + lam mu + kappa))
-    inner = (
-        -A.c * zs * zs * inv
-        + A.lam * A.lam * tau
-        + 2.0 * A.lam * z
-        + (A.lam * A.mu + A.kappa)
-    )
-    return (2j * math.pi * m * inner).exp()
-
-
 @dataclass(frozen=True)
 class SlashFrame:
-    """What a slash by A at index m needs of the coordinates jv, whatever
-    the weight and the form: the transformed coordinates, den = c tau + d
-    and its conjugate, the root omega of c tau + d and the index factor."""
+    """What a slash by A needs of the coordinates jv, whatever the weight,
+    the index and the form: the coordinate jets at the transformed base
+    point (with the memo of that point), `shift`, the transformed
+    coordinates less that base, den = c tau + d and its conjugate, the root
+    omega of c tau + d, and the index exponent
+    -c (z + lam tau + mu)^2 / (c tau + d) + lam^2 tau + 2 lam z + lam mu + kappa,
+    which the index m turns into the factor e^(2 pi i m index)."""
 
-    jv: JetVars
+    base: JetVars
+    shift: tuple
     den: Jet
     denbar: Jet
     root: Jet
-    index_factor: Jet
+    index: Jet
 
 
-def _frame(A, m, jv, held):
-    """The SlashFrame of A at index m on the plain coordinates jv, its
-    transformed coordinates carrying the memo `held`."""
+def _frame(A, jv):
+    """The SlashFrame of A on the coordinates jv, held in their memo by
+    (A, order); its base carries the memo held there by A, which every
+    frame of A shares whatever the order."""
+    key = (A, jv.order)
+    frame = jv.held.get(key)
+    if frame is not None:
+        return frame
     tau = jv.tau
     taubar = jv.taubar
     z = jv.z
@@ -159,35 +158,40 @@ def _frame(A, m, jv, held):
     taubar2 = (A.a * taubar + A.b) * invbar
     z2 = zs * inv
     zbar2 = zsbar * invbar
-    jv2 = JetVars.from_complex(tau2, taubar2, z2, zbar2, held)
-    root = A.eps * den.cpow(0.5)  # the branch omega of sqrt(c tau + d)
-    return SlashFrame(jv2, den, denbar, root, _index_exponent(A, m, tau, z, zs, inv))
-
-
-def _slash_frame(A, m, jv):
-    """The SlashFrame of A at index m on the plain coordinates jv, held in
-    their memo by (A, m, order), its transformed coordinates carrying the
-    memo held there by A (the A-transformed base's, whatever the index and
-    the order)."""
-    key = (A, m, jv.order)
-    frame = jv.held.get(key)
-    if frame is None:
-        frame = jv.held[key] = _frame(A, m, jv, jv.held.setdefault(A, {}))
+    moved = ((tau2 + taubar2) * 0.5, (tau2 - taubar2) * (-0.5j),
+             (z2 + zbar2) * 0.5, (z2 - zbar2) * (-0.5j))
+    base = tuple(j.value.real for j in moved)
+    index = (
+        -A.c * zs * zs * inv
+        + A.lam * A.lam * tau
+        + 2.0 * A.lam * z
+        + (A.lam * A.mu + A.kappa)
+    )
+    frame = jv.held[key] = SlashFrame(
+        JetVars.held_at(base, jv.order, jv.held.setdefault(A, {})),
+        tuple(j - b for j, b in zip(moved, base)),
+        den,
+        denbar,
+        A.eps * den.cpow(0.5),  # the branch omega of sqrt(c tau + d)
+        index,
+    )
     return frame
 
 
 def _slashed(phi, A, kind, weigh):
-    """phi slashed by A with the action of the given kind: phi at the
-    transformed coordinates, times the weight factor that
-    weigh(F, root, den, denbar) applies to it, times the index factor."""
+    """phi slashed by A with the action of the given kind: phi's jet at the
+    transformed base composed with the shift to the transformed coordinates,
+    times the weight factor that weigh(F, root, den, denbar) applies to it,
+    times the index factor."""
     if phi.action_kind != kind:
         raise DomainError("the %s slash needs a %s-action form" % (kind, kind))
     wi = phi.weight_index
     m = wi.m
 
     def je(jv):
-        fr = _slash_frame(A, m, jv)
-        return weigh(phi.f.jet_at(fr.jv), fr.root, fr.den, fr.denbar) * fr.index_factor
+        fr = _frame(A, jv)
+        F = _compose_taylor(phi.f.jet_at(fr.base), fr.shift, jv.order)
+        return weigh(F, fr.root, fr.den, fr.denbar) * (2j * math.pi * m * fr.index).exp()
 
     tag = "sk" if kind == "skew" else ""
     label = "(%s)|%s[%g,%g]" % (phi.f.label, tag, wi.k, wi.m)

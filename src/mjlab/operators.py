@@ -11,8 +11,8 @@ come from the plain coordinate jets at order n.  The first-order operators
 are written directly as maps; the composites are compositions (`@`) and
 linear combinations of them.  `image` is the one function that turns a map
 and an operand handle into a handle: it evaluates the operand once, at the
-image order plus the total loss.  After a slash, `FunctionHandle.jet_at`
-composes the image's plain jet at the transformed base with the transformed
+image order plus the total loss.  A slash of an image evaluates it at the
+transformed base and composes its jet with the shift to the transformed
 coordinates, as it does for every handle, so a map sees only plain ones.
 Every operand is an exact-jet handle.  The identities these operators
 satisfy are checked in `mjlab.verify`.

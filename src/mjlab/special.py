@@ -36,7 +36,7 @@ _EULER_GAMMA = 0.57721566490153286061
 _EPS = 2.0 ** -53
 
 
-def exp1(x):
+def _exp1(x):
     """E1(x) = int_x^infty e^(-t) / t dt for x > 0."""
     return _exp1_scaled(x) * math.exp(-x)
 
@@ -83,7 +83,7 @@ def _gamma_cf(a, x):
             return h
 
 
-def expi(x):
+def _expi(x):
     """Ei(x) = PV int_-infty^x e^t / t dt for x > 0; OverflowError where
     e^x is beyond the floating-point range."""
     return math.exp(x) * _expi_scaled(x)

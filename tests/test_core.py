@@ -27,6 +27,7 @@ from mjlab.errors import (
     StencilOutOfDomain,
     ZeroArgument,
 )
+from mjlab.group import GEN_S, TaggedForm, _frame, slash
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.special import jacobi_theta_handle, theta_ml_handle, zwegers_R_handle
 
@@ -213,15 +214,6 @@ def test_finite_difference_steps_by_fd_step():
         finite_difference_jet(coarse, p, 2)
 
 
-def test_jetvars_extend_only_plain():
-    p = EvalPoint(0.0, 1.0)
-    jv = JetVars.at(p, 1)
-    assert jv.extend(1).order == 2
-    mixed = JetVars.from_complex(jv.tau, jv.taubar, jv.z, jv.zbar)
-    with pytest.raises(JetUnavailable):
-        mixed.extend(1)
-
-
 # ----------------------------------------------------------------------
 # the memo of a computation: JetVars.at starts one
 
@@ -277,33 +269,36 @@ def test_memo_serves_no_other_order_stack_or_point():
     assert np.array_equal(f.jet_at(others[1]).c, first.c)
 
 
-def test_memo_never_serves_transformed_coordinates():
-    """A handle on transformed coordinates is evaluated once, on plain jets
-    at their base held in that base's memo, and each request composes its
-    jet there with them afresh; its jet function never sees transformed
-    coordinates."""
+def test_a_slash_composes_the_plain_jet_at_its_transformed_base():
+    """A slashed jet is, bit for bit, the form's jet at the frame's base
+    composed with the frame's shift, times the weight and index factors.
+    That jet is made once, held in the memo of the transformed base, and
+    serves every weight; the jet function sees only coordinate jets as
+    `JetVars.at` builds them."""
     seen = []
 
     def je(jv):
-        seen.append((jv.order, jv.plain))
+        seen.append(jv)
         return jv.tau * jv.z
 
     f = FunctionHandle(jet_fn=je, label="tau z")
-    plain = JetVars.at(STACK, 1)
-    moved = JetVars.from_complex(plain.tau * 2.0, plain.taubar * 2.0, plain.z, plain.zbar)
-    assert not moved.plain
-    f.jet_at(plain)
-    out = [f.jet_at(moved) for _ in range(2)]
-    assert seen == [(1, True), (1, True)]
-    # the plain coordinates at the transformed base have a memo of their own
-    at_moved = moved.at_base(1)
-    assert at_moved.held is moved.held and at_moved.held is not plain.held
-    table = f.jet_at(at_moved)
+    jv = JetVars.at(STACK, 1)
+    f.jet_at(jv)
+    weights = (WeightIndex(1, -2), WeightIndex(3, -2))
+    out = [slash(TaggedForm(f, wi), GEN_S).f.jet_at(jv) for wi in weights]
     assert len(seen) == 2
-    want = _compose_taylor(table, moved, moved.base)
-    assert out[0] is not out[1]
-    for jet in out:
+    frame = _frame(GEN_S, jv)
+    assert frame.base.held is jv.held[GEN_S] and frame.base.held is not jv.held
+    table = f.jet_at(frame.base)
+    assert len(seen) == 2 and seen[1].x is frame.base.x
+    for wi, jet in zip(weights, out):
+        want = (_compose_taylor(table, frame.shift, 1) * frame.root ** (-wi.two_k)
+                * (2j * math.pi * wi.m * frame.index).exp())
         assert jet.order == 1 and bits(jet) == bits(want)
+    for coords in seen:
+        plain = JetVars._plain(coords.base, coords.order)
+        got = (coords.x, coords.y, coords.u, coords.v)
+        assert [bits(c) for c in got] == [bits(c) for c in plain]
 
 
 def test_a_lower_plain_order_is_evaluated_afresh_not_truncated():

@@ -13,11 +13,11 @@ from mjlab.group import (
     GEN_T,
     IDENTITY,
     TaggedForm,
+    _frame,
+    _group_inverse,
     apply_slash,
-    group_inverse,
     group_multiply,
     group_word,
-    _slash_frame,
     heisenberg,
     skew_slash,
     slash,
@@ -48,7 +48,7 @@ def test_group_multiplication_is_associative():
 
 def test_inverse_and_identity():
     for a in random_elements(3, 6):
-        assert group_multiply(a, group_inverse(a)) == IDENTITY
+        assert group_multiply(a, _group_inverse(a)) == IDENTITY
         assert group_multiply(IDENTITY, a) == a
 
 
@@ -172,42 +172,42 @@ def test_slash_of_a_row_stack_is_the_stack_of_its_rows_slashes(gen, order):
                 assert np.array_equal(row, want)
 
 
-def test_memo_holds_one_frame_per_element_index_and_order(monkeypatch):
+def test_memo_holds_one_frame_per_element_and_order(monkeypatch):
     stack = GENERIC_POINTS[:3]
     jv = JetVars.at(stack, 1)
-    first = _slash_frame(GEN_S, -1.0, jv)
-    assert _slash_frame(GEN_S, -1.0, jv) is first
-    assert _slash_frame(GEN_S, -1.0, jv.extend(1).at_base(1)) is first
+    first = _frame(GEN_S, jv)
+    assert _frame(GEN_S, jv) is first
+    assert _frame(GEN_S, jv.extend(1).at_base(1)) is first
     moved = stack[:2] + (EvalPoint(0.31, 1.6, -0.12, 0.24),)
-    for A, m, other in (
-        (GEN_T, -1.0, jv),
-        (GEN_S, 1.0, jv),
-        (GEN_S, -1.0, jv.extend(1)),
-        (GEN_S, -1.0, JetVars.at(stack, 1)),  # another computation
-        (GEN_S, -1.0, JetVars.at(moved, 1)),
-        (GEN_S, -1.0, JetVars.at(stack[0], 1)),
+    for A, other in (
+        (GEN_T, jv),
+        (GEN_S, jv.extend(1)),
+        (GEN_S, JetVars.at(stack, 1)),  # another computation
+        (GEN_S, JetVars.at(moved, 1)),
+        (GEN_S, JetVars.at(stack[0], 1)),
     ):
-        out = _slash_frame(A, m, other)
-        assert out is not first and out is _slash_frame(A, m, other)
+        out = _frame(A, other)
+        assert out is not first and out is _frame(A, other)
     # the frames of one element share the memo of the transformed base,
-    # whatever the index and the order, and hold no other
-    assert _slash_frame(GEN_S, 1.0, jv.extend(1)).jv.held is first.jv.held
-    assert _slash_frame(GEN_T, -1.0, jv).jv.held is not first.jv.held
-    assert first.jv.held is not jv.held
-    # a slash of a slash builds every frame on plain coordinates: the outer
-    # one at the points, the inner one at their image under the outer
-    # element, where the slashed form is evaluated and composed
+    # whatever the order, and hold no other
+    assert _frame(GEN_S, jv.extend(1)).base.held is first.base.held
+    assert _frame(GEN_T, jv).base.held is not first.base.held
+    assert first.base.held is not jv.held
+    # a slash of a slash builds the outer element's frame at the points and
+    # the inner one's at their image under the outer element, where the
+    # slashed form is evaluated and composed
     frames, frame = [], group._frame
 
-    def counted_frame(A, m, jv, held):
-        frames.append((A, jv.order, jv.plain, jv.base))
-        return frame(A, m, jv, held)
+    def counted_frame(A, jv):
+        if (A, jv.order) not in jv.held:
+            frames.append((A, jv.order, jv.base))
+        return frame(A, jv)
 
     monkeypatch.setattr(group, "_frame", counted_frame)
     phi = TaggedForm(theta_ml_handle(2, 0.0), WeightIndex(1, 2))
     fresh = JetVars.at(stack, 1)
     apply_slash(apply_slash(phi, GEN_S), GEN_T).f.jet_at(fresh)
-    assert [(A, order, on_plain) for A, order, on_plain, _ in frames] == [
-        (GEN_T, 1, True), (GEN_S, 1, True)]
-    image = _slash_frame(GEN_T, 1.0, fresh).jv.base
-    assert all(np.array_equal(a, b) for a, b in zip(frames[1][3], image))
+    assert [(A, order) for A, order, _ in frames] == [(GEN_T, 1), (GEN_S, 1)]
+    assert all(np.array_equal(a, b) for a, b in zip(frames[0][2], fresh.base))
+    image = frame(GEN_T, fresh).base.base
+    assert all(np.array_equal(a, b) for a, b in zip(frames[1][2], image))

@@ -205,9 +205,9 @@ def test_taylor_composition_of_a_zero_table_keeps_its_batch_shape():
     """An all-zero table (two operand rows over the point stack) composes
     to zeros of its own batch shape, not to one unbatched zero."""
     plain = JetVars.at(STACK, 2)
-    moved = JetVars.from_complex(plain.tau * 2.0, plain.taubar * 2.0, plain.z, plain.zbar)
+    shift = (plain.x * 2.0, plain.y * 2.0, plain.u, plain.v)
     table = Jet(2, np.zeros((2, len(STACK), len(monomials(2))), dtype=complex))
-    out = _compose_taylor(table, moved, plain.base)
+    out = _compose_taylor(table, shift, 2)
     assert out.c.shape == table.c.shape and not out.c.any()
 
 
