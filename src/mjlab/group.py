@@ -4,19 +4,23 @@ slash actions.
 Elements carry an SL2 part, a branch sign for sqrt(c tau + d) relative to
 the principal branch, a Heisenberg part (lambda, mu) and a central kappa.
 Cocycle signs for products are resolved numerically at the reference point
-tau = i rather than by a symbolic 2-cocycle table.  A slash by an element
-takes everything it needs of the coordinates, whatever the weight, the
-index and the form, from one SlashFrame, made once per computation and jet
-order and held in its memo (`JetVars.held`).  The frame holds the
-coordinate jets at the transformed base point, with that point's memo,
-which every frame of the element shares, and the shift from that base to
-the transformed coordinates: a form is evaluated there once per order and
-its jet composed with the shift, so a slash of a slash makes its inner
-frame at the transformed base.
+tau = i rather than by a symbolic 2-cocycle table.  A slash is by one
+element, or by a sequence of them, one per point of the stack it is
+evaluated on, each point moved by its own element.  It takes everything it
+needs of the coordinates, whatever the weight, the index and the form, from
+one SlashFrame, made once per computation and jet order and held in its
+memo (`JetVars.held`).  The frame holds the coordinate jets at the
+transformed base point, with that point's memo, which every frame of the
+element (or sequence) shares, and the shift from that base to the
+transformed coordinates: a form is evaluated there once per order and its
+jet composed with the shift, so a slash of a slash makes its inner frame at
+the transformed base.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+
+import numpy as np
 
 from .core import FunctionHandle, JetVars, TaggedForm, _compose_taylor, principal_sqrt
 from .errors import DomainError
@@ -126,7 +130,9 @@ class SlashFrame:
     coordinates less that base, den = c tau + d and its conjugate, the root
     omega of c tau + d, and the index exponent
     -c (z + lam tau + mu)^2 / (c tau + d) + lam^2 tau + 2 lam z + lam mu + kappa,
-    which the index m turns into the factor e^(2 pi i m index)."""
+    which the index m turns into the factor e^(2 pi i m index).  For a
+    sequence A, one element per point, each point's entries are those of
+    its element."""
 
     base: JetVars
     shift: tuple
@@ -136,43 +142,60 @@ class SlashFrame:
     index: Jet
 
 
+def _fields(A, jv):
+    """The fields (a, b, c, d, eps, lam, mu, kappa) of A: numbers for one
+    element, and for a tuple of elements arrays over the point axis of jv,
+    which has as many points as A has elements (DomainError otherwise)."""
+    if isinstance(A, JacobiGroupElement):
+        return astuple(A)
+    points = jv.x.c.shape[:-1]
+    if points != (len(A),):
+        raise DomainError("a slash by %d elements on a stack of shape %r"
+                          % (len(A), points))
+    return tuple(np.array([astuple(e) for e in A]).T)
+
+
 def _frame(A, jv):
-    """The SlashFrame of A on the coordinates jv, held in their memo by
+    """The SlashFrame of A (one element, or a tuple of them, one per point
+    of the stack jv) on the coordinates jv, held in their memo by
     (A, order); its base carries the memo held there by A, which every
-    frame of A shares whatever the order."""
+    frame of A shares whatever the order.  A tuple acts pointwise: its
+    fields are arrays over the point axis, on which the frame arithmetic
+    is elementwise."""
     key = (A, jv.order)
     frame = jv.held.get(key)
     if frame is not None:
         return frame
+    a, b, c, d, eps, lam, mu, kappa = _fields(A, jv)
     tau = jv.tau
     taubar = jv.taubar
     z = jv.z
     zbar = jv.zbar
-    den = A.c * tau + A.d
-    denbar = A.c * taubar + A.d
+    den = c * tau + d
+    denbar = c * taubar + d
     inv = den.reciprocal()
     invbar = denbar.reciprocal()
-    zs = z + A.lam * tau + A.mu
-    zsbar = zbar + A.lam * taubar + A.mu
-    tau2 = (A.a * tau + A.b) * inv
-    taubar2 = (A.a * taubar + A.b) * invbar
+    zs = z + lam * tau + mu
+    zsbar = zbar + lam * taubar + mu
+    tau2 = (a * tau + b) * inv
+    taubar2 = (a * taubar + b) * invbar
     z2 = zs * inv
     zbar2 = zsbar * invbar
     moved = ((tau2 + taubar2) * 0.5, (tau2 - taubar2) * (-0.5j),
              (z2 + zbar2) * 0.5, (z2 - zbar2) * (-0.5j))
     base = tuple(j.value.real for j in moved)
     index = (
-        -A.c * zs * zs * inv
-        + A.lam * A.lam * tau
-        + 2.0 * A.lam * z
-        + (A.lam * A.mu + A.kappa)
+        -c * zs * zs * inv
+        + lam * lam * tau
+        + 2.0 * lam * z
+        + (lam * mu + kappa)
     )
     frame = jv.held[key] = SlashFrame(
         JetVars.held_at(base, jv.order, jv.held.setdefault(A, {})),
-        tuple(j - b for j, b in zip(moved, base)),
+        tuple(j - at for j, at in zip(moved, base)),
         den,
         denbar,
-        A.eps * den.cpow(0.5),  # the branch omega of sqrt(c tau + d)
+        eps * den.cpow(0.5),  # the branch omega of sqrt(c tau + d)
         index,
     )
     return frame
@@ -187,6 +210,8 @@ def _slashed(phi, A, kind, weigh):
         raise DomainError("the %s slash needs a %s-action form" % (kind, kind))
     wi = phi.weight_index
     m = wi.m
+    if not isinstance(A, JacobiGroupElement):
+        A = tuple(A)  # the key of its frames, one element per point
 
     def je(jv):
         fr = _frame(A, jv)
@@ -199,13 +224,16 @@ def _slashed(phi, A, kind, weigh):
 
 
 def slash(phi, A):
-    """phi |_{k,m} A for a standard-action tagged form."""
+    """phi |_{k,m} A for a standard-action tagged form.  A is one
+    JacobiGroupElement, or a sequence of them, one per point of the stack
+    the slashed form is evaluated on (DomainError there for another
+    count)."""
     k2 = phi.weight_index.two_k
     return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2))
 
 
 def skew_slash(phi, A):
-    """phi |^sk_{k,m} A for a skew-action tagged form."""
+    """phi |^sk_{k,m} A for a skew-action tagged form; A as for slash."""
     k2 = phi.weight_index.two_k
 
     def weigh(F, root, den, denbar):
@@ -215,7 +243,7 @@ def skew_slash(phi, A):
 
 
 def apply_slash(phi, A):
-    """Dispatch on the form's action kind."""
+    """Dispatch on the form's action kind; A as for slash."""
     if phi.action_kind == "skew":
         return skew_slash(phi, A)
     return slash(phi, A)

@@ -10,13 +10,15 @@ weight/index (covariance also by action kind) into row stacks, one operator
 image per group; `verify_identities` takes operator identities, such as the
 factorization table, as (name, jet map, probe) checks.  Each `suite_*`
 function is its drivers called at the shipped catalog, parameters and
-point sets with pinned tolerances.  Every check taken over points is reduced by `_rows`, which names the point of
-its largest residual.  The command line front end serializes the records
-and the test harness asserts on them.  All default point sets are
-deterministic.  A driver takes a sequence of points or their order-0
-coordinate jets; a suite evaluates all of its checks on one
-`JetVars.at(points, 0)`, so they share each jet and slash frame through
-that computation's memo.
+point sets with pinned tolerances.  Every check taken over points is
+reduced by `_rows`, which names the point of its largest residual.  The
+command line front end serializes the records and the test harness asserts
+on them.  All default point sets are deterministic.  A driver takes a
+sequence of points or their order-0 coordinate jets; a suite evaluates all
+of its checks on one `JetVars.at(points, 0)`, so they share each jet and
+slash frame through that computation's memo.  Covariance puts its
+generators on the point axis instead: its checks share one computation at
+the points tiled once per generator, slashed by one element per point.
 """
 
 import math
@@ -189,14 +191,20 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
     operator acts, A' acting at the shifted weight/index, in the order
     operator, generator, form.
 
-    The forms of one action kind and weight/index are stacked into one
-    handle phi, and phi slashed once per generator into another, phi_A,
-    both shared by every operator.  Each operator is one image of phi_A on
-    the left, and one image of phi, slashed once per generator, on the
-    right.  On one computation, each form stack is evaluated once per
-    generator base (the image of the points), at order COVARIANCE_REACH,
-    and both sides compose or truncate that jet."""
+    The generators go on the point axis: every check is taken on one
+    computation at the points tiled once per generator, where a slash takes
+    one element per point, each tile's generator.  The forms of one action
+    kind and weight/index are stacked into one handle phi, and phi slashed
+    once into another, phi_A, both shared by every operator.  Each operator
+    is one image of phi_A on the left, and one image of phi, slashed once,
+    on the right.  Each form stack is evaluated once, at the generator
+    images of the points, at order COVARIANCE_REACH, and both sides compose
+    or truncate that jet.  Each row is reduced over the points of its
+    generator's tile."""
     jv = _at(points)
+    base = np.asarray(jv.base, dtype=float).reshape(4, -1)
+    tiled = JetVars.held_at(np.tile(base, (1, len(gens))), 0, {})
+    elements = [A for A in gens.values() for _ in range(base.shape[1])]
     stacks = {}  # (action kind, weight/index) -> (phi, phi_A)
 
     def checks(op_name, group):
@@ -205,15 +213,15 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
         key = (group[0].action_kind, group[0].weight_index)
         if key not in stacks:
             phi = replace(group[0], f=_stacked([f.f for f in group], reach=COVARIANCE_REACH))
-            slashes = [apply_slash(phi, A).f for A in gens.values()]
-            stacks[key] = phi, replace(phi, f=_stacked(slashes, [slice(None)] * len(slashes)))
+            stacks[key] = phi, apply_slash(phi, elements)
         phi, phi_A = stacks[key]
-        op_phi = apply_operator(op_name, phi)
         lhs = apply_operator(op_name, phi_A).f
-        rhs = [apply_slash(op_phi, A).f for A in gens.values()]
+        rhs = apply_slash(apply_operator(op_name, phi), elements).f
 
-        def gap(jv):
-            return lhs.jet_at(jv).value - np.concatenate([h.jet_at(jv).value for h in rhs])
+        def gap(_):
+            # (form, generator, point) -> (generator, form) rows over the points
+            rows = lhs.jet_at(tiled).value - rhs.jet_at(tiled).value
+            return rows.reshape(len(group), len(gens), -1).swapaxes(0, 1)
 
         names = [
             "covariance:%s|%s on %s" % (op_name, gname, f.f.label) for gname in gens for f in group
@@ -673,11 +681,12 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
             """Recomposed minus directly summed data."""
             tau = jv.tau.value
             v1 = theta_recompose_handle(two_m, h).jet_at(jv).value
+            # each label's theta once, for all of its classes
+            thetas = {l: theta_ml_jet(two_m, l, jv.tau, jv.z).value
+                      for l in {l for _, l in classes}}
             v2 = 0j
             for (D, l), c in classes.items():
-                v2 += c * np.exp(
-                    2j * math.pi * (D / (2.0 * two_m)) * tau
-                ) * theta_ml_jet(two_m, l, jv.tau, jv.z).value
+                v2 += c * np.exp(2j * math.pi * (D / (2.0 * two_m)) * tau) * thetas[l]
             return v1 - v2
 
         results += _rows(["decomposition:roundtrip@2m=%d" % two_m], gap, jv, tol)

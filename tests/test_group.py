@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mjlab import group
+from mjlab.catalog import build
 from mjlab.core import EvalPoint, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import (
@@ -24,7 +25,7 @@ from mjlab.group import (
 )
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.special import theta_ml_handle
-from mjlab.verify import GENERATORS, GENERIC_POINTS, _stacked
+from mjlab.verify import COVARIANCE_FORMS, GENERATORS, GENERIC_POINTS, _stacked
 
 POINTS = [
     EvalPoint(0.13, 1.1, 0.21, 0.17),
@@ -211,3 +212,59 @@ def test_memo_holds_one_frame_per_element_and_order(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(frames[0][2], fresh.base))
     image = frame(GEN_T, fresh).base.base
     assert all(np.array_equal(a, b) for a, b in zip(frames[1][2], image))
+
+
+# ----------------------------------------------------------------------
+# a slash by one element per point of a stack
+
+
+def mixed_stack(seed):
+    """GENERIC_POINTS[:3] once per generator, the (generator, point) pairs
+    in a seeded order: the points of the stack and, per point, its
+    element."""
+    pairs = [(gen, p) for gen in GENERATORS for p in GENERIC_POINTS[:3]]
+    random.Random(seed).shuffle(pairs)
+    return [p for _, p in pairs], [gen for gen, _ in pairs]
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 3))
+@pytest.mark.parametrize("name", ("theta_ml", "mu_hat_ml", "c3", "c1sk"))
+def test_slash_by_an_element_per_point_is_the_per_element_slashes(name, order):
+    """On a stack that mixes the four generators, a slash by one element
+    per point (slash for the standard forms, skew_slash for c1sk) equals
+    each element's own slash on a computation at the points."""
+    form = build(name, **dict(COVARIANCE_FORMS)[name])
+    stack, gens = mixed_stack(order)
+    jv = JetVars.at(stack, order)
+    got = apply_slash(form, [GENERATORS[gen] for gen in gens]).f.jet_at(jv).c
+    assert got.shape[0] == len(stack)
+    for gen, A in GENERATORS.items():
+        alone = apply_slash(form, A).f.jet_at(JetVars.at(GENERIC_POINTS[:3], order)).c
+        at = [j for j, g in enumerate(gens) if g == gen]
+        want = alone[[GENERIC_POINTS.index(stack[j]) for j in at]]
+        assert np.abs(got[at] - want).max() <= 1e-13 * np.abs(want).max(), gen
+
+
+@pytest.mark.parametrize("name", ("theta_ml", "c1sk"))
+def test_slash_of_a_slash_by_elements_per_point_is_the_per_element_one(name):
+    """Both slashes take one element per point, the outer one in another
+    order: each point is the slash by its inner element, then its outer
+    one, on a computation of its own."""
+    form = build(name, **dict(COVARIANCE_FORMS)[name])
+    stack, inner = mixed_stack(1)
+    rng = random.Random(2)
+    outer = [rng.choice(list(GENERATORS)) for _ in stack]
+    twice = apply_slash(apply_slash(form, [GENERATORS[g] for g in inner]),
+                        [GENERATORS[g] for g in outer])
+    got = twice.f.jet_at(JetVars.at(stack, 2)).c
+    for j, p in enumerate(stack):
+        alone = apply_slash(apply_slash(form, GENERATORS[inner[j]]), GENERATORS[outer[j]])
+        want = alone.f.jet_at(JetVars.at(p, 2)).c
+        assert np.abs(got[j] - want).max() <= 1e-13 * np.abs(want).max(), j
+
+
+def test_slash_by_elements_of_another_count_than_the_points_raises():
+    form = build("theta_ml", m=1, l=0)
+    for count, at in ((2, GENERIC_POINTS[:3]), (4, GENERIC_POINTS[:3]), (1, GENERIC_POINTS[0])):
+        with pytest.raises(DomainError):
+            apply_slash(form, [GEN_S] * count).f.jet_at(JetVars.at(at, 0))

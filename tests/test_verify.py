@@ -142,22 +142,26 @@ def test_nan_residual_fails_the_check(nan_at):
 
 def unshared_covariance_rows(points):
     """(identity, max residual) of every covariance check in the suite's
-    order, each built from fresh catalog, operator and slash handles and
-    evaluated on its own, its form a stack of one at the suite's reach."""
+    order, each (operator, form) pair built from fresh catalog, operator
+    and slash handles and evaluated on its own, its form a stack of one at
+    the suite's reach, on the suite's stack: the points tiled once per
+    generator, slashed by one element per point, its tile's generator."""
+    stack = list(points) * len(GENERATORS)
+    elements = [A for A in GENERATORS.values() for _ in points]
     rows = []
     for op_name in COVARIANCE_OPS:
-        for gname, A in GENERATORS.items():
-            forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
-            for form in (f for f in forms if f.action_kind == input_kind(op_name)):
-                phi = replace(form, f=_stacked([form.f], reach=COVARIANCE_REACH))
-                lhs = apply_operator(op_name, apply_slash(phi, A)).f
-                rhs = apply_slash(apply_operator(op_name, phi), A).f
-                jv = JetVars.at(points, 0)
-                gap = lhs.jet_at(jv).value - rhs.jet_at(jv).value
-                rows.append(
-                    ("covariance:%s|%s on %s" % (op_name, gname, form.f.label),
-                     float(np.max(np.abs(gap))))
-                )
+        forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
+        per_form = []
+        for form in (f for f in forms if f.action_kind == input_kind(op_name)):
+            phi = replace(form, f=_stacked([form.f], reach=COVARIANCE_REACH))
+            lhs = apply_operator(op_name, apply_slash(phi, elements)).f
+            rhs = apply_slash(apply_operator(op_name, phi), elements).f
+            jv = JetVars.at(stack, 0)
+            gap = (lhs.jet_at(jv).value - rhs.jet_at(jv).value).reshape(len(GENERATORS), -1)
+            per_form.append([("covariance:%s|%s on %s" % (op_name, gname, form.f.label),
+                              float(np.max(np.abs(block))))
+                             for gname, block in zip(GENERATORS, gap)])
+        rows += [row for per_gen in zip(*per_form) for row in per_gen]
     return rows
 
 
@@ -173,10 +177,10 @@ def test_covariance_reach_is_the_largest_loss_of_its_operators():
 
 
 def test_covariance_evaluates_each_form_once_per_generator_base(monkeypatch):
-    """One suite call evaluates each catalog form 4 times, once per
-    generator base, on plain coordinate jets of order 2: theta_ml and
-    mu_hat_ml 4 times each, the kernel family 12 times for its three
-    forms."""
+    """One suite call evaluates each catalog form once, on the plain
+    coordinate jets of order 2 at the one stack of every generator's image
+    of the points: theta_ml and mu_hat_ml once each, the kernel family 3
+    times for its three forms."""
     calls = {}
     # the tau jet of plain coordinates, less its value
     plain_tau = JetVars(*JetVars._plain((0.0, 0.0, 0.0, 0.0), COVARIANCE_REACH)).tau
@@ -198,7 +202,7 @@ def test_covariance_evaluates_each_form_once_per_generator_base(monkeypatch):
     counted("kernel", kernels, "kernel_family_jet")
     suite_covariance()
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "theta_ml": 4, "mu_hat_ml": 4, "kernel": 12}
+        "theta_ml": 1, "mu_hat_ml": 1, "kernel": 3}
     assert all(all(seen) for seen in calls.values())
 
 
@@ -228,10 +232,11 @@ def test_two_covariance_suites_agree():
 
 
 def test_covariance_builds_each_coordinate_jet_and_frame_once(monkeypatch):
-    """One computation per suite call: the coordinate jets of each base
-    (the points, or their image under a generator) and order are built
-    once, and so is the slash frame of each generator and order, whatever
-    the index."""
+    """One suite call builds the order-0 coordinate jets of its points
+    (which name the worst points), and one computation at the points tiled
+    once per generator: its coordinate jets (at the tiles, and at their
+    generator images) are built once per order 0, 1 and 2, and so is its
+    slash frame, one element per point, whatever the index."""
     builds, frames = [], []
     plain, frame = JetVars._plain, group._frame
 
@@ -247,8 +252,8 @@ def test_covariance_builds_each_coordinate_jet_and_frame_once(monkeypatch):
     monkeypatch.setattr(JetVars, "_plain", staticmethod(counted_plain))
     monkeypatch.setattr(group, "_frame", counted_frame)
     suite_covariance()
-    assert len(builds) == len(set(builds)) == 15
-    assert len(frames) == len(set(frames)) == 12
+    assert len(builds) == len(set(builds)) == 7
+    assert len(frames) == len(set(frames)) == 3
 
 
 def test_weil_builds_one_slash_frame_per_generator_and_rank(monkeypatch):
@@ -353,14 +358,34 @@ def test_xi_images_suite_rows_equal_their_identities_alone():
 
 
 def test_verify_covariance_is_the_one_row_case_of_the_suite():
+    """One operator and one form, with all four generators (the suite's
+    stack of generator images): the suite's rows of that pair, bit for
+    bit."""
     full = {res.identity: res.as_dict() for res in suite_covariance()}
     points = GENERIC_POINTS[:3]
     for op_name in COVARIANCE_OPS:
         forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
-        for gname, A in GENERATORS.items():
-            for phi in (f for f in forms if f.action_kind == input_kind(op_name)):
-                [res] = verify_covariance([op_name], [phi], {gname: A}, points)
+        for phi in (f for f in forms if f.action_kind == input_kind(op_name)):
+            rows = verify_covariance([op_name], [phi], GENERATORS, points)
+            assert [res.identity for res in rows] == [
+                "covariance:%s|%s on %s" % (op_name, gname, phi.f.label) for gname in GENERATORS]
+            for res in rows:
                 assert res.as_dict() == full[res.identity]
+
+
+def test_covariance_worst_points_are_suite_points():
+    points = [[p.x, p.y, p.u, p.v] for p in GENERIC_POINTS[:3]]
+    for res in suite_covariance():
+        assert res.worst_point in points, res.identity
+
+
+def operand_scale(gname, label):
+    """The largest order-2 coefficient of the covariance form of the given
+    label at the image of the suite's points under a generator."""
+    [form] = [f for f in (build(name, **options) for name, options in COVARIANCE_FORMS)
+              if f.f.label == label]
+    frame = group._frame(GENERATORS[gname], JetVars.at(GENERIC_POINTS[:3], 0))
+    return float(np.max(np.abs(form.f.jet_at(frame.base.at_base(COVARIANCE_REACH)).c)))
 
 
 @pytest.mark.parametrize(
@@ -368,14 +393,32 @@ def test_verify_covariance_is_the_one_row_case_of_the_suite():
     [(["X+"], ["S"]), (["xiSk"], ["T"]), (["Y-", "Xsk+"], None), (None, ["mu", "lambda"])],
 )
 def test_covariance_subsets_are_rows_of_the_full_suite_in_its_order(ops, gens):
+    """An operator subset is taken on the stack of the suite with the same
+    generators, so its rows are that suite's, bit for bit.  A generator
+    subset is another point stack, on which a form's jet may differ in its
+    last bits: its rows keep the full suite's identities, in its order,
+    tolerances and verdicts, and their residuals to within 1e-13 of the
+    operand's largest order-2 coefficient."""
     got = [res.as_dict() for res in suite_covariance(ops=ops, gens=gens)]
-    want = [
+    same_stack = [
         res.as_dict() for op_name in ops or COVARIANCE_OPS
         for gname in gens or GENERATORS
-        for res in suite_covariance(ops=[op_name])
+        for res in suite_covariance(ops=[op_name], gens=gens)
         if res.identity.startswith("covariance:%s|%s on " % (op_name, gname))
     ]
-    assert got and got == want
+    assert got and got == same_stack
+    full = [
+        res.as_dict() for op_name in ops or COVARIANCE_OPS
+        for gname in gens or GENERATORS
+        for res in suite_covariance()
+        if res.identity.startswith("covariance:%s|%s on " % (op_name, gname))
+    ]
+    assert [row["identity"] for row in got] == [row["identity"] for row in full]
+    for row, want in zip(got, full):
+        assert (row["tol"], row["passed"]) == (want["tol"], want["passed"])
+        gname, label = row["identity"].split("|", 1)[1].split(" on ", 1)
+        assert abs(row["max_residual"] - want["max_residual"]) <= \
+            1e-13 * operand_scale(gname, label), row["identity"]
 
 
 def test_mu_xi_theta_rows_equal_their_identities_alone():
