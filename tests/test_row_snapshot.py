@@ -30,3 +30,15 @@ def test_snapshot_of_a_suite_is_its_rows_as_exact_text():
     assert row_snapshot.compare(rows, moved[:-1], out=text) == 2
     assert rows[3]["identity"] in text.getvalue()
     assert "only in A: defaults / factorizations / %s" % rows[-1]["identity"] in text.getvalue()
+
+
+def test_every_row_matches_the_committed_snapshot():
+    """The row gate: every row of tests/verify_rows.json (the nine suites at
+    their defaults and three benchmark rounds) is reproduced exactly, its
+    max_residual to the last bit.  A change that moves rows regenerates the
+    file with `PYTHONPATH=src python3 tests/row_snapshot.py
+    tests/verify_rows.json` and lists the moves in CHANGES.md."""
+    committed = json.loads((row_snapshot.ROOT / "tests" / "verify_rows.json").read_text())
+    text = io.StringIO()
+    assert row_snapshot.compare(committed, row_snapshot.snapshot(row_snapshot.calls()),
+                                out=text) == 0, text.getvalue()
