@@ -113,29 +113,49 @@ def labels(two_m):
 class WeightIndex:
     """A weight/index pair (k, m) of half-integers, m != 0.
 
-    Stored as the integer numerators of 2k and 2m.
+    Stored as the integer numerators of 2k and 2m; one that the rows of a
+    row stack do not share as a 1-d int array, its k or m of shape (rows, 1).
     """
 
     two_k: int
     two_m: int
 
     def __post_init__(self):
-        if self.two_m == 0:
-            raise DomainError("index m must be nonzero")
-        if not isinstance(self.two_k, int) or not isinstance(self.two_m, int):
+        if not all(isinstance(n, int) or isinstance(n, np.ndarray) and n.ndim == 1
+                   and n.dtype.kind == "i" for n in (self.two_k, self.two_m)):
             raise DomainError("2k and 2m must be integers")
+        if (np.asarray(self.two_m) == 0).any():
+            raise DomainError("index m must be nonzero")
 
     @property
     def k(self):
-        return self.two_k / 2.0
+        return self.two_k / 2.0 if isinstance(self.two_k, int) else self.two_k[:, None] / 2.0
 
     @property
     def m(self):
-        return self.two_m / 2.0
+        return self.two_m / 2.0 if isinstance(self.two_m, int) else self.two_m[:, None] / 2.0
+
+    @property
+    def per_row(self):
+        return not isinstance(self.two_k, int) or not isinstance(self.two_m, int)
 
     @classmethod
     def of(cls, k, m):
         return cls(half_integer(k, "k"), half_integer(m, "m"))
+
+    @classmethod
+    def of_rows(cls, pairs):
+        """One of the pairs per row; a numerator all rows share stays an int."""
+        numerators = (np.array([getattr(wi, n) for wi in pairs]) for n in ("two_k", "two_m"))
+        return cls(*(int(a[0]) if (a == a[0]).all() else a for a in numerators))
+
+    def label(self):
+        return "per row" if self.per_row else "%g,%g" % (self.k, self.m)
+
+    def check_on(self, jv):
+        """DomainError for a per-row pair on one point's coordinates."""
+        if self.per_row and not jv.x.batched:
+            raise DomainError("a per-row weight/index needs the coordinates of a point stack")
 
     def shift_k(self, dk2):
         """New weight with 2k shifted by the integer dk2."""
@@ -413,10 +433,11 @@ def fourier_sum_jet(terms, tau, z):
     return (2j * math.pi * (n * tau + r * z)).exp().sum(c)
 
 
+def fourier_sum_handle(terms, label):
+    """`fourier_sum_jet` over a list of terms (n, r, c) as an exact handle."""
+    return FunctionHandle(jet_fn=lambda jv: fourier_sum_jet(terms, jv.tau, jv.z), label=label)
+
+
 def exp_qn_zeta_r(n, r):
     """The elementary exponential q^n zeta^r as an exact handle."""
-
-    def je(jv):
-        return fourier_sum_jet([(n, r, 1.0)], jv.tau, jv.z)
-
-    return FunctionHandle(jet_fn=je, label="q^%s zeta^%s" % (n, r))
+    return fourier_sum_handle([(n, r, 1.0)], "q^%s zeta^%s" % (n, r))

@@ -204,22 +204,25 @@ def _frame(A, jv):
 def _slashed(phi, A, kind, weigh):
     """phi slashed by A with the action of the given kind: phi's jet at the
     transformed base composed with the shift to the transformed coordinates,
-    times the weight factor that weigh(F, root, den, denbar) applies to it,
-    times the index factor."""
+    times the weight factor that weigh(F, k2, root, den, denbar) applies to
+    it, times the index factor (per row for a per-row index)."""
     if phi.action_kind != kind:
         raise DomainError("the %s slash needs a %s-action form" % (kind, kind))
     wi = phi.weight_index
+    if not isinstance(wi.two_k, int):
+        raise DomainError("a slash needs one weight for every row, got 2k = %s" % (wi.two_k,))
     m = wi.m
     if not isinstance(A, JacobiGroupElement):
         A = tuple(A)  # the key of its frames, one element per point
 
     def je(jv):
+        wi.check_on(jv)
         fr = _frame(A, jv)
         F = _compose_taylor(phi.f.jet_at(fr.base), fr.shift, jv.order)
-        return weigh(F, fr.root, fr.den, fr.denbar) * (2j * math.pi * m * fr.index).exp()
+        return weigh(F, wi.two_k, fr.root, fr.den, fr.denbar) * (2j * math.pi * m * fr.index).exp()
 
     tag = "sk" if kind == "skew" else ""
-    label = "(%s)|%s[%g,%g]" % (phi.f.label, tag, wi.k, wi.m)
+    label = "(%s)|%s[%s]" % (phi.f.label, tag, wi.label())
     return TaggedForm(FunctionHandle(jet_fn=je, label=label), wi, kind)
 
 
@@ -228,15 +231,13 @@ def slash(phi, A):
     JacobiGroupElement, or a sequence of them, one per point of the stack
     the slashed form is evaluated on (DomainError there for another
     count)."""
-    k2 = phi.weight_index.two_k
-    return _slashed(phi, A, "standard", lambda F, root, den, denbar: F * root ** (-k2))
+    return _slashed(phi, A, "standard", lambda F, k2, root, den, denbar: F * root ** (-k2))
 
 
 def skew_slash(phi, A):
     """phi |^sk_{k,m} A for a skew-action tagged form; A as for slash."""
-    k2 = phi.weight_index.two_k
 
-    def weigh(F, root, den, denbar):
+    def weigh(F, k2, root, den, denbar):
         return F * root.conj() ** (2 - k2) * (den * denbar).cpow(-0.5)
 
     return _slashed(phi, A, "skew", weigh)

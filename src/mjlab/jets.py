@@ -334,7 +334,10 @@ class Jet:
         function per row).
         """
         if len(ts) == 1:  # an order-0 jet: its one coefficient is the value
-            c = np.empty(self.c.shape, dtype=complex)
+            shape = self.c.shape
+            if getattr(ts[0], "ndim", 0) >= len(shape):  # ts[0] per row of a point stack
+                shape = np.broadcast_shapes(shape, ts[0].shape + (1,))
+            c = np.empty(shape, dtype=complex)
             c[..., 0] = ts[0]
             return Jet(0, c)
         tilde = self.copy()

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import FunctionHandle, WeightIndex, fourier_sum_jet
+from .core import FunctionHandle, WeightIndex, fourier_sum_handle
 from .errors import DomainError, NotThetaDecomposable, ValueOverflow
 from .jets import Jet
 from .mu import check_component, mu_hat_component_jet
@@ -61,9 +61,6 @@ class KernelParams(WeightIndex):
     def of(cls, k, m, n, r):
         wi = WeightIndex.of(k, m)
         return cls(wi.two_k, wi.two_m, n, r)
-
-    def weight_index(self):
-        return WeightIndex(self.two_k, self.two_m)
 
     def tag(self):
         """The label [k,m,n,r] of the parameter set."""
@@ -281,12 +278,8 @@ class FourierData:
 
     def handle(self):
         """The generating function sum c(n, r) q^n zeta^r as a handle."""
-        terms = [(n, r, c) for (n, r), c in sorted(self.coefficients.items())]
-
-        def je(jv):
-            return fourier_sum_jet(terms, jv.tau, jv.z)
-
-        return FunctionHandle(jet_fn=je, label="fourier[2m=%d]" % self.two_m)
+        return fourier_sum_handle([(n, r, c) for (n, r), c in sorted(self.coefficients.items())],
+                                  "fourier[2m=%d]" % self.two_m)
 
     def to_text(self):
         lines = ["index 2m=%d" % self.two_m]
@@ -371,12 +364,16 @@ def h_from_json(text):
 
 def h_series_handle(series, label="h"):
     """A rational-exponent q-series as a handle (a function of tau only)."""
-    terms = [(float(e), 0, c) for e, c in series]
+    return fourier_sum_handle([(float(e), 0, c) for e, c in series], label)
 
-    def je(jv):
-        return fourier_sum_jet(terms, jv.tau, jv.z)
 
-    return FunctionHandle(jet_fn=je, label=label)
+def component_at(component_jet, two_m, l, jv, policy=None):
+    """component_jet(two_m, l, ...) on jv, made once per computation (held in its memo)."""
+    key = (component_jet, two_m, l, policy, jv.order)
+    jet = jv.held.get(key)
+    if jet is None:
+        jet = jv.held[key] = component_jet(two_m, l, jv.tau, jv.z, policy)
+    return jet
 
 
 def _recompose_handle(component_jet, two_m, h, varphi, policy, label):
@@ -391,7 +388,7 @@ def _recompose_handle(component_jet, two_m, h, varphi, policy, label):
     def je(jv):
         out = Jet.constant(0.0, jv.order)
         for l, handle in hs.items():
-            out = out + handle.jet_at(jv) * component_jet(two_m, l, jv.tau, jv.z, policy)
+            out = out + handle.jet_at(jv) * component_at(component_jet, two_m, l, jv, policy)
         if varphi is not None:
             out = out + varphi.jet_at(jv)
         return out

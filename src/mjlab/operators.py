@@ -32,6 +32,8 @@ class JetMap:
 
     __slots__ = ("loss", "apply")
 
+    __array_ufunc__ = None  # numpy defers `array * map` to __rmul__
+
     def __init__(self, loss, apply):
         self.loss = loss
         self.apply = apply
@@ -319,12 +321,15 @@ def input_kind(name):
 
 def apply_operator(name, phi):
     """The named operator applied to a TaggedForm of its input kind: the
-    image at its output weight/index and action kind."""
+    image at its output weight/index and action kind (per row, if given so)."""
     build, kind, out_kind, out_weight = _entry(name)
     if phi.action_kind != kind:
         raise DomainError("%s expects a %s-action form" % (name, kind))
     wi = phi.weight_index
-    f = image(build(wi.k, wi.m), phi.f, "%s[%g,%g](%s)" % (name, wi.k, wi.m, phi.f.label))
+    jmap = build(wi.k, wi.m)
+    if wi.per_row:  # checks the coordinates: None, then the operand as it is
+        jmap = jmap @ JetMap(0, lambda F, jv: wi.check_on(jv) or F)
+    f = image(jmap, phi.f, "%s[%s](%s)" % (name, wi.label(), phi.f.label))
     return TaggedForm(f, out_weight(wi), out_kind)
 
 

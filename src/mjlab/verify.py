@@ -5,10 +5,10 @@ component laws, the decomposition round trip, and numerics hygiene.
 
 Each identity family has one `verify_*` driver, which checks it on given
 functions, parameter sets and points and returns SuiteResult records; the
-covariance, kernel and xi-image drivers take lists and group them by
-weight/index (covariance also by action kind) into row stacks, one operator
-image per group; `verify_identities` takes operator identities, such as the
-factorization table, as (name, jet map, probe) checks.  Each `suite_*`
+covariance, kernel and xi-image drivers take lists and stack them into one
+row stack per action kind, each row at its own weight/index, with one
+image per operator; `verify_identities` takes operator identities, such as
+the factorization table, as (name, jet map, probe) checks.  Each `suite_*`
 function is its drivers called at the shipped catalog, parameters and
 point sets with pinned tolerances.  Every check taken over points is
 reduced by `_rows`, which names the point of its largest residual.  The
@@ -33,6 +33,7 @@ from .core import (
     FunctionHandle,
     JetVars,
     TruncationPolicy,
+    WeightIndex,
     exp_qn_zeta_r,
     finite_difference_jet,
 )
@@ -43,6 +44,7 @@ from .kernels import (
     KERNEL_TERMS,
     FourierData,
     KernelParams,
+    component_at,
     kernel_family_jet,
     theta_decompose,
     theta_fourier_data,
@@ -167,20 +169,6 @@ def _stacked(handles, picks=None, reach=0):
     return FunctionHandle(jet_fn=je)
 
 
-def _grouped(items, key, checks):
-    """checks(group) for each group of the items of one key(item), in the
-    order of first appearance, which gives a list of checks per item of the
-    group: the lists of all items, in the order of items."""
-    groups = {}
-    for j, item in enumerate(items):
-        groups.setdefault(key(item), []).append(j)
-    out = [None] * len(items)
-    for group in groups.values():
-        for j, item_checks in zip(group, checks([items[j] for j in group])):
-            out[j] = item_checks
-    return out
-
-
 # ----------------------------------------------------------------------
 # covariance
 
@@ -194,27 +182,29 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
     The generators go on the point axis: every check is taken on one
     computation at the points tiled once per generator, where a slash takes
     one element per point, each tile's generator.  The forms of one action
-    kind and weight/index are stacked into one handle phi, and phi slashed
-    once into another, phi_A, both shared by every operator.  Each operator
-    is one image of phi_A on the left, and one image of phi, slashed once,
-    on the right.  Each form stack is evaluated once, at the generator
-    images of the points, at order COVARIANCE_REACH, and both sides compose
-    or truncate that jet.  Each row is reduced over the points of its
-    generator's tile."""
+    kind are stacked into one handle phi (a weight/index per row), and phi
+    slashed once into another, phi_A, both shared by every operator.  Each
+    operator is one image of phi_A on the left, and one image of phi,
+    slashed once, on the right.  Each form stack is evaluated once, at the
+    generator images of the points, at order COVARIANCE_REACH, and both
+    sides compose or truncate that jet.  Each row is reduced over the
+    points of its generator's tile."""
     jv = _at(points)
     base = np.asarray(jv.base, dtype=float).reshape(4, -1)
     tiled = JetVars.held_at(np.tile(base, (1, len(gens))), 0, {})
     elements = [A for A in gens.values() for _ in range(base.shape[1])]
-    stacks = {}  # (action kind, weight/index) -> (phi, phi_A)
-
-    def checks(op_name, group):
-        """The checks of one group of forms, a list per form, in generator
-        order."""
-        key = (group[0].action_kind, group[0].weight_index)
-        if key not in stacks:
-            phi = replace(group[0], f=_stacked([f.f for f in group], reach=COVARIANCE_REACH))
-            stacks[key] = phi, apply_slash(phi, elements)
-        phi, phi_A = stacks[key]
+    stacks = {}  # action kind -> (phi, phi_A)
+    results = []
+    for op_name in ops:
+        kind = input_kind(op_name)
+        group = [phi for phi in forms if phi.action_kind == kind]
+        if not group:
+            continue
+        if kind not in stacks:
+            phi = TaggedForm(_stacked([f.f for f in group], reach=COVARIANCE_REACH),
+                             WeightIndex.of_rows([f.weight_index for f in group]), kind)
+            stacks[kind] = phi, apply_slash(phi, elements)
+        phi, phi_A = stacks[kind]
         lhs = apply_operator(op_name, phi_A).f
         rhs = apply_slash(apply_operator(op_name, phi), elements).f
 
@@ -226,15 +216,7 @@ def verify_covariance(ops, forms, gens, points, tol=1e-8):
         names = [
             "covariance:%s|%s on %s" % (op_name, gname, f.f.label) for gname in gens for f in group
         ]
-        rows = _rows(names, gap, jv, tol)
-        return [rows[j::len(group)] for j in range(len(group))]
-
-    results = []
-    for op_name in ops:
-        per_form = _grouped([phi for phi in forms if phi.action_kind == input_kind(op_name)],
-                            lambda phi: phi.weight_index,
-                            lambda group: checks(op_name, group))
-        results += [res for per_gen in zip(*per_form) for res in per_gen]
+        results += _rows(names, gap, jv, tol)
     return results
 
 
@@ -308,40 +290,35 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
     of params_list.
 
     Each set's terms are one kernel family, evaluated once at the Casimir
-    order 3 (the Heisenberg Laplace order is its truncation).  Per
-    weight/index, one Casimir image of every set's four standard terms, one
-    skew Casimir image of their skew terms and one Heisenberg Laplace image
-    of all of them."""
-    jv = _at(points)
+    order 3 (the Heisenberg Laplace order is its truncation).  One image per
+    operator, each row at its set's weight/index: the Casimir image of
+    every set's four standard terms, the skew Casimir image of their skew
+    terms and the Heisenberg Laplace image of all of them."""
+    if not params_list:
+        return []
+    families = [_kernel_family(params) for params in params_list]
 
-    def checks(group):
-        wi = group[0].weight_index()
-        families = [_kernel_family(params) for params in group]
+    def image_of(op_name, terms):
+        # the Heisenberg Laplacian equals its skew version, so it takes
+        # the skew kernel terms as they are
+        wi = WeightIndex.of_rows([p for p in params_list for _ in KERNEL_TERMS[terms]])
+        stack = TaggedForm(_stacked(families, [terms] * len(families), reach=3), wi,
+                           input_kind(op_name))
+        return apply_operator(op_name, stack).f
 
-        def image_rows(op_name, identity, terms):
-            # the Heisenberg Laplacian equals its skew version, so it takes
-            # the skew kernel terms as they are
-            stack = TaggedForm(_stacked(families, [terms] * len(group), reach=3), wi,
-                               input_kind(op_name))
-            out = apply_operator(op_name, stack).f
-            names = [
-                "kernel-annihilation:%s(c%d%s)@%s"
-                % (identity, i, "sk" if skew else "", params.tag())
-                for params in group for i, skew in KERNEL_TERMS[terms]
-            ]
-            return _rows(names, lambda jv: out.jet_at(jv).value, jv, tol)
+    casimir = image_of("Casimir", slice(0, 4)), image_of("CasimirSk", slice(4, 8))
+    laplace = image_of("LaplaceH", slice(0, 8))
 
-        casimir = image_rows("Casimir", "Casimir", slice(0, 4))
-        casimir_sk = image_rows("CasimirSk", "Casimir", slice(4, 8))
-        laplace = image_rows("LaplaceH", "LaplaceH", slice(0, 8))
-        return [
-            [res for pair in zip(casimir[4 * j:4 * j + 4] + casimir_sk[4 * j:4 * j + 4],
-                                 laplace[8 * j:8 * j + 8]) for res in pair]
-            for j in range(len(group))
-        ]
+    def gap(jv):
+        # per set and term, its (skew) Casimir row, then its LaplaceH row
+        cas = np.concatenate([img.jet_at(jv).value.reshape(len(families), 4, -1)
+                              for img in casimir], 1)
+        return np.stack([cas, laplace.jet_at(jv).value.reshape(cas.shape)], 2)
 
-    return [res for checked in _grouped(params_list, KernelParams.weight_index, checks)
-            for res in checked]
+    names = ["kernel-annihilation:%s(c%d%s)@%s" % (identity, i, "sk" if skew else "", params.tag())
+             for params in params_list for i, skew in KERNEL_TERMS
+             for identity in ("Casimir", "LaplaceH")]
+    return _rows(names, gap, points, tol)
 
 
 def verify_xi_image_table(params_list, points, tol=1e-7):
@@ -350,47 +327,41 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
     of a kernel term.
 
     Each set's terms are one kernel family, evaluated once at order 2 (the
-    largest xi loss); per weight/index, each xi operator is one image of its
-    rows' terms over all the sets, and the targets are one order-0 kernel
-    family per partner parameter set, of the terms the rows name."""
-    jv = _at(points)
+    largest xi loss); each xi operator is one image of its rows' terms over
+    all the sets, each row at its set's weight/index, and the targets are
+    one order-0 kernel family per partner parameter set, of the terms the
+    rows name."""
+    if not params_list:
+        return []
+    tables = [xi_image_rows(params) for params in params_list]
+    families = [_kernel_family(params) for params in params_list]
+    images = {}  # operator -> its image, its rows in the order of the tables
+    for op_name in dict.fromkeys(row[1] for table in tables for row in table):
+        terms = [[KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
+                 for table in tables]
+        wi = WeightIndex.of_rows([p for p, picks in zip(params_list, terms) for _ in picks])
+        stack = TaggedForm(_stacked(families, terms, reach=2), wi, input_kind(op_name))
+        images[op_name] = apply_operator(op_name, stack).f
+    targets = {}  # partner params -> its target terms, in the order of first use
+    for *_, target in (row for table in tables for row in table):
+        if target is not None:
+            targets.setdefault(target[2], {})[target[:2]] = None
 
-    def checks(group):
-        wi = group[0].weight_index()
-        tables = [xi_image_rows(params) for params in group]
-        families = [_kernel_family(params) for params in group]
-        ops = list(dict.fromkeys(row[1] for row in tables[0]))
-        images = []
-        for op_name in ops:
-            terms = [[KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
-                     for table in tables]
-            stack = TaggedForm(_stacked(families, terms, reach=2), wi, input_kind(op_name))
-            images.append(apply_operator(op_name, stack).f)
-        # every row: (its set's index, case, constant, target (i, skew, params) or None)
-        rows = [(j, row[0], row[3], row[4]) for op_name in ops
-                for j, table in enumerate(tables) for row in table if row[1] == op_name]
-        targets = {}  # partner params -> its target terms, in the order of first use
-        for *_, target in rows:
-            if target is not None:
-                targets.setdefault(target[2], {})[target[:2]] = None
+    def gap(jv):
+        lhs = {op_name: iter(img.jet_at(jv).value) for op_name, img in images.items()}
+        held = {
+            tparams: dict(zip(terms, kernel_family_jet(tparams, tuple(terms), jv).value))
+            for tparams, terms in targets.items()
+        }
+        return np.stack([
+            next(lhs[op_name]) if target is None
+            else next(lhs[op_name]) - const * held[target[2]][target[:2]]
+            for table in tables for _, op_name, _, const, target in table
+        ])
 
-        def gap(jv):
-            lhs = np.concatenate([img.jet_at(jv).value for img in images])
-            held = {
-                tparams: dict(zip(terms, kernel_family_jet(tparams, tuple(terms), jv).value))
-                for tparams, terms in targets.items()
-            }
-            return np.stack([
-                value if target is None else value - const * held[target[2]][target[:2]]
-                for value, (_, _, const, target) in zip(lhs, rows)
-            ])
-
-        names = ["xi-image:%s@%s" % (case, group[j].tag()) for j, case, _, _ in rows]
-        checked = dict(zip(((j, case) for j, case, _, _ in rows), _rows(names, gap, jv, tol)))
-        return [[checked[(j, row[0])] for row in table] for j, table in enumerate(tables)]
-
-    return [res for checked in _grouped(params_list, KernelParams.weight_index, checks)
-            for res in checked]
+    names = ["xi-image:%s@%s" % (row[0], params.tag())
+             for params, table in zip(params_list, tables) for row in table]
+    return _rows(names, gap, points, tol)
 
 
 def suite_kernels(points=None, tol=1e-7):
@@ -681,8 +652,8 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
             """Recomposed minus directly summed data."""
             tau = jv.tau.value
             v1 = theta_recompose_handle(two_m, h).jet_at(jv).value
-            # each label's theta once, for all of its classes
-            thetas = {l: theta_ml_jet(two_m, l, jv.tau, jv.z).value
+            # each label's theta as the recomposition took it
+            thetas = {l: component_at(theta_ml_jet, two_m, l, jv).value
                       for l in {l for _, l in classes}}
             v2 = 0j
             for (D, l), c in classes.items():

@@ -773,7 +773,7 @@ def test_verify_report_names_the_worst_point_of_each_check(capsys):
     assert all(c["worst_point"] in coords for c in checks.values())
     # xi^H(c_3) = -2 sqrt(pi) c_1^sk at [k, -m, -n, -r], one point at a time
     params = KernelParams.of(0.5, -1, -1, 1)
-    lhs = xi_H(params.weight_index(), kernel_term_handle(3, params))
+    lhs = xi_H(params, kernel_term_handle(3, params))
     rhs = kernel_term_handle(1, params.xi_H_partner(), skew=True)
     gaps = [abs(lhs.eval(p) + 2.0 * math.sqrt(math.pi) * rhs.eval(p)) for p in points]
     check = checks["xi-image:xiH(c3)@[0.5,-1,-1,1]"]

@@ -2,6 +2,7 @@
 finite-difference jets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mjlab.core import (
     _compose_taylor,
     exp_qn_zeta_r,
     finite_difference_jet,
+    fourier_sum_handle,
     half_integer,
     principal_sqrt,
     require_finite,
@@ -28,6 +30,7 @@ from mjlab.errors import (
     ZeroArgument,
 )
 from mjlab.group import GEN_S, TaggedForm, _frame, slash
+from mjlab.kernels import FourierData, h_series_handle
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.special import jacobi_theta_handle, theta_ml_handle, zwegers_R_handle
 
@@ -315,3 +318,36 @@ def test_a_lower_plain_order_is_evaluated_afresh_not_truncated():
     h = mu_hat_ml_handle(2, 0.0)
     h.jet_at(jv.extend(1))
     assert bits(h.jet_at(jv)) == bits(h.jet_at(JetVars.at(STACK, 0)))
+
+
+class TestPerRowWeightIndex:
+    def test_of_rows_keeps_a_shared_numerator_plain(self):
+        wi = WeightIndex.of_rows([WeightIndex(1, 2), WeightIndex(1, -2), WeightIndex(1, 2)])
+        assert wi.two_k == 1 and isinstance(wi.two_k, int) and wi.k == 0.5
+        assert wi.two_m.tolist() == [2, -2, 2] and wi.per_row
+        assert wi.m.shape == (3, 1) and wi.m.ravel().tolist() == [1.0, -1.0, 1.0]
+        same = WeightIndex.of_rows([WeightIndex(3, -1)] * 4)
+        assert same == WeightIndex(3, -1) and not same.per_row
+
+    def test_per_row_rules_keep_their_rows(self):
+        wi = WeightIndex(np.array([1, 3]), np.array([2, -1]))
+        assert wi.shift_k(4).two_k.tolist() == [5, 7]
+        assert wi.negate_m().two_m.tolist() == [-2, 1]
+
+    def test_rejects_a_zero_row_and_numerators_that_are_not_int_rows(self):
+        for two_k, two_m in ((np.array([1, 1]), np.array([2, 0])), (np.array([1.0, 3.0]), 2),
+                             (np.array([[1, 3]]), 2)):
+            with pytest.raises(DomainError):
+                WeightIndex(two_k, two_m)
+
+
+def test_every_fourier_sum_handle_is_the_one_builder():
+    """exp_qn_zeta_r, FourierData.handle and h_series_handle are
+    fourier_sum_handle over their terms, bit for bit."""
+    jv = JetVars.at([EvalPoint(0.1, 1.2, 0.3, 0.2), EvalPoint(-0.2, 0.9, 0.1, -0.1)], 2)
+    data = FourierData(2, {(1, 1): 0.5 - 1j, (0, -1): 2.0})
+    series = [(Fraction(-1, 8), 1.5j), (Fraction(3, 8), -0.25)]
+    for handle, terms in ((exp_qn_zeta_r(2, -1), [(2, -1, 1.0)]),
+                          (data.handle(), [(0, -1, 2.0), (1, 1, 0.5 - 1j)]),
+                          (h_series_handle(series), [(-0.125, 0, 1.5j), (0.375, 0, -0.25)])):
+        assert np.array_equal(handle.jet_at(jv).c, fourier_sum_handle(terms, "").jet_at(jv).c)

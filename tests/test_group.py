@@ -73,7 +73,7 @@ def theta_form():
 def skew_form():
     params = KernelParams.of(0.5, -1.0, -1, 1)
     return TaggedForm(
-        kernel_term_handle(1, params, skew=True), params.weight_index(), "skew"
+        kernel_term_handle(1, params, skew=True), params, "skew"
     )
 
 
@@ -268,3 +268,50 @@ def test_slash_by_elements_of_another_count_than_the_points_raises():
     for count, at in ((2, GENERIC_POINTS[:3]), (4, GENERIC_POINTS[:3]), (1, GENERIC_POINTS[0])):
         with pytest.raises(DomainError):
             apply_slash(form, [GEN_S] * count).f.jet_at(JetVars.at(at, 0))
+
+
+# ----------------------------------------------------------------------
+# a weight/index per row
+
+
+def _per_index_stack():
+    """theta_ml[2,0] (index 1) and c3 (index -1), both of weight 1/2, as one
+    row stack with an index per row."""
+    forms = [build("theta_ml", m=1, l=0), build("c3", k=0.5, m=-1, n=-1, r=1)]
+    wi = WeightIndex.of_rows([phi.weight_index for phi in forms])
+    assert wi.two_k == 1 and wi.two_m.tolist() == [2, -2]
+    return forms, TaggedForm(_stacked([phi.f for phi in forms]), wi)
+
+
+def test_a_slash_gives_each_row_its_own_index():
+    """Slashed by a sequence of the generators, one per point, each row of
+    the stack is its form slashed alone, bit for bit, at order 2."""
+    forms, stack = _per_index_stack()
+    elements = list(GENERATORS.values())
+    points = GENERIC_POINTS[:len(elements)]
+    got = apply_slash(stack, elements).f.jet_at(JetVars.at(points, 2)).c
+    alone = [apply_slash(phi, elements).f.jet_at(JetVars.at(points, 2)).c for phi in forms]
+    assert np.array_equal(got, np.stack(alone))
+
+
+def test_a_slash_of_rows_that_differ_in_weight_raises():
+    _, stack = _per_index_stack()
+    mixed = TaggedForm(stack.f, WeightIndex(np.array([1, 3]), 2))
+    for A in (GEN_S, [GEN_T, GEN_S]):
+        with pytest.raises(DomainError):
+            slash(mixed, A)
+    with pytest.raises(DomainError):
+        skew_slash(TaggedForm(stack.f, mixed.weight_index, "skew"), GEN_S)
+
+
+def test_a_per_row_index_needs_a_point_stack():
+    """On one point's coordinates the per-row index factor would broadcast
+    against the rows: DomainError there, and on a one-point stack each row
+    is its form slashed alone on that stack."""
+    forms, stack = _per_index_stack()
+    p = GENERIC_POINTS[0]
+    with pytest.raises(DomainError):
+        slash(stack, GEN_S).f.jet_at(JetVars.at(p, 1))
+    got = slash(stack, GEN_S).f.jet_at(JetVars.at([p], 1)).c
+    assert np.array_equal(got, np.stack([slash(phi, GEN_S).f.jet_at(JetVars.at([p], 1)).c
+                                         for phi in forms]))

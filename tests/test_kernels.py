@@ -65,7 +65,6 @@ def test_kernel_params_extend_weight_index():
     assert isinstance(params, WeightIndex)
     assert (params.two_k, params.two_m, params.n, params.r) == (3, -1, 2, -1)
     assert (params.k, params.m) == (1.5, -0.5)
-    assert params.weight_index() == WeightIndex(3, -1)
 
 
 @pytest.mark.parametrize("k,m,n,r", [

@@ -9,6 +9,7 @@ import pytest
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex, exp_qn_zeta_r
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
+from mjlab.jets import Jet
 from mjlab.kernels import KernelParams, kernel_term_handle
 from mjlab.mu import mu_hat_2_handle, mu_hat_ml_handle
 from mjlab.operators import (
@@ -136,8 +137,7 @@ def test_semimeromorphic_casimir_report_passes(skew):
 def test_skew_casimir_annihilates_skew_kernel_term():
     params = KernelParams.of(0.5, -1.0, -1, 1)
     h = kernel_term_handle(1, params, skew=True)
-    wi = params.weight_index()
-    out = image(casimir_skew_map(wi.k, wi.m), h)
+    out = image(casimir_skew_map(params.k, params.m), h)
     assert max_abs(out) < 1e-7
 
 
@@ -413,3 +413,28 @@ def test_casimir_applies_each_lowering_of_the_operand_once(order, monkeypatch):
     k, m = 3.0, 2.0
     image(operators.casimir_map(k, m), yv_probe()).jet_at(JetVars.at(POINTS[0], order))
     assert calls == {("X-", k): 1, ("Y-", k): 1, ("Y-", k - 1): 1}
+
+
+# ----------------------------------------------------------------------
+# a weight/index per row
+
+
+def test_a_per_row_weight_index_needs_a_point_stack():
+    """An operator on a stack whose rows differ in weight/index takes a
+    constant per row: on one point's coordinates those would broadcast
+    against the rows, so that raises DomainError, and on a one-point stack
+    each row is its form's image alone on that stack."""
+    pairs = (WeightIndex(1, 2), WeightIndex(3, -1))
+    forms = [TaggedForm(exp_qn_zeta_r(1, 1), pairs[0]),
+             TaggedForm(kernel_term_handle(3, KernelParams.of(1.5, -0.5, 0, 1)), pairs[1])]
+    stack = TaggedForm(FunctionHandle(lambda jv: Jet(jv.order, np.stack(
+        [phi.f.jet_at(jv).c for phi in forms]))), WeightIndex.of_rows(pairs))
+    p = POINTS[0]
+    for name in ("X+", "Casimir", "xi", "xiH"):
+        out = apply_operator(name, stack)
+        assert out.weight_index.per_row
+        with pytest.raises(DomainError):
+            out.f.jet_at(JetVars.at(p, 0))
+        got = out.f.jet_at(JetVars.at([p], 1)).c
+        want = [apply_operator(name, phi).f.jet_at(JetVars.at([p], 1)).c for phi in forms]
+        assert np.array_equal(got, np.stack(want)), name

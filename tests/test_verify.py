@@ -10,12 +10,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mjlab import cli, group, kernels, mu, special
+from mjlab import cli, group, kernels, mu, special, verify
 from mjlab.catalog import build
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
-from mjlab.kernels import kernel_term_handle, xi_image_rows
+from mjlab.kernels import KERNEL_TERMS, kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.operators import _entry, apply_operator, input_kind
 from mjlab.special import theta_ml_jet
@@ -317,20 +317,20 @@ POINT_SETS = (GENERIC_POINTS,) + tuple(jittered(GENERIC_POINTS, seed) for seed i
 
 
 def test_kernels_suite_rows_equal_their_identities_alone():
-    """Each family is evaluated once and truncated, and each image stacks
-    the terms of both parameter sets of a weight/index."""
+    """Each family is evaluated once and truncated, and each operator is one
+    image of the terms of every parameter set, each row at its set's
+    weight/index."""
     for points in POINT_SETS:
         jv = JetVars.at(points, 0)
         want = []
         for params in KERNEL_PARAMS:
-            wi = params.weight_index()
             for skew in (False, True):
                 for i in (1, 2, 3, 4):
                     f = kernel_term_handle(i, params, skew=skew)
                     tag = "c%d%s" % (i, "sk" if skew else "")
                     for name, op_name in (("Casimir", "CasimirSk" if skew else "Casimir"),
                                           ("LaplaceH", "LaplaceH")):
-                        phi = TaggedForm(f, wi, input_kind(op_name))
+                        phi = TaggedForm(f, params, input_kind(op_name))
                         value = apply_operator(op_name, phi).f.jet_at(jv).value
                         want.append(("kernel-annihilation:%s(%s)@%s"
                                      % (name, tag, params.tag()), alone(value), 1e-7))
@@ -343,10 +343,9 @@ def test_xi_images_suite_rows_equal_their_identities_alone():
         jv = JetVars.at(points, 0)
         want = []
         for params in XI_TABLE_PARAMS:
-            wi = params.weight_index()
             for case, op_name, (i, skew), const, target in xi_image_rows(params):
                 f = kernel_term_handle(i, params, skew=skew)
-                phi = TaggedForm(f, wi, input_kind(op_name))
+                phi = TaggedForm(f, params, input_kind(op_name))
                 value = apply_operator(op_name, phi).f.jet_at(jv).value
                 if target is not None:
                     ti, tskew, tparams = target
@@ -461,3 +460,76 @@ def test_factorization_rows_equal_their_identities_alone():
     for j, res in enumerate(rows):
         [alone_row] = verify_identities([factorization_checks()[j]], GENERIC_POINTS[:3])
         assert alone_row.as_dict() == res.as_dict()
+
+
+# ----------------------------------------------------------------------
+# one row stack per action kind, each row at its own weight/index
+
+
+def test_one_kernel_stack_over_four_weight_indices_gives_each_sets_rows():
+    """The families of all eight KERNEL_PARAMS (four weight/index pairs)
+    stacked into one operand per operator: each set's rows of its Casimir,
+    CasimirSk and LaplaceH images are that set's image alone, bit for
+    bit."""
+    assert len({(p.two_k, p.two_m) for p in KERNEL_PARAMS}) == 4
+    jv = JetVars.at(GENERIC_POINTS, 0)
+    families = [verify._kernel_family(params) for params in KERNEL_PARAMS]
+
+    def image_of(op_name, terms, params_list, handles):
+        wi = WeightIndex.of_rows([p for p in params_list for _ in KERNEL_TERMS[terms]])
+        stack = TaggedForm(_stacked(handles, [terms] * len(handles), reach=3), wi,
+                           input_kind(op_name))
+        return apply_operator(op_name, stack).f.jet_at(jv).c
+
+    for op_name, terms in (("Casimir", slice(0, 4)), ("CasimirSk", slice(4, 8)),
+                           ("LaplaceH", slice(0, 8))):
+        got = image_of(op_name, terms, KERNEL_PARAMS, families)
+        assert got.shape[0] == len(KERNEL_PARAMS) * len(KERNEL_TERMS[terms])
+        alone = [image_of(op_name, terms, [params], [family])
+                 for params, family in zip(KERNEL_PARAMS, families)]
+        assert np.array_equal(got, np.concatenate(alone)), op_name
+
+
+def counted_calls(monkeypatch, *names):
+    """Count the calls verify makes to each of the named functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(verify, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(verify, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("suite,want", [
+    (suite_kernels, {"apply_operator": 3, "apply_slash": 0}),
+    (suite_covariance, {"apply_operator": 24, "apply_slash": 14}),
+    (suite_xi_images, {"apply_operator": 4, "apply_slash": 0}),
+])
+def test_one_image_per_operator_and_action_kind(monkeypatch, suite, want):
+    """Kernels and xi-images take one image per operator; covariance one
+    slash of each action kind's stack, and per operator one image of each
+    side and one slash of the right side."""
+    calls = counted_calls(monkeypatch, "apply_operator", "apply_slash")
+    suite()
+    assert calls == want
+
+
+def test_decomposition_roundtrip_takes_each_theta_once(monkeypatch):
+    """Five distinct (2m, l) over both ranks: the direct sum reads each
+    label's theta from the computation's memo, where the recomposition
+    left it."""
+    calls = []
+    fn = special.theta_ml_jet
+
+    def counted(*args):
+        calls.append(args[:2])
+        return fn(*args)
+
+    for module in (special, kernels, verify):
+        monkeypatch.setattr(module, "theta_ml_jet", counted)
+    run_suite("decomposition-roundtrip")
+    assert sorted(calls) == [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
