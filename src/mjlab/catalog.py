@@ -4,7 +4,9 @@ per request and under the domain rules of its functions (`half_integer`,
 `KernelParams.of`, the series' own checks), a plain `FunctionHandle`, a
 scalar function of w or, where the tag gives a weight/index, a `TaggedForm`.
 Every maker reaches its series through the attribute of its module, so
-rebinding a module function reaches every catalog evaluation.
+rebinding a module function reaches every catalog evaluation.  The label l
+of theta_ml and mu_hat_ml may also be a list of labels: the components at
+every label, one row each.
 """
 
 from collections import namedtuple

@@ -8,6 +8,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,9 +187,10 @@ class JetVars:
 
     `held` is the memo of a computation (`at` starts one), shared by every
     order of its base: coordinate jets by order, handle jets by (handle,
-    order), and `group`'s slash frames by (element, order) with the memo of
-    each element's transformed base.  Nothing in a memo refers back to it,
-    so reference counting frees it."""
+    order), `operators`' coefficient jets by (name, order, constants),
+    `kernels.component_at`'s component vectors, and `group`'s slash frames
+    by (element, order) with the memo of each element's transformed base.
+    Nothing in a memo refers back to it, so reference counting frees it."""
 
     __slots__ = ("x", "y", "u", "v", "order", "held")
 
@@ -355,11 +357,25 @@ def _central_offsets(mon, hh):
     axes = [var for var, e in enumerate(mon) for _ in range(e)]
     out = []
     for steps in itertools.product((hh, -hh), repeat=len(axes)):
-        o = [0.0, 0.0, 0.0, 0.0]
+        o = [0, 0, 0, 0]
         for var, d in zip(axes, steps):
             o[var] += d
         out.append(tuple(o))
     return out
+
+
+@lru_cache(maxsize=None)
+def _stencil(order):
+    """The stencils of `finite_difference_jet` at the given order, in units
+    of half its step: the sample offsets (4-tuples of ints, in the order the
+    partials meet them) and, per partial, the positions among them of its
+    coarse (step 2) and its fine (step 1) central offsets.  An offset of k
+    units is k times the half step, which is the value of its sum of
+    steps, each of at most three: doubling and halving are exact."""
+    index = {}  # offsets -> position, in the order met
+    pairs = [[[index.setdefault(o, len(index)) for o in _central_offsets(mon, hh)]
+              for hh in (2, 1)] for mon in monomials(order)]
+    return np.array(list(index), dtype=float), pairs
 
 
 def _central(values, hh):
@@ -377,42 +393,43 @@ def finite_difference_jet(h, p, order):
     extrapolation level: the independent reference for exact jets.  The
     step is h.fd_step, or default_fd_step(p) when that is None.
 
-    h is evaluated once, on the stack of the stencil's points in the order
-    the partials meet them; a non-finite sample raises NonFinite naming the
-    first such point.
+    p is one EvalPoint, or a sequence of them: then one row per point, shape
+    (points, M).  h is evaluated once, on the stack of every point's stencil
+    points, each point's in the order its partials meet them; a non-finite
+    sample raises NonFinite naming the first such point.
     """
     if order > 3:
         raise JetUnavailable("finite differences support order <= 3")
-    step = h.fd_step if h.fd_step is not None else default_fd_step(p)
-    # worst case the stencil moves `order` steps in y
-    if p.y - order * step <= 0:
-        raise StencilOutOfDomain(
-            "stencil leaves the upper half plane at y=%g, h=%g" % (p.y, step)
-        )
-    mons = monomials(order)
-    # per partial its coarse and its fine stencil
-    stencils = [[_central_offsets(mon, hh) for hh in (step, step / 2)] for mon in mons]
-    index = {}  # offsets -> position in the stack, in the order met
-    for pair in stencils:
-        for offsets in pair:
-            for o in offsets:
-                index.setdefault(o, len(index))
-    points = [EvalPoint(*(b + o for b, o in zip((p.x, p.y, p.u, p.v), offsets)))
-              for offsets in index]
-    values = np.broadcast_to(h.jet_at(JetVars.at(points, 0)).value, (len(points),))
+    one = isinstance(p, EvalPoint)
+    ps = [p] if one else list(p)
+    units, pairs = _stencil(order)
+    steps = []
+    for q in ps:
+        step = h.fd_step if h.fd_step is not None else default_fd_step(q)
+        # worst case the stencil moves `order` steps in y
+        if q.y - order * step <= 0:
+            raise StencilOutOfDomain(
+                "stencil leaves the upper half plane at y=%g, h=%g" % (q.y, step)
+            )
+        steps.append(step)
+    samples = np.concatenate([np.array([q.x, q.y, q.u, q.v]) + units * (step / 2)
+                              for q, step in zip(ps, steps)])
+    values = np.broadcast_to(h.jet_at(JetVars.held_at(samples.T, 0, {})).value, (len(samples),))
     bad = ~np.isfinite(values)
     if bad.any():
-        raise NonFinite("non-finite sample at %r" % (points[bad.argmax()],))
+        raise NonFinite("non-finite sample at %r" % (EvalPoint(*samples[bad.argmax()].tolist()),))
     values = [complex(v) for v in values]  # the arithmetic of lone h.eval samples
-    c = np.zeros(len(mons), dtype=complex)
-    for i, (mon, (at_step, at_half)) in enumerate(zip(mons, stencils)):
-        if sum(mon) == 0:
-            c[i] = values[index[at_step[0]]]
-            continue
-        coarse = _central([values[index[o]] for o in at_step], step)
-        fine = _central([values[index[o]] for o in at_half], step / 2)
-        c[i] = (4.0 * fine - coarse) / 3.0 / math.prod(map(math.factorial, mon))
-    return Jet(order, c)
+    c = np.zeros((len(ps), len(pairs)), dtype=complex)
+    for row, step, first in zip(c, steps, range(0, len(values), len(units))):
+        at = values[first:first + len(units)]
+        for i, (mon, (at_step, at_half)) in enumerate(zip(monomials(order), pairs)):
+            if sum(mon) == 0:
+                row[i] = at[at_step[0]]
+                continue
+            coarse = _central([at[j] for j in at_step], step)
+            fine = _central([at[j] for j in at_half], step / 2)
+            row[i] = (4.0 * fine - coarse) / 3.0 / math.prod(map(math.factorial, mon))
+    return Jet(order, c[0] if one else c)
 
 
 def _term_axis(values, *jets):

@@ -18,7 +18,8 @@ the transformed base.
 """
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -142,17 +143,21 @@ class SlashFrame:
     index: Jet
 
 
+# the fields of an element, in their order, read directly
+_FIELDS = attrgetter(*(f.name for f in fields(JacobiGroupElement)))
+
+
 def _fields(A, jv):
     """The fields (a, b, c, d, eps, lam, mu, kappa) of A: numbers for one
     element, and for a tuple of elements arrays over the point axis of jv,
     which has as many points as A has elements (DomainError otherwise)."""
     if isinstance(A, JacobiGroupElement):
-        return astuple(A)
+        return _FIELDS(A)
     points = jv.x.c.shape[:-1]
     if points != (len(A),):
         raise DomainError("a slash by %d elements on a stack of shape %r"
                           % (len(A), points))
-    return tuple(np.array([astuple(e) for e in A]).T)
+    return tuple(np.array([_FIELDS(e) for e in A]).T)
 
 
 def _frame(A, jv):

@@ -367,19 +367,21 @@ def h_series_handle(series, label="h"):
     return fourier_sum_handle([(float(e), 0, c) for e, c in series], label)
 
 
-def component_at(component_jet, two_m, l, jv, policy=None):
-    """component_jet(two_m, l, ...) on jv, made once per computation (held in its memo)."""
-    key = (component_jet, two_m, l, policy, jv.order)
+def component_at(component_jet, two_m, ls, jv, policy=None):
+    """component_jet(two_m, ls, ...) on jv for a tuple of labels ls, one
+    row per label, made once per computation (held in its memo)."""
+    key = (component_jet, two_m, ls, policy, jv.order)
     jet = jv.held.get(key)
     if jet is None:
-        jet = jv.held[key] = component_jet(two_m, l, jv.tau, jv.z, policy)
+        jet = jv.held[key] = component_jet(two_m, ls, jv.tau, jv.z, policy)
     return jet
 
 
 def _recompose_handle(component_jet, two_m, h, varphi, policy, label):
     """sum over labels of h_l(tau) component_jet(two_m, l, tau, z), plus
     varphi when given, with exact jets; h maps labels to handles or
-    rational-exponent series."""
+    rational-exponent series.  The components of all of h's labels are
+    one evaluation (`component_at`, keyed by the labels in h's order)."""
     hs = {
         l: (v if isinstance(v, FunctionHandle) else h_series_handle(v))
         for l, v in h.items()
@@ -387,8 +389,10 @@ def _recompose_handle(component_jet, two_m, h, varphi, policy, label):
 
     def je(jv):
         out = Jet.constant(0.0, jv.order)
-        for l, handle in hs.items():
-            out = out + handle.jet_at(jv) * component_at(component_jet, two_m, l, jv, policy)
+        if hs:
+            rows = component_at(component_jet, two_m, tuple(hs), jv, policy).c
+            for handle, row in zip(hs.values(), rows):
+                out = out + handle.jet_at(jv) * Jet(jv.order, row)
         if varphi is not None:
             out = out + varphi.jet_at(jv)
         return out

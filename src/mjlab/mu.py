@@ -9,7 +9,9 @@ All evaluators work in Taylor-jet arithmetic, so every function here has
 exact derivative jets and can be fed to the slash actions and covariant
 operators directly.  Each function is one jet evaluator plus, where a
 caller needs one, a FunctionHandle bound to the plain coordinates; a point
-value is the jet at order 0.
+value is the jet at order 0.  The completed components take one label or a
+list of labels (the vector of a rank, one row per label), sharing the work
+no label changes.
 """
 
 import cmath
@@ -135,6 +137,12 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     (-1)^(s1) q^((s2 + s1)/2) e^(2 pi i s1 z2) / (1 - e^(2 pi i z1) q^(s1)),
     where s1 and s2 are the entry sum and the square sum of n.
 
+    z1 is one jet, or a sequence of jets: then one row per z1 on a leading
+    axis, shape (len(z1), *points, M).  Only the denominators and the
+    factor e^(pi i z1) involve z1, so theta(z2)^(-2m), the lattice states
+    and the inner and outer sums are formed once, and each row is the sum
+    at its z1 alone, bit for bit.
+
     At a stack of points each point sums the states it sums alone: the
     states come from the largest radius of the stack, each point reads its
     own counts and tail floor, and the entry-sum and square-sum axes hold
@@ -143,12 +151,16 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     """
     check_component(two_m)
     policy = policy or TruncationPolicy()
+    z1s = [z1] if isinstance(z1, Jet) else list(z1)
     points = tau.c.shape[:-1]
-    if not points == z1.c.shape[:-1] == z2.c.shape[:-1]:  # tau on every point
-        points = np.broadcast_shapes(points, z1.c.shape[:-1], z2.c.shape[:-1])
+    shapes = {z.c.shape[:-1] for z in z1s}
+    shapes.add(z2.c.shape[:-1])
+    if shapes != {points}:  # tau on every point
+        points = np.broadcast_shapes(points, *shapes)
         tau = Jet(tau.order, np.broadcast_to(tau.c, points + tau.c.shape[-1:]))
     tau_val = tau.value
-    require_upper_half_plane("Appell sum", tau_val, z1=z1.value, z2=z2.value)
+    for z in z1s:
+        require_upper_half_plane("Appell sum", tau_val, z1=z.value, z2=z2.value)
     y0 = tau_val.imag
     v2 = z2.value.imag
 
@@ -191,23 +203,33 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
         mask1 = _kept_rows(weights, -1) if ragged else None
         mask2 = _kept_rows(weights, -2) if ragged else None
 
-        # denominators 1 - e^(2 pi i z1) q^(s1), one row per kept entry sum
-        # (1 where a point does not keep the entry sum)
-        u1 = _term_axis(u1, tau, z1, z2)
-        den = 1.0 - (TWO_PI * 1j * z1).exp() * _masked_exp((TWO_PI * 1j * u1) * tau, mask1)
-        small = np.abs(den.value) < POLE_TOL_APPELL
-        if small.any():
-            rows = small.reshape(len(u1), -1)
-            first = np.argmax(rows.any(axis=0))
-            raise PoleAtAppell(
-                "Appell denominator vanishes at z1=%r, entry sum %d"
-                % (_at(z1.value, points, first), u1.flat[np.argmax(rows[:, first])])
-            )
+        u1 = _term_axis(u1, tau)
+        q_u1 = _masked_exp((TWO_PI * 1j * u1) * tau, mask1)
         inner = _masked_exp((1j * math.pi * _term_axis(u2, tau)) * tau, mask2).sum(weights)
         outer = _masked_exp(u1 * (1j * math.pi * tau + TWO_PI * 1j * z2), mask1)
-        total = (outer * den.reciprocal() * inner).sum()
-        out = (1j * math.pi * z1).exp() * total * theta_inv_pow
-    return _finite_sum(out, "Appell sum")
+        rows = [_appell_row(z, u1, q_u1, outer, inner, theta_inv_pow, points) for z in z1s]
+    if isinstance(z1, Jet):
+        return _finite_sum(rows[0], "Appell sum")
+    return _finite_sum(Jet(rows[0].order, np.stack([row.c for row in rows])), "Appell sum")
+
+
+def _appell_row(z1, u1, q_u1, outer, inner, theta_inv_pow, points):
+    """The Appell sum at one z1 from the pieces free of it: the
+    denominators 1 - e^(2 pi i z1) q^(s1), one row per kept entry sum (1
+    where a point does not keep the entry sum, PoleAtAppell where one
+    vanishes), the sum over s1 of outer / den times inner, and the factors
+    e^(pi i z1) and theta(z2)^(-2m)."""
+    den = 1.0 - (TWO_PI * 1j * z1).exp() * q_u1
+    small = np.abs(den.value) < POLE_TOL_APPELL
+    if small.any():
+        rows = small.reshape(len(u1), -1)
+        first = np.argmax(rows.any(axis=0))
+        raise PoleAtAppell(
+            "Appell denominator vanishes at z1=%r, entry sum %d"
+            % (_at(z1.value, points, first), u1.flat[np.argmax(rows[:, first])])
+        )
+    total = (outer * den.reciprocal() * inner).sum()
+    return (1j * math.pi * z1).exp() * total * theta_inv_pow
 
 
 def _kept_rows(weights, axis):
@@ -261,22 +283,36 @@ def _component_phase(l):
 
 def mu_hat_component_jet(two_m, l, tau, z, policy=None):
     """The completed component: normalized prefactor times (Appell part
-    minus (i/2) times the nonholomorphic R-series at the shifted argument)."""
-    check_component(two_m, l)
+    minus (i/2) times the nonholomorphic R-series at the shifted argument).
+
+    l is one label, or a sequence of labels: then the components on a
+    leading label axis, shape (labels, *points, M).  Their Appell parts are
+    one `mu_m_jet` over the labels' z1 = 1/2 + (l + m) tau at the shared
+    z2 = 1/4m - z - 1/2; each label adds its R-series and prefactor, so
+    each row is its label's jet alone, bit for bit."""
+    one = not isinstance(l, (list, tuple, np.ndarray))
+    ls = [l] if one else list(l)
+    if not ls:
+        raise DomainError("a component evaluation needs a label")
+    for label in ls:
+        check_component(two_m, label)
     require_upper_half_plane("mu_hat_{m,l}", tau.value, z=z.value)
     m = two_m / 2.0
-    lpm = l + m
     zs = z + COMPONENT_SHIFT
     mu_part = mu_m_jet(
         two_m,
         tau,
-        0.5 + lpm * tau,
+        0.5 + (l + m) * tau if one else [0.5 + (label + m) * tau for label in ls],
         1.0 / (2.0 * two_m) - zs,
         policy,
     )
-    r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, l, tau, zs), policy)
-    pref = _component_phase(l) * _completion_prefactor(two_m, l, tau, zs)
-    return pref * (mu_part - 0.5j * r_part)
+    rows = []
+    for j, label in enumerate(ls):
+        r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, label, tau, zs), policy)
+        pref = _component_phase(label) * _completion_prefactor(two_m, label, tau, zs)
+        part = mu_part if one else Jet(mu_part.order, mu_part.c[j])
+        rows.append(pref * (part - 0.5j * r_part))
+    return rows[0] if one else Jet(mu_part.order, np.stack([row.c for row in rows]))
 
 
 def r_hat_component_jet(two_m, l, tau, z, policy=None):

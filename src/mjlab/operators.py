@@ -7,7 +7,11 @@ tagged form.
 
 A jet map sends the jet of an operand at order n + loss to the jet of its
 image at order n, both on plain coordinates; its coefficient jets in y and v
-come from the plain coordinate jets at order n.  The first-order operators
+come from the plain coordinate jets at order n and are held in their memo
+(`_held`), so every image and composite on one computation makes each
+once.  A coefficient is built free of the weight/index where it can be,
+and its constant scales it afterwards, so a constant per row does not turn
+coefficient products into products per row.  The first-order operators
 are written directly as maps; the composites are compositions (`@`) and
 linear combinations of them.  `image` is the one function that turns a map
 and an operand handle into a handle: it evaluates the operand once, at the
@@ -19,6 +23,8 @@ satisfy are checked in `mjlab.verify`.
 """
 
 import math
+
+import numpy as np
 
 from .core import FunctionHandle, WeightIndex
 from .errors import DomainError
@@ -72,8 +78,47 @@ def _times(coeff):
     return JetMap(0, lambda F, jv: coeff(jv) * F)
 
 
+# ----------------------------------------------------------------------
+# coefficient jets, made once per computation and order
+
+
+def _held(jv, name, make, *consts):
+    """The coefficient jet make() on the plain coordinates jv, made once per
+    computation and order: held in their memo by its name, the order and
+    the constants it depends on, a per-row constant (an array) by its shape
+    and values."""
+    key = (name, jv.order) + tuple((c.shape, c.tobytes()) if isinstance(c, np.ndarray) else c
+                                   for c in consts)
+    jet = jv.held.get(key)
+    if jet is None:
+        jet = jv.held[key] = make()
+    return jet
+
+
+def _inv_y(jv):
+    return _held(jv, "1/Y", jv.y.reciprocal)
+
+
+def _v_over_y(jv):
+    return _held(jv, "V/Y", lambda: jv.v * _inv_y(jv))
+
+
+def _k_over_y(jv, k):
+    return _held(jv, "k/Y", lambda: _inv_y(jv) * k, k)
+
+
+def _v2_over_y2(jv):
+    """V^2 / Y^2, free of the index: a per-row index scales it afterwards,
+    so its products stay the size of the point stack."""
+    return _held(jv, "V^2/Y^2", lambda: (jv.v * jv.v) / (jv.y * jv.y))
+
+
+def _y_pow(jv, alpha):
+    return _held(jv, "y^alpha", lambda: jv.y.cpow(alpha), alpha)
+
+
 def _y_power(alpha):
-    return _times(lambda jv: jv.y.cpow(alpha))
+    return _times(lambda jv: _y_pow(jv, alpha))
 
 
 def image(jmap, f, label=""):
@@ -92,10 +137,9 @@ def image(jmap, f, label=""):
 def raise_X(k, m):
     def apply(F, jv):
         Ft = F.truncate(jv.order)
-        Y, V = jv.y, jv.v
         return (
-            2j * (d_tau(F) + (V / Y) * d_z(F) + (2j * math.pi * m) * (V * V) / (Y * Y) * Ft)
-            + (k / Y) * Ft
+            2j * (d_tau(F) + _v_over_y(jv) * d_z(F) + (2j * math.pi * m) * _v2_over_y2(jv) * Ft)
+            + _k_over_y(jv, k) * Ft
         )
 
     return JetMap(1, apply)
@@ -111,7 +155,7 @@ def lower_X(k, m):
 
 def raise_Y(k, m):
     def apply(F, jv):
-        return 1j * d_z(F) - (4.0 * math.pi * m) * (jv.v / jv.y) * F.truncate(jv.order)
+        return 1j * d_z(F) - (4.0 * math.pi * m) * _v_over_y(jv) * F.truncate(jv.order)
 
     return JetMap(1, apply)
 
@@ -134,8 +178,8 @@ def raise_X_skew(k, m):
 
 def lower_X_skew(k, m):
     def apply(F, jv):
-        Y, V = jv.y, jv.v
-        return -2j * (d_taubar(F) + (V / Y) * d_zbar(F)) + (k - 0.5) / Y * F.truncate(jv.order)
+        return (-2j * (d_taubar(F) + _v_over_y(jv) * d_zbar(F))
+                + _k_over_y(jv, k - 0.5) * F.truncate(jv.order))
 
     return JetMap(1, apply)
 
@@ -203,7 +247,7 @@ def laplace_hyperbolic(k):
 
 def classical_raise(k):
     """Weight raising operator 2 i d_tau + k / y on functions of tau."""
-    return JetMap(1, lambda F, jv: 2j * d_tau(F) + (k / jv.y) * F.truncate(jv.order))
+    return JetMap(1, lambda F, jv: 2j * d_tau(F) + _k_over_y(jv, k) * F.truncate(jv.order))
 
 
 def classical_lower():
@@ -226,13 +270,13 @@ XI_H_BRANCH_CONSTANT = 1.0
 def _xi_H_factor(m, power):
     """Multiplication by sqrt(-my)^power exp(-4 pi m v^2/y), power = +-1."""
 
-    def coeff(jv):
+    def make(jv):
         root = (XI_H_BRANCH_CONSTANT * abs(m) * jv.y).cpow(0.5)
         if power < 0:
             root = root.cpow(-1.0)
         return root * ((-4.0 * math.pi * m) * jv.v * jv.v / jv.y).exp()
 
-    return _times(coeff)
+    return _times(lambda jv: _held(jv, "xiH factor", lambda: make(jv), m, power))
 
 
 def xi_H_map(k, m):
@@ -260,13 +304,16 @@ def xi_skew_map(k, m):
     def heat(F, jv):
         return (8j * math.pi * m) * d_tau(F.truncate(jv.order + 1)) - d_z(d_z(F))
 
-    scale = _times(lambda jv: (1.0 / (4.0 * math.pi * m)) * jv.y.cpow(k - 0.5))
-    return scale @ JetMap(2, heat)
+    def scale(jv):
+        return _held(jv, "xiSk scale",
+                     lambda: (1.0 / (4.0 * math.pi * m)) * _y_pow(jv, k - 0.5), k, m)
+
+    return _times(scale) @ JetMap(2, heat)
 
 
 def xi_bruinier_funke(k):
     """The scalar xi_k(f) = 2 i y^k conj(d_taubar f) (external definition)."""
-    return JetMap(1, lambda F, jv: 2j * jv.y.cpow(k) * d_taubar(F).conj())
+    return JetMap(1, lambda F, jv: 2j * _y_pow(jv, k) * d_taubar(F).conj())
 
 
 # ----------------------------------------------------------------------

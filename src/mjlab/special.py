@@ -470,10 +470,21 @@ def jacobi_theta_handle(policy=None):
 
 
 def theta_ml_jet(two_m, l, tau, z, policy=None):
-    """theta_{m,l}(tau, z) = sum over r = l mod 2m of q^(r^2/4m) zeta^r."""
+    """theta_{m,l}(tau, z) = sum over r = l mod 2m of q^(r^2/4m) zeta^r.
+
+    l is one label, or a sequence of labels: then the components on a
+    leading label axis, shape (labels, *points, M), from one term axis that
+    holds every label's terms r, grouped by label, with one exp; each
+    label sums its own group, so each row is its label's jet alone, bit
+    for bit."""
     if two_m <= 0:
         raise DomainError("theta_{m,l} requires m > 0")
-    require_finite(l, "label l")
+    one = not isinstance(l, (list, tuple, np.ndarray))
+    ls = [l] if one else list(l)
+    if not ls:
+        raise DomainError("theta_{m,l} needs a label")
+    for label in ls:
+        require_finite(label, "label l")
     policy = policy or TruncationPolicy()
     m = two_m / 2.0
     require_upper_half_plane("theta_{m,l}", tau.value, z=z.value)
@@ -481,16 +492,23 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     v0 = z.value.imag
     radius = _gaussian_radius(y0, two_m, TWO_PI * abs(v0), policy)
     R = _largest(radius)
-    l = l % two_m  # may be half-integral for odd 2m
-    t_lo = -int((R + l) // two_m) - 1
-    t_hi = int((R - l) // two_m) + 1
-    r = l + two_m * np.arange(t_lo, t_hi + 1)
-    r = _term_axis(r[np.abs(r) <= R + two_m], tau, z)
+    groups = []
+    for label in ls:
+        label = label % two_m  # may be half-integral for odd 2m
+        t_lo = -int((R + label) // two_m) - 1
+        t_hi = int((R - label) // two_m) + 1
+        r = label + two_m * np.arange(t_lo, t_hi + 1)
+        groups.append(r[np.abs(r) <= R + two_m])
+    r = _term_axis(groups[0] if one else np.concatenate(groups), tau, z)
     mask = _stack_mask(radius, lambda rad: np.abs(r) <= rad + two_m)
     with np.errstate(over="ignore"):  # an exponent below the float range: exp is 0
         terms = _masked_exp((2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z,
                             mask)
-    return terms.sum()
+    if one:
+        return terms.sum()
+    ends = np.cumsum([len(r) for r in groups]).tolist()
+    return Jet(terms.order, np.stack([terms.c[lo:hi].sum(axis=0)
+                                      for lo, hi in zip([0] + ends, ends)]))
 
 
 def theta_ml_handle(two_m, l, policy=None):

@@ -15,15 +15,17 @@ reduced by `_rows`, which names the point of its largest residual.  The
 command line front end serializes the records and the test harness asserts
 on them.  All default point sets are deterministic.  A driver takes a
 sequence of points or their order-0 coordinate jets; a suite evaluates all
-of its checks on one `JetVars.at(points, 0)`, so they share each jet and
-slash frame through that computation's memo.  Covariance puts its
+of its checks on one `JetVars.at(points, 0)`, so they share each jet,
+operator coefficient and slash frame through that computation's memo.  A
+vector-valued form (the theta or completed components of one rank) is one
+evaluation at all its labels.  Covariance puts its
 generators on the point axis instead: its checks share one computation at
 the points tiled once per generator, slashed by one element per point.
 """
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .core import (
 )
 from .errors import DomainError, JetUnavailable
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
-from .jets import Jet
+from .jets import Jet, monomials
 from .kernels import (
     KERNEL_TERMS,
     FourierData,
@@ -134,6 +136,12 @@ def _at(points):
     return points if isinstance(points, JetVars) else JetVars.at(points, 0)
 
 
+def _stack(points):
+    """The points of a per-row driver as a stack: a lone EvalPoint as a
+    stack of one, since a row stack's per-row weight/index needs one."""
+    return [points] if isinstance(points, EvalPoint) else points
+
+
 def _rows(names, gap, points, tol):
     """SuiteResult records of the named checks taken over points.  gap(jv),
     with jv the order-0 plain coordinate jets of the points (`_at`), gives
@@ -146,8 +154,12 @@ def _rows(names, gap, points, tol):
     if not len(coords):
         return [SuiteResult(name, 0.0, tol) for name in names]
     values = np.abs(gap(jv)).reshape(len(names), -1)
-    return [SuiteResult(name, float(np.max(row)), tol, coords[int(np.argmax(row))].tolist())
-            for name, row in zip(names, values)]
+    # argmax meets the first NaN, where max is NaN, and else the first maximum
+    at = np.argmax(values, axis=1)
+    coords = coords.tolist()
+    return [SuiteResult(name, value, tol, list(coords[i]))
+            for name, value, i in zip(names, values[np.arange(len(names)), at].tolist(),
+                                      at.tolist())]
 
 
 def _stacked(handles, picks=None, reach=0):
@@ -318,7 +330,7 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
     names = ["kernel-annihilation:%s(c%d%s)@%s" % (identity, i, "sk" if skew else "", params.tag())
              for params in params_list for i, skew in KERNEL_TERMS
              for identity in ("Casimir", "LaplaceH")]
-    return _rows(names, gap, points, tol)
+    return _rows(names, gap, _stack(points), tol)
 
 
 def verify_xi_image_table(params_list, points, tol=1e-7):
@@ -361,7 +373,7 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
 
     names = ["xi-image:%s@%s" % (row[0], params.tag())
              for params, table in zip(params_list, tables) for row in table]
-    return _rows(names, gap, points, tol)
+    return _rows(names, gap, _stack(points), tol)
 
 
 def suite_kernels(points=None, tol=1e-7):
@@ -508,9 +520,9 @@ def suite_factorizations(points=None, tol=1e-6):
 
 def _vector(name, two_m):
     """The components of rank 2m of the catalog function name (theta_ml or
-    mu_hat_ml), in label order, as one row-stacked tagged form."""
-    forms = [build(name, m=two_m / 2, l=l) for l in labels(two_m)]
-    return replace(forms[0], f=_stacked([phi.f for phi in forms]))
+    mu_hat_ml), in label order, as one tagged form: its handle is the
+    evaluator at every label at once, one row per label."""
+    return build(name, m=two_m / 2, l=labels(two_m))
 
 
 def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
@@ -580,32 +592,34 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     """xi^H maps each completed component onto the matching theta
     component; the Heisenberg Laplace operator annihilates the components;
     the covariant xi operator annihilates the distinguished weight-1/2
-    combination.  The components of each rank are one stacked operand of
-    one xi^H image and one Heisenberg Laplace image.  The xi^H checks are
-    evaluated on one computation at the points, the others on one at the
-    first five."""
+    combination.  The components of each rank are one vector evaluation,
+    the operand of one xi^H image and one Heisenberg Laplace image, on one
+    computation at the points: the operand is evaluated there once, at
+    order 2, and the xi^H rows read the value of the order-1 xi^H image,
+    whose operand that is.  The Laplace rows keep the first five points,
+    where the xi check of mu_hat_2 is taken."""
     points = points or GENERIC_POINTS_10
-    at_points, at_five = JetVars.at(points, 0), JetVars.at(points[:5], 0)
+    jv, five = JetVars.at(points, 0), JetVars.at(points[:5], 0)
     results = []
     for two_m in two_m_list:
         ls = labels(two_m)
         stack = _vector("mu_hat_ml", two_m)
-        img = apply_operator("xiH", stack).f
+        xi, lap = (apply_operator(op_name, stack).f for op_name in ("xiH", "LaplaceH"))
 
         def gap(jv):
-            thetas = [theta_ml_jet(two_m, l, jv.tau, jv.z).value for l in ls]
-            return img.jet_at(jv).value - np.stack(thetas)
+            return (xi.jet_at(jv.extend(1)).value
+                    - theta_ml_jet(two_m, ls, jv.tau, jv.z).value)
 
         xi_rows = _rows(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l) for l in ls],
-                        gap, at_points, tol_xi)
-        lap = apply_operator("LaplaceH", stack).f
+                        gap, jv, tol_xi)
+        lap_values = lap.jet_at(jv).value[:, :5]
         lap_rows = _rows(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l) for l in ls],
-                         lambda jv: lap.jet_at(jv).value, at_five, tol_lap)
+                         lambda _: lap_values, five, tol_lap)
         results += [res for pair in zip(xi_rows, lap_rows) for res in pair]
     mu_hat_2 = build("mu_hat_2")
     wi = mu_hat_2.weight_index
     return results + verify_identities(
-        [("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f)], at_five, tol_mu2)
+        [("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f)], five, tol_mu2)
 
 
 # ----------------------------------------------------------------------
@@ -652,12 +666,12 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
             """Recomposed minus directly summed data."""
             tau = jv.tau.value
             v1 = theta_recompose_handle(two_m, h).jet_at(jv).value
-            # each label's theta as the recomposition took it
-            thetas = {l: component_at(theta_ml_jet, two_m, l, jv).value
-                      for l in {l for _, l in classes}}
+            # every label's theta as the recomposition took it
+            thetas = component_at(theta_ml_jet, two_m, tuple(h), jv).value
+            row = {l: j for j, l in enumerate(h)}
             v2 = 0j
             for (D, l), c in classes.items():
-                v2 += c * np.exp(2j * math.pi * (D / (2.0 * two_m)) * tau) * thetas[l]
+                v2 += c * np.exp(2j * math.pi * (D / (2.0 * two_m)) * tau) * thetas[row[l]]
             return v1 - v2
 
         results += _rows(["decomposition:roundtrip@2m=%d" % two_m], gap, jv, tol)
@@ -707,7 +721,11 @@ def _hygiene_values(points, policy):
 
 def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
     """Truncation stability under radius doubling and finite-difference
-    versus exact-jet agreement."""
+    versus exact-jet agreement.  The radius-doubling rows are formed from
+    the values of both policies, one row per point and name.  Per
+    finite-difference function, its exact jets are one order-2 stack at
+    the points and its finite-difference jets one evaluation of every
+    point's stencil (`finite_difference_jet` on the point list)."""
     points = points or [EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.3, 1.5, 0.11, 0.08)]
     results = []
     # squaring the tail target twice roughly doubles every Gaussian radius
@@ -715,20 +733,22 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
     v2 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-56))
     for i, p in enumerate(points):
         for name, (at, value) in v1.items():
-            results += _rows(["hygiene:radius-doubling:%s@y=%g" % (name, p.y)],
-                             lambda jv: value[i] - v2[name][1][i], at[i], tol_trunc)
+            q = at[i]
+            results.append(SuiteResult("hygiene:radius-doubling:%s@y=%g" % (name, p.y),
+                                       float(np.abs(value[i] - v2[name][1][i])), tol_trunc,
+                                       [q.x, q.y, q.u, q.v]))
     # finite differences against exact jets, relative, order <= 2
+    factorials = np.array([math.prod(map(math.factorial, mon)) for mon in monomials(2)],
+                          dtype=float)
+    jv = JetVars.at(points, 2)
     for fn, options in (("theta_ml", {"m": 1, "l": 0}), ("c1sk", KERNEL_OPTIONS)):
         h = build(fn, **options).f
-        for p in points:
-
-            def gap(jv):
-                exact = h.jet_at(jv.extend(2)).table()
-                approx = finite_difference_jet(h, p, 2).table()
-                scale = max(abs(v) for v in exact.values())
-                return _abs_max([exact[k] - approx[k] for k in exact]) / scale
-
-            results += _rows(["hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y)], gap, p, tol_fd)
+        exact = h.jet_at(jv).c * factorials
+        approx = finite_difference_jet(h, points, 2).c * factorials
+        for p, e, a in zip(points, exact, approx):
+            scale = max(abs(v) for v in e.tolist())  # Python's abs, as the scale always was
+            results.append(SuiteResult("hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y),
+                                       _abs_max(e - a) / scale, tol_fd, [p.x, p.y, p.u, p.v]))
     return results
 
 

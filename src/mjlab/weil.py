@@ -8,7 +8,7 @@ positive integer (odd values arise for half-integer index).
 
 import cmath
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -24,20 +24,28 @@ def root_of_unity(num, den):
 
 def rho_generator(two_m, which, dual=False):
     """Image of the generator T or S of the metaplectic modular group under
-    the index-m Weil representation (or its dual)."""
+    the index-m Weil representation (or its dual): made once per process
+    and returned read-only, so no caller can change what another reads."""
     if two_m < 1:
         raise DomainError("2m must be a positive integer")
-    n = two_m
-    ls = labels(two_m)
+    if which not in ("T", "S"):
+        raise DomainError("generator must be 'T' or 'S'")
+    return _rho_generator(two_m, which, bool(dual))
+
+
+@lru_cache(maxsize=None)
+def _rho_generator(n, which, dual):
+    ls = labels(n)
     if which == "T":
         # diagonal entries e_{4m}(l^2) = e^(2 pi i l^2 / (2 * 2m))
         data = np.diag([root_of_unity(l * l, 2 * n) for l in ls])
-    elif which == "S":
+    else:
         pref = 1.0 / principal_sqrt(1j * n)  # 1/sqrt(2im)
         data = np.array([[pref * root_of_unity(-l * lp, n) for l in ls] for lp in ls])
-    else:
-        raise DomainError("generator must be 'T' or 'S'")
-    return np.conj(data) if dual else data
+    if dual:
+        data = np.conj(data)
+    data.setflags(write=False)
+    return data
 
 
 def rho_word(two_m, word, dual=False):

@@ -30,6 +30,7 @@ from mjlab.errors import (
     ZeroArgument,
 )
 from mjlab.group import GEN_S, TaggedForm, _frame, slash
+from mjlab.jets import monomials
 from mjlab.kernels import FourierData, h_series_handle
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.special import jacobi_theta_handle, theta_ml_handle, zwegers_R_handle
@@ -196,6 +197,34 @@ def test_finite_difference_names_the_first_non_finite_sample():
     with pytest.raises(NonFinite) as got:
         finite_difference_jet(h, FD_POINT, 2)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_finite_difference_of_a_point_list_is_one_evaluation_of_every_stencil(order):
+    """One row per point, each the jet of that point alone bit for bit,
+    from one evaluation of the handle on the points' stencils in turn (the
+    points at different y take different default steps)."""
+    points = [FD_POINT, EvalPoint(-0.3, 1.5, 0.11, 0.08), EvalPoint(0.2, 2.5, -0.1, 0.3)]
+    for h in (theta_ml_handle(2, 0), exp_qn_zeta_r(1, 2)):
+        calls = []
+
+        def counted(jv, h=h):
+            calls.append(_points_of(jv))
+            return h.jet_at(jv)
+
+        got = finite_difference_jet(FunctionHandle(counted), points, order)
+        assert got.c.shape == (len(points), len(monomials(order)))
+        alone = [finite_difference_jet(FunctionHandle(counted), p, order) for p in points]
+        assert len(calls) == 1 + len(points)
+        assert calls[0] == [q for lone in calls[1:] for q in lone]
+        for row, jet in zip(got.c, alone):
+            assert row.tobytes() == bits(jet)
+
+
+def test_finite_difference_of_a_point_list_checks_every_stencil():
+    h = exp_qn_zeta_r(0, 1)
+    with pytest.raises(StencilOutOfDomain, match="y=1e-06"):
+        finite_difference_jet(h, [FD_POINT, EvalPoint(0.0, 1e-6)], 2)
 
 
 def test_finite_difference_limits():

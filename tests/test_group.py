@@ -315,3 +315,13 @@ def test_a_per_row_index_needs_a_point_stack():
     got = slash(stack, GEN_S).f.jet_at(JetVars.at([p], 1)).c
     assert np.array_equal(got, np.stack([slash(phi, GEN_S).f.jet_at(JetVars.at([p], 1)).c
                                          for phi in forms]))
+
+
+def test_the_fields_of_an_element_are_its_dataclass_fields_in_order():
+    from dataclasses import astuple
+
+    A = group.group_word(GEN_S, heisenberg(0.5, -1.0, 0.25), GEN_T)
+    assert group._fields(A, None) == astuple(A)
+    jv = JetVars.at(GENERIC_POINTS[:2], 0)
+    got = group._fields([A, GEN_S], jv)
+    assert [a.tolist() for a in got] == [list(col) for col in zip(astuple(A), astuple(GEN_S))]

@@ -438,3 +438,62 @@ def test_a_per_row_weight_index_needs_a_point_stack():
         got = out.f.jet_at(JetVars.at([p], 1)).c
         want = [apply_operator(name, phi).f.jet_at(JetVars.at([p], 1)).c for phi in forms]
         assert np.array_equal(got, np.stack(want)), name
+
+
+# ----------------------------------------------------------------------
+# coefficient jets held per computation
+
+
+def coefficient_builds(monkeypatch):
+    """The coefficient jets operators._held makes (its memo misses), by
+    name and order."""
+    import mjlab.operators as operators
+
+    made, held = [], operators._held
+
+    def counted(jv, name, make, *consts):
+        return held(jv, name, lambda: made.append((name, jv.order)) or make(), *consts)
+
+    monkeypatch.setattr(operators, "_held", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", ["X+", "Casimir", "xiH", "xi", "xiSk", "CasimirSk"])
+def test_a_second_image_on_the_computation_builds_no_coefficient_jet(name, monkeypatch):
+    made = coefficient_builds(monkeypatch)
+    wi = WeightIndex(1, 2)
+    forms = [TaggedForm(f, wi, input_kind(name)) for f in (yv_probe(), exp_qn_zeta_r(1, 2))]
+    jv = JetVars.at(POINTS, 1)
+    first = apply_operator(name, forms[0]).f.jet_at(jv)
+    assert made and len(made) == len(set(made)), made
+    count = len(made)
+    second = apply_operator(name, forms[1]).f.jet_at(jv)
+    assert len(made) == count
+    # the images are those of a computation of their own
+    for phi, got in zip(forms, (first, second)):
+        alone = apply_operator(name, phi).f.jet_at(JetVars.at(POINTS, 1))
+        assert np.array_equal(got.c, alone.c)
+
+
+def test_a_per_row_index_scales_the_index_free_coefficient(monkeypatch):
+    """X+ on rows of two indices: V^2 / Y^2 is built once on the points,
+    shape (P, M), and each row is its form's image alone."""
+    import mjlab.operators as operators
+
+    shapes, held = {}, operators._held
+
+    def recorded(jv, name, make, *consts):
+        jet = held(jv, name, make, *consts)
+        shapes[name] = jet.c.shape
+        return jet
+
+    monkeypatch.setattr(operators, "_held", recorded)
+    pairs = (WeightIndex(1, 2), WeightIndex(1, -4))
+    forms = [TaggedForm(yv_probe(), wi) for wi in pairs]
+    stack = TaggedForm(FunctionHandle(lambda jv: Jet(jv.order, np.stack(
+        [phi.f.jet_at(jv).c for phi in forms]))), WeightIndex.of_rows(pairs))
+    jv = JetVars.at(POINTS, 1)
+    got = apply_operator("X+", stack).f.jet_at(jv).c
+    assert shapes["V^2/Y^2"] == jv.y.c.shape
+    want = [apply_operator("X+", phi).f.jet_at(JetVars.at(POINTS, 1)).c for phi in forms]
+    assert np.array_equal(got, np.stack(want))

@@ -15,7 +15,7 @@ from mjlab.catalog import build
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
-from mjlab.kernels import KERNEL_TERMS, kernel_term_handle, xi_image_rows
+from mjlab.kernels import KERNEL_TERMS, KernelParams, kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.operators import _entry, apply_operator, input_kind
 from mjlab.special import theta_ml_jet
@@ -421,17 +421,21 @@ def test_covariance_subsets_are_rows_of_the_full_suite_in_its_order(ops, gens):
 
 
 def test_mu_xi_theta_rows_equal_their_identities_alone():
+    """Each component alone on a computation of its own at the ten points,
+    its operand evaluated there at order 2: the value of its order-1 xi^H
+    image against its theta, and its Laplace image at the first five
+    points."""
     want = []
     for two_m in (1, 2):
         wi = WeightIndex(1, -two_m)
         for l in labels(two_m):
             f = TaggedForm(mu_hat_ml_handle(two_m, l), wi)
             jv = JetVars.at(GENERIC_POINTS_10, 0)
-            xi = apply_operator("xiH", f).f.jet_at(jv).value
+            xi = apply_operator("xiH", f).f.jet_at(jv.extend(1)).value
             theta = theta_ml_jet(two_m, l, jv.tau, jv.z).value
-            lap = apply_operator("LaplaceH", f).f
+            lap = apply_operator("LaplaceH", f).f.jet_at(jv).value
             want.append(alone(xi - theta))
-            want.append(alone(lap.jet_at(JetVars.at(GENERIC_POINTS, 0)).value))
+            want.append(alone(lap[:5]))
     assert [res.max_residual for res in suite_mu_xi_theta()[:-1]] == want
 
 
@@ -519,9 +523,9 @@ def test_one_image_per_operator_and_action_kind(monkeypatch, suite, want):
 
 
 def test_decomposition_roundtrip_takes_each_theta_once(monkeypatch):
-    """Five distinct (2m, l) over both ranks: the direct sum reads each
-    label's theta from the computation's memo, where the recomposition
-    left it."""
+    """One theta vector per rank, of every label of its h: the direct sum
+    reads each label's theta from the computation's memo, where the
+    recomposition left it."""
     calls = []
     fn = special.theta_ml_jet
 
@@ -532,4 +536,59 @@ def test_decomposition_roundtrip_takes_each_theta_once(monkeypatch):
     for module in (special, kernels, verify):
         monkeypatch.setattr(module, "theta_ml_jet", counted)
     run_suite("decomposition-roundtrip")
-    assert sorted(calls) == [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+    assert sorted(calls) == [(2, (0, 1)), (3, (0, 1, 2))]
+
+
+@pytest.mark.parametrize("driver,params", [
+    (verify_kernel_annihilation, KERNEL_PARAMS),
+    (verify_xi_image_table, XI_TABLE_PARAMS + (KernelParams.of(1.5, 0.5, 0, 1),)),
+])
+def test_a_lone_point_is_a_stack_of_one_for_the_per_row_drivers(driver, params):
+    """Parameter sets of different weights/indices on one point: the rows
+    of the one-element list, whatever the point is given as."""
+    assert len({(p.two_k, p.two_m) for p in params}) > 1
+    lone = [res.as_dict() for res in driver(params, GENERIC_POINTS[0])]
+    assert lone and lone == [res.as_dict() for res in driver(params, [GENERIC_POINTS[0]])]
+
+
+# ----------------------------------------------------------------------
+# the work a suite shares
+
+
+def test_mu_xi_theta_makes_one_appell_sum_per_rank_and_one_for_mu_hat_2(monkeypatch):
+    """Each rank's component vector is one Appell sum (all its labels),
+    evaluated once at order 2 for both images; mu_hat_2 is the third."""
+    calls = []
+    fn = mu.mu_m_jet
+
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(mu, "mu_m_jet", counted)
+    suite_mu_xi_theta()
+    assert sorted(calls) == [1, 1, 2]
+
+
+def test_hygiene_evaluates_each_finite_difference_function_twice(monkeypatch):
+    """Per finite-difference function, one order-2 stack of its exact jets
+    at both points and one stack of both points' stencils."""
+    evaluations = {}
+    real = verify.build
+
+    def counted(name, policy=None, **options):
+        made = real(name, policy, **options)
+        if policy is not None or name not in ("theta_ml", "c1sk"):  # a radius-doubling value
+            return made
+        f, key = made.f, (name, len(evaluations))
+        evaluations[key] = 0
+
+        def je(jv):
+            evaluations[key] += 1
+            return f.jet_at(jv)
+
+        return replace(made, f=FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step))
+
+    monkeypatch.setattr(verify, "build", counted)
+    run_suite("hygiene")
+    assert sorted(evaluations.values()) == [2, 2]

@@ -126,3 +126,15 @@ def test_s_matrix_entries():
         for j, lp in enumerate(labels(two_m)):
             want = pref * cmath.exp(-2j * math.pi * l * lp / two_m)
             assert abs(got[j, i] - want) < 1e-14
+
+
+def test_generator_images_are_made_once_and_read_only():
+    for dual in (False, True):
+        first = rho_generator(3, "S", dual=dual)
+        assert rho_generator(3, "S", dual=dual) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+    assert np.array_equal(rho_generator(3, "S", dual=True), np.conj(rho_generator(3, "S")))
+    # a one-letter word is its generator image, read-only too
+    assert not rho_word(2, "T").flags.writeable
