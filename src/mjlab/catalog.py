@@ -4,14 +4,16 @@ per request and under the domain rules of its functions (`half_integer`,
 `KernelParams.of`, the series' own checks), a plain `FunctionHandle`, a
 scalar function of w or, where the tag gives a weight/index, a `TaggedForm`.
 Every maker reaches its series through the attribute of its module, so
-rebinding a module function reaches every catalog evaluation.  The label l
-of theta_ml and mu_hat_ml may also be a list of labels: the components at
-every label, one row each.
+rebinding a module function reaches every catalog evaluation; the Appell
+family and the kernel terms import their module when they are built, so
+an evaluation of any other function never executes `mu` or `kernels`.  The
+label l of theta_ml and mu_hat_ml may also be a list of labels: the
+components at every label, one row each.
 """
 
 from collections import namedtuple
 
-from . import mu, special
+from . import special
 from .core import TaggedForm, WeightIndex, half_integer
 
 # A catalog function: the options it reads, its tag and its maker, called as
@@ -20,6 +22,12 @@ from .core import TaggedForm, WeightIndex, half_integer
 # possibly negated, or a constant such as "1/2".  A named tuple costs no code
 # generation at start-up, which every command pays.
 Entry = namedtuple("Entry", ("options", "tag", "make"))
+
+
+def _mu():
+    from . import mu
+
+    return mu
 
 
 def _kernel_term(i, skew):
@@ -39,13 +47,13 @@ CATALOG = {
     "E": Entry((), "scalar", lambda policy: lambda w: special.error_completion_E(w)),
     "H": Entry(("k",), "scalar", lambda policy, k: lambda w: special.H_function(w, k)),
     "mu": Entry(("m", "z2"), "plain", lambda policy, m, z2:
-                mu.mu_m_handle(half_integer(m, "m"), z2, policy)),
+                _mu().mu_m_handle(half_integer(m, "m"), z2, policy)),
     "mu_hat_ml": Entry(("m", "l"), ("1/2", "-m", "standard"), lambda policy, m, l:
-                       mu.mu_hat_ml_handle(half_integer(m, "m"), l, policy)),
+                       _mu().mu_hat_ml_handle(half_integer(m, "m"), l, policy)),
     "R_hat_ml": Entry(("m", "l"), ("1/2", "-m", "standard"), lambda policy, m, l:
-                      mu.R_hat_ml_handle(half_integer(m, "m"), l, policy)),
+                      _mu().R_hat_ml_handle(half_integer(m, "m"), l, policy)),
     "mu_hat_2": Entry((), ("1/2", "-1/2", "standard"),
-                      lambda policy: mu.mu_hat_2_handle(policy)),
+                      lambda policy: _mu().mu_hat_2_handle(policy)),
 }
 for _skew in (False, True):
     for _i in (1, 2, 3, 4):

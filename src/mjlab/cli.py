@@ -2,30 +2,38 @@
 suites, decompose Fourier data, and emit plot-ready grids.
 
 Machine output is JSON except for grids, which are CSV.  Every library
-error (`MjlabError`) ends in an exit code and a one-line message, never a
-traceback:
+error (`MjlabError`) and every usage error ends in an exit code and a
+one-line message, never a traceback:
 
-1 usage or domain error, 2 evaluation at a pole, 3 truncation overflow,
-4 failed identity or non-decomposable input, 5 value overflow (a value or
-Taylor coefficient beyond the floating-point range), 6 evaluation failure
-(derivatives unavailable at the point, a non-finite sample, a
-finite-difference stencil outside the domain, any other library error).
+1 usage or domain error (also a file that cannot be read or written),
+2 evaluation at a pole, 3 truncation overflow, 4 failed identity or
+non-decomposable input, 5 value overflow (a value or Taylor coefficient
+beyond the floating-point range), 6 evaluation failure (derivatives
+unavailable at the point, a non-finite sample, a finite-difference stencil
+outside the domain, any other library error).
 
-Each subcommand executes only the modules it uses: the kernels, operators,
-slashes, Weil matrices and verification suites load on first use, so
-`eval` and `grid` of the theta series, the R-series and the Appell family
-never execute them.
+Each subcommand executes only the modules it uses: every layer of the
+package is registered at import and executes on first use.  So
+`decompose` runs on the standard library alone (`mjlab.fourier`, no
+numpy); `eval` and `grid` of the theta series, the R-series, E, H and the
+kernel terms never execute the Appell sums (`mjlab.mu`); and only `verify`
+executes the operators, slashes, Weil matrices and suites.
+
+The parser is one table of commands and their options.  A value option
+takes the next token verbatim, also one that starts with "-" (`--tau
+-0.41+1.1i`), or is given as `--opt=value`; `--min`, `--max` and `--steps`
+take two values and `--tau-grid` is a flag.  Options are never
+abbreviated.  `--help` after the tool or a command prints its commands or
+options.
 """
 
 import importlib.util
+import itertools
 import json
 import sys
 import time
+from collections import namedtuple
 
-import click
-
-from .catalog import CATALOG, build
-from .core import EvalPoint, FunctionHandle, TaggedForm, TruncationPolicy, require_finite
 from .errors import (
     DomainError,
     EvaluationAtPole,
@@ -53,10 +61,13 @@ def _on_first_use(name):
     return sys.modules[full]
 
 
-# the layers only some subcommands use, all registered at once, so that
-# after `import mjlab.cli` every layer of the package is in sys.modules
-for _name in ("group", "weil", "operators"):
+# every layer registered at once, so that after `import mjlab.cli` each is
+# in sys.modules, and a module that imports another gets the registered one
+for _name in ("jets", "special", "mu", "group", "weil", "operators"):
     _on_first_use(_name)
+core = _on_first_use("core")
+catalog = _on_first_use("catalog")
+fourier = _on_first_use("fourier")
 kernels = _on_first_use("kernels")
 verify = _on_first_use("verify")
 
@@ -68,6 +79,12 @@ EXIT_OVERFLOW = 5
 EXIT_EVALUATION = 6
 
 
+class UsageError(Exception):
+    """A command line the tool cannot run: an unknown command, option,
+    function or suite, a missing argument or value, a malformed number, or
+    a file that cannot be read or written."""
+
+
 def parse_complex(text):
     """Complex literals of the form a+bi with no spaces (also plain reals
     and pure imaginaries)."""
@@ -77,25 +94,28 @@ def parse_complex(text):
     try:
         return complex(cleaned)
     except ValueError:
-        raise click.UsageError("cannot parse complex literal %r" % text)
+        raise UsageError("cannot parse complex literal %r" % text) from None
 
 
-class _Finite(click.ParamType):
-    """A number option whose value must be finite (nan and inf are domain
-    errors): a float, or a complex literal a+bi."""
+# A value type: its name, the parser of one token (ValueError on a
+# malformed one) and whether the value must be finite (nan and inf are
+# domain errors).
+Type = namedtuple("Type", ("name", "parse", "finite"))
+INT = Type("integer", int, False)
+REAL = Type("float", float, False)
+FLOAT = Type("float", float, True)
+COMPLEX = Type("complex", parse_complex, True)
+TEXT = Type("text", str, False)
+PATH = Type("path", str, False)
 
-    def __init__(self, name, parse):
-        self.name = name
-        self.parse = parse
+# An option: its value type (None for a flag), its default, its help, the
+# number of tokens it takes and the parameter it fills (by default its
+# name without the dashes, "-" read as "_").
+Opt = namedtuple("Opt", ("type", "default", "help", "nargs", "dest"), defaults=("", 1, None))
 
-    def convert(self, value, param, ctx):
-        if isinstance(value, str):
-            value = self.parse(value, param, ctx)
-        return require_finite(value, param.opts[0] if param else self.name)
-
-
-FLOAT = _Finite("float", click.FLOAT.convert)
-COMPLEX = _Finite("complex", lambda text, param, ctx: parse_complex(text))
+# A command: the function it runs, the name of its one argument (None for
+# none) and its options by name.
+Command = namedtuple("Command", ("run", "argument", "options"))
 
 
 def _policy(radius, tail):
@@ -104,60 +124,42 @@ def _policy(radius, tail):
         kwargs["tail_bound"] = tail
     if radius is not None:
         kwargs["max_radius"] = radius
-    return TruncationPolicy(**kwargs)
+    return core.TruncationPolicy(**kwargs)
 
 
 def _value(form, w, tau, z):
     """A built catalog entry's value: a scalar function's at w, any other's at (tau, z)."""
-    if isinstance(form, (FunctionHandle, TaggedForm)):
-        return form.eval(EvalPoint.from_tau_z(tau, z))
+    if isinstance(form, (core.FunctionHandle, core.TaggedForm)):
+        return form.eval(core.EvalPoint.from_tau_z(tau, z))
     return complex(form(w))
 
 
 def _check_function(name):
-    if name not in CATALOG:
-        raise click.UsageError(
+    if name not in catalog.CATALOG:
+        raise UsageError(
             "unknown function %r; valid names: %s"
-            % (name, ", ".join(sorted(CATALOG)))
+            % (name, ", ".join(sorted(catalog.CATALOG)))
         )
 
 
-# every echo names its stream: without one, click caches a wrapper per
-# sys.stdout / sys.stderr object, which for a StringIO is the stream itself,
-# so an in-process caller's redirected buffers would never be freed
 def _write_out(text, out):
+    """text to the file out, or text and a newline to stdout."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc.strerror)) from None
     else:
-        click.echo(text, file=sys.stdout)
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
 
 
-@click.group()
-def cli():
-    """Numerical catalog and verification suites for Jacobi-type modular
-    objects."""
-
-
-@cli.command("eval")
-@click.argument("function")
-@click.option("--k", type=float, default=0.5, help="weight (half-integer)")
-@click.option("--m", type=float, default=1.0, help="index (half-integer)")
-@click.option("--l", type=FLOAT, default=0.0, help="component label")
-@click.option("--n", type=int, default=0)
-@click.option("--r", type=int, default=0)
-@click.option("--w", type=FLOAT, default=0.0, help="real scalar argument")
-@click.option("--tau", type=COMPLEX, default="0+1i")
-@click.option("--z", type=COMPLEX, default="0+0i")
-@click.option("--z2", type=COMPLEX, default="0+0i")
-@click.option("--radius", type=int, default=None)
-@click.option("--tail", type=float, default=None)
-@click.option("--out", type=click.Path(), default=None)
-def eval_cmd(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
+def _eval(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
     """Evaluate a catalog function at a point and print a JSON record."""
     _check_function(function)
     policy = _policy(radius, tail)
-    form = build(function, policy, k=k, m=m, l=l, n=n, r=r, z2=z2)
+    form = catalog.build(function, policy, k=k, m=m, l=l, n=n, r=r, z2=z2)
     value = _value(form, w, tau, z)
     record = {
         "function": function,
@@ -184,22 +186,10 @@ SUITE_OPTIONS = {
 }
 
 
-@cli.command("verify")
-@click.argument("suite")
-@click.option("--op", default=None, help="restrict covariance to one operator")
-@click.option("--gen", default=None, help="restrict covariance to one generator")
-@click.option("--k", type=float, default=None)
-@click.option("--m", type=float, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--r", type=int, default=None)
-@click.option("--two-m", "two_m", type=int, default=None)
-@click.option("--tol", type=FLOAT, default=None, help="override every tolerance (> 0)")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), default=None)
-def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
+def _verify(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
     """Run a named identity suite and print a JSON report."""
     if suite not in verify.SUITES:
-        raise click.UsageError(
+        raise UsageError(
             "unknown suite %r; valid suites: %s"
             % (suite, ", ".join(sorted(verify.SUITES)))
         )
@@ -249,44 +239,23 @@ def verify_cmd(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         sys.exit(EXIT_FAILED)
 
 
-@cli.command("decompose")
-@click.option("--in", "infile", type=click.Path(exists=True), default=None,
-              help="Fourier data file (default: stdin)")
-@click.option("--out", type=click.Path(), default=None)
-def decompose_cmd(infile, out):
+def _decompose(infile, out):
     """Theta-decompose Fourier data given as text lines 'n r re im' under a
     header 'index 2m=<integer>'; output is JSON keyed by label."""
     if infile:
-        with open(infile) as fh:
-            text = fh.read()
+        try:
+            with open(infile) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError("cannot read %s: %s" % (infile, exc.strerror)) from None
     else:
         text = sys.stdin.read()
-    data = kernels.FourierData.from_text(text, holomorphic=True)
-    h = kernels.theta_decompose(data)
-    _write_out(kernels.h_to_json(h), out)
+    data = fourier.FourierData.from_text(text, holomorphic=True)
+    h = fourier.theta_decompose(data)
+    _write_out(fourier.h_to_json(h), out)
 
 
-@cli.command("grid")
-@click.argument("function")
-@click.option("--k", type=float, default=0.5)
-@click.option("--m", type=float, default=1.0)
-@click.option("--l", type=FLOAT, default=0.0)
-@click.option("--n", type=int, default=0)
-@click.option("--r", type=int, default=0)
-@click.option("--tau", type=COMPLEX, default="0+1i")
-@click.option("--z", type=COMPLEX, default="0+0i")
-@click.option("--z2", type=COMPLEX, default="0+0i")
-@click.option("--tau-grid", is_flag=True, default=False,
-              help="vary tau over the window instead of z")
-@click.option("--min", "lo", type=(FLOAT, FLOAT), default=(0.0, 0.0),
-              help="lower corner of the window")
-@click.option("--max", "hi", type=(FLOAT, FLOAT), default=(1.0, 1.0),
-              help="upper corner of the window")
-@click.option("--steps", type=(int, int), default=(50, 50))
-@click.option("--radius", type=int, default=None)
-@click.option("--tail", type=float, default=None)
-@click.option("--out", type=click.Path(), default=None)
-def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
+def _grid(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
              radius, tail, out):
     """Evaluate a catalog function on a rectangular grid and emit CSV with
     columns x,y,u,v,re,im,pole (pole rows, and H at w = 0 where it is
@@ -295,8 +264,8 @@ def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
     policy = _policy(radius, tail)
     n1, n2 = steps
     if n1 < 1 or n2 < 1:
-        raise click.UsageError("steps must be positive")
-    form = build(function, policy, k=k, m=m, l=l, n=n, r=r, z2=z2)
+        raise UsageError("steps must be positive")
+    form = catalog.build(function, policy, k=k, m=m, l=l, n=n, r=r, z2=z2)
     rows = ["x,y,u,v,re,im,pole"]
     for i in range(n1):
         a = lo[0] + (hi[0] - lo[0]) * i / max(1, n1 - 1)
@@ -320,19 +289,142 @@ def grid_cmd(function, k, m, l, n, r, tau, z, z2, tau_grid, lo, hi, steps,
     _write_out("\n".join(rows) + "\n", out)
 
 
+def _show_help(name=None):
+    """Print the options of the command `name`, or the commands."""
+    if name is None:
+        head = ("usage: mjlab COMMAND [OPTIONS]\n\nNumerical catalog and verification"
+                " suites for Jacobi-type modular objects.\n\ncommands:")
+        rows = [(key, " ".join(command.run.__doc__.split()).partition(". ")[0])
+                for key, command in COMMANDS.items()]
+    else:
+        command = COMMANDS[name]
+        head = "usage: mjlab %s [OPTIONS]%s\n\n%s\n\noptions:" % (
+            name, " " + command.argument if command.argument else "",
+            " ".join(command.run.__doc__.split()))
+        rows = [(" ".join([key] + [opt.type.name.upper()] * opt.nargs if opt.type else [key]),
+                 opt.help) for key, opt in command.options.items()]
+        rows.append(("--help", "show this message"))
+    width = max(len(label) for label, _ in rows)
+    _write_out(head + "".join("\n  %-*s  %s" % (width, label, text) for label, text in rows),
+               None)
+
+
+def _converted(key, opt, tokens):
+    """The value of option `key` from its tokens: one value, or a tuple of
+    opt.nargs values."""
+    values = []
+    for token in tokens:
+        try:
+            value = opt.type.parse(token)
+        except ValueError:
+            raise UsageError("invalid value for %s: %r is not a valid %s"
+                             % (key, token, opt.type.name)) from None
+        values.append(core.require_finite(value, key) if opt.type.finite else value)
+    return values[0] if opt.nargs == 1 else tuple(values)
+
+
+def _parse(args):
+    """The function a command line runs and its keyword arguments: a
+    command with every option given or defaulted, or the help it asks
+    for.  Values are converted in the order they are given."""
+    if args[:1] == ["--help"]:
+        return _show_help, {}
+    if not args:
+        raise UsageError("missing command; commands: %s" % ", ".join(COMMANDS))
+    name, tokens = args[0], iter(args[1:])
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError("no such command %r; commands: %s" % (name, ", ".join(COMMANDS)))
+    given, positional = {}, []
+    for token in tokens:
+        if token == "--help":
+            return _show_help, {"name": name}
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        key, eq, value = token.partition("=")
+        opt = command.options.get(key)
+        if opt is None:
+            raise UsageError("no such option %s" % key)
+        if opt.type is None:
+            if eq:
+                raise UsageError("option %s takes no value" % key)
+            given[key] = True
+            continue
+        values = [value] if eq else []
+        values += itertools.islice(tokens, opt.nargs - len(values))
+        if len(values) < opt.nargs:
+            raise UsageError("option %s takes %d value%s"
+                             % (key, opt.nargs, "s" if opt.nargs > 1 else ""))
+        given[key] = values
+    kwargs = {}
+    if command.argument:
+        if not positional:
+            raise UsageError("missing argument %s" % command.argument)
+        kwargs[command.argument.lower()] = positional.pop(0)
+    if positional:
+        raise UsageError("unexpected extra argument %r" % positional[0])
+    dests = {key: opt.dest or key[2:].replace("-", "_") for key, opt in command.options.items()}
+    for key, tokens in given.items():
+        opt = command.options[key]
+        kwargs[dests[key]] = True if opt.type is None else _converted(key, opt, tokens)
+    for key, opt in command.options.items():
+        kwargs.setdefault(dests[key], opt.default)
+    return command.run, kwargs
+
+
+# the options eval and grid share
+_FORM_OPTIONS = {
+    "--k": Opt(REAL, 0.5, "weight (half-integer)"),
+    "--m": Opt(REAL, 1.0, "index (half-integer)"),
+    "--l": Opt(FLOAT, 0.0, "component label"),
+    "--n": Opt(INT, 0),
+    "--r": Opt(INT, 0),
+    "--tau": Opt(COMPLEX, 1j),
+    "--z": Opt(COMPLEX, 0j),
+    "--z2": Opt(COMPLEX, 0j, "second argument of mu"),
+    "--radius": Opt(INT, None, "truncation radius cap"),
+    "--tail": Opt(REAL, None, "tail bound, strictly between 0 and 1"),
+}
+_OUT = {"--out": Opt(PATH, None, "output file (default: stdout)")}
+
+COMMANDS = {
+    "eval": Command(_eval, "FUNCTION", {
+        **_FORM_OPTIONS, "--w": Opt(FLOAT, 0.0, "real scalar argument"), **_OUT}),
+    "verify": Command(_verify, "SUITE", {
+        "--op": Opt(TEXT, None, "restrict covariance to one operator"),
+        "--gen": Opt(TEXT, None, "restrict covariance to one generator"),
+        "--k": Opt(REAL, None),
+        "--m": Opt(REAL, None),
+        "--n": Opt(INT, None),
+        "--r": Opt(INT, None),
+        "--two-m": Opt(INT, None),
+        "--tol": Opt(FLOAT, None, "override every tolerance (> 0)"),
+        "--seed": Opt(INT, None),
+        **_OUT}),
+    "decompose": Command(_decompose, None, {
+        "--in": Opt(PATH, None, "Fourier data file (default: stdin)", dest="infile"), **_OUT}),
+    "grid": Command(_grid, "FUNCTION", {
+        **_FORM_OPTIONS,
+        "--tau-grid": Opt(None, False, "vary tau over the window instead of z"),
+        "--min": Opt(FLOAT, (0.0, 0.0), "lower corner of the window", 2, "lo"),
+        "--max": Opt(FLOAT, (1.0, 1.0), "upper corner of the window", 2, "hi"),
+        "--steps": Opt(INT, (50, 50), "grid points along each axis", 2),
+        **_OUT}),
+}
+
+
 def _fail(message, code):
-    click.echo(message, file=sys.stderr)
+    print(message, file=sys.stderr)
     sys.exit(code)
 
 
 def main(argv=None):
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
-    except click.Abort:
-        sys.exit(EXIT_USAGE)
+        run, kwargs = _parse(sys.argv[1:] if argv is None else list(argv))
+        run(**kwargs)
+    except UsageError as exc:
+        _fail("usage error: %s" % exc, EXIT_USAGE)
     except EvaluationAtPole as exc:
         _fail("pole: %s" % exc, EXIT_POLE)
     except TruncationOverflow as exc:

@@ -58,22 +58,21 @@ def monomial_index(order):
 def _mul_table(order):
     """Index pairs (i, j) with monomial_i * monomial_j = monomial_k, sorted
     by k, and the start of each k's run (the offsets for np.add.reduceat;
-    every k has the run entry (k, 0))."""
-    mons = monomials(order)
-    idx = monomial_index(order)
-    ii, jj, kk = [], [], []
-    for i, a in enumerate(mons):
-        da = sum(a)
-        for j, b in enumerate(mons):
-            if da + sum(b) > order:
-                continue
-            k = idx[(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])]
-            ii.append(i)
-            jj.append(j)
-            kk.append(k)
+    every k has the run entry (k, 0)).  The pairs are those of total degree
+    <= order in row-major (i, j) order; k is looked up by the exponents'
+    code in base order + 1, which is additive because no exponent of a
+    product exceeds the order."""
+    exps = np.array(monomials(order)).reshape(-1, NVARS)
+    base = order + 1
+    codes = exps @ base ** np.arange(NVARS - 1, -1, -1)
+    index = np.zeros(base**NVARS, dtype=np.intp)
+    index[codes] = np.arange(len(exps))
+    degree = exps.sum(axis=1)
+    ii, jj = np.nonzero(degree[:, None] + degree <= order)
+    kk = index[codes[ii] + codes[jj]]
     by_k = np.argsort(kk, kind="stable")
-    starts = np.searchsorted(np.asarray(kk)[by_k], np.arange(len(mons)))
-    return np.asarray(ii)[by_k], np.asarray(jj)[by_k], starts
+    starts = np.searchsorted(kk[by_k], np.arange(len(exps)))
+    return ii[by_k], jj[by_k], starts
 
 
 # coefficient products per block of a batched multiply: the block's

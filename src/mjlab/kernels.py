@@ -1,6 +1,7 @@
 """Fourier kernel bases for the two elliptic Laplace-type equations, the
-expected image table of the four covariant xi operators on them, and theta
-decomposition/recomposition of holomorphic-type Fourier data.
+expected image table of the four covariant xi operators on them, and the
+recomposition of label-indexed q-series with theta or completed Appell
+components.
 
 A kernel term is c_i(n, r; y, v) q^n zeta^r where the coefficient functions
 c_1..c_4 (and the skew variants) span the solution space of the Casimir and
@@ -10,24 +11,20 @@ locus, so every kernel term has exact jets at every point.  Each term is
 one exponential of a single exponent jet times bounded factors free of
 exponentials, so it is finite wherever its value is; the terms of one
 parameter set are evaluated together as a kernel family that forms each
-shared piece once.  Fourier
-data with the class-function property c(n, r) = c(n', r') for equal D and
-r = r' mod 2m decomposes into label-indexed q-series with exact rational
-exponents.  The annihilation and image identities are checked in
-`mjlab.verify`.
+shared piece once.  The q-series come from `mjlab.fourier`'s theta
+decomposition; `mu` is read only by the theta-like recompose, so a kernel
+term's evaluation never executes it.  The annihilation and image
+identities are checked in `mjlab.verify`.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FunctionHandle, WeightIndex, fourier_sum_handle
-from .errors import DomainError, NotThetaDecomposable, ValueOverflow
+from .errors import DomainError, ValueOverflow
 from .jets import Jet
-from .mu import check_component, mu_hat_component_jet
 from .special import (
     G_jet,
     G_log_jet,
@@ -228,138 +225,7 @@ def xi_image_rows(params):
 
 
 # ----------------------------------------------------------------------
-# Fourier data and theta decomposition
-
-CLASS_TOL = 1e-12
-
-
-@dataclass
-class FourierData:
-    """Finite-support Fourier coefficients c(n, r) at index m = two_m / 2 > 0.
-
-    When `holomorphic` is set the class-function property is enforced on
-    construction: coefficients agree whenever the discriminants agree and
-    r = r' mod 2m.
-    """
-
-    two_m: int
-    coefficients: dict = field(default_factory=dict)
-    holomorphic: bool = False
-
-    def __post_init__(self):
-        if self.two_m < 1:
-            raise DomainError("2m must be a positive integer")
-        clean = {}
-        for (n, r), c in self.coefficients.items():
-            clean[(int(n), int(r))] = complex(c)
-        self.coefficients = clean
-        if self.holomorphic:
-            self.check_class_function()
-
-    def discriminant(self, n, r):
-        return 2 * self.two_m * n - r * r
-
-    def class_key(self, n, r):
-        return (self.discriminant(n, r), r % self.two_m)
-
-    def check_class_function(self, tol=CLASS_TOL):
-        groups = {}
-        for (n, r), c in self.coefficients.items():
-            groups.setdefault(self.class_key(n, r), []).append(((n, r), c))
-        for key, entries in groups.items():
-            ref = entries[0][1]
-            for (n, r), c in entries[1:]:
-                if abs(c - ref) > tol:
-                    raise NotThetaDecomposable(
-                        "coefficients at (%d,%d) and (%d,%d) differ in class %r"
-                        % (entries[0][0] + (n, r) + (key,))
-                    )
-        return groups
-
-    def handle(self):
-        """The generating function sum c(n, r) q^n zeta^r as a handle."""
-        return fourier_sum_handle([(n, r, c) for (n, r), c in sorted(self.coefficients.items())],
-                                  "fourier[2m=%d]" % self.two_m)
-
-    def to_text(self):
-        lines = ["index 2m=%d" % self.two_m]
-        for (n, r), c in sorted(self.coefficients.items()):
-            lines.append("%d %d %.17g %.17g" % (n, r, c.real, c.imag))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text, holomorphic=False):
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("index 2m="):
-            raise DomainError("missing 'index 2m=<integer>' header")
-        ln = lines[0]
-        try:
-            two_m = int(ln.split("=", 1)[1])
-            coeffs = {}
-            for ln in lines[1:]:
-                n, r, re, im = ln.split()
-                coeffs[(int(n), int(r))] = complex(float(re), float(im))
-        except ValueError:
-            raise DomainError(
-                "malformed line %r: expected 'index 2m=<integer>', then 'n r re im'"
-                " with integers n, r" % ln
-            ) from None
-        return cls(two_m, coeffs, holomorphic=holomorphic)
-
-
-def theta_fourier_data(two_m, l, t_range=4):
-    """Fourier data of the label-l congruence theta series, restricted to
-    its integer-exponent support r = l + 2mt, n = r^2 / 4m."""
-    coeffs = {}
-    for t in range(-t_range, t_range + 1):
-        r = l + two_m * t
-        num = r * r
-        den = 2 * two_m
-        if num % den:
-            continue
-        coeffs[(num // den, r)] = 1.0
-    if not coeffs:
-        raise DomainError("no integer-exponent terms for label %r" % (l,))
-    return FourierData(two_m, coeffs, holomorphic=True)
-
-
-def theta_decompose(data):
-    """Label-indexed q-series h_l with exact rational exponents such that
-    the data is sum over l of h_l theta_{m,l}.
-
-    Returns {l: [(Fraction exponent, coefficient), ...]} with l running over
-    the integer residues mod 2m; each distinct discriminant contributes one
-    term q^(D / 4m).
-    """
-    groups = data.check_class_function()
-    h = {l: [] for l in range(data.two_m)}
-    for (D, l), entries in sorted(groups.items()):
-        h[l].append((Fraction(D, 2 * data.two_m), entries[0][1]))
-    for l in h:
-        h[l].sort(key=lambda t: t[0])
-    return h
-
-
-def h_to_json(h):
-    obj = {}
-    for l, series in h.items():
-        obj[str(l)] = [
-            [e.numerator, e.denominator, c.real, c.imag] for e, c in series
-        ]
-    return json.dumps(obj, sort_keys=True)
-
-
-def h_from_json(text):
-    obj = json.loads(text)
-    out = {}
-    for key, rows in obj.items():
-        label = Fraction(key)
-        label = int(label) if label.denominator == 1 else float(label)
-        out[label] = [
-            (Fraction(int(num), int(den)), complex(re, im))
-            for num, den, re, im in rows
-        ]
-    return out
+# recomposition from label-indexed q-series
 
 
 def h_series_handle(series, label="h"):
@@ -415,8 +281,10 @@ def theta_like_recompose_handle(two_m, h, varphi=None, policy=None):
     h maps the canonical component labels (core.labels(two_m)) to handles
     or rational-exponent series; missing labels contribute nothing.
     """
+    from . import mu
+
     for l in h:
-        check_component(two_m, l)
+        mu.check_component(two_m, l)
     return _recompose_handle(
-        mu_hat_component_jet, two_m, h, varphi, policy, "mu-recompose"
+        mu.mu_hat_component_jet, two_m, h, varphi, policy, "mu-recompose"
     )

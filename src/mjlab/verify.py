@@ -42,14 +42,12 @@ from .core import (
 from .errors import DomainError, JetUnavailable
 from .group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
 from .jets import Jet, monomials
+from .fourier import FourierData, theta_decompose, theta_fourier_data
 from .kernels import (
     KERNEL_TERMS,
-    FourierData,
     KernelParams,
     component_at,
     kernel_family_jet,
-    theta_decompose,
-    theta_fourier_data,
     theta_recompose_handle,
     xi_image_rows,
 )
@@ -421,7 +419,7 @@ def heisenberg_factorizations(k, m, depths):
             g = raise_Y(k - d - 1, m) @ g
         h = IDENTITY
         for d in range(D):
-            h = laplace_heisenberg_map(k, m) @ h + (2.0 * math.pi * m * d) * h
+            h = (laplace_heisenberg_map(k, m) + (2.0 * math.pi * m * d) * IDENTITY) @ h
         out.append(("quasi-factorization:Y+^%dY-^%d" % (D, D), g - h))
     lap = laplace_heisenberg_map(k, m)
     return out + [
@@ -448,7 +446,7 @@ def x_factorizations(k, depths):
         h = IDENTITY
         for d in range(D):
             falling = math.prod((k - 2 * d - i for i in range(d)), start=1.0) if d else 0.0
-            h = (-1.0) * (laplace_hyperbolic(k) @ h) + falling * h
+            h = ((-1.0) * laplace_hyperbolic(k) + falling * IDENTITY) @ h
         out.append(("quasi-factorization:X+^%dX-^%d" % (D, D), g - h))
     return out
 

@@ -66,9 +66,7 @@ def test_parse_complex(text, want):
 
 
 def test_parse_complex_rejects_garbage():
-    import click
-
-    with pytest.raises(click.UsageError):
+    with pytest.raises(cli.UsageError):
         parse_complex("not-a-number")
 
 
@@ -143,9 +141,8 @@ def run_main(capsys, *args):
 
 
 def test_in_process_main_frees_its_redirected_streams():
-    """click caches a wrapper per implicit sys.stdout / sys.stderr, which
-    for a StringIO is the stream itself: main names its streams, so the
-    buffers of an in-process caller die with the caller's references."""
+    """main keeps no reference to sys.stdout / sys.stderr, so the buffers of
+    an in-process caller die with the caller's references."""
     refs = []
     for args in (("eval", "theta"), ("eval", "theta", "--tau", "0-1i")):
         out, err = io.StringIO(), io.StringIO()
@@ -737,6 +734,29 @@ def test_eval_writes_to_file(tmp_path):
     assert res.returncode == 0
     record = json.loads(out.read_text())
     assert abs(complex(*record["value"])) < 1e-14
+
+
+# a file that cannot be written or read is a usage error: exit 1, one line
+IO_ERROR_CASES = [
+    (("eval", "theta", "--out", "{missing}/x.json"), "cannot write {missing}/x.json"),
+    (("verify", "weil", "--two-m", "2", "--out", "{missing}/x.json"),
+     "cannot write {missing}/x.json"),
+    (("grid", "theta", "--steps", "2", "2", "--out", "{missing}/x.csv"),
+     "cannot write {missing}/x.csv"),
+    (("decompose", "--in", "{tmp}"), "cannot read {tmp}: Is a directory"),
+    (("decompose", "--in", "{missing}/data.txt"), "cannot read {missing}/data.txt"),
+]
+
+
+@pytest.mark.parametrize("args,message", IO_ERROR_CASES, ids=[a[0] + " " + a[-2]
+                                                              for a, _ in IO_ERROR_CASES])
+def test_file_errors_exit_1_without_traceback(args, message, tmp_path):
+    paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
+    res = run_cli(*(arg.format(**paths) for arg in args))
+    assert res.returncode == cli.EXIT_USAGE == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("usage error: " + message.format(**paths))
+    assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,10 @@ from mjlab.errors import (
     StencilOutOfDomain,
     ZeroArgument,
 )
+from mjlab.fourier import FourierData
 from mjlab.group import GEN_S, TaggedForm, _frame, slash
 from mjlab.jets import monomials
-from mjlab.kernels import FourierData, h_series_handle
+from mjlab.kernels import h_series_handle
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.special import jacobi_theta_handle, theta_ml_handle, zwegers_R_handle
 

@@ -16,6 +16,7 @@ from mjlab.jets import (
     VAR_X,
     VAR_Y,
     Jet,
+    _mul_table,
     d_tau,
     d_taubar,
     d_z,
@@ -266,3 +267,23 @@ def test_batched_exp_raises_on_overflow():
     a = Jet.constant(np.array([1.0, 800.0 + 0.5j]), 2)
     with pytest.raises(OverflowError):
         a.exp()
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_mul_table_is_the_direct_enumeration(order):
+    """The product table equals the pairs (i, j) of monomials of total degree
+    <= order, enumerated i-major, stably sorted by their product's index k,
+    with the start of each k's run: the same gather order, so every product
+    sums its terms in the same order."""
+    mons = monomials(order)
+    idx = monomial_index(order)
+    pairs = [(i, j, idx[tuple(x + y for x, y in zip(a, b))])
+             for i, a in enumerate(mons) for j, b in enumerate(mons)
+             if sum(a) + sum(b) <= order]
+    pairs.sort(key=lambda p: p[2])
+    ii, jj, starts = _mul_table(order)
+    assert ii.tolist() == [i for i, _, _ in pairs]
+    assert jj.tolist() == [j for _, j, _ in pairs]
+    kk = [k for _, _, k in pairs]
+    assert starts.tolist() == [kk.index(k) for k in range(len(mons))]
+    assert ii.dtype == jj.dtype == starts.dtype == np.intp

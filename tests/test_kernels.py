@@ -13,19 +13,15 @@ from fd_reference import bits, reference_fd_jet
 from mjlab import kernels
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex, finite_difference_jet
 from mjlab.errors import DomainError, NotThetaDecomposable, ValueOverflow
+from mjlab.fourier import FourierData, h_from_json, h_to_json, theta_decompose, theta_fourier_data
 from mjlab.jets import Jet
 from mjlab.kernels import (
     KERNEL_TERMS,
-    FourierData,
     KernelParams,
-    h_from_json,
     h_series_handle,
-    h_to_json,
     kernel_family_jet,
     kernel_jet,
     kernel_term_handle,
-    theta_decompose,
-    theta_fourier_data,
     theta_recompose_handle,
 )
 from mjlab.mu import mu_hat_component_jet

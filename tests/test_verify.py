@@ -17,8 +17,8 @@ from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
 from mjlab.kernels import KERNEL_TERMS, KernelParams, kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
-from mjlab.operators import _entry, apply_operator, input_kind
-from mjlab.special import theta_ml_jet
+from mjlab.operators import JetMap, _entry, apply_operator, image, input_kind
+from mjlab.special import theta_ml_handle, theta_ml_jet
 from mjlab.verify import (
     COVARIANCE_OPS,
     COVARIANCE_REACH,
@@ -453,6 +453,28 @@ def test_mu_transform_rows_equal_their_laws_per_component():
                 want.append(alone(apply_slash(tagged[l], A).f.jet_at(jv).value - mixed[w][j]))
     got = [res.max_residual for res in suite_mu_transform()]
     assert got == want
+
+
+@pytest.mark.parametrize("build,laplacian", [
+    (lambda: verify.heisenberg_factorizations(0.5, 1.0, [3]), "laplace_heisenberg_map"),
+    (lambda: verify.x_factorizations(0.5, [3]), "laplace_hyperbolic"),
+])
+def test_a_depth_3_factorization_applies_each_laplacian_factor_once(build, laplacian,
+                                                                    monkeypatch):
+    """prod_{d<3} (Delta + c_d) composes its three factors: three Laplacian
+    applications per evaluation (seven when each sum applied the product so
+    far on both sides)."""
+    applied = []
+    make = getattr(verify, laplacian)
+
+    def counted(*args):
+        jmap = make(*args)
+        return JetMap(jmap.loss, lambda F, jv: applied.append(1) or jmap.apply(F, jv))
+
+    monkeypatch.setattr(verify, laplacian, counted)
+    [jmap] = [jmap for name, jmap in build() if name.startswith("quasi-factorization")]
+    image(jmap, theta_ml_handle(2, 0.0)).jet_at(JetVars.at(GENERIC_POINTS[0], 0))
+    assert len(applied) == 3
 
 
 def test_factorization_rows_equal_their_identities_alone():
