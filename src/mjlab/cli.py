@@ -248,6 +248,8 @@ def _decompose(infile, out):
                 text = fh.read()
         except OSError as exc:
             raise UsageError("cannot read %s: %s" % (infile, exc.strerror)) from None
+        except UnicodeDecodeError as exc:
+            raise UsageError("cannot read %s: %s" % (infile, exc)) from None
     else:
         text = sys.stdin.read()
     data = fourier.FourierData.from_text(text, holomorphic=True)

@@ -168,16 +168,39 @@ class WeightIndex:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute tail target and a hard cap on lattice summation radius."""
+    """Absolute tail target and a hard cap on lattice summation radius.
+
+    tail_bound is one target for every point, or a tuple of targets, one
+    per point of the stack the policy is used on (in the order of its
+    points), so that one evaluation sums each point to its own target."""
 
     tail_bound: float = 1e-14
     max_radius: int = 64
 
     def __post_init__(self):
-        if not 0 < self.tail_bound < 1:
+        if isinstance(self.tail_bound, tuple):
+            if not self.tail_bound or not all(0 < t < 1 for t in self.tail_bound):
+                raise DomainError("every tail_bound must lie in (0, 1), got %r"
+                                  % (self.tail_bound,))
+        elif not 0 < self.tail_bound < 1:
             raise DomainError("tail_bound must lie in (0, 1), got %r" % (self.tail_bound,))
         if self.max_radius < 1:
             raise DomainError("max_radius must be >= 1")
+
+    def tail_at(self, values, fn=None):
+        """fn(tail) (tail itself without fn) at each point of values, the
+        per-point values of a series (a number at one point, an array over
+        a stack): one number, or for a tuple of targets an array shaped as
+        values, fn taken per target; DomainError unless the tuple has one
+        target per point."""
+        tail = self.tail_bound
+        if not isinstance(tail, tuple):
+            return tail if fn is None else fn(tail)
+        if np.size(values) != len(tail):
+            raise DomainError("a per-point tail_bound has %d targets for %d points"
+                              % (len(tail), np.size(values)))
+        out = np.array(tail if fn is None else [fn(t) for t in tail])
+        return out.reshape(np.shape(values)) if np.ndim(values) else out.item()
 
 
 class JetVars:

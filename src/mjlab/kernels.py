@@ -10,8 +10,8 @@ c_4 carry a Gaussian-integral factor in r + 2mv/y, smooth across its zero
 locus, so every kernel term has exact jets at every point.  Each term is
 one exponential of a single exponent jet times bounded factors free of
 exponentials, so it is finite wherever its value is; the terms of one
-parameter set are evaluated together as a kernel family that forms each
-shared piece once.  The q-series come from `mjlab.fourier`'s theta
+parameter set, or of a list of sets, are evaluated together as a kernel
+family that forms each shared piece once.  The q-series come from `mjlab.fourier`'s theta
 decomposition; `mu` is read only by the theta-like recompose, so a kernel
 term's evaluation never executes it.  The annihilation and image
 identities are checked in `mjlab.verify`.
@@ -26,6 +26,7 @@ from .core import FunctionHandle, WeightIndex, fourier_sum_handle
 from .errors import DomainError, ValueOverflow
 from .jets import Jet
 from .special import (
+    G_derivatives,
     G_jet,
     G_log_jet,
     _finite_sum,
@@ -81,7 +82,9 @@ KERNEL_TERMS = tuple((i, skew) for skew in (False, True) for i in (1, 2, 3, 4))
 
 def kernel_family_jet(params, terms, jv):
     """Jets of the kernel terms (i, skew) of `terms` at one parameter set,
-    stacked on a new leading row axis: shape (len(terms), *points, M).
+    stacked on a new leading row axis: shape (len(terms), *points, M); or
+    at a list of parameter sets, one row per (set, term), set by set:
+    shape (len(sets) * len(terms), *points, M).
 
     Each term is exp(E) times factors free of exponentials.
     E = 2 pi i (n tau + r z), plus 2w = pi D y / m for c_2, c_4, c_1^sk and
@@ -93,10 +96,28 @@ def kernel_family_jet(params, terms, jv):
     (`G_log_jet`).  The terms share these pieces: E, w, b, each factor and
     the exp of each distinct exponent are formed once, when the first term
     that needs them is.  So every row is the jet its term gives alone, bit
-    for bit, and the first term that fails raises what it raises alone."""
+    for bit, and the first term that fails raises what it raises alone.
+
+    A list of sets puts them on a leading set axis (`_sets_family_jet`):
+    each piece is formed once over the sets that need it, each row is the
+    row of its set alone, bit for bit, and the finite check names the first
+    failing (set, term).  At one point (coordinates without a point axis)
+    the sets are taken one at a time."""
     for i, _ in terms:
         if i not in (1, 2, 3, 4):
             raise DomainError("kernel label must be 1..4")
+    if isinstance(params, KernelParams):
+        return _one_set_family_jet(params, terms, jv)
+    sets = list(params)
+    if not sets:
+        raise DomainError("a kernel family needs a parameter set")
+    if not jv.y.batched:
+        return Jet(jv.order, np.concatenate([_one_set_family_jet(p, terms, jv).c for p in sets]))
+    return _sets_family_jet(sets, terms, jv)
+
+
+def _one_set_family_jet(params, terms, jv):
+    """`kernel_family_jet` at one parameter set."""
     k, m, D = params.k, params.m, params.D
     Y = jv.y
     E = (2j * math.pi) * (params.n * jv.tau + params.r * jv.z)
@@ -119,6 +140,8 @@ def kernel_family_jet(params, terms, jv):
         try:
             return None, G_jet(arg, k)
         except ValueOverflow:
+            if k > 0.5:  # G_j for j < 0 overflows only where it diverges (w near 0)
+                raise
             return G_log_jet(arg, k)
 
     def exp(two_w, bb, log_g):
@@ -154,6 +177,138 @@ def kernel_family_jet(params, terms, jv):
                 term = term * factor
         rows.append(_finite_sum(term, _term_label(i, params, skew)))
     return Jet(rows[0].order, np.stack([row.c for row in rows]))
+
+
+def _sets_family_jet(sets, terms, jv):
+    """`kernel_family_jet` at a list of parameter sets on a point stack.
+
+    Per-set constants (n, r, k, m, D) go on a leading set axis.  E, w and
+    b are formed once over every set; y^(3/2-k) is one power over the
+    D = 0 sets (a per-set exponent), G(+-w) one batched `apply_derivatives`
+    of the D != 0 sets' derivative lists (`G_derivatives`, each set's
+    alone), and F_1(b), i D(b) one evaluation over the sets of their sign
+    of m.  A set whose G leaves the float range takes `G_log_jet` alone.
+    The exp of each distinct exponent is taken once over the sets that
+    need it, and each term is one product chain over all the sets.  Every
+    operation acts entry by entry, so each row is its set's alone."""
+    order = jv.order
+    Y = jv.y
+    points = Y.c.shape[:-1]
+    every = list(range(len(sets)))
+
+    def per_set(values, idx=every):
+        """Constants of the sets idx, one per set, shaped (sets, *points)."""
+        values = np.reshape([values[s] for s in idx], (len(idx),) + (1,) * len(points))
+        return np.broadcast_to(values, (len(idx),) + points)
+
+    def rows(jet, idx):
+        return jet if idx == every else Jet(order, jet.c[idx])
+
+    E = (2j * math.pi) * (per_set([p.n for p in sets]) * jv.tau
+                          + per_set([p.r for p in sets]) * jv.z)
+    nonzero = [s for s, p in enumerate(sets) if p.D != 0]
+    zero = [s for s, p in enumerate(sets) if p.D == 0]
+    if nonzero:
+        w = per_set([math.pi * p.D / (2.0 * p.m) if p.D else 0.0 for p in sets]) * Y
+    # the factors as [(set indices, jet of their rows)]: G (y^(3/2-k) at
+    # D = 0) per skew, and F
+    g_parts, f_parts = {}, []
+    log_g = {}  # (set, skew) -> log |G| where G leaves the float range
+    if any(i in (2, 4) for i, _ in terms):
+        y_pow = []
+        if zero:  # the skew terms coincide with the standard ones
+            alpha = per_set([1.5 - p.k for p in sets], zero)
+            y_pow = [(zero, Jet(order, np.broadcast_to(Y.c, (len(zero),) + Y.c.shape))
+                      .cpow(alpha))]
+        for skew in dict.fromkeys(skew for i, skew in terms if i in (2, 4)):
+            parts, ok, derivs = list(y_pow), [], []
+            if nonzero:
+                arg = -1.0 * w if skew else w
+            for s in nonzero:
+                at = Jet(order, arg.c[s])
+                try:
+                    derivs.append(G_derivatives(at, sets[s].k))
+                    ok.append(s)
+                except ValueOverflow:
+                    if sets[s].k > 0.5:  # G_j for j < 0 overflows only where it diverges
+                        raise
+                    log_g[s, skew], g = G_log_jet(at, sets[s].k)
+                    parts.append(([s], Jet(order, g.c[None])))
+            if ok:
+                ds = [np.stack([d[j] for d in derivs]) for j in range(order + 1)]
+                parts.append((ok, rows(arg, ok).apply_derivatives(ds)))
+            g_parts[skew] = parts
+    if any(i in (3, 4) for i, _ in terms):
+        b = ((per_set([math.pi / abs(p.m) for p in sets]) * Y).cpow(0.5)
+             * (per_set([p.r for p in sets]) + per_set([2.0 * p.m for p in sets]) * jv.v / Y))
+        negative = [s for s, p in enumerate(sets) if p.m < 0]
+        positive = [s for s, p in enumerate(sets) if p.m > 0]
+        if negative:
+            f_parts.append((negative, gaussian_integral_jet(1.0, rows(b, negative))))
+        if positive:
+            f_parts.append((positive, 1j * dawson_jet(rows(b, positive))))
+        if positive:
+            b_sq = b * b
+
+    def exp_key(s, i, skew):
+        p = sets[s]
+        log = ("log", skew) if i in (2, 4) and (s, skew) in log_g else None
+        return p.D != 0 and (i % 2 == 0) != skew, i in (3, 4) and p.m > 0, log
+
+    needs = {}  # exponent key -> the sets that take its exp, in set order
+    for i, skew in terms:
+        for s in every:
+            needs.setdefault(exp_key(s, i, skew), {})[s] = None
+    exps = {}  # exponent key -> (set indices, exp of the exponent over them)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite check raises
+        for key, idx in needs.items():
+            two_w, bb, log = key
+            idx = sorted(idx)
+            expo = rows(E, idx)
+            if two_w:
+                expo = expo + 2.0 * rows(w, idx)
+            if bb:
+                expo = expo + rows(b_sq, idx)
+            if log is not None:
+                expo = expo + np.stack([log_g[s, log[1]] for s in idx])
+            exps[key] = idx, expo.exp()
+
+        term_rows = []
+        for i, skew in terms:
+            by_key = {}
+            for s in every:
+                by_key.setdefault(exp_key(s, i, skew), []).append(s)
+            parts = []
+            for key, idx in by_key.items():
+                have, jet = exps[key]
+                parts.append((idx, jet if idx == have else
+                              Jet(order, jet.c[[have.index(s) for s in idx]])))
+            term = _gather(parts, len(sets))
+            if i in (2, 4):
+                term = term * _gather(g_parts[skew], len(sets))
+            if i in (3, 4):
+                term = term * _gather(f_parts, len(sets))
+            term_rows.append(term.c)
+    c = np.stack(term_rows, axis=1).reshape((-1,) + points + (term_rows[0].shape[-1],))
+    finite = np.isfinite(c.reshape(len(c), -1)).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        s, t = divmod(first, len(terms))
+        i, skew = terms[t]
+        _finite_sum(Jet(order, c[first]), _term_label(i, sets[s], skew))
+    return Jet(order, c)
+
+
+def _gather(parts, n_sets):
+    """One jet with a row per set from parts (set indices, jet of their
+    rows), which hold every set once."""
+    if len(parts) == 1 and len(parts[0][0]) == n_sets:
+        return parts[0][1]
+    jet = parts[0][1]
+    c = np.empty((n_sets,) + jet.c.shape[1:], dtype=complex)
+    for idx, part in parts:
+        c[idx] = part.c
+    return Jet(jet.order, c)
 
 
 def kernel_jet(i, params, skew, jv):

@@ -180,7 +180,8 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
         # denominator, so near-misses of distant poles cannot inflate the tail
         y_s, v_s = np.asarray(y0)[..., None], np.asarray(v2)[..., None]  # per point
         bound = cnt * _finite_exp(-math.pi * y_s * (s2 + s1) - TWO_PI * s1 * v_s)
-        keep = ~(bound < policy.tail_bound * 1e-2)  # (*points, states)
+        floor = np.asarray(policy.tail_at(y0))[..., None] * 1e-2  # per point
+        keep = ~(bound < floor)  # (*points, states)
         kept = keep if keep.ndim == 1 else keep.reshape(-1, keep.shape[-1]).any(axis=0)
         s1, s2, cnt, keep = s1[kept], s2[kept], cnt[..., kept], keep[..., kept]
         # s1 is sorted (and holds 0, the zero vector is always kept)

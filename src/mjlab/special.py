@@ -245,7 +245,11 @@ def _scaled_integral(j, w):
     if j == -1:
         # e^x Gamma(0, x); for x < 0 the real principal-value continuation
         return _exp1_scaled(x) if x > 0 else -_expi_scaled(-x)
-    return (_scaled_integral(j + 1, w) - x ** (j + 1)) / (j + 1)
+    try:
+        power = x ** (j + 1)
+    except (OverflowError, ZeroDivisionError):  # near w = 0, where G_j diverges for j < -1
+        raise ValueOverflow("G_%d(%r) exceeds the floating-point range" % (j, w)) from None
+    return (_scaled_integral(j + 1, w) - power) / (j + 1)
 
 
 def _scaled_integral_sum(j, x):
@@ -313,6 +317,11 @@ def G_jet(arg, k):
     real-valued jet, from G' = -2G + 2 (-2w)^j with j = 1/2 - k: bounded by
     a power of w, free of exponentials of w.  The c_2/c_4 kernel terms take
     it with e^w in the term's exponent."""
+    return arg.apply_derivatives(G_derivatives(arg, k))
+
+
+def G_derivatives(arg, k):
+    """[G, G', ..., G^(order)] of `G_jet` at the value of the jet arg."""
     j = _half_int_exponent(k)
     w0 = arg.value.real
     gs = [_elementwise(lambda w: _scaled_integral(j, w), w0)]
@@ -322,7 +331,7 @@ def G_jet(arg, k):
         power = fall * (-2.0) ** i * (-2.0 * w0) ** (j - i) if fall else 0.0
         gs.append(-2.0 * gs[i] + 2.0 * power)
         fall *= j - i
-    return arg.apply_derivatives(gs)
+    return gs
 
 
 def G_log_jet(arg, k):
@@ -404,13 +413,19 @@ def _gaussian_radius(y0, two_m, lin, policy):
     coefficient quad = pi y0 / 2m of a Gaussian series at Im tau = y0 > 0
     (elementwise for arrays y0 and lin), as h + sqrt(h^2 + L / quad) with
     h = lin / 2 quad: 0 for an infinite quad (pi y0 beyond the float
-    range) and a finite lin, nan when both are infinite."""
-    L = math.log(1.0 / policy.tail_bound)
+    range) and a finite lin, nan when both are infinite.  The tail is the
+    policy's at each point (`TruncationPolicy.tail_at`)."""
+    L = policy.tail_at(y0, _log_inverse)
     with _overflow_to_inf(y0):
         quad = math.pi * y0 / two_m
         h = lin / (2.0 * quad)
         x = h + _sqrt(h * h + L / quad)
     return _check_radius(x, 1, policy)
+
+
+def _log_inverse(tail):
+    """log(1 / tail) of one tail target."""
+    return math.log(1.0 / tail)
 
 
 def _sqrt(x):
@@ -532,7 +547,7 @@ def zwegers_R_jet(tau, z, policy=None):
         v = z.imag()
     y0 = y.value.real
     v0 = v.value.real
-    L = math.log(1.0 / policy.tail_bound)
+    L = policy.tail_at(y0, _log_inverse)
     with _overflow_to_inf(y0):
         radius = _check_radius(_sqrt(L / (math.pi * y0)) + abs(v0) / y0, 2, policy)
     R = _largest(radius)

@@ -289,9 +289,17 @@ XI_TABLE_PARAMS = (
 
 
 def _kernel_family(params):
-    """The eight kernel terms at params (KERNEL_TERMS) as one handle, whose
-    jets truncate bit for bit."""
+    """The eight kernel terms (KERNEL_TERMS) at params, one parameter set
+    or a list of them (one row per set and term, set by set), as one
+    handle, whose jets truncate bit for bit."""
     return FunctionHandle(jet_fn=lambda jv: kernel_family_jet(params, KERNEL_TERMS, jv))
+
+
+def _family_rows(terms):
+    """The rows of a list family (`_kernel_family`) holding, set by set,
+    the terms of the given KERNEL_TERMS positions of each set: terms[j]
+    those of the j-th set."""
+    return [j * len(KERNEL_TERMS) + t for j, picks in enumerate(terms) for t in picks]
 
 
 def verify_kernel_annihilation(params_list, points, tol=1e-7):
@@ -299,21 +307,23 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
     annihilation of every kernel term at each parameter set, in the order
     of params_list.
 
-    Each set's terms are one kernel family, evaluated once at the Casimir
-    order 3 (the Heisenberg Laplace order is its truncation).  One image per
-    operator, each row at its set's weight/index: the Casimir image of
-    every set's four standard terms, the skew Casimir image of their skew
-    terms and the Heisenberg Laplace image of all of them."""
+    The terms of all the sets are one kernel family over the list of sets
+    (`kernel_family_jet`), evaluated once at the Casimir order 3 (the
+    Heisenberg Laplace order is its truncation).  One image per operator,
+    each row at its set's weight/index: the Casimir image of every set's
+    four standard terms, the skew Casimir image of their skew terms and the
+    Heisenberg Laplace image of all of them, each picking its rows of the
+    one family."""
     if not params_list:
         return []
-    families = [_kernel_family(params) for params in params_list]
+    family = _kernel_family(list(params_list))
 
     def image_of(op_name, terms):
         # the Heisenberg Laplacian equals its skew version, so it takes
         # the skew kernel terms as they are
+        picks = _family_rows([range(len(KERNEL_TERMS))[terms]] * len(params_list))
         wi = WeightIndex.of_rows([p for p in params_list for _ in KERNEL_TERMS[terms]])
-        stack = TaggedForm(_stacked(families, [terms] * len(families), reach=3), wi,
-                           input_kind(op_name))
+        stack = TaggedForm(_stacked([family], [picks], reach=3), wi, input_kind(op_name))
         return apply_operator(op_name, stack).f
 
     casimir = image_of("Casimir", slice(0, 4)), image_of("CasimirSk", slice(4, 8))
@@ -321,7 +331,7 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
 
     def gap(jv):
         # per set and term, its (skew) Casimir row, then its LaplaceH row
-        cas = np.concatenate([img.jet_at(jv).value.reshape(len(families), 4, -1)
+        cas = np.concatenate([img.jet_at(jv).value.reshape(len(params_list), 4, -1)
                               for img in casimir], 1)
         return np.stack([cas, laplace.jet_at(jv).value.reshape(cas.shape)], 2)
 
@@ -336,21 +346,23 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
     the order of params_list: xi-operator image minus the expected multiple
     of a kernel term.
 
-    Each set's terms are one kernel family, evaluated once at order 2 (the
-    largest xi loss); each xi operator is one image of its rows' terms over
-    all the sets, each row at its set's weight/index, and the targets are
-    one order-0 kernel family per partner parameter set, of the terms the
-    rows name."""
+    The terms of all the sets are one kernel family over the list of sets,
+    evaluated once at order 2 (the largest xi loss); each xi operator is
+    one image of its rows' terms over all the sets, each row at its set's
+    weight/index, and the targets are one order-0 kernel family per partner
+    parameter set, of only the terms the rows name (a term no row names
+    may fail where the named ones do not)."""
     if not params_list:
         return []
     tables = [xi_image_rows(params) for params in params_list]
-    families = [_kernel_family(params) for params in params_list]
+    family = _kernel_family(list(params_list))
     images = {}  # operator -> its image, its rows in the order of the tables
     for op_name in dict.fromkeys(row[1] for table in tables for row in table):
         terms = [[KERNEL_TERMS.index(row[2]) for row in table if row[1] == op_name]
                  for table in tables]
         wi = WeightIndex.of_rows([p for p, picks in zip(params_list, terms) for _ in picks])
-        stack = TaggedForm(_stacked(families, terms, reach=2), wi, input_kind(op_name))
+        stack = TaggedForm(_stacked([family], [_family_rows(terms)], reach=2), wi,
+                           input_kind(op_name))
         images[op_name] = apply_operator(op_name, stack).f
     targets = {}  # partner params -> its target terms, in the order of first use
     for *_, target in (row for table in tables for row in table):
@@ -529,9 +541,11 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
     order of S per rank, and the Weil law of the theta vector of each even
     rank under T and under S at one point, the largest gap over its
     components.  (The S law of an odd rank's theta vector misses by O(1)
-    under rho and under its dual.)"""
-    # every rank's generator images first: rho_generator rejects a bad 2m
-    # before any row is computed
+    under rho and under its dual.)  Every rank lies in the declared domain
+    1 <= 2m <= MAX_RANK (`check_component`), checked before any row is
+    computed."""
+    for two_m in two_m_list:
+        check_component(two_m)
     gens = [(two_m, {w: rho_generator(two_m, w) for w in "TS"}) for two_m in two_m_list]
     results = []
     for two_m, mats in gens:
@@ -719,21 +733,25 @@ def _hygiene_values(points, policy):
 
 def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
     """Truncation stability under radius doubling and finite-difference
-    versus exact-jet agreement.  The radius-doubling rows are formed from
-    the values of both policies, one row per point and name.  Per
-    finite-difference function, its exact jets are one order-2 stack at
-    the points and its finite-difference jets one evaluation of every
-    point's stencil (`finite_difference_jet` on the point list)."""
+    versus exact-jet agreement.  The radius-doubling rows compare each
+    value at the tail target 1e-14 with the value at 1e-56, one row per
+    point and name: each HYGIENE_VALUES function is evaluated once, on the
+    points taken twice, with a per-point tail (`TruncationPolicy`), 1e-14
+    on the first half and 1e-56 on the second.  Per finite-difference
+    function, its exact jets are one order-2 stack at the points and its
+    finite-difference jets one evaluation of every point's stencil
+    (`finite_difference_jet` on the point list)."""
     points = points or [EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.3, 1.5, 0.11, 0.08)]
+    n = len(points)
     results = []
     # squaring the tail target twice roughly doubles every Gaussian radius
-    v1 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-14))
-    v2 = _hygiene_values(points, TruncationPolicy(tail_bound=1e-56))
+    values = _hygiene_values(list(points) * 2,
+                             TruncationPolicy(tail_bound=(1e-14,) * n + (1e-56,) * n))
     for i, p in enumerate(points):
-        for name, (at, value) in v1.items():
+        for name, (at, value) in values.items():
             q = at[i]
             results.append(SuiteResult("hygiene:radius-doubling:%s@y=%g" % (name, p.y),
-                                       float(np.abs(value[i] - v2[name][1][i])), tol_trunc,
+                                       float(np.abs(value[i] - value[n + i])), tol_trunc,
                                        [q.x, q.y, q.u, q.v]))
     # finite differences against exact jets, relative, order <= 2
     factorials = np.array([math.prod(map(math.factorial, mon)) for mon in monomials(2)],

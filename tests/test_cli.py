@@ -178,6 +178,10 @@ OVERFLOW_CASES = [
     ("eval", "R", "--tau", "1e308i"),
     ("eval", "mu_hat_ml", "--m", "1", "--tau", "1e308i"),
     ("eval", "mu_hat_ml", "--m", "1", "--tau", "1000i"),
+    # G_-3(w) near w = 0, where it diverges like 1 / w^2 (k = 7/2)
+    ("eval", "c4", "--k", "3.5", "--m", "1", "--n", "-5", "--r", "0", "--tau", "0+1e-300i"),
+    ("eval", "c2", "--k", "3.5", "--m", "1", "--n", "-5", "--r", "0", "--tau", "0+1e-300i"),
+    ("grid", "c2", "--k", "3.5", "--m", "1", "--n", "-5", "--r", "0", "--tau", "0+1e-300i"),
 ]
 
 
@@ -531,6 +535,7 @@ DOMAIN_CASES = [
     ("verify", "covariance", "--op", "Z+"),
     # every rank of a verify request is checked before any row is computed
     ("verify", "weil", "--two-m", "-1"),
+    ("verify", "weil", "--two-m", "7"),
     ("verify", "mu-transform", "--two-m", "-2"),
     # a suite reads only its own options
     ("verify", "kernels", "--k", "1.5"),
@@ -745,13 +750,16 @@ IO_ERROR_CASES = [
      "cannot write {missing}/x.csv"),
     (("decompose", "--in", "{tmp}"), "cannot read {tmp}: Is a directory"),
     (("decompose", "--in", "{missing}/data.txt"), "cannot read {missing}/data.txt"),
+    (("decompose", "--in", "{binary}"), "cannot read {binary}: "),
 ]
 
 
 @pytest.mark.parametrize("args,message", IO_ERROR_CASES, ids=[a[0] + " " + a[-2]
                                                               for a, _ in IO_ERROR_CASES])
 def test_file_errors_exit_1_without_traceback(args, message, tmp_path):
-    paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path)}
+    paths = {"missing": str(tmp_path / "missing"), "tmp": str(tmp_path),
+             "binary": str(tmp_path / "binary.txt")}
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe\x00")  # not UTF-8 text
     res = run_cli(*(arg.format(**paths) for arg in args))
     assert res.returncode == cli.EXIT_USAGE == 1
     assert res.stdout == ""

@@ -106,6 +106,31 @@ class TestTruncationPolicy:
         with pytest.raises(DomainError, match="tail_bound must lie in"):
             TruncationPolicy(tail_bound=tail)
 
+    def test_a_tuple_holds_one_tail_per_point(self):
+        policy = TruncationPolicy(tail_bound=(1e-14, 1e-56))
+        assert policy == TruncationPolicy(tail_bound=(1e-14, 1e-56))
+        assert hash(policy) == hash(TruncationPolicy(tail_bound=(1e-14, 1e-56)))
+        y0 = np.array([1.1, 1.5])
+        assert policy.tail_at(y0).tolist() == [1e-14, 1e-56]
+        assert policy.tail_at(y0, math.log).tolist() == [math.log(1e-14), math.log(1e-56)]
+        assert TruncationPolicy(tail_bound=(1e-3,)).tail_at(1.1) == 1e-3
+        assert TruncationPolicy().tail_at(y0) == 1e-14
+
+    @pytest.mark.parametrize("tail", [(), (1e-14, 0.0), (1.0,), (1e-14, float("nan")),
+                                      (float("inf"),), (-1e-3, 1e-14)])
+    def test_every_tail_of_a_tuple_lies_strictly_between_0_and_1(self, tail):
+        with pytest.raises(DomainError, match="every tail_bound must lie in"):
+            TruncationPolicy(tail_bound=tail)
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_a_tuple_needs_one_tail_per_point(self, points):
+        """Two tails on a stack of one or three points, and on one point."""
+        policy = TruncationPolicy(tail_bound=(1e-14, 1e-56))
+        with pytest.raises(DomainError, match="2 targets for %d points" % points):
+            policy.tail_at(np.ones(points))
+        with pytest.raises(DomainError, match="2 targets for 1 points"):
+            policy.tail_at(1.1)
+
 
 def test_require_finite():
     assert require_finite(1.5, "w") == 1.5

@@ -299,6 +299,71 @@ def test_a_family_with_log_g_folded_is_the_family(params, order, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# the sets of a list family: all of them, and lists that hold one branch
+# of each piece only (D = 0 or D != 0, m > 0 or m < 0)
+SET_LISTS = (
+    FAMILY_PARAMS,
+    [p for p in FAMILY_PARAMS if p.D == 0],
+    [p for p in FAMILY_PARAMS if p.D != 0],
+    [p for p in FAMILY_PARAMS if p.m > 0],
+    [p for p in FAMILY_PARAMS if p.m < 0][::-1],
+)
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("sets", SET_LISTS, ids=["all", "D=0", "D!=0", "m>0", "m<0"])
+def test_a_list_of_sets_gives_each_sets_rows_alone(sets, order):
+    """A family over a list of parameter sets is, bit for bit, the families
+    of its sets alone, set by set: at a point stack and at one point."""
+    for points in (GENERIC_POINTS, GENERIC_POINTS[0]):
+        jv = JetVars.at(points, order)
+        for terms in FAMILY_TERMS:
+            family = kernel_family_jet(sets, terms, jv)
+            want = np.concatenate([kernel_family_jet(p, terms, jv).c for p in sets])
+            assert family.order == order and family.c.shape == want.shape
+            assert np.array_equal(family.c, want), terms
+
+
+def test_a_set_whose_g_leaves_the_float_range_folds_log_g_in_a_list(monkeypatch):
+    """At Im tau near 200, G_171(w) of c2 at [-170.5, 1, 0, 1] is beyond the
+    float range: that set takes G_log_jet alone, its rows and the other
+    sets' still those of each set alone."""
+    sets = [KernelParams.of(0.5, 1, 0, 1), KernelParams.of(-170.5, 1, 0, 1),
+            KernelParams.of(0.5, -1, 0, 0)]
+    terms = ((2, False), (1, False), (3, False), (1, True), (3, True))
+    points = [EvalPoint(0.1, 200.0, 0.0, 0.0), EvalPoint(-0.2, 190.0, 0.1, 0.3)]
+    folded = []
+    real = kernels.G_log_jet
+    monkeypatch.setattr(kernels, "G_log_jet", lambda arg, k: folded.append(k) or real(arg, k))
+    for order in range(4):
+        jv = JetVars.at(points, order)
+        family = kernel_family_jet(sets, terms, jv)
+        assert folded.pop() == -170.5 and folded == []
+        want = np.concatenate([kernel_family_jet(p, terms, jv).c for p in sets])
+        folded.clear()
+        assert np.isfinite(family.c).all() and np.array_equal(family.c, want)
+
+
+def test_a_list_family_names_its_first_failing_set_and_term():
+    """c2 = c2sk at [-98.5, 1, 1, 2] (D = 0) is |q zeta^2| y^100 = 1e200 1e200
+    at the first point, where its c1 is finite: the product of two finite
+    pieces overflows, and the finite check names that set's first such
+    term, as its family alone does."""
+    steep = KernelParams.of(-98.5, 1, 1, 2)
+    sets = [KernelParams.of(0.5, 1, 0, 0), steep, KernelParams.of(0.5, -1, 0, 0)]
+    terms = ((1, False), (2, True), (2, False))
+    for order in (0, 2):
+        jv = JetVars.at([EvalPoint(0.1, 100.0, 0.0, -86.6), EvalPoint(0.1, 1.0, 0.0, 0.0)], order)
+        with pytest.raises(ValueOverflow) as alone:
+            kernel_family_jet(steep, terms, jv)
+        with pytest.raises(ValueOverflow) as stacked:
+            kernel_family_jet(sets, terms, jv)
+        assert str(stacked.value) == str(alone.value) == (
+            "c2sk[-98.5,1,1,2] overflows at jet order %d" % order)
+    with pytest.raises(DomainError, match="needs a parameter set"):
+        kernel_family_jet([], terms, jv)
+
+
 # ----------------------------------------------------------------------
 # annihilation and image tables
 

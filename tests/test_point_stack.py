@@ -17,6 +17,7 @@ from mjlab.core import (
     _compose_taylor,
 )
 from mjlab.errors import (
+    DomainError,
     PoleAtAppell,
     PoleAtTheta,
     TruncationOverflow,
@@ -362,3 +363,59 @@ def test_rows_at_a_point_alone_name_that_point():
     p = STACK[0]
     assert reduced(_rows(["y", "2x"], residual, p, 1.0)) == [
         (0.5, [0.13, 0.5, 0.21, 0.17]), (0.26, [0.13, 0.5, 0.21, 0.17])]
+
+
+# ----------------------------------------------------------------------
+# a tail target per point
+
+TAILS = (1e-14, 1e-56)
+
+
+def assert_per_point_tail_is_each_tail(fn, order, exact):
+    """fn(jv, policy) on STACK taken twice, with one tail target per point
+    (1e-14 on the first copy, 1e-56 on the second), against fn on STACK at
+    each target: bit for bit where exact, else to 1e-14 of the largest
+    coefficient; where fn raises at a target, the error type it raises."""
+    n = len(STACK)
+    policy = TruncationPolicy(tail_bound=(TAILS[0],) * n + (TAILS[1],) * n)
+    both = outcome(lambda jv: fn(jv, policy), JetVars.at(STACK * 2, order))
+    wants = [outcome(lambda jv: fn(jv, TruncationPolicy(tail_bound=tail)), JetVars.at(STACK, order))
+             for tail in TAILS]
+    failures = {want for want in wants if isinstance(want, type)}
+    if failures:
+        assert both in failures, (both, failures)
+        return
+    for half, want in zip((both[:n], both[n:]), wants):
+        if exact:
+            assert np.array_equal(half, want)
+        else:
+            assert np.max(np.abs(half - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_tail_per_point_gives_each_point_its_own_tail(order):
+    """theta_ml, a plain sum over its terms, bit for bit.  theta and R
+    weight their terms in one matrix product, and the Appell family
+    contracts per-point weights over the states of the whole stack, whose
+    rounding depends on how many terms the stack holds: to 1e-14."""
+    assert_per_point_tail_is_each_tail(lambda jv, p: jacobi_theta_jet(jv.tau, jv.z, p), order, False)
+    assert_per_point_tail_is_each_tail(lambda jv, p: zwegers_R_jet(jv.tau, jv.z, p), order, False)
+    for two_m in (1, 2, 3):
+        l = labels(two_m)[-1]
+        assert_per_point_tail_is_each_tail(
+            lambda jv, p: theta_ml_jet(two_m, l, jv.tau, jv.z, p), order, True)
+        args = _component_args(two_m, l)
+        assert_per_point_tail_is_each_tail(lambda jv, p: mu_m_jet(*args(jv), p), order, False)
+        assert_per_point_tail_is_each_tail(
+            lambda jv, p: mu_hat_component_jet(two_m, l, jv.tau, jv.z, p), order, False)
+    assert_per_point_tail_is_each_tail(lambda jv, p: mu_hat_2_jet(jv.tau, jv.z, p), order, False)
+
+
+def test_a_tail_per_point_needs_one_tail_per_point():
+    policy = TruncationPolicy(tail_bound=TAILS)
+    jv = JetVars.at(STACK, 0)
+    for fn in (lambda: jacobi_theta_jet(jv.tau, jv.z, policy),
+               lambda: zwegers_R_jet(jv.tau, jv.z, policy),
+               lambda: mu_hat_component_jet(2, 0.0, jv.tau, jv.z, policy)):
+        with pytest.raises(DomainError, match="2 targets for 3 points"):
+            fn()

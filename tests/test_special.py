@@ -317,6 +317,15 @@ def test_H_against_mpmath_over_the_float_range(k):
         assert abs(got - want) <= 1e-13 * max(abs(want), sys.float_info.min), (k, w)
 
 
+@pytest.mark.parametrize("k,w", [(3.5, 3e-299), (3.5, -3e-299), (2.5, 5e-324), (2.5, 0.0)])
+def test_G_near_w_0_for_k_at_least_5_2_is_a_value_overflow(k, w):
+    """G_j(w) for j = 1/2 - k <= -2 diverges like 1 / w^(-j-1) at w = 0:
+    beyond the float range (and at w = 0 itself) it is a ValueOverflow,
+    not the OverflowError or ZeroDivisionError of a float power."""
+    with pytest.raises(ValueOverflow, match="exceeds the floating-point range"):
+        G_jet(Jet.constant(w, 0), k)
+
+
 def _G_oracle(w, k, n):
     """G, G', ..., G^(n) at w in mpmath at 40 digits: G = e^(-w) H, then
     G^(i+1) = -2 G^(i) + 2 d^i/dw^i (-2w)^j with j = 1/2 - k."""

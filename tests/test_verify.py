@@ -614,3 +614,51 @@ def test_hygiene_evaluates_each_finite_difference_function_twice(monkeypatch):
     monkeypatch.setattr(verify, "build", counted)
     run_suite("hygiene")
     assert sorted(evaluations.values()) == [2, 2]
+
+
+def test_hygiene_evaluates_each_radius_doubling_value_once(monkeypatch):
+    """One evaluation per HYGIENE_VALUES function (8, not one per tail
+    target): at the points taken twice, with the tail target 1e-14 on the
+    first copy and 1e-56 on the second."""
+    evaluations = []
+    real = verify.build
+
+    def counted(name, policy=None, **options):
+        made = real(name, policy, **options)
+        if policy is None:  # a finite-difference function
+            return made
+        f, seen = getattr(made, "f", made), []
+        evaluations.append((policy.tail_bound, seen))
+
+        def je(jv):
+            seen.append(jv.x.c.shape[0])
+            return f.jet_at(jv)
+
+        handle = FunctionHandle(jet_fn=je, label=f.label, fd_step=f.fd_step)
+        return replace(made, f=handle) if isinstance(made, TaggedForm) else handle
+
+    monkeypatch.setattr(verify, "build", counted)
+    run_suite("hygiene")
+    assert evaluations == [((1e-14, 1e-14, 1e-56, 1e-56), [4])] * len(verify.HYGIENE_VALUES)
+
+
+def test_kernels_and_xi_images_make_one_family_for_their_sets(monkeypatch):
+    """suite_kernels makes one kernel family, of all KERNEL_PARAMS;
+    suite_xi_images one of all XI_TABLE_PARAMS, plus one per partner set,
+    of the terms its rows name."""
+    calls = []
+    real = verify.kernel_family_jet
+
+    def counted(params, terms, jv):
+        calls.append(params)
+        return real(params, terms, jv)
+
+    monkeypatch.setattr(verify, "kernel_family_jet", counted)
+    suite_kernels()
+    assert calls == [list(KERNEL_PARAMS)]
+    calls.clear()
+    suite_xi_images()
+    partners = {p for params in XI_TABLE_PARAMS for p in (params.xi_partner(),
+                                                         params.xi_H_partner())}
+    assert calls[0] == list(XI_TABLE_PARAMS) and len(partners) == 4
+    assert len(calls) == 1 + len(partners) and set(calls[1:]) == partners
