@@ -147,11 +147,11 @@ def _deriv_table(order, var):
     return src, fac
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the result is checked
 def _finite_exp(a):
     """np.exp of an array (or a scalar), raising ValueOverflow instead of
     returning an infinite value."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(a)
+    out = np.exp(a)
     if not np.isfinite(out).all():
         raise ValueOverflow("exp overflows the floating-point range")
     return out

@@ -9,16 +9,17 @@ Heisenberg Laplace equations for the discriminant D = 4mn - r^2; c_3 and
 c_4 carry a Gaussian-integral factor in r + 2mv/y, smooth across its zero
 locus, so every kernel term has exact jets at every point.  Each term is
 one exponential of a single exponent jet times bounded factors free of
-exponentials, so it is finite wherever its value is; the terms of one
-parameter set, or of a list of sets, are evaluated together as a kernel
-family that forms each shared piece once.  The q-series come from `mjlab.fourier`'s theta
-decomposition; `mu` is read only by the theta-like recompose, so a kernel
-term's evaluation never executes it.  The annihilation and image
-identities are checked in `mjlab.verify`.
+exponentials, so it is finite wherever its value is; the terms of a list
+of parameter sets (a lone set is a list of one) are evaluated together as
+a kernel family that forms each shared piece once.  The q-series come from
+`mjlab.fourier`'s theta decomposition; `mu` is read only by the theta-like
+recompose, so a kernel term's evaluation never executes it.  The
+annihilation and image identities are checked in `mjlab.verify`.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import DomainError, ValueOverflow
 from .jets import Jet
 from .special import (
     G_derivatives,
-    G_jet,
     G_log_jet,
     _finite_sum,
     dawson_jet,
@@ -80,11 +80,12 @@ def _term_label(i, params, skew):
 KERNEL_TERMS = tuple((i, skew) for skew in (False, True) for i in (1, 2, 3, 4))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite check raises
 def kernel_family_jet(params, terms, jv):
-    """Jets of the kernel terms (i, skew) of `terms` at one parameter set,
-    stacked on a new leading row axis: shape (len(terms), *points, M); or
-    at a list of parameter sets, one row per (set, term), set by set:
-    shape (len(sets) * len(terms), *points, M).
+    """Jets of the kernel terms (i, skew) of `terms` at a list of parameter
+    sets, one row per (set, term), set by set: shape
+    (len(sets) * len(terms), *points, M).  A lone `KernelParams` is a list
+    of one.
 
     Each term is exp(E) times factors free of exponentials.
     E = 2 pi i (n tau + r z), plus 2w = pi D y / m for c_2, c_4, c_1^sk and
@@ -93,222 +94,159 @@ def kernel_family_jet(params, terms, jv):
     y^(3/2-k) at D = 0) for c_2 and c_4; F_1(b) for m < 0, i D(b)
     (`dawson_jet`) for m > 0, for c_3 and c_4.  Where G leaves the float
     range, log |G| joins the exponent and G / |G| is the factor
-    (`G_log_jet`).  The terms share these pieces: E, w, b, each factor and
-    the exp of each distinct exponent are formed once, when the first term
-    that needs them is.  So every row is the jet its term gives alone, bit
-    for bit, and the first term that fails raises what it raises alone.
+    (`G_log_jet`).
 
-    A list of sets puts them on a leading set axis (`_sets_family_jet`):
-    each piece is formed once over the sets that need it, each row is the
-    row of its set alone, bit for bit, and the finite check names the first
-    failing (set, term).  At one point (coordinates without a point axis)
-    the sets are taken one at a time."""
-    for i, _ in terms:
-        if i not in (1, 2, 3, 4):
-            raise DomainError("kernel label must be 1..4")
-    if isinstance(params, KernelParams):
-        return _one_set_family_jet(params, terms, jv)
-    sets = list(params)
-    if not sets:
-        raise DomainError("a kernel family needs a parameter set")
-    if not jv.y.batched:
-        return Jet(jv.order, np.concatenate([_one_set_family_jet(p, terms, jv).c for p in sets]))
-    return _sets_family_jet(sets, terms, jv)
+    The sets and points are one stack of entries, set by set.  Each piece
+    (E, w, b, y^(3/2-k), G(+-w) from the sets' `G_derivatives`, F_1(b) or
+    i D(b), the exp of each distinct exponent) is formed once, over the sets
+    that need it.  Every operation acts entry by entry, so each row is that
+    of its set as a list of one, bit for bit, and the finite check names the
+    first failing (set, term)."""
+    sets = (params,) if isinstance(params, KernelParams) else tuple(params)
+    plan = _family_plan(sets, tuple(terms), frozenset())
+    order, n_sets = jv.order, len(sets)
+    points, width = jv.y.c.shape[:-1], jv.y.c.shape[-1]
+    rows = partial(_set_rows, n_sets=n_sets)
 
+    def scaled(k, x):
+        """Constants k on the entry axis times a coordinate jet x on the points."""
+        return Jet(order, (x.c.reshape(-1, width) * k.reshape(n_sets, -1, 1)).reshape(-1, width))
 
-def _one_set_family_jet(params, terms, jv):
-    """`kernel_family_jet` at one parameter set."""
-    k, m, D = params.k, params.m, params.D
-    Y = jv.y
-    E = (2j * math.pi) * (params.n * jv.tau + params.r * jv.z)
-    w = (math.pi * D / (2.0 * m)) * Y if D != 0 else None
-    pieces = {}
+    def y_of(count):
+        """y on the entry axis of count sets."""
+        return Jet(order, np.concatenate((jv.y.c.reshape(-1, width),) * count))
 
-    def piece(key, make):
-        if key not in pieces:
-            pieces[key] = make()
-        return pieces[key]
-
-    def b():
-        return piece("b", lambda: (math.pi / abs(m) * Y).cpow(0.5)
-                     * (params.r + (2.0 * m) * jv.v / Y))
-
-    def G(skew):
-        """(None, G(+-w)), or where G leaves the float range (the term need
-        not), log |G| at the value and the jet of G over |G| there."""
-        arg = -1.0 * w if skew else w
-        try:
-            return None, G_jet(arg, k)
-        except ValueOverflow:
-            if k > 0.5:  # G_j for j < 0 overflows only where it diverges (w near 0)
-                raise
-            return G_log_jet(arg, k)
-
-    def exp(two_w, bb, log_g):
-        expo = E + 2.0 * w if two_w else E
-        if bb:
-            expo = expo + b() * b()
-        if log_g is not None:
-            expo = expo + log_g
-        return expo.exp()
-
-    rows = []
-    for i, skew in terms:
-        two_w = D != 0 and (i % 2 == 0) != skew
-        bb = i in (3, 4) and m > 0
-        factors = []
-        log_g = None
-        if i in (2, 4):
-            if D == 0:  # the skew terms coincide with the standard ones
-                factors.append(piece("y", lambda: Y.cpow(1.5 - k)))
-            else:
-                log_g, g = piece(("G", skew), lambda: G(skew))
-                factors.append(g)
-        if i in (3, 4):
-            if m < 0:
-                factors.append(piece("F", lambda: gaussian_integral_jet(1.0, b())))
-            else:
-                factors.append(piece("F", lambda: 1j * dawson_jet(b())))
-        # an exponential or a product that overflows is a ValueOverflow, not inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite_sum raises
-            key = ("exp", two_w, bb) if log_g is None else ("exp", two_w, bb, skew)
-            term = piece(key, lambda: exp(two_w, bb, log_g))
-            for factor in factors:
-                term = term * factor
-        rows.append(_finite_sum(term, _term_label(i, params, skew)))
-    return Jet(rows[0].order, np.stack([row.c for row in rows]))
-
-
-def _sets_family_jet(sets, terms, jv):
-    """`kernel_family_jet` at a list of parameter sets on a point stack.
-
-    Per-set constants (n, r, k, m, D) go on a leading set axis.  E, w and
-    b are formed once over every set; y^(3/2-k) is one power over the
-    D = 0 sets (a per-set exponent), G(+-w) one batched `apply_derivatives`
-    of the D != 0 sets' derivative lists (`G_derivatives`, each set's
-    alone), and F_1(b), i D(b) one evaluation over the sets of their sign
-    of m.  A set whose G leaves the float range takes `G_log_jet` alone.
-    The exp of each distinct exponent is taken once over the sets that
-    need it, and each term is one product chain over all the sets.  Every
-    operation acts entry by entry, so each row is its set's alone."""
-    order = jv.order
-    Y = jv.y
-    points = Y.c.shape[:-1]
-    every = list(range(len(sets)))
-
-    def per_set(values, idx=every):
-        """Constants of the sets idx, one per set, shaped (sets, *points)."""
-        values = np.reshape([values[s] for s in idx], (len(idx),) + (1,) * len(points))
-        return np.broadcast_to(values, (len(idx),) + points)
-
-    def rows(jet, idx):
-        return jet if idx == every else Jet(order, jet.c[idx])
-
-    E = (2j * math.pi) * (per_set([p.n for p in sets]) * jv.tau
-                          + per_set([p.r for p in sets]) * jv.z)
-    nonzero = [s for s, p in enumerate(sets) if p.D != 0]
-    zero = [s for s, p in enumerate(sets) if p.D == 0]
-    if nonzero:
-        w = per_set([math.pi * p.D / (2.0 * p.m) if p.D else 0.0 for p in sets]) * Y
-    # the factors as [(set indices, jet of their rows)]: G (y^(3/2-k) at
-    # D = 0) per skew, and F
-    g_parts, f_parts = {}, []
-    log_g = {}  # (set, skew) -> log |G| where G leaves the float range
-    if any(i in (2, 4) for i, _ in terms):
-        y_pow = []
-        if zero:  # the skew terms coincide with the standard ones
-            alpha = per_set([1.5 - p.k for p in sets], zero)
-            y_pow = [(zero, Jet(order, np.broadcast_to(Y.c, (len(zero),) + Y.c.shape))
-                      .cpow(alpha))]
-        for skew in dict.fromkeys(skew for i, skew in terms if i in (2, 4)):
-            parts, ok, derivs = list(y_pow), [], []
-            if nonzero:
-                arg = -1.0 * w if skew else w
-            for s in nonzero:
-                at = Jet(order, arg.c[s])
-                try:
-                    derivs.append(G_derivatives(at, sets[s].k))
-                    ok.append(s)
-                except ValueOverflow:
-                    if sets[s].k > 0.5:  # G_j for j < 0 overflows only where it diverges
-                        raise
-                    log_g[s, skew], g = G_log_jet(at, sets[s].k)
-                    parts.append(([s], Jet(order, g.c[None])))
-            if ok:
-                ds = [np.stack([d[j] for d in derivs]) for j in range(order + 1)]
-                parts.append((ok, rows(arg, ok).apply_derivatives(ds)))
-            g_parts[skew] = parts
-    if any(i in (3, 4) for i, _ in terms):
-        b = ((per_set([math.pi / abs(p.m) for p in sets]) * Y).cpow(0.5)
-             * (per_set([p.r for p in sets]) + per_set([2.0 * p.m for p in sets]) * jv.v / Y))
-        negative = [s for s, p in enumerate(sets) if p.m < 0]
-        positive = [s for s, p in enumerate(sets) if p.m > 0]
-        if negative:
-            f_parts.append((negative, gaussian_integral_jet(1.0, rows(b, negative))))
-        if positive:
-            f_parts.append((positive, 1j * dawson_jet(rows(b, positive))))
-        if positive:
+    n, r, w_rate, b_rate, two_m, alpha = plan.at(math.prod(points))
+    if plan.needs_w:
+        w = scaled(w_rate, jv.y)
+    g, log_g = {}, {}  # skew -> G(+-w), y^(3/2-k) at D = 0; (set, skew) -> log |G|
+    y_pow = ([(plan.zero, y_of(len(plan.zero)).cpow(rows(alpha, plan.zero)))]
+             if plan.zero and plan.g_skews else [])  # the same for both skews
+    for skew in plan.g_skews:
+        parts, ok, derivs = list(y_pow), [], []
+        arg = (-1.0 * w if skew else w) if plan.nonzero else None
+        for s in plan.nonzero:
+            at = rows(arg, [s])
+            try:
+                derivs.append(G_derivatives(at, sets[s].k))
+                ok.append(s)
+            except ValueOverflow:
+                if sets[s].k > 0.5:  # G_j for j < 0 overflows only where it diverges
+                    raise
+                log_g[s, skew], folded = G_log_jet(at, sets[s].k)
+                parts.append(([s], folded))
+        if ok:  # derivs[set][j] -> the j-th derivative over the entries of the sets ok
+            ds = np.array(derivs).swapaxes(0, 1).reshape(order + 1, -1)
+            parts.append((ok, rows(arg, ok).apply_derivatives(ds)))
+        g[skew] = _gather(parts, n_sets)
+    if log_g:
+        plan = _family_plan(sets, plan.terms, frozenset(log_g))
+    if plan.needs_b:
+        b = scaled(b_rate, jv.y).cpow(0.5) * (r + scaled(two_m, jv.v) / y_of(n_sets))
+        parts = []
+        if plan.negative:
+            parts.append((plan.negative, gaussian_integral_jet(1.0, rows(b, plan.negative))))
+        if plan.positive:
+            parts.append((plan.positive, 1j * dawson_jet(rows(b, plan.positive))))
             b_sq = b * b
+        f = _gather(parts, n_sets)
 
-    def exp_key(s, i, skew):
-        p = sets[s]
-        log = ("log", skew) if i in (2, 4) and (s, skew) in log_g else None
-        return p.D != 0 and (i % 2 == 0) != skew, i in (3, 4) and p.m > 0, log
-
-    needs = {}  # exponent key -> the sets that take its exp, in set order
-    for i, skew in terms:
-        for s in every:
-            needs.setdefault(exp_key(s, i, skew), {})[s] = None
-    exps = {}  # exponent key -> (set indices, exp of the exponent over them)
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite check raises
-        for key, idx in needs.items():
-            two_w, bb, log = key
-            idx = sorted(idx)
-            expo = rows(E, idx)
-            if two_w:
-                expo = expo + 2.0 * rows(w, idx)
-            if bb:
-                expo = expo + rows(b_sq, idx)
-            if log is not None:
-                expo = expo + np.stack([log_g[s, log[1]] for s in idx])
-            exps[key] = idx, expo.exp()
-
-        term_rows = []
-        for i, skew in terms:
-            by_key = {}
-            for s in every:
-                by_key.setdefault(exp_key(s, i, skew), []).append(s)
-            parts = []
-            for key, idx in by_key.items():
-                have, jet = exps[key]
-                parts.append((idx, jet if idx == have else
-                              Jet(order, jet.c[[have.index(s) for s in idx]])))
-            term = _gather(parts, len(sets))
-            if i in (2, 4):
-                term = term * _gather(g_parts[skew], len(sets))
-            if i in (3, 4):
-                term = term * _gather(f_parts, len(sets))
-            term_rows.append(term.c)
-    c = np.stack(term_rows, axis=1).reshape((-1,) + points + (term_rows[0].shape[-1],))
-    finite = np.isfinite(c.reshape(len(c), -1)).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        s, t = divmod(first, len(terms))
-        i, skew = terms[t]
+    E = (2j * math.pi) * (scaled(n, jv.tau) + scaled(r, jv.z))
+    exps = []
+    for (two_w, bb, log), idx in plan.exps:
+        expo = rows(E, idx)
+        if two_w:
+            expo = expo + 2.0 * rows(w, idx)
+        if bb:
+            expo = expo + rows(b_sq, idx)
+        if log is not None:
+            expo = expo + np.concatenate([log_g[s, log] for s in idx])
+        exps.append(expo.exp().c.reshape((len(idx), -1, width)))
+    exps = np.concatenate(exps) if len(exps) > 1 else exps[0]  # a row per (exponent, set)
+    c = np.empty((n_sets, len(plan.terms)) + points + (width,), dtype=complex)
+    for t, ((i, skew), pick) in enumerate(zip(plan.terms, plan.picks)):
+        term = Jet(order, exps[pick].reshape(-1, width))
+        if i in (2, 4):
+            term = term * g[skew]
+        if i in (3, 4):
+            term = term * f
+        c[:, t] = term.c.reshape(c[:, t].shape)
+    c = c.reshape((-1,) + c.shape[2:])
+    if not np.isfinite(c).all():
+        first = int(np.argmin(np.isfinite(c.reshape(len(c), -1)).all(axis=1)))
+        s, t = divmod(first, len(plan.terms))
+        i, skew = plan.terms[t]
         _finite_sum(Jet(order, c[first]), _term_label(i, sets[s], skew))
     return Jet(order, c)
 
 
+class _FamilyPlan:
+    """All of a kernel family but its numbers: per set its constants
+    n, r, pi D / 2m, pi / |m|, 2m, 3/2 - k (`consts`) and its kind; the
+    skews of the G factors; and the exponent (2w, b^2, the skew of a log |G|
+    folded where (set, skew) is in folded) of each (term, set): `exps` with
+    the sets that take its exp, `picks` per term its rows among them."""
+
+    def __init__(self, sets, terms, folded):
+        if not sets:
+            raise DomainError("a kernel family needs a parameter set")
+        for i, _ in terms:
+            if i not in (1, 2, 3, 4):
+                raise DomainError("kernel label must be 1..4")
+        self.terms = terms
+        self.consts = np.array([(p.n, p.r, math.pi * p.D / (2.0 * p.m) if p.D else 0.0,
+                                 math.pi / abs(p.m), 2.0 * p.m, 1.5 - p.k) for p in sets],
+                               dtype=complex).T
+        self.entries = {}  # points per set -> the consts on the entry axis
+        self.zero = [s for s, p in enumerate(sets) if p.D == 0]
+        self.nonzero = [s for s, p in enumerate(sets) if p.D != 0]
+        self.negative = [s for s, p in enumerate(sets) if p.m < 0]
+        self.positive = [s for s, p in enumerate(sets) if p.m > 0]
+        self.g_skews = tuple(dict.fromkeys(skew for i, skew in terms if i in (2, 4)))
+        keys = [[(p.D != 0 and (i % 2 == 0) != skew, i in (3, 4) and p.m > 0,
+                  skew if i in (2, 4) and (s, skew) in folded else None)
+                 for s, p in enumerate(sets)] for i, skew in terms]
+        # each exponent, in the order of first use, with the sets that take its exp
+        self.exps = [(key, [s for s in range(len(sets)) if any(ks[s] == key for ks in keys)])
+                     for key in dict.fromkeys(key for ks in keys for key in ks)]
+        row = {pair: j for j, pair in enumerate((key, s) for key, idx in self.exps for s in idx)}
+        picks = ([row[key, s] for s, key in enumerate(ks)] for ks in keys)
+        # a term's rows as a slice where they run in order (a view), else an index array
+        self.picks = [slice(p[0], p[0] + len(p)) if p == list(range(p[0], p[0] + len(p)))
+                      else np.array(p) for p in picks]
+        self.needs_w = bool(self.nonzero and self.g_skews) or any(key[0] for key, _ in self.exps)
+        self.needs_b = any(i in (3, 4) for i, _ in terms)
+
+    def at(self, n_points):
+        """The constants on the entry axis of n_points points per set."""
+        if n_points not in self.entries:
+            consts = np.repeat(self.consts, n_points, axis=1)
+            consts.flags.writeable = False  # shared by every call
+            self.entries[n_points] = tuple(consts)
+        return self.entries[n_points]
+
+
+_family_plan = lru_cache(maxsize=256)(_FamilyPlan)
+
+
+def _set_rows(x, idx, n_sets):
+    """x, a jet or an array on the entry axis of n_sets sets, at the
+    entries of the sets idx (x itself for all of them)."""
+    if len(idx) == n_sets:
+        return x
+    if isinstance(x, Jet):
+        return Jet(x.order, _set_rows(x.c, idx, n_sets))
+    return x.reshape((n_sets, -1) + x.shape[1:])[idx].reshape((-1,) + x.shape[1:])
+
+
 def _gather(parts, n_sets):
-    """One jet with a row per set from parts (set indices, jet of their
-    rows), which hold every set once."""
-    if len(parts) == 1 and len(parts[0][0]) == n_sets:
+    """One jet on the entry axis of n_sets sets from parts (set indices,
+    jet on their entries), which hold every set once."""
+    if len(parts) == 1:
         return parts[0][1]
-    jet = parts[0][1]
-    c = np.empty((n_sets,) + jet.c.shape[1:], dtype=complex)
-    for idx, part in parts:
-        c[idx] = part.c
-    return Jet(jet.order, c)
+    c = np.concatenate([part.c.reshape((len(idx), -1) + part.c.shape[1:]) for idx, part in parts])
+    c = c[np.argsort([s for idx, _ in parts for s in idx])]  # set by set
+    return Jet(parts[0][1].order, c.reshape((-1,) + c.shape[2:]))
 
 
 def kernel_jet(i, params, skew, jv):

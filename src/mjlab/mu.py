@@ -137,11 +137,11 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     (-1)^(s1) q^((s2 + s1)/2) e^(2 pi i s1 z2) / (1 - e^(2 pi i z1) q^(s1)),
     where s1 and s2 are the entry sum and the square sum of n.
 
-    z1 is one jet, or a sequence of jets: then one row per z1 on a leading
-    axis, shape (len(z1), *points, M).  Only the denominators and the
-    factor e^(pi i z1) involve z1, so theta(z2)^(-2m), the lattice states
-    and the inner and outer sums are formed once, and each row is the sum
-    at its z1 alone, bit for bit.
+    z1 is a sequence of jets, one row per z1 on a leading axis, shape
+    (len(z1), *points, M), or one jet (a sequence of one, its row
+    returned).  Only the denominators and the factor e^(pi i z1) involve
+    z1, so theta(z2)^(-2m), the lattice states and the inner and outer sums
+    are formed once, and each row is the sum at its z1 alone, bit for bit.
 
     At a stack of points each point sums the states it sums alone: the
     states come from the largest radius of the stack, each point reads its
@@ -151,7 +151,8 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
     """
     check_component(two_m)
     policy = policy or TruncationPolicy()
-    z1s = [z1] if isinstance(z1, Jet) else list(z1)
+    lone = isinstance(z1, Jet)
+    z1s = [z1] if lone else list(z1)
     points = tau.c.shape[:-1]
     shapes = {z.c.shape[:-1] for z in z1s}
     shapes.add(z2.c.shape[:-1])
@@ -209,9 +210,8 @@ def mu_m_jet(two_m, tau, z1, z2, policy=None):
         inner = _masked_exp((1j * math.pi * _term_axis(u2, tau)) * tau, mask2).sum(weights)
         outer = _masked_exp(u1 * (1j * math.pi * tau + TWO_PI * 1j * z2), mask1)
         rows = [_appell_row(z, u1, q_u1, outer, inner, theta_inv_pow, points) for z in z1s]
-    if isinstance(z1, Jet):
-        return _finite_sum(rows[0], "Appell sum")
-    return _finite_sum(Jet(rows[0].order, np.stack([row.c for row in rows])), "Appell sum")
+    return _finite_sum(rows[0] if lone else Jet(rows[0].order, np.array([row.c for row in rows])),
+                       "Appell sum")
 
 
 def _appell_row(z1, u1, q_u1, outer, inner, theta_inv_pow, points):
@@ -286,13 +286,13 @@ def mu_hat_component_jet(two_m, l, tau, z, policy=None):
     """The completed component: normalized prefactor times (Appell part
     minus (i/2) times the nonholomorphic R-series at the shifted argument).
 
-    l is one label, or a sequence of labels: then the components on a
-    leading label axis, shape (labels, *points, M).  Their Appell parts are
-    one `mu_m_jet` over the labels' z1 = 1/2 + (l + m) tau at the shared
-    z2 = 1/4m - z - 1/2; each label adds its R-series and prefactor, so
-    each row is its label's jet alone, bit for bit."""
-    one = not isinstance(l, (list, tuple, np.ndarray))
-    ls = [l] if one else list(l)
+    l is a sequence of labels, the components on a leading label axis,
+    shape (labels, *points, M), or one label (a sequence of one, its row
+    returned).  Their Appell parts are one `mu_m_jet` over the labels' z1 =
+    1/2 + (l + m) tau at z2 = 1/4m - z - 1/2; each label adds its R-series
+    and prefactor, so each row is its label's jet alone, bit for bit."""
+    lone = not isinstance(l, (list, tuple, np.ndarray))
+    ls = [l] if lone else list(l)
     if not ls:
         raise DomainError("a component evaluation needs a label")
     for label in ls:
@@ -300,20 +300,14 @@ def mu_hat_component_jet(two_m, l, tau, z, policy=None):
     require_upper_half_plane("mu_hat_{m,l}", tau.value, z=z.value)
     m = two_m / 2.0
     zs = z + COMPONENT_SHIFT
-    mu_part = mu_m_jet(
-        two_m,
-        tau,
-        0.5 + (l + m) * tau if one else [0.5 + (label + m) * tau for label in ls],
-        1.0 / (2.0 * two_m) - zs,
-        policy,
-    )
+    mu_part = mu_m_jet(two_m, tau, [0.5 + (label + m) * tau for label in ls],
+                       1.0 / (2.0 * two_m) - zs, policy)
     rows = []
-    for j, label in enumerate(ls):
+    for row, label in zip(mu_part.c, ls):
         r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, label, tau, zs), policy)
         pref = _component_phase(label) * _completion_prefactor(two_m, label, tau, zs)
-        part = mu_part if one else Jet(mu_part.order, mu_part.c[j])
-        rows.append(pref * (part - 0.5j * r_part))
-    return rows[0] if one else Jet(mu_part.order, np.stack([row.c for row in rows]))
+        rows.append(pref * (Jet(mu_part.order, row) - 0.5j * r_part))
+    return rows[0] if lone else Jet(mu_part.order, np.array([row.c for row in rows]))
 
 
 def r_hat_component_jet(two_m, l, tau, z, policy=None):

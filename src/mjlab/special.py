@@ -320,17 +320,24 @@ def G_jet(arg, k):
     return arg.apply_derivatives(G_derivatives(arg, k))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # checked below
 def G_derivatives(arg, k):
-    """[G, G', ..., G^(order)] of `G_jet` at the value of the jet arg."""
+    """[G, G', ..., G^(order)] of `G_jet` at the value of the jet arg (numpy
+    arithmetic); ValueOverflow where one leaves the float range."""
     j = _half_int_exponent(k)
     w0 = arg.value.real
     gs = [_elementwise(lambda w: _scaled_integral(j, w), w0)]
+    x = np.asarray(-2.0 * w0)
     fall = 1.0  # j (j - 1) ... (j - i + 1)
     for i in range(arg.order):
         # the i-th derivative of (-2w)^j
-        power = fall * (-2.0) ** i * (-2.0 * w0) ** (j - i) if fall else 0.0
+        power = fall * (-2.0) ** i * x ** (j - i) if fall else 0.0
         gs.append(-2.0 * gs[i] + 2.0 * power)
         fall *= j - i
+    finite = np.isfinite(gs[-1])  # inf or nan in one derivative is in every later one
+    if not finite.all():
+        raise ValueOverflow("a derivative of G_%d at %r exceeds the floating-point range"
+                            % (j, float(np.asarray(w0)[~finite][0])))
     return gs
 
 
@@ -487,15 +494,15 @@ def jacobi_theta_handle(policy=None):
 def theta_ml_jet(two_m, l, tau, z, policy=None):
     """theta_{m,l}(tau, z) = sum over r = l mod 2m of q^(r^2/4m) zeta^r.
 
-    l is one label, or a sequence of labels: then the components on a
-    leading label axis, shape (labels, *points, M), from one term axis that
-    holds every label's terms r, grouped by label, with one exp; each
-    label sums its own group, so each row is its label's jet alone, bit
-    for bit."""
+    l is a sequence of labels, or one label (a sequence of one, its row
+    returned): the components on a leading label axis, shape
+    (labels, *points, M), from one term axis that holds every label's
+    terms r, grouped by label, with one exp; each label sums its own
+    group, so each row is its label's jet alone, bit for bit."""
     if two_m <= 0:
         raise DomainError("theta_{m,l} requires m > 0")
-    one = not isinstance(l, (list, tuple, np.ndarray))
-    ls = [l] if one else list(l)
+    lone = not isinstance(l, (list, tuple, np.ndarray))
+    ls = [l] if lone else list(l)
     if not ls:
         raise DomainError("theta_{m,l} needs a label")
     for label in ls:
@@ -507,23 +514,22 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     v0 = z.value.imag
     radius = _gaussian_radius(y0, two_m, TWO_PI * abs(v0), policy)
     R = _largest(radius)
-    groups = []
+    groups, ends = [], [0]
     for label in ls:
         label = label % two_m  # may be half-integral for odd 2m
         t_lo = -int((R + label) // two_m) - 1
         t_hi = int((R - label) // two_m) + 1
-        r = label + two_m * np.arange(t_lo, t_hi + 1)
-        groups.append(r[np.abs(r) <= R + two_m])
-    r = _term_axis(groups[0] if one else np.concatenate(groups), tau, z)
+        groups.append(label + two_m * np.arange(t_lo, t_hi + 1))  # |r| <= R + 2m
+        ends.append(ends[-1] + len(groups[-1]))
+    r = _term_axis(np.concatenate(groups), tau, z)
     mask = _stack_mask(radius, lambda rad: np.abs(r) <= rad + two_m)
     with np.errstate(over="ignore"):  # an exponent below the float range: exp is 0
         terms = _masked_exp((2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z,
                             mask)
-    if one:
-        return terms.sum()
-    ends = np.cumsum([len(r) for r in groups]).tolist()
-    return Jet(terms.order, np.stack([terms.c[lo:hi].sum(axis=0)
-                                      for lo, hi in zip([0] + ends, ends)]))
+    rows = np.empty((len(ls),) + terms.c.shape[1:], dtype=complex)
+    for j in range(len(ls)):
+        terms.c[ends[j]:ends[j + 1]].sum(axis=0, out=rows[j])  # each label its own terms
+    return Jet(terms.order, rows[0] if lone else rows)
 
 
 def theta_ml_handle(two_m, l, policy=None):

@@ -162,7 +162,10 @@ def test_stdout_is_byte_identical_to_the_recorded_output(record):
     """Every eval of test_cli's EVAL_CASES, two grids (one with negative
     values as separate tokens and as --opt=value) and two decompositions,
     as the click-based front end printed them: a grid's CSV ends in a blank
-    line."""
+    line.  A change that moves an output regenerates the file with
+    `PYTHONPATH=src python3 tests/cli_snapshot.py tests/cli_outputs.json`
+    and lists the moves (`tests/cli_snapshot.py --compare A B`) in
+    CHANGES.md."""
     code, out, err = run_main(record["argv"], record["stdin"] or "")
     assert code == 0, err
     assert out == record["stdout"]

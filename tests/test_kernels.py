@@ -9,6 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 from fd_reference import bits, reference_fd_jet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mjlab import kernels
 from mjlab.core import EvalPoint, JetVars, TruncationPolicy, WeightIndex, finite_difference_jet
@@ -294,7 +296,7 @@ def test_a_family_with_log_g_folded_is_the_family(params, order, monkeypatch):
             raise ValueOverflow("G")
 
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "G_jet", overflow)
+            patch.setattr(kernels, "G_derivatives", overflow)
             got = kernel_family_jet(params, KERNEL_TERMS, jv).c
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -314,14 +316,63 @@ SET_LISTS = (
 @pytest.mark.parametrize("sets", SET_LISTS, ids=["all", "D=0", "D!=0", "m>0", "m<0"])
 def test_a_list_of_sets_gives_each_sets_rows_alone(sets, order):
     """A family over a list of parameter sets is, bit for bit, the families
-    of its sets alone, set by set: at a point stack and at one point."""
-    for points in (GENERIC_POINTS, GENERIC_POINTS[0]):
-        jv = JetVars.at(points, order)
-        for terms in FAMILY_TERMS:
-            family = kernel_family_jet(sets, terms, jv)
-            want = np.concatenate([kernel_family_jet(p, terms, jv).c for p in sets])
-            assert family.order == order and family.c.shape == want.shape
-            assert np.array_equal(family.c, want), terms
+    of its sets alone, set by set, at a point stack."""
+    jv = JetVars.at(GENERIC_POINTS, order)
+    for terms in FAMILY_TERMS:
+        family = kernel_family_jet(sets, terms, jv)
+        want = np.concatenate([kernel_family_jet(p, terms, jv).c for p in sets])
+        assert family.order == order and family.c.shape == want.shape
+        assert np.array_equal(family.c, want), terms
+
+
+@st.composite
+def family_requests(draw):
+    """A list of one to four parameter sets of FAMILY_PARAMS (a set may
+    repeat), a tuple of distinct kernel terms in any order, an order 0-3
+    and a stack of one to four points with 0.5 <= y <= 2."""
+    sets = draw(st.lists(st.sampled_from(FAMILY_PARAMS), min_size=1, max_size=4))
+    terms = tuple(draw(st.lists(st.sampled_from(KERNEL_TERMS), min_size=1, max_size=8,
+                                unique=True)))
+    coordinate = st.floats(-0.5, 0.5)
+    points = draw(st.lists(st.builds(EvalPoint, coordinate, st.floats(0.5, 2.0), coordinate,
+                                     coordinate), min_size=1, max_size=4))
+    return sets, terms, draw(st.integers(0, 3)), points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(request=family_requests())
+def test_a_set_in_any_list_is_that_set_as_a_list_of_one(request):
+    """On a point stack each set's rows of a list family are, bit for bit,
+    that set's family as a list of one, which a lone KernelParams is; at
+    one point each row is the point's stack-of-one row to 1e-15 of the
+    row's largest coefficient."""
+    sets, terms, order, points = request
+    jv = JetVars.at(points, order)
+    family = kernel_family_jet(sets, terms, jv).c.reshape((len(sets), len(terms), len(points), -1))
+    for params, rows in zip(sets, family):
+        alone = kernel_family_jet([params], terms, jv).c
+        assert np.array_equal(rows, alone)
+        assert np.array_equal(kernel_family_jet(params, terms, jv).c, alone)
+    for j, point in enumerate(points):
+        lone = kernel_family_jet(sets, terms, JetVars.at(point, order)).c
+        stacked = family[:, :, j].reshape(lone.shape)
+        scale = np.abs(stacked).max(axis=1, keepdims=True)
+        assert (np.abs(lone - stacked) <= 1e-15 * scale).all()
+
+
+def test_a_g_derivative_beyond_the_float_range_is_a_value_overflow():
+    """G_-2 (k = 5/2) at w = -pi 1e-297 is finite, its first derivative
+    (2 (-2w)^-2 in part) is not: at one point and on a stack of one the c2
+    term raises ValueOverflow, with one message."""
+    params = KernelParams.of(2.5, 1, -5, 0)
+    point = EvalPoint(0, 1e-298, 0, 0)
+    messages = set()
+    for points in (point, [point]):
+        with pytest.raises(ValueOverflow) as err:
+            kernel_jet(2, params, False, JetVars.at(points, 1))
+        messages.add(str(err.value))
+    assert messages == {"a derivative of G_-2 at -3.1415926535897926e-297 exceeds the "
+                        "floating-point range"}
 
 
 def test_a_set_whose_g_leaves_the_float_range_folds_log_g_in_a_list(monkeypatch):
