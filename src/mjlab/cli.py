@@ -63,12 +63,11 @@ def _on_first_use(name):
 
 # every layer registered at once, so that after `import mjlab.cli` each is
 # in sys.modules, and a module that imports another gets the registered one
-for _name in ("jets", "special", "mu", "group", "weil", "operators"):
+for _name in ("jets", "special", "mu", "group", "weil", "operators", "kernels"):
     _on_first_use(_name)
 core = _on_first_use("core")
 catalog = _on_first_use("catalog")
 fourier = _on_first_use("fourier")
-kernels = _on_first_use("kernels")
 verify = _on_first_use("verify")
 
 EXIT_USAGE = 1
@@ -175,18 +174,7 @@ def _eval(function, k, m, l, n, r, w, tau, z, z2, radius, tail, out):
     _write_out(json.dumps(record), out)
 
 
-# the options each suite reads besides --tol and --out; any other option
-# given to a suite is a domain error
-SUITE_OPTIONS = {
-    "covariance": ("op", "gen"),
-    "xi-images": ("k", "m", "n", "r"),
-    "weil": ("two_m",),
-    "mu-transform": ("two_m",),
-    "decomposition-roundtrip": ("seed",),
-}
-
-
-def _verify(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
+def _verify(suite, tol, out, **options):
     """Run a named identity suite and print a JSON report."""
     if suite not in verify.SUITES:
         raise UsageError(
@@ -195,35 +183,15 @@ def _verify(suite, op, gen, k, m, n, r, two_m, tol, seed, out):
         )
     if tol is not None and tol <= 0:
         raise DomainError("--tol must be positive, got %r" % (tol,))
-    given = {"op": op, "gen": gen, "k": k, "m": m, "n": n, "r": r, "two_m": two_m,
-             "seed": seed}
-    reads = SUITE_OPTIONS.get(suite, ())
-    for name, value in given.items():
-        if value is not None and name not in reads:
-            raise DomainError(
-                "suite %r does not read --%s; it reads %s"
-                % (suite, name.replace("_", "-"),
-                   ", ".join("--" + o.replace("_", "-") for o in reads + ("tol", "out")))
-            )
-    kwargs = {}
-    if op:
-        kwargs["ops"] = [op]
-    if gen:
-        kwargs["gens"] = [gen]
-    if suite == "xi-images" and any(v is not None for v in (k, m, n, r)):
-        kk = 0.5 if k is None else k
-        mm = 1.0 if m is None else m
-        if n is None and r is None:
-            params = [kernels.KernelParams.of(kk, mm, 0, r0) for r0 in (1, 0)]
-        else:
-            params = [kernels.KernelParams.of(kk, mm, n or 0, r or 0)]
-        kwargs["params_list"] = params
-    if two_m is not None:
-        kwargs["two_m_list"] = [two_m]
-    if seed is not None:
-        kwargs["seed"] = seed
+    reads = verify.SUITE_OPTIONS[suite]
+    given = {name: value for name, value in options.items() if value is not None}
+    for name in given:
+        if name not in reads:
+            raise DomainError("suite %r does not read --%s; it reads %s" % (
+                suite, name.replace("_", "-"),
+                ", ".join("--" + o.replace("_", "-") for o in reads + ("tol", "out"))))
     start = time.perf_counter()
-    results = verify.run_suite(suite, **kwargs)
+    results = verify.run_suite(suite, **given)
     seconds = time.perf_counter() - start
     if tol is not None:
         for res in results:
@@ -327,8 +295,9 @@ def _converted(key, opt, tokens):
 
 def _parse(args):
     """The function a command line runs and its keyword arguments: a
-    command with every option given or defaulted, or the help it asks
-    for.  Values are converted in the order they are given."""
+    command with every option given or defaulted, in the order of its
+    options, or the help it asks for.  Values are converted in the order
+    they are given."""
     if args[:1] == ["--help"]:
         return _show_help, {}
     if not args:
@@ -366,12 +335,11 @@ def _parse(args):
         kwargs[command.argument.lower()] = positional.pop(0)
     if positional:
         raise UsageError("unexpected extra argument %r" % positional[0])
-    dests = {key: opt.dest or key[2:].replace("-", "_") for key, opt in command.options.items()}
-    for key, tokens in given.items():
-        opt = command.options[key]
-        kwargs[dests[key]] = True if opt.type is None else _converted(key, opt, tokens)
+    values = {key: True if command.options[key].type is None
+              else _converted(key, command.options[key], tokens)
+              for key, tokens in given.items()}
     for key, opt in command.options.items():
-        kwargs.setdefault(dests[key], opt.default)
+        kwargs[opt.dest or key[2:].replace("-", "_")] = values.get(key, opt.default)
     return command.run, kwargs
 
 

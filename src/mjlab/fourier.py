@@ -45,14 +45,14 @@ class FourierData:
     def class_key(self, n, r):
         return (self.discriminant(n, r), r % self.two_m)
 
-    def check_class_function(self, tol=CLASS_TOL):
+    def check_class_function(self):
         groups = {}
         for (n, r), c in self.coefficients.items():
             groups.setdefault(self.class_key(n, r), []).append(((n, r), c))
         for key, entries in groups.items():
             ref = entries[0][1]
             for (n, r), c in entries[1:]:
-                if abs(c - ref) > tol:
+                if abs(c - ref) > CLASS_TOL:
                     raise NotThetaDecomposable(
                         "coefficients at (%d,%d) and (%d,%d) differ in class %r"
                         % (entries[0][0] + (n, r) + (key,))
@@ -92,11 +92,11 @@ class FourierData:
         return cls(two_m, coeffs, holomorphic=holomorphic)
 
 
-def theta_fourier_data(two_m, l, t_range=4):
+def theta_fourier_data(two_m, l):
     """Fourier data of the label-l congruence theta series, restricted to
-    its integer-exponent support r = l + 2mt, n = r^2 / 4m."""
+    its integer-exponent support r = l + 2mt, n = r^2 / 4m, with |t| <= 4."""
     coeffs = {}
-    for t in range(-t_range, t_range + 1):
+    for t in range(-4, 5):
         r = l + two_m * t
         num = r * r
         den = 2 * two_m

@@ -90,7 +90,7 @@ def kernel_family_jet(params, terms, jv):
     Each term is exp(E) times factors free of exponentials.
     E = 2 pi i (n tau + r z), plus 2w = pi D y / m for c_2, c_4, c_1^sk and
     c_3^sk (D != 0), plus b^2 for c_3 and c_4 when m > 0, with
-    b = (pi y / |m|)^(1/2) (r + 2mv/y).  The factors: G(+-w) (`G_jet`;
+    b = (pi y / |m|)^(1/2) (r + 2mv/y).  The factors: G(+-w) (`G_derivatives`;
     y^(3/2-k) at D = 0) for c_2 and c_4; F_1(b) for m < 0, i D(b)
     (`dawson_jet`) for m > 0, for c_3 and c_4.  Where G leaves the float
     range, log |G| joins the exponent and G / |G| is the factor
@@ -101,7 +101,8 @@ def kernel_family_jet(params, terms, jv):
     i D(b), the exp of each distinct exponent) is formed once, over the sets
     that need it.  Every operation acts entry by entry, so each row is that
     of its set as a list of one, bit for bit, and the finite check names the
-    first failing (set, term)."""
+    first failing (set, term).  A c_2 or c_4 term at D != 0 and integral k
+    (no G) is a DomainError naming it, raised before any evaluation."""
     sets = (params,) if isinstance(params, KernelParams) else tuple(params)
     plan = _family_plan(sets, tuple(terms), frozenset())
     order, n_sets = jv.order, len(sets)
@@ -193,6 +194,11 @@ class _FamilyPlan:
         for i, _ in terms:
             if i not in (1, 2, 3, 4):
                 raise DomainError("kernel label must be 1..4")
+        for p in sets:  # G, the factor of c_2 and c_4 where D != 0, needs 2k odd
+            for i, skew in terms:
+                if i in (2, 4) and p.D and p.two_k % 2 == 0:
+                    raise DomainError("%s needs k an odd multiple of 1/2 where D != 0, got k=%g"
+                                      % (_term_label(i, p, skew), p.k))
         self.terms = terms
         self.consts = np.array([(p.n, p.r, math.pi * p.D / (2.0 * p.m) if p.D else 0.0,
                                  math.pi / abs(p.m), 2.0 * p.m, 1.5 - p.k) for p in sets],
@@ -321,9 +327,9 @@ def xi_image_rows(params):
 # recomposition from label-indexed q-series
 
 
-def h_series_handle(series, label="h"):
+def h_series_handle(series):
     """A rational-exponent q-series as a handle (a function of tau only)."""
-    return fourier_sum_handle([(float(e), 0, c) for e, c in series], label)
+    return fourier_sum_handle([(float(e), 0, c) for e, c in series], "h")
 
 
 def component_at(component_jet, two_m, ls, jv, policy=None):

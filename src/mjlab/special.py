@@ -36,13 +36,8 @@ _EULER_GAMMA = 0.57721566490153286061
 _EPS = 2.0 ** -53
 
 
-def _exp1(x):
-    """E1(x) = int_x^infty e^(-t) / t dt for x > 0."""
-    return _exp1_scaled(x) * math.exp(-x)
-
-
 def _exp1_scaled(x):
-    """e^x E1(x) for x > 0.
+    """e^x E1(x) for x > 0, with E1(x) = int_x^infty e^(-t) / t dt.
 
     The power series -gamma - log x - sum_k (-x)^k / (k k!) for x <= 2,
     summed exactly rounded (math.fsum; E1(2) = 0.049 is the result of a
@@ -83,14 +78,8 @@ def _gamma_cf(a, x):
             return h
 
 
-def _expi(x):
-    """Ei(x) = PV int_-infty^x e^t / t dt for x > 0; OverflowError where
-    e^x is beyond the floating-point range."""
-    return math.exp(x) * _expi_scaled(x)
-
-
 def _expi_scaled(x):
-    """e^(-x) Ei(x) for x > 0.
+    """e^(-x) Ei(x) for x > 0, with Ei(x) = PV int_-infty^x e^t / t dt.
 
     The power series gamma + log x + sum_k x^k / (k k!) (all terms positive)
     up to x = -log(eps), the asymptotic series 1 / x sum_k k! / x^k beyond,
@@ -312,18 +301,14 @@ def _half_int_exponent(k):
     return (1 - two_k) // 2
 
 
-def G_jet(arg, k):
-    """G(w) = e^(-w) H(w) = `_scaled_integral`(1/2 - k, w) applied to a
-    real-valued jet, from G' = -2G + 2 (-2w)^j with j = 1/2 - k: bounded by
-    a power of w, free of exponentials of w.  The c_2/c_4 kernel terms take
-    it with e^w in the term's exponent."""
-    return arg.apply_derivatives(G_derivatives(arg, k))
-
-
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # checked below
 def G_derivatives(arg, k):
-    """[G, G', ..., G^(order)] of `G_jet` at the value of the jet arg (numpy
-    arithmetic); ValueOverflow where one leaves the float range."""
+    """[G, G', ..., G^(order)] at the value of the real-valued jet arg
+    (numpy arithmetic), with G(w) = e^(-w) H(w) = `_scaled_integral`(1/2 - k,
+    w), from G' = -2G + 2 (-2w)^j with j = 1/2 - k: bounded by a power of w,
+    free of exponentials of w.  The c_2/c_4 kernel terms take G's jet,
+    arg.apply_derivatives of these, with e^w in the term's exponent.
+    ValueOverflow where one leaves the float range."""
     j = _half_int_exponent(k)
     w0 = arg.value.real
     gs = [_elementwise(lambda w: _scaled_integral(j, w), w0)]
@@ -342,7 +327,7 @@ def G_derivatives(arg, k):
 
 
 def G_log_jet(arg, k):
-    """G_jet where G leaves the float range, for j = 1/2 - k >= 0: log |G|
+    """G's jet where G leaves the float range, for j = 1/2 - k >= 0: log |G|
     at the value, and the jet of G over |G| at the value, whose
     coefficients G^(i) / |G| follow G' = -2G + 2 (-2w)^j with the power
     over |G| formed from logs.  A c_2/c_4 term folds the log into its one

@@ -9,20 +9,23 @@ covariance, kernel and xi-image drivers take lists and stack them into one
 row stack per action kind, each row at its own weight/index, with one
 image per operator; `verify_identities` takes operator identities, such as
 the factorization table, as (name, jet map, probe) checks.  Each `suite_*`
-function is its drivers called at the shipped catalog, parameters and
-point sets with pinned tolerances.  Every check taken over points is
-reduced by `_rows`, which names the point of its largest residual.  The
-command line front end serializes the records and the test harness asserts
-on them.  All default point sets are deterministic.  A driver takes a
-sequence of points or their order-0 coordinate jets; a suite evaluates all
-of its checks on one `JetVars.at(points, 0)`, so they share each jet,
-operator coefficient and slash frame through that computation's memo.  A
+function takes its points and the command-line options it reads, named
+as there (`SUITE_OPTIONS`), and is its drivers called at the shipped
+catalog, parameters and point sets with tolerances pinned beside it (each
+the default of its drivers).  Every check taken over points is reduced by
+`_rows`, which names the point of its largest residual.  The command line
+front end serializes the records and the test harness asserts on them.
+All default point sets are deterministic.  A driver takes a sequence of
+points or their order-0 coordinate jets; a suite evaluates all of its
+checks on one `JetVars.at(points, 0)`, so they share each jet, operator
+coefficient and slash frame through that computation's memo.  A
 vector-valued form (the theta or completed components of one rank) is one
-evaluation at all its labels.  Covariance puts its
-generators on the point axis instead: its checks share one computation at
-the points tiled once per generator, slashed by one element per point.
+evaluation at all its labels.  Covariance puts its generators on the point
+axis instead: its checks share one computation at the points tiled once
+per generator, slashed by one element per point.
 """
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -183,7 +186,10 @@ def _stacked(handles, picks=None, reach=0):
 # covariance
 
 
-def verify_covariance(ops, forms, gens, points, tol=1e-8):
+COVARIANCE_TOL = 1e-8  # the covariance suite's tolerance, absolute
+
+
+def verify_covariance(ops, forms, gens, points, tol=COVARIANCE_TOL):
     """op(phi|A) = (op phi)|A' for each operator of ops, each generator A of
     gens (name -> element) and each tagged form phi of forms on which the
     operator acts, A' acting at the shifted weight/index, in the order
@@ -253,19 +259,17 @@ COVARIANCE_OPS = (
 COVARIANCE_REACH = 2
 
 
-def suite_covariance(ops=None, gens=None, points=None, tol=1e-8):
+def suite_covariance(points=None, op=None, gen=None):
     """verify_covariance on the catalog forms COVARIANCE_FORMS, for every
-    operator and group generator unless restricted to the named ones."""
-    gens = gens or list(GENERATORS)
-    for gname in gens:
-        if gname not in GENERATORS:
-            raise DomainError(
-                "unknown generator %r; valid generators: %s" % (gname, ", ".join(GENERATORS))
-            )
+    operator and group generator unless restricted to the named one."""
+    if gen and gen not in GENERATORS:
+        raise DomainError(
+            "unknown generator %r; valid generators: %s" % (gen, ", ".join(GENERATORS))
+        )
     forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
-    return verify_covariance(ops or COVARIANCE_OPS, forms,
-                             {gname: GENERATORS[gname] for gname in gens},
-                             points or GENERIC_POINTS[:3], tol)
+    return verify_covariance([op] if op else COVARIANCE_OPS, forms,
+                             {g: GENERATORS[g] for g in ([gen] if gen else GENERATORS)},
+                             points or GENERIC_POINTS[:3])
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +291,9 @@ XI_TABLE_PARAMS = (
     KernelParams.of(0.5, -1, 0, 0),
 )
 
+# the kernels and xi-images suites' tolerances, absolute
+KERNELS_TOL, XI_IMAGES_TOL = 1e-7, 1e-7
+
 
 def _kernel_family(params):
     """The eight kernel terms (KERNEL_TERMS) at params, one parameter set
@@ -302,7 +309,7 @@ def _family_rows(terms):
     return [j * len(KERNEL_TERMS) + t for j, picks in enumerate(terms) for t in picks]
 
 
-def verify_kernel_annihilation(params_list, points, tol=1e-7):
+def verify_kernel_annihilation(params_list, points, tol=KERNELS_TOL):
     """Casimir (skew Casimir on skew terms) and Heisenberg Laplace
     annihilation of every kernel term at each parameter set, in the order
     of params_list.
@@ -341,7 +348,7 @@ def verify_kernel_annihilation(params_list, points, tol=1e-7):
     return _rows(names, gap, _stack(points), tol)
 
 
-def verify_xi_image_table(params_list, points, tol=1e-7):
+def verify_xi_image_table(params_list, points, tol=XI_IMAGES_TOL):
     """The sixteen rows of kernels.xi_image_rows at each parameter set, in
     the order of params_list: xi-operator image minus the expected multiple
     of a kernel term.
@@ -386,22 +393,30 @@ def verify_xi_image_table(params_list, points, tol=1e-7):
     return _rows(names, gap, _stack(points), tol)
 
 
-def suite_kernels(points=None, tol=1e-7):
+def suite_kernels(points=None):
     """verify_kernel_annihilation at KERNEL_PARAMS."""
-    return verify_kernel_annihilation(KERNEL_PARAMS, points or GENERIC_POINTS, tol)
+    return verify_kernel_annihilation(KERNEL_PARAMS, points or GENERIC_POINTS)
 
 
-def suite_xi_images(params_list=None, points=None, tol=1e-7):
-    """verify_xi_image_table at XI_TABLE_PARAMS unless given parameter
-    sets."""
-    return verify_xi_image_table(params_list or XI_TABLE_PARAMS, points or GENERIC_POINTS, tol)
+def suite_xi_images(points=None, k=None, m=None, n=None, r=None):
+    """verify_xi_image_table at XI_TABLE_PARAMS, or at [k, m, n, r] when
+    any of them is given: k = 1/2, m = 1 and n = r = 0 where absent, and
+    the two sets r = 1 and r = 0 when neither n nor r is given."""
+    params = XI_TABLE_PARAMS
+    if (k, m, n, r) != (None,) * 4:
+        k, m = 0.5 if k is None else k, 1.0 if m is None else m
+        params = [KernelParams.of(k, m, n or 0, r0)
+                  for r0 in ((1, 0) if n is None and r is None else (r or 0,))]
+    return verify_xi_image_table(params, points or GENERIC_POINTS)
 
 
 # ----------------------------------------------------------------------
 # operator identities
 
+FACTORIZATIONS_TOL = 1e-6  # the factorizations suite's tolerance, absolute
 
-def verify_identities(checks, points, tol=1e-6):
+
+def verify_identities(checks, points, tol=FACTORIZATIONS_TOL):
     """The checks jmap(f) = 0 over the points, one (name, jet map, probe
     handle) each: one image per check, all reduced on one computation, so
     the checks of one probe share its jets."""
@@ -519,9 +534,9 @@ def factorization_checks():
     return [("%s on %s" % (name, f.label), jmap, f) for maps, f in table for name, jmap in maps]
 
 
-def suite_factorizations(points=None, tol=1e-6):
+def suite_factorizations(points=None):
     """verify_identities of factorization_checks at the points."""
-    return verify_identities(factorization_checks(), points or GENERIC_POINTS[:3], tol)
+    return verify_identities(factorization_checks(), points or GENERIC_POINTS[:3])
 
 
 # ----------------------------------------------------------------------
@@ -535,15 +550,20 @@ def _vector(name, two_m):
     return build(name, m=two_m / 2, l=labels(two_m))
 
 
-def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
-               tol_braid=1e-12, tol_theta=1e-8):
+# the weil suite's tolerances, absolute: of the unitarity rows, of the braid
+# and S^8 rows, and of the theta-vector laws
+WEIL_UNITARY_TOL, WEIL_BRAID_TOL, WEIL_THETA_TOL = 1e-13, 1e-12, 1e-8
+
+
+def suite_weil(point=None, two_m=None):
     """Unitarity of the Weil generator images, the braid relation and the
-    order of S per rank, and the Weil law of the theta vector of each even
-    rank under T and under S at one point, the largest gap over its
-    components.  (The S law of an odd rank's theta vector misses by O(1)
-    under rho and under its dual.)  Every rank lies in the declared domain
-    1 <= 2m <= MAX_RANK (`check_component`), checked before any row is
-    computed."""
+    order of S per rank (2m = two_m, else 1 to 4), and the Weil law of the
+    theta vector of each even rank under T and under S at one point, the
+    largest gap over its components.  (The S law of an odd rank's theta
+    vector misses by O(1) under rho and under its dual.)  Every rank lies
+    in the declared domain 1 <= 2m <= MAX_RANK (`check_component`), checked
+    before any row is computed."""
+    two_m_list = (1, 2, 3, 4) if two_m is None else (two_m,)
     for two_m in two_m_list:
         check_component(two_m)
     gens = [(two_m, {w: rho_generator(two_m, w) for w in "TS"}) for two_m in two_m_list]
@@ -551,13 +571,14 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
     for two_m, mats in gens:
         eye = np.eye(two_m)
         results += [SuiteResult("weil:unitarity:%s@2m=%d" % (which, two_m),
-                                _abs_max(mat @ mat.conj().T - eye), tol_unitary)
+                                _abs_max(mat @ mat.conj().T - eye), WEIL_UNITARY_TOL)
                     for which, mat in mats.items()]
         results += [
             SuiteResult("weil:braid:(ST)^3=S^2@2m=%d" % two_m,
-                        _abs_max(rho_word(two_m, "STSTST") - rho_word(two_m, "SS")), tol_braid),
+                        _abs_max(rho_word(two_m, "STSTST") - rho_word(two_m, "SS")),
+                        WEIL_BRAID_TOL),
             SuiteResult("weil:S^8=1@2m=%d" % two_m,
-                        _abs_max(rho_word(two_m, "S" * 8) - eye), tol_braid),
+                        _abs_max(rho_word(two_m, "S" * 8) - eye), WEIL_BRAID_TOL),
         ]
     # the theta vectors of every even rank on one computation at the point
     jv = JetVars.at(point or EvalPoint(0.17, 1.2, 0.13, 0.21), 0)
@@ -568,7 +589,7 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
         laws = [vector_law(theta, word) for word in "TS"]
         names = ["weil:theta-vector-invariance:%s@2m=%d" % (word, two_m) for word in "TS"]
         results += _rows(names, lambda jv: [np.max(np.abs(law.jet_at(jv).value), axis=0)
-                                            for law in laws], jv, tol_theta)
+                                            for law in laws], jv, WEIL_THETA_TOL)
     return results
 
 
@@ -576,14 +597,19 @@ def suite_weil(two_m_list=(1, 2, 3, 4), point=None, tol_unitary=1e-13,
 # the completed Appell component family
 
 
-def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
-    """The claimed T and S laws of the completed component vector per rank,
-    under the dual Weil representation (`weil.vector_law`), one row per law
-    and component, on one computation at the points.
+MU_TRANSFORM_TOL = 1e-6  # the mu-transform suite's tolerance, absolute
+
+
+def suite_mu_transform(points=None, two_m=None):
+    """The claimed T and S laws of the completed component vector per rank
+    (2m = two_m, else 1 and 2), under the dual Weil representation
+    (`weil.vector_law`), one row per law and component, on one computation
+    at the points.
 
     The T law holds; the S law of the displayed completion fails (the
     recorded obstruction) and is reported faithfully.
     """
+    two_m_list = (1, 2) if two_m is None else (two_m,)
     for two_m in two_m_list:
         check_component(two_m)
     jv = JetVars.at(points or GENERIC_POINTS[:5], 0)
@@ -595,17 +621,21 @@ def suite_mu_transform(two_m_list=(1, 2), points=None, tol=1e-6):
                  for l in labels(two_m) for word in "TS"]
         # rows per component: its T-law gap, then its S-law gap
         results += _rows(names, lambda jv: np.stack([law.jet_at(jv).value for law in laws], 1),
-                         jv, tol)
+                         jv, MU_TRANSFORM_TOL)
     return results
 
 
-def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
-                      tol_lap=1e-7, tol_mu2=1e-6):
-    """xi^H maps each completed component onto the matching theta
-    component; the Heisenberg Laplace operator annihilates the components;
-    the covariant xi operator annihilates the distinguished weight-1/2
-    combination.  The components of each rank are one vector evaluation,
-    the operand of one xi^H image and one Heisenberg Laplace image, on one
+# the mu-xi-theta suite's tolerances, absolute: of the xi^H rows, of the
+# Laplace rows and of the xi check of mu_hat_2
+MU_XI_THETA_XI_TOL, MU_XI_THETA_LAPLACE_TOL, MU_XI_THETA_MU2_TOL = 1e-7, 1e-7, 1e-6
+
+
+def suite_mu_xi_theta(points=None):
+    """xi^H maps each completed component of ranks 1 and 2 onto the
+    matching theta component; the Heisenberg Laplace operator annihilates
+    the components; the covariant xi operator annihilates the distinguished
+    weight-1/2 combination.  The components of each rank are one vector
+    evaluation, the operand of one xi^H image and one Heisenberg Laplace image, on one
     computation at the points: the operand is evaluated there once, at
     order 2, and the xi^H rows read the value of the order-1 xi^H image,
     whose operand that is.  The Laplace rows keep the first five points,
@@ -613,7 +643,7 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
     points = points or GENERIC_POINTS_10
     jv, five = JetVars.at(points, 0), JetVars.at(points[:5], 0)
     results = []
-    for two_m in two_m_list:
+    for two_m in (1, 2):
         ls = labels(two_m)
         stack = _vector("mu_hat_ml", two_m)
         xi, lap = (apply_operator(op_name, stack).f for op_name in ("xiH", "LaplaceH"))
@@ -623,15 +653,16 @@ def suite_mu_xi_theta(two_m_list=(1, 2), points=None, tol_xi=1e-7,
                     - theta_ml_jet(two_m, ls, jv.tau, jv.z).value)
 
         xi_rows = _rows(["mu-xi-theta:xiH(mu_hat)=theta@2m=%d,l=%s" % (two_m, l) for l in ls],
-                        gap, jv, tol_xi)
+                        gap, jv, MU_XI_THETA_XI_TOL)
         lap_values = lap.jet_at(jv).value[:, :5]
         lap_rows = _rows(["mu-xi-theta:lapH(mu_hat)=0@2m=%d,l=%s" % (two_m, l) for l in ls],
-                         lambda _: lap_values, five, tol_lap)
+                         lambda _: lap_values, five, MU_XI_THETA_LAPLACE_TOL)
         results += [res for pair in zip(xi_rows, lap_rows) for res in pair]
     mu_hat_2 = build("mu_hat_2")
     wi = mu_hat_2.weight_index
     return results + verify_identities(
-        [("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f)], five, tol_mu2)
+        [("mu-xi-theta:xi(mu_hat_2)=0", xi_map(wi.k, wi.m), mu_hat_2.f)], five,
+        MU_XI_THETA_MU2_TOL)
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +694,10 @@ def _synthetic_class_data(two_m, seed, r_range=8):
     return FourierData(two_m, coeffs, holomorphic=True), classes
 
 
-def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
+DECOMPOSITION_TOL = 1e-9  # the decomposition-roundtrip suite's tolerance, absolute
+
+
+def suite_decomposition_roundtrip(points=None, seed=0):
     points = points or [
         EvalPoint(0.1 * i - 0.3, 1.2 + 0.05 * i, 0.07 * i - 0.2, 0.03 * i)
         for i in range(10)
@@ -686,17 +720,14 @@ def suite_decomposition_roundtrip(seed=0, points=None, tol=1e-9):
                 v2 += c * np.exp(2j * math.pi * (D / (2.0 * two_m)) * tau) * thetas[row[l]]
             return v1 - v2
 
-        results += _rows(["decomposition:roundtrip@2m=%d" % two_m], gap, jv, tol)
+        results += _rows(["decomposition:roundtrip@2m=%d" % two_m], gap, jv, DECOMPOSITION_TOL)
     h = theta_decompose(theta_fourier_data(2, 0))
     delta_ok = (
         h[0] == [(0, 1.0)] or (len(h[0]) == 1 and h[0][0][0] == 0
                                and abs(h[0][0][1] - 1.0) < 1e-15)
     ) and h[1] == []
-    results.append(
-        SuiteResult(
-            "decomposition:delta-input-theta", 0.0 if delta_ok else 1.0, tol
-        )
-    )
+    results.append(SuiteResult("decomposition:delta-input-theta", 0.0 if delta_ok else 1.0,
+                               DECOMPOSITION_TOL))
     return results
 
 
@@ -731,7 +762,12 @@ def _hygiene_values(points, policy):
     return values
 
 
-def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
+# the hygiene suite's tolerances: absolute of the radius-doubling rows,
+# relative of the finite-difference rows
+HYGIENE_TRUNCATION_TOL, HYGIENE_FD_TOL = 1e-10, 1e-6
+
+
+def suite_hygiene(points=None):
     """Truncation stability under radius doubling and finite-difference
     versus exact-jet agreement.  The radius-doubling rows compare each
     value at the tail target 1e-14 with the value at 1e-56, one row per
@@ -751,8 +787,8 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
         for name, (at, value) in values.items():
             q = at[i]
             results.append(SuiteResult("hygiene:radius-doubling:%s@y=%g" % (name, p.y),
-                                       float(np.abs(value[i] - value[n + i])), tol_trunc,
-                                       [q.x, q.y, q.u, q.v]))
+                                       float(np.abs(value[i] - value[n + i])),
+                                       HYGIENE_TRUNCATION_TOL, [q.x, q.y, q.u, q.v]))
     # finite differences against exact jets, relative, order <= 2
     factorials = np.array([math.prod(map(math.factorial, mon)) for mon in monomials(2)],
                           dtype=float)
@@ -764,7 +800,8 @@ def suite_hygiene(points=None, tol_trunc=1e-10, tol_fd=1e-6):
         for p, e, a in zip(points, exact, approx):
             scale = max(abs(v) for v in e.tolist())  # Python's abs, as the scale always was
             results.append(SuiteResult("hygiene:fd-vs-exact:%s@y=%g" % (h.label, p.y),
-                                       _abs_max(e - a) / scale, tol_fd, [p.x, p.y, p.u, p.v]))
+                                       _abs_max(e - a) / scale, HYGIENE_FD_TOL,
+                                       [p.x, p.y, p.u, p.v]))
     return results
 
 
@@ -780,8 +817,11 @@ SUITES = {
     "hygiene": suite_hygiene,
 }
 
+# the command-line options each suite reads: its parameters after its points
+SUITE_OPTIONS = {name: tuple(inspect.signature(suite).parameters)[1:]
+                 for name, suite in SUITES.items()}
+
 
 def run_suite(name, **kwargs):
-    if name not in SUITES:
-        raise KeyError(name)
+    """The results of the named suite (KeyError for an unknown name)."""
     return SUITES[name](**kwargs)

@@ -1,7 +1,7 @@
 """Acceptance gate: one pass/fail line per criterion.
 
-Each criterion runs the corresponding verification suite with its pinned
-tolerance and time budget and reports a single summary line (printed in
+Each criterion runs the corresponding verification suite, asserts the
+tolerances the suite pins, and holds it to its time budget and reports a single summary line (printed in
 the terminal summary section).  The S-transformation rows of criterion 5
 are a recorded faithful failure of the displayed component family; the
 test asserts the identity as stated and reports the measured defect.
@@ -34,6 +34,11 @@ def report(number, name, results, elapsed, budget):
     return ok, worst
 
 
+def pinned(results, *tols):
+    """The distinct tolerances of the results are the given ones."""
+    assert sorted({res.tol for res in results}) == sorted(tols)
+
+
 def failures(results):
     return [(res.identity, res.max_residual, res.tol)
             for res in results if not res.passed]
@@ -41,7 +46,8 @@ def failures(results):
 
 def test_criterion_1_covariance():
     t0 = time.monotonic()
-    results = suite_covariance(tol=1e-8)
+    results = suite_covariance()
+    pinned(results, 1e-8)
     elapsed = time.monotonic() - t0
     ok, worst = report(1, "covariance", results, elapsed, 60.0)
     assert ok, failures(results) or ("timeout", elapsed)
@@ -49,7 +55,8 @@ def test_criterion_1_covariance():
 
 def test_criterion_2_kernel_annihilation():
     t0 = time.monotonic()
-    results = suite_kernels(tol=1e-7)
+    results = suite_kernels()
+    pinned(results, 1e-7)
     elapsed = time.monotonic() - t0
     ok, worst = report(2, "kernel annihilation", results, elapsed, 30.0)
     assert ok, failures(results) or ("timeout", elapsed)
@@ -57,7 +64,8 @@ def test_criterion_2_kernel_annihilation():
 
 def test_criterion_3_xi_image_table():
     t0 = time.monotonic()
-    results = suite_xi_images(tol=1e-7)
+    results = suite_xi_images()
+    pinned(results, 1e-7)
     elapsed = time.monotonic() - t0
     assert len(results) == 32
     ok, worst = report(3, "xi image table", results, elapsed, 60.0)
@@ -66,7 +74,8 @@ def test_criterion_3_xi_image_table():
 
 def test_criterion_4_weil():
     t0 = time.monotonic()
-    results = suite_weil(two_m_list=(1, 2, 3, 4))
+    results = suite_weil()
+    pinned(results, 1e-13, 1e-12, 1e-8)
     elapsed = time.monotonic() - t0
     ok, worst = report(4, "Weil representation", results, elapsed, 60.0)
     assert ok, failures(results) or ("timeout", elapsed)
@@ -74,8 +83,9 @@ def test_criterion_4_weil():
 
 def test_criterion_5_completed_component_family():
     t0 = time.monotonic()
-    results = suite_mu_transform(two_m_list=(1, 2), tol=1e-6)
-    results += suite_mu_xi_theta(two_m_list=(1, 2), tol_xi=1e-7)
+    results = suite_mu_transform()
+    results += suite_mu_xi_theta()
+    pinned(results, 1e-6, 1e-7)
     elapsed = time.monotonic() - t0
     report(5, "completed component family", results, elapsed, 120.0)
     bad = failures(results)
@@ -88,7 +98,8 @@ def test_criterion_5_completed_component_family():
 
 def test_criterion_6_factorizations():
     t0 = time.monotonic()
-    results = suite_factorizations(tol=1e-6)
+    results = suite_factorizations()
+    pinned(results, 1e-6)
     elapsed = time.monotonic() - t0
     ok, worst = report(6, "factorizations", results, elapsed, 60.0)
     assert ok, failures(results) or ("timeout", elapsed)
@@ -96,7 +107,8 @@ def test_criterion_6_factorizations():
 
 def test_criterion_7_decomposition_roundtrip():
     t0 = time.monotonic()
-    results = suite_decomposition_roundtrip(seed=0, tol=1e-9)
+    results = suite_decomposition_roundtrip(seed=0)
+    pinned(results, 1e-9)
     elapsed = time.monotonic() - t0
     ok, worst = report(7, "theta decomposition round-trip", results, elapsed, 60.0)
     assert ok, failures(results) or ("timeout", elapsed)
@@ -104,7 +116,8 @@ def test_criterion_7_decomposition_roundtrip():
 
 def test_criterion_8_numerics_hygiene():
     t0 = time.monotonic()
-    results = suite_hygiene(tol_trunc=1e-10, tol_fd=1e-6)
+    results = suite_hygiene()
+    pinned(results, 1e-10, 1e-6)
     elapsed = time.monotonic() - t0
     ok, worst = report(8, "numerics hygiene", results, elapsed, 60.0)
     assert ok, failures(results) or ("timeout", elapsed)

@@ -1,6 +1,7 @@
 """The command line interface: formats, exit codes, determinism."""
 
 import gc
+import inspect
 import io
 import json
 import math
@@ -858,6 +859,37 @@ def test_verify_failing_suite_exits_4():
     assert report["passed"] is False
     failing = [c for c in report["checks"] if c["max_residual"] >= c["tol"]]
     assert failing and all("S" in c["identity"] for c in failing)
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "c2", "--k", "1", "--m", "1", "--n", "1", "--r", "1"),
+    ("verify", "xi-images", "--k", "1", "--m", "1", "--n", "1", "--r", "1"),
+])
+def test_g_kernel_terms_at_an_integral_weight_name_the_term(args, capsys):
+    # G, the factor of c2, c4, c2sk and c4sk where D != 0, needs 2k odd
+    code, out, err = run_main(capsys, *args)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == ("domain error: c2[1,1,1,1] needs k an odd multiple of 1/2 where D != 0,"
+                   " got k=1\n")
+
+
+def test_every_suite_option_is_a_verify_option_and_every_verify_option_is_read():
+    options = {key[2:].replace("-", "_") for key in cli.COMMANDS["verify"].options}
+    declared = {name for reads in cli.verify.SUITE_OPTIONS.values() for name in reads}
+    assert declared <= options
+    assert options - declared == {"tol", "out"}
+    assert set(cli.verify.SUITE_OPTIONS) == set(cli.verify.SUITES)
+    # a suite's options are its parameters after its points
+    for name, suite in cli.verify.SUITES.items():
+        params = list(inspect.signature(suite).parameters)
+        assert params[0] in ("points", "point") and tuple(params[1:]) == \
+            cli.verify.SUITE_OPTIONS[name]
+
+
+def test_an_option_the_suite_does_not_read_is_named_with_what_it_reads(capsys):
+    code, out, err = run_main(capsys, "verify", "kernels", "--two-m", "2")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "domain error: suite 'kernels' does not read --two-m; it reads --tol, --out\n"
 
 
 # ----------------------------------------------------------------------

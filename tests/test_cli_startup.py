@@ -162,13 +162,15 @@ def test_stdout_is_byte_identical_to_the_recorded_output(record):
     """Every eval of test_cli's EVAL_CASES, two grids (one with negative
     values as separate tokens and as --opt=value) and two decompositions,
     as the click-based front end printed them: a grid's CSV ends in a blank
-    line.  A change that moves an output regenerates the file with
+    line.  Every verify suite at its defaults and once per option it reads,
+    its report without the wall time, with its exit code and stderr.  A
+    change that moves an output regenerates the file with
     `PYTHONPATH=src python3 tests/cli_snapshot.py tests/cli_outputs.json`
     and lists the moves (`tests/cli_snapshot.py --compare A B`) in
     CHANGES.md."""
-    code, out, err = run_main(record["argv"], record["stdin"] or "")
-    assert code == 0, err
-    assert out == record["stdout"]
+    import cli_snapshot
+
+    assert cli_snapshot.run(record["argv"], record["stdin"]) == record
 
 
 def test_recorded_outputs_cover_every_eval_case():
@@ -177,7 +179,9 @@ def test_recorded_outputs_cover_every_eval_case():
     recorded = [r["argv"] for r in OUTPUTS]
     for name, (args, _) in EVAL_CASES.items():
         assert ["eval", name, *args, *AT_POINT] in recorded
-    assert {argv[0] for argv in recorded} == set(cli.COMMANDS) - {"verify"}
+    for suite in cli.verify.SUITES:
+        assert ["verify", suite] in recorded
+    assert {argv[0] for argv in recorded} == set(cli.COMMANDS)
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,26 @@ def test_suite_list_names_every_suite():
     assert sorted(documented) == sorted(verify.SUITES)
 
 
+def test_suite_option_table_gives_what_each_suite_reads():
+    documented = {
+        name.strip("`"): tuple(re.findall(r"`(--[\w-]+)`", options))
+        for name, options, _ in _rows("| suite | options | without them |")
+    }
+    assert documented == {
+        name: tuple("--" + option.replace("_", "-") for option in reads)
+        for name, reads in verify.SUITE_OPTIONS.items()
+    }
+
+
+def test_suite_list_states_every_pinned_tolerance():
+    lines = README.splitlines()
+    start = lines.index("## Verification suites") + 1
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("#"))
+    stated = dict(re.findall(r"`(\w+_TOL)`\s+=\s+([\d.e-]+)", " ".join(lines[start:end])))
+    pinned = {name: value for name, value in vars(verify).items() if name.endswith("_TOL")}
+    assert {name: float(value) for name, value in stated.items()} == pinned
+
+
 def test_module_table_names_only_what_exists():
     """Every backticked identifier in the module table resolves: an
     attribute (dotted path) of its row's module, of a class there, or of

@@ -29,10 +29,10 @@ from mjlab.mu import (
     r_hat_component_jet,
 )
 from mjlab.special import (
-    G_jet,
+    G_derivatives,
     H_function,
-    _exp1,
-    _expi,
+    _exp1_scaled,
+    _expi_scaled,
     dawson_jet,
     error_completion_E,
     gaussian_integral_derivatives,
@@ -194,21 +194,21 @@ def test_gamma_half_positive_axis_against_mpmath():
 
 
 def test_exponential_integrals_against_mpmath():
-    """E1 to 1e-14 relative on (0, 700]; Ei to 1e-14 relative on (0, 700],
-    absolute near its root x = 0.3725."""
+    """e^x E1(x) to 1e-14 relative on (0, 700]; e^(-x) Ei(x) to 1e-14
+    relative on (0, 700], absolute in Ei near its root x = 0.3725 (1e-14
+    e^(-x) in the scaled value), and finite past e^x's range."""
     xs = [1e-12, 1e-6, 1e-3, 0.3725074107813666, 1.0, 2.0, 2.0000001, 36.04, 36.05, 40.0]
     xs += [0.05 * 1.03 ** i for i in range(323)]
     for x in xs:
-        want = float(mpmath.e1(x))
-        assert abs(_exp1(x) - want) <= 1e-14 * want, x
-        want = float(mpmath.ei(x))
-        assert abs(_expi(x) - want) <= 1e-14 * max(1.0, abs(want)), x
-    with pytest.raises(OverflowError):
-        _expi(710.0)
+        want = float(mpmath.exp(x) * mpmath.e1(x))
+        assert abs(_exp1_scaled(x) - want) <= 1e-14 * want, x
+        want = float(mpmath.exp(-x) * mpmath.ei(x))
+        assert abs(_expi_scaled(x) - want) <= 1e-14 * max(math.exp(-x), abs(want)), x
+    assert math.isfinite(_expi_scaled(710.0))
     with pytest.raises(DomainError):
-        _exp1(0.0)
+        _exp1_scaled(0.0)
     with pytest.raises(DomainError):
-        _expi(-1.0)
+        _expi_scaled(-1.0)
 
 
 @pytest.mark.parametrize("t0", [0.9, -1.1])
@@ -323,7 +323,7 @@ def test_G_near_w_0_for_k_at_least_5_2_is_a_value_overflow(k, w):
     beyond the float range (and at w = 0 itself) it is a ValueOverflow,
     not the OverflowError or ZeroDivisionError of a float power."""
     with pytest.raises(ValueOverflow, match="exceeds the floating-point range"):
-        G_jet(Jet.constant(w, 0), k)
+        G_derivatives(Jet.constant(w, 0), k)
 
 
 def _G_oracle(w, k, n):
@@ -341,7 +341,9 @@ def _G_oracle(w, k, n):
 
 
 def _G_taylor(w, k, order):
-    table = G_jet(Jet.variable(1, w, order), k).table()
+    """G's Taylor coefficients at w as the c_2/c_4 kernel terms take them."""
+    arg = Jet.variable(1, w, order)
+    table = arg.apply_derivatives(G_derivatives(arg, k)).table()
     return [table[(0, d, 0, 0)].real / math.factorial(d) for d in range(order + 1)]
 
 

@@ -78,7 +78,7 @@ def test_suite_result_pass_logic():
 
 
 def test_weil_suite_runs_and_passes():
-    results = run_suite("weil", two_m_list=[2])
+    results = run_suite("weil", two_m=2)
     assert results
     assert all(res.passed for res in results)
 
@@ -387,6 +387,15 @@ def operand_scale(gname, label):
     return float(np.max(np.abs(form.f.jet_at(frame.base.at_base(COVARIANCE_REACH)).c)))
 
 
+def covariance_rows(ops, gens):
+    """verify_covariance as suite_covariance calls it, at lists of operators
+    and generators (None for all of them)."""
+    forms = [build(name, **options) for name, options in COVARIANCE_FORMS]
+    return verify_covariance(ops or COVARIANCE_OPS, forms,
+                             {gname: GENERATORS[gname] for gname in gens or GENERATORS},
+                             GENERIC_POINTS[:3])
+
+
 @pytest.mark.parametrize(
     "ops,gens",
     [(["X+"], ["S"]), (["xiSk"], ["T"]), (["Y-", "Xsk+"], None), (None, ["mu", "lambda"])],
@@ -397,12 +406,15 @@ def test_covariance_subsets_are_rows_of_the_full_suite_in_its_order(ops, gens):
     subset is another point stack, on which a form's jet may differ in its
     last bits: its rows keep the full suite's identities, in its order,
     tolerances and verdicts, and their residuals to within 1e-13 of the
-    operand's largest order-2 coefficient."""
-    got = [res.as_dict() for res in suite_covariance(ops=ops, gens=gens)]
+    operand's largest order-2 coefficient.  The suite's --op and --gen are
+    the subsets of one."""
+    got = [res.as_dict() for res in covariance_rows(ops, gens)]
+    if ops and gens and len(ops) == len(gens) == 1:
+        assert [res.as_dict() for res in suite_covariance(op=ops[0], gen=gens[0])] == got
     same_stack = [
         res.as_dict() for op_name in ops or COVARIANCE_OPS
         for gname in gens or GENERATORS
-        for res in suite_covariance(ops=[op_name], gens=gens)
+        for res in covariance_rows([op_name], gens)
         if res.identity.startswith("covariance:%s|%s on " % (op_name, gname))
     ]
     assert got and got == same_stack
