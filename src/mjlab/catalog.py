@@ -1,20 +1,24 @@
-"""The catalog of `mjlab eval` and `mjlab grid`: per function name, the
-options it reads, its tag and the maker of its handle.  A build makes, once
-per request and under the domain rules of its functions (`half_integer`,
-`KernelParams.of`, the series' own checks), a plain `FunctionHandle`, a
-scalar function of w or, where the tag gives a weight/index, a `TaggedForm`.
-Every maker reaches its series through the attribute of its module, so
-rebinding a module function reaches every catalog evaluation; the Appell
-family and the kernel terms import their module when they are built, so
-an evaluation of any other function never executes `mu` or `kernels`.  The
-label l of theta_ml and mu_hat_ml may also be a list of labels: the
-components at every label, one row each.
+"""The catalog of `mjlab eval` and `mjlab grid`, the one layer that binds a
+catalog function's jet evaluator to the coordinates: per function name,
+the options it reads, its tag and the maker of its handle.  A build makes,
+once per request and under the domain rules of its functions
+(`half_integer`, `KernelParams.of`, the series' own checks), a plain
+`FunctionHandle`, a scalar function of w or, where the tag gives a
+weight/index, a `TaggedForm`.  A handle calls its evaluator through its
+module's attribute at each evaluation, so rebinding a module function
+reaches every catalog evaluation, and its label names its verify rows.
+Only the Appell family and the kernel terms import `mu` or `kernels`, when
+they are built.  The label l of theta_ml and mu_hat_ml may also be a list
+of labels: the components at every label, one row each.
 """
 
 from collections import namedtuple
+from functools import partial
+from importlib import import_module
 
 from . import special
-from .core import TaggedForm, WeightIndex, half_integer
+from .core import FunctionHandle, TaggedForm, WeightIndex, half_integer
+from .jets import Jet
 
 # A catalog function: the options it reads, its tag and its maker, called as
 # make(policy, **options).  The tag is "plain", "scalar" (a function of w) or
@@ -24,42 +28,51 @@ from .core import TaggedForm, WeightIndex, half_integer
 Entry = namedtuple("Entry", ("options", "tag", "make"))
 
 
-def _mu():
-    from . import mu
+def _series(module, name, label, policy, **options):
+    """The handle of the jet evaluator `name` of the layer `module`:
+    name(2m, l, tau, z, policy) for an entry that reads m and l,
+    name(tau, z, policy) otherwise, labelled `label` % (2m, l) or `label`."""
+    layer = import_module("." + module, __package__)
+    args = (half_integer(options["m"], "m"), options["l"]) if options else ()
+    return FunctionHandle(lambda jv: getattr(layer, name)(*args, jv.tau, jv.z, policy),
+                          label % args)
 
-    return mu
+
+def _appell(policy, m, z2):
+    """The Appell sum at z1 = z and the constant z2."""
+    mu, two_m = import_module(".mu", __package__), half_integer(m, "m")
+    return FunctionHandle(
+        lambda jv: mu.mu_m_jet(two_m, jv.tau, jv.z, Jet.constant(z2, jv.order), policy),
+        "mu_m[%d]" % two_m)
 
 
-def _kernel_term(i, skew):
-    def make(policy, k, m, n, r):
-        from . import kernels
-
-        return kernels.kernel_term_handle(i, kernels.KernelParams.of(k, m, n, r), skew=skew)
-
-    return make
+def _kernel_term(i, skew, policy, k, m, n, r):
+    kernels = import_module(".kernels", __package__)
+    params = kernels.KernelParams.of(k, m, n, r)
+    return FunctionHandle(lambda jv: kernels.kernel_jet(i, params, skew, jv),
+                          kernels._term_label(i, params, skew))
 
 
 CATALOG = {
-    "theta": Entry((), "plain", lambda policy: special.jacobi_theta_handle(policy)),
-    "theta_ml": Entry(("m", "l"), ("1/2", "m", "standard"), lambda policy, m, l:
-                      special.theta_ml_handle(half_integer(m, "m"), l, policy)),
-    "R": Entry((), "plain", lambda policy: special.zwegers_R_handle(policy)),
+    "theta": Entry((), "plain", partial(_series, "special", "jacobi_theta_jet", "jacobi_theta")),
+    "theta_ml": Entry(("m", "l"), ("1/2", "m", "standard"),
+                      partial(_series, "special", "theta_ml_jet", "theta_ml[%d,%s]")),
+    "R": Entry((), "plain", partial(_series, "special", "zwegers_R_jet", "R")),
     "E": Entry((), "scalar", lambda policy: lambda w: special.error_completion_E(w)),
     "H": Entry(("k",), "scalar", lambda policy, k: lambda w: special.H_function(w, k)),
-    "mu": Entry(("m", "z2"), "plain", lambda policy, m, z2:
-                _mu().mu_m_handle(half_integer(m, "m"), z2, policy)),
-    "mu_hat_ml": Entry(("m", "l"), ("1/2", "-m", "standard"), lambda policy, m, l:
-                       _mu().mu_hat_ml_handle(half_integer(m, "m"), l, policy)),
-    "R_hat_ml": Entry(("m", "l"), ("1/2", "-m", "standard"), lambda policy, m, l:
-                      _mu().R_hat_ml_handle(half_integer(m, "m"), l, policy)),
+    "mu": Entry(("m", "z2"), "plain", _appell),
+    "mu_hat_ml": Entry(("m", "l"), ("1/2", "-m", "standard"),
+                       partial(_series, "mu", "mu_hat_component_jet", "mu_hat[%d,%s]")),
+    "R_hat_ml": Entry(("m", "l"), ("1/2", "-m", "standard"),
+                      partial(_series, "mu", "r_hat_component_jet", "R_hat[%d,%s]")),
     "mu_hat_2": Entry((), ("1/2", "-1/2", "standard"),
-                      lambda policy: _mu().mu_hat_2_handle(policy)),
+                      partial(_series, "mu", "mu_hat_2_jet", "mu_hat_2")),
 }
 for _skew in (False, True):
     for _i in (1, 2, 3, 4):
         CATALOG["c%d%s" % (_i, "sk" if _skew else "")] = Entry(
             ("k", "m", "n", "r"), ("k", "m", "skew" if _skew else "standard"),
-            _kernel_term(_i, _skew))
+            partial(_kernel_term, _i, _skew))
 
 
 def _twice(term, options):

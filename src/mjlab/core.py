@@ -23,11 +23,7 @@ from .jets import Jet, monomial_index, monomials
 
 
 def principal_sqrt(w):
-    """Square root with argument in (-pi/2, pi/2], elementwise for an array."""
-    if isinstance(w, np.ndarray):
-        if (w == 0).any():
-            raise ZeroArgument("principal_sqrt(0)")
-        return np.sqrt(w.astype(complex))
+    """Square root of a number with argument in (-pi/2, pi/2]."""
     w = complex(w)
     if w == 0:
         raise ZeroArgument("principal_sqrt(0)")

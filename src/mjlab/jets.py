@@ -165,6 +165,12 @@ def _scalar_exp(a):
         raise ValueOverflow("exp overflows the floating-point range") from None
 
 
+def _sum_in_order(c):
+    """c summed over its leading (term) axis one term at a time, so that a
+    point's sum is the same in any stack (numpy's sum may go pairwise)."""
+    return np.add.accumulate(c, axis=0)[-1]
+
+
 def _per_row(k):
     """A scalar, or a numpy array of per-row constants shaped to scale the
     coefficient rows of a batched jet."""
@@ -228,13 +234,16 @@ class Jet:
 
     def sum(self, weights=None):
         """Reduce the leading (term) axis: the plain sum of the rows, or the
-        linear combinations weights @ rows.  Weights of shape (K, T) give a
-        batch of K jets; weights of shape (*points, K, T) combine the rows
-        of each point of a stack (c of shape (T, *points, M)) with that
-        point's own weights."""
+        linear combinations weights @ rows.  Weights of shape (T,) give one
+        jet, added in term order; weights of shape (K, T) a batch of K jets;
+        weights of shape (*points, K, T) combine the rows of each point of a
+        stack (c of shape (T, *points, M)) with that point's own weights."""
         c = self.c
         if weights is None:
             return Jet(self.order, c.sum(axis=0))
+        if weights.ndim == 1:
+            weights = weights.reshape((-1,) + (1,) * (c.ndim - 1))
+            return Jet(self.order, _sum_in_order(weights * c))
         if weights.ndim > 2:
             return Jet(self.order, np.einsum("...kt,t...m->k...m", weights, c))
         out = weights @ c.reshape(c.shape[0], -1)

@@ -23,6 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .catalog import build
 from .core import FunctionHandle, WeightIndex, fourier_sum_handle
 from .errors import DomainError, ValueOverflow
 from .jets import Jet
@@ -263,12 +264,9 @@ def kernel_jet(i, params, skew, jv):
 
 
 def kernel_term_handle(i, params, skew=False):
-    """The full term c_i(n, r; y, v) q^n zeta^r with exact jets."""
-
-    def je(jv):
-        return kernel_jet(i, params, skew, jv)
-
-    return FunctionHandle(jet_fn=je, label=_term_label(i, params, skew))
+    """The catalog's full term c_i(n, r; y, v) q^n zeta^r (`catalog.build`)."""
+    return build("c%d%s" % (i, "sk" if skew else ""),
+                 k=params.k, m=params.m, n=params.n, r=params.r).f
 
 
 # ----------------------------------------------------------------------

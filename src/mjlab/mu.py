@@ -7,11 +7,10 @@ over the pair (sum of entries, sum of squares) with integer multiplicities,
 so the cost grows polynomially rather than exponentially in the radius.
 All evaluators work in Taylor-jet arithmetic, so every function here has
 exact derivative jets and can be fed to the slash actions and covariant
-operators directly.  Each function is one jet evaluator plus, where a
-caller needs one, a FunctionHandle bound to the plain coordinates; a point
-value is the jet at order 0.  The completed components take one label or a
-list of labels (the vector of a rank, one row per label), sharing the work
-no label changes.
+operators directly.  Each function is one jet evaluator, which
+`mjlab.catalog` binds to the plain coordinates; a point value is the jet at
+order 0.  The completed components take one label or a list of labels (the
+vector of a rank, one row per label), sharing the work no label changes.
 """
 
 import cmath
@@ -20,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy, _term_axis, labels
+from .catalog import build
+from .core import TruncationPolicy, _term_axis, labels
 from .errors import DomainError, PoleAtAppell, PoleAtTheta, ValueOverflow
 from .jets import Jet, _finite_exp
 from .special import (
@@ -243,27 +243,8 @@ def _kept_rows(weights, axis):
     return np.moveaxis(has, -1, 0).astype(float)
 
 
-def mu_m_handle(two_m, z2, policy=None):
-    """The Appell sum at z1 = z and the constant z2."""
-
-    def je(jv):
-        return mu_m_jet(two_m, jv.tau, jv.z, Jet.constant(z2, jv.order), policy)
-
-    return FunctionHandle(jet_fn=je, label="mu_m[%d]" % two_m)
-
-
 # ----------------------------------------------------------------------
 # completed vector components
-
-
-def _completion_prefactor(two_m, l, tau, z):
-    """e^(i pi m) q^(-(l+m)^2 / 4m) zeta^(-(l+m)) as a jet."""
-    m = two_m / 2.0
-    lpm = l + m
-    phase = cmath.exp(1j * math.pi * m)
-    return phase * (
-        -2j * math.pi * (lpm * lpm / (4.0 * m)) * tau - TWO_PI * 1j * lpm * z
-    ).exp()
 
 
 def _r_argument(two_m, l, tau, z):
@@ -278,8 +259,16 @@ def _r_argument(two_m, l, tau, z):
 COMPONENT_SHIFT = 0.5
 
 
-def _component_phase(l):
-    return -cmath.exp(1j * math.pi * l)
+def _prefactor_and_r(two_m, l, tau, zs, policy):
+    """The R part of the label-l component at zs = z + 1/2: its prefactor
+    -e^(i pi l) e^(i pi m) q^(-(l+m)^2 / 4m) zeta^(-(l+m)) and the R-series
+    at its argument, which the component multiplies by -i/2."""
+    m = two_m / 2.0
+    lpm = l + m
+    pref = cmath.exp(1j * math.pi * m) * (
+        -2j * math.pi * (lpm * lpm / (4.0 * m)) * tau - TWO_PI * 1j * lpm * zs).exp()
+    r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, l, tau, zs), policy)
+    return -cmath.exp(1j * math.pi * l) * pref, r_part
 
 
 def mu_hat_component_jet(two_m, l, tau, z, policy=None):
@@ -304,8 +293,7 @@ def mu_hat_component_jet(two_m, l, tau, z, policy=None):
                        1.0 / (2.0 * two_m) - zs, policy)
     rows = []
     for row, label in zip(mu_part.c, ls):
-        r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, label, tau, zs), policy)
-        pref = _component_phase(label) * _completion_prefactor(two_m, label, tau, zs)
+        pref, r_part = _prefactor_and_r(two_m, label, tau, zs, policy)
         rows.append(pref * (Jet(mu_part.order, row) - 0.5j * r_part))
     return rows[0] if lone else Jet(mu_part.order, np.array([row.c for row in rows]))
 
@@ -316,24 +304,13 @@ def r_hat_component_jet(two_m, l, tau, z, policy=None):
     this term."""
     check_component(two_m, l)
     require_upper_half_plane("R_hat_{m,l}", tau.value, z=z.value)
-    zs = z + COMPONENT_SHIFT
-    r_part = zwegers_R_jet(two_m * tau, _r_argument(two_m, l, tau, zs), policy)
-    pref = _component_phase(l) * _completion_prefactor(two_m, l, tau, zs)
+    pref, r_part = _prefactor_and_r(two_m, l, tau, z + COMPONENT_SHIFT, policy)
     return -0.5j * pref * r_part
 
 
 def mu_hat_ml_handle(two_m, l, policy=None):
-    def je(jv):
-        return mu_hat_component_jet(two_m, l, jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="mu_hat[%d,%s]" % (two_m, l))
-
-
-def R_hat_ml_handle(two_m, l, policy=None):
-    def je(jv):
-        return r_hat_component_jet(two_m, l, jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="R_hat[%d,%s]" % (two_m, l))
+    """The catalog's mu_hat_ml of rank 2m (`catalog.build`)."""
+    return build("mu_hat_ml", policy, m=two_m / 2, l=l).f
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +333,5 @@ def mu_hat_2_jet(tau, z, policy=None):
 
 
 def mu_hat_2_handle(policy=None):
-    def je(jv):
-        return mu_hat_2_jet(jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="mu_hat_2")
+    """The catalog's mu_hat_2 (`catalog.build`)."""
+    return build("mu_hat_2", policy).f

@@ -7,13 +7,14 @@ and bounded, and put e^w and e^(b^2) into their own exponent).
 
 Series functions are jet-level evaluators taking complex jets for tau and z
 (so they can be composed, e.g. inside slash actions or the mu-family
-specializations); the theta series also have a FunctionHandle wrapper
-bound to the plain coordinates.  Each series builds the exponents of all its
-terms as one batched jet (a term axis in front of the point axes), takes
-one batched exp and sums the term axis once.  At a stack of points the
-truncation radius is the largest one of the stack, and a per-point mask
-keeps, for each point, exactly the terms that point sums alone; masked
-terms never reach exp.
+specializations); `mjlab.catalog` binds them to the plain coordinates.
+Jacobi theta is i theta_{1/2,1/2} at z + 1/2.  The theta_{m,l} and R
+series each build the exponents of all their terms as one batched jet (a
+term axis in front of the point axes), take one batched exp and add the
+terms in term order, so a point's sum does not depend on its stack.  At a
+stack of points the truncation radius is the largest one of the stack,
+and a per-point mask keeps, for each point, exactly the terms that point
+sums alone; masked terms never reach exp.
 """
 
 import contextlib
@@ -22,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FunctionHandle, TruncationPolicy, _term_axis, half_integer, require_finite
+from .core import TruncationPolicy, _term_axis, half_integer, require_finite
 from .errors import DomainError, HUndefined, TruncationOverflow, ValueOverflow
-from .jets import Jet, _finite_exp
+from .jets import Jet, _finite_exp, _sum_in_order
 
 TWO_PI = 2.0 * math.pi
 
@@ -445,35 +446,7 @@ def _masked_exp(expo, mask):
 
 
 # ----------------------------------------------------------------------
-# Jacobi theta theta(z; tau)
-
-
-def jacobi_theta_jet(tau, z, policy=None):
-    """theta(z; tau) = sum over r in Z+1/2 of (-1)^(r+1/2) q^(r^2/2) zeta^r."""
-    policy = policy or TruncationPolicy()
-    require_upper_half_plane("theta", tau.value, z=z.value)
-    y0 = tau.value.imag
-    v0 = z.value.imag
-    radius = _gaussian_radius(y0, 1, TWO_PI * abs(v0), policy)
-    R = _largest(radius)
-    k = np.arange(-R, R + 2)  # r = k - 1/2 runs over -R - 1/2, ..., R + 1/2
-    kk = _term_axis(k, tau, z)
-    r = kk - 0.5
-    mask = _stack_mask(radius, lambda rad: (kk >= -rad) & (kk <= rad + 1))
-    with np.errstate(over="ignore"):  # an exponent below the float range: exp is 0
-        terms = _masked_exp((1j * math.pi * r * r) * tau + (TWO_PI * 1j * r) * z, mask)
-    return terms.sum(np.where(k % 2, -1.0, 1.0))
-
-
-def jacobi_theta_handle(policy=None):
-    def je(jv):
-        return jacobi_theta_jet(jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="jacobi_theta")
-
-
-# ----------------------------------------------------------------------
-# congruence theta series theta_{m,l}
+# congruence theta series theta_{m,l}, and Jacobi theta from theta_{1/2,1/2}
 
 
 def theta_ml_jet(two_m, l, tau, z, policy=None):
@@ -511,17 +484,16 @@ def theta_ml_jet(two_m, l, tau, z, policy=None):
     with np.errstate(over="ignore"):  # an exponent below the float range: exp is 0
         terms = _masked_exp((2j * math.pi * (r * r / (4.0 * m))) * tau + (TWO_PI * 1j * r) * z,
                             mask)
-    rows = np.empty((len(ls),) + terms.c.shape[1:], dtype=complex)
-    for j in range(len(ls)):
-        terms.c[ends[j]:ends[j + 1]].sum(axis=0, out=rows[j])  # each label its own terms
-    return Jet(terms.order, rows[0] if lone else rows)
+    rows = [_sum_in_order(terms.c[a:b]) for a, b in zip(ends, ends[1:])]  # each its own terms
+    return Jet(terms.order, rows[0] if lone else np.array(rows))
 
 
-def theta_ml_handle(two_m, l, policy=None):
-    def je(jv):
-        return theta_ml_jet(two_m, l, jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="theta_ml[%d,%s]" % (two_m, l))
+def jacobi_theta_jet(tau, z, policy=None):
+    """theta(z; tau) = sum over r in Z+1/2 of (-1)^(r+1/2) q^(r^2/2) zeta^r,
+    which is i theta_{1/2,1/2}(tau, z + 1/2): the half period turns zeta^r
+    into (-1)^(r+1/2) (-i) zeta^r, so theta sums no series of its own."""
+    require_upper_half_plane("theta", tau.value, z=z.value)
+    return 1j * theta_ml_jet(1, 0.5, tau, z + 0.5, policy)
 
 
 # ----------------------------------------------------------------------
@@ -558,10 +530,3 @@ def zwegers_R_jet(tau, z, policy=None):
         terms = amp * _masked_exp(-1j * math.pi * n * n * tau - (TWO_PI * 1j * n) * z, mask)
         total = terms.sum(np.where((n_terms - 0.5) % 2, -1.0, 1.0))
     return _finite_sum(total, "R-series")
-
-
-def zwegers_R_handle(policy=None):
-    def je(jv):
-        return zwegers_R_jet(jv.tau, jv.z, policy)
-
-    return FunctionHandle(jet_fn=je, label="R")

@@ -74,7 +74,7 @@ from .operators import (
     xi_map,
     xi_skew_map,
 )
-from .special import theta_ml_handle, theta_ml_jet
+from .special import theta_ml_jet
 from .weil import labels, rho_generator, rho_word, vector_law
 
 GENERIC_POINTS = (
@@ -525,7 +525,7 @@ def factorization_checks():
     yv, tau = _yv_test_handle(1, 1), _tau_test_handle()
     table = [
         (heisenberg_factorizations(0.5, 1.0, (1, 2, 3)), yv),
-        (heisenberg_factorizations(1.5, 0.5, (2,)), theta_ml_handle(1, 0.5)),
+        (heisenberg_factorizations(1.5, 0.5, (2,)), build("theta_ml", m=0.5, l=0.5).f),
         (x_factorizations(2.5, (1, 2)), tau),
         (lapK_factorization(1.5), tau),
         (semimeromorphic_factorizations(0.5, 1.0), exp_qn_zeta_r(1, 1)),

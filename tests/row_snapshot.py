@@ -9,7 +9,9 @@ sets and decomposition seeds of perfbench/inputs.py, which it only reads),
 the row's identity, its max_residual as float.hex(), tol, passed and
 worst_point, under the name of its run ("defaults" or "seed N") and suite.
 The second prints every row that moved from A to B, every row only one of
-them has, and per suite the rows that moved and their largest move.
+them has, per suite the rows that moved, their largest move and the
+largest move as a share of the moved row's tol, and the number of rows
+whose pass/fail flipped.
 """
 
 import argparse
@@ -73,7 +75,7 @@ def compare(a, b, out=sys.stdout):
 
     ka, kb = keyed(a), keyed(b)
     largest = {}
-    changed = 0
+    changed = flipped = 0
     for key in ka.keys() | kb.keys():
         if key not in ka or key not in kb:
             print("only in %s: %s / %s / %s" % ("B" if key in kb else "A", *key), file=out)
@@ -83,18 +85,21 @@ def compare(a, b, out=sys.stdout):
         if rb is None or ra == rb:
             continue
         changed += 1
+        flipped += ra["passed"] != rb["passed"]
         move = abs(float.fromhex(rb["max_residual"]) - float.fromhex(ra["max_residual"]))
-        count, worst = largest.get(key[1], (0, 0.0))
-        largest[key[1]] = count + 1, max(worst, move)
+        count, worst, share = largest.get(key[1], (0, 0.0, 0.0))
+        largest[key[1]] = count + 1, max(worst, move), max(share, move / ra["tol"])
         print("%s / %s / %s: %s -> %s (move %.3g)%s%s" % (
             *key, float.fromhex(ra["max_residual"]), float.fromhex(rb["max_residual"]), move,
             "" if ra["passed"] == rb["passed"] else ", passed %s -> %s"
             % (ra["passed"], rb["passed"]),
             "" if ra["worst_point"] == rb["worst_point"] else ", worst point %s -> %s"
             % (ra["worst_point"], rb["worst_point"])), file=out)
-    for suite, (count, worst) in sorted(largest.items()):
-        print("suite %s: %d rows moved, largest move %.3g" % (suite, count, worst), file=out)
-    print("%d of %d rows moved or missing" % (changed, len(ka.keys() | kb.keys())), file=out)
+    for suite, (count, worst, share) in sorted(largest.items()):
+        print("suite %s: %d rows moved, largest move %.3g, largest share of a row's tol %.3g"
+              % (suite, count, worst, share), file=out)
+    print("%d of %d rows moved or missing, %d flipped pass/fail"
+          % (changed, len(ka.keys() | kb.keys()), flipped), file=out)
     return changed
 
 

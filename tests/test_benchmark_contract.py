@@ -4,13 +4,20 @@ The harness imports some names, reaches attributes of them, and names
 others by string in its tracer's tables, so a rename in the package would
 break it without any import error here.  All three kinds are read from the
 harness's source with `ast`, without importing it, and each must resolve
-in mjlab."""
+in mjlab.  The handles it imports are their catalog builds, and the
+tolerances its oracle copies are the suite's."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from mjlab import catalog, verify
+from mjlab.core import EvalPoint, JetVars
+from mjlab.kernels import KernelParams, kernel_term_handle
+from mjlab.mu import mu_hat_2_handle, mu_hat_ml_handle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the tracer's tables of names it wraps; OPERATOR_HELPERS lists names it
@@ -58,20 +65,27 @@ def _harness_names():
     return sorted(names)
 
 
-def _table_names():
-    """Dotted paths in mjlab of the names in the tracer's tables
-    ("mjlab.layer.attr" or "mjlab.layer.Class.method")."""
-    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
-    tables = {}
-    for node in tree.body:
+def _module_constants(path, names):
+    """The values of the module-level constants `names` of a source file
+    (a frozenset((...)) as its tuple), read with `ast`, without importing
+    it."""
+    values = {}
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             name = getattr(node.targets[0], "id", None)
-            if name in TABLES:
+            if name in names:
                 value = node.value
                 if isinstance(value, ast.Call):  # frozenset((...))
                     value = value.args[0]
-                tables[name] = ast.literal_eval(value)
-    assert set(tables) == set(TABLES)
+                values[name] = ast.literal_eval(value)
+    assert set(values) == set(names)
+    return values
+
+
+def _table_names():
+    """Dotted paths in mjlab of the names in the tracer's tables
+    ("mjlab.layer.attr" or "mjlab.layer.Class.method")."""
+    tables = _module_constants(PERFBENCH / "tracer.py", TABLES)
     out = ["mjlab." + name for table in ("CATALOG", "SERIES") for name in sorted(tables[table])]
     for layer, (cls, methods) in tables["METHODS"].items():
         out += ["mjlab.%s.%s.%s" % (layer, cls, method) for method in methods]
@@ -114,3 +128,26 @@ def test_the_contract_covers_the_names_the_harness_needs():
     for dotted in ("mjlab.mu.lattice_multiplicities", "mjlab.jets.Jet.__mul__",
                    "mjlab.core._compose_taylor", "mjlab.group.slash", "mjlab.group.skew_slash"):
         assert dotted in TRACED
+
+
+def test_the_oracle_checks_the_identities_at_the_suite_tolerances():
+    """The oracle's copies of the mu-xi-theta tolerances are the suite's."""
+    tols = _module_constants(PERFBENCH / "oracle.py", ("XI_THETA_TOL", "XI_MU2_TOL"))
+    assert tols == {"XI_THETA_TOL": verify.MU_XI_THETA_XI_TOL,
+                    "XI_MU2_TOL": verify.MU_XI_THETA_MU2_TOL}
+
+
+@pytest.mark.parametrize("handle,name,options", [
+    (mu_hat_ml_handle(2, 0.0), "mu_hat_ml", {"m": 1, "l": 0.0}),
+    (mu_hat_ml_handle(3, [0.5, 1.5, 2.5]), "mu_hat_ml", {"m": 1.5, "l": [0.5, 1.5, 2.5]}),
+    (mu_hat_2_handle(), "mu_hat_2", {}),
+    (kernel_term_handle(3, KernelParams.of(0.5, -1, -1, 1)), "c3",
+     {"k": 0.5, "m": -1, "n": -1, "r": 1}),
+    (kernel_term_handle(4, KernelParams.of(1.5, 0.5, 0, 1), skew=True), "c4sk",
+     {"k": 1.5, "m": 0.5, "n": 0, "r": 1}),
+], ids=["mu_hat_ml", "mu_hat_ml-labels", "mu_hat_2", "c3", "c4sk"])
+def test_the_handles_the_harness_imports_are_their_catalog_builds(handle, name, options):
+    built = catalog.build(name, **options).f
+    assert handle.label == built.label
+    jv = JetVars.at([EvalPoint(0.13, 1.1, 0.21, 0.17), EvalPoint(-0.3, 0.7, 0.4, -0.2)], 2)
+    assert np.array_equal(handle.jet_at(jv).c, built.jet_at(jv).c)

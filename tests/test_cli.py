@@ -29,7 +29,6 @@ from mjlab.special import (
     H_function,
     error_completion_E,
     jacobi_theta_jet,
-    theta_ml_handle,
     theta_ml_jet,
     zwegers_R_jet,
 )
@@ -83,7 +82,7 @@ def test_eval_theta_matches_library():
     assert res.returncode == 0, res.stderr
     record = json.loads(res.stdout)
     assert record["function"] == "theta_ml"
-    want = theta_ml_handle(2, 1).eval(EvalPoint(0.13, 1.1, 0.21, 0.17))
+    want = catalog.build("theta_ml", m=1, l=1).f.eval(EvalPoint(0.13, 1.1, 0.21, 0.17))
     got = complex(*record["value"])
     assert abs(got - want) < 1e-12 * max(1.0, abs(want))
     assert record["truncation_radius"] >= 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from fd_reference import bits, reference_fd_jet
 
+from mjlab import catalog
 from mjlab.core import (
     EvalPoint,
     FunctionHandle,
@@ -34,7 +35,6 @@ from mjlab.group import GEN_S, TaggedForm, _frame, slash
 from mjlab.jets import monomials
 from mjlab.kernels import h_series_handle
 from mjlab.mu import mu_hat_ml_handle
-from mjlab.special import jacobi_theta_handle, theta_ml_handle, zwegers_R_handle
 
 
 class TestEvalPoint:
@@ -193,8 +193,9 @@ def test_finite_difference_evaluates_its_stencil_once_at_the_reference_points(or
     assert bits(got) == bits(want)
 
 
-@pytest.mark.parametrize("h", [theta_ml_handle(2, 0), jacobi_theta_handle(), zwegers_R_handle(),
-                               mu_hat_ml_handle(2, 0.0)], ids=lambda h: h.label)
+@pytest.mark.parametrize("h", [catalog.build("theta_ml", m=1, l=0).f, catalog.build("theta"),
+                               catalog.build("R"), mu_hat_ml_handle(2, 0.0)],
+                         ids=lambda h: h.label)
 @pytest.mark.parametrize("order", [1, 2])
 def test_finite_difference_of_series_matches_the_per_sample_reference(h, order):
     # a stack sums a series' terms in sequence where one point may sum them
@@ -231,7 +232,7 @@ def test_finite_difference_of_a_point_list_is_one_evaluation_of_every_stencil(or
     from one evaluation of the handle on the points' stencils in turn (the
     points at different y take different default steps)."""
     points = [FD_POINT, EvalPoint(-0.3, 1.5, 0.11, 0.08), EvalPoint(0.2, 2.5, -0.1, 0.3)]
-    for h in (theta_ml_handle(2, 0), exp_qn_zeta_r(1, 2)):
+    for h in (catalog.build("theta_ml", m=1, l=0).f, exp_qn_zeta_r(1, 2)):
         calls = []
 
         def counted(jv, h=h):

@@ -24,7 +24,6 @@ from mjlab.group import (
     slash,
 )
 from mjlab.kernels import KernelParams, kernel_term_handle
-from mjlab.special import theta_ml_handle
 from mjlab.verify import COVARIANCE_FORMS, GENERATORS, GENERIC_POINTS, _stacked
 
 POINTS = [
@@ -67,7 +66,7 @@ def test_s_squared_is_central_and_order_four():
 
 
 def theta_form():
-    return TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
+    return TaggedForm(build("theta_ml", m=1, l=1).f, WeightIndex(1, 2), "standard")
 
 
 def skew_form():
@@ -131,7 +130,7 @@ def test_action_kind_mismatch_raises():
 
 def test_tagged_form_rejects_unknown_kind():
     with pytest.raises(DomainError):
-        TaggedForm(theta_ml_handle(2, 0), WeightIndex(1, 2), "twisted")
+        TaggedForm(build("theta_ml", m=1, l=0).f, WeightIndex(1, 2), "twisted")
 
 
 def test_theta_is_invariant_under_integer_heisenberg_translations():
@@ -158,7 +157,7 @@ def test_slash_of_a_row_stack_is_the_stack_of_its_rows_slashes(gen, order):
     the frame made by the first slash or held for the second."""
     A = GENERATORS[gen]
     params = KernelParams.of(0.5, -1, -1, 1)
-    handles = [theta_ml_handle(2, 0), kernel_term_handle(1, params, skew=True),
+    handles = [build("theta_ml", m=1, l=0).f, kernel_term_handle(1, params, skew=True),
                kernel_term_handle(4, params, skew=True)]
     wi = WeightIndex(1, -2)
     stack = GENERIC_POINTS[:3]
@@ -205,7 +204,7 @@ def test_memo_holds_one_frame_per_element_and_order(monkeypatch):
         return frame(A, jv)
 
     monkeypatch.setattr(group, "_frame", counted_frame)
-    phi = TaggedForm(theta_ml_handle(2, 0.0), WeightIndex(1, 2))
+    phi = TaggedForm(build("theta_ml", m=1, l=0.0).f, WeightIndex(1, 2))
     fresh = JetVars.at(stack, 1)
     apply_slash(apply_slash(phi, GEN_S), GEN_T).f.jet_at(fresh)
     assert [(A, order) for A, order, _ in frames] == [(GEN_T, 1), (GEN_S, 1)]

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from mjlab import catalog
 from mjlab.core import EvalPoint, TruncationPolicy, WeightIndex
 from mjlab.errors import DomainError, EvaluationAtPole
 from mjlab.jets import Jet, d_taubar, d_zbar
@@ -24,9 +25,8 @@ from mjlab.mu import (
     mu_m_jet,
     mu_two_variable_jet,
     r_hat_component_jet,
-    R_hat_ml_handle,
 )
-from mjlab.special import theta_ml_handle, zwegers_R_jet
+from mjlab.special import zwegers_R_jet
 from mjlab.weil import labels as component_labels
 
 C = lambda w: Jet.constant(w, 0)
@@ -165,7 +165,7 @@ def test_component_shadow_is_theta(two_m):
     # test_operators; here the raw antiholomorphic derivative of the
     # completion part must match that of the R-summand alone
     for l in component_labels(two_m):
-        th = theta_ml_handle(two_m, l)
+        th = catalog.build("theta_ml", m=two_m / 2, l=l).f
         from mjlab.operators import xi_H
 
         image = xi_H(WeightIndex(1, -two_m), mu_hat_ml_handle(two_m, l))
@@ -193,7 +193,7 @@ def test_component_point_evaluators_agree_with_jets():
     a = mu_hat_ml_handle(2, 1).eval(p)
     b = mu_hat_component_jet(2, 1, C(p.tau), C(p.z)).value
     assert a == b
-    h = R_hat_ml_handle(2, 1)
+    h = catalog.build("R_hat_ml", m=1, l=1).f
     c = r_hat_component_jet(2, 1, C(p.tau), C(p.z)).value
     assert abs(h.eval(p) - c) < 1e-15
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mjlab import catalog
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex, exp_qn_zeta_r
 from mjlab.errors import DomainError
 from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash, heisenberg
@@ -32,7 +33,6 @@ from mjlab.operators import (
     xi_H_skew_map,
     xi_bruinier_funke,
 )
-from mjlab.special import jacobi_theta_handle, theta_ml_handle
 from mjlab.verify import (
     heisenberg_factorizations,
     lapK_factorization,
@@ -72,25 +72,25 @@ def on(maps, f):
 
 
 def test_lowering_operators_kill_holomorphic_theta():
-    th = theta_ml_handle(2, 1)
+    th = catalog.build("theta_ml", m=1, l=1).f
     assert max_abs(image(lower_Y(0.5, 1.0), th)) < 1e-12
     assert max_abs(image(lower_X(0.5, 1.0), th)) < 1e-12
 
 
 def test_casimir_kills_holomorphic_theta():
     wi = WeightIndex(1, 2)
-    assert max_abs(casimir(wi, theta_ml_handle(2, 0))) < 1e-12
+    assert max_abs(casimir(wi, catalog.build("theta_ml", m=1, l=0).f)) < 1e-12
 
 
 def test_xi_operators_kill_holomorphic_theta():
     wi = WeightIndex(1, 2)
-    th = theta_ml_handle(2, 1)
+    th = catalog.build("theta_ml", m=1, l=1).f
     assert max_abs(xi(wi, th)) < 1e-12
     assert max_abs(image(xi_bruinier_funke(0.5), th)) < 1e-12
 
 
 def test_hyperbolic_laplacian_kills_holomorphic_function():
-    assert max_abs(image(laplace_hyperbolic(0.5), jacobi_theta_handle())) < 1e-12
+    assert max_abs(image(laplace_hyperbolic(0.5), catalog.build("theta"))) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_skew_casimir_annihilates_skew_kernel_term():
 @pytest.mark.parametrize("op_name", ["X+", "Y-", "xiH", "xi"])
 @pytest.mark.parametrize("gen", [GEN_T, GEN_S, heisenberg(1, 0)])
 def test_covariance_on_theta(op_name, gen):
-    phi = TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
+    phi = TaggedForm(catalog.build("theta_ml", m=1, l=1).f, WeightIndex(1, 2), "standard")
     [report] = verify_covariance([op_name], [phi], {"A": gen}, POINTS[:2])
     assert report.max_residual < 1e-7, (op_name, report.as_dict())
 
@@ -168,7 +168,7 @@ def test_xi_H_maps_completed_component_to_theta():
     wi = WeightIndex(1, -two_m)
     for l in (0, 1):
         image = xi_H(wi, mu_hat_ml_handle(two_m, l))
-        th = theta_ml_handle(two_m, l)
+        th = catalog.build("theta_ml", m=two_m / 2, l=l).f
         for p in POINTS:
             a = image.eval(p)
             b = th.eval(p)
@@ -202,7 +202,7 @@ def test_named_application_matches_direct_call():
 
 
 def test_apply_operator_shifts_weight():
-    phi = TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
+    phi = TaggedForm(catalog.build("theta_ml", m=1, l=1).f, WeightIndex(1, 2), "standard")
     out = apply_operator("X+", phi)
     assert out.weight_index.two_k == phi.weight_index.two_k + 4
     flipped = apply_operator("xiH", phi)
@@ -218,7 +218,7 @@ def test_unknown_operator_name_raises():
 
 
 def test_operator_action_kind_mismatch_raises():
-    phi = TaggedForm(theta_ml_handle(2, 1), WeightIndex(1, 2), "standard")
+    phi = TaggedForm(catalog.build("theta_ml", m=1, l=1).f, WeightIndex(1, 2), "standard")
     with pytest.raises(DomainError):
         apply_operator("Ysk+", phi)
 

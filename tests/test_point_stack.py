@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mjlab import catalog
 from mjlab.core import (
     EvalPoint,
     FunctionHandle,
@@ -36,7 +39,7 @@ from mjlab.mu import (
     r_hat_component_jet,
 )
 from mjlab.operators import _OPERATORS, apply_operator, image
-from mjlab.special import jacobi_theta_jet, theta_ml_handle, theta_ml_jet, zwegers_R_jet
+from mjlab.special import jacobi_theta_jet, theta_ml_jet, zwegers_R_jet
 from mjlab.verify import (
     GENERATORS,
     _rows,
@@ -144,6 +147,35 @@ def test_each_point_sums_its_own_terms(order):
         assert_stack_equals_points(lambda jv: mu_m_jet(*args(jv), LOOSE), order)
 
 
+# the series whose rows are bit for bit the same in any stack: each adds
+# its terms in term order, and masked terms are exact zeros
+IN_ORDER_SERIES = {
+    "theta": lambda jv: jacobi_theta_jet(jv.tau, jv.z),
+    "theta_ml[3,1.5]": lambda jv: theta_ml_jet(3, 1.5, jv.tau, jv.z),
+    "theta_ml[4,1]": lambda jv: theta_ml_jet(4, 1, jv.tau, jv.z),
+    "R": lambda jv: zwegers_R_jet(jv.tau, jv.z),
+}
+# Im(tau) below every drawn point's: a larger radius in every series
+WIDE = EvalPoint(0.1, 0.2, 0.3, 0.45)
+_coord = st.floats(-0.5, 0.5)
+_points = st.builds(EvalPoint, _coord, st.floats(0.5, 3.0), _coord, _coord)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(IN_ORDER_SERIES)), order=st.integers(0, 2), point=_points,
+       others=st.lists(_points, min_size=1, max_size=5), rnd=st.randoms(use_true_random=False))
+def test_a_series_row_is_bit_identical_in_any_stack(name, order, point, others, rnd):
+    """A point's row of theta, theta_ml or R at orders 0-2 is the same to
+    the last bit as a stack of one, in a shuffled stack, and beside a point
+    of larger radius."""
+    fn = IN_ORDER_SERIES[name]
+    alone = fn(JetVars.at([point], order)).c[0]
+    for stack in (others + [point], others + [point, WIDE]):
+        rnd.shuffle(stack)
+        row = fn(JetVars.at(stack, order)).c[stack.index(point)]
+        assert np.array_equal(row, alone)
+
+
 def test_state_counts_are_each_points_own():
     """At a stack whose Appell radii differ each point reads the counts of
     its own radius (0 for a state outside its cube)."""
@@ -197,7 +229,7 @@ def test_every_generator_slash_stacks(gen, order):
         slashed = apply_slash(TaggedForm(yv_probe(), wi, kind), A).f
         assert_stack_equals_points(slashed.jet_at, order)
     # an operator image on transformed coordinates (composed per point)
-    img = image(_OPERATORS["Casimir"][0](0.5, -1.0), theta_ml_handle(2, 0))
+    img = image(_OPERATORS["Casimir"][0](0.5, -1.0), catalog.build("theta_ml", m=1, l=0).f)
     slashed = apply_slash(TaggedForm(img, wi, "standard"), A).f
     assert_stack_equals_points(slashed.jet_at, min(order, 2))
 
@@ -215,7 +247,7 @@ def test_taylor_composition_of_a_zero_table_keeps_its_batch_shape():
 def test_slash_of_a_vanishing_image_keeps_the_operand_rows():
     """X- annihilates the holomorphic theta_ml[2,0]: its image, slashed by
     S, is one zero row per stacked operand and point."""
-    rows = TaggedForm(_stacked([theta_ml_handle(2, 0)] * 2), WeightIndex(1, 2))
+    rows = TaggedForm(_stacked([catalog.build("theta_ml", m=1, l=0).f] * 2), WeightIndex(1, 2))
     slashed = apply_slash(apply_operator("X-", rows), GENERATORS["S"]).f
     value = slashed.jet_at(JetVars.at(STACK, 0)).value
     assert value.shape == (2, len(STACK)) and not value.any()
@@ -225,7 +257,8 @@ def test_slash_of_a_vanishing_image_keeps_the_operand_rows():
 def test_a_row_stack_is_its_handles_alone(order):
     """Every row of a stacked handle, of its operator image and of its
     slash is bit for bit what the row's handle gives alone."""
-    handles = [theta_ml_handle(2, 0), yv_probe(), kernel_term_handle(3, KERNEL_PARAMS[0])]
+    handles = [catalog.build("theta_ml", m=1, l=0).f, yv_probe(),
+               kernel_term_handle(3, KERNEL_PARAMS[0])]
     jv = JetVars.at(STACK, order)
     wi = WeightIndex(1, -2)
     stacked = TaggedForm(_stacked(handles), wi)

@@ -26,10 +26,14 @@ def test_snapshot_of_a_suite_is_its_rows_as_exact_text():
     assert row_snapshot.compare(rows, rows, out=io.StringIO()) == 0
     moved = [dict(row) for row in rows]
     moved[3]["max_residual"] = (float.fromhex(rows[3]["max_residual"]) * 2).hex()
+    moved[3]["passed"] = not rows[3]["passed"]
     text = io.StringIO()
     assert row_snapshot.compare(rows, moved[:-1], out=text) == 2
     assert rows[3]["identity"] in text.getvalue()
     assert "only in A: defaults / factorizations / %s" % rows[-1]["identity"] in text.getvalue()
+    share = float.fromhex(rows[3]["max_residual"]) / rows[3]["tol"]
+    assert "largest share of a row's tol %.3g" % share in text.getvalue()
+    assert "2 of %d rows moved or missing, 1 flipped pass/fail" % len(rows) in text.getvalue()
 
 
 def test_every_row_matches_the_committed_snapshot():

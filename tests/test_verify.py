@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mjlab import cli, group, kernels, mu, special, verify
+from mjlab import catalog, cli, group, kernels, mu, special, verify
 from mjlab.catalog import build
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, WeightIndex
 from mjlab.errors import DomainError
@@ -18,7 +18,7 @@ from mjlab.group import GEN_S, GEN_T, TaggedForm, apply_slash
 from mjlab.kernels import KERNEL_TERMS, KernelParams, kernel_term_handle, xi_image_rows
 from mjlab.mu import mu_hat_ml_handle
 from mjlab.operators import JetMap, _entry, apply_operator, image, input_kind
-from mjlab.special import theta_ml_handle, theta_ml_jet
+from mjlab.special import theta_ml_jet
 from mjlab.verify import (
     COVARIANCE_OPS,
     COVARIANCE_REACH,
@@ -180,7 +180,8 @@ def test_covariance_evaluates_each_form_once_per_generator_base(monkeypatch):
     """One suite call evaluates each catalog form once, on the plain
     coordinate jets of order 2 at the one stack of every generator's image
     of the points: theta_ml and mu_hat_ml once each, the kernel family 3
-    times for its three forms."""
+    times for its three forms.  Only the theta_ml form's own calls (2m = 2,
+    l = 0) are counted, not the theta (2m = 1, l = 1/2) inside mu_hat_ml."""
     calls = {}
     # the tau jet of plain coordinates, less its value
     plain_tau = JetVars(*JetVars._plain((0.0, 0.0, 0.0, 0.0), COVARIANCE_REACH)).tau
@@ -189,6 +190,8 @@ def test_covariance_evaluates_each_form_once_per_generator_base(monkeypatch):
         fn = getattr(module, attr)
 
         def wrapper(*args):
+            if name == "theta_ml" and args[:2] != (2, 0):
+                return fn(*args)
             tau = args[-1].tau if name == "kernel" else args[2]
             on_plain = tau.order == COVARIANCE_REACH and np.array_equal(
                 tau.c[..., 1:], np.broadcast_to(plain_tau.c[1:], tau.c[..., 1:].shape))
@@ -485,7 +488,7 @@ def test_a_depth_3_factorization_applies_each_laplacian_factor_once(build, lapla
 
     monkeypatch.setattr(verify, laplacian, counted)
     [jmap] = [jmap for name, jmap in build() if name.startswith("quasi-factorization")]
-    image(jmap, theta_ml_handle(2, 0.0)).jet_at(JetVars.at(GENERIC_POINTS[0], 0))
+    image(jmap, catalog.build("theta_ml", m=1, l=0.0).f).jet_at(JetVars.at(GENERIC_POINTS[0], 0))
     assert len(applied) == 3
 
 

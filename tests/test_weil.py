@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from mjlab import catalog
 from mjlab.core import EvalPoint, FunctionHandle, JetVars, TaggedForm, WeightIndex
 from mjlab.errors import DomainError
 from mjlab.jets import Jet
-from mjlab.special import theta_ml_handle
 from mjlab.weil import (
     labels,
     rho_generator,
@@ -93,7 +93,7 @@ def test_matrix_validation():
 def test_theta_vector_transforms_under_rho(two_m, word):
     # the vector of index-m theta components, slashed at weight 1/2,
     # equals the representation matrix of the word times itself
-    comps = [theta_ml_handle(two_m, l) for l in labels(two_m)]
+    comps = [catalog.build("theta_ml", m=two_m / 2, l=l).f for l in labels(two_m)]
     stack = FunctionHandle(
         jet_fn=lambda jv: Jet(jv.order, np.stack([h.jet_at(jv).c for h in comps])))
     theta = TaggedForm(stack, WeightIndex(1, two_m))
